@@ -65,8 +65,8 @@ pub struct GmdjOptions {
     /// Dispatch the detail scan to batched columnar kernels where a probe
     /// shape can be specialized (default on). Counter-exact: every
     /// [`EvalStats`] field matches the row-at-a-time scan bit for bit.
-    /// Completion plans are scan-order-dependent and always keep the row
-    /// path regardless of this flag.
+    /// Completion plans run the same columnar windows either way; the flag
+    /// only switches their typed hash sidecar and residual kernels.
     pub vectorized: bool,
 }
 
@@ -698,10 +698,7 @@ pub(crate) fn scan_detail_vectorized(
     // the global detail row index it currently holds.
     let mut row_scratch: Vec<Value> = Vec::new();
     let mut scratch_at: usize = usize::MAX;
-    // Flattened per-row candidate lists (Hash/Interval): offsets[i]..
-    // offsets[i+1] indexes row i's candidates in `cand_flat`.
-    let mut cand_flat: Vec<u32> = Vec::new();
-    let mut cand_offsets: Vec<u32> = Vec::new();
+    let mut probe = WindowProbe::default();
     let mut win_start = range.start;
     while win_start < range.end {
         let win_len = (range.end - win_start).min(BATCH_ROWS);
@@ -709,121 +706,67 @@ pub(crate) fn scan_detail_vectorized(
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
         for plan in plans {
-            // Shared per-candidate body: counters and residual handling
-            // mirror the row path; `theta_evals` counts per (base, detail)
-            // pair even when a detail-only mask was computed once per row.
-            macro_rules! process_candidates {
-                ($cands:expr, $i:expr, $have_mask:expr) => {{
-                    for &b_idx in $cands {
-                        let b_idx = b_idx as usize;
-                        stats.probe_candidates += 1;
-                        let b_row: &[Value] = &base_rows[b_idx];
-                        let passes = match &plan.residual {
-                            None => true,
-                            Some(res) => {
-                                stats.theta_evals += 1;
-                                if $have_mask {
-                                    mask[$i]
-                                } else {
-                                    let r = scratch_row(
-                                        cols,
-                                        win_start + $i,
-                                        &mut row_scratch,
-                                        &mut scratch_at,
-                                    );
-                                    res.eval(&[b_row, r])?.passes()
-                                }
-                            }
-                        };
-                        if passes {
-                            update_aggs_at(
-                                plan,
-                                b_idx,
-                                total_aggs,
-                                accs,
-                                b_row,
-                                cols,
-                                win_start + $i,
-                                &mut row_scratch,
-                                &mut scratch_at,
-                                stats,
-                            )?;
-                        }
-                    }
-                }};
-            }
-
             match &plan.access {
-                Access::Hash {
-                    index,
-                    detail_cols,
-                    typed,
-                } => {
-                    // Pass 1: probe every row, flattening the candidate
-                    // lists so mask profitability is known before pass 2.
-                    let keycol = typed.as_ref().map(|_| view.col(detail_cols[0]));
-                    cand_flat.clear();
-                    cand_offsets.clear();
-                    cand_offsets.push(0);
+                Access::Hash { .. } | Access::Interval { .. } => {
+                    // Pass 1: probe every row, so mask profitability is
+                    // known before pass 2 walks the candidate lists.
+                    probe.fill(
+                        plan,
+                        &view,
+                        cols,
+                        win_start,
+                        win_len,
+                        &mut key_scratch,
+                        &mut stab_scratch,
+                        kernel,
+                    );
+                    // Pass 2: counters and residual handling mirror the
+                    // row path; `theta_evals` counts per (base, detail)
+                    // pair even when a detail-only mask was computed once
+                    // per row. The lists are hoisted into locals so the
+                    // walk keeps them in registers across the accumulator
+                    // calls (about 10 % on hash probes, measured).
+                    let (flat, offsets, mask) =
+                        (&probe.flat[..], &probe.offsets[..], &probe.mask[..]);
+                    let have_mask = probe.have_mask;
                     for i in 0..win_len {
-                        let cands = probe_hash(
-                            index,
-                            typed,
-                            keycol.as_ref(),
-                            detail_cols,
-                            cols,
-                            i,
-                            win_start + i,
-                            &mut key_scratch,
-                        );
-                        cand_flat.extend_from_slice(cands);
-                        cand_offsets.push(cand_flat.len() as u32);
-                    }
-                    let have_mask = shared_mask(plan, &view, cand_flat.len(), win_len, &mut mask);
-                    if plan.residual.is_none() || have_mask {
-                        kernel.rows_vectorized += win_len as u64;
-                    } else {
-                        kernel.rows_row_path += win_len as u64;
-                    }
-                    for i in 0..win_len {
-                        let cands =
-                            &cand_flat[cand_offsets[i] as usize..cand_offsets[i + 1] as usize];
-                        process_candidates!(cands, i, have_mask);
-                    }
-                }
-                Access::Interval { index, detail_col } => {
-                    let col = view.col(*detail_col);
-                    cand_flat.clear();
-                    cand_offsets.clear();
-                    cand_offsets.push(0);
-                    for i in 0..win_len {
-                        if col.nulls[i] {
-                            stab_scratch.clear();
-                        } else {
-                            match &col.data {
-                                ColData::Int(vals) => {
-                                    index.stab_f64(vals[i] as f64, &mut stab_scratch)
+                        let row = win_start + i;
+                        for &b_idx in &flat[offsets[i] as usize..offsets[i + 1] as usize] {
+                            let b_idx = b_idx as usize;
+                            stats.probe_candidates += 1;
+                            let b_row: &[Value] = &base_rows[b_idx];
+                            let passes = match &plan.residual {
+                                None => true,
+                                Some(res) => {
+                                    stats.theta_evals += 1;
+                                    if have_mask {
+                                        mask[i]
+                                    } else {
+                                        let r = scratch_row(
+                                            cols,
+                                            row,
+                                            &mut row_scratch,
+                                            &mut scratch_at,
+                                        );
+                                        res.eval(&[b_row, r])?.passes()
+                                    }
                                 }
-                                ColData::Float(vals) => index.stab_f64(vals[i], &mut stab_scratch),
-                                _ => {
-                                    let v = cols.value_at(win_start + i, *detail_col);
-                                    index.stab(&v, &mut stab_scratch)
-                                }
+                            };
+                            if passes {
+                                update_aggs_at(
+                                    plan,
+                                    b_idx,
+                                    total_aggs,
+                                    accs,
+                                    b_row,
+                                    cols,
+                                    row,
+                                    &mut row_scratch,
+                                    &mut scratch_at,
+                                    stats,
+                                )?;
                             }
                         }
-                        cand_flat.extend_from_slice(&stab_scratch);
-                        cand_offsets.push(cand_flat.len() as u32);
-                    }
-                    let have_mask = shared_mask(plan, &view, cand_flat.len(), win_len, &mut mask);
-                    if plan.residual.is_none() || have_mask {
-                        kernel.rows_vectorized += win_len as u64;
-                    } else {
-                        kernel.rows_row_path += win_len as u64;
-                    }
-                    for i in 0..win_len {
-                        let cands =
-                            &cand_flat[cand_offsets[i] as usize..cand_offsets[i + 1] as usize];
-                        process_candidates!(cands, i, have_mask);
                     }
                 }
                 Access::Scan => {
@@ -988,6 +931,97 @@ fn shared_mask(
     }
 }
 
+/// One Hash/Interval block's probe results for one detail window:
+/// flattened per-row candidate lists (`offsets[i]..offsets[i + 1]`
+/// indexes row `i`'s candidates in `flat`) and, when profitable, the
+/// block's detail-only residual mask. None of it depends on base-tuple
+/// status, so the completion loop builds it for every block up front and
+/// only then walks the window rows in order.
+#[derive(Default)]
+struct WindowProbe {
+    flat: Vec<u32>,
+    offsets: Vec<u32>,
+    mask: Vec<bool>,
+    have_mask: bool,
+}
+
+impl WindowProbe {
+    /// Probe every window row through `plan`'s index (the typed sidecar or
+    /// `stab_f64` where the stored column allows), then decide on the
+    /// shared residual mask and count the block × window in `kernel`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn fill(
+        &mut self,
+        plan: &BlockPlan,
+        view: &BatchView<'_>,
+        cols: &ColumnSet,
+        win_start: usize,
+        win_len: usize,
+        key_scratch: &mut Vec<Value>,
+        stab_scratch: &mut Vec<u32>,
+        kernel: &mut KernelStats,
+    ) {
+        self.flat.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        match &plan.access {
+            Access::Hash {
+                index,
+                detail_cols,
+                typed,
+            } => {
+                let keycol = typed.as_ref().map(|_| view.col(detail_cols[0]));
+                for i in 0..win_len {
+                    let cands = probe_hash(
+                        index,
+                        typed,
+                        keycol.as_ref(),
+                        detail_cols,
+                        cols,
+                        i,
+                        win_start + i,
+                        key_scratch,
+                    );
+                    self.flat.extend_from_slice(cands);
+                    self.offsets.push(self.flat.len() as u32);
+                }
+            }
+            Access::Interval { index, detail_col } => {
+                let col = view.col(*detail_col);
+                for i in 0..win_len {
+                    if col.nulls[i] {
+                        stab_scratch.clear();
+                    } else {
+                        match &col.data {
+                            ColData::Int(vals) => index.stab_f64(vals[i] as f64, stab_scratch),
+                            ColData::Float(vals) => index.stab_f64(vals[i], stab_scratch),
+                            _ => {
+                                index.stab(&cols.value_at(win_start + i, *detail_col), stab_scratch)
+                            }
+                        }
+                    }
+                    self.flat.extend_from_slice(stab_scratch);
+                    self.offsets.push(self.flat.len() as u32);
+                }
+            }
+            Access::Scan => unreachable!("scan access has no per-row candidate lists"),
+        }
+        self.have_mask = shared_mask(plan, view, self.flat.len(), win_len, &mut self.mask);
+        if plan.residual.is_none() || self.have_mask {
+            kernel.rows_vectorized += win_len as u64;
+        } else {
+            kernel.rows_row_path += win_len as u64;
+        }
+    }
+
+    /// Window row `i`'s candidate base tuples.
+    #[inline]
+    fn candidates(&self, i: usize) -> &[u32] {
+        &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
 /// Hash-probe one detail row, preferring the typed sidecar when the
 /// stored column's type matches it; otherwise the generic slice probe
 /// through a reused scratch key. String probes never rehash: the
@@ -1134,10 +1168,18 @@ fn run_partition(
     let blocks = plan_blocks(base_rows, base_schema, detail.schema(), spec, opts, stats)?;
     let total_aggs: usize = spec.agg_count();
 
-    // Batched fast path. Completion (dead rules, finish-early) is
-    // scan-order-dependent, so its bookkeeping keeps the row loop below.
+    let mut accs = new_accumulators(&blocks, base_rows.len(), total_aggs);
+    // With `vectorized` off the scans below interpret every row, so they
+    // report like the parallel, shared and site row twins: one scheduling
+    // morsel, no kernel counters and no `gmdj.kernel` span.
+    let mut row_twin = KernelStats::default();
+    let (kernel, sink): (&mut KernelStats, &dyn crate::trace::TraceSink) = if opts.vectorized {
+        (kernel, sink)
+    } else {
+        kernel.morsels += 1;
+        (&mut row_twin, &crate::trace::NullSink)
+    };
     if opts.vectorized && completion.is_none() {
-        let mut accs = new_accumulators(&blocks, base_rows.len(), total_aggs);
         scan_detail_vectorized(
             detail.cols(),
             0..detail.len(),
@@ -1158,8 +1200,76 @@ fn run_partition(
             out_rows,
         );
     }
+    // Completion is scan-order-dependent; the `vectorized = false` twin
+    // takes the same row-ordered loop, which materializes each detail row
+    // at most once however many base tuples a Scan block evaluates.
+    let status = scan_detail_completion(
+        detail.cols(),
+        &blocks,
+        base_rows,
+        total_aggs,
+        completion,
+        &mut accs,
+        stats,
+        kernel,
+        sink,
+    )?;
+    // Materialize output in base order: rejected tuples are dropped,
+    // accepted ones need no aggregates, and the selection decides the rest.
+    for (b_idx, b_row) in base_rows.iter().enumerate() {
+        match status[b_idx] {
+            Status::Dead => {}
+            Status::Done => {
+                debug_assert!(matches!(keep, Keep::BaseOnly));
+                out_rows.push(b_row.clone());
+            }
+            Status::Active => {
+                let acc_base = b_idx * total_aggs;
+                materialize_filtered(
+                    std::slice::from_ref(b_row),
+                    &accs[acc_base..acc_base + total_aggs],
+                    total_aggs,
+                    bound_selection,
+                    keep,
+                    out_rows,
+                )?;
+            }
+        }
+    }
+    Ok(())
+}
 
-    // Completion bookkeeping.
+/// The probe loop with base-tuple completion (Theorems 4.1 / 4.2), over
+/// the stored detail columns in windows of [`BATCH_ROWS`] rows. Dead rules
+/// and finish-early are scan-order-dependent, so the order is exactly
+/// detail row, then block, then candidate — the order of tuple-at-a-time
+/// evaluation. What does not depend on base-tuple status is hoisted out
+/// per window: each Hash/Interval block's candidate lists and its
+/// detail-only residual mask ([`WindowProbe`]). The row walk then applies
+/// the Dead/Done bookkeeping; full rows are late-materialized only for an
+/// interpreted residual, an `unless_also` θ, or a computed aggregate
+/// input. Every [`EvalStats`] counter matches that tuple-at-a-time loop.
+///
+/// Without a plan every tuple stays `Active`: the row-ordered probe loop
+/// the `vectorized = false` twin runs. One call is one scheduling morsel.
+/// Returns each base tuple's final status; `accs` holds the aggregates of
+/// those still `Active`.
+#[allow(clippy::too_many_arguments)]
+fn scan_detail_completion(
+    cols: &ColumnSet,
+    blocks: &[BlockPlan],
+    base_rows: &[Tuple],
+    total_aggs: usize,
+    completion: Option<&CompletionPlan>,
+    accs: &mut [Accumulator],
+    stats: &mut EvalStats,
+    kernel: &mut KernelStats,
+    sink: &dyn crate::trace::TraceSink,
+) -> Result<Vec<Status>> {
+    let before = *kernel;
+    let span = crate::trace::Span::begin(sink, "gmdj.kernel").with_detail(kernel_summary(blocks));
+    kernel.morsels += 1;
+
     let mut dead_rule_of_block: Vec<Option<Option<usize>>> = vec![None; blocks.len()];
     let mut need_mask: u64 = 0;
     let mut finish_early = false;
@@ -1176,17 +1286,9 @@ fn run_partition(
     }
 
     let n = base_rows.len();
-    let mut accs: Vec<Accumulator> = Vec::with_capacity(n * total_aggs);
-    for _ in 0..n {
-        for block in &blocks {
-            for a in &block.aggs {
-                accs.push(a.accumulator());
-            }
-        }
-    }
     let mut status: Vec<Status> = vec![Status::Active; n];
     let mut matched: Vec<u64> = vec![0; if finish_early { n } else { 0 }];
-    // Active list for Scan access; rebuilt lazily after deaths.
+    // Active list for Scan access; compacted lazily after completions.
     let has_scan_block = blocks.iter().any(|b| matches!(b.access, Access::Scan));
     let mut scan_list: Vec<u32> = if has_scan_block {
         (0..n as u32).collect()
@@ -1194,53 +1296,87 @@ fn run_partition(
         Vec::new()
     };
     let mut inactive_since_compact = 0usize;
+    let mut probes: Vec<WindowProbe> = blocks.iter().map(|_| WindowProbe::default()).collect();
     let mut stab_scratch: Vec<u32> = Vec::new();
     let mut key_scratch: Vec<Value> = Vec::new();
+    let mut row_scratch: Vec<Value> = Vec::new();
+    let mut scratch_at: usize = usize::MAX;
 
-    for r in detail.rows() {
-        let r: &[Value] = r;
-        stats.detail_scanned += 1;
-        for (bi, block) in blocks.iter().enumerate() {
-            // Collect candidates per access path and process them.
-            macro_rules! process {
-                ($b_idx:expr, $exact:expr) => {{
-                    let b_idx = $b_idx as usize;
-                    if status[b_idx] == Status::Active {
-                        stats.probe_candidates += 1;
-                        let b_row: &[Value] = &base_rows[b_idx];
-                        let passes = match (&block.residual, $exact) {
-                            (Some(res), _) => {
-                                stats.theta_evals += 1;
-                                res.eval(&[b_row, r])?.passes()
-                            }
-                            (None, true) => true,
-                            (None, false) => unreachable!("scan access always has residual"),
-                        };
-                        if passes {
-                            match dead_rule_of_block[bi] {
-                                Some(unless_also) => {
-                                    let survives = match unless_also {
-                                        Some(sub) => {
-                                            stats.theta_evals += 1;
-                                            blocks[sub].full_theta.eval(&[b_row, r])?.passes()
-                                        }
-                                        None => false,
-                                    };
-                                    if survives {
-                                        update_aggs(
-                                            block, b_idx, total_aggs, &mut accs, b_row, r, stats,
-                                        )?;
+    let mut win_start = 0usize;
+    while win_start < cols.len() {
+        let win_len = (cols.len() - win_start).min(BATCH_ROWS);
+        let view = BatchView::new(cols, win_start, win_len);
+        kernel.batches += 1;
+        stats.detail_scanned += win_len as u64;
+        for (block, probe) in blocks.iter().zip(probes.iter_mut()) {
+            if !matches!(block.access, Access::Scan) {
+                probe.fill(
+                    block,
+                    &view,
+                    cols,
+                    win_start,
+                    win_len,
+                    &mut key_scratch,
+                    &mut stab_scratch,
+                    kernel,
+                );
+            }
+        }
+        for i in 0..win_len {
+            let row = win_start + i;
+            for (bi, (block, probe)) in blocks.iter().zip(&probes).enumerate() {
+                macro_rules! process {
+                    ($b_idx:expr) => {{
+                        let b_idx = $b_idx as usize;
+                        if status[b_idx] == Status::Active {
+                            stats.probe_candidates += 1;
+                            let b_row: &[Value] = &base_rows[b_idx];
+                            let passes = match &block.residual {
+                                Some(res) => {
+                                    stats.theta_evals += 1;
+                                    if probe.have_mask {
+                                        probe.mask[i]
                                     } else {
-                                        status[b_idx] = Status::Dead;
-                                        stats.dead_early += 1;
-                                        inactive_since_compact += 1;
+                                        let r = scratch_row(
+                                            cols,
+                                            row,
+                                            &mut row_scratch,
+                                            &mut scratch_at,
+                                        );
+                                        res.eval(&[b_row, r])?.passes()
                                     }
                                 }
-                                None => {
-                                    update_aggs(
-                                        block, b_idx, total_aggs, &mut accs, b_row, r, stats,
+                                None => true,
+                            };
+                            if passes {
+                                let survives = match dead_rule_of_block[bi] {
+                                    None => true,
+                                    Some(None) => false,
+                                    Some(Some(sub)) => {
+                                        stats.theta_evals += 1;
+                                        let r = scratch_row(
+                                            cols,
+                                            row,
+                                            &mut row_scratch,
+                                            &mut scratch_at,
+                                        );
+                                        blocks[sub].full_theta.eval(&[b_row, r])?.passes()
+                                    }
+                                };
+                                if survives {
+                                    update_aggs_at(
+                                        block,
+                                        b_idx,
+                                        total_aggs,
+                                        accs,
+                                        b_row,
+                                        cols,
+                                        row,
+                                        &mut row_scratch,
+                                        &mut scratch_at,
+                                        stats,
                                     )?;
-                                    if finish_early {
+                                    if finish_early && dead_rule_of_block[bi].is_none() {
                                         matched[b_idx] |= 1u64 << bi;
                                         if matched[b_idx] & need_mask == need_mask {
                                             status[b_idx] = Status::Done;
@@ -1248,80 +1384,47 @@ fn run_partition(
                                             inactive_since_compact += 1;
                                         }
                                     }
+                                } else {
+                                    status[b_idx] = Status::Dead;
+                                    stats.dead_early += 1;
+                                    inactive_since_compact += 1;
                                 }
                             }
                         }
-                    }
-                }};
-            }
+                    }};
+                }
 
-            match &block.access {
-                Access::Hash {
-                    index, detail_cols, ..
-                } => {
-                    key_scratch.clear();
-                    key_scratch.extend(detail_cols.iter().map(|&c| r[c].clone()));
-                    for &b_idx in index.probe(&key_scratch) {
-                        process!(b_idx, true);
-                    }
-                }
-                Access::Interval { index, detail_col } => {
-                    index.stab(&r[*detail_col], &mut stab_scratch);
-                    // `stab` fills the scratch; move it out to satisfy the
-                    // borrow checker, then put it back.
-                    let scratch = std::mem::take(&mut stab_scratch);
-                    for &b_idx in &scratch {
-                        process!(b_idx, true);
-                    }
-                    stab_scratch = scratch;
-                }
-                Access::Scan => {
+                if matches!(block.access, Access::Scan) {
+                    // Scan residuals read the base tuple, so they are
+                    // interpreted per pair: one row-path unit each.
+                    let evaluated = stats.probe_candidates;
                     let list = std::mem::take(&mut scan_list);
                     for &b_idx in &list {
-                        process!(b_idx, false);
+                        process!(b_idx);
                     }
                     scan_list = list;
-                }
-            }
-        }
-        // Lazily compact the scan list once enough tuples completed.
-        if has_scan_block
-            && inactive_since_compact > 0
-            && inactive_since_compact * 8 >= scan_list.len().max(8)
-        {
-            scan_list.retain(|&b| status[b as usize] == Status::Active);
-            inactive_since_compact = 0;
-        }
-    }
-
-    // Materialize output in base order.
-    for (b_idx, b_row) in base_rows.iter().enumerate() {
-        match status[b_idx] {
-            Status::Dead => continue,
-            Status::Done => {
-                debug_assert!(matches!(keep, Keep::BaseOnly));
-                out_rows.push(b_row.clone());
-            }
-            Status::Active => {
-                let mut full: Vec<Value> = Vec::with_capacity(b_row.len() + total_aggs);
-                full.extend(b_row.iter().cloned());
-                let acc_base = b_idx * total_aggs;
-                for acc in &accs[acc_base..acc_base + total_aggs] {
-                    full.push(acc.finish());
-                }
-                if let Some(sel) = bound_selection {
-                    if !sel.eval(&[&full])?.passes() {
-                        continue;
+                    kernel.rows_row_path += stats.probe_candidates - evaluated;
+                } else {
+                    for &b_idx in probe.candidates(i) {
+                        process!(b_idx);
                     }
                 }
-                match keep {
-                    Keep::All => out_rows.push(full.into_boxed_slice()),
-                    Keep::BaseOnly => out_rows.push(b_row.clone()),
-                }
+            }
+            // Lazily compact the scan list once enough tuples completed.
+            if has_scan_block
+                && inactive_since_compact > 0
+                && inactive_since_compact * 8 >= scan_list.len().max(8)
+            {
+                scan_list.retain(|&b| status[b as usize] == Status::Active);
+                inactive_since_compact = 0;
             }
         }
+        win_start += win_len;
     }
-    Ok(())
+    let mut span = span;
+    span.fields(kernel.minus(&before).trace_fields());
+    span.finish();
+    Ok(status)
 }
 
 #[inline]
@@ -2157,5 +2260,321 @@ mod tests {
         .unwrap();
         assert_eq!(out.schema().len(), 4);
         assert_eq!(out.len(), 2);
+    }
+
+    /// Deterministic pseudo-random stream for the completion fixtures.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A detail relation of `2 × BATCH_ROWS + 333` rows, so every
+    /// completion scan crosses two window boundaries: an Int key and a
+    /// dictionary-string key (both with NULLs), a time column for band
+    /// conditions, an Int value and a Float value.
+    fn completion_detail() -> Relation {
+        let mut seed = 7u64;
+        let mut b = RelationBuilder::new("F")
+            .column("k", DataType::Int)
+            .column("s", DataType::Str)
+            .column("t", DataType::Int)
+            .column("v", DataType::Int)
+            .column("f", DataType::Float);
+        for i in 0..(2 * BATCH_ROWS + 333) {
+            let k = if i % 17 == 5 {
+                Value::Null
+            } else {
+                Value::Int((lcg(&mut seed) % 40) as i64)
+            };
+            let s = if i % 23 == 7 {
+                Value::Null
+            } else {
+                Value::from(format!("x{}", lcg(&mut seed) % 13))
+            };
+            let t = Value::Int((lcg(&mut seed) % 600) as i64);
+            let v = Value::Int((lcg(&mut seed) % 1000) as i64);
+            let f = Value::Float((lcg(&mut seed) % 1000) as f64 * 0.5);
+            b = b.row(vec![k, s, t, v, f]);
+        }
+        b.build().unwrap()
+    }
+
+    /// Base tuples: Int and string keys (one NULL each), a band per
+    /// tuple, and a threshold value.
+    fn completion_base() -> Relation {
+        let mut seed = 11u64;
+        let mut b = RelationBuilder::new("B")
+            .column("k", DataType::Int)
+            .column("s", DataType::Str)
+            .column("lo", DataType::Int)
+            .column("hi", DataType::Int)
+            .column("v", DataType::Int);
+        for i in 0..48i64 {
+            let k = if i == 9 { Value::Null } else { Value::Int(i) };
+            let s = if i == 4 {
+                Value::Null
+            } else {
+                Value::from(format!("x{}", i % 15))
+            };
+            let lo = (lcg(&mut seed) % 560) as i64;
+            let width = 1 + (lcg(&mut seed) % 40) as i64;
+            // A few large thresholds keep some ALL tuples alive to the end.
+            let v = if i % 11 == 0 {
+                1000
+            } else {
+                (lcg(&mut seed) % 1000) as i64
+            };
+            b = b.row(vec![
+                k,
+                s,
+                Value::Int(lo),
+                Value::Int(lo + width),
+                Value::Int(v),
+            ]);
+        }
+        b.build().unwrap()
+    }
+
+    /// Completion-carrying fixtures: (name, spec, selection, keep).
+    fn completion_fixtures() -> Vec<(&'static str, GmdjSpec, Predicate, Keep)> {
+        let eq_k = || col("B.k").eq(col("F.k"));
+        let in_band = || col("F.t").ge(col("B.lo")).and(col("F.t").lt(col("B.hi")));
+        vec![
+            // EXISTS, Int hash key, detail-only residual (maskable).
+            (
+                "exists_int",
+                GmdjSpec::new(vec![AggBlock::count(
+                    eq_k().and(col("F.v").gt(lit(500))),
+                    "cnt",
+                )]),
+                col("cnt").gt(lit(0)),
+                Keep::BaseOnly,
+            ),
+            // NOT EXISTS, dictionary-string hash key, mixed residual.
+            (
+                "not_exists_str",
+                GmdjSpec::new(vec![AggBlock::count(
+                    col("B.s").eq(col("F.s")).and(col("F.v").lt(col("B.v"))),
+                    "cnt",
+                )]),
+                col("cnt").eq(lit(0)),
+                Keep::BaseOnly,
+            ),
+            // Interval block with a dead rule, keeping a computed sum.
+            (
+                "band_dead_keep_all",
+                GmdjSpec::new(vec![AggBlock::new(
+                    in_band().and(col("F.v").gt(lit(990))),
+                    vec![
+                        NamedAgg::count_star("cnt"),
+                        NamedAgg::sum(col("F.f").mul(lit(2.0)), "s"),
+                    ],
+                )]),
+                col("cnt").eq(lit(0)),
+                Keep::All,
+            ),
+            // ALL with `<>`: a Scan-access pair dead rule.
+            (
+                "all_neq_scan",
+                GmdjSpec::new(vec![
+                    AggBlock::count(
+                        col("B.k").ne(col("F.k")).and(col("B.v").gt(col("F.v"))),
+                        "cnt1",
+                    ),
+                    AggBlock::count(col("B.k").ne(col("F.k")), "cnt2"),
+                ]),
+                col("cnt1").eq(col("cnt2")),
+                Keep::BaseOnly,
+            ),
+            // ALL with `=`: a Hash-access `unless_also` rule.
+            (
+                "unless_also_hash",
+                GmdjSpec::new(vec![
+                    AggBlock::count(eq_k().and(col("F.v").le(col("B.v"))), "cnt1"),
+                    AggBlock::count(eq_k(), "cnt2"),
+                ]),
+                col("cnt1").eq(col("cnt2")),
+                Keep::BaseOnly,
+            ),
+            // Tree EXISTS: two finish-early blocks.
+            (
+                "tree_exists",
+                GmdjSpec::new(vec![
+                    AggBlock::count(eq_k().and(col("F.s").eq(lit("x3"))), "cnt1"),
+                    AggBlock::count(in_band().and(col("F.v").gt(lit(900))), "cnt2"),
+                ]),
+                col("cnt1").gt(lit(0)).and(col("cnt2").gt(lit(0))),
+                Keep::BaseOnly,
+            ),
+        ]
+    }
+
+    /// Run every completion fixture under `probe` × `partition_rows` ×
+    /// `vectorized`, check each answer against the same evaluation without
+    /// completion, and return the counters in fixture order.
+    fn completion_fixture_stats() -> Vec<(String, [u64; 12])> {
+        let base = completion_base();
+        let detail = completion_detail();
+        let mut out = Vec::new();
+        for (name, spec, sel, keep) in completion_fixtures() {
+            let plan = crate::completion::derive_completion(&sel, &spec, keep == Keep::BaseOnly)
+                .unwrap_or_else(|| panic!("{name}: no completion plan"));
+            for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
+                for partition_rows in [None, Some(7)] {
+                    let mut per_mode = Vec::new();
+                    for vectorized in [true, false] {
+                        let opts = GmdjOptions {
+                            probe,
+                            partition_rows,
+                            vectorized,
+                        };
+                        let mut stats = EvalStats::default();
+                        let got = eval_gmdj_filtered(
+                            &base,
+                            &detail,
+                            &spec,
+                            Some(&sel),
+                            keep,
+                            Some(&plan),
+                            &opts,
+                            &mut stats,
+                        )
+                        .unwrap();
+                        let mut plain_stats = EvalStats::default();
+                        let plain = eval_gmdj_filtered(
+                            &base,
+                            &detail,
+                            &spec,
+                            Some(&sel),
+                            keep,
+                            None,
+                            &opts,
+                            &mut plain_stats,
+                        )
+                        .unwrap();
+                        assert!(
+                            got.multiset_eq(&plain),
+                            "{name} {probe:?} {partition_rows:?} vectorized={vectorized}: \
+                             completion changed the answer"
+                        );
+                        per_mode.push(stats.trace_fields().map(|(_, v)| v));
+                    }
+                    assert_eq!(
+                        per_mode[0], per_mode[1],
+                        "{name} {probe:?} {partition_rows:?}: vectorized on/off counters differ"
+                    );
+                    out.push((format!("{name} {probe:?} {partition_rows:?}"), per_mode[0]));
+                }
+            }
+        }
+        out
+    }
+
+    /// Counter identity for the windowed completion loop. The expected
+    /// counters were recorded from the tuple-at-a-time completion loop it
+    /// replaced (`trace_fields` order: detail_scanned, probe_candidates,
+    /// theta_evals, agg_updates, base_rows, dead_early, done_early,
+    /// index_builds, partitions, completion_fallbacks, col_chunk_reads,
+    /// row_page_reads), and must hold with `vectorized` on and off.
+    #[test]
+    fn completion_counters_match_tuple_at_a_time_across_windows() {
+        #[rustfmt::skip]
+        let expected: [(&str, [u64; 12]); 24] = [
+            ("exists_int Auto None", [2381, 74, 74, 39, 48, 0, 39, 1, 1, 0, 6, 15]),
+            ("exists_int Auto Some(7)", [16667, 74, 74, 39, 48, 0, 39, 7, 7, 0, 42, 105]),
+            ("exists_int ForceScan None", [2381, 24263, 24263, 39, 48, 0, 39, 0, 1, 0, 6, 15]),
+            ("exists_int ForceScan Some(7)", [16667, 24263, 24263, 39, 48, 0, 39, 0, 7, 0, 42, 105]),
+            ("not_exists_str Auto None", [2381, 365, 365, 0, 48, 41, 0, 1, 1, 0, 6, 15]),
+            ("not_exists_str Auto Some(7)", [16667, 365, 365, 0, 48, 41, 0, 7, 7, 0, 42, 105]),
+            ("not_exists_str ForceScan None", [2381, 21729, 21729, 0, 48, 41, 0, 0, 1, 0, 6, 15]),
+            ("not_exists_str ForceScan Some(7)", [16667, 21729, 21729, 0, 48, 41, 0, 0, 7, 0, 42, 105]),
+            ("band_dead_keep_all Auto None", [2381, 2490, 2490, 0, 48, 22, 0, 1, 1, 0, 9, 15]),
+            ("band_dead_keep_all Auto Some(7)", [16667, 2490, 2490, 0, 48, 22, 0, 7, 7, 0, 63, 105]),
+            ("band_dead_keep_all ForceScan None", [2381, 76077, 76077, 0, 48, 22, 0, 0, 1, 0, 9, 15]),
+            ("band_dead_keep_all ForceScan Some(7)", [16667, 76077, 76077, 0, 48, 22, 0, 0, 7, 0, 63, 105]),
+            ("all_neq_scan Auto None", [2381, 28942, 40117, 22266, 48, 42, 0, 0, 1, 0, 6, 15]),
+            ("all_neq_scan Auto Some(7)", [16667, 28942, 40117, 22266, 48, 42, 0, 0, 7, 0, 42, 105]),
+            ("all_neq_scan ForceScan None", [2381, 28942, 40117, 22266, 48, 42, 0, 0, 1, 0, 6, 15]),
+            ("all_neq_scan ForceScan Some(7)", [16667, 28942, 40117, 22266, 48, 42, 0, 0, 7, 0, 42, 105]),
+            ("unless_also_hash Auto None", [2381, 676, 676, 608, 48, 34, 0, 2, 1, 0, 6, 15]),
+            ("unless_also_hash Auto Some(7)", [16667, 676, 676, 608, 48, 34, 0, 14, 7, 0, 42, 105]),
+            ("unless_also_hash ForceScan None", [2381, 73530, 73868, 608, 48, 34, 0, 0, 1, 0, 6, 15]),
+            ("unless_also_hash ForceScan Some(7)", [16667, 73530, 73868, 608, 48, 34, 0, 0, 7, 0, 42, 105]),
+            ("tree_exists Auto None", [2381, 2325, 2325, 232, 48, 0, 37, 2, 1, 0, 12, 15]),
+            ("tree_exists Auto Some(7)", [16667, 2325, 2325, 232, 48, 0, 37, 14, 7, 0, 84, 105]),
+            ("tree_exists ForceScan None", [2381, 100819, 100819, 232, 48, 0, 37, 0, 1, 0, 12, 15]),
+            ("tree_exists ForceScan Some(7)", [16667, 100819, 100819, 232, 48, 0, 37, 0, 7, 0, 84, 105]),
+        ];
+        let got = completion_fixture_stats();
+        assert_eq!(got.len(), expected.len());
+        for ((label, stats), (want_label, want)) in got.iter().zip(expected) {
+            assert_eq!(label, want_label);
+            assert_eq!(*stats, want, "{label}");
+        }
+    }
+
+    /// A sequential EXISTS / NOT EXISTS with completion reads the detail's
+    /// columns only: the cached row view is never built.
+    #[test]
+    fn completion_scan_never_builds_the_row_view() {
+        let base = completion_base();
+        let detail = completion_detail();
+        for (name, spec, sel, keep) in completion_fixtures() {
+            if !matches!(name, "exists_int" | "not_exists_str") {
+                continue;
+            }
+            let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
+            for vectorized in [true, false] {
+                let mut stats = EvalStats::default();
+                let mut kernel = KernelStats::default();
+                let sink = crate::trace::CollectingSink::new();
+                eval_gmdj_filtered_full(
+                    &base,
+                    &detail,
+                    &spec,
+                    Some(&sel),
+                    keep,
+                    Some(&plan),
+                    &GmdjOptions {
+                        vectorized,
+                        ..GmdjOptions::default()
+                    },
+                    &mut stats,
+                    &mut kernel,
+                    &sink,
+                    None,
+                )
+                .unwrap();
+                assert!(stats.dead_early + stats.done_early > 0, "{name}");
+                assert!(!detail.has_row_view(), "{name} vectorized={vectorized}");
+                // The completion scan reports its kernel like any other
+                // sequential scan: one morsel, and with `vectorized` on one
+                // span covering every window; the row twin counts the
+                // morsel only.
+                assert_eq!(kernel.morsels, 1, "{name}");
+                let windows = detail.len().div_ceil(BATCH_ROWS) as u64;
+                let spans = sink.by_name("gmdj.kernel").len();
+                if vectorized {
+                    assert_eq!((kernel.batches, spans), (windows, 1), "{name}");
+                    // One Hash block: each window row is one work unit.
+                    assert_eq!(
+                        kernel.rows_vectorized + kernel.rows_row_path,
+                        detail.len() as u64,
+                        "{name}"
+                    );
+                } else {
+                    assert_eq!(
+                        kernel,
+                        KernelStats {
+                            morsels: 1,
+                            ..KernelStats::default()
+                        }
+                    );
+                    assert_eq!(spans, 0, "{name}");
+                }
+            }
+        }
     }
 }

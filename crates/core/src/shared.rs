@@ -328,7 +328,8 @@ impl SharedScanPool {
         batch: &[SharedRequest],
         sink: &dyn TraceSink,
     ) -> Vec<Result<SharedOutput>> {
-        // All queued requests share one detail identity by construction.
+        // All queued requests share one detail storage by construction
+        // (their aliases, and so their schemas, may differ).
         let detail = &batch[0].detail;
         let detail_len = detail.len();
         let io_pages = detail_len.div_ceil(COLUMN_CHUNK_ROWS) as u64;
@@ -358,7 +359,7 @@ impl SharedScanPool {
         // error; the pass proceeds for the rest.
         let mut prepped: Vec<PreparedQuery> = Vec::with_capacity(groups.len());
         for group in groups {
-            match PreparedQuery::prepare(&batch[group[0]], detail, io_pages, io_schema_cols) {
+            match PreparedQuery::prepare(&batch[group[0]], io_pages, io_schema_cols) {
                 Ok(mut p) => {
                     p.members = group;
                     prepped.push(p);
@@ -528,11 +529,13 @@ impl SharedScanPool {
 }
 
 /// Structural identity for in-batch query dedup: same base storage and
-/// schema, same (l⃗, θ⃗) spec, selection, projection, and options. The
-/// detail side is already identical by queue construction.
+/// schema, same detail schema (the storage is shared by queue
+/// construction, the alias is not), same (l⃗, θ⃗) spec, selection,
+/// projection, and options.
 fn same_query(a: &SharedRequest, b: &SharedRequest) -> bool {
     Arc::ptr_eq(&a.base.cols_arc(), &b.base.cols_arc())
         && a.base.schema() == b.base.schema()
+        && a.detail.schema() == b.detail.schema()
         && a.spec == b.spec
         && a.selection == b.selection
         && a.keep == b.keep
@@ -560,12 +563,14 @@ struct PreparedQuery<'a> {
 }
 
 impl<'a> PreparedQuery<'a> {
+    /// Bind against the request's own detail schema: coalesced queries
+    /// share the storage but may name it under different aliases.
     fn prepare(
         request: &'a SharedRequest,
-        detail: &Relation,
         io_pages: u64,
         io_schema_cols: u64,
     ) -> Result<PreparedQuery<'a>> {
+        let detail = &request.detail;
         let mut eval = EvalStats::default();
         if request.completion_fallback {
             eval.completion_fallbacks += 1;
@@ -679,6 +684,15 @@ mod tests {
         )])
     }
 
+    /// Every pass bumps the process-wide pass counters, so the tests that
+    /// run passes hold this lock: an exact counter delta then sees only
+    /// its own test's passes.
+    static PASSES: Mutex<()> = Mutex::new(());
+
+    fn serialize_passes() -> std::sync::MutexGuard<'static, ()> {
+        PASSES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn pool(target: usize) -> Arc<SharedScanPool> {
         Arc::new(SharedScanPool::new(SharedScanConfig {
             window: Duration::from_millis(500),
@@ -692,6 +706,7 @@ mod tests {
     /// and every clone's answer and counters match standalone execution.
     #[test]
     fn concurrent_clones_share_one_pass_and_match_standalone() {
+        let _passes = serialize_passes();
         let base = hours();
         let detail = flows();
         let spec = in_hour_count();
@@ -744,6 +759,7 @@ mod tests {
     /// getting its own answer.
     #[test]
     fn distinct_queries_demultiplex_correctly() {
+        let _passes = serialize_passes();
         let base = hours();
         let detail = flows();
         let specs = [in_hour_count(), sum_bytes()];
@@ -791,9 +807,81 @@ mod tests {
         }
     }
 
+    /// Two distinct queries naming one stored table under different
+    /// aliases coalesce into one pass; each binds against its own alias
+    /// and matches its standalone answer and counters.
+    #[test]
+    fn aliases_of_one_table_share_a_pass() {
+        let _passes = serialize_passes();
+        let base = hours();
+        let f = flows();
+        let f1 = f.renamed("F1");
+        let band = |q: &str| {
+            col(&format!("{q}.StartTime"))
+                .ge(col("H.StartInterval"))
+                .and(col(&format!("{q}.StartTime")).lt(col("H.EndInterval")))
+        };
+        let queries = [
+            (&f, GmdjSpec::new(vec![AggBlock::count(band("F"), "cnt")])),
+            (
+                &f1,
+                GmdjSpec::new(vec![AggBlock::new(
+                    band("F1"),
+                    vec![gmdj_relation::agg::NamedAgg::sum(
+                        col("F1.NumBytes"),
+                        "total",
+                    )],
+                )]),
+            ),
+        ];
+        let standalone = Runtime::new(ExecPolicy::parallel(2));
+        let expected: Vec<(Relation, EvalStats)> = queries
+            .iter()
+            .map(|(detail, spec)| {
+                let mut node = PlanNodeStats::new("GMDJ");
+                let out = standalone
+                    .eval_gmdj(&base, detail, spec, &mut node)
+                    .unwrap();
+                (out, node.eval)
+            })
+            .collect();
+
+        let p = pool(2);
+        let sink = crate::trace::CollectingSink::new();
+        let results: Vec<SharedOutput> = std::thread::scope(|scope| {
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|(detail, spec)| {
+                    let (p, base, sink) = (p.clone(), &base, &sink);
+                    scope.spawn(move || {
+                        p.submit(
+                            base,
+                            detail,
+                            spec,
+                            None,
+                            Keep::All,
+                            &GmdjOptions::default(),
+                            false,
+                            sink,
+                        )
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 1);
+        for (out, (relation, eval)) in results.iter().zip(&expected) {
+            assert_eq!(out.pass_queries, 2);
+            assert!(out.relation.multiset_eq(relation));
+            assert_eq!(out.eval, *eval);
+        }
+    }
+
     /// A solo submission past the window still completes (pass of one).
     #[test]
     fn solo_submission_runs_a_pass_of_one() {
+        let _passes = serialize_passes();
         let base = hours();
         let detail = flows();
         let spec = in_hour_count();

@@ -22,8 +22,9 @@ pub type Tuple = Box<[Value]>;
 /// vectors with validity bitmaps and dictionary-encoded strings, shared by
 /// `Arc` across clones and renames. Row-at-a-time access ([`Relation::rows`])
 /// is a *late-materialization view*, rebuilt lazily and cached — it exists
-/// for the row-path oracle, completion plans, CSV ingest, and display, not
-/// for the vectorized scan, which borrows column slices directly.
+/// for the row-path oracle, the operators around the GMDJ, CSV ingest, and
+/// display, not for the sequential or vectorized GMDJ scans, which borrow
+/// column slices directly.
 #[derive(Debug)]
 pub struct Relation {
     schema: Arc<Schema>,
@@ -109,9 +110,20 @@ impl Relation {
 
     /// Row accessor: the late-materialization view. The first call rebuilds
     /// boxed tuples from the columns and caches them for the lifetime of
-    /// this `Relation` value (clones start with a cold cache).
+    /// this `Relation` value (clones start with a cold cache). At 1.2M rows
+    /// that is hundreds of milliseconds and ~200 MB, so the sequential GMDJ
+    /// scan (completion included) and every vectorized scan read the
+    /// columns instead. The view remains for the row-path twins of the
+    /// parallel, shared and site scans (`vectorized = false`), the
+    /// relational operators around the GMDJ, CSV ingest and display.
     pub fn rows(&self) -> &[Tuple] {
         self.rows.get_or_init(|| self.cols.materialize())
+    }
+
+    /// True once [`Relation::rows`] has built and cached the row view on
+    /// this value.
+    pub fn has_row_view(&self) -> bool {
+        self.rows.get().is_some()
     }
 
     /// Number of tuples (with duplicates).
