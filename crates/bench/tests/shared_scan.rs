@@ -155,13 +155,15 @@ proptest! {
     }
 
     /// Distinct queries over the same detail table coalesce into one
-    /// pass yet demultiplex each client's own answer.
+    /// pass yet demultiplex each client's own answer, through the batch
+    /// kernels and through the `vectorized = false` row twin alike.
     #[test]
     fn distinct_queries_demultiplex_standalone_answers(
         b in relation("B", 8),
         r in relation("R", 12),
         n in 2usize..=4,
         threshold in 0i64..5,
+        vectorized in any::<bool>(),
     ) {
         let catalog = MemoryCatalog::new().with("B", b).with("R", r);
         // Query i: EXISTS over the shared detail table R with a
@@ -178,7 +180,7 @@ proptest! {
                 QueryExpr::table("B", "B").select(exists(sub))
             })
             .collect();
-        let policy = ExecPolicy::parallel(2);
+        let policy = ExecPolicy::parallel(2).with_vectorized(vectorized);
         for strategy in [EvalStrategy::GmdjBasic, EvalStrategy::GmdjOptimized] {
             let standalone: Vec<Result<RunResult>> = queries
                 .iter()

@@ -23,22 +23,22 @@
 //! tuples. [`NetworkStats`] counts simulated traffic so tests and benches
 //! can verify that claim.
 //!
-//! This module is the standalone coordinator simulation: sites finalize
-//! their partial aggregates to *values* before shipping, which is why
-//! non-decomposable aggregates (AVG, COUNT DISTINCT) are rejected here.
-//! The unified execution pipeline ([`crate::runtime::Runtime`] with
-//! [`crate::runtime::ExecMode::Distributed`]) runs the same two-wave
-//! protocol but ships accumulator *state* and merges it exactly, so every
-//! aggregate — including AVG and COUNT DISTINCT — distributes.
+//! The coordinator is [`crate::runtime::Runtime`] under
+//! [`crate::runtime::ExecMode::Distributed`]: it fragments the detail
+//! round-robin and runs the two waves per base partition. Sites ship
+//! accumulator *state*, not finalized values, so the merge is exact for
+//! every aggregate, AVG and COUNT DISTINCT included. This module holds
+//! the site side: the request/response shapes, the [`SiteTransport`]
+//! trait with its in-process implementation, the site-local evaluation
+//! both transports share, and the process-wide per-site observations
+//! behind `/sites`.
 
 use gmdj_relation::agg::Accumulator;
-use gmdj_relation::error::{Error, Result};
+use gmdj_relation::error::Result;
 use gmdj_relation::relation::{Relation, Tuple};
-use gmdj_relation::value::Value;
 
 use crate::eval::{
-    eval_gmdj, new_accumulators, plan_blocks, scan_detail_plain, scan_detail_vectorized, EvalStats,
-    GmdjOptions, KernelStats,
+    new_accumulators, plan_blocks, scan_detail_window, EvalStats, GmdjOptions, KernelStats,
 };
 use crate::spec::GmdjSpec;
 use crate::trace::TraceEvent;
@@ -109,181 +109,6 @@ impl NetworkStats {
             ("collected_states", self.collected_states),
             ("messages", self.messages),
         ]
-    }
-}
-
-/// One site of the simulated warehouse: a named fragment of the detail
-/// relation.
-#[derive(Debug, Clone)]
-pub struct Site {
-    pub name: String,
-    pub fragment: Relation,
-}
-
-/// A distributed detail relation plus the coordinator's evaluation logic.
-#[derive(Debug)]
-pub struct DistributedWarehouse {
-    sites: Vec<Site>,
-}
-
-impl DistributedWarehouse {
-    /// Assemble from explicit fragments (every fragment must share a
-    /// schema arity).
-    pub fn new(sites: Vec<Site>) -> Result<Self> {
-        if sites.is_empty() {
-            return Err(Error::invalid(
-                "a distributed warehouse needs at least one site",
-            ));
-        }
-        let arity = sites[0].fragment.schema().len();
-        for s in &sites {
-            if s.fragment.schema().len() != arity {
-                return Err(Error::invalid(format!(
-                    "site {} fragment arity differs",
-                    s.name
-                )));
-            }
-        }
-        Ok(DistributedWarehouse { sites })
-    }
-
-    /// Round-robin fragmentation of a detail relation across `n` sites —
-    /// the synthetic stand-in for "each router keeps its own flows".
-    pub fn fragment_round_robin(detail: &Relation, n: usize) -> Result<Self> {
-        let n = n.max(1);
-        let mut rows: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-        for (i, row) in detail.rows().iter().enumerate() {
-            rows[i % n].push(row.clone());
-        }
-        let sites = rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| Site {
-                name: format!("site{i}"),
-                fragment: Relation::from_parts(detail.schema().clone(), r),
-            })
-            .collect();
-        DistributedWarehouse::new(sites)
-    }
-
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Total detail tuples across all fragments.
-    pub fn total_detail_rows(&self) -> usize {
-        self.sites.iter().map(|s| s.fragment.len()).sum()
-    }
-
-    /// Coordinator evaluation of `MD(base, detail, spec)` where `detail`
-    /// is the union of the site fragments. Returns the result plus the
-    /// combined evaluation statistics and the simulated network traffic.
-    pub fn eval_gmdj(
-        &self,
-        base: &Relation,
-        spec: &GmdjSpec,
-        opts: &GmdjOptions,
-    ) -> Result<(Relation, EvalStats, NetworkStats)> {
-        let mut net = NetworkStats::default();
-        let mut eval_stats = EvalStats::default();
-        let total_aggs = spec.agg_count();
-
-        // Wave 1: broadcast the base-values relation.
-        net.messages += self.sites.len() as u64;
-        net.broadcast_values += (self.sites.len() * base.len() * base.schema().len()) as u64;
-
-        // Local evaluation per site. Each site's partial result is the
-        // GMDJ over its fragment; we reconstruct the partial accumulators
-        // from it for the merge. (A real deployment ships accumulator
-        // state directly; re-running `update` over the produced values is
-        // equivalent for decomposable aggregates because a partial GMDJ
-        // output *is* the accumulator state rendered as values — counts,
-        // partial sums, partial minima. AVG is the one aggregate whose
-        // state (sum, n) is not recoverable from its output, so it is
-        // rejected here rather than silently mis-merged.)
-        for block in &spec.blocks {
-            for agg in &block.aggs {
-                use gmdj_relation::agg::AggFunc;
-                if matches!(agg.func, AggFunc::Avg | AggFunc::CountDistinct) {
-                    return Err(Error::invalid(format!(
-                        "{} cannot be merged from partial outputs in this simulation \
-                         (its partial state is not its output); decompose AVG into \
-                         SUM and COUNT, or ship distinct values explicitly",
-                        agg.func
-                    )));
-                }
-            }
-        }
-
-        let mut merged: Option<Vec<Accumulator>> = None;
-        for site in &self.sites {
-            let mut local_stats = EvalStats::default();
-            let local = eval_gmdj(base, &site.fragment, spec, opts, &mut local_stats)?;
-            eval_stats.merge(&local_stats);
-            // Wave 2: ship |B| × aggs partial states back.
-            net.messages += 1;
-            net.collected_states += (base.len() * total_aggs) as u64;
-
-            // Fold the site's partial outputs into the merged accumulators.
-            let mut site_accs: Vec<Accumulator> = Vec::with_capacity(base.len() * total_aggs);
-            for row in local.rows() {
-                let mut k = base.schema().len();
-                for block in &spec.blocks {
-                    for agg in &block.aggs {
-                        let mut acc = Accumulator::new(agg.func);
-                        absorb_partial(&mut acc, agg.func, &row[k]);
-                        site_accs.push(acc);
-                        k += 1;
-                    }
-                }
-            }
-            match &mut merged {
-                None => merged = Some(site_accs),
-                Some(m) => {
-                    for (a, b) in m.iter_mut().zip(&site_accs) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-        let merged = merged.expect("at least one site");
-
-        // Finalize at the coordinator.
-        let out_schema = spec.output_schema(base.schema());
-        let mut rows = Vec::with_capacity(base.len());
-        for (b_idx, b_row) in base.rows().iter().enumerate() {
-            let mut full: Vec<Value> = Vec::with_capacity(b_row.len() + total_aggs);
-            full.extend(b_row.iter().cloned());
-            let start = b_idx * total_aggs;
-            for acc in &merged[start..start + total_aggs] {
-                full.push(acc.finish());
-            }
-            rows.push(full.into_boxed_slice());
-        }
-        Ok((Relation::from_parts(out_schema, rows), eval_stats, net))
-    }
-}
-
-/// Load a partial aggregate *output value* back into accumulator state.
-/// Valid exactly for the decomposable aggregates (COUNT/SUM/MIN/MAX).
-fn absorb_partial(acc: &mut Accumulator, func: gmdj_relation::agg::AggFunc, v: &Value) {
-    use gmdj_relation::agg::AggFunc;
-    match func {
-        AggFunc::CountStar => {
-            *acc = Accumulator::CountStar {
-                n: v.as_i64().unwrap_or(0),
-            };
-        }
-        AggFunc::Count => {
-            *acc = Accumulator::Count {
-                n: v.as_i64().unwrap_or(0),
-            };
-        }
-        // SUM/MIN/MAX: the partial output is a single absorbable value
-        // (NULL partials over empty fragments are skipped by `update`).
-        AggFunc::Sum | AggFunc::Min | AggFunc::Max => acc.update(v),
-        AggFunc::Avg | AggFunc::CountDistinct => unreachable!("rejected before evaluation"),
     }
 }
 
@@ -392,29 +217,19 @@ pub(crate) fn eval_site_fragment(
     let mut kernel = KernelStats::default();
     let plans = plan_blocks(base, base_schema, fragment.schema(), spec, opts, &mut stats)?;
     let mut accs = new_accumulators(&plans, base.len(), total_aggs);
-    if opts.vectorized {
-        scan_detail_vectorized(
-            fragment.cols(),
-            0..fragment.len(),
-            &plans,
-            base,
-            total_aggs,
-            &mut accs,
-            &mut stats,
-            &mut kernel,
-            sink,
-        )?;
-    } else {
-        scan_detail_plain(
-            fragment.rows(),
-            &plans,
-            base,
-            total_aggs,
-            &mut accs,
-            &mut stats,
-        )?;
-        kernel.morsels += 1;
-    }
+    scan_detail_window(
+        fragment.cols(),
+        0..fragment.len(),
+        opts.vectorized,
+        None,
+        &plans,
+        base,
+        total_aggs,
+        &mut accs,
+        &mut stats,
+        &mut kernel,
+        sink,
+    )?;
     Ok((accs, stats, kernel))
 }
 
@@ -686,11 +501,12 @@ impl SiteTransport for InProcessSites {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::spec::AggBlock;
+    use crate::eval::{eval_gmdj, EvalStats, GmdjOptions};
+    use crate::runtime::{ExecPolicy, PlanNodeStats, Runtime};
+    use crate::spec::{AggBlock, GmdjSpec};
     use gmdj_relation::agg::{AggFunc, NamedAgg};
-    use gmdj_relation::expr::{col, lit, Predicate};
-    use gmdj_relation::relation::RelationBuilder;
+    use gmdj_relation::expr::{col, lit};
+    use gmdj_relation::relation::{Relation, RelationBuilder};
     use gmdj_relation::schema::DataType;
 
     fn base() -> Relation {
@@ -726,84 +542,53 @@ mod tests {
         ])
     }
 
+    /// Distributed evaluation of `detail` over `sites` sites.
+    fn distributed(detail: &Relation, sites: usize) -> (Relation, PlanNodeStats) {
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = Runtime::new(ExecPolicy::distributed(sites))
+            .eval_gmdj(&base(), detail, &spec(), &mut node)
+            .unwrap();
+        (out, node)
+    }
+
+    fn centralized(detail: &Relation) -> Relation {
+        let mut st = EvalStats::default();
+        eval_gmdj(&base(), detail, &spec(), &GmdjOptions::default(), &mut st).unwrap()
+    }
+
     #[test]
     fn distributed_equals_centralized_for_any_site_count() {
         let d = detail(97);
         for sites in [1usize, 2, 3, 7] {
-            let wh = DistributedWarehouse::fragment_round_robin(&d, sites).unwrap();
-            assert_eq!(wh.site_count(), sites);
-            assert_eq!(wh.total_detail_rows(), 97);
-            let (dist, _, net) = wh
-                .eval_gmdj(&base(), &spec(), &GmdjOptions::default())
-                .unwrap();
-            let mut st = EvalStats::default();
-            let central =
-                eval_gmdj(&base(), &d, &spec(), &GmdjOptions::default(), &mut st).unwrap();
-            assert!(dist.multiset_eq(&central), "{sites} sites");
-            // Two message waves per site.
-            assert_eq!(net.messages, 2 * sites as u64);
+            let (dist, node) = distributed(&d, sites);
+            assert!(dist.multiset_eq(&centralized(&d)), "{sites} sites");
+            // Two message waves per site; the fragments partition the
+            // detail, so it is scanned once in total.
+            assert_eq!(node.network.messages, 2 * sites as u64);
+            assert_eq!(node.sites.len(), sites);
+            assert_eq!(node.eval.detail_scanned, 97);
         }
     }
 
     #[test]
     fn network_traffic_is_independent_of_detail_size() {
-        let wh_small = DistributedWarehouse::fragment_round_robin(&detail(40), 4).unwrap();
-        let wh_large = DistributedWarehouse::fragment_round_robin(&detail(4000), 4).unwrap();
-        let (_, _, net_small) = wh_small
-            .eval_gmdj(&base(), &spec(), &GmdjOptions::default())
-            .unwrap();
-        let (_, _, net_large) = wh_large
-            .eval_gmdj(&base(), &spec(), &GmdjOptions::default())
-            .unwrap();
+        let (_, small) = distributed(&detail(40), 4);
+        let (_, large) = distributed(&detail(4000), 4);
         // 100× more detail tuples, identical traffic: the GMDJ ships base
         // tuples out and aggregate states back, never detail tuples.
-        assert_eq!(net_small.total(), net_large.total());
-        assert!(net_large.total() > 0);
-    }
-
-    #[test]
-    fn avg_is_rejected_with_guidance() {
-        let d = detail(10);
-        let wh = DistributedWarehouse::fragment_round_robin(&d, 2).unwrap();
-        let bad = GmdjSpec::new(vec![AggBlock::new(
-            Predicate::true_(),
-            vec![NamedAgg::new(AggFunc::Avg, col("R.v"), "a")],
-        )]);
-        let err = wh
-            .eval_gmdj(&base(), &bad, &GmdjOptions::default())
-            .unwrap_err();
-        assert!(err.to_string().contains("SUM and COUNT"));
+        assert_eq!(small.network.total(), large.network.total());
+        assert!(large.network.total() > 0);
     }
 
     #[test]
     fn empty_fragments_are_fine() {
         // More sites than tuples: some fragments are empty.
         let d = detail(3);
-        let wh = DistributedWarehouse::fragment_round_robin(&d, 8).unwrap();
-        let (dist, _, _) = wh
-            .eval_gmdj(&base(), &spec(), &GmdjOptions::default())
-            .unwrap();
-        let mut st = EvalStats::default();
-        let central = eval_gmdj(&base(), &d, &spec(), &GmdjOptions::default(), &mut st).unwrap();
-        assert!(dist.multiset_eq(&central));
-    }
-
-    #[test]
-    fn mismatched_fragment_schemas_rejected() {
-        let a = detail(4);
-        let b = base(); // different arity
-        let err = DistributedWarehouse::new(vec![
-            Site {
-                name: "a".into(),
-                fragment: a,
-            },
-            Site {
-                name: "b".into(),
-                fragment: b,
-            },
-        ])
-        .unwrap_err();
-        assert!(err.to_string().contains("arity"));
-        assert!(DistributedWarehouse::new(vec![]).is_err());
+        let (dist, node) = distributed(&d, 8);
+        assert!(dist.multiset_eq(&centralized(&d)));
+        assert_eq!(
+            node.sites.iter().filter(|s| s.fragment_rows == 0).count(),
+            5
+        );
     }
 }

@@ -20,6 +20,8 @@
 //! well-defined cost"). Machine-independent work counters ([`EvalStats`])
 //! make the benchmark shapes reproducible across hardware.
 
+use std::ops::Range;
+
 use gmdj_relation::agg::{Accumulator, BoundAgg};
 use gmdj_relation::batch::{BatchPredicate, BatchView, ColData, ColView, BATCH_ROWS};
 use gmdj_relation::columnar::{ColumnSet, COLUMN_CHUNK_ROWS};
@@ -32,6 +34,7 @@ use gmdj_relation::value::Value;
 
 use crate::completion::CompletionPlan;
 use crate::spec::GmdjSpec;
+use crate::trace::{NullSink, TraceSink};
 
 /// How probe plans may be chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,10 +66,10 @@ pub struct GmdjOptions {
     /// keeps the whole base-values relation in memory (single scan).
     pub partition_rows: Option<usize>,
     /// Dispatch the detail scan to batched columnar kernels where a probe
-    /// shape can be specialized (default on). Counter-exact: every
-    /// [`EvalStats`] field matches the row-at-a-time scan bit for bit.
-    /// Completion plans run the same columnar windows either way; the flag
-    /// only switches their typed hash sidecar and residual kernels.
+    /// shape can be specialized (default on). Off, every scan runs the
+    /// row-ordered column loop with sidecars and kernels off: the
+    /// interpreted reference the kernels are checked against. Counter-
+    /// exact either way: every [`EvalStats`] field matches bit for bit.
     pub vectorized: bool,
 }
 
@@ -266,35 +269,6 @@ pub fn eval_gmdj_filtered(
     opts: &GmdjOptions,
     stats: &mut EvalStats,
 ) -> Result<Relation> {
-    eval_gmdj_filtered_traced(
-        base,
-        detail,
-        spec,
-        selection,
-        keep,
-        completion,
-        opts,
-        stats,
-        &crate::trace::NullSink,
-    )
-}
-
-/// [`eval_gmdj_filtered`] with a trace sink: each base-partition scan is
-/// emitted as a `gmdj.partition` span carrying that partition's exact
-/// counter delta, so the sum of partition spans reconciles with `stats`.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_gmdj_filtered_traced(
-    base: &Relation,
-    detail: &Relation,
-    spec: &GmdjSpec,
-    selection: Option<&Predicate>,
-    keep: Keep,
-    completion: Option<&CompletionPlan>,
-    opts: &GmdjOptions,
-    stats: &mut EvalStats,
-    sink: &dyn crate::trace::TraceSink,
-) -> Result<Relation> {
-    let mut kernel = KernelStats::default();
     eval_gmdj_filtered_full(
         base,
         detail,
@@ -304,18 +278,20 @@ pub fn eval_gmdj_filtered_traced(
         completion,
         opts,
         stats,
-        &mut kernel,
-        sink,
+        &mut KernelStats::default(),
+        &NullSink,
         None,
     )
 }
 
-/// [`eval_gmdj_filtered_traced`] additionally reporting which physical
-/// scan path ran via [`KernelStats`] (batched kernels vs row fallback),
-/// and optionally feeding live query progress: the sequential scan
-/// schedules one progress morsel per base-partition detail pass, ticked
-/// (with the partition's exact scanned-row delta) as each pass
-/// completes.
+/// [`eval_gmdj_filtered`] with a trace sink, kernel statistics and live
+/// progress. Each base-partition scan is emitted as a `gmdj.partition`
+/// span carrying that partition's exact counter delta, so the sum of
+/// partition spans reconciles with `stats`; [`KernelStats`] reports which
+/// physical scan path ran (batched kernels vs row fallback); and the
+/// sequential scan schedules one progress morsel per base-partition
+/// detail pass, ticked (with the partition's exact scanned-row delta) as
+/// each pass completes.
 #[allow(clippy::too_many_arguments)]
 pub fn eval_gmdj_filtered_full(
     base: &Relation,
@@ -327,7 +303,7 @@ pub fn eval_gmdj_filtered_full(
     opts: &GmdjOptions,
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
-    sink: &dyn crate::trace::TraceSink,
+    sink: &dyn TraceSink,
     progress: Option<&crate::progress::QueryProgress>,
 ) -> Result<Relation> {
     if completion.is_some() && selection.is_none() {
@@ -501,104 +477,60 @@ pub(crate) fn materialize_filtered(
     Ok(())
 }
 
-/// The probe loop without completion: fold one detail slice into `accs`.
-pub(crate) fn scan_detail_plain(
-    chunk: &[Tuple],
-    plans: &[BlockPlan],
-    base_rows: &[Tuple],
-    total_aggs: usize,
-    accs: &mut [Accumulator],
-    stats: &mut EvalStats,
-) -> Result<()> {
-    let all_base: Vec<u32> = (0..base_rows.len() as u32).collect();
-    let mut stab_scratch: Vec<u32> = Vec::new();
-    let mut key_scratch: Vec<Value> = Vec::new();
-    for r in chunk {
-        let r: &[Value] = r;
-        stats.detail_scanned += 1;
-        for plan in plans {
-            let candidates: &[u32] = match &plan.access {
-                Access::Hash {
-                    index, detail_cols, ..
-                } => {
-                    // Probe through a reused scratch key: `HashIndex::probe`
-                    // takes a slice, so no per-row `Box<[Value]>` is built.
-                    key_scratch.clear();
-                    key_scratch.extend(detail_cols.iter().map(|&c| r[c].clone()));
-                    index.probe(&key_scratch)
-                }
-                Access::Interval { index, detail_col } => {
-                    index.stab(&r[*detail_col], &mut stab_scratch);
-                    &stab_scratch
-                }
-                Access::Scan => &all_base,
-            };
-            for &b_idx in candidates {
-                let b_idx = b_idx as usize;
-                stats.probe_candidates += 1;
-                let b_row: &[Value] = &base_rows[b_idx];
-                let passes = match &plan.residual {
-                    Some(res) => {
-                        stats.theta_evals += 1;
-                        res.eval(&[b_row, r])?.passes()
-                    }
-                    None => true,
-                };
-                if passes {
-                    update_aggs(plan, b_idx, total_aggs, accs, b_row, r, stats)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One query's slice of a shared multi-query window dispatch: route one
-/// detail window through this query's planned kernels (vectorized) or its
-/// row-path probe loop, maintaining its private counters exactly as a
-/// standalone morsel pull would. The shared-scan executor
-/// ([`crate::shared`]) calls this once per (query, window), so N coalesced
-/// GMDJs pay one pass over the detail columns while keeping per-query
-/// accounting identical to standalone execution.
+/// The one detail-scan entry point: fold detail rows `range` into one
+/// query's accumulators, keeping its counters exactly as a standalone
+/// sequential scan would. The sequential evaluator calls it once per base
+/// partition, the morsel driver ([`crate::shared::morsel_pass`]) once per
+/// (query, pulled morsel), and every site once over its fragment.
+///
+/// It is the only scan-time reader of `vectorized`:
+///
+/// * on, without a completion plan — the batched column kernels
+///   ([`scan_detail_vectorized`]);
+/// * otherwise the row-ordered loop ([`scan_detail_completion`]), which
+///   completion needs for its scan order and which the `vectorized =
+///   false` twin runs with kernels off. The twin reports like a
+///   row-at-a-time scan: one scheduling morsel per call, no batches and
+///   no `gmdj.kernel` span.
+///
+/// Returns each base tuple's final status when the row-ordered loop ran,
+/// `None` after the kernels (every tuple stays active).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_detail_window(
-    detail: &Relation,
-    detail_rows: Option<&[Tuple]>,
-    range: std::ops::Range<usize>,
+    cols: &ColumnSet,
+    range: Range<usize>,
     vectorized: bool,
+    completion: Option<&CompletionPlan>,
     plans: &[BlockPlan],
     base_rows: &[Tuple],
     total_aggs: usize,
     accs: &mut [Accumulator],
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
-    sink: &dyn crate::trace::TraceSink,
-) -> Result<()> {
-    if vectorized {
+    sink: &dyn TraceSink,
+) -> Result<Option<Vec<Status>>> {
+    if vectorized && completion.is_none() {
         scan_detail_vectorized(
-            detail.cols(),
-            range,
-            plans,
-            base_rows,
-            total_aggs,
-            accs,
-            stats,
-            kernel,
-            sink,
-        )
-    } else {
-        let rows = detail_rows.ok_or_else(|| {
-            Error::invalid("row-path window dispatch requires a materialized row view")
-        })?;
-        scan_detail_plain(&rows[range], plans, base_rows, total_aggs, accs, stats)?;
-        kernel.morsels += 1;
-        Ok(())
+            cols, range, plans, base_rows, total_aggs, accs, stats, kernel, sink,
+        )?;
+        return Ok(None);
     }
+    let mut row_twin = KernelStats::default();
+    let (kernel, sink): (&mut KernelStats, &dyn TraceSink) = if vectorized {
+        (kernel, sink)
+    } else {
+        kernel.morsels += 1;
+        (&mut row_twin, &NullSink)
+    };
+    scan_detail_completion(
+        cols, range, plans, base_rows, total_aggs, completion, accs, stats, kernel, sink,
+    )
+    .map(Some)
 }
 
 /// Status of a base tuple during the scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
+pub(crate) enum Status {
     Active,
     /// Completed as rejected (Theorem 4.2) — excluded from output.
     Dead,
@@ -669,21 +601,22 @@ pub(crate) fn kernel_summary(plans: &[BlockPlan]) -> String {
 /// kernels borrow column slices straight from storage, and full rows are
 /// late-materialized into a scratch buffer only where row semantics are
 /// required — at most once per detail position. Every [`EvalStats`]
-/// counter is maintained exactly as [`scan_detail_plain`] would.
+/// counter is maintained exactly as the row-ordered
+/// [`scan_detail_completion`] loop maintains it without a plan.
 ///
 /// One call is one scheduling morsel: the sequential path calls this once
 /// per partition, the parallel morsel queue once per pulled morsel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_detail_vectorized(
     cols: &ColumnSet,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     plans: &[BlockPlan],
     base_rows: &[Tuple],
     total_aggs: usize,
     accs: &mut [Accumulator],
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
-    sink: &dyn crate::trace::TraceSink,
+    sink: &dyn TraceSink,
 ) -> Result<()> {
     let before = *kernel;
     let span = crate::trace::Span::begin(sink, "gmdj.kernel").with_detail(kernel_summary(plans));
@@ -1159,7 +1092,7 @@ fn run_partition(
     opts: &GmdjOptions,
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
-    sink: &dyn crate::trace::TraceSink,
+    sink: &dyn TraceSink,
     out_rows: &mut Vec<Tuple>,
 ) -> Result<()> {
     stats.partitions += 1;
@@ -1169,28 +1102,20 @@ fn run_partition(
     let total_aggs: usize = spec.agg_count();
 
     let mut accs = new_accumulators(&blocks, base_rows.len(), total_aggs);
-    // With `vectorized` off the scans below interpret every row, so they
-    // report like the parallel, shared and site row twins: one scheduling
-    // morsel, no kernel counters and no `gmdj.kernel` span.
-    let mut row_twin = KernelStats::default();
-    let (kernel, sink): (&mut KernelStats, &dyn crate::trace::TraceSink) = if opts.vectorized {
-        (kernel, sink)
-    } else {
-        kernel.morsels += 1;
-        (&mut row_twin, &crate::trace::NullSink)
-    };
-    if opts.vectorized && completion.is_none() {
-        scan_detail_vectorized(
-            detail.cols(),
-            0..detail.len(),
-            &blocks,
-            base_rows,
-            total_aggs,
-            &mut accs,
-            stats,
-            kernel,
-            sink,
-        )?;
+    let status = scan_detail_window(
+        detail.cols(),
+        0..detail.len(),
+        opts.vectorized,
+        completion,
+        &blocks,
+        base_rows,
+        total_aggs,
+        &mut accs,
+        stats,
+        kernel,
+        sink,
+    )?;
+    let Some(status) = status else {
         return materialize_filtered(
             base_rows,
             &accs,
@@ -1199,21 +1124,7 @@ fn run_partition(
             keep,
             out_rows,
         );
-    }
-    // Completion is scan-order-dependent; the `vectorized = false` twin
-    // takes the same row-ordered loop, which materializes each detail row
-    // at most once however many base tuples a Scan block evaluates.
-    let status = scan_detail_completion(
-        detail.cols(),
-        &blocks,
-        base_rows,
-        total_aggs,
-        completion,
-        &mut accs,
-        stats,
-        kernel,
-        sink,
-    )?;
+    };
     // Materialize output in base order: rejected tuples are dropped,
     // accepted ones need no aggregates, and the selection decides the rest.
     for (b_idx, b_row) in base_rows.iter().enumerate() {
@@ -1251,12 +1162,14 @@ fn run_partition(
 /// input. Every [`EvalStats`] counter matches that tuple-at-a-time loop.
 ///
 /// Without a plan every tuple stays `Active`: the row-ordered probe loop
-/// the `vectorized = false` twin runs. One call is one scheduling morsel.
+/// the `vectorized = false` twin runs over any `range`. With a plan the
+/// range is the whole detail. One call is one scheduling morsel.
 /// Returns each base tuple's final status; `accs` holds the aggregates of
 /// those still `Active`.
 #[allow(clippy::too_many_arguments)]
 fn scan_detail_completion(
     cols: &ColumnSet,
+    range: Range<usize>,
     blocks: &[BlockPlan],
     base_rows: &[Tuple],
     total_aggs: usize,
@@ -1264,7 +1177,7 @@ fn scan_detail_completion(
     accs: &mut [Accumulator],
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
-    sink: &dyn crate::trace::TraceSink,
+    sink: &dyn TraceSink,
 ) -> Result<Vec<Status>> {
     let before = *kernel;
     let span = crate::trace::Span::begin(sink, "gmdj.kernel").with_detail(kernel_summary(blocks));
@@ -1302,9 +1215,9 @@ fn scan_detail_completion(
     let mut row_scratch: Vec<Value> = Vec::new();
     let mut scratch_at: usize = usize::MAX;
 
-    let mut win_start = 0usize;
-    while win_start < cols.len() {
-        let win_len = (cols.len() - win_start).min(BATCH_ROWS);
+    let mut win_start = range.start;
+    while win_start < range.end {
+        let win_len = (range.end - win_start).min(BATCH_ROWS);
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
@@ -1425,24 +1338,6 @@ fn scan_detail_completion(
     span.fields(kernel.minus(&before).trace_fields());
     span.finish();
     Ok(status)
-}
-
-#[inline]
-fn update_aggs(
-    block: &BlockPlan,
-    b_idx: usize,
-    total_aggs: usize,
-    accs: &mut [Accumulator],
-    b_row: &[Value],
-    r: &[Value],
-    stats: &mut EvalStats,
-) -> Result<()> {
-    let base = b_idx * total_aggs + block.agg_offset;
-    for (k, agg) in block.aggs.iter().enumerate() {
-        agg.update(&mut accs[base + k], &[b_row, r])?;
-        stats.agg_updates += 1;
-    }
-    Ok(())
 }
 
 /// Build one probe plan per (lᵢ, θᵢ) block.

@@ -96,7 +96,7 @@ pub mod wire;
 
 pub use completion::{derive_completion, CompletionPlan, DeadRule};
 pub use cost::{cost_based_optimize, estimate, observed_cost, Cost, Estimate, StatsProvider};
-pub use distributed::{DistributedWarehouse, NetworkStats, Site};
+pub use distributed::NetworkStats;
 pub use eval::{eval_gmdj, eval_gmdj_filtered, EvalStats, GmdjOptions, Keep, ProbeStrategy};
 pub use exec::{execute, ExecContext, TableProvider};
 pub use metrics::{Histogram, MetricsRegistry};

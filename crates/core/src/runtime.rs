@@ -21,8 +21,7 @@
 //!   fragmented round-robin across simulated sites; the coordinator
 //!   broadcasts each base partition, sites evaluate locally and ship
 //!   accumulator *state* back, and the coordinator merges. Shipping state
-//!   (rather than finalized partial values, as the standalone
-//!   [`crate::distributed`] coordinator does) makes every aggregate —
+//!   rather than finalized partial values makes every aggregate —
 //!   including AVG and COUNT DISTINCT — distribute exactly, and keeps
 //!   network traffic independent of the detail cardinality.
 //!
@@ -49,7 +48,6 @@
 //! back and prefer sequential execution when completion is expected to
 //! prune aggressively.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,12 +61,12 @@ use gmdj_relation::relation::{Relation, Tuple};
 use crate::completion::CompletionPlan;
 use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTransport};
 use crate::eval::{
-    eval_gmdj_filtered_full, materialize_filtered, new_accumulators, plan_blocks,
-    referenced_detail_cols, scan_detail_plain, scan_detail_vectorized, EvalStats, GmdjOptions,
-    Keep, KernelStats, ProbeStrategy,
+    eval_gmdj_filtered_full, materialize_filtered, plan_blocks, referenced_detail_cols, EvalStats,
+    GmdjOptions, Keep, KernelStats, ProbeStrategy,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
+use crate::shared::{morsel_pass, ScanJob};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
 
@@ -110,9 +108,10 @@ pub struct ExecPolicy {
     /// whole base-values relation in memory.
     pub partition_rows: Option<usize>,
     /// Run the detail scan through the columnar batch kernels when a
-    /// probe shape specializes (default). The kernels are counter-exact
-    /// and bit-exact with the row path; switching this off is an
-    /// ablation axis, not a semantic choice.
+    /// probe shape specializes (default). Off, every mode scans the same
+    /// columns through the interpreted row-ordered loop instead. The
+    /// kernels are counter-exact and bit-exact with it; switching this
+    /// off is an ablation axis, not a semantic choice.
     pub vectorized: bool,
     /// Morsel size (detail rows) for the parallel scan's work queue.
     /// `None` uses [`DEFAULT_MORSEL_ROWS`]. Morsel size is pure
@@ -1100,17 +1099,11 @@ struct PartitionCx<'a> {
 }
 
 impl PartitionCx<'_> {
-    /// Morsel-driven parallel scan: a shared atomic cursor deals the
-    /// detail out in morsels of `morsel_rows`; `threads` scoped workers
-    /// pull morsels until the queue runs dry, each folding into a private
-    /// accumulator matrix; merge exactly in worker order. Pull-based
-    /// scheduling is self-balancing — a worker stuck on a skewed morsel
-    /// simply pulls fewer, instead of stranding the rest of a
-    /// statically-assigned range. Worker panics and errors both surface
-    /// as `Err` — never a process abort. Each worker is emitted as a
-    /// `gmdj.worker` span carrying its private counter delta plus the
-    /// rows and morsels it pulled, so summed worker spans reconcile
-    /// exactly with the merged scan counters.
+    /// Morsel-driven parallel scan: a morsel pass
+    /// ([`crate::shared::morsel_pass`]) with this query as its only job —
+    /// `threads` workers pull morsels from a shared cursor into private
+    /// accumulators, merged exactly in worker order. Worker panics and
+    /// errors both surface as `Err`, never a process abort.
     fn scan_parallel(&mut self, threads: usize) -> Result<ScanOutcome> {
         let plans = plan_blocks(
             self.base,
@@ -1120,115 +1113,27 @@ impl PartitionCx<'_> {
             &self.opts,
             self.stats,
         )?;
-        let detail = self.detail;
-        let detail_len = detail.len();
-        let morsel = self.morsel_rows.min(detail_len.max(1));
-        // No point spawning workers that can never pull a morsel; an
-        // empty detail keeps one worker so the merge stays uniform.
-        let n_morsels = detail_len.div_ceil(morsel).max(1);
-        let workers = threads.min(n_morsels).max(1);
-        let cursor = AtomicUsize::new(0);
-
-        let base_rows = self.base;
-        let total_aggs = self.total_aggs;
-        let sink = self.sink;
-        let progress = self.progress;
-        let vectorized = self.opts.vectorized;
-        // The row-path twin scans late-materialized tuples; build the row
-        // view once, outside the scope, so workers share one cache.
-        let detail_rows: Option<&[Tuple]> = if vectorized {
-            None
-        } else {
-            Some(detail.rows())
+        let job = ScanJob {
+            plans: &plans,
+            base_rows: self.base,
+            total_aggs: self.total_aggs,
+            vectorized: self.opts.vectorized,
         };
-        type WorkerResult = Result<(Vec<Accumulator>, EvalStats, KernelStats, u64)>;
-        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-            let plans = &plans;
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..workers)
-                .map(|i| {
-                    scope.spawn(move || -> WorkerResult {
-                        let mut wspan =
-                            Span::begin(sink, "gmdj.worker").with_detail(format!("worker{i}"));
-                        let mut accs = new_accumulators(plans, base_rows.len(), total_aggs);
-                        let mut local = EvalStats::default();
-                        let mut local_kernel = KernelStats::default();
-                        let mut rows_pulled = 0u64;
-                        let mut morsels_pulled = 0u64;
-                        loop {
-                            let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                            if start >= detail_len {
-                                break;
-                            }
-                            let end = (start + morsel).min(detail_len);
-                            // Chunked scans never carry a completion plan
-                            // (it fell back above), so the vectorized
-                            // path is always eligible here.
-                            if vectorized {
-                                scan_detail_vectorized(
-                                    detail.cols(),
-                                    start..end,
-                                    plans,
-                                    base_rows,
-                                    total_aggs,
-                                    &mut accs,
-                                    &mut local,
-                                    &mut local_kernel,
-                                    sink,
-                                )?;
-                            } else {
-                                let rows = detail_rows.expect("row twin pre-materializes");
-                                scan_detail_plain(
-                                    &rows[start..end],
-                                    plans,
-                                    base_rows,
-                                    total_aggs,
-                                    &mut accs,
-                                    &mut local,
-                                )?;
-                                local_kernel.morsels += 1;
-                            }
-                            rows_pulled += (end - start) as u64;
-                            morsels_pulled += 1;
-                            if let Some(p) = progress {
-                                p.add_morsels_done(1);
-                                p.add_rows((end - start) as u64);
-                            }
-                        }
-                        wspan.field("chunk_rows", rows_pulled);
-                        wspan.field("morsels", morsels_pulled);
-                        wspan.fields(local.trace_fields());
-                        let dur = wspan.finish();
-                        Ok((accs, local, local_kernel, dur.as_nanos() as u64))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| Err(worker_panic_error(&payload)))
-                })
-                .collect()
-        });
-
-        let mut merged = new_accumulators(&plans, base_rows.len(), total_aggs);
-        let mut worker_max_ns = 0u64;
-        let mut worker_sum_ns = 0u64;
-        for res in results {
-            let (accs, local, local_kernel, wall_ns) = res?;
-            self.stats.merge(&local);
-            self.kernel.merge(&local_kernel);
-            worker_max_ns = worker_max_ns.max(wall_ns);
-            worker_sum_ns += wall_ns;
-            for (m, a) in merged.iter_mut().zip(&accs) {
-                m.merge(a);
-            }
-        }
+        let pass = morsel_pass(
+            self.detail.cols(),
+            std::slice::from_ref(&job),
+            threads,
+            self.morsel_rows,
+            self.sink,
+            self.progress,
+        );
+        let scan = pass.jobs.into_iter().next().expect("one job, one result")?;
+        self.stats.merge(&scan.eval);
+        self.kernel.merge(&scan.kernel);
         Ok(ScanOutcome {
-            accs: merged,
-            worker_max_ns,
-            worker_sum_ns,
+            accs: scan.accs,
+            worker_max_ns: pass.worker_max_ns,
+            worker_sum_ns: pass.worker_sum_ns,
         })
     }
 
@@ -1378,19 +1283,6 @@ fn round_robin_fragments(detail: &Relation, sites: usize) -> Vec<Relation> {
             )
         })
         .collect()
-}
-
-/// Turn a worker panic payload into an error value instead of poisoning
-/// the whole process. The flight recorder's tail goes to stderr so the
-/// spans leading up to the panic survive the unwind.
-fn worker_panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic payload".to_string());
-    crate::trace::flight_dump_on_failure("worker panic");
-    Error::invalid(format!("parallel GMDJ worker panicked: {msg}"))
 }
 
 #[cfg(test)]
@@ -1586,9 +1478,8 @@ mod tests {
 
     #[test]
     fn distributed_runtime_matches_sequential_including_avg() {
-        // AVG and COUNT DISTINCT distribute under the runtime because it
-        // ships accumulator state (the standalone coordinator rejects
-        // them).
+        // AVG and COUNT DISTINCT distribute because sites ship
+        // accumulator state, not finalized values.
         let in_hour = col("F.StartTime")
             .ge(col("H.StartInterval"))
             .and(col("F.StartTime").lt(col("H.EndInterval")));
@@ -1691,6 +1582,43 @@ mod tests {
                 assert_eq!(row[3], Value::Null, "{policy:?}");
                 assert_eq!(row[4], Value::Null, "{policy:?}");
             }
+        }
+    }
+
+    /// The `vectorized = false` twin reads the stored columns under every
+    /// policy, pooled submission included: no evaluation builds the
+    /// detail's row view.
+    #[test]
+    fn row_twin_never_builds_the_detail_row_view() {
+        use crate::shared::{SharedScanConfig, SharedScanPool};
+        let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
+            window: std::time::Duration::from_millis(1),
+            target_batch: 1,
+            threads: 2,
+            morsel_rows: 2,
+        }));
+        let row_twin = |policy: ExecPolicy| Runtime::new(policy.with_vectorized(false));
+        for rt in [
+            row_twin(ExecPolicy::sequential()),
+            row_twin(ExecPolicy::parallel(2)),
+            row_twin(ExecPolicy::distributed(2)),
+            row_twin(ExecPolicy::parallel(2)).with_shared_pool(pool),
+        ] {
+            let detail = flows();
+            assert!(!detail.has_row_view());
+            let mut node = PlanNodeStats::new("GMDJ");
+            rt.submit(
+                &hours(),
+                &detail,
+                &example_2_1_spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
+            .unwrap();
+            assert_eq!(node.eval.detail_scanned, 6, "{:?}", rt.policy());
+            assert!(!detail.has_row_view(), "{:?}", rt.policy());
         }
     }
 

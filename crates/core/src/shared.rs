@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use gmdj_relation::agg::Accumulator;
-use gmdj_relation::columnar::COLUMN_CHUNK_ROWS;
+use gmdj_relation::columnar::{ColumnSet, COLUMN_CHUNK_ROWS};
 use gmdj_relation::error::{Error, Result};
 use gmdj_relation::expr::{BoundPredicate, Predicate};
 use gmdj_relation::relation::{Relation, Tuple};
@@ -66,6 +66,7 @@ use crate::eval::{
     scan_detail_window, BlockPlan, EvalStats, GmdjOptions, Keep, KernelStats,
 };
 use crate::metrics;
+use crate::progress::QueryProgress;
 use crate::runtime::DEFAULT_MORSEL_ROWS;
 use crate::spec::GmdjSpec;
 use crate::trace::{Span, TraceSink};
@@ -320,9 +321,8 @@ impl SharedScanPool {
         }
     }
 
-    /// One shared morsel-driven detail pass feeding every query's private
-    /// accumulators — the multi-query generalization of the runtime's
-    /// parallel partition scan.
+    /// One shared detail pass: a [`morsel_pass`] with one job per
+    /// distinct query, each feeding its own private accumulators.
     fn execute_batch(
         &self,
         batch: &[SharedRequest],
@@ -365,163 +365,65 @@ impl SharedScanPool {
                     prepped.push(p);
                 }
                 Err(e) => {
-                    let msg = e.to_string();
                     for &i in &group {
-                        outputs[i] = Some(Err(Error::invalid(msg.clone())));
+                        outputs[i] = Some(Err(e.clone()));
                     }
                 }
             }
         }
 
-        let morsel = self.cfg.morsel_rows.max(1).min(detail_len.max(1));
-        let n_morsels = detail_len.div_ceil(morsel).max(1);
-        let workers = self.cfg.threads.min(n_morsels).max(1);
-        let cursor = AtomicUsize::new(0);
-        // The row-path twin scans late-materialized tuples; build the row
-        // view once so every query and worker shares one cache.
-        let any_row_path = prepped.iter().any(|p| !p.vectorized);
-        let detail_rows: Option<&[Tuple]> = if any_row_path {
-            Some(detail.rows())
-        } else {
-            None
-        };
-
-        // Per worker: one private (accumulators, stats, kernel) triple
-        // per query, merged afterwards in worker order per query — the
-        // same exact-merge discipline as the single-query parallel scan.
-        type WorkerState = (Vec<Vec<Accumulator>>, Vec<EvalStats>, Vec<KernelStats>);
-        type WorkerResult = Result<(WorkerState, u64)>;
-        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-            let prepped = &prepped;
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || -> WorkerResult {
-                        let mut wspan = Span::begin(sink, "gmdj.worker")
-                            .with_detail(format!("shared-worker{w}"));
-                        let mut accs: Vec<Vec<Accumulator>> = prepped
-                            .iter()
-                            .map(|p| new_accumulators(&p.plans, p.base_rows.len(), p.total_aggs))
-                            .collect();
-                        let mut stats: Vec<EvalStats> =
-                            prepped.iter().map(|_| EvalStats::default()).collect();
-                        let mut kernels: Vec<KernelStats> =
-                            prepped.iter().map(|_| KernelStats::default()).collect();
-                        let mut rows_pulled = 0u64;
-                        let mut morsels_pulled = 0u64;
-                        loop {
-                            let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                            if start >= detail_len {
-                                break;
-                            }
-                            let end = (start + morsel).min(detail_len);
-                            for (q, p) in prepped.iter().enumerate() {
-                                scan_detail_window(
-                                    detail,
-                                    detail_rows,
-                                    start..end,
-                                    p.vectorized,
-                                    &p.plans,
-                                    p.base_rows,
-                                    p.total_aggs,
-                                    &mut accs[q],
-                                    &mut stats[q],
-                                    &mut kernels[q],
-                                    sink,
-                                )?;
-                            }
-                            rows_pulled += (end - start) as u64;
-                            morsels_pulled += 1;
-                        }
-                        wspan.field("chunk_rows", rows_pulled);
-                        wspan.field("morsels", morsels_pulled);
-                        wspan.field("queries", prepped.len() as u64);
-                        let dur = wspan.finish();
-                        Ok(((accs, stats, kernels), dur.as_nanos() as u64))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|payload| Err(shared_worker_panic_error(&payload)))
-                })
-                .collect()
-        });
-
-        let mut merged: Vec<Vec<Accumulator>> = prepped
+        let jobs: Vec<ScanJob<'_>> = prepped
             .iter()
-            .map(|p| new_accumulators(&p.plans, p.base_rows.len(), p.total_aggs))
+            .map(|p| ScanJob {
+                plans: &p.plans,
+                base_rows: p.base_rows,
+                total_aggs: p.total_aggs,
+                vectorized: p.vectorized,
+            })
             .collect();
-        let mut worker_max_ns = 0u64;
-        let mut worker_sum_ns = 0u64;
-        let mut scan_error: Option<Error> = None;
-        for result in results {
-            match result {
-                Ok(((accs, stats, kernels), wall_ns)) => {
-                    worker_max_ns = worker_max_ns.max(wall_ns);
-                    worker_sum_ns += wall_ns;
-                    for (q, p) in prepped.iter_mut().enumerate() {
-                        p.eval.merge(&stats[q]);
-                        p.kernel.merge(&kernels[q]);
-                        for (m, a) in merged[q].iter_mut().zip(&accs[q]) {
-                            m.merge(a);
-                        }
-                    }
-                }
-                Err(e) => scan_error = Some(e),
-            }
-        }
-        if let Some(e) = scan_error {
-            // A failed worker poisons the whole pass: every query that
-            // made it into the scan shares the error (the scan loop is
-            // query-interleaved, so partial state is not attributable).
-            let msg = e.to_string();
-            for p in &prepped {
-                for &i in &p.members {
-                    outputs[i] = Some(Err(Error::invalid(msg.clone())));
-                }
-            }
-            return outputs.into_iter().flatten().collect();
-        }
+        let pass = morsel_pass(
+            detail.cols(),
+            &jobs,
+            self.cfg.threads,
+            self.cfg.morsel_rows,
+            sink,
+            None,
+        );
 
+        // Each query keeps its own outcome: a scan-time error in one
+        // query's window fails that query alone.
         let pass_queries = batch.len() as u64;
-        for (q, p) in prepped.into_iter().enumerate() {
-            let mut out_rows: Vec<Tuple> = Vec::new();
-            match materialize_filtered(
-                p.base_rows,
-                &merged[q],
-                p.total_aggs,
-                p.bound_selection.as_ref(),
-                p.keep,
-                &mut out_rows,
-            ) {
-                Ok(()) => {
-                    // Fan the group's one answer out to every member; the
-                    // counters delivered are the evaluation's actual
-                    // counters, which (the queries being identical) are
-                    // each member's standalone counters.
-                    for &i in &p.members {
-                        outputs[i] = Some(Ok(SharedOutput {
-                            relation: Relation::from_parts(
-                                p.result_schema.clone(),
-                                out_rows.clone(),
-                            ),
-                            eval: p.eval,
-                            kernel: p.kernel,
-                            worker_max_ns,
-                            worker_sum_ns,
-                            pass_queries,
-                        }));
-                    }
-                }
-                Err(e) => {
-                    let msg = e.to_string();
-                    for &i in &p.members {
-                        outputs[i] = Some(Err(Error::invalid(msg.clone())));
-                    }
-                }
+        for (p, scan) in prepped.into_iter().zip(pass.jobs) {
+            let result = scan.and_then(|scan| {
+                let mut out_rows: Vec<Tuple> = Vec::new();
+                materialize_filtered(
+                    p.base_rows,
+                    &scan.accs,
+                    p.total_aggs,
+                    p.bound_selection.as_ref(),
+                    p.keep,
+                    &mut out_rows,
+                )?;
+                let mut eval = p.eval;
+                eval.merge(&scan.eval);
+                Ok((out_rows, eval, scan.kernel))
+            });
+            // Fan the group's one outcome out to every member; the
+            // counters delivered are the evaluation's actual counters,
+            // which (the queries being identical) are each member's
+            // standalone counters.
+            for &i in &p.members {
+                outputs[i] = Some(match &result {
+                    Ok((out_rows, eval, kernel)) => Ok(SharedOutput {
+                        relation: Relation::from_parts(p.result_schema.clone(), out_rows.clone()),
+                        eval: *eval,
+                        kernel: *kernel,
+                        worker_max_ns: pass.worker_max_ns,
+                        worker_sum_ns: pass.worker_sum_ns,
+                        pass_queries,
+                    }),
+                    Err(e) => Err(e.clone()),
+                });
             }
         }
         outputs.into_iter().flatten().collect()
@@ -559,7 +461,6 @@ struct PreparedQuery<'a> {
     bound_selection: Option<BoundPredicate>,
     result_schema: Arc<Schema>,
     eval: EvalStats,
-    kernel: KernelStats,
 }
 
 impl<'a> PreparedQuery<'a> {
@@ -610,21 +511,190 @@ impl<'a> PreparedQuery<'a> {
             bound_selection,
             result_schema,
             eval,
-            kernel: KernelStats::default(),
         })
     }
 }
 
-/// Turn a shared-pass worker panic into an error value (same discipline
-/// as the single-query parallel scan).
-fn shared_worker_panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
+/// One query's share of a morsel pass: its probe plans over one base
+/// partition.
+pub(crate) struct ScanJob<'a> {
+    pub(crate) plans: &'a [BlockPlan],
+    pub(crate) base_rows: &'a [Tuple],
+    pub(crate) total_aggs: usize,
+    pub(crate) vectorized: bool,
+}
+
+/// One job's scan state: its accumulator matrix and private counters.
+pub(crate) struct JobScan {
+    pub(crate) accs: Vec<Accumulator>,
+    pub(crate) eval: EvalStats,
+    pub(crate) kernel: KernelStats,
+}
+
+impl JobScan {
+    fn new(job: &ScanJob<'_>) -> Self {
+        JobScan {
+            accs: new_accumulators(job.plans, job.base_rows.len(), job.total_aggs),
+            eval: EvalStats::default(),
+            kernel: KernelStats::default(),
+        }
+    }
+
+    /// Fold another worker's state in (exact: [`Accumulator::merge`]).
+    fn merge(&mut self, other: &JobScan) {
+        self.eval.merge(&other.eval);
+        self.kernel.merge(&other.kernel);
+        for (m, a) in self.accs.iter_mut().zip(&other.accs) {
+            m.merge(a);
+        }
+    }
+}
+
+/// What a morsel pass hands back: each job's merged state, or the error
+/// its own scan raised, plus the workers' wall-clock (critical path and
+/// total).
+pub(crate) struct MorselPass {
+    pub(crate) jobs: Vec<Result<JobScan>>,
+    pub(crate) worker_max_ns: u64,
+    pub(crate) worker_sum_ns: u64,
+}
+
+/// The morsel driver: one pass over the detail columns feeding every
+/// job. A shared atomic cursor deals the detail out in morsels of
+/// `morsel_rows`; `threads` scoped workers pull morsels until the queue
+/// runs dry, routing each morsel through every job's
+/// [`scan_detail_window`] into private per-worker accumulators and
+/// counters, which are then merged exactly in worker order. Pull-based
+/// scheduling is self-balancing: a worker stuck on a skewed morsel simply
+/// pulls fewer.
+///
+/// The standalone parallel scan is a pass with one job; a shared pass
+/// has one job per distinct coalesced query. A job whose scan errors
+/// stops being scanned and returns that error; the other jobs carry on.
+/// A worker panic fails every job still running, never the process.
+/// Each worker is emitted as a `gmdj.worker` span carrying the rows and
+/// morsels it pulled plus its counter delta summed over the jobs (and
+/// the job count when there is more than one), so the worker spans of a
+/// one-job pass reconcile exactly with its merged counters. `progress`,
+/// when given, is ticked once per pulled morsel.
+pub(crate) fn morsel_pass(
+    cols: &ColumnSet,
+    jobs: &[ScanJob<'_>],
+    threads: usize,
+    morsel_rows: usize,
+    sink: &dyn TraceSink,
+    progress: Option<&QueryProgress>,
+) -> MorselPass {
+    let detail_len = cols.len();
+    let morsel = morsel_rows.max(1).min(detail_len.max(1));
+    // No point spawning workers that can never pull a morsel; an empty
+    // detail keeps one worker so the merge stays uniform.
+    let workers = threads.min(detail_len.div_ceil(morsel).max(1)).max(1);
+    let cursor = AtomicUsize::new(0);
+
+    type Worker = (Vec<Result<JobScan>>, u64);
+    let results: Vec<std::thread::Result<Worker>> = std::thread::scope(|scope| {
+        let cursor = &cursor;
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                scope.spawn(move || -> Worker {
+                    let mut wspan =
+                        Span::begin(sink, "gmdj.worker").with_detail(format!("worker{w}"));
+                    let mut states: Vec<Result<JobScan>> =
+                        jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
+                    let mut rows_pulled = 0u64;
+                    let mut morsels_pulled = 0u64;
+                    while states.iter().any(Result::is_ok) {
+                        let start = cursor.fetch_add(morsel, Ordering::Relaxed);
+                        if start >= detail_len {
+                            break;
+                        }
+                        let end = (start + morsel).min(detail_len);
+                        for (job, state) in jobs.iter().zip(states.iter_mut()) {
+                            let Ok(scan) = state else { continue };
+                            if let Err(e) = scan_detail_window(
+                                cols,
+                                start..end,
+                                job.vectorized,
+                                None,
+                                job.plans,
+                                job.base_rows,
+                                job.total_aggs,
+                                &mut scan.accs,
+                                &mut scan.eval,
+                                &mut scan.kernel,
+                                sink,
+                            ) {
+                                *state = Err(e);
+                            }
+                        }
+                        rows_pulled += (end - start) as u64;
+                        morsels_pulled += 1;
+                        if let Some(p) = progress {
+                            p.add_morsels_done(1);
+                            p.add_rows((end - start) as u64);
+                        }
+                    }
+                    let mut scanned = EvalStats::default();
+                    for scan in states.iter().flatten() {
+                        scanned.merge(&scan.eval);
+                    }
+                    wspan.field("chunk_rows", rows_pulled);
+                    wspan.field("morsels", morsels_pulled);
+                    wspan.fields(scanned.trace_fields());
+                    if jobs.len() > 1 {
+                        wspan.field("queries", jobs.len() as u64);
+                    }
+                    (states, wspan.finish().as_nanos() as u64)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+
+    let mut merged: Vec<Result<JobScan>> = jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
+    let mut worker_max_ns = 0u64;
+    let mut worker_sum_ns = 0u64;
+    for result in results {
+        match result {
+            Ok((states, wall_ns)) => {
+                worker_max_ns = worker_max_ns.max(wall_ns);
+                worker_sum_ns += wall_ns;
+                for (m, state) in merged.iter_mut().zip(states) {
+                    if let Ok(scan) = m {
+                        match state {
+                            Ok(state) => scan.merge(&state),
+                            Err(e) => *m = Err(e),
+                        }
+                    }
+                }
+            }
+            Err(payload) => {
+                let e = worker_panic_error(payload.as_ref());
+                for m in merged.iter_mut().filter(|m| m.is_ok()) {
+                    *m = Err(e.clone());
+                }
+            }
+        }
+    }
+    MorselPass {
+        jobs: merged,
+        worker_max_ns,
+        worker_sum_ns,
+    }
+}
+
+/// Turn a worker panic payload into an error value instead of poisoning
+/// the whole process. The flight recorder's tail goes to stderr so the
+/// spans leading up to the panic survive the unwind.
+fn worker_panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
     let msg = payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "unknown panic payload".to_string());
-    crate::trace::flight_dump_on_failure("shared-scan worker panic");
-    Error::invalid(format!("shared-scan worker panicked: {msg}"))
+    crate::trace::flight_dump_on_failure("worker panic");
+    Error::invalid(format!("GMDJ scan worker panicked: {msg}"))
 }
 
 #[cfg(test)]
@@ -876,6 +946,65 @@ mod tests {
             assert!(out.relation.multiset_eq(relation));
             assert_eq!(out.eval, *eval);
         }
+    }
+
+    /// A query whose θ errors at scan time (`B.k < R.k` compares an Int
+    /// base column to a Str detail column) fails alone: a good query
+    /// coalesced into the same pass keeps its standalone answer and
+    /// counters, and the table still serves later passes.
+    #[test]
+    fn failing_query_does_not_poison_its_pass() {
+        let _passes = serialize_passes();
+        let base = RelationBuilder::new("B")
+            .column("k", DataType::Int)
+            .row(vec![1.into()])
+            .row(vec![2.into()])
+            .build()
+            .unwrap();
+        let mut detail = RelationBuilder::new("R")
+            .column("k", DataType::Str)
+            .column("v", DataType::Int);
+        for i in 0..7i64 {
+            detail = detail.row(vec![format!("x{i}").into(), (i % 3).into()]);
+        }
+        let detail = detail.build().unwrap();
+        let good = GmdjSpec::new(vec![AggBlock::count(col("B.k").eq(col("R.v")), "c")]);
+        let bad = GmdjSpec::new(vec![AggBlock::count(col("B.k").lt(col("R.k")), "c")]);
+
+        let mut reference = PlanNodeStats::new("GMDJ");
+        let expected = Runtime::new(ExecPolicy::parallel(2))
+            .eval_gmdj(&base, &detail, &good, &mut reference)
+            .unwrap();
+
+        let p = pool(2);
+        let sink = crate::trace::CollectingSink::new();
+        let submit = |spec: &GmdjSpec| {
+            p.submit(
+                &base,
+                &detail,
+                spec,
+                None,
+                Keep::All,
+                &GmdjOptions::default(),
+                false,
+                &sink,
+            )
+        };
+        let (good_out, bad_out) = std::thread::scope(|scope| {
+            let g = scope.spawn(|| submit(&good));
+            let b = scope.spawn(|| submit(&bad));
+            (g.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 1);
+        let good_out = good_out.expect("the good query must survive its pass");
+        assert_eq!(good_out.pass_queries, 2);
+        assert!(good_out.relation.multiset_eq(&expected));
+        assert_eq!(good_out.eval, reference.eval);
+        assert!(bad_out.is_err());
+
+        let later = submit(&good).unwrap();
+        assert!(later.relation.multiset_eq(&expected));
+        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 2);
     }
 
     /// A solo submission past the window still completes (pass of one).

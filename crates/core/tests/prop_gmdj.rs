@@ -257,7 +257,7 @@ proptest! {
 
     /// The distributed runtime (accumulator-state shipping) equals
     /// sequential for every aggregate — including AVG and COUNT DISTINCT,
-    /// which the standalone value-shipping coordinator must reject.
+    /// whose finalized values could not be merged.
     #[test]
     fn distributed_runtime_is_semantics_preserving(
         b in relation("B", 10),

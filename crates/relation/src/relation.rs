@@ -111,11 +111,10 @@ impl Relation {
     /// Row accessor: the late-materialization view. The first call rebuilds
     /// boxed tuples from the columns and caches them for the lifetime of
     /// this `Relation` value (clones start with a cold cache). At 1.2M rows
-    /// that is hundreds of milliseconds and ~200 MB, so the sequential GMDJ
-    /// scan (completion included) and every vectorized scan read the
-    /// columns instead. The view remains for the row-path twins of the
-    /// parallel, shared and site scans (`vectorized = false`), the
-    /// relational operators around the GMDJ, CSV ingest and display.
+    /// that is hundreds of milliseconds and ~200 MB, so no GMDJ detail
+    /// scan reads it: every mode and both `vectorized` settings read the
+    /// columns. The view remains for the GMDJ's base rows, the relational
+    /// operators around the GMDJ, CSV ingest and display.
     pub fn rows(&self) -> &[Tuple] {
         self.rows.get_or_init(|| self.cols.materialize())
     }
