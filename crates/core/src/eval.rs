@@ -104,10 +104,10 @@ pub struct EvalStats {
     pub index_builds: u64,
     /// Detail scans performed (= number of base partitions).
     pub partitions: u64,
-    /// Evaluations where a completion plan was present but skipped because
-    /// the execution mode cannot honor it (dead rules and finish-early are
-    /// scan-order-dependent, so parallel and distributed scans fall back to
-    /// the plain filtered form; the answer is unchanged).
+    /// Evaluations where a completion plan was present but skipped: the
+    /// morsel driver declined it (`eval::completion_prunes_pairs`) or the
+    /// mode is distributed. The scan then runs the plain filtered form;
+    /// the answer is unchanged. Counted once per evaluation.
     pub completion_fallbacks: u64,
     /// Column-chunk pages read per detail scan: the paper's `k·P`
     /// arithmetic with `P` counted per *referenced* detail column
@@ -446,18 +446,31 @@ pub(crate) fn new_accumulators(
     accs
 }
 
-/// Finalize merged accumulators into output rows, applying the selection
-/// and `keep` projection — exactly the materialization the sequential
-/// partition scan performs for tuples that stay `Active` to the end.
+/// Finalize accumulators into output rows in base order — the one
+/// materialization of the sequential, parallel and shared scans. With
+/// the statuses of a completion scan, `Dead` tuples are dropped and
+/// `Done` ones emitted as they are (finish-early implies
+/// [`Keep::BaseOnly`]); `Active` tuples, and every tuple when `status`
+/// is `None`, go through the selection and the `keep` projection.
 pub(crate) fn materialize_filtered(
     base_rows: &[Tuple],
     accs: &[Accumulator],
+    status: Option<&[Status]>,
     total_aggs: usize,
     bound_selection: Option<&BoundPredicate>,
     keep: Keep,
     out_rows: &mut Vec<Tuple>,
 ) -> Result<()> {
     for (b_idx, b_row) in base_rows.iter().enumerate() {
+        match status.map_or(Status::Active, |s| s[b_idx]) {
+            Status::Dead => continue,
+            Status::Done => {
+                debug_assert!(matches!(keep, Keep::BaseOnly));
+                out_rows.push(b_row.clone());
+                continue;
+            }
+            Status::Active => {}
+        }
         let mut full: Vec<Value> = Vec::with_capacity(b_row.len() + total_aggs);
         full.extend(b_row.iter().cloned());
         let acc_base = b_idx * total_aggs;
@@ -475,6 +488,20 @@ pub(crate) fn materialize_filtered(
         }
     }
     Ok(())
+}
+
+/// Whether a completion plan saves enough work to run as the morsel
+/// driver's one-worker item rather than fall back: some block the plan
+/// can retire tuples from — a dead rule's `on_block`, or a finish-early
+/// `need_match` block — probes by [`Access::Scan`]. There every detail
+/// row visits every active base tuple, so each completed tuple removes a
+/// θ evaluation per remaining detail row (the ALL shape's quadratic
+/// pairs). Hash- and interval-probed blocks only visit matching tuples;
+/// their batched kernels beat the row-ordered completion loop.
+pub(crate) fn completion_prunes_pairs(plan: &CompletionPlan, plans: &[BlockPlan]) -> bool {
+    let scans = |b: usize| matches!(plans[b].access, Access::Scan);
+    plan.dead_rules.iter().any(|r| scans(r.on_block))
+        || (plan.finish_early && plan.need_match.iter().any(|&b| scans(b)))
 }
 
 /// The one detail-scan entry point: fold detail rows `range` into one
@@ -1115,39 +1142,15 @@ fn run_partition(
         kernel,
         sink,
     )?;
-    let Some(status) = status else {
-        return materialize_filtered(
-            base_rows,
-            &accs,
-            total_aggs,
-            bound_selection,
-            keep,
-            out_rows,
-        );
-    };
-    // Materialize output in base order: rejected tuples are dropped,
-    // accepted ones need no aggregates, and the selection decides the rest.
-    for (b_idx, b_row) in base_rows.iter().enumerate() {
-        match status[b_idx] {
-            Status::Dead => {}
-            Status::Done => {
-                debug_assert!(matches!(keep, Keep::BaseOnly));
-                out_rows.push(b_row.clone());
-            }
-            Status::Active => {
-                let acc_base = b_idx * total_aggs;
-                materialize_filtered(
-                    std::slice::from_ref(b_row),
-                    &accs[acc_base..acc_base + total_aggs],
-                    total_aggs,
-                    bound_selection,
-                    keep,
-                    out_rows,
-                )?;
-            }
-        }
-    }
-    Ok(())
+    materialize_filtered(
+        base_rows,
+        &accs,
+        status.as_deref(),
+        total_aggs,
+        bound_selection,
+        keep,
+        out_rows,
+    )
 }
 
 /// The probe loop with base-tuple completion (Theorems 4.1 / 4.2), over

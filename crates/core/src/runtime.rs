@@ -36,17 +36,21 @@
 //! Base-tuple completion is scan-order-dependent: a dead rule or the
 //! finish-early rule fires at the detail tuple that proves the selection's
 //! outcome, and "the rest of the scan" is then skipped *for that base
-//! tuple*. Chunked scans have no single scan order, and a tuple completed
-//! in one chunk would still be probed by the others, so completion under
-//! `Parallel`/`Distributed` would need dead-tuple pruning at chunk-merge
-//! barriers to save any work. Completion never changes the *answer* — it
-//! is purely a pruning optimization (a tuple goes `Dead` only when the
-//! selection is provably false, `Done` only when the output row is already
-//! determined) — so the runtime takes the simple, always-correct route:
-//! it evaluates the plain filtered form and records the skipped plan in
-//! [`EvalStats::completion_fallbacks`]. The cost model can read the flag
-//! back and prefer sequential execution when completion is expected to
-//! prune aggressively.
+//! tuple*. Morsels have no single scan order, so under `Parallel` a
+//! completion plan runs as one work item of the morsel driver
+//! (`shared::morsel_pass`): one worker scans the partition's
+//! whole detail in row order, exactly as the sequential evaluator does,
+//! and its statuses and every [`EvalStats`] counter equal sequential's
+//! for any thread count and morsel size. The morsel driver admits a plan
+//! only when it prunes (base tuple, detail row) pairs
+//! (`eval::completion_prunes_pairs`: one of its rules acts on a
+//! Scan-probed block, as in the ALL shape); a hash- or interval-probed
+//! plan visits few pairs, and the batched kernels over morsels are faster
+//! than the one-worker row-ordered loop. `Distributed` sites scan
+//! fragments, never the whole detail in order. A declined plan, and every
+//! plan under `Distributed`, runs the plain filtered form — completion
+//! never changes the *answer*, only the work — and is recorded once per
+//! evaluation in [`EvalStats::completion_fallbacks`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -62,11 +66,11 @@ use crate::completion::CompletionPlan;
 use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTransport};
 use crate::eval::{
     eval_gmdj_filtered_full, materialize_filtered, plan_blocks, referenced_detail_cols, EvalStats,
-    GmdjOptions, Keep, KernelStats, ProbeStrategy,
+    GmdjOptions, Keep, KernelStats, ProbeStrategy, Status,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::shared::{morsel_pass, ScanJob};
+use crate::shared::{admit_completion, morsel_pass, ScanJob};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
 
@@ -931,7 +935,7 @@ impl Runtime {
             selection,
             keep,
             &self.policy.gmdj_options(),
-            completion.is_some(),
+            completion,
             self.sink.as_ref(),
         );
         if let Some(p) = &self.progress {
@@ -988,11 +992,6 @@ impl Runtime {
         if completion.is_some() && selection.is_none() {
             return Err(Error::invalid("completion plan requires a selection"));
         }
-        if completion.is_some() {
-            // See the module docs: completion is scan-order-dependent, so
-            // chunked scans run the plain filtered form. Same answer.
-            node.eval.completion_fallbacks += 1;
-        }
         let out_schema = spec.output_schema(base.schema());
         let result_schema = match keep {
             Keep::All => out_schema.clone(),
@@ -1017,6 +1016,7 @@ impl Runtime {
         // and comes back echoed on their shipped `site.eval` spans, so a
         // stitched tree is attributable even across concurrent queries.
         let query_id = crate::trace::next_trace_id();
+        let mut declined = false;
         let mut out_rows: Vec<Tuple> = Vec::new();
         let mut start = 0usize;
         while start < base.len() || (base.is_empty() && start == 0) {
@@ -1041,6 +1041,7 @@ impl Runtime {
                     .unwrap_or(DEFAULT_MORSEL_ROWS)
                     .max(1),
                 total_aggs,
+                completion,
                 query_id,
                 stats: &mut node.eval,
                 kernel: &mut node.kernel,
@@ -1052,9 +1053,11 @@ impl Runtime {
             let outcome = scan(&mut cx)?;
             node.worker_wall_max_ns += outcome.worker_max_ns;
             node.worker_wall_sum_ns += outcome.worker_sum_ns;
+            declined |= outcome.completion_declined;
             materialize_filtered(
                 base_rows,
                 &outcome.accs,
+                outcome.status.as_deref(),
                 total_aggs,
                 bound_selection.as_ref(),
                 keep,
@@ -1068,14 +1071,22 @@ impl Runtime {
                 break;
             }
         }
+        if declined {
+            // Once per evaluation, however many partitions declined.
+            node.eval.completion_fallbacks += 1;
+        }
         Ok(Relation::from_parts(result_schema, out_rows))
     }
 }
 
 /// Result of one mode-specific partition scan: the merged accumulator
-/// matrix plus worker wall-clock (critical path and total).
+/// matrix, the base tuples' statuses when completion ran, whether a
+/// completion plan was declined, and worker wall-clock (critical path and
+/// total).
 struct ScanOutcome {
     accs: Vec<Accumulator>,
+    status: Option<Vec<Status>>,
+    completion_declined: bool,
     worker_max_ns: u64,
     worker_sum_ns: u64,
 }
@@ -1089,6 +1100,7 @@ struct PartitionCx<'a> {
     opts: GmdjOptions,
     morsel_rows: usize,
     total_aggs: usize,
+    completion: Option<&'a CompletionPlan>,
     query_id: u64,
     stats: &'a mut EvalStats,
     kernel: &'a mut KernelStats,
@@ -1102,8 +1114,10 @@ impl PartitionCx<'_> {
     /// Morsel-driven parallel scan: a morsel pass
     /// ([`crate::shared::morsel_pass`]) with this query as its only job —
     /// `threads` workers pull morsels from a shared cursor into private
-    /// accumulators, merged exactly in worker order. Worker panics and
-    /// errors both surface as `Err`, never a process abort.
+    /// accumulators, merged exactly in worker order, or, when
+    /// [`admit_completion`] admits the completion plan, one worker runs
+    /// the sequential completion scan. Worker panics and errors both
+    /// surface as `Err`, never a process abort.
     fn scan_parallel(&mut self, threads: usize) -> Result<ScanOutcome> {
         let plans = plan_blocks(
             self.base,
@@ -1113,11 +1127,13 @@ impl PartitionCx<'_> {
             &self.opts,
             self.stats,
         )?;
+        let (completion, completion_declined) = admit_completion(self.completion, &plans);
         let job = ScanJob {
             plans: &plans,
             base_rows: self.base,
             total_aggs: self.total_aggs,
             vectorized: self.opts.vectorized,
+            completion,
         };
         let pass = morsel_pass(
             self.detail.cols(),
@@ -1132,6 +1148,8 @@ impl PartitionCx<'_> {
         self.kernel.merge(&scan.kernel);
         Ok(ScanOutcome {
             accs: scan.accs,
+            status: scan.status,
+            completion_declined,
             worker_max_ns: pass.worker_max_ns,
             worker_sum_ns: pass.worker_sum_ns,
         })
@@ -1254,8 +1272,12 @@ impl PartitionCx<'_> {
         }
         let accs = merged
             .ok_or_else(|| Error::invalid("ExecMode::Distributed requires at least one site"))?;
+        // Sites scan their fragments in no single order: completion
+        // always falls back here.
         Ok(ScanOutcome {
             accs,
+            status: None,
+            completion_declined: self.completion.is_some(),
             worker_max_ns,
             worker_sum_ns,
         })
@@ -1507,8 +1529,129 @@ mod tests {
         }
     }
 
+    /// Parts `(k, price)` with pseudo-random prices, for the ALL shape.
+    fn parts(n: i64) -> Relation {
+        let mut b = RelationBuilder::new("P")
+            .column("k", DataType::Int)
+            .column("price", DataType::Int);
+        for k in 0..n {
+            b = b.row(vec![k.into(), ((k * 7919 + 13) % 101).into()]);
+        }
+        b.build().unwrap()
+    }
+
+    /// Figure 4's ALL shape, `P.price >= ALL (SELECT Q.price FROM Q
+    /// WHERE P.k <> Q.k)`: two Scan-probed blocks, `c1 = c2`, and the
+    /// `PairEq` dead rule that reproduces the smart nested loop.
+    fn all_shape() -> (GmdjSpec, Predicate, CompletionPlan) {
+        let neq = col("P.k").ne(col("Q.k"));
+        let spec = GmdjSpec::new(vec![
+            AggBlock::count(neq.clone().and(col("P.price").ge(col("Q.price"))), "c1"),
+            AggBlock::count(neq, "c2"),
+        ]);
+        let selection = col("c1").eq(col("c2"));
+        let plan = derive_completion(&selection, &spec, true).expect("ALL shape has a plan");
+        assert_eq!(plan.dead_rules.len(), 1);
+        assert_eq!(plan.dead_rules[0].unless_also, Some(0));
+        (spec, selection, plan)
+    }
+
+    /// Under `Parallel` the ALL shape's completion plan runs as one
+    /// work item of the morsel pass: no fallback, and every counter —
+    /// `dead_early` and the pruned θ evaluations included — equals the
+    /// sequential evaluator's for every thread count and morsel size.
+    /// `Distributed` still falls back, once per evaluation.
     #[test]
-    fn completion_falls_back_under_parallel_with_identical_answer() {
+    fn all_shape_completion_runs_under_parallel_with_sequential_counters() {
+        let (spec, selection, plan) = all_shape();
+        let (base, detail) = (parts(150), parts(150).renamed("Q"));
+        let mut s1 = EvalStats::default();
+        let seq = eval_gmdj_filtered(
+            &base,
+            &detail,
+            &spec,
+            Some(&selection),
+            Keep::BaseOnly,
+            Some(&plan),
+            &GmdjOptions::default(),
+            &mut s1,
+        )
+        .unwrap();
+        assert!(s1.dead_early > 0, "the dead rule must prune");
+        for threads in [1usize, 2, 8] {
+            for morsel in [None, Some(1), Some(64)] {
+                let rt = Runtime::new(ExecPolicy::parallel(threads).with_morsel_size(morsel));
+                let mut node = PlanNodeStats::new("GMDJ");
+                let par = rt
+                    .eval(
+                        &base,
+                        &detail,
+                        &spec,
+                        Some(&selection),
+                        Keep::BaseOnly,
+                        Some(&plan),
+                        &mut node,
+                    )
+                    .unwrap();
+                assert!(par.multiset_eq(&seq), "threads={threads} morsel={morsel:?}");
+                assert_eq!(node.eval.completion_fallbacks, 0);
+                assert_eq!(node.eval, s1, "threads={threads} morsel={morsel:?}");
+            }
+        }
+        let rt = Runtime::new(ExecPolicy::distributed(2).with_partition_rows(Some(40)));
+        let mut node = PlanNodeStats::new("GMDJ");
+        let dist = rt
+            .eval(
+                &base,
+                &detail,
+                &spec,
+                Some(&selection),
+                Keep::BaseOnly,
+                Some(&plan),
+                &mut node,
+            )
+            .unwrap();
+        assert!(dist.multiset_eq(&seq));
+        assert_eq!(node.eval.partitions, 4);
+        assert_eq!(node.eval.completion_fallbacks, 1);
+    }
+
+    /// A completion item announces and ticks the parallel schedule,
+    /// `ceil(detail / morsel)` morsels, so live progress still ends at
+    /// `morsels_done == morsels_total`.
+    #[test]
+    fn completion_item_keeps_progress_exact() {
+        use crate::progress::ProgressRegistry;
+        let (spec, selection, plan) = all_shape();
+        let (base, detail) = (parts(150), parts(150).renamed("Q"));
+        let reg: &'static ProgressRegistry = Box::leak(Box::new(ProgressRegistry::new()));
+        let ticket = reg.register("q", "s", "p");
+        let progress = ticket.progress();
+        let rt = Runtime::new(ExecPolicy::parallel(2).with_morsel_size(Some(64)))
+            .with_progress(progress.clone());
+        let mut node = PlanNodeStats::new("GMDJ");
+        rt.eval(
+            &base,
+            &detail,
+            &spec,
+            Some(&selection),
+            Keep::BaseOnly,
+            Some(&plan),
+            &mut node,
+        )
+        .unwrap();
+        assert_eq!(node.eval.completion_fallbacks, 0);
+        assert_eq!(progress.morsels_total(), 3);
+        assert_eq!(progress.morsels_done(), progress.morsels_total());
+        assert_eq!(progress.rows_done(), node.eval.detail_scanned);
+    }
+
+    /// A band-probed EXISTS visits only the tuples its interval index
+    /// returns, so completion would prune few pairs and the row-ordered
+    /// loop would cost more than the kernels: the morsel driver declines
+    /// the plan by design and records one fallback. Same answer.
+    #[test]
+    fn band_exists_completion_falls_back_by_design() {
         // EXISTS shape: count per hour, keep hours with ≥ 1 HTTP flow.
         let in_hour = col("F.StartTime")
             .ge(col("H.StartInterval"))

@@ -61,9 +61,11 @@ use gmdj_relation::expr::{BoundPredicate, Predicate};
 use gmdj_relation::relation::{Relation, Tuple};
 use gmdj_relation::schema::Schema;
 
+use crate::completion::CompletionPlan;
 use crate::eval::{
-    materialize_filtered, new_accumulators, plan_blocks, referenced_detail_cols,
-    scan_detail_window, BlockPlan, EvalStats, GmdjOptions, Keep, KernelStats,
+    completion_prunes_pairs, materialize_filtered, new_accumulators, plan_blocks,
+    referenced_detail_cols, scan_detail_window, BlockPlan, EvalStats, GmdjOptions, Keep,
+    KernelStats, Status,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
@@ -127,9 +129,10 @@ struct SharedRequest {
     selection: Option<Predicate>,
     keep: Keep,
     opts: GmdjOptions,
-    /// The submitter carried a completion plan; chunked scans fall back
-    /// to the plain filtered form (same answer) and record it.
-    completion_fallback: bool,
+    /// The submitter's completion plan: run as a one-worker item of the
+    /// pass when [`completion_prunes_pairs`] admits it, else recorded as
+    /// a fallback (same answer).
+    completion: Option<CompletionPlan>,
     slot: Arc<ResultSlot>,
 }
 
@@ -224,7 +227,9 @@ impl SharedScanPool {
     /// Submit one (filtered) GMDJ for coalesced evaluation and block
     /// until its result is demultiplexed back. Queries arriving within
     /// the coalescing window (or queued behind an in-flight pass) over
-    /// the same detail table share one detail scan.
+    /// the same detail table share one detail scan. A `completion` plan
+    /// (which requires a `selection`) runs as its query's one-worker item
+    /// of the pass when `eval::completion_prunes_pairs` admits it.
     ///
     /// `sink` receives the `gmdj.shared_scan` span if this caller ends up
     /// leading the pass.
@@ -237,9 +242,12 @@ impl SharedScanPool {
         selection: Option<&Predicate>,
         keep: Keep,
         opts: &GmdjOptions,
-        completion_fallback: bool,
+        completion: Option<&CompletionPlan>,
         sink: &dyn TraceSink,
     ) -> Result<SharedOutput> {
+        if completion.is_some() && selection.is_none() {
+            return Err(Error::invalid("completion plan requires a selection"));
+        }
         let key = detail_key(detail);
         let slot = Arc::new(ResultSlot::default());
         let request = SharedRequest {
@@ -251,7 +259,7 @@ impl SharedScanPool {
             selection: selection.cloned(),
             keep,
             opts: opts.clone(),
-            completion_fallback,
+            completion: completion.cloned(),
             slot: slot.clone(),
         };
         let leads = {
@@ -372,15 +380,7 @@ impl SharedScanPool {
             }
         }
 
-        let jobs: Vec<ScanJob<'_>> = prepped
-            .iter()
-            .map(|p| ScanJob {
-                plans: &p.plans,
-                base_rows: p.base_rows,
-                total_aggs: p.total_aggs,
-                vectorized: p.vectorized,
-            })
-            .collect();
+        let jobs: Vec<ScanJob<'_>> = prepped.iter().map(|p| p.job()).collect();
         let pass = morsel_pass(
             detail.cols(),
             &jobs,
@@ -399,6 +399,7 @@ impl SharedScanPool {
                 materialize_filtered(
                     p.base_rows,
                     &scan.accs,
+                    scan.status.as_deref(),
                     p.total_aggs,
                     p.bound_selection.as_ref(),
                     p.keep,
@@ -442,21 +443,23 @@ fn same_query(a: &SharedRequest, b: &SharedRequest) -> bool {
         && a.selection == b.selection
         && a.keep == b.keep
         && a.opts == b.opts
-        && a.completion_fallback == b.completion_fallback
+        && a.completion == b.completion
 }
 
 /// One distinct query's compiled state for a shared pass: probe plans,
-/// bound selection, and the counters pre-charged exactly as the
-/// standalone chunked evaluator charges them (partition bookkeeping +
-/// closed-form page accounting + plan-time index builds). `members`
-/// lists every batch index this evaluation serves (≥ 2 when identical
-/// queries were deduplicated).
+/// admitted completion plan, bound selection, and the counters
+/// pre-charged exactly as the standalone chunked evaluator charges them
+/// (partition bookkeeping + closed-form page accounting + plan-time index
+/// builds + a declined completion plan's fallback). `members` lists every
+/// batch index this evaluation serves (≥ 2 when identical queries were
+/// deduplicated).
 struct PreparedQuery<'a> {
     members: Vec<usize>,
     plans: Vec<BlockPlan>,
     base_rows: &'a [Tuple],
     total_aggs: usize,
     vectorized: bool,
+    completion: Option<&'a CompletionPlan>,
     keep: Keep,
     bound_selection: Option<BoundPredicate>,
     result_schema: Arc<Schema>,
@@ -473,9 +476,6 @@ impl<'a> PreparedQuery<'a> {
     ) -> Result<PreparedQuery<'a>> {
         let detail = &request.detail;
         let mut eval = EvalStats::default();
-        if request.completion_fallback {
-            eval.completion_fallbacks += 1;
-        }
         let out_schema = request.spec.output_schema(request.base.schema());
         let result_schema = match request.keep {
             Keep::All => out_schema.clone(),
@@ -501,34 +501,65 @@ impl<'a> PreparedQuery<'a> {
             &request.opts,
             &mut eval,
         )?;
+        let (completion, declined) = admit_completion(request.completion.as_ref(), &plans);
+        if declined {
+            eval.completion_fallbacks += 1;
+        }
         Ok(PreparedQuery {
             members: Vec::new(),
             plans,
             base_rows,
             total_aggs,
             vectorized: request.opts.vectorized,
+            completion,
             keep: request.keep,
             bound_selection,
             result_schema,
             eval,
         })
     }
+
+    /// This query's job in the shared pass.
+    fn job(&self) -> ScanJob<'_> {
+        ScanJob {
+            plans: &self.plans,
+            base_rows: self.base_rows,
+            total_aggs: self.total_aggs,
+            vectorized: self.vectorized,
+            completion: self.completion,
+        }
+    }
 }
 
 /// One query's share of a morsel pass: its probe plans over one base
-/// partition.
+/// partition, plus its completion plan when [`admit_completion`]
+/// admitted one.
 pub(crate) struct ScanJob<'a> {
     pub(crate) plans: &'a [BlockPlan],
     pub(crate) base_rows: &'a [Tuple],
     pub(crate) total_aggs: usize,
     pub(crate) vectorized: bool,
+    pub(crate) completion: Option<&'a CompletionPlan>,
 }
 
-/// One job's scan state: its accumulator matrix and private counters.
+/// Put a completion plan to [`completion_prunes_pairs`] against the
+/// job's probe plans: the plan the job carries (`None` when declined),
+/// and whether one was declined, so the caller records a fallback.
+pub(crate) fn admit_completion<'c>(
+    completion: Option<&'c CompletionPlan>,
+    plans: &[BlockPlan],
+) -> (Option<&'c CompletionPlan>, bool) {
+    let admitted = completion.filter(|c| completion_prunes_pairs(c, plans));
+    (admitted, completion.is_some() && admitted.is_none())
+}
+
+/// One job's scan state: its accumulator matrix, private counters, and
+/// — for a completion job — each base tuple's final status.
 pub(crate) struct JobScan {
     pub(crate) accs: Vec<Accumulator>,
     pub(crate) eval: EvalStats,
     pub(crate) kernel: KernelStats,
+    pub(crate) status: Option<Vec<Status>>,
 }
 
 impl JobScan {
@@ -537,15 +568,20 @@ impl JobScan {
             accs: new_accumulators(job.plans, job.base_rows.len(), job.total_aggs),
             eval: EvalStats::default(),
             kernel: KernelStats::default(),
+            status: None,
         }
     }
 
     /// Fold another worker's state in (exact: [`Accumulator::merge`]).
-    fn merge(&mut self, other: &JobScan) {
+    /// Only the worker that ran a completion item has its statuses.
+    fn merge(&mut self, other: JobScan) {
         self.eval.merge(&other.eval);
         self.kernel.merge(&other.kernel);
         for (m, a) in self.accs.iter_mut().zip(&other.accs) {
             m.merge(a);
+        }
+        if other.status.is_some() {
+            self.status = other.status;
         }
     }
 }
@@ -562,21 +598,32 @@ pub(crate) struct MorselPass {
 /// The morsel driver: one pass over the detail columns feeding every
 /// job. A shared atomic cursor deals the detail out in morsels of
 /// `morsel_rows`; `threads` scoped workers pull morsels until the queue
-/// runs dry, routing each morsel through every job's
+/// runs dry, routing each morsel through every plain job's
 /// [`scan_detail_window`] into private per-worker accumulators and
 /// counters, which are then merged exactly in worker order. Pull-based
 /// scheduling is self-balancing: a worker stuck on a skewed morsel simply
 /// pulls fewer.
+///
+/// A job with a completion plan is one work item instead: base-tuple
+/// completion is scan-order-dependent, so one worker scans the whole
+/// detail in row order, exactly as the sequential evaluator does, and its
+/// statuses and counters equal sequential's for any thread count and
+/// morsel size. Completion item `i` runs on worker `i % workers`, before
+/// that worker pulls morsels, so distinct completion jobs of a shared
+/// pass run side by side.
 ///
 /// The standalone parallel scan is a pass with one job; a shared pass
 /// has one job per distinct coalesced query. A job whose scan errors
 /// stops being scanned and returns that error; the other jobs carry on.
 /// A worker panic fails every job still running, never the process.
 /// Each worker is emitted as a `gmdj.worker` span carrying the rows and
-/// morsels it pulled plus its counter delta summed over the jobs (and
-/// the job count when there is more than one), so the worker spans of a
-/// one-job pass reconcile exactly with its merged counters. `progress`,
-/// when given, is ticked once per pulled morsel.
+/// morsels it scanned (a completion item counts as one morsel of the
+/// whole detail) plus its counter delta summed over the jobs (and the job
+/// count when there is more than one), so the worker spans of a one-job
+/// pass reconcile exactly with its merged counters. `progress`, when
+/// given, is ticked once per pulled morsel; a pass of one completion job
+/// ticks the `ceil(detail / morsel)` morsels it was scheduled, and the
+/// rows it scanned, when the item finishes.
 pub(crate) fn morsel_pass(
     cols: &ColumnSet,
     jobs: &[ScanJob<'_>],
@@ -587,14 +634,24 @@ pub(crate) fn morsel_pass(
 ) -> MorselPass {
     let detail_len = cols.len();
     let morsel = morsel_rows.max(1).min(detail_len.max(1));
-    // No point spawning workers that can never pull a morsel; an empty
-    // detail keeps one worker so the merge stays uniform.
-    let workers = threads.min(detail_len.div_ceil(morsel).max(1)).max(1);
+    let items: Vec<usize> = (0..jobs.len())
+        .filter(|&j| jobs[j].completion.is_some())
+        .collect();
+    let plain = items.len() < jobs.len();
+    let morsels = if plain {
+        detail_len.div_ceil(morsel)
+    } else {
+        0
+    };
+    // No point spawning workers that can never get work; an empty detail
+    // keeps one worker so the merge stays uniform.
+    let workers = threads.min(items.len() + morsels).max(1);
     let cursor = AtomicUsize::new(0);
 
     type Worker = (Vec<Result<JobScan>>, u64);
     let results: Vec<std::thread::Result<Worker>> = std::thread::scope(|scope| {
         let cursor = &cursor;
+        let items = &items;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 scope.spawn(move || -> Worker {
@@ -604,7 +661,38 @@ pub(crate) fn morsel_pass(
                         jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
                     let mut rows_pulled = 0u64;
                     let mut morsels_pulled = 0u64;
-                    while states.iter().any(Result::is_ok) {
+                    for &j in items.iter().skip(w).step_by(workers) {
+                        let job = &jobs[j];
+                        let Ok(scan) = &mut states[j] else { continue };
+                        match scan_detail_window(
+                            cols,
+                            0..detail_len,
+                            job.vectorized,
+                            job.completion,
+                            job.plans,
+                            job.base_rows,
+                            job.total_aggs,
+                            &mut scan.accs,
+                            &mut scan.eval,
+                            &mut scan.kernel,
+                            sink,
+                        ) {
+                            Ok(status) => scan.status = status,
+                            Err(e) => states[j] = Err(e),
+                        }
+                        rows_pulled += detail_len as u64;
+                        morsels_pulled += 1;
+                        if let Some(p) = progress.filter(|_| !plain) {
+                            p.add_morsels_done(detail_len.div_ceil(morsel) as u64);
+                            p.add_rows(detail_len as u64);
+                        }
+                    }
+                    let scanning = |states: &[Result<JobScan>]| {
+                        jobs.iter()
+                            .zip(states)
+                            .any(|(job, s)| job.completion.is_none() && s.is_ok())
+                    };
+                    while scanning(&states) {
                         let start = cursor.fetch_add(morsel, Ordering::Relaxed);
                         if start >= detail_len {
                             break;
@@ -612,6 +700,9 @@ pub(crate) fn morsel_pass(
                         let end = (start + morsel).min(detail_len);
                         for (job, state) in jobs.iter().zip(states.iter_mut()) {
                             let Ok(scan) = state else { continue };
+                            if job.completion.is_some() {
+                                continue;
+                            }
                             if let Err(e) = scan_detail_window(
                                 cols,
                                 start..end,
@@ -663,7 +754,7 @@ pub(crate) fn morsel_pass(
                 for (m, state) in merged.iter_mut().zip(states) {
                     if let Ok(scan) = m {
                         match state {
-                            Ok(state) => scan.merge(&state),
+                            Ok(state) => scan.merge(state),
                             Err(e) => *m = Err(e),
                         }
                     }
@@ -804,7 +895,7 @@ mod tests {
                             None,
                             Keep::All,
                             &GmdjOptions::default(),
-                            false,
+                            None,
                             &crate::trace::NullSink,
                         )
                     })
@@ -859,7 +950,7 @@ mod tests {
                                 None,
                                 Keep::All,
                                 &GmdjOptions::default(),
-                                false,
+                                None,
                                 &crate::trace::NullSink,
                             )
                             .unwrap();
@@ -931,7 +1022,7 @@ mod tests {
                             None,
                             Keep::All,
                             &GmdjOptions::default(),
-                            false,
+                            None,
                             sink,
                         )
                         .unwrap()
@@ -986,7 +1077,7 @@ mod tests {
                 None,
                 Keep::All,
                 &GmdjOptions::default(),
-                false,
+                None,
                 &sink,
             )
         };
@@ -1005,6 +1096,100 @@ mod tests {
         let later = submit(&good).unwrap();
         assert!(later.relation.multiset_eq(&expected));
         assert_eq!(sink.by_name("gmdj.shared_scan").len(), 2);
+    }
+
+    /// Two distinct ALL-shaped queries (`P.price >= ALL …` and
+    /// `P.price > ALL …` over `P.k <> Q.k`) coalesce into one pass. Each
+    /// completion plan is admitted and runs as its own work item, on its
+    /// own worker: both answers and every counter equal a standalone
+    /// sequential run, and both workers of the pass did work.
+    #[test]
+    fn distinct_all_queries_run_completion_side_by_side() {
+        use crate::completion::derive_completion;
+        use crate::eval::eval_gmdj_filtered;
+        let _passes = serialize_passes();
+        let mut parts = RelationBuilder::new("P")
+            .column("k", DataType::Int)
+            .column("price", DataType::Int);
+        for k in 0..120i64 {
+            parts = parts.row(vec![k.into(), ((k * 7919 + 13) % 101).into()]);
+        }
+        let base = parts.build().unwrap();
+        let detail = base.renamed("Q");
+        let neq = col("P.k").ne(col("Q.k"));
+        let selection = col("c1").eq(col("c2"));
+        let queries: Vec<(GmdjSpec, CompletionPlan)> = [
+            col("P.price").ge(col("Q.price")),
+            col("P.price").gt(col("Q.price")),
+        ]
+        .into_iter()
+        .map(|cmp| {
+            let spec = GmdjSpec::new(vec![
+                AggBlock::count(neq.clone().and(cmp), "c1"),
+                AggBlock::count(neq.clone(), "c2"),
+            ]);
+            let plan = derive_completion(&selection, &spec, true).unwrap();
+            (spec, plan)
+        })
+        .collect();
+        let expected: Vec<(Relation, EvalStats)> = queries
+            .iter()
+            .map(|(spec, plan)| {
+                let mut stats = EvalStats::default();
+                let out = eval_gmdj_filtered(
+                    &base,
+                    &detail,
+                    spec,
+                    Some(&selection),
+                    Keep::BaseOnly,
+                    Some(plan),
+                    &GmdjOptions::default(),
+                    &mut stats,
+                )
+                .unwrap();
+                assert!(stats.dead_early > 0);
+                (out, stats)
+            })
+            .collect();
+
+        let p = pool(2);
+        let sink = crate::trace::CollectingSink::new();
+        let results: Vec<SharedOutput> = std::thread::scope(|scope| {
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|(spec, plan)| {
+                    let (p, base, detail, selection, sink) =
+                        (p.clone(), &base, &detail, &selection, &sink);
+                    scope.spawn(move || {
+                        p.submit(
+                            base,
+                            detail,
+                            spec,
+                            Some(selection),
+                            Keep::BaseOnly,
+                            &GmdjOptions::default(),
+                            Some(plan),
+                            sink,
+                        )
+                        .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 1);
+        for (out, (relation, stats)) in results.iter().zip(&expected) {
+            assert_eq!(out.pass_queries, 2);
+            assert!(out.relation.multiset_eq(relation));
+            assert_eq!(out.eval, *stats);
+            assert_eq!(out.eval.completion_fallbacks, 0);
+        }
+        let workers = sink.by_name("gmdj.worker");
+        assert_eq!(workers.len(), 2);
+        for w in &workers {
+            assert_eq!(w.field("chunk_rows"), Some(detail.len() as u64));
+            assert!(w.field("dead_early").unwrap() > 0);
+        }
     }
 
     /// A solo submission past the window still completes (pass of one).
@@ -1028,7 +1213,7 @@ mod tests {
                 None,
                 Keep::All,
                 &GmdjOptions::default(),
-                false,
+                None,
                 &crate::trace::NullSink,
             )
             .unwrap();
