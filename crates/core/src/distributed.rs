@@ -501,7 +501,7 @@ impl SiteTransport for InProcessSites {
 
 #[cfg(test)]
 mod tests {
-    use crate::eval::{eval_gmdj, EvalStats, GmdjOptions};
+    use crate::eval::Keep;
     use crate::runtime::{ExecPolicy, PlanNodeStats, Runtime};
     use crate::spec::{AggBlock, GmdjSpec};
     use gmdj_relation::agg::{AggFunc, NamedAgg};
@@ -546,14 +546,16 @@ mod tests {
     fn distributed(detail: &Relation, sites: usize) -> (Relation, PlanNodeStats) {
         let mut node = PlanNodeStats::new("GMDJ");
         let out = Runtime::new(ExecPolicy::distributed(sites))
-            .eval_gmdj(&base(), detail, &spec(), &mut node)
+            .eval(&base(), detail, &spec(), None, Keep::All, None, &mut node)
             .unwrap();
         (out, node)
     }
 
     fn centralized(detail: &Relation) -> Relation {
-        let mut st = EvalStats::default();
-        eval_gmdj(&base(), detail, &spec(), &GmdjOptions::default(), &mut st).unwrap()
+        let mut node = PlanNodeStats::new("GMDJ");
+        Runtime::sequential()
+            .eval(&base(), detail, &spec(), None, Keep::All, None, &mut node)
+            .unwrap()
     }
 
     #[test]

@@ -14,21 +14,24 @@
 //!   tuple-iteration semantics" — unless base-tuple completion
 //!   ([`crate::completion`]) keeps shrinking the active set.
 //!
-//! When the base-values relation does not fit the memory budget, the
-//! evaluator partitions it and performs one detail scan per partition
-//! ("simple memory management techniques … compute the GMDJ at a
-//! well-defined cost"). Machine-independent work counters ([`EvalStats`])
-//! make the benchmark shapes reproducible across hardware.
+//! This module holds the probe planning and the detail-scan kernels; the
+//! one evaluation entry point is [`crate::runtime::Runtime::eval`], which
+//! drives them through the morsel driver ([`crate::shared::morsel_pass`]).
+//! When the base-values relation does not fit the memory budget, it
+//! partitions it and performs one detail scan per partition ("simple
+//! memory management techniques … compute the GMDJ at a well-defined
+//! cost"). Machine-independent work counters ([`EvalStats`]) make the
+//! benchmark shapes reproducible across hardware.
 
 use std::ops::Range;
 
 use gmdj_relation::agg::{Accumulator, BoundAgg};
 use gmdj_relation::batch::{BatchPredicate, BatchView, ColData, ColView, BATCH_ROWS};
-use gmdj_relation::columnar::{ColumnSet, COLUMN_CHUNK_ROWS};
-use gmdj_relation::error::{Error, Result};
+use gmdj_relation::columnar::ColumnSet;
+use gmdj_relation::error::Result;
 use gmdj_relation::expr::{BoundPredicate, BoundScalar, CmpOp, Predicate, ScalarExpr};
 use gmdj_relation::index::{HashIndex, IntervalIndex, TypedKeyIndex};
-use gmdj_relation::relation::{Relation, Tuple};
+use gmdj_relation::relation::Tuple;
 use gmdj_relation::schema::Schema;
 use gmdj_relation::value::Value;
 
@@ -104,9 +107,10 @@ pub struct EvalStats {
     pub index_builds: u64,
     /// Detail scans performed (= number of base partitions).
     pub partitions: u64,
-    /// Evaluations where a completion plan was present but skipped: the
-    /// morsel driver declined it (`eval::completion_prunes_pairs`) or the
-    /// mode is distributed. The scan then runs the plain filtered form;
+    /// Evaluations where a completion plan was present but skipped: a
+    /// multi-worker morsel pass declined it
+    /// (`eval::completion_prunes_pairs`) or the mode is distributed.
+    /// One-worker passes never skip a plan. The scan then runs the plain filtered form;
     /// the answer is unchanged. Counted once per evaluation.
     pub completion_fallbacks: u64,
     /// Column-chunk pages read per detail scan: the paper's `k·P`
@@ -240,132 +244,6 @@ impl KernelStats {
     }
 }
 
-/// Plain GMDJ: `MD(base, detail, spec)`.
-pub fn eval_gmdj(
-    base: &Relation,
-    detail: &Relation,
-    spec: &GmdjSpec,
-    opts: &GmdjOptions,
-    stats: &mut EvalStats,
-) -> Result<Relation> {
-    eval_gmdj_filtered(base, detail, spec, None, Keep::All, None, opts, stats)
-}
-
-/// Filtered GMDJ: `π[keep](σ[selection](MD(base, detail, spec)))`, with an
-/// optional base-tuple completion plan derived from `selection`.
-///
-/// * `selection` is over the GMDJ output schema (base attributes plus
-///   aggregate outputs); `None` keeps every base tuple.
-/// * `completion` requires `selection`; its dead rules drop base tuples
-///   mid-scan and its finish-early rule emits them mid-scan.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_gmdj_filtered(
-    base: &Relation,
-    detail: &Relation,
-    spec: &GmdjSpec,
-    selection: Option<&Predicate>,
-    keep: Keep,
-    completion: Option<&CompletionPlan>,
-    opts: &GmdjOptions,
-    stats: &mut EvalStats,
-) -> Result<Relation> {
-    eval_gmdj_filtered_full(
-        base,
-        detail,
-        spec,
-        selection,
-        keep,
-        completion,
-        opts,
-        stats,
-        &mut KernelStats::default(),
-        &NullSink,
-        None,
-    )
-}
-
-/// [`eval_gmdj_filtered`] with a trace sink, kernel statistics and live
-/// progress. Each base-partition scan is emitted as a `gmdj.partition`
-/// span carrying that partition's exact counter delta, so the sum of
-/// partition spans reconciles with `stats`; [`KernelStats`] reports which
-/// physical scan path ran (batched kernels vs row fallback); and the
-/// sequential scan schedules one progress morsel per base-partition
-/// detail pass, ticked (with the partition's exact scanned-row delta) as
-/// each pass completes.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_gmdj_filtered_full(
-    base: &Relation,
-    detail: &Relation,
-    spec: &GmdjSpec,
-    selection: Option<&Predicate>,
-    keep: Keep,
-    completion: Option<&CompletionPlan>,
-    opts: &GmdjOptions,
-    stats: &mut EvalStats,
-    kernel: &mut KernelStats,
-    sink: &dyn TraceSink,
-    progress: Option<&crate::progress::QueryProgress>,
-) -> Result<Relation> {
-    if completion.is_some() && selection.is_none() {
-        return Err(Error::invalid("completion plan requires a selection"));
-    }
-    let out_schema = spec.output_schema(base.schema());
-    let result_schema = match keep {
-        Keep::All => out_schema.clone(),
-        Keep::BaseOnly => base.schema().clone(),
-    };
-    let bound_selection = match selection {
-        Some(p) => Some(p.bind(&[&out_schema])?),
-        None => None,
-    };
-
-    let partition = opts.partition_rows.unwrap_or(usize::MAX).max(1);
-    // Page accounting: each partition pass reads every referenced detail
-    // column's chunks once. Computed in closed form up front so the
-    // counters are identical for every execution policy and morsel size.
-    let io_pages = detail.len().div_ceil(COLUMN_CHUNK_ROWS) as u64;
-    let io_referenced = referenced_detail_cols(spec, base.schema(), detail.schema())? as u64;
-    let io_schema_cols = detail.schema().len() as u64;
-    let mut out_rows: Vec<Tuple> = Vec::new();
-    let mut start = 0usize;
-    while start < base.len() || (base.is_empty() && start == 0) {
-        let end = (start + partition).min(base.len());
-        let chunk = &base.rows()[start..end];
-        let before = *stats;
-        let span = crate::trace::Span::begin(sink, "gmdj.partition");
-        stats.col_chunk_reads += io_pages * io_referenced;
-        stats.row_page_reads += io_pages * io_schema_cols;
-        run_partition(
-            chunk,
-            base.schema(),
-            detail,
-            spec,
-            bound_selection.as_ref(),
-            keep,
-            completion,
-            opts,
-            stats,
-            kernel,
-            sink,
-            &mut out_rows,
-        )?;
-        let mut span = span;
-        span.fields(stats.minus(&before).trace_fields());
-        span.finish();
-        if let Some(p) = progress {
-            // One progress morsel per partition pass; rows are the
-            // pass's exact scanned delta (completion may truncate it).
-            p.add_morsels_done(1);
-            p.add_rows(stats.detail_scanned - before.detail_scanned);
-        }
-        start = end;
-        if base.is_empty() {
-            break;
-        }
-    }
-    Ok(Relation::from_parts(result_schema, out_rows))
-}
-
 /// The number of distinct detail columns a spec's detail scan reads: every
 /// scope-1 column in each block's θ plus each aggregate input. This is
 /// independent of the chosen access path — an index-enforced conjunct's
@@ -447,7 +325,7 @@ pub(crate) fn new_accumulators(
 }
 
 /// Finalize accumulators into output rows in base order — the one
-/// materialization of the sequential, parallel and shared scans. With
+/// materialization of the local and shared scans. With
 /// the statuses of a completion scan, `Dead` tuples are dropped and
 /// `Done` ones emitted as they are (finish-early implies
 /// [`Keep::BaseOnly`]); `Active` tuples, and every tuple when `status`
@@ -506,9 +384,10 @@ pub(crate) fn completion_prunes_pairs(plan: &CompletionPlan, plans: &[BlockPlan]
 
 /// The one detail-scan entry point: fold detail rows `range` into one
 /// query's accumulators, keeping its counters exactly as a standalone
-/// sequential scan would. The sequential evaluator calls it once per base
-/// partition, the morsel driver ([`crate::shared::morsel_pass`]) once per
-/// (query, pulled morsel), and every site once over its fragment.
+/// sequential scan would. The morsel driver ([`crate::shared::morsel_pass`])
+/// calls it once per (query, pulled morsel) — once per base partition
+/// under the sequential policy's whole-detail morsel — and every site once
+/// over its fragment.
 ///
 /// It is the only scan-time reader of `vectorized`:
 ///
@@ -1107,52 +986,6 @@ fn update_aggs_batched(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_partition(
-    base_rows: &[Tuple],
-    base_schema: &Schema,
-    detail: &Relation,
-    spec: &GmdjSpec,
-    bound_selection: Option<&BoundPredicate>,
-    keep: Keep,
-    completion: Option<&CompletionPlan>,
-    opts: &GmdjOptions,
-    stats: &mut EvalStats,
-    kernel: &mut KernelStats,
-    sink: &dyn TraceSink,
-    out_rows: &mut Vec<Tuple>,
-) -> Result<()> {
-    stats.partitions += 1;
-    stats.base_rows += base_rows.len() as u64;
-
-    let blocks = plan_blocks(base_rows, base_schema, detail.schema(), spec, opts, stats)?;
-    let total_aggs: usize = spec.agg_count();
-
-    let mut accs = new_accumulators(&blocks, base_rows.len(), total_aggs);
-    let status = scan_detail_window(
-        detail.cols(),
-        0..detail.len(),
-        opts.vectorized,
-        completion,
-        &blocks,
-        base_rows,
-        total_aggs,
-        &mut accs,
-        stats,
-        kernel,
-        sink,
-    )?;
-    materialize_filtered(
-        base_rows,
-        &accs,
-        status.as_deref(),
-        total_aggs,
-        bound_selection,
-        keep,
-        out_rows,
-    )
-}
-
 /// The probe loop with base-tuple completion (Theorems 4.1 / 4.2), over
 /// the stored detail columns in windows of [`BATCH_ROWS`] rows. Dead rules
 /// and finish-early are scan-order-dependent, so the order is exactly
@@ -1577,10 +1410,11 @@ fn residual_of(conjuncts: &[&Predicate], used: &[bool]) -> Option<Predicate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{ExecPolicy, PlanNodeStats, Runtime};
     use crate::spec::AggBlock;
     use gmdj_relation::agg::NamedAgg;
     use gmdj_relation::expr::{col, lit};
-    use gmdj_relation::relation::RelationBuilder;
+    use gmdj_relation::relation::{Relation, RelationBuilder};
     use gmdj_relation::schema::DataType;
 
     fn hours() -> Relation {
@@ -1624,17 +1458,44 @@ mod tests {
         ])
     }
 
+    /// The filtered GMDJ through [`Runtime::eval`] under `policy`, with
+    /// the counters it recorded.
+    fn filtered(
+        policy: ExecPolicy,
+        base: &Relation,
+        detail: &Relation,
+        spec: &GmdjSpec,
+        selection: Option<&Predicate>,
+        keep: Keep,
+        completion: Option<&CompletionPlan>,
+    ) -> Result<(Relation, EvalStats)> {
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = Runtime::new(policy)
+            .eval(base, detail, spec, selection, keep, completion, &mut node)?;
+        Ok((out, node.eval))
+    }
+
+    /// The plain GMDJ `MD(base, detail, spec)` through [`Runtime::eval`].
+    fn gmdj(
+        policy: ExecPolicy,
+        base: &Relation,
+        detail: &Relation,
+        spec: &GmdjSpec,
+    ) -> Result<(Relation, EvalStats)> {
+        filtered(policy, base, detail, spec, None, Keep::All, None)
+    }
+
+    fn seq() -> ExecPolicy {
+        ExecPolicy::sequential()
+    }
+
+    fn force_scan() -> ExecPolicy {
+        seq().with_probe(ProbeStrategy::ForceScan)
+    }
+
     #[test]
     fn figure_1_output() {
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut stats,
-        )
-        .unwrap();
+        let (out, stats) = gmdj(seq(), &hours(), &flows(), &example_2_1_spec()).unwrap();
         assert_eq!(
             out.schema().qualified_names(),
             vec![
@@ -1669,21 +1530,8 @@ mod tests {
                 .and(col("F.StartTime").le(col("H.EndInterval"))),
             "cnt",
         )]);
-        let mut s1 = EvalStats::default();
-        let mut s2 = EvalStats::default();
-        let indexed =
-            eval_gmdj(&hours(), &flows(), &spec, &GmdjOptions::default(), &mut s1).unwrap();
-        let scanned = eval_gmdj(
-            &hours(),
-            &flows(),
-            &spec,
-            &GmdjOptions {
-                probe: ProbeStrategy::ForceScan,
-                ..GmdjOptions::default()
-            },
-            &mut s2,
-        )
-        .unwrap();
+        let (indexed, s1) = gmdj(seq(), &hours(), &flows(), &spec).unwrap();
+        let (scanned, _) = gmdj(force_scan(), &hours(), &flows(), &spec).unwrap();
         assert!(indexed.multiset_eq(&scanned));
         assert_eq!(
             s1.index_builds, 1,
@@ -1698,54 +1546,17 @@ mod tests {
 
     #[test]
     fn force_scan_matches_indexed_result() {
-        let mut s1 = EvalStats::default();
-        let mut s2 = EvalStats::default();
-        let indexed = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
-        let scanned = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions {
-                probe: ProbeStrategy::ForceScan,
-                ..GmdjOptions::default()
-            },
-            &mut s2,
-        )
-        .unwrap();
+        let (indexed, s1) = gmdj(seq(), &hours(), &flows(), &example_2_1_spec()).unwrap();
+        let (scanned, s2) = gmdj(force_scan(), &hours(), &flows(), &example_2_1_spec()).unwrap();
         assert!(indexed.multiset_eq(&scanned));
         assert!(s2.probe_candidates > s1.probe_candidates);
     }
 
     #[test]
     fn partitioned_evaluation_matches_single_scan() {
-        let mut s1 = EvalStats::default();
-        let mut s2 = EvalStats::default();
-        let single = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
-        let parts = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions {
-                partition_rows: Some(1),
-                ..GmdjOptions::default()
-            },
-            &mut s2,
-        )
-        .unwrap();
+        let (single, _) = gmdj(seq(), &hours(), &flows(), &example_2_1_spec()).unwrap();
+        let policy = seq().with_partition_rows(Some(1));
+        let (parts, s2) = gmdj(policy, &hours(), &flows(), &example_2_1_spec()).unwrap();
         assert!(single.multiset_eq(&parts));
         assert_eq!(s2.partitions, 3);
         assert_eq!(s2.detail_scanned, 18); // one detail scan per partition
@@ -1766,8 +1577,7 @@ mod tests {
                 NamedAgg::sum(col("F.NumBytes"), "s"),
             ],
         )]);
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj(&hours(), &empty, &spec, &GmdjOptions::default(), &mut stats).unwrap();
+        let (out, _) = gmdj(seq(), &hours(), &empty, &spec).unwrap();
         assert_eq!(out.len(), 3);
         for row in out.rows() {
             assert_eq!(row[3], Value::Int(0));
@@ -1783,15 +1593,7 @@ mod tests {
             .column("EndInterval", DataType::Int)
             .build()
             .unwrap();
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj(
-            &empty_base,
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut stats,
-        )
-        .unwrap();
+        let (out, _) = gmdj(seq(), &empty_base, &flows(), &example_2_1_spec()).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1811,16 +1613,14 @@ mod tests {
         let sel = col("cnt").gt(lit(0));
         let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
         assert!(plan.finish_early);
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj_filtered(
+        let (out, stats) = filtered(
+            seq(),
             &hours(),
             &flows(),
             &spec,
             Some(&sel),
             Keep::BaseOnly,
             Some(&plan),
-            &GmdjOptions::default(),
-            &mut stats,
         )
         .unwrap();
         // Hours 2 and 3 contain FTP flows.
@@ -1837,32 +1637,28 @@ mod tests {
         let spec = exists_spec();
         let sel = col("cnt").eq(lit(0));
         let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj_filtered(
+        let (out, stats) = filtered(
+            seq(),
             &hours(),
             &flows(),
             &spec,
             Some(&sel),
             Keep::BaseOnly,
             Some(&plan),
-            &GmdjOptions::default(),
-            &mut stats,
         )
         .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0][0], Value::Int(1));
         assert_eq!(stats.dead_early, 2);
         // Same result without completion.
-        let mut stats2 = EvalStats::default();
-        let out2 = eval_gmdj_filtered(
+        let (out2, stats2) = filtered(
+            seq(),
             &hours(),
             &flows(),
             &spec,
             Some(&sel),
             Keep::BaseOnly,
             None,
-            &GmdjOptions::default(),
-            &mut stats2,
         )
         .unwrap();
         assert!(out.multiset_eq(&out2));
@@ -1895,16 +1691,14 @@ mod tests {
         ]);
         let sel = col("cnt1").eq(col("cnt2"));
         let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj_filtered(
+        let (out, stats) = filtered(
+            seq(),
             &base,
             &detail,
             &spec,
             Some(&sel),
             Keep::BaseOnly,
             Some(&plan),
-            &GmdjOptions::default(),
-            &mut stats,
         )
         .unwrap();
         assert_eq!(out.len(), 1);
@@ -1927,26 +1721,14 @@ mod tests {
             .build()
             .unwrap();
         let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").eq(col("R.k")), "cnt")]);
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj(&base, &detail, &spec, &GmdjOptions::default(), &mut stats).unwrap();
+        let (out, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
         let rows = out.sorted_rows();
         // NULL base row: count 0 (NULL = anything is unknown).
         assert!(rows[0][0].is_null());
         assert_eq!(rows[0][1], Value::Int(0));
         assert_eq!(rows[1][1], Value::Int(1));
         // Scan path agrees (3VL handled by predicate evaluation).
-        let mut s2 = EvalStats::default();
-        let scanned = eval_gmdj(
-            &base,
-            &detail,
-            &spec,
-            &GmdjOptions {
-                probe: ProbeStrategy::ForceScan,
-                ..GmdjOptions::default()
-            },
-            &mut s2,
-        )
-        .unwrap();
+        let (scanned, _) = gmdj(force_scan(), &base, &detail, &spec).unwrap();
         assert!(out.multiset_eq(&scanned));
     }
 
@@ -1966,8 +1748,7 @@ mod tests {
             .build()
             .unwrap();
         let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").eq(col("R.k")), "cnt")]);
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj(&base, &detail, &spec, &GmdjOptions::default(), &mut stats).unwrap();
+        let (out, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
         assert_eq!(out.len(), 2);
         for row in out.rows() {
             assert_eq!(row[1], Value::Int(2));
@@ -1984,32 +1765,10 @@ mod tests {
         ctx: &str,
     ) {
         for partition_rows in [None, Some(2)] {
-            let mut on_stats = EvalStats::default();
-            let mut off_stats = EvalStats::default();
-            let on = eval_gmdj(
-                base,
-                detail,
-                spec,
-                &GmdjOptions {
-                    probe,
-                    partition_rows,
-                    vectorized: true,
-                },
-                &mut on_stats,
-            )
-            .unwrap();
-            let off = eval_gmdj(
-                base,
-                detail,
-                spec,
-                &GmdjOptions {
-                    probe,
-                    partition_rows,
-                    vectorized: false,
-                },
-                &mut off_stats,
-            )
-            .unwrap();
+            let policy = seq().with_probe(probe).with_partition_rows(partition_rows);
+            let (on, on_stats) = gmdj(policy, base, detail, spec).unwrap();
+            let policy = policy.with_vectorized(false);
+            let (off, off_stats) = gmdj(policy, base, detail, spec).unwrap();
             assert!(
                 on.multiset_eq(&off),
                 "{ctx}: vectorized output diverged (partition_rows {partition_rows:?})"
@@ -2125,17 +1884,7 @@ mod tests {
             .unwrap();
         let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").lt(col("R.k")), "c")]);
         for vectorized in [true, false] {
-            let mut stats = EvalStats::default();
-            let err = eval_gmdj(
-                &base,
-                &detail,
-                &spec,
-                &GmdjOptions {
-                    vectorized,
-                    ..GmdjOptions::default()
-                },
-                &mut stats,
-            );
+            let err = gmdj(seq().with_vectorized(vectorized), &base, &detail, &spec);
             assert!(err.is_err(), "vectorized={vectorized} must error");
         }
     }
@@ -2144,16 +1893,14 @@ mod tests {
     fn selection_without_completion_keeps_aggregates() {
         let spec = exists_spec();
         let sel = col("cnt").gt(lit(0));
-        let mut stats = EvalStats::default();
-        let out = eval_gmdj_filtered(
+        let (out, _) = filtered(
+            seq(),
             &hours(),
             &flows(),
             &spec,
             Some(&sel),
             Keep::All,
             None,
-            &GmdjOptions::default(),
-            &mut stats,
         )
         .unwrap();
         assert_eq!(out.schema().len(), 4);
@@ -2323,35 +2070,15 @@ mod tests {
                 for partition_rows in [None, Some(7)] {
                     let mut per_mode = Vec::new();
                     for vectorized in [true, false] {
-                        let opts = GmdjOptions {
-                            probe,
-                            partition_rows,
-                            vectorized,
+                        let policy = seq()
+                            .with_probe(probe)
+                            .with_partition_rows(partition_rows)
+                            .with_vectorized(vectorized);
+                        let run = |plan| {
+                            filtered(policy, &base, &detail, &spec, Some(&sel), keep, plan).unwrap()
                         };
-                        let mut stats = EvalStats::default();
-                        let got = eval_gmdj_filtered(
-                            &base,
-                            &detail,
-                            &spec,
-                            Some(&sel),
-                            keep,
-                            Some(&plan),
-                            &opts,
-                            &mut stats,
-                        )
-                        .unwrap();
-                        let mut plain_stats = EvalStats::default();
-                        let plain = eval_gmdj_filtered(
-                            &base,
-                            &detail,
-                            &spec,
-                            Some(&sel),
-                            keep,
-                            None,
-                            &opts,
-                            &mut plain_stats,
-                        )
-                        .unwrap();
+                        let (got, stats) = run(Some(&plan));
+                        let (plain, _) = run(None);
                         assert!(
                             got.multiset_eq(&plain),
                             "{name} {probe:?} {partition_rows:?} vectorized={vectorized}: \
@@ -2425,26 +2152,20 @@ mod tests {
             }
             let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
             for vectorized in [true, false] {
-                let mut stats = EvalStats::default();
-                let mut kernel = KernelStats::default();
-                let sink = crate::trace::CollectingSink::new();
-                eval_gmdj_filtered_full(
-                    &base,
-                    &detail,
-                    &spec,
-                    Some(&sel),
-                    keep,
-                    Some(&plan),
-                    &GmdjOptions {
-                        vectorized,
-                        ..GmdjOptions::default()
-                    },
-                    &mut stats,
-                    &mut kernel,
-                    &sink,
-                    None,
-                )
-                .unwrap();
+                let sink = std::sync::Arc::new(crate::trace::CollectingSink::new());
+                let mut node = PlanNodeStats::new("GMDJ");
+                Runtime::with_sink(seq().with_vectorized(vectorized), sink.clone())
+                    .eval(
+                        &base,
+                        &detail,
+                        &spec,
+                        Some(&sel),
+                        keep,
+                        Some(&plan),
+                        &mut node,
+                    )
+                    .unwrap();
+                let (stats, kernel) = (node.eval, node.kernel);
                 assert!(stats.dead_early + stats.done_early > 0, "{name}");
                 assert!(!detail.has_row_view(), "{name} vectorized={vectorized}");
                 // The completion scan reports its kernel like any other

@@ -297,7 +297,7 @@ fn run_node(
             if let Some(p) = runtime.progress() {
                 p.set_phase("GMDJ");
             }
-            let out = runtime.submit(&b, &d, spec, None, Keep::All, None, &mut node)?;
+            let out = runtime.eval(&b, &d, spec, None, Keep::All, None, &mut node)?;
             node.rows_out = out.len() as u64;
             node.children.push(b_node);
             node.children.push(d_node);
@@ -317,7 +317,7 @@ fn run_node(
             if let Some(p) = runtime.progress() {
                 p.set_phase("FilteredGMDJ");
             }
-            let out = runtime.submit(
+            let out = runtime.eval(
                 &b,
                 &d,
                 spec,

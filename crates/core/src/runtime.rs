@@ -5,16 +5,19 @@
 //! parallel, or distributed — constructed once per query and threaded
 //! through plan walking ([`crate::exec::execute`]), GMDJ evaluation, and
 //! the relational operators. Call sites never pick an evaluator function
-//! themselves; they hand the (filtered) GMDJ to [`Runtime::eval`] and the
-//! policy decides:
+//! themselves; they hand the (filtered) GMDJ to [`Runtime::eval`], the one
+//! evaluation entry point. It splits the base by the memory budget
+//! (`partition_rows`) and scans the detail once per base partition, so
+//! [`EvalStats::partitions`] and [`EvalStats::detail_scanned`] mean the
+//! same thing under every mode. The mode decides only how one partition's
+//! detail pass is divided:
 //!
-//! * **Sequential** — the reference single-scan evaluator
-//!   ([`crate::eval::eval_gmdj_filtered`]), including base-tuple
-//!   completion (Theorems 4.1/4.2) when a [`CompletionPlan`] is supplied.
-//! * **Parallel { threads }** — the detail relation is dealt out as
-//!   morsels from a shared atomic cursor; `threads` OS workers pull
-//!   morsels until the queue runs dry, each folding into a private
-//!   accumulator matrix, and the workers are merged exactly
+//! * **Sequential** — a one-worker morsel pass (`shared::morsel_pass`)
+//!   whose single morsel is the whole detail, run on the calling thread.
+//! * **Parallel { threads }** — the same pass with `threads` workers: the
+//!   detail is dealt out as morsels from a shared atomic cursor, each
+//!   worker folds into a private accumulator matrix, and the workers are
+//!   merged exactly
 //!   ([`Accumulator::merge`](gmdj_relation::agg::Accumulator::merge)), so
 //!   results are bit-identical to sequential for every aggregate.
 //! * **Distributed { sites }** — the detail relation is horizontally
@@ -25,28 +28,25 @@
 //!   including AVG and COUNT DISTINCT — distribute exactly, and keeps
 //!   network traffic independent of the detail cardinality.
 //!
-//! All three modes honor `partition_rows`: when the base-values relation
-//! exceeds the memory budget it is split into resident partitions and the
-//! detail is scanned once per partition, exactly like the sequential
-//! evaluator — so [`EvalStats::partitions`] and
-//! [`EvalStats::detail_scanned`] mean the same thing under every mode.
+//! With a shared-scan pool attached, in-process unpartitioned evaluations
+//! join a pass shared with concurrently submitted queries instead.
 //!
-//! # Completion under parallelism
+//! # Completion
 //!
-//! Base-tuple completion is scan-order-dependent: a dead rule or the
-//! finish-early rule fires at the detail tuple that proves the selection's
-//! outcome, and "the rest of the scan" is then skipped *for that base
-//! tuple*. Morsels have no single scan order, so under `Parallel` a
-//! completion plan runs as one work item of the morsel driver
-//! (`shared::morsel_pass`): one worker scans the partition's
-//! whole detail in row order, exactly as the sequential evaluator does,
-//! and its statuses and every [`EvalStats`] counter equal sequential's
-//! for any thread count and morsel size. The morsel driver admits a plan
-//! only when it prunes (base tuple, detail row) pairs
+//! Base-tuple completion (Theorems 4.1/4.2) is scan-order-dependent: a
+//! dead rule or the finish-early rule fires at the detail tuple that
+//! proves the selection's outcome, and "the rest of the scan" is then
+//! skipped *for that base tuple*. A one-worker pass scans the detail in
+//! row order, so it admits every [`CompletionPlan`]. Morsels have no
+//! single scan order, so a multi-worker pass runs a completion plan as
+//! one work item: one worker scans the partition's whole detail in row
+//! order, and its statuses and every [`EvalStats`] counter equal
+//! sequential's for any thread count and morsel size. It admits a plan
+//! only when the plan prunes (base tuple, detail row) pairs
 //! (`eval::completion_prunes_pairs`: one of its rules acts on a
 //! Scan-probed block, as in the ALL shape); a hash- or interval-probed
 //! plan visits few pairs, and the batched kernels over morsels are faster
-//! than the one-worker row-ordered loop. `Distributed` sites scan
+//! than one worker's row-ordered loop. `Distributed` sites scan
 //! fragments, never the whole detail in order. A declined plan, and every
 //! plan under `Distributed`, runs the plain filtered form — completion
 //! never changes the *answer*, only the work — and is recorded once per
@@ -56,7 +56,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gmdj_relation::agg::Accumulator;
-use gmdj_relation::columnar::COLUMN_CHUNK_ROWS;
 use gmdj_relation::error::{Error, Result};
 use gmdj_relation::expr::Predicate;
 use gmdj_relation::ops::OpStats;
@@ -64,23 +63,21 @@ use gmdj_relation::relation::{Relation, Tuple};
 
 use crate::completion::CompletionPlan;
 use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTransport};
-use crate::eval::{
-    eval_gmdj_filtered_full, materialize_filtered, plan_blocks, referenced_detail_cols, EvalStats,
-    GmdjOptions, Keep, KernelStats, ProbeStrategy, Status,
-};
+use crate::eval::{EvalStats, GmdjOptions, Keep, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::shared::{admit_completion, morsel_pass, ScanJob};
+use crate::shared::{morsel_pass, BoundGmdj};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
 
 /// Physical execution mode for GMDJ evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Single-threaded reference evaluator (with completion support).
+    /// One worker scans the whole detail on the calling thread (every
+    /// completion plan runs).
     #[default]
     Sequential,
-    /// Chunk the detail scan across `threads` OS threads.
+    /// Deal the detail scan out in morsels to `threads` OS threads.
     Parallel {
         /// Worker thread count (must be ≥ 1).
         threads: usize,
@@ -117,8 +114,9 @@ pub struct ExecPolicy {
     /// kernels are counter-exact and bit-exact with it; switching this
     /// off is an ablation axis, not a semantic choice.
     pub vectorized: bool,
-    /// Morsel size (detail rows) for the parallel scan's work queue.
-    /// `None` uses [`DEFAULT_MORSEL_ROWS`]. Morsel size is pure
+    /// Morsel size (detail rows) for the parallel scan's work queue;
+    /// `Sequential` scans one whole-detail morsel. `None` uses
+    /// [`DEFAULT_MORSEL_ROWS`]. Morsel size is pure
     /// scheduling: every gated [`EvalStats`] counter and the result
     /// multiset are identical for every setting — it only moves where
     /// worker time is spent, which is what the bench ablation measures.
@@ -242,6 +240,26 @@ impl ExecPolicy {
             probe: self.probe,
             partition_rows: self.partition_rows,
             vectorized: self.vectorized,
+        }
+    }
+
+    /// Workers one evaluation's detail pass runs on: one under
+    /// `Sequential`, `threads` under `Parallel`, one per site under
+    /// `Distributed`.
+    pub(crate) fn workers(&self) -> usize {
+        match self.mode {
+            ExecMode::Sequential => 1,
+            ExecMode::Parallel { threads } => threads,
+            ExecMode::Distributed { sites } => sites,
+        }
+    }
+
+    /// Morsel size of the local detail pass: the whole detail under
+    /// `Sequential`, otherwise `morsel_size` or [`DEFAULT_MORSEL_ROWS`].
+    fn morsel_rows(&self) -> usize {
+        match self.mode {
+            ExecMode::Sequential => usize::MAX,
+            _ => self.morsel_size.unwrap_or(DEFAULT_MORSEL_ROWS).max(1),
         }
     }
 }
@@ -642,9 +660,9 @@ impl PlanNodeStats {
 /// The execution engine: an [`ExecPolicy`] plus the dispatch that makes
 /// it the single entry point for (filtered) GMDJ evaluation. The runtime
 /// carries a [`TraceSink`]; every evaluation emits a `gmdj.eval` span
-/// whose counter fields are the exact delta recorded into the node, and
-/// the mode-specific scans emit `gmdj.partition` / `gmdj.worker` /
-/// `site.roundtrip` spans beneath it.
+/// whose counter fields are the exact delta recorded into the node, with
+/// `gmdj.partition` spans beneath it and, per partition, `gmdj.worker`
+/// spans (morsel pass) or `site.roundtrip` spans (distributed).
 #[derive(Debug, Clone)]
 pub struct Runtime {
     policy: ExecPolicy,
@@ -694,10 +712,10 @@ impl Runtime {
         self
     }
 
-    /// Attach a cross-query shared-scan pool: [`Runtime::submit`] routes
+    /// Attach a cross-query shared-scan pool: [`Runtime::eval`] routes
     /// shareable evaluations through it so concurrently submitted GMDJs
     /// over the same detail table coalesce into one morsel pass (see
-    /// [`crate::shared`]). [`Runtime::eval`] is unaffected.
+    /// [`crate::shared`]).
     pub fn with_shared_pool(mut self, pool: Arc<crate::shared::SharedScanPool>) -> Self {
         self.shared = Some(pool);
         self
@@ -730,9 +748,9 @@ impl Runtime {
 
     /// Closed-form number of scheduling morsels one evaluation will
     /// complete — known before any worker starts, which is what makes
-    /// progress a true fraction. Per base partition: the sequential scan
-    /// runs one detail pass, the parallel queue deals
-    /// `ceil(detail / morsel)` morsels (zero for an empty detail: the
+    /// progress a true fraction. Per base partition: the local morsel
+    /// pass deals `ceil(detail / morsel)` morsels (one whole-detail
+    /// morsel under `Sequential`; zero for an empty detail, as the
     /// workers break before pulling), and the distributed coordinator
     /// round-trips every site once.
     fn scheduled_morsels(&self, base_len: usize, detail_len: usize) -> u64 {
@@ -743,41 +761,35 @@ impl Runtime {
             base_len.div_ceil(partition)
         } as u64;
         let per_partition = match self.policy.mode {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel { .. } => {
-                let morsel = self
-                    .policy
-                    .morsel_size
-                    .unwrap_or(DEFAULT_MORSEL_ROWS)
-                    .max(1)
-                    .min(detail_len.max(1));
-                detail_len.div_ceil(morsel) as u64
-            }
             ExecMode::Distributed { sites } => sites.max(1) as u64,
+            _ => detail_len.div_ceil(self.policy.morsel_rows().min(detail_len.max(1))) as u64,
         };
         partitions * per_partition
     }
 
-    /// Plain GMDJ: `MD(base, detail, spec)` under the policy. Work
-    /// counters, network traffic and worker timing land in `node`.
-    pub fn eval_gmdj(
-        &self,
-        base: &Relation,
-        detail: &Relation,
-        spec: &GmdjSpec,
-        node: &mut PlanNodeStats,
-    ) -> Result<Relation> {
-        self.eval(base, detail, spec, None, Keep::All, None, node)
-    }
-
     /// Filtered GMDJ: `π[keep](σ[selection](MD(base, detail, spec)))`
-    /// under the policy. This is the one evaluation entry point — the
-    /// mode decides sequential, parallel, or distributed execution, and
-    /// every mode returns bit-identical results. Counters accumulate
-    /// into `node` ([`PlanNodeStats::eval`] / [`PlanNodeStats::network`]
-    /// plus the worker wall-clock fields), a `gmdj.eval` span carrying
-    /// the same deltas goes to the sink, and the global
-    /// [`metrics`] registry receives the cross-query totals.
+    /// under the policy — the one GMDJ evaluation entry point. A plain
+    /// GMDJ passes no selection, [`Keep::All`] and no completion plan; a
+    /// completion plan requires a selection. Every evaluation runs the
+    /// same partition loop: the mode only decides how each partition's
+    /// detail pass is divided (one worker, `threads` workers, or one
+    /// round-trip per site), and every mode returns bit-identical
+    /// results.
+    ///
+    /// With a shared-scan pool attached ([`Runtime::with_shared_pool`])
+    /// and a shareable policy (in-process, unpartitioned), the evaluation
+    /// goes through the pool, where concurrently submitted GMDJs over the
+    /// same detail table coalesce — per the extended Prop. 4.1 — into
+    /// one shared morsel pass (see [`crate::shared`]). The pass prepares
+    /// the query exactly as its standalone evaluation would, so the
+    /// counters recorded into `node` are the standalone counters; the
+    /// physical amortization shows only in the pool's `shared_scan_*`
+    /// metrics and the `gmdj.shared_scan` span.
+    ///
+    /// Counters accumulate into `node` ([`PlanNodeStats::eval`] /
+    /// [`PlanNodeStats::network`] plus the worker wall-clock fields), a
+    /// `gmdj.eval` span carrying the same deltas goes to the sink, and
+    /// the global [`metrics`] registry receives the cross-query totals.
     #[allow(clippy::too_many_arguments)]
     pub fn eval(
         &self,
@@ -790,74 +802,83 @@ impl Runtime {
         node: &mut PlanNodeStats,
     ) -> Result<Relation> {
         self.policy.validate()?;
+        if completion.is_some() && selection.is_none() {
+            return Err(Error::invalid("completion plan requires a selection"));
+        }
+        let pool = self.shared.as_ref().filter(|_| {
+            !matches!(self.policy.mode, ExecMode::Distributed { .. })
+                && self.policy.partition_rows.is_none()
+        });
+        let sched = match pool {
+            Some(pool) => pool.scheduled_morsels(detail.len()),
+            None => self.scheduled_morsels(base.len(), detail.len()),
+        };
         if let Some(p) = &self.progress {
-            p.add_morsels_total(self.scheduled_morsels(base.len(), detail.len()));
+            p.add_morsels_total(sched);
         }
         let eval_before = node.eval;
         let net_before = node.network;
-        let span = Span::begin(self.sink.as_ref(), "gmdj.eval");
-        let result = match self.policy.mode {
-            ExecMode::Sequential => eval_gmdj_filtered_full(
-                base,
-                detail,
-                spec,
-                selection,
-                keep,
-                completion,
-                &self.policy.gmdj_options(),
-                &mut node.eval,
-                &mut node.kernel,
-                self.sink.as_ref(),
-                self.progress.as_deref(),
-            ),
-            ExecMode::Parallel { threads } => self.eval_chunked(
-                base,
-                detail,
-                spec,
-                selection,
-                keep,
-                completion,
-                node,
-                |cx| cx.scan_parallel(threads),
-            ),
-            ExecMode::Distributed { sites } => {
-                let fragments = round_robin_fragments(detail, sites);
-                if self.policy.real_sites {
-                    // Real sites: each fragment is owned by a socket
-                    // site executor from the start (the paper's model —
-                    // detail tuples live at the site that produced them;
-                    // only base tuples and accumulator states cross the
-                    // wire).
-                    let cluster = crate::wire::SiteCluster::spawn(fragments)?;
-                    let mut transport = crate::wire::TcpSites::new(cluster.addrs().to_vec());
-                    self.eval_chunked(
-                        base,
-                        detail,
-                        spec,
-                        selection,
-                        keep,
-                        completion,
-                        node,
-                        |cx| cx.scan_sites(&mut transport),
-                    )
-                } else {
-                    let mut transport = InProcessSites::new(fragments, self.sink.clone());
-                    self.eval_chunked(
-                        base,
-                        detail,
-                        spec,
-                        selection,
-                        keep,
-                        completion,
-                        node,
-                        |cx| cx.scan_sites(&mut transport),
-                    )
-                }
+        let mut span = Span::begin(self.sink.as_ref(), "gmdj.eval");
+        let result = if let Some(pool) = pool {
+            if let Some(p) = &self.progress {
+                p.set_state("coalescing");
             }
-        }?;
+            let out = pool.submit(
+                base,
+                detail,
+                spec,
+                selection,
+                keep,
+                completion,
+                &self.policy,
+                self.sink.as_ref(),
+            );
+            if let Some(p) = &self.progress {
+                p.set_state("running");
+            }
+            let out = out?;
+            if let Some(p) = &self.progress {
+                p.add_morsels_done(sched);
+                p.add_rows(detail.len() as u64);
+            }
+            node.eval.merge(&out.eval);
+            node.kernel.merge(&out.kernel);
+            node.worker_wall_max_ns += out.worker_max_ns;
+            node.worker_wall_sum_ns += out.worker_sum_ns;
+            span.field("shared_queries", out.pass_queries);
+            out.relation
+        } else {
+            let query = BoundGmdj::bind(
+                base,
+                detail,
+                spec,
+                selection,
+                keep,
+                completion,
+                &self.policy,
+            )?;
+            match self.policy.mode {
+                ExecMode::Distributed { sites } => {
+                    let fragments = round_robin_fragments(detail, sites);
+                    let cluster;
+                    let mut transport: Box<dyn SiteTransport> = if self.policy.real_sites {
+                        // Real sites: each fragment is owned by a socket
+                        // site executor from the start (the paper's model
+                        // — detail tuples live at the site that produced
+                        // them; only base tuples and accumulator states
+                        // cross the wire).
+                        cluster = crate::wire::SiteCluster::spawn(fragments)?;
+                        Box::new(crate::wire::TcpSites::new(cluster.addrs().to_vec()))
+                    } else {
+                        Box::new(InProcessSites::new(fragments, self.sink.clone()))
+                    };
+                    self.eval_partitions(&query, base, detail, Some(transport.as_mut()), node)?
+                }
+                _ => self.eval_partitions(&query, base, detail, None, node)?,
+            }
+        };
         let eval_delta = node.eval.minus(&eval_before);
         let net_delta = node.network.minus(&net_before);
-        let mut span = span;
         span.fields(eval_delta.trace_fields());
         span.fields(net_delta.trace_fields());
         let dur = span.finish();
@@ -883,134 +904,22 @@ impl Runtime {
         Ok(result)
     }
 
-    /// Concurrent submission entry point: like [`Runtime::eval`], but
-    /// when a shared-scan pool is attached ([`Runtime::with_shared_pool`])
-    /// and the policy is shareable (in-process, unpartitioned), the
-    /// evaluation routes through the pool where concurrently submitted
-    /// GMDJs over the same detail table coalesce — per the extended
-    /// Prop. 4.1 — into one shared morsel-driven detail pass (see
-    /// [`crate::shared`]). Without a pool, or for distributed /
-    /// memory-partitioned policies, this is exactly [`Runtime::eval`]:
-    /// standalone execution stays byte-identical and sharing only
-    /// engages on concurrent submission.
-    ///
-    /// The per-query counters recorded into `node` are identical to what
-    /// `eval` would record (logical accounting); the physical
-    /// amortization shows up only in the pool's `shared_scan_*` metrics
-    /// and the `gmdj.shared_scan` span.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit(
-        &self,
-        base: &Relation,
-        detail: &Relation,
-        spec: &GmdjSpec,
-        selection: Option<&Predicate>,
-        keep: Keep,
-        completion: Option<&CompletionPlan>,
-        node: &mut PlanNodeStats,
-    ) -> Result<Relation> {
-        let pool = match &self.shared {
-            Some(pool)
-                if !matches!(self.policy.mode, ExecMode::Distributed { .. })
-                    && self.policy.partition_rows.is_none() =>
-            {
-                pool
-            }
-            _ => return self.eval(base, detail, spec, selection, keep, completion, node),
-        };
-        self.policy.validate()?;
-        if completion.is_some() && selection.is_none() {
-            return Err(Error::invalid("completion plan requires a selection"));
-        }
-        let sched = pool.scheduled_morsels(detail.len());
-        if let Some(p) = &self.progress {
-            p.add_morsels_total(sched);
-            p.set_state("coalescing");
-        }
-        let span = Span::begin(self.sink.as_ref(), "gmdj.eval");
-        let out = pool.submit(
-            base,
-            detail,
-            spec,
-            selection,
-            keep,
-            &self.policy.gmdj_options(),
-            completion,
-            self.sink.as_ref(),
-        );
-        if let Some(p) = &self.progress {
-            p.set_state("running");
-        }
-        let out = out?;
-        if let Some(p) = &self.progress {
-            p.add_morsels_done(sched);
-            p.add_rows(detail.len() as u64);
-        }
-        node.eval.merge(&out.eval);
-        node.kernel.merge(&out.kernel);
-        node.worker_wall_max_ns = node.worker_wall_max_ns.max(out.worker_max_ns);
-        node.worker_wall_sum_ns += out.worker_sum_ns;
-        let mut span = span;
-        span.fields(out.eval.trace_fields());
-        span.field("shared_queries", out.pass_queries);
-        let dur = span.finish();
-        node.invocations += 1;
-        node.elapsed_ns += dur.as_nanos() as u64;
-
-        let m = metrics::global();
-        m.inc("gmdj_evals_total", 1);
-        m.inc("gmdj_detail_scanned_total", out.eval.detail_scanned);
-        m.inc("gmdj_probe_candidates_total", out.eval.probe_candidates);
-        m.inc("gmdj_theta_evals_total", out.eval.theta_evals);
-        m.inc("gmdj_agg_updates_total", out.eval.agg_updates);
-        m.inc("completion_fallbacks_total", out.eval.completion_fallbacks);
-        m.observe("gmdj_eval_latency_us", dur.as_micros() as u64);
-        Ok(out.relation)
-    }
-
-    /// Shared driver for the merge-based modes: partition the base by the
-    /// memory budget, build probe plans per partition, run a mode-specific
-    /// detail scan that fills a merged accumulator matrix, then
-    /// materialize with selection and projection — the same outer loop
-    /// and counter semantics as the sequential evaluator. Each partition
-    /// is emitted as a `gmdj.partition` span with its exact counter
-    /// delta; worker/site wall-clock lands in the node's
+    /// The one base-partition loop. Per partition of the memory budget:
+    /// charge its bookkeeping, scan the detail — a morsel pass of the
+    /// prepared query on the policy's workers, or one round-trip per
+    /// site — and materialize through the selection and projection. Each
+    /// partition is emitted as a `gmdj.partition` span with its exact
+    /// counter delta; worker/site wall-clock lands in the node's
     /// `worker_wall_max_ns` (critical path) and `worker_wall_sum_ns`
     /// (total work).
-    #[allow(clippy::too_many_arguments)]
-    fn eval_chunked(
+    fn eval_partitions(
         &self,
+        query: &BoundGmdj<'_>,
         base: &Relation,
         detail: &Relation,
-        spec: &GmdjSpec,
-        selection: Option<&Predicate>,
-        keep: Keep,
-        completion: Option<&CompletionPlan>,
+        mut sites: Option<&mut dyn SiteTransport>,
         node: &mut PlanNodeStats,
-        mut scan: impl FnMut(&mut PartitionCx) -> Result<ScanOutcome>,
     ) -> Result<Relation> {
-        if completion.is_some() && selection.is_none() {
-            return Err(Error::invalid("completion plan requires a selection"));
-        }
-        let out_schema = spec.output_schema(base.schema());
-        let result_schema = match keep {
-            Keep::All => out_schema.clone(),
-            Keep::BaseOnly => base.schema().clone(),
-        };
-        let bound_selection = match selection {
-            Some(p) => Some(p.bind(&[&out_schema])?),
-            None => None,
-        };
-        let total_aggs = spec.agg_count();
-
-        // Logical column-chunk I/O, closed-form like the sequential
-        // evaluator: every partition pass reads each referenced detail
-        // column's chunks once, however the scan is divided across
-        // morsels, workers, or sites.
-        let io_pages = detail.len().div_ceil(COLUMN_CHUNK_ROWS) as u64;
-        let io_referenced = referenced_detail_cols(spec, base.schema(), detail.schema())? as u64;
-        let io_schema_cols = detail.schema().len() as u64;
-
         let partition = self.policy.partition_rows.unwrap_or(usize::MAX).max(1);
         // One trace context per evaluation: rides the wire to the sites
         // and comes back echoed on their shipped `site.eval` spans, so a
@@ -1023,47 +932,36 @@ impl Runtime {
             let end = (start + partition).min(base.len());
             let base_rows = &base.rows()[start..end];
             let before = node.eval;
-            let pspan = Span::begin(self.sink.as_ref(), "gmdj.partition");
-            node.eval.partitions += 1;
-            node.eval.base_rows += base_rows.len() as u64;
-            node.eval.col_chunk_reads += io_pages * io_referenced;
-            node.eval.row_page_reads += io_pages * io_schema_cols;
-
-            let mut cx = PartitionCx {
-                base: base_rows,
-                base_schema: base.schema(),
-                detail,
-                spec,
-                opts: self.policy.gmdj_options(),
-                morsel_rows: self
-                    .policy
-                    .morsel_size
-                    .unwrap_or(DEFAULT_MORSEL_ROWS)
-                    .max(1),
-                total_aggs,
-                completion,
-                query_id,
-                stats: &mut node.eval,
-                kernel: &mut node.kernel,
-                network: &mut node.network,
-                sites: &mut node.sites,
-                sink: self.sink.as_ref(),
-                progress: self.progress.as_deref(),
+            let mut pspan = Span::begin(self.sink.as_ref(), "gmdj.partition");
+            let (accs, status) = match sites.as_deref_mut() {
+                Some(transport) => {
+                    // Sites scan their fragments in no single order:
+                    // completion always falls back here.
+                    declined |= query.completion.is_some();
+                    query.charge_partition(base_rows.len(), &mut node.eval);
+                    let accs = self.scan_sites(query, base_rows, query_id, transport, node)?;
+                    (accs, None)
+                }
+                None => {
+                    let job = query.prepare(base_rows, &mut node.eval)?;
+                    declined |= job.declined;
+                    let pass = morsel_pass(
+                        detail.cols(),
+                        std::slice::from_ref(&job),
+                        self.policy.workers(),
+                        self.policy.morsel_rows(),
+                        self.sink.as_ref(),
+                        self.progress.as_deref(),
+                    );
+                    node.worker_wall_max_ns += pass.worker_max_ns;
+                    node.worker_wall_sum_ns += pass.worker_sum_ns;
+                    let scan = pass.jobs.into_iter().next().expect("one job, one result")?;
+                    node.eval.merge(&scan.eval);
+                    node.kernel.merge(&scan.kernel);
+                    (scan.accs, scan.status)
+                }
             };
-            let outcome = scan(&mut cx)?;
-            node.worker_wall_max_ns += outcome.worker_max_ns;
-            node.worker_wall_sum_ns += outcome.worker_sum_ns;
-            declined |= outcome.completion_declined;
-            materialize_filtered(
-                base_rows,
-                &outcome.accs,
-                outcome.status.as_deref(),
-                total_aggs,
-                bound_selection.as_ref(),
-                keep,
-                &mut out_rows,
-            )?;
-            let mut pspan = pspan;
+            query.materialize(base_rows, &accs, status.as_deref(), &mut out_rows)?;
             pspan.fields(node.eval.minus(&before).trace_fields());
             pspan.finish();
             start = end;
@@ -1075,84 +973,7 @@ impl Runtime {
             // Once per evaluation, however many partitions declined.
             node.eval.completion_fallbacks += 1;
         }
-        Ok(Relation::from_parts(result_schema, out_rows))
-    }
-}
-
-/// Result of one mode-specific partition scan: the merged accumulator
-/// matrix, the base tuples' statuses when completion ran, whether a
-/// completion plan was declined, and worker wall-clock (critical path and
-/// total).
-struct ScanOutcome {
-    accs: Vec<Accumulator>,
-    status: Option<Vec<Status>>,
-    completion_declined: bool,
-    worker_max_ns: u64,
-    worker_sum_ns: u64,
-}
-
-/// Everything a mode-specific detail scan needs for one base partition.
-struct PartitionCx<'a> {
-    base: &'a [Tuple],
-    base_schema: &'a gmdj_relation::schema::Schema,
-    detail: &'a Relation,
-    spec: &'a GmdjSpec,
-    opts: GmdjOptions,
-    morsel_rows: usize,
-    total_aggs: usize,
-    completion: Option<&'a CompletionPlan>,
-    query_id: u64,
-    stats: &'a mut EvalStats,
-    kernel: &'a mut KernelStats,
-    network: &'a mut NetworkStats,
-    sites: &'a mut Vec<SiteBreakdown>,
-    sink: &'a dyn TraceSink,
-    progress: Option<&'a QueryProgress>,
-}
-
-impl PartitionCx<'_> {
-    /// Morsel-driven parallel scan: a morsel pass
-    /// ([`crate::shared::morsel_pass`]) with this query as its only job —
-    /// `threads` workers pull morsels from a shared cursor into private
-    /// accumulators, merged exactly in worker order, or, when
-    /// [`admit_completion`] admits the completion plan, one worker runs
-    /// the sequential completion scan. Worker panics and errors both
-    /// surface as `Err`, never a process abort.
-    fn scan_parallel(&mut self, threads: usize) -> Result<ScanOutcome> {
-        let plans = plan_blocks(
-            self.base,
-            self.base_schema,
-            self.detail.schema(),
-            self.spec,
-            &self.opts,
-            self.stats,
-        )?;
-        let (completion, completion_declined) = admit_completion(self.completion, &plans);
-        let job = ScanJob {
-            plans: &plans,
-            base_rows: self.base,
-            total_aggs: self.total_aggs,
-            vectorized: self.opts.vectorized,
-            completion,
-        };
-        let pass = morsel_pass(
-            self.detail.cols(),
-            std::slice::from_ref(&job),
-            threads,
-            self.morsel_rows,
-            self.sink,
-            self.progress,
-        );
-        let scan = pass.jobs.into_iter().next().expect("one job, one result")?;
-        self.stats.merge(&scan.eval);
-        self.kernel.merge(&scan.kernel);
-        Ok(ScanOutcome {
-            accs: scan.accs,
-            status: scan.status,
-            completion_declined,
-            worker_max_ns: pass.worker_max_ns,
-            worker_sum_ns: pass.worker_sum_ns,
-        })
+        Ok(Relation::from_parts(query.result_schema.clone(), out_rows))
     }
 
     /// Two-wave coordinator protocol over a [`SiteTransport`]: broadcast
@@ -1167,65 +988,72 @@ impl PartitionCx<'_> {
     /// counter byte-identical between the in-process and socket paths;
     /// only `bytes_sent` / `bytes_received` (zero in-process, measured
     /// on the wire) differ.
-    fn scan_sites(&mut self, transport: &mut dyn SiteTransport) -> Result<ScanOutcome> {
+    fn scan_sites(
+        &self,
+        query: &BoundGmdj<'_>,
+        base: &[Tuple],
+        query_id: u64,
+        transport: &mut dyn SiteTransport,
+        node: &mut PlanNodeStats,
+    ) -> Result<Vec<Accumulator>> {
+        let sink = self.sink.as_ref();
         let mut merged: Option<Vec<Accumulator>> = None;
         let mut worker_max_ns = 0u64;
-        let mut worker_sum_ns = 0u64;
         for site in 0..transport.site_count() {
-            let eval_before = *self.stats;
-            let net_before = *self.network;
+            let eval_before = node.eval;
+            let net_before = node.network;
             let label = transport.site_label(site);
-            let mut sspan = Span::begin(self.sink, "site.roundtrip").with_detail(label.clone());
+            let mut sspan = Span::begin(sink, "site.roundtrip").with_detail(label.clone());
             // The trace context rides the broadcast wave: the site echoes
             // `query_id` / `parent_span` on its shipped `site.eval` span,
             // tying the remote events to this exact round-trip.
             let req = SiteEvalRequest {
-                base: self.base,
-                base_schema: self.base_schema,
-                spec: self.spec,
-                opts: &self.opts,
-                total_aggs: self.total_aggs,
-                query_id: self.query_id,
+                base,
+                base_schema: query.base_schema,
+                spec: query.spec,
+                opts: &query.opts,
+                total_aggs: query.total_aggs,
+                query_id,
                 parent_span: sspan.id(),
-                trace: self.sink.is_enabled(),
+                trace: sink.is_enabled(),
             };
             let start = Instant::now();
             // Wave 1: base values (and the spec) to this site.
-            self.network.messages += 1;
-            self.network.broadcast_values += (self.base.len() * self.base_schema.len()) as u64;
+            node.network.messages += 1;
+            node.network.broadcast_values += (base.len() * query.base_schema.len()) as u64;
             let resp = transport.eval_partition(site, &req)?;
-            self.stats.merge(&resp.stats);
-            self.kernel.merge(&resp.kernel);
+            node.eval.merge(&resp.stats);
+            node.kernel.merge(&resp.kernel);
             // Wave 2: accumulator states back to the coordinator. State
             // shipping is what lets AVG / COUNT DISTINCT distribute.
-            self.network.messages += 1;
-            self.network.collected_states += (self.base.len() * self.total_aggs) as u64;
-            self.network.bytes_sent += resp.bytes_sent;
-            self.network.bytes_received += resp.bytes_received;
+            node.network.messages += 1;
+            node.network.collected_states += (base.len() * query.total_aggs) as u64;
+            node.network.bytes_sent += resp.bytes_sent;
+            node.network.bytes_received += resp.bytes_received;
             let wall_ns = start.elapsed().as_nanos() as u64;
             worker_max_ns = worker_max_ns.max(wall_ns);
-            worker_sum_ns += wall_ns;
+            node.worker_wall_sum_ns += wall_ns;
             // Stitch the site's shipped spans into the coordinator trace,
             // re-anchored inside this round-trip's window: durations are
             // site-measured and kept verbatim, while start offsets are
             // re-based so the earliest site event opens at the round-trip
             // start (the two processes' clocks are never compared).
-            if self.sink.is_enabled() && !resp.spans.is_empty() {
+            if sink.is_enabled() && !resp.spans.is_empty() {
                 let min_start = resp.spans.iter().map(|e| e.start_ns).min().unwrap_or(0);
                 let anchor = sspan.start_ns();
                 for e in &resp.spans {
                     let mut e = e.clone();
                     e.start_ns = anchor + (e.start_ns - min_start);
-                    self.sink.record(e);
+                    sink.record(e);
                 }
             }
             sspan.field("site", site as u64);
             sspan.field("attempt", resp.attempts);
             sspan.field("wall_ns", resp.site_wall_ns);
-            sspan.fields(self.stats.minus(&eval_before).trace_fields());
-            sspan.fields(self.network.minus(&net_before).trace_fields());
+            sspan.fields(node.eval.minus(&eval_before).trace_fields());
+            sspan.fields(node.network.minus(&net_before).trace_fields());
             sspan.finish();
-            if let Some(p) = self.progress {
+            if let Some(p) = &self.progress {
                 // One progress morsel per site round-trip.
                 p.add_morsels_done(1);
                 p.add_rows(resp.fragment_rows);
@@ -1240,10 +1068,10 @@ impl PartitionCx<'_> {
                 }
             }
             let merge_ns = merge_start.elapsed().as_nanos() as u64;
-            if self.sites.len() <= site {
-                self.sites.resize_with(site + 1, SiteBreakdown::default);
+            if node.sites.len() <= site {
+                node.sites.resize_with(site + 1, SiteBreakdown::default);
             }
-            let b = &mut self.sites[site];
+            let b = &mut node.sites[site];
             b.site = site as u64;
             b.label = label.clone();
             b.roundtrips += 1;
@@ -1270,17 +1098,8 @@ impl PartitionCx<'_> {
                 },
             );
         }
-        let accs = merged
-            .ok_or_else(|| Error::invalid("ExecMode::Distributed requires at least one site"))?;
-        // Sites scan their fragments in no single order: completion
-        // always falls back here.
-        Ok(ScanOutcome {
-            accs,
-            status: None,
-            completion_declined: self.completion.is_some(),
-            worker_max_ns,
-            worker_sum_ns,
-        })
+        node.worker_wall_max_ns += worker_max_ns;
+        merged.ok_or_else(|| Error::invalid("ExecMode::Distributed requires at least one site"))
     }
 }
 
@@ -1311,13 +1130,29 @@ fn round_robin_fragments(detail: &Relation, sites: usize) -> Vec<Relation> {
 mod tests {
     use super::*;
     use crate::completion::derive_completion;
-    use crate::eval::{eval_gmdj, eval_gmdj_filtered};
     use crate::spec::AggBlock;
     use gmdj_relation::agg::{AggFunc, NamedAgg};
     use gmdj_relation::expr::{col, lit};
     use gmdj_relation::relation::RelationBuilder;
     use gmdj_relation::schema::DataType;
     use gmdj_relation::value::Value;
+
+    /// Sequential evaluation: the reference the other modes are checked
+    /// against.
+    fn sequential(
+        base: &Relation,
+        detail: &Relation,
+        spec: &GmdjSpec,
+        selection: Option<&Predicate>,
+        keep: Keep,
+        completion: Option<&CompletionPlan>,
+    ) -> (Relation, EvalStats) {
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = Runtime::sequential()
+            .eval(base, detail, spec, selection, keep, completion, &mut node)
+            .unwrap();
+        (out, node.eval)
+    }
 
     fn hours() -> Relation {
         RelationBuilder::new("H")
@@ -1359,23 +1194,29 @@ mod tests {
         ])
     }
 
+    /// Example 2.1's plain GMDJ under `rt`, with its node.
+    fn figure_1(rt: &Runtime) -> (Relation, PlanNodeStats) {
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = rt
+            .eval(
+                &hours(),
+                &flows(),
+                &example_2_1_spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
+            .unwrap();
+        (out, node)
+    }
+
     #[test]
     fn parallel_evaluation_matches_sequential() {
-        let mut s1 = EvalStats::default();
-        let expected = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
+        let (expected, _) = figure_1(&Runtime::sequential());
         for threads in [1usize, 2, 3, 5] {
             let rt = Runtime::new(ExecPolicy::parallel(threads));
-            let mut node = PlanNodeStats::new("GMDJ");
-            let out = rt
-                .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-                .unwrap();
+            let (out, node) = figure_1(&rt);
             assert!(out.multiset_eq(&expected), "threads={threads}");
             // One logical scan of the detail relation, whatever the
             // thread count.
@@ -1390,38 +1231,16 @@ mod tests {
     fn parallel_stats_match_sequential_without_completion() {
         // With no completion plan every mode does exactly the same probe
         // and aggregate work — the counters agree, not just the answers.
-        let mut s1 = EvalStats::default();
-        let mut node = PlanNodeStats::new("GMDJ");
-        eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
-        Runtime::new(ExecPolicy::parallel(3))
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-            .unwrap();
-        assert_eq!(s1, node.eval);
+        let (_, seq) = figure_1(&Runtime::sequential());
+        let (_, par) = figure_1(&Runtime::new(ExecPolicy::parallel(3)));
+        assert_eq!(seq.eval, par.eval);
     }
 
     #[test]
     fn parallel_honors_partition_rows() {
-        let mut s1 = EvalStats::default();
-        let expected = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
+        let (expected, _) = figure_1(&Runtime::sequential());
         let rt = Runtime::new(ExecPolicy::parallel(2).with_partition_rows(Some(2)));
-        let mut node = PlanNodeStats::new("GMDJ");
-        let out = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-            .unwrap();
+        let (out, node) = figure_1(&rt);
         assert!(out.multiset_eq(&expected));
         // 3 base rows at 2 per partition → 2 partitions → 2 detail scans.
         assert_eq!(node.eval.partitions, 2);
@@ -1432,15 +1251,14 @@ mod tests {
     #[test]
     fn morsel_queue_adapts_workers_and_reconciles_spans() {
         use crate::trace::CollectingSink;
-        let mut s1 = EvalStats::default();
-        let expected = eval_gmdj(
-            &hours(),
-            &flows(),
-            &example_2_1_spec(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
+        // Sequential is a one-worker pass over one whole-detail morsel.
+        let sink = Arc::new(CollectingSink::new());
+        let (expected, seq) = figure_1(&Runtime::with_sink(ExecPolicy::sequential(), sink.clone()));
+        let s1 = seq.eval;
+        assert_eq!(sink.by_name("gmdj.worker").len(), 1);
+        assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 6);
+        assert_eq!(seq.kernel.morsels, 1);
+
         // 6 detail rows at 4-row morsels → 2 morsels, so only 2 of the 8
         // requested workers are spawned; together they scan every row
         // exactly once and the gated counters match sequential in full.
@@ -1449,10 +1267,7 @@ mod tests {
             ExecPolicy::parallel(8).with_morsel_size(Some(4)),
             sink.clone(),
         );
-        let mut node = PlanNodeStats::new("GMDJ");
-        let out = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-            .unwrap();
+        let (out, node) = figure_1(&rt);
         assert!(out.multiset_eq(&expected));
         assert_eq!(node.eval, s1);
         assert_eq!(sink.by_name("gmdj.worker").len(), 2);
@@ -1468,10 +1283,7 @@ mod tests {
             ExecPolicy::parallel(8).with_morsel_size(Some(usize::MAX)),
             sink.clone(),
         );
-        let mut node = PlanNodeStats::new("GMDJ");
-        let out = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-            .unwrap();
+        let (out, node) = figure_1(&rt);
         assert!(out.multiset_eq(&expected));
         assert_eq!(node.eval, s1);
         assert_eq!(sink.by_name("gmdj.worker").len(), 1);
@@ -1486,10 +1298,7 @@ mod tests {
             ExecPolicy::parallel(3).with_morsel_size(Some(1)),
             sink.clone(),
         );
-        let mut node = PlanNodeStats::new("GMDJ");
-        let out = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-            .unwrap();
+        let (out, node) = figure_1(&rt);
         assert!(out.multiset_eq(&expected));
         assert_eq!(node.eval, s1);
         assert_eq!(sink.by_name("gmdj.worker").len(), 3);
@@ -1512,13 +1321,13 @@ mod tests {
                 NamedAgg::new(AggFunc::CountDistinct, col("F.Protocol"), "protos"),
             ],
         )]);
-        let mut s1 = EvalStats::default();
-        let expected =
-            eval_gmdj(&hours(), &flows(), &spec, &GmdjOptions::default(), &mut s1).unwrap();
+        let (expected, _) = sequential(&hours(), &flows(), &spec, None, Keep::All, None);
         for sites in [1usize, 2, 4] {
             let rt = Runtime::new(ExecPolicy::distributed(sites));
             let mut node = PlanNodeStats::new("GMDJ");
-            let out = rt.eval_gmdj(&hours(), &flows(), &spec, &mut node).unwrap();
+            let out = rt
+                .eval(&hours(), &flows(), &spec, None, Keep::All, None, &mut node)
+                .unwrap();
             assert!(out.multiset_eq(&expected), "sites={sites}");
             // Two message waves; traffic independent of detail size.
             assert_eq!(node.network.messages, 2 * sites as u64);
@@ -1565,18 +1374,14 @@ mod tests {
     fn all_shape_completion_runs_under_parallel_with_sequential_counters() {
         let (spec, selection, plan) = all_shape();
         let (base, detail) = (parts(150), parts(150).renamed("Q"));
-        let mut s1 = EvalStats::default();
-        let seq = eval_gmdj_filtered(
+        let (seq, s1) = sequential(
             &base,
             &detail,
             &spec,
             Some(&selection),
             Keep::BaseOnly,
             Some(&plan),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
+        );
         assert!(s1.dead_early > 0, "the dead rule must prune");
         for threads in [1usize, 2, 8] {
             for morsel in [None, Some(1), Some(64)] {
@@ -1647,9 +1452,11 @@ mod tests {
     }
 
     /// A band-probed EXISTS visits only the tuples its interval index
-    /// returns, so completion would prune few pairs and the row-ordered
-    /// loop would cost more than the kernels: the morsel driver declines
-    /// the plan by design and records one fallback. Same answer.
+    /// returns, so completion would prune few pairs and one worker's
+    /// row-ordered loop would cost more than the kernels over morsels: a
+    /// multi-worker pass declines the plan by design and records one
+    /// fallback. A one-worker pass admits every plan, so `parallel(1)`
+    /// records exactly the sequential counters. Same answer everywhere.
     #[test]
     fn band_exists_completion_falls_back_by_design() {
         // EXISTS shape: count per hour, keep hours with ≥ 1 HTTP flow.
@@ -1666,24 +1473,9 @@ mod tests {
             completion.is_some(),
             "EXISTS shape should derive a completion plan"
         );
-
-        let mut s1 = EvalStats::default();
-        let seq = eval_gmdj_filtered(
-            &hours(),
-            &flows(),
-            &spec,
-            Some(&selection),
-            Keep::BaseOnly,
-            completion.as_ref(),
-            &GmdjOptions::default(),
-            &mut s1,
-        )
-        .unwrap();
-
-        for threads in [1usize, 2, 8] {
-            let rt = Runtime::new(ExecPolicy::parallel(threads));
+        let run = |policy: ExecPolicy| {
             let mut node = PlanNodeStats::new("GMDJ");
-            let par = rt
+            let out = Runtime::new(policy)
                 .eval(
                     &hours(),
                     &flows(),
@@ -1694,9 +1486,56 @@ mod tests {
                     &mut node,
                 )
                 .unwrap();
+            (out, node.eval)
+        };
+
+        let (seq, s1) = run(ExecPolicy::sequential());
+        assert_eq!(s1.completion_fallbacks, 0);
+        assert_eq!(s1.done_early, 3);
+        let (par1, stats) = run(ExecPolicy::parallel(1));
+        assert!(par1.multiset_eq(&seq));
+        assert_eq!(stats, s1, "par1 == seq");
+        for threads in [2usize, 8] {
+            let (par, stats) = run(ExecPolicy::parallel(threads));
             assert!(par.multiset_eq(&seq), "threads={threads}");
-            assert_eq!(node.eval.completion_fallbacks, 1, "threads={threads}");
-            assert_eq!(node.eval.dead_early + node.eval.done_early, 0);
+            assert_eq!(stats.completion_fallbacks, 1, "threads={threads}");
+            assert_eq!(stats.dead_early + stats.done_early, 0);
+        }
+    }
+
+    /// The one "completion plan requires a selection" check guards every
+    /// route through [`Runtime::eval`]: sequential, parallel, distributed
+    /// and pooled.
+    #[test]
+    fn completion_plan_without_selection_is_rejected_under_every_policy() {
+        use crate::shared::{SharedScanConfig, SharedScanPool};
+        let (spec, _, plan) = all_shape();
+        let (base, detail) = (parts(8), parts(8).renamed("Q"));
+        let pool = Arc::new(SharedScanPool::new(SharedScanConfig::default()));
+        for rt in [
+            Runtime::new(ExecPolicy::sequential()),
+            Runtime::new(ExecPolicy::parallel(2)),
+            Runtime::new(ExecPolicy::distributed(2)),
+            Runtime::new(ExecPolicy::parallel(2)).with_shared_pool(pool),
+        ] {
+            let mut node = PlanNodeStats::new("GMDJ");
+            let err = rt
+                .eval(
+                    &base,
+                    &detail,
+                    &spec,
+                    None,
+                    Keep::BaseOnly,
+                    Some(&plan),
+                    &mut node,
+                )
+                .unwrap_err();
+            let policy = rt.policy();
+            assert!(
+                err.to_string().contains("requires a selection"),
+                "{policy:?}: {err}"
+            );
+            assert_eq!(node.invocations, 0, "{policy:?}");
         }
     }
 
@@ -1712,12 +1551,28 @@ mod tests {
             let rt = Runtime::new(policy);
             let mut node = PlanNodeStats::new("GMDJ");
             let out = rt
-                .eval_gmdj(&empty_base, &flows(), &example_2_1_spec(), &mut node)
+                .eval(
+                    &empty_base,
+                    &flows(),
+                    &example_2_1_spec(),
+                    None,
+                    Keep::All,
+                    None,
+                    &mut node,
+                )
                 .unwrap();
             assert!(out.is_empty(), "{policy:?}");
             let mut node = PlanNodeStats::new("GMDJ");
             let out = rt
-                .eval_gmdj(&hours(), &empty_detail, &example_2_1_spec(), &mut node)
+                .eval(
+                    &hours(),
+                    &empty_detail,
+                    &example_2_1_spec(),
+                    None,
+                    Keep::All,
+                    None,
+                    &mut node,
+                )
                 .unwrap();
             // No detail → every aggregate finishes on its empty state.
             assert_eq!(out.len(), 3, "{policy:?}");
@@ -1750,7 +1605,7 @@ mod tests {
             let detail = flows();
             assert!(!detail.has_row_view());
             let mut node = PlanNodeStats::new("GMDJ");
-            rt.submit(
+            rt.eval(
                 &hours(),
                 &detail,
                 &example_2_1_spec(),
@@ -1770,12 +1625,28 @@ mod tests {
         let rt = Runtime::new(ExecPolicy::parallel(0));
         let mut node = PlanNodeStats::new("GMDJ");
         let err = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
+            .eval(
+                &hours(),
+                &flows(),
+                &example_2_1_spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap_err();
         assert!(err.to_string().contains("at least one thread"), "{err}");
         let rt = Runtime::new(ExecPolicy::distributed(0));
         let err = rt
-            .eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
+            .eval(
+                &hours(),
+                &flows(),
+                &example_2_1_spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap_err();
         assert!(err.to_string().contains("at least one site"), "{err}");
     }
@@ -1794,10 +1665,7 @@ mod tests {
         ] {
             let ticket = reg.register("q", "s", "p");
             let progress = ticket.progress();
-            let rt = Runtime::new(policy).with_progress(progress.clone());
-            let mut node = PlanNodeStats::new("GMDJ");
-            rt.eval_gmdj(&hours(), &flows(), &example_2_1_spec(), &mut node)
-                .unwrap();
+            let (_, node) = figure_1(&Runtime::new(policy).with_progress(progress.clone()));
             // Announced schedule fully consumed, never exceeded; rows
             // reconcile exactly with the gated scan counter.
             assert!(progress.morsels_total() > 0, "{policy:?}");
@@ -1815,8 +1683,16 @@ mod tests {
         let progress = ticket.progress();
         let rt = Runtime::new(ExecPolicy::parallel(4)).with_progress(progress.clone());
         let mut node = PlanNodeStats::new("GMDJ");
-        rt.eval_gmdj(&hours(), &empty_detail, &example_2_1_spec(), &mut node)
-            .unwrap();
+        rt.eval(
+            &hours(),
+            &empty_detail,
+            &example_2_1_spec(),
+            None,
+            Keep::All,
+            None,
+            &mut node,
+        )
+        .unwrap();
         assert_eq!(progress.morsels_total(), 0);
         assert_eq!(progress.morsels_done(), 0);
     }

@@ -16,7 +16,7 @@
 //!
 //! # Coalescing protocol
 //!
-//! [`SharedScanPool::submit`] keys arrivals on detail-table identity
+//! `SharedScanPool::submit` keys arrivals on detail-table identity
 //! (the columnar storage `Arc` pointer — [`Relation::cols_arc`] is shared
 //! across renames, so the same stored table coalesces under any
 //! qualifier). The first arrival for a key becomes the *leader*: it waits
@@ -50,6 +50,7 @@
 //! had scanned alone (logical accounting).
 
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -69,7 +70,7 @@ use crate::eval::{
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::runtime::DEFAULT_MORSEL_ROWS;
+use crate::runtime::{ExecPolicy, DEFAULT_MORSEL_ROWS};
 use crate::spec::GmdjSpec;
 use crate::trace::{Span, TraceSink};
 
@@ -103,20 +104,20 @@ impl Default for SharedScanConfig {
 /// its private counters, exactly as a standalone evaluation would have
 /// recorded them.
 #[derive(Debug)]
-pub struct SharedOutput {
+pub(crate) struct SharedOutput {
     /// The query's (filtered, projected) GMDJ answer.
-    pub relation: Relation,
+    pub(crate) relation: Relation,
     /// This query's evaluator counters (logical accounting: identical to
     /// a standalone run of the same query).
-    pub eval: EvalStats,
+    pub(crate) eval: EvalStats,
     /// This query's kernel counters.
-    pub kernel: KernelStats,
+    pub(crate) kernel: KernelStats,
     /// Critical-path worker wall-clock of the shared pass.
-    pub worker_max_ns: u64,
+    pub(crate) worker_max_ns: u64,
     /// Summed worker wall-clock of the shared pass.
-    pub worker_sum_ns: u64,
+    pub(crate) worker_sum_ns: u64,
     /// How many queries shared the pass that produced this result.
-    pub pass_queries: u64,
+    pub(crate) pass_queries: u64,
 }
 
 /// One enqueued query: everything the leader needs to evaluate it, plus
@@ -128,10 +129,10 @@ struct SharedRequest {
     spec: GmdjSpec,
     selection: Option<Predicate>,
     keep: Keep,
-    opts: GmdjOptions,
-    /// The submitter's completion plan: run as a one-worker item of the
-    /// pass when [`completion_prunes_pairs`] admits it, else recorded as
-    /// a fallback (same answer).
+    /// The submitter's policy: its probe strategy and vectorization, and
+    /// its worker count, which decides whether the completion plan is
+    /// admitted ([`BoundGmdj::prepare`]).
+    policy: ExecPolicy,
     completion: Option<CompletionPlan>,
     slot: Arc<ResultSlot>,
 }
@@ -191,9 +192,9 @@ struct PoolState {
 /// that merges concurrently submitted GMDJs over the same detail table
 /// into one shared morsel-driven pass. Attach to a
 /// [`Runtime`](crate::runtime::Runtime) via
-/// [`with_shared_pool`](crate::runtime::Runtime::with_shared_pool); only
-/// the explicit `submit` path engages sharing — standalone evaluation is
-/// untouched.
+/// [`with_shared_pool`](crate::runtime::Runtime::with_shared_pool):
+/// [`Runtime::eval`](crate::runtime::Runtime::eval) then routes every
+/// shareable evaluation through it.
 #[derive(Debug, Default)]
 pub struct SharedScanPool {
     cfg: SharedScanConfig,
@@ -227,27 +228,24 @@ impl SharedScanPool {
     /// Submit one (filtered) GMDJ for coalesced evaluation and block
     /// until its result is demultiplexed back. Queries arriving within
     /// the coalescing window (or queued behind an in-flight pass) over
-    /// the same detail table share one detail scan. A `completion` plan
-    /// (which requires a `selection`) runs as its query's one-worker item
-    /// of the pass when `eval::completion_prunes_pairs` admits it.
+    /// the same detail table share one detail scan. `policy` is the
+    /// submitter's: the pass evaluates the query exactly as that policy's
+    /// standalone evaluation would, completion admission included.
     ///
     /// `sink` receives the `gmdj.shared_scan` span if this caller ends up
     /// leading the pass.
     #[allow(clippy::too_many_arguments)]
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         base: &Relation,
         detail: &Relation,
         spec: &GmdjSpec,
         selection: Option<&Predicate>,
         keep: Keep,
-        opts: &GmdjOptions,
         completion: Option<&CompletionPlan>,
+        policy: &ExecPolicy,
         sink: &dyn TraceSink,
     ) -> Result<SharedOutput> {
-        if completion.is_some() && selection.is_none() {
-            return Err(Error::invalid("completion plan requires a selection"));
-        }
         let key = detail_key(detail);
         let slot = Arc::new(ResultSlot::default());
         let request = SharedRequest {
@@ -258,7 +256,7 @@ impl SharedScanPool {
             spec: spec.clone(),
             selection: selection.cloned(),
             keep,
-            opts: opts.clone(),
+            policy: *policy,
             completion: completion.cloned(),
             slot: slot.clone(),
         };
@@ -336,13 +334,6 @@ impl SharedScanPool {
         batch: &[SharedRequest],
         sink: &dyn TraceSink,
     ) -> Vec<Result<SharedOutput>> {
-        // All queued requests share one detail storage by construction
-        // (their aliases, and so their schemas, may differ).
-        let detail = &batch[0].detail;
-        let detail_len = detail.len();
-        let io_pages = detail_len.div_ceil(COLUMN_CHUNK_ROWS) as u64;
-        let io_schema_cols = detail.schema().len() as u64;
-
         let mut outputs: Vec<Option<Result<SharedOutput>>> = batch.iter().map(|_| None).collect();
         // Structurally identical queries in one batch collapse to a single
         // evaluation whose output fans out to every member — the
@@ -361,16 +352,33 @@ impl SharedScanPool {
                 None => groups.push(vec![i]),
             }
         }
-        // Per-group preparation mirrors the standalone chunked evaluator
-        // (one base partition: the runtime refuses partitioned policies
-        // on the shared path). A group whose planning fails gets its
-        // error; the pass proceeds for the rest.
-        let mut prepped: Vec<PreparedQuery> = Vec::with_capacity(groups.len());
+        // Each group is prepared exactly as the standalone evaluator
+        // prepares its one base partition (the runtime sends no
+        // partitioned policy here). A group whose binding or planning
+        // fails gets its error; the pass proceeds for the rest.
+        let mut prepared_groups: Vec<(Vec<usize>, BoundGmdj<'_>, EvalStats)> = Vec::new();
+        let mut jobs: Vec<PreparedQuery<'_>> = Vec::new();
         for group in groups {
-            match PreparedQuery::prepare(&batch[group[0]], io_pages, io_schema_cols) {
-                Ok(mut p) => {
-                    p.members = group;
-                    prepped.push(p);
+            let r = &batch[group[0]];
+            let prepared = BoundGmdj::bind(
+                &r.base,
+                &r.detail,
+                &r.spec,
+                r.selection.as_ref(),
+                r.keep,
+                r.completion.as_ref(),
+                &r.policy,
+            )
+            .and_then(|query| {
+                let mut eval = EvalStats::default();
+                let job = query.prepare(r.base.rows(), &mut eval)?;
+                eval.completion_fallbacks += u64::from(job.declined);
+                Ok((query, eval, job))
+            });
+            match prepared {
+                Ok((query, eval, job)) => {
+                    prepared_groups.push((group, query, eval));
+                    jobs.push(job);
                 }
                 Err(e) => {
                     for &i in &group {
@@ -380,9 +388,10 @@ impl SharedScanPool {
             }
         }
 
-        let jobs: Vec<ScanJob<'_>> = prepped.iter().map(|p| p.job()).collect();
+        // All queued requests share one detail storage by construction
+        // (their aliases, and so their schemas, may differ).
         let pass = morsel_pass(
-            detail.cols(),
+            batch[0].detail.cols(),
             &jobs,
             self.cfg.threads,
             self.cfg.morsel_rows,
@@ -393,19 +402,18 @@ impl SharedScanPool {
         // Each query keeps its own outcome: a scan-time error in one
         // query's window fails that query alone.
         let pass_queries = batch.len() as u64;
-        for (p, scan) in prepped.into_iter().zip(pass.jobs) {
+        for ((group, query, pre), (job, scan)) in
+            prepared_groups.iter().zip(jobs.iter().zip(pass.jobs))
+        {
             let result = scan.and_then(|scan| {
                 let mut out_rows: Vec<Tuple> = Vec::new();
-                materialize_filtered(
-                    p.base_rows,
+                query.materialize(
+                    job.base_rows,
                     &scan.accs,
                     scan.status.as_deref(),
-                    p.total_aggs,
-                    p.bound_selection.as_ref(),
-                    p.keep,
                     &mut out_rows,
                 )?;
-                let mut eval = p.eval;
+                let mut eval = *pre;
                 eval.merge(&scan.eval);
                 Ok((out_rows, eval, scan.kernel))
             });
@@ -413,10 +421,13 @@ impl SharedScanPool {
             // counters delivered are the evaluation's actual counters,
             // which (the queries being identical) are each member's
             // standalone counters.
-            for &i in &p.members {
+            for &i in group {
                 outputs[i] = Some(match &result {
                     Ok((out_rows, eval, kernel)) => Ok(SharedOutput {
-                        relation: Relation::from_parts(p.result_schema.clone(), out_rows.clone()),
+                        relation: Relation::from_parts(
+                            query.result_schema.clone(),
+                            out_rows.clone(),
+                        ),
                         eval: *eval,
                         kernel: *kernel,
                         worker_max_ns: pass.worker_max_ns,
@@ -434,7 +445,7 @@ impl SharedScanPool {
 /// Structural identity for in-batch query dedup: same base storage and
 /// schema, same detail schema (the storage is shared by queue
 /// construction, the alias is not), same (l⃗, θ⃗) spec, selection,
-/// projection, and options.
+/// projection, completion plan and policy.
 fn same_query(a: &SharedRequest, b: &SharedRequest) -> bool {
     Arc::ptr_eq(&a.base.cols_arc(), &b.base.cols_arc())
         && a.base.schema() == b.base.schema()
@@ -442,115 +453,147 @@ fn same_query(a: &SharedRequest, b: &SharedRequest) -> bool {
         && a.spec == b.spec
         && a.selection == b.selection
         && a.keep == b.keep
-        && a.opts == b.opts
+        && a.policy == b.policy
         && a.completion == b.completion
 }
 
-/// One distinct query's compiled state for a shared pass: probe plans,
-/// admitted completion plan, bound selection, and the counters
-/// pre-charged exactly as the standalone chunked evaluator charges them
-/// (partition bookkeeping + closed-form page accounting + plan-time index
-/// builds + a declined completion plan's fallback). `members` lists every
-/// batch index this evaluation serves (≥ 2 when identical queries were
-/// deduplicated).
-struct PreparedQuery<'a> {
-    members: Vec<usize>,
-    plans: Vec<BlockPlan>,
-    base_rows: &'a [Tuple],
-    total_aggs: usize,
-    vectorized: bool,
-    completion: Option<&'a CompletionPlan>,
+/// One (filtered) GMDJ bound for evaluation: the policy's evaluator
+/// options and worker count, the result schema, the selection bound
+/// against the GMDJ output, and the closed-form page accounting of one
+/// detail pass. Every base partition of the evaluation is prepared from
+/// it ([`BoundGmdj::prepare`]) and materialized through it.
+pub(crate) struct BoundGmdj<'a> {
+    pub(crate) base_schema: &'a Schema,
+    detail_schema: &'a Schema,
+    pub(crate) spec: &'a GmdjSpec,
+    pub(crate) opts: GmdjOptions,
+    workers: usize,
+    pub(crate) completion: Option<&'a CompletionPlan>,
     keep: Keep,
-    bound_selection: Option<BoundPredicate>,
-    result_schema: Arc<Schema>,
-    eval: EvalStats,
+    selection: Option<BoundPredicate>,
+    pub(crate) result_schema: Arc<Schema>,
+    pub(crate) total_aggs: usize,
+    /// Column-chunk and row-layout page reads of one detail pass.
+    col_chunk_reads: u64,
+    row_page_reads: u64,
 }
 
-impl<'a> PreparedQuery<'a> {
-    /// Bind against the request's own detail schema: coalesced queries
+impl<'a> BoundGmdj<'a> {
+    /// Bind against the query's own detail schema: coalesced queries
     /// share the storage but may name it under different aliases.
-    fn prepare(
-        request: &'a SharedRequest,
-        io_pages: u64,
-        io_schema_cols: u64,
-    ) -> Result<PreparedQuery<'a>> {
-        let detail = &request.detail;
-        let mut eval = EvalStats::default();
-        let out_schema = request.spec.output_schema(request.base.schema());
-        let result_schema = match request.keep {
+    pub(crate) fn bind(
+        base: &'a Relation,
+        detail: &'a Relation,
+        spec: &'a GmdjSpec,
+        selection: Option<&Predicate>,
+        keep: Keep,
+        completion: Option<&'a CompletionPlan>,
+        policy: &ExecPolicy,
+    ) -> Result<Self> {
+        let out_schema = spec.output_schema(base.schema());
+        let result_schema = match keep {
             Keep::All => out_schema.clone(),
-            Keep::BaseOnly => request.base.schema().clone(),
+            Keep::BaseOnly => base.schema().clone(),
         };
-        let bound_selection = match &request.selection {
+        let selection = match selection {
             Some(p) => Some(p.bind(&[&out_schema])?),
             None => None,
         };
-        let total_aggs = request.spec.agg_count();
-        let io_referenced =
-            referenced_detail_cols(&request.spec, request.base.schema(), detail.schema())? as u64;
-        eval.partitions += 1;
-        eval.base_rows += request.base.len() as u64;
-        eval.col_chunk_reads += io_pages * io_referenced;
-        eval.row_page_reads += io_pages * io_schema_cols;
-        let base_rows = request.base.rows();
-        let plans = plan_blocks(
-            base_rows,
-            request.base.schema(),
-            detail.schema(),
-            &request.spec,
-            &request.opts,
-            &mut eval,
-        )?;
-        let (completion, declined) = admit_completion(request.completion.as_ref(), &plans);
-        if declined {
-            eval.completion_fallbacks += 1;
-        }
-        Ok(PreparedQuery {
-            members: Vec::new(),
-            plans,
-            base_rows,
-            total_aggs,
-            vectorized: request.opts.vectorized,
+        // Logical page I/O, closed-form: every partition pass reads each
+        // referenced detail column's chunks once, however the scan is
+        // divided across morsels, workers, or sites.
+        let pages = detail.len().div_ceil(COLUMN_CHUNK_ROWS) as u64;
+        let referenced = referenced_detail_cols(spec, base.schema(), detail.schema())? as u64;
+        Ok(BoundGmdj {
+            base_schema: base.schema(),
+            detail_schema: detail.schema(),
+            spec,
+            opts: policy.gmdj_options(),
+            workers: policy.workers(),
             completion,
-            keep: request.keep,
-            bound_selection,
+            keep,
+            selection,
             result_schema,
-            eval,
+            total_aggs: spec.agg_count(),
+            col_chunk_reads: pages * referenced,
+            row_page_reads: pages * detail.schema().len() as u64,
         })
     }
 
-    /// This query's job in the shared pass.
-    fn job(&self) -> ScanJob<'_> {
-        ScanJob {
-            plans: &self.plans,
-            base_rows: self.base_rows,
+    /// Charge one base partition's bookkeeping: the partition, its base
+    /// rows, and the pages its detail pass reads.
+    pub(crate) fn charge_partition(&self, base_rows: usize, eval: &mut EvalStats) {
+        eval.partitions += 1;
+        eval.base_rows += base_rows as u64;
+        eval.col_chunk_reads += self.col_chunk_reads;
+        eval.row_page_reads += self.row_page_reads;
+    }
+
+    /// Charge one base partition and plan its probes (index builds land
+    /// in `eval`). A one-worker evaluation admits every completion plan:
+    /// its single worker scans the detail in row order. A multi-worker
+    /// evaluation admits only a plan that [`completion_prunes_pairs`]
+    /// accepts and runs it as one work item; a declined plan leaves
+    /// `declined` set so the caller records one fallback per evaluation.
+    pub(crate) fn prepare(
+        &self,
+        base_rows: &'a [Tuple],
+        eval: &mut EvalStats,
+    ) -> Result<PreparedQuery<'a>> {
+        self.charge_partition(base_rows.len(), eval);
+        let plans = plan_blocks(
+            base_rows,
+            self.base_schema,
+            self.detail_schema,
+            self.spec,
+            &self.opts,
+            eval,
+        )?;
+        let completion = self
+            .completion
+            .filter(|c| self.workers == 1 || completion_prunes_pairs(c, &plans));
+        Ok(PreparedQuery {
+            plans,
+            base_rows,
             total_aggs: self.total_aggs,
-            vectorized: self.vectorized,
-            completion: self.completion,
-        }
+            vectorized: self.opts.vectorized,
+            completion,
+            declined: self.completion.is_some() && completion.is_none(),
+        })
+    }
+
+    /// Finalize one partition's accumulators (and, after completion, its
+    /// statuses) through the selection and projection into `out_rows`.
+    pub(crate) fn materialize(
+        &self,
+        base_rows: &[Tuple],
+        accs: &[Accumulator],
+        status: Option<&[Status]>,
+        out_rows: &mut Vec<Tuple>,
+    ) -> Result<()> {
+        materialize_filtered(
+            base_rows,
+            accs,
+            status,
+            self.total_aggs,
+            self.selection.as_ref(),
+            self.keep,
+            out_rows,
+        )
     }
 }
 
-/// One query's share of a morsel pass: its probe plans over one base
-/// partition, plus its completion plan when [`admit_completion`]
+/// One query's job in a morsel pass: its probe plans over one base
+/// partition, plus its completion plan when [`BoundGmdj::prepare`]
 /// admitted one.
-pub(crate) struct ScanJob<'a> {
-    pub(crate) plans: &'a [BlockPlan],
+pub(crate) struct PreparedQuery<'a> {
+    plans: Vec<BlockPlan>,
     pub(crate) base_rows: &'a [Tuple],
-    pub(crate) total_aggs: usize,
-    pub(crate) vectorized: bool,
-    pub(crate) completion: Option<&'a CompletionPlan>,
-}
-
-/// Put a completion plan to [`completion_prunes_pairs`] against the
-/// job's probe plans: the plan the job carries (`None` when declined),
-/// and whether one was declined, so the caller records a fallback.
-pub(crate) fn admit_completion<'c>(
-    completion: Option<&'c CompletionPlan>,
-    plans: &[BlockPlan],
-) -> (Option<&'c CompletionPlan>, bool) {
-    let admitted = completion.filter(|c| completion_prunes_pairs(c, plans));
-    (admitted, completion.is_some() && admitted.is_none())
+    total_aggs: usize,
+    vectorized: bool,
+    completion: Option<&'a CompletionPlan>,
+    /// A completion plan was supplied but not admitted.
+    pub(crate) declined: bool,
 }
 
 /// One job's scan state: its accumulator matrix, private counters, and
@@ -563,9 +606,9 @@ pub(crate) struct JobScan {
 }
 
 impl JobScan {
-    fn new(job: &ScanJob<'_>) -> Self {
+    fn new(job: &PreparedQuery<'_>) -> Self {
         JobScan {
-            accs: new_accumulators(job.plans, job.base_rows.len(), job.total_aggs),
+            accs: new_accumulators(&job.plans, job.base_rows.len(), job.total_aggs),
             eval: EvalStats::default(),
             kernel: KernelStats::default(),
             status: None,
@@ -597,23 +640,25 @@ pub(crate) struct MorselPass {
 
 /// The morsel driver: one pass over the detail columns feeding every
 /// job. A shared atomic cursor deals the detail out in morsels of
-/// `morsel_rows`; `threads` scoped workers pull morsels until the queue
-/// runs dry, routing each morsel through every plain job's
+/// `morsel_rows`; `threads` workers pull morsels until the queue runs
+/// dry, routing each morsel through every plain job's
 /// [`scan_detail_window`] into private per-worker accumulators and
-/// counters, which are then merged exactly in worker order. Pull-based
-/// scheduling is self-balancing: a worker stuck on a skewed morsel simply
-/// pulls fewer.
+/// counters. The merge starts from worker 0's states and folds the other
+/// workers in, in worker order. Pull-based scheduling is self-balancing:
+/// a worker stuck on a skewed morsel simply pulls fewer.
 ///
 /// A job with a completion plan is one work item instead: base-tuple
 /// completion is scan-order-dependent, so one worker scans the whole
-/// detail in row order, exactly as the sequential evaluator does, and its
-/// statuses and counters equal sequential's for any thread count and
-/// morsel size. Completion item `i` runs on worker `i % workers`, before
-/// that worker pulls morsels, so distinct completion jobs of a shared
-/// pass run side by side.
+/// detail in row order, and its statuses and counters are the same for
+/// any thread count and morsel size. Completion item `i` runs on worker
+/// `i % workers`, before that worker pulls morsels, so distinct
+/// completion jobs of a shared pass run side by side.
 ///
-/// The standalone parallel scan is a pass with one job; a shared pass
-/// has one job per distinct coalesced query. A job whose scan errors
+/// Every GMDJ evaluation in the process is a pass: the sequential policy
+/// is one job on one worker with one whole-detail morsel, the parallel
+/// policy one job on `threads` workers, and a shared pass one job per
+/// distinct coalesced query. A one-worker pass runs on the calling
+/// thread; more workers run as scoped threads. A job whose scan errors
 /// stops being scanned and returns that error; the other jobs carry on.
 /// A worker panic fails every job still running, never the process.
 /// Each worker is emitted as a `gmdj.worker` span carrying the rows and
@@ -626,7 +671,7 @@ pub(crate) struct MorselPass {
 /// rows it scanned, when the item finishes.
 pub(crate) fn morsel_pass(
     cols: &ColumnSet,
-    jobs: &[ScanJob<'_>],
+    jobs: &[PreparedQuery<'_>],
     threads: usize,
     morsel_rows: usize,
     sink: &dyn TraceSink,
@@ -649,101 +694,105 @@ pub(crate) fn morsel_pass(
     let cursor = AtomicUsize::new(0);
 
     type Worker = (Vec<Result<JobScan>>, u64);
-    let results: Vec<std::thread::Result<Worker>> = std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let items = &items;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || -> Worker {
-                    let mut wspan =
-                        Span::begin(sink, "gmdj.worker").with_detail(format!("worker{w}"));
-                    let mut states: Vec<Result<JobScan>> =
-                        jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
-                    let mut rows_pulled = 0u64;
-                    let mut morsels_pulled = 0u64;
-                    for &j in items.iter().skip(w).step_by(workers) {
-                        let job = &jobs[j];
-                        let Ok(scan) = &mut states[j] else { continue };
-                        match scan_detail_window(
-                            cols,
-                            0..detail_len,
-                            job.vectorized,
-                            job.completion,
-                            job.plans,
-                            job.base_rows,
-                            job.total_aggs,
-                            &mut scan.accs,
-                            &mut scan.eval,
-                            &mut scan.kernel,
-                            sink,
-                        ) {
-                            Ok(status) => scan.status = status,
-                            Err(e) => states[j] = Err(e),
-                        }
-                        rows_pulled += detail_len as u64;
-                        morsels_pulled += 1;
-                        if let Some(p) = progress.filter(|_| !plain) {
-                            p.add_morsels_done(detail_len.div_ceil(morsel) as u64);
-                            p.add_rows(detail_len as u64);
-                        }
-                    }
-                    let scanning = |states: &[Result<JobScan>]| {
-                        jobs.iter()
-                            .zip(states)
-                            .any(|(job, s)| job.completion.is_none() && s.is_ok())
-                    };
-                    while scanning(&states) {
-                        let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-                        if start >= detail_len {
-                            break;
-                        }
-                        let end = (start + morsel).min(detail_len);
-                        for (job, state) in jobs.iter().zip(states.iter_mut()) {
-                            let Ok(scan) = state else { continue };
-                            if job.completion.is_some() {
-                                continue;
-                            }
-                            if let Err(e) = scan_detail_window(
-                                cols,
-                                start..end,
-                                job.vectorized,
-                                None,
-                                job.plans,
-                                job.base_rows,
-                                job.total_aggs,
-                                &mut scan.accs,
-                                &mut scan.eval,
-                                &mut scan.kernel,
-                                sink,
-                            ) {
-                                *state = Err(e);
-                            }
-                        }
-                        rows_pulled += (end - start) as u64;
-                        morsels_pulled += 1;
-                        if let Some(p) = progress {
-                            p.add_morsels_done(1);
-                            p.add_rows((end - start) as u64);
-                        }
-                    }
-                    let mut scanned = EvalStats::default();
-                    for scan in states.iter().flatten() {
-                        scanned.merge(&scan.eval);
-                    }
-                    wspan.field("chunk_rows", rows_pulled);
-                    wspan.field("morsels", morsels_pulled);
-                    wspan.fields(scanned.trace_fields());
-                    if jobs.len() > 1 {
-                        wspan.field("queries", jobs.len() as u64);
-                    }
-                    (states, wspan.finish().as_nanos() as u64)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
+    let worker = |w: usize| -> Worker {
+        let mut wspan = Span::begin(sink, "gmdj.worker").with_detail(format!("worker{w}"));
+        let mut states: Vec<Result<JobScan>> =
+            jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
+        let mut rows_pulled = 0u64;
+        let mut morsels_pulled = 0u64;
+        for &j in items.iter().skip(w).step_by(workers) {
+            let job = &jobs[j];
+            let Ok(scan) = &mut states[j] else { continue };
+            match scan_detail_window(
+                cols,
+                0..detail_len,
+                job.vectorized,
+                job.completion,
+                &job.plans,
+                job.base_rows,
+                job.total_aggs,
+                &mut scan.accs,
+                &mut scan.eval,
+                &mut scan.kernel,
+                sink,
+            ) {
+                Ok(status) => scan.status = status,
+                Err(e) => states[j] = Err(e),
+            }
+            rows_pulled += detail_len as u64;
+            morsels_pulled += 1;
+            if let Some(p) = progress.filter(|_| !plain) {
+                p.add_morsels_done(detail_len.div_ceil(morsel) as u64);
+                p.add_rows(detail_len as u64);
+            }
+        }
+        let scanning = |states: &[Result<JobScan>]| {
+            jobs.iter()
+                .zip(states)
+                .any(|(job, s)| job.completion.is_none() && s.is_ok())
+        };
+        while scanning(&states) {
+            let start = cursor.fetch_add(morsel, Ordering::Relaxed);
+            if start >= detail_len {
+                break;
+            }
+            let end = (start + morsel).min(detail_len);
+            for (job, state) in jobs.iter().zip(states.iter_mut()) {
+                let Ok(scan) = state else { continue };
+                if job.completion.is_some() {
+                    continue;
+                }
+                if let Err(e) = scan_detail_window(
+                    cols,
+                    start..end,
+                    job.vectorized,
+                    None,
+                    &job.plans,
+                    job.base_rows,
+                    job.total_aggs,
+                    &mut scan.accs,
+                    &mut scan.eval,
+                    &mut scan.kernel,
+                    sink,
+                ) {
+                    *state = Err(e);
+                }
+            }
+            rows_pulled += (end - start) as u64;
+            morsels_pulled += 1;
+            if let Some(p) = progress {
+                p.add_morsels_done(1);
+                p.add_rows((end - start) as u64);
+            }
+        }
+        let mut scanned = EvalStats::default();
+        for scan in states.iter().flatten() {
+            scanned.merge(&scan.eval);
+        }
+        wspan.field("chunk_rows", rows_pulled);
+        wspan.field("morsels", morsels_pulled);
+        wspan.fields(scanned.trace_fields());
+        if jobs.len() > 1 {
+            wspan.field("queries", jobs.len() as u64);
+        }
+        (states, wspan.finish().as_nanos() as u64)
+    };
+    // A thread spawn costs more than a small query's whole scan, so a
+    // one-worker pass stays on the calling thread; `catch_unwind` keeps a
+    // panic there an `Err` just like a scoped worker's.
+    let results: Vec<std::thread::Result<Worker>> = if workers == 1 {
+        vec![std::panic::catch_unwind(AssertUnwindSafe(|| worker(0)))]
+    } else {
+        let worker = &worker;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || worker(w)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
 
-    let mut merged: Vec<Result<JobScan>> = jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
+    let mut merged: Option<Vec<Result<JobScan>>> = None;
     let mut worker_max_ns = 0u64;
     let mut worker_sum_ns = 0u64;
     for result in results {
@@ -751,17 +800,24 @@ pub(crate) fn morsel_pass(
             Ok((states, wall_ns)) => {
                 worker_max_ns = worker_max_ns.max(wall_ns);
                 worker_sum_ns += wall_ns;
-                for (m, state) in merged.iter_mut().zip(states) {
-                    if let Ok(scan) = m {
-                        match state {
-                            Ok(state) => scan.merge(state),
-                            Err(e) => *m = Err(e),
+                match &mut merged {
+                    None => merged = Some(states),
+                    Some(merged) => {
+                        for (m, state) in merged.iter_mut().zip(states) {
+                            if let Ok(scan) = m {
+                                match state {
+                                    Ok(state) => scan.merge(state),
+                                    Err(e) => *m = Err(e),
+                                }
+                            }
                         }
                     }
                 }
             }
             Err(payload) => {
                 let e = worker_panic_error(payload.as_ref());
+                let merged =
+                    merged.get_or_insert_with(|| jobs.iter().map(|_| Err(e.clone())).collect());
                 for m in merged.iter_mut().filter(|m| m.is_ok()) {
                     *m = Err(e.clone());
                 }
@@ -769,7 +825,7 @@ pub(crate) fn morsel_pass(
         }
     }
     MorselPass {
-        jobs: merged,
+        jobs: merged.expect("a pass runs at least one worker"),
         worker_max_ns,
         worker_sum_ns,
     }
@@ -793,7 +849,7 @@ mod tests {
     use super::*;
     use crate::runtime::{ExecPolicy, PlanNodeStats, Runtime};
     use crate::spec::AggBlock;
-    use gmdj_relation::expr::col;
+    use gmdj_relation::expr::{col, lit};
     use gmdj_relation::relation::RelationBuilder;
     use gmdj_relation::schema::DataType;
     use gmdj_relation::value::Value;
@@ -875,7 +931,15 @@ mod tests {
         let standalone = Runtime::new(ExecPolicy::parallel(2));
         let mut reference_node = PlanNodeStats::new("GMDJ");
         let expected = standalone
-            .eval_gmdj(&base, &detail, &spec, &mut reference_node)
+            .eval(
+                &base,
+                &detail,
+                &spec,
+                None,
+                Keep::All,
+                None,
+                &mut reference_node,
+            )
             .unwrap();
 
         let m = metrics::global();
@@ -894,8 +958,8 @@ mod tests {
                             &spec.clone(),
                             None,
                             Keep::All,
-                            &GmdjOptions::default(),
                             None,
+                            &ExecPolicy::parallel(2),
                             &crate::trace::NullSink,
                         )
                     })
@@ -930,7 +994,9 @@ mod tests {
             .iter()
             .map(|s| {
                 let mut node = PlanNodeStats::new("GMDJ");
-                standalone.eval_gmdj(&base, &detail, s, &mut node).unwrap()
+                standalone
+                    .eval(&base, &detail, s, None, Keep::All, None, &mut node)
+                    .unwrap()
             })
             .collect();
 
@@ -949,8 +1015,8 @@ mod tests {
                                 spec,
                                 None,
                                 Keep::All,
-                                &GmdjOptions::default(),
                                 None,
+                                &ExecPolicy::parallel(2),
                                 &crate::trace::NullSink,
                             )
                             .unwrap();
@@ -1001,7 +1067,7 @@ mod tests {
             .map(|(detail, spec)| {
                 let mut node = PlanNodeStats::new("GMDJ");
                 let out = standalone
-                    .eval_gmdj(&base, detail, spec, &mut node)
+                    .eval(&base, detail, spec, None, Keep::All, None, &mut node)
                     .unwrap();
                 (out, node.eval)
             })
@@ -1021,8 +1087,8 @@ mod tests {
                             spec,
                             None,
                             Keep::All,
-                            &GmdjOptions::default(),
                             None,
+                            &ExecPolicy::parallel(2),
                             sink,
                         )
                         .unwrap()
@@ -1064,7 +1130,7 @@ mod tests {
 
         let mut reference = PlanNodeStats::new("GMDJ");
         let expected = Runtime::new(ExecPolicy::parallel(2))
-            .eval_gmdj(&base, &detail, &good, &mut reference)
+            .eval(&base, &detail, &good, None, Keep::All, None, &mut reference)
             .unwrap();
 
         let p = pool(2);
@@ -1076,8 +1142,8 @@ mod tests {
                 spec,
                 None,
                 Keep::All,
-                &GmdjOptions::default(),
                 None,
+                &ExecPolicy::parallel(2),
                 &sink,
             )
         };
@@ -1106,7 +1172,6 @@ mod tests {
     #[test]
     fn distinct_all_queries_run_completion_side_by_side() {
         use crate::completion::derive_completion;
-        use crate::eval::eval_gmdj_filtered;
         let _passes = serialize_passes();
         let mut parts = RelationBuilder::new("P")
             .column("k", DataType::Int)
@@ -1135,20 +1200,20 @@ mod tests {
         let expected: Vec<(Relation, EvalStats)> = queries
             .iter()
             .map(|(spec, plan)| {
-                let mut stats = EvalStats::default();
-                let out = eval_gmdj_filtered(
-                    &base,
-                    &detail,
-                    spec,
-                    Some(&selection),
-                    Keep::BaseOnly,
-                    Some(plan),
-                    &GmdjOptions::default(),
-                    &mut stats,
-                )
-                .unwrap();
-                assert!(stats.dead_early > 0);
-                (out, stats)
+                let mut node = PlanNodeStats::new("GMDJ");
+                let out = Runtime::sequential()
+                    .eval(
+                        &base,
+                        &detail,
+                        spec,
+                        Some(&selection),
+                        Keep::BaseOnly,
+                        Some(plan),
+                        &mut node,
+                    )
+                    .unwrap();
+                assert!(node.eval.dead_early > 0);
+                (out, node.eval)
             })
             .collect();
 
@@ -1167,8 +1232,8 @@ mod tests {
                             spec,
                             Some(selection),
                             Keep::BaseOnly,
-                            &GmdjOptions::default(),
                             Some(plan),
+                            &ExecPolicy::parallel(2),
                             sink,
                         )
                         .unwrap()
@@ -1192,6 +1257,89 @@ mod tests {
         }
     }
 
+    /// Completion admission in a shared pass reads each query's own
+    /// policy. A band-probed EXISTS submitted under `sequential()` keeps
+    /// its plan — no fallback, tuples finished early — and one under
+    /// `parallel(2)` declines it, exactly as their standalone runs do,
+    /// although both ride one pass of a two-thread pool.
+    #[test]
+    fn pooled_completion_admission_follows_each_policy() {
+        use crate::completion::derive_completion;
+        let _passes = serialize_passes();
+        let spec = in_hour_count();
+        let selection = col("cnt").gt(lit(0));
+        let plan = derive_completion(&selection, &spec, true).unwrap();
+        let (base, detail) = (hours(), flows());
+        let run = |rt: Runtime| {
+            let mut node = PlanNodeStats::new("GMDJ");
+            let out = rt
+                .eval(
+                    &base,
+                    &detail,
+                    &spec,
+                    Some(&selection),
+                    Keep::BaseOnly,
+                    Some(&plan),
+                    &mut node,
+                )
+                .unwrap();
+            (out, node.eval)
+        };
+        let policies = [ExecPolicy::sequential(), ExecPolicy::parallel(2)];
+        let standalone: Vec<_> = policies.iter().map(|&p| run(Runtime::new(p))).collect();
+        assert_eq!(standalone[0].1.completion_fallbacks, 0);
+        assert!(standalone[0].1.done_early > 0);
+        assert_eq!(standalone[1].1.completion_fallbacks, 1);
+
+        let p = pool(2);
+        let sink = Arc::new(crate::trace::CollectingSink::new());
+        let run = &run;
+        let pooled: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = policies
+                .iter()
+                .map(|&policy| {
+                    let rt = Runtime::with_sink(policy, sink.clone()).with_shared_pool(p.clone());
+                    scope.spawn(move || run(rt))
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 1);
+        for ((out, eval), (expected, standalone)) in pooled.iter().zip(&standalone) {
+            assert!(out.multiset_eq(expected));
+            assert_eq!(eval, standalone);
+        }
+    }
+
+    /// A worker panic is an `Err` for the jobs it was running, whether
+    /// the one worker ran on the calling thread or workers were spawned.
+    #[test]
+    fn worker_panic_is_an_error_for_any_worker_count() {
+        let (base, detail, spec) = (hours(), flows(), in_hour_count());
+        let policy = ExecPolicy::sequential();
+        let query = BoundGmdj::bind(&base, &detail, &spec, None, Keep::All, None, &policy).unwrap();
+        let mut job = query
+            .prepare(base.rows(), &mut EvalStats::default())
+            .unwrap();
+        // Probe plans over three base tuples but an accumulator matrix
+        // for none: the first match indexes past the matrix.
+        job.base_rows = &[];
+        for threads in [1, 2] {
+            let jobs = std::slice::from_ref(&job);
+            let pass = morsel_pass(
+                detail.cols(),
+                jobs,
+                threads,
+                2,
+                &crate::trace::NullSink,
+                None,
+            );
+            let err = pass.jobs.into_iter().next().unwrap().err();
+            let err = err.expect("a panicking worker fails its job");
+            assert!(err.to_string().contains("worker panicked"), "{err}");
+        }
+    }
+
     /// A solo submission past the window still completes (pass of one).
     #[test]
     fn solo_submission_runs_a_pass_of_one() {
@@ -1212,8 +1360,8 @@ mod tests {
                 &spec,
                 None,
                 Keep::All,
-                &GmdjOptions::default(),
                 None,
+                &ExecPolicy::parallel(2),
                 &crate::trace::NullSink,
             )
             .unwrap();

@@ -18,9 +18,9 @@
 //!
 //! | name | emitted per | fields |
 //! |---|---|---|
-//! | `gmdj.eval` | GMDJ evaluation (any mode) | full [`EvalStats`](crate::eval::EvalStats) + network deltas |
-//! | `gmdj.partition` | base partition scan | per-partition stats delta |
-//! | `gmdj.worker` | morsel-pass worker (parallel scan or shared pass) | scan-counter delta summed over the pass's queries, `chunk_rows`, `morsels`, `queries` when more than one |
+//! | `gmdj.eval` | GMDJ evaluation (any mode) | full [`EvalStats`](crate::eval::EvalStats) + network deltas, `shared_queries` when a shared pass served it |
+//! | `gmdj.partition` | base partition scan (not in a shared pass) | per-partition stats delta |
+//! | `gmdj.worker` | morsel-pass worker: the one worker of a sequential scan, each of a parallel scan's, each of a shared pass's | scan-counter delta summed over the pass's queries, `chunk_rows`, `morsels`, `queries` when more than one |
 //! | `site.roundtrip` | distributed site round-trip | per-site scan + network delta (incl. wire bytes under real sites; detail names the site, `siteN@addr` over sockets) |
 //! | `site.eval` | site-local evaluation (one per round-trip) | site-side [`EvalStats`](crate::eval::EvalStats) delta, `site`, `attempt`, `fragment_rows` |
 //! | `plan.node` | plan-operator execution | `rows_out`, `scanned_rows` |

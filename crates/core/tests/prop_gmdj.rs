@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 
 use gmdj_core::completion::derive_completion;
+use gmdj_core::completion::CompletionPlan;
 use gmdj_core::distributed::NetworkStats;
-use gmdj_core::eval::{eval_gmdj, eval_gmdj_filtered, EvalStats, GmdjOptions, Keep, ProbeStrategy};
+use gmdj_core::eval::{EvalStats, Keep, ProbeStrategy};
 use gmdj_core::exec::{execute, ExecContext, MemoryCatalog};
 use gmdj_core::optimize::{optimize_with, OptFlags};
 use gmdj_core::plan::GmdjExpr;
@@ -19,6 +20,29 @@ use gmdj_relation::relation::Relation;
 use gmdj_relation::schema::{ColumnRef, DataType, Schema};
 use gmdj_relation::value::Value;
 use std::sync::Arc;
+
+/// The filtered GMDJ through `Runtime::eval` under `policy`, with the
+/// counters it recorded.
+fn filtered(
+    policy: ExecPolicy,
+    b: &Relation,
+    r: &Relation,
+    s: &GmdjSpec,
+    sel: Option<&Predicate>,
+    keep: Keep,
+    plan: Option<&CompletionPlan>,
+) -> (Relation, EvalStats) {
+    let mut node = PlanNodeStats::new("GMDJ");
+    let out = Runtime::new(policy)
+        .eval(b, r, s, sel, keep, plan, &mut node)
+        .unwrap();
+    (out, node.eval)
+}
+
+/// The plain GMDJ `MD(b, r, s)` through `Runtime::eval` under `policy`.
+fn plain(policy: ExecPolicy, b: &Relation, r: &Relation, s: &GmdjSpec) -> (Relation, EvalStats) {
+    filtered(policy, b, r, s, None, Keep::All, None)
+}
 
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -109,17 +133,9 @@ proptest! {
         r in relation("R", 14),
         s in spec(),
     ) {
-        let mut st1 = EvalStats::default();
-        let mut st2 = EvalStats::default();
-        let auto = eval_gmdj(&b, &r, &s, &GmdjOptions::default(), &mut st1).unwrap();
-        let scan = eval_gmdj(
-            &b,
-            &r,
-            &s,
-            &GmdjOptions { probe: ProbeStrategy::ForceScan, ..GmdjOptions::default() },
-            &mut st2,
-        )
-        .unwrap();
+        let (auto, _) = plain(ExecPolicy::sequential(), &b, &r, &s);
+        let scan_policy = ExecPolicy::sequential().with_probe(ProbeStrategy::ForceScan);
+        let (scan, _) = plain(scan_policy, &b, &r, &s);
         prop_assert!(auto.multiset_eq(&scan));
     }
 
@@ -132,17 +148,9 @@ proptest! {
         s in spec(),
         partition in 1usize..6,
     ) {
-        let mut st1 = EvalStats::default();
-        let mut st2 = EvalStats::default();
-        let single = eval_gmdj(&b, &r, &s, &GmdjOptions::default(), &mut st1).unwrap();
-        let parts = eval_gmdj(
-            &b,
-            &r,
-            &s,
-            &GmdjOptions { partition_rows: Some(partition), ..GmdjOptions::default() },
-            &mut st2,
-        )
-        .unwrap();
+        let (single, _) = plain(ExecPolicy::sequential(), &b, &r, &s);
+        let part_policy = ExecPolicy::sequential().with_partition_rows(Some(partition));
+        let (parts, st2) = plain(part_policy, &b, &r, &s);
         prop_assert!(single.multiset_eq(&parts));
         // The partitioned run scans the detail once per partition.
         let expected_partitions = if b.is_empty() { 1 } else { b.len().div_ceil(partition) };
@@ -159,11 +167,10 @@ proptest! {
         s in spec(),
         threads in 1usize..5,
     ) {
-        let mut st1 = EvalStats::default();
         let mut node = PlanNodeStats::new("GMDJ");
-        let sequential = eval_gmdj(&b, &r, &s, &GmdjOptions::default(), &mut st1).unwrap();
+        let (sequential, _) = plain(ExecPolicy::sequential(), &b, &r, &s);
         let parallel = Runtime::new(ExecPolicy::parallel(threads))
-            .eval_gmdj(&b, &r, &s, &mut node)
+            .eval(&b, &r, &s, None, Keep::All, None, &mut node)
             .unwrap();
         prop_assert!(sequential.multiset_eq(&parallel));
         prop_assert_eq!(node.eval.detail_scanned, r.len() as u64);
@@ -203,12 +210,9 @@ proptest! {
         };
         let keep = if keep_base { Keep::BaseOnly } else { Keep::All };
         let plan = if keep_base { derive_completion(&sel, &s, true) } else { None };
-        let opts = GmdjOptions { partition_rows: partition, ..GmdjOptions::default() };
-        let mut st1 = EvalStats::default();
-        let sequential = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), keep, plan.as_ref(), &opts, &mut st1,
-        )
-        .unwrap();
+        let seq_policy = ExecPolicy::sequential().with_partition_rows(partition);
+        let (sequential, st1) =
+            filtered(seq_policy, &b, &r, &s, Some(&sel), keep, plan.as_ref());
         for threads in [1usize, 2, 3, 8] {
             let policy = ExecPolicy::parallel(threads).with_partition_rows(partition);
             let sink = Arc::new(CollectingSink::new());
@@ -272,11 +276,10 @@ proptest! {
         s in spec(),
         sites in 1usize..5,
     ) {
-        let mut st1 = EvalStats::default();
         let mut node = PlanNodeStats::new("GMDJ");
-        let sequential = eval_gmdj(&b, &r, &s, &GmdjOptions::default(), &mut st1).unwrap();
+        let (sequential, _) = plain(ExecPolicy::sequential(), &b, &r, &s);
         let distributed = Runtime::new(ExecPolicy::distributed(sites))
-            .eval_gmdj(&b, &r, &s, &mut node)
+            .eval(&b, &r, &s, None, Keep::All, None, &mut node)
             .unwrap();
         prop_assert!(sequential.multiset_eq(&distributed));
         // Two message waves; traffic independent of the detail size.
@@ -310,10 +313,10 @@ proptest! {
             let mut on_node = PlanNodeStats::new("GMDJ");
             let mut off_node = PlanNodeStats::new("GMDJ");
             let on = Runtime::new(policy.with_vectorized(true))
-                .eval_gmdj(&b, &r, &s, &mut on_node)
+                .eval(&b, &r, &s, None, Keep::All, None, &mut on_node)
                 .unwrap();
             let off = Runtime::new(policy.with_vectorized(false))
-                .eval_gmdj(&b, &r, &s, &mut off_node)
+                .eval(&b, &r, &s, None, Keep::All, None, &mut off_node)
                 .unwrap();
             prop_assert!(on.multiset_eq(&off), "policy={policy:?}");
             prop_assert_eq!(on_node.eval, off_node.eval, "policy={:?}", policy);
@@ -342,12 +345,12 @@ proptest! {
         let base_policy = ExecPolicy::parallel(3).with_partition_rows(partition);
         let mut ref_node = PlanNodeStats::new("GMDJ");
         let reference = Runtime::new(base_policy)
-            .eval_gmdj(&b, &r, &s, &mut ref_node)
+            .eval(&b, &r, &s, None, Keep::All, None, &mut ref_node)
             .unwrap();
         for morsel in [1usize, 7, 64, usize::MAX] {
             let mut node = PlanNodeStats::new("GMDJ");
             let got = Runtime::new(base_policy.with_morsel_size(Some(morsel)))
-                .eval_gmdj(&b, &r, &s, &mut node)
+                .eval(&b, &r, &s, None, Keep::All, None, &mut node)
                 .unwrap();
             prop_assert!(reference.multiset_eq(&got), "morsel={morsel}");
             prop_assert_eq!(node.eval, ref_node.eval, "morsel={}", morsel);
@@ -386,14 +389,13 @@ proptest! {
                 ))
                 .collect(),
         );
-        let mut st = EvalStats::default();
-        let opts = GmdjOptions::default();
+        let seq = ExecPolicy::sequential();
         // Chained.
-        let step1 = eval_gmdj(&b, &r, &s1, &opts, &mut st).unwrap();
-        let chained = eval_gmdj(&step1, &r, &s2, &opts, &mut st).unwrap();
+        let (step1, _) = plain(seq, &b, &r, &s1);
+        let (chained, _) = plain(seq, &step1, &r, &s2);
         // Coalesced.
         let merged = s1.extended_with(&s2);
-        let coalesced = eval_gmdj(&b, &r, &merged, &opts, &mut st).unwrap();
+        let (coalesced, _) = plain(seq, &b, &r, &merged);
         prop_assert!(chained.multiset_eq(&coalesced));
     }
 
@@ -420,36 +422,17 @@ proptest! {
             _ => col("c2").eq(col("c1")),
         };
         let plan = derive_completion(&sel, &s, true);
-        let opts = GmdjOptions::default();
-        let mut st1 = EvalStats::default();
-        let mut st2 = EvalStats::default();
-        let with = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), Keep::BaseOnly, plan.as_ref(), &opts, &mut st1,
-        )
-        .unwrap();
-        let without = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), Keep::BaseOnly, None, &opts, &mut st2,
-        )
-        .unwrap();
+        let seq = ExecPolicy::sequential();
+        let run = |policy, plan| filtered(policy, &b, &r, &s, Some(&sel), Keep::BaseOnly, plan).0;
+        let with = run(seq, plan.as_ref());
+        let without = run(seq, None);
         prop_assert!(with.multiset_eq(&without));
         // And under ForceScan, where completion actually prunes the scan.
-        let scan_opts =
-            GmdjOptions { probe: ProbeStrategy::ForceScan, ..GmdjOptions::default() };
-        let mut st3 = EvalStats::default();
-        let scanned = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), Keep::BaseOnly, plan.as_ref(), &scan_opts, &mut st3,
-        )
-        .unwrap();
+        let scanned = run(seq.with_probe(ProbeStrategy::ForceScan), plan.as_ref());
         prop_assert!(scanned.multiset_eq(&without));
         // And combined with memory partitioning (completion state is
         // per-partition).
-        let part_opts =
-            GmdjOptions { partition_rows: Some(3), ..GmdjOptions::default() };
-        let mut st4 = EvalStats::default();
-        let partitioned = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), Keep::BaseOnly, plan.as_ref(), &part_opts, &mut st4,
-        )
-        .unwrap();
+        let partitioned = run(seq.with_partition_rows(Some(3)), plan.as_ref());
         prop_assert!(partitioned.multiset_eq(&without));
     }
 
@@ -511,14 +494,9 @@ proptest! {
     ) {
         let s = GmdjSpec::new(vec![AggBlock::count(t, "c1")]);
         let sel = col("c1").gt(lit(0));
-        let opts = GmdjOptions::default();
-        let mut st = EvalStats::default();
-        let all = eval_gmdj_filtered(&b, &r, &s, Some(&sel), Keep::All, None, &opts, &mut st)
-            .unwrap();
-        let base_only = eval_gmdj_filtered(
-            &b, &r, &s, Some(&sel), Keep::BaseOnly, None, &opts, &mut st,
-        )
-        .unwrap();
+        let seq = ExecPolicy::sequential();
+        let (all, _) = filtered(seq, &b, &r, &s, Some(&sel), Keep::All, None);
+        let (base_only, _) = filtered(seq, &b, &r, &s, Some(&sel), Keep::BaseOnly, None);
         let projected = gmdj_relation::ops::drop_columns(&all, &["c1"]).unwrap();
         prop_assert!(projected.multiset_eq(&base_only));
     }

@@ -12,7 +12,7 @@
 //! compute all the aggregates required".
 
 use gmdj_algebra::ast::QueryExpr;
-use gmdj_core::eval::EvalStats;
+use gmdj_core::eval::{EvalStats, Keep};
 use gmdj_core::exec::{execute, ExecContext, TableProvider};
 use gmdj_core::optimize::optimize;
 use gmdj_core::plan::GmdjExpr;
@@ -129,10 +129,13 @@ impl OlapQuery {
                             strategy::run_with_policy(&agg.detail, catalog, strat, policy)?
                                 .relation;
                         let mut node = gmdj_core::PlanNodeStats::new("GMDJ");
-                        let out = Runtime::new(policy).eval_gmdj(
+                        let out = Runtime::new(policy).eval(
                             &base_rel,
                             &detail_rel,
                             &agg.spec,
+                            None,
+                            Keep::All,
+                            None,
                             &mut node,
                         )?;
                         gmdj_stats.merge(&node.eval);

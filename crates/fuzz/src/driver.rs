@@ -18,8 +18,8 @@
 //! twin over real socket-backed loopback sites (`gmdj_core::wire`): the
 //! transport must not change the multiset, the gated counters, or the
 //! closed-form network value counts. A fourth twin submits the same
-//! query from two concurrent clients through a coalescing
-//! [`SharedScanPool`]: cross-query scan sharing (and its identical-query
+//! query, under the sequential and the `parallel(2)` policy, from two
+//! concurrent clients through a coalescing [`SharedScanPool`]: cross-query scan sharing (and its identical-query
 //! dedup) must be invisible — each client's multiset, gated counters,
 //! and error text must match the standalone run exactly.
 //!
@@ -367,10 +367,13 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                 // merge them into one shared pass and deduplicate the
                 // identical pair). Each client's multiset, gated counters,
                 // and error text must match the standalone run — sharing
-                // is an execution detail, never an observable one. One
-                // policy suffices: the pool engages for any
-                // non-distributed, unpartitioned policy the same way.
-                if policy == ExecPolicy::parallel(2) {
+                // is an execution detail, never an observable one. The
+                // pool engages for any non-distributed, unpartitioned
+                // policy, but each request keeps its policy's worker
+                // count, which decides completion admission: a
+                // one-worker request admits every plan, a multi-worker
+                // one only the pair-pruning plans. Both kinds run.
+                if policy == ExecPolicy::sequential() || policy == ExecPolicy::parallel(2) {
                     let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
                         window: Duration::from_millis(500),
                         target_batch: 2,

@@ -12,7 +12,7 @@
 //! cargo run --release --example distributed_warehouse
 //! ```
 
-use gmdj_core::eval::{eval_gmdj, EvalStats, GmdjOptions};
+use gmdj_core::eval::Keep;
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats, Runtime};
 use gmdj_core::spec::{AggBlock, GmdjSpec};
 use gmdj_datagen::netflow::{NetflowConfig, NetflowData};
@@ -55,14 +55,15 @@ fn main() {
         let hours = data.hours.renamed("H");
         let detail = data.flow.renamed("F");
 
+        // The same entry point evaluates centrally and at the sites; only
+        // the policy differs.
+        let eval = |policy: ExecPolicy, node: &mut PlanNodeStats| {
+            Runtime::new(policy).eval(&hours, &detail, &spec, None, Keep::All, None, node)
+        };
         let mut node = PlanNodeStats::new("GMDJ");
-        let dist = Runtime::new(ExecPolicy::distributed(sites))
-            .eval_gmdj(&hours, &detail, &spec, &mut node)
-            .expect("distributed evaluation");
+        let dist = eval(ExecPolicy::distributed(sites), &mut node).expect("distributed evaluation");
         let net = node.network;
-
-        let mut st = EvalStats::default();
-        let central = eval_gmdj(&hours, &detail, &spec, &GmdjOptions::default(), &mut st)
+        let central = eval(ExecPolicy::sequential(), &mut PlanNodeStats::new("GMDJ"))
             .expect("central evaluation");
         let agree = dist.multiset_eq(&central);
         println!(

@@ -9,7 +9,8 @@
 //! cargo run --example quickstart
 //! ```
 
-use gmdj_core::eval::{eval_gmdj, EvalStats, GmdjOptions};
+use gmdj_core::eval::Keep;
+use gmdj_core::runtime::{PlanNodeStats, Runtime};
 use gmdj_core::spec::{AggBlock, GmdjSpec};
 use gmdj_datagen::netflow::{NetflowConfig, NetflowData};
 use gmdj_relation::agg::NamedAgg;
@@ -67,15 +68,21 @@ fn main() {
     println!("Input table Hours:\n{hours}");
     println!("Input table Flow:\n{flows}");
 
-    let mut stats = EvalStats::default();
-    let gmdj = eval_gmdj(
-        &hours,
-        &flows,
-        &example_2_1_spec(),
-        &GmdjOptions::default(),
-        &mut stats,
-    )
-    .expect("GMDJ evaluation");
+    // One entry point for every GMDJ: `Runtime::eval` under a policy
+    // (here the default, sequential one).
+    let runtime = Runtime::sequential();
+    let mut node = PlanNodeStats::new("GMDJ");
+    let gmdj = runtime
+        .eval(
+            &hours,
+            &flows,
+            &example_2_1_spec(),
+            None,
+            Keep::All,
+            None,
+            &mut node,
+        )
+        .expect("GMDJ evaluation");
     println!("GMDJ output (Figure 1, sums left unreduced):\n{gmdj}");
 
     let fractions = ops::project(
@@ -89,7 +96,7 @@ fn main() {
     println!("π[HourDescription, sum1/sum2]:\n{fractions}");
     println!(
         "Detail tuples scanned: {} (one pass over Flow, {} partitions)\n",
-        stats.detail_scanned, stats.partitions
+        node.eval.detail_scanned, node.eval.partitions
     );
 
     // ---- The same query on a generated warehouse ----------------------
@@ -99,15 +106,18 @@ fn main() {
         data.flow.len(),
         data.hours.len()
     );
-    let mut stats = EvalStats::default();
-    let out = eval_gmdj(
-        &data.hours.renamed("H"),
-        &data.flow.renamed("F"),
-        &example_2_1_spec(),
-        &GmdjOptions::default(),
-        &mut stats,
-    )
-    .expect("GMDJ evaluation");
+    let mut node = PlanNodeStats::new("GMDJ");
+    let out = runtime
+        .eval(
+            &data.hours.renamed("H"),
+            &data.flow.renamed("F"),
+            &example_2_1_spec(),
+            None,
+            Keep::All,
+            None,
+            &mut node,
+        )
+        .expect("GMDJ evaluation");
     let fractions = ops::project(
         &out,
         &[
@@ -123,6 +133,6 @@ fn main() {
     }
     println!(
         "\nSingle scan of the detail table: {} tuples, {} probe candidates.",
-        stats.detail_scanned, stats.probe_candidates
+        node.eval.detail_scanned, node.eval.probe_candidates
     );
 }

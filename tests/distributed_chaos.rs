@@ -25,6 +25,7 @@ use std::thread;
 use std::time::Duration;
 
 use gmdj_algebra::ast::{NestedPredicate, QueryExpr, SubqueryPred};
+use gmdj_core::eval::Keep;
 use gmdj_core::exec::MemoryCatalog;
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats, Runtime};
 use gmdj_core::spec::{AggBlock, GmdjSpec};
@@ -390,7 +391,7 @@ fn failed_attempts_never_reach_the_stitched_trace() {
                 let sink = Arc::new(CollectingSink::new());
                 let mut node = PlanNodeStats::new("GMDJ");
                 Runtime::with_sink(policy, sink.clone())
-                    .eval_gmdj(&base, &detail, &spec, &mut node)
+                    .eval(&base, &detail, &spec, None, Keep::All, None, &mut node)
                     .unwrap_or_else(|e| panic!("{fault:?}/retry did not recover: {e}"));
 
                 let evals = sink.by_name("site.eval");
@@ -432,7 +433,7 @@ fn failed_attempts_never_reach_the_stitched_trace() {
                 let sink = Arc::new(CollectingSink::new());
                 let mut node = PlanNodeStats::new("GMDJ");
                 let err = Runtime::with_sink(policy, sink.clone())
-                    .eval_gmdj(&base, &detail, &spec, &mut node)
+                    .eval(&base, &detail, &spec, None, Keep::All, None, &mut node)
                     .err()
                     .unwrap_or_else(|| panic!("{fault:?}/always must exhaust into an error"));
                 let msg = err.to_string();

@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use gmdj_bench::{profile, run_figure_with, FigureId};
+use gmdj_core::eval::Keep;
 use gmdj_core::metrics;
 use gmdj_core::progress::ProgressRegistry;
 use gmdj_core::runtime::{ExecMode, ExecPolicy, PlanNodeStats, Runtime};
@@ -67,7 +68,15 @@ fn gmdj_eval_span_reconciles_exactly_with_node_counters() {
         let sink = Arc::new(CollectingSink::new());
         let mut node = PlanNodeStats::new("GMDJ");
         let out = Runtime::with_sink(policy, sink.clone())
-            .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+            .eval(
+                &base(),
+                &detail(),
+                &spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap();
         assert_eq!(out.len(), base().len(), "{policy:?}");
 
@@ -111,7 +120,15 @@ fn distributed_network_accounting_matches_closed_form() {
         let sink = Arc::new(CollectingSink::new());
         let mut node = PlanNodeStats::new("GMDJ");
         Runtime::with_sink(ExecPolicy::distributed(sites), sink.clone())
-            .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+            .eval(
+                &base(),
+                &detail(),
+                &spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap();
 
         // One broadcast wave (the base fits one partition) + one collect
@@ -175,7 +192,15 @@ fn shipped_site_spans_reconcile_exactly_with_coordinator_rollups() {
         let sink = Arc::new(CollectingSink::new());
         let mut node = PlanNodeStats::new("GMDJ");
         Runtime::with_sink(policy, sink.clone())
-            .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+            .eval(
+                &base(),
+                &detail(),
+                &spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap();
 
         // Exactly one stitched site.eval per coordinator round-trip.
@@ -359,7 +384,15 @@ fn runtime_reports_into_the_global_metrics_registry() {
 
     let mut node = PlanNodeStats::new("GMDJ");
     Runtime::sequential()
-        .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+        .eval(
+            &base(),
+            &detail(),
+            &spec(),
+            None,
+            Keep::All,
+            None,
+            &mut node,
+        )
         .unwrap();
 
     // Other tests in this binary may run concurrently, so assert growth
@@ -394,7 +427,15 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
         let mut node = PlanNodeStats::new("GMDJ");
         Runtime::with_sink(policy, sink.clone())
             .with_progress(progress.clone())
-            .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+            .eval(
+                &base(),
+                &detail(),
+                &spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap();
 
         // End state: the announced closed-form schedule was met exactly
@@ -432,7 +473,15 @@ fn flight_recorder_retains_exact_suffix_of_the_span_stream() {
         let tee: Arc<dyn TraceSink> = Arc::new(TeeSink::new(collecting.clone(), flight.clone()));
         let mut node = PlanNodeStats::new("GMDJ");
         Runtime::with_sink(policy, tee)
-            .eval_gmdj(&base(), &detail(), &spec(), &mut node)
+            .eval(
+                &base(),
+                &detail(),
+                &spec(),
+                None,
+                Keep::All,
+                None,
+                &mut node,
+            )
             .unwrap();
         let (retained, dropped) = flight.snapshot();
         (collecting.events(), retained, dropped)
@@ -486,7 +535,8 @@ fn measure_span_shipping_overhead() {
             Runtime::with_sink(policy, Arc::new(NullSink))
         };
         let start = Instant::now();
-        rt.eval_gmdj(&base, &detail, &spec(), &mut node).unwrap();
+        rt.eval(&base, &detail, &spec(), None, Keep::All, None, &mut node)
+            .unwrap();
         start.elapsed().as_nanos() as u64
     };
 

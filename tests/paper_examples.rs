@@ -93,8 +93,9 @@ fn full_lineup() -> Vec<Strategy> {
 /// Figure 1 — exact sums from Example 2.1's GMDJ.
 #[test]
 fn figure_1_golden_output() {
-    use gmdj_core::eval::{eval_gmdj, EvalStats, GmdjOptions};
+    use gmdj_core::eval::Keep;
     use gmdj_core::exec::TableProvider;
+    use gmdj_core::runtime::{PlanNodeStats, Runtime};
     let catalog = figure_1_catalog();
     let in_hour = col("F.StartTime")
         .ge(col("H.StartInterval"))
@@ -106,15 +107,18 @@ fn figure_1_golden_output() {
         ),
         AggBlock::new(in_hour, vec![NamedAgg::sum(col("F.NumBytes"), "sum2")]),
     ]);
-    let mut stats = EvalStats::default();
-    let out = eval_gmdj(
-        &catalog.table("Hours").unwrap().renamed("H"),
-        &catalog.table("Flow").unwrap().renamed("F"),
-        &spec,
-        &GmdjOptions::default(),
-        &mut stats,
-    )
-    .unwrap();
+    let mut node = PlanNodeStats::new("GMDJ");
+    let out = Runtime::sequential()
+        .eval(
+            &catalog.table("Hours").unwrap().renamed("H"),
+            &catalog.table("Flow").unwrap().renamed("F"),
+            &spec,
+            None,
+            Keep::All,
+            None,
+            &mut node,
+        )
+        .unwrap();
     let rows = out.sorted_rows();
     // Figure 1: (1, 12/12), (2, 36/84), (3, 48/96).
     let expected = [(1, 12, 12), (2, 36, 84), (3, 48, 96)];
@@ -124,8 +128,8 @@ fn figure_1_golden_output() {
         assert_eq!(row[4], Value::Int(*s2));
     }
     // "a single scan of the detail table".
-    assert_eq!(stats.detail_scanned, 6);
-    assert_eq!(stats.partitions, 1);
+    assert_eq!(node.eval.detail_scanned, 6);
+    assert_eq!(node.eval.partitions, 1);
 }
 
 /// Example 2.2 — EXISTS-filtered base table, full OLAP query, all
@@ -414,8 +418,9 @@ fn duplicates_preserved_through_subqueries() {
 /// form of Example 2.1's header (cnt1 = cnt2 filters on count equality).
 #[test]
 fn having_selection_over_gmdj_output() {
-    use gmdj_core::eval::{eval_gmdj, EvalStats, GmdjOptions};
+    use gmdj_core::eval::Keep;
     use gmdj_core::exec::TableProvider;
+    use gmdj_core::runtime::{PlanNodeStats, Runtime};
     let catalog = figure_1_catalog();
     let in_hour = col("F.StartTime")
         .ge(col("H.StartInterval"))
@@ -427,15 +432,17 @@ fn having_selection_over_gmdj_output() {
         ),
         AggBlock::count(in_hour, "cnt2"),
     ]);
-    let mut stats = EvalStats::default();
-    let out = eval_gmdj(
-        &catalog.table("Hours").unwrap().renamed("H"),
-        &catalog.table("Flow").unwrap().renamed("F"),
-        &spec,
-        &GmdjOptions::default(),
-        &mut stats,
-    )
-    .unwrap();
+    let out = Runtime::sequential()
+        .eval(
+            &catalog.table("Hours").unwrap().renamed("H"),
+            &catalog.table("Flow").unwrap().renamed("F"),
+            &spec,
+            None,
+            Keep::All,
+            None,
+            &mut PlanNodeStats::new("GMDJ"),
+        )
+        .unwrap();
     let only_http_hours = ops::select(&out, &col("cnt1").eq(col("cnt2"))).unwrap();
     // Hour 1 is all-HTTP in Figure 1's data.
     assert_eq!(only_http_hours.len(), 1);
