@@ -36,7 +36,9 @@
 //! `--profile-json PATH` additionally writes a machine-readable profile
 //! (wall-clock, work counters, and the timed per-node plan trees) in the
 //! format of `schemas/profile.schema.json`; `--check-profile PATH`
-//! parses + validates an existing profile and exits, for CI.
+//! parses an existing profile, checks it against that schema file (which
+//! is compiled in and is the whole check — see `gmdj_bench::profile`),
+//! and exits, for CI.
 //!
 //! Observability: `--stats-addr HOST:PORT` serves the live HTTP stats
 //! endpoint (`/metrics`, `/queries`, `/flight`, `/sites`, `/healthz` — see
@@ -202,30 +204,23 @@ fn parse_args() -> Result<Args, String> {
 
 /// `--check-profile`: parse + validate a profile document, exit code only.
 fn check_profile_file(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = match profile::parse_json(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match profile::validate_profile(&doc) {
+    let checked = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| {
+            profile::parse_json(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
+        })
+        .and_then(|doc| {
+            profile::validate_profile(&doc)
+                .map_err(|e| format!("{path} violates the profile schema: {e}"))
+        });
+    match checked {
         Ok(()) => {
-            println!(
-                "{path}: valid profile (version {})",
-                profile::PROFILE_VERSION
-            );
+            let version = profile::PROFILE_VERSION;
+            println!("{path}: valid profile (version {version})");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: {path} violates the profile schema: {e}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

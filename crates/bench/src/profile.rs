@@ -1,14 +1,20 @@
-//! Machine-readable profiles: the `repro --profile-json` output.
+//! Machine-readable profiles: the `repro --profile-json` output, and the
+//! std-only JSON layer every checked document goes through.
 //!
 //! A profile is one JSON document carrying, per figure / size point /
 //! strategy, the query wall-clock, work counters, and the full timed
-//! [`PlanNodeStats`] tree. The format is documented by the checked-in
-//! schema at `schemas/profile.schema.json`; [`validate_profile`]
-//! implements exactly that schema (no serde in-tree, so validation runs
-//! on the hand-rolled [`Json`] parser below — CI regenerates a profile
-//! and validates it on every push).
+//! [`PlanNodeStats`] tree. No serde in-tree: documents are read by the
+//! hand-rolled [`parse_json`] and checked by [`Schema`], a small
+//! interpreter for the draft-07 subset the three checked-in schemas use.
+//! The schema files under `schemas/` are compiled in and are the only
+//! definition of their documents: [`validate_profile`] is the profile schema alone,
+//! [`validate_queries`] adds the one cross-field invariant a schema
+//! cannot state (`morsels_done ≤ morsels_total` per active query). CI
+//! regenerates a profile and validates it on every push.
 
-use gmdj_core::progress::{self, QUERIES_VERSION};
+use std::sync::OnceLock;
+
+use gmdj_core::progress;
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::trace::json_escape;
 
@@ -141,12 +147,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The deepest
+/// document the repo emits, a Figure 5 profile, nests 17 levels; the cap
+/// only keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a JSON document (strict enough for profiles: no comments, no
-/// trailing commas; `\uXXXX` escapes decode, surrogate pairs excluded).
+/// trailing commas; `\uXXXX` escapes decode, surrogate pairs excluded;
+/// nesting deeper than [`MAX_DEPTH`] is an error).
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -160,8 +172,11 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -174,7 +189,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
+                let key = match parse_value(bytes, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
@@ -183,7 +198,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -205,7 +220,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -286,236 +301,250 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 sequence starting here.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of unescaped bytes up to the next `"` or
+                // `\` as one slice; both are ASCII, so the run ends on
+                // a character boundary of the (valid UTF-8) input.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-/// The twelve evaluator counters every plan node carries.
-const EVAL_COUNTERS: [&str; 12] = [
-    "detail_scanned",
-    "probe_candidates",
-    "theta_evals",
-    "agg_updates",
-    "base_rows",
-    "dead_early",
-    "done_early",
-    "index_builds",
-    "partitions",
-    "completion_fallbacks",
-    "col_chunk_reads",
-    "row_page_reads",
+/// The checked-in schema files, compiled in (profile, queries, bench):
+/// each is the only definition of its document.
+const SCHEMA_FILES: [&str; 3] = [
+    include_str!("../../../schemas/profile.schema.json"),
+    include_str!("../../../schemas/queries.schema.json"),
+    include_str!("../../../schemas/bench.schema.json"),
 ];
 
-/// The numeric fields of one per-site breakdown entry (plus a string
-/// `label`).
-const SITE_COUNTERS: [&str; 10] = [
-    "site",
-    "roundtrips",
-    "attempts",
-    "roundtrip_ns",
-    "site_wall_ns",
-    "merge_ns",
-    "rows_scanned",
-    "fragment_rows",
-    "bytes_sent",
-    "bytes_received",
-];
-
-/// The cumulative totals a `progress` / `totals` object carries.
-const PROGRESS_TOTALS: [&str; 5] = [
-    "queries_started",
-    "queries_finished",
-    "rows_done",
-    "morsels_done",
-    "morsels_total",
-];
-
-fn require_num(obj: &Json, key: &str, at: &str) -> Result<(), String> {
-    obj.get(key)
-        .and_then(Json::as_num)
-        .map(|_| ())
-        .ok_or_else(|| format!("{at}: missing numeric `{key}`"))
+/// [`SCHEMA_FILES`], parsed and vetted once per process.
+fn schemas() -> &'static [Schema; 3] {
+    static CELL: OnceLock<[Schema; 3]> = OnceLock::new();
+    CELL.get_or_init(|| {
+        SCHEMA_FILES.map(|text| Schema::parse(text).expect("checked-in schema compiles"))
+    })
 }
 
-fn require_str(obj: &Json, key: &str, at: &str) -> Result<(), String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(|_| ())
-        .ok_or_else(|| format!("{at}: missing string `{key}`"))
+/// `schemas/profile.schema.json`, compiled.
+pub fn profile_schema() -> &'static Schema {
+    &schemas()[0]
 }
 
-/// Validate a plan-node object against the schema (recursively).
-fn validate_plan(node: &Json, at: &str) -> Result<(), String> {
-    require_str(node, "label", at)?;
-    for key in [
-        "rows_out",
-        "scanned_rows",
-        "elapsed_ns",
-        "self_ns",
-        "invocations",
-        "worker_wall_max_ns",
-        "worker_wall_sum_ns",
-    ] {
-        require_num(node, key, at)?;
+/// `schemas/bench.schema.json`, compiled.
+pub(crate) fn bench_schema() -> &'static Schema {
+    &schemas()[2]
+}
+
+/// A JSON Schema document restricted to the draft-07 subset the
+/// checked-in schemas use: `type`, `required`, `properties`,
+/// `additionalProperties` (schema form), `items` (single schema),
+/// `const`, `enum`, `minimum`, `exclusiveMinimum` (number form),
+/// `minItems`, `oneOf`, and `$ref` into the root's `definitions`.
+/// The annotations `$schema`, `$id`, `title` and `description` are
+/// ignored; any other keyword fails [`Schema::parse`], so a schema edit
+/// can never be silently skipped.
+#[derive(Debug)]
+pub struct Schema {
+    root: Json,
+}
+
+impl Schema {
+    /// Parse a schema and vet every keyword and `$ref` in it.
+    pub fn parse(text: &str) -> Result<Schema, String> {
+        let schema = Schema {
+            root: parse_json(text)?,
+        };
+        schema.vet(&schema.root, "#")?;
+        Ok(schema)
     }
-    let eval = node
-        .get("eval")
-        .ok_or_else(|| format!("{at}: missing `eval`"))?;
-    for key in EVAL_COUNTERS {
-        require_num(eval, key, &format!("{at}.eval"))?;
+
+    /// Validate `doc` against the root schema; the first violation is
+    /// reported under the path `at` (the document's name).
+    pub fn validate(&self, doc: &Json, at: &str) -> Result<(), String> {
+        self.check(&self.root, doc, at)
     }
-    let network = node
-        .get("network")
-        .ok_or_else(|| format!("{at}: missing `network`"))?;
-    for key in [
-        "broadcast_values",
-        "bytes_received",
-        "bytes_sent",
-        "collected_states",
-        "messages",
-    ] {
-        require_num(network, key, &format!("{at}.network"))?;
+
+    /// Validate `doc` against the subschema a local `$ref` names, e.g.
+    /// `#/definitions/site`.
+    pub fn validate_ref(&self, reference: &str, doc: &Json, at: &str) -> Result<(), String> {
+        self.check(self.resolve(reference)?, doc, at)
     }
-    let ops = node
-        .get("ops")
-        .ok_or_else(|| format!("{at}: missing `ops`"))?;
-    for key in ["rows_in", "rows_out"] {
-        require_num(ops, key, &format!("{at}.ops"))?;
+
+    fn resolve(&self, reference: &str) -> Result<&Json, String> {
+        reference
+            .strip_prefix("#/definitions/")
+            .and_then(|name| self.root.get("definitions")?.get(name))
+            .ok_or_else(|| format!("unresolvable $ref `{reference}`"))
     }
-    // `sites` is optional (present exactly on distributed nodes) but
-    // must be complete when present — same stance as `kernel`.
-    if let Some(sites) = node.get("sites") {
-        let sites = sites
-            .as_arr()
-            .ok_or_else(|| format!("{at}: `sites` must be an array"))?;
-        for (i, s) in sites.iter().enumerate() {
-            let at = format!("{at}.sites[{i}]");
-            require_str(s, "label", &at)?;
-            for key in SITE_COUNTERS {
-                require_num(s, key, &at)?;
+
+    /// Reject any keyword outside the subset, a malformed keyword value,
+    /// or an unresolvable `$ref`, anywhere in `schema`.
+    fn vet(&self, schema: &Json, at: &str) -> Result<(), String> {
+        let Json::Obj(members) = schema else {
+            return Err(format!("{at}: a schema must be an object"));
+        };
+        for (key, value) in members {
+            let at = format!("{at}/{key}");
+            let subs: Vec<(String, &Json)> = match (key.as_str(), value) {
+                ("$schema" | "$id" | "title" | "description" | "const", _)
+                | ("required" | "enum", Json::Arr(_))
+                | ("minimum" | "exclusiveMinimum" | "minItems", Json::Num(_)) => vec![],
+                ("type", Json::Str(ty)) if type_matches(ty, &Json::Null).is_some() => vec![],
+                ("$ref", Json::Str(r)) if self.resolve(r).is_ok() => vec![],
+                ("items" | "additionalProperties", _) => vec![(at.clone(), value)],
+                ("properties" | "definitions", Json::Obj(m)) => {
+                    m.iter().map(|(n, s)| (format!("{at}/{n}"), s)).collect()
+                }
+                ("oneOf", Json::Arr(a)) => a
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (format!("{at}/{i}"), s))
+                    .collect(),
+                _ => {
+                    return Err(format!(
+                        "{at}: unsupported schema keyword or malformed value"
+                    ))
+                }
+            };
+            for (at, sub) in subs {
+                self.vet(sub, &at)?;
             }
         }
+        Ok(())
     }
-    let children = node
-        .get("children")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{at}: missing `children` array"))?;
-    for (i, c) in children.iter().enumerate() {
-        validate_plan(c, &format!("{at}.children[{i}]"))?;
+
+    /// Apply every keyword of `schema` to `value`, in a fixed order:
+    /// the value's own keywords, then its items, then (for an object)
+    /// `required` before any member is descended into.
+    fn check(&self, schema: &Json, value: &Json, at: &str) -> Result<(), String> {
+        if let Some(reference) = schema.get("$ref").and_then(Json::as_str) {
+            self.check(self.resolve(reference)?, value, at)?;
+        }
+        if let Some(ty) = schema.get("type").and_then(Json::as_str) {
+            if type_matches(ty, value) != Some(true) {
+                return Err(format!("{at}: expected {ty}, got {}", describe(value)));
+            }
+        }
+        if let Some(expected) = schema.get("const").filter(|c| *c != value) {
+            let (expected, got) = (describe(expected), describe(value));
+            return Err(format!("{at}: must be {expected}, got {got}"));
+        }
+        let options = schema.get("enum").and_then(Json::as_arr);
+        if options.is_some_and(|o| !o.contains(value)) {
+            return Err(format!("{at}: {} is not in the enum", describe(value)));
+        }
+        if let Json::Num(n) = *value {
+            let bound = |key| schema.get(key).and_then(Json::as_num);
+            if bound("minimum").is_some_and(|m| n < m)
+                || bound("exclusiveMinimum").is_some_and(|m| n <= m)
+            {
+                return Err(format!("{at}: {n} is below the schema's minimum"));
+            }
+        }
+        if let Json::Arr(items) = value {
+            let min = schema.get("minItems").and_then(Json::as_num);
+            if min.is_some_and(|m| (items.len() as f64) < m) {
+                return Err(format!("{at}: {} items, fewer than minItems", items.len()));
+            }
+            if let Some(item) = schema.get("items") {
+                for (i, v) in items.iter().enumerate() {
+                    self.check(item, v, &format!("{at}[{i}]"))?;
+                }
+            }
+        }
+        if let Json::Obj(members) = value {
+            for key in schema.get("required").and_then(Json::as_arr).unwrap_or(&[]) {
+                let key = key.as_str().unwrap_or("");
+                if value.get(key).is_none() {
+                    return Err(format!("{at}: missing required `{key}`"));
+                }
+            }
+            let properties = schema.get("properties");
+            for (key, v) in members {
+                let sub = properties
+                    .and_then(|p| p.get(key))
+                    .or_else(|| schema.get("additionalProperties"));
+                if let Some(sub) = sub {
+                    self.check(sub, v, &format!("{at}.{key}"))?;
+                }
+            }
+        }
+        if let Some(Json::Arr(branches)) = schema.get("oneOf") {
+            let errors: Vec<String> = branches
+                .iter()
+                .filter_map(|b| self.check(b, value, at).err())
+                .collect();
+            let matched = branches.len() - errors.len();
+            if matched != 1 {
+                let errors = errors.join("; ");
+                return Err(format!(
+                    "{at}: matches {matched} oneOf branches, not 1 ({errors})"
+                ));
+            }
+        }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Validate a parsed profile document against the checked-in schema
-/// (`schemas/profile.schema.json`). Returns the first violation.
+/// Whether `value` is an instance of the JSON Schema type `ty`
+/// (`integer` is a number without a fractional part, as in draft-07);
+/// `None` for a type name outside JSON Schema.
+fn type_matches(ty: &str, value: &Json) -> Option<bool> {
+    Some(match ty {
+        "null" => matches!(value, Json::Null),
+        "boolean" => matches!(value, Json::Bool(_)),
+        "number" => matches!(value, Json::Num(_)),
+        "integer" => matches!(value, Json::Num(n) if n.fract() == 0.0),
+        "string" => matches!(value, Json::Str(_)),
+        "array" => matches!(value, Json::Arr(_)),
+        "object" => matches!(value, Json::Obj(_)),
+        _ => return None,
+    })
+}
+
+/// A short rendering of a value for error messages.
+fn describe(value: &Json) -> String {
+    match value {
+        Json::Null => "null".into(),
+        Json::Bool(b) => b.to_string(),
+        Json::Num(n) => n.to_string(),
+        Json::Str(s) => format!("{s:?}"),
+        Json::Arr(_) => "an array".into(),
+        Json::Obj(_) => "an object".into(),
+    }
+}
+
+/// Validate a parsed profile document: `schemas/profile.schema.json`
+/// decides it alone. Returns the first violation.
 pub fn validate_profile(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("version")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `version`")?;
-    if version != PROFILE_VERSION as f64 {
-        return Err(format!("unsupported profile version {version}"));
-    }
-    require_str(doc, "policy", "profile")?;
-    require_num(doc, "scale", "profile")?;
-    require_num(doc, "seed", "profile")?;
-    let progress = doc
-        .get("progress")
-        .ok_or("missing `progress` object (added in version 3)")?;
-    for key in PROGRESS_TOTALS {
-        require_num(progress, key, "profile.progress")?;
-    }
-    let figures = doc
-        .get("figures")
-        .and_then(Json::as_arr)
-        .ok_or("missing `figures` array")?;
-    if figures.is_empty() {
-        return Err("`figures` is empty".into());
-    }
-    for (i, fig) in figures.iter().enumerate() {
-        let at = format!("figures[{i}]");
-        require_str(fig, "name", &at)?;
-        require_str(fig, "description", &at)?;
-        let points = fig
-            .get("points")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{at}: missing `points` array"))?;
-        for (j, p) in points.iter().enumerate() {
-            let at = format!("{at}.points[{j}]");
-            require_str(p, "label", &at)?;
-            require_num(p, "outer", &at)?;
-            require_num(p, "inner", &at)?;
-            let measurements = p
-                .get("measurements")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("{at}: missing `measurements` array"))?;
-            for (k, m) in measurements.iter().enumerate() {
-                let at = format!("{at}.measurements[{k}]");
-                require_str(m, "strategy", &at)?;
-                for key in ["wall_us", "plan_us", "work", "rows"] {
-                    require_num(m, key, &at)?;
-                }
-                match m.get("plan") {
-                    Some(Json::Null) => {}
-                    Some(plan @ Json::Obj(_)) => validate_plan(plan, &format!("{at}.plan"))?,
-                    _ => return Err(format!("{at}: `plan` must be an object or null")),
-                }
-            }
-        }
-    }
-    Ok(())
+    profile_schema().validate(doc, "profile")
 }
 
 /// Validate a queries/progress document (the shell's `\queries json`,
-/// the HTTP `/queries` endpoint, `schemas/queries.schema.json`).
-/// Checks the field inventory and the live progress invariant
-/// `morsels_done ≤ morsels_total` on every active entry.
+/// the HTTP `/queries` endpoint): `schemas/queries.schema.json`, plus the
+/// live progress invariant `morsels_done ≤ morsels_total` on every
+/// active entry, which a schema cannot state.
 pub fn validate_queries(doc: &Json) -> Result<(), String> {
-    let version = doc
-        .get("version")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric `version`")?;
-    if version != QUERIES_VERSION as f64 {
-        return Err(format!("unsupported queries version {version}"));
-    }
-    let active = doc
+    schemas()[1].validate(doc, "queries")?;
+    for (i, q) in doc
         .get("active")
         .and_then(Json::as_arr)
-        .ok_or("missing `active` array")?;
-    for (i, q) in active.iter().enumerate() {
-        let at = format!("active[{i}]");
-        for key in ["sql", "strategy", "policy", "state", "phase"] {
-            require_str(q, key, &at)?;
-        }
-        for key in [
-            "id",
-            "elapsed_ms",
-            "rows_done",
-            "morsels_done",
-            "morsels_total",
-            "eta_ms",
-            "predicted_cost",
-            "eta_cost_ms",
-        ] {
-            require_num(q, key, &at)?;
-        }
-        let done = q.get("morsels_done").and_then(Json::as_num).unwrap_or(0.0);
-        let total = q.get("morsels_total").and_then(Json::as_num).unwrap_or(0.0);
+        .unwrap_or(&[])
+        .iter()
+        .enumerate()
+    {
+        let num = |key| q.get(key).and_then(Json::as_num).unwrap_or(0.0);
+        let (done, total) = (num("morsels_done"), num("morsels_total"));
         if done > total {
             return Err(format!(
-                "{at}: morsels_done {done} exceeds morsels_total {total}"
+                "queries.active[{i}]: morsels_done {done} exceeds morsels_total {total}"
             ));
         }
-    }
-    let totals = doc.get("totals").ok_or("missing `totals` object")?;
-    for key in PROGRESS_TOTALS {
-        require_num(totals, key, "totals")?;
     }
     Ok(())
 }
@@ -644,6 +673,7 @@ pub fn plan_from_json(node: &Json) -> Result<PlanNodeStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmdj_core::runtime::SiteBreakdown;
 
     #[test]
     fn parser_handles_profile_shapes() {
@@ -655,6 +685,44 @@ mod tests {
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("[1,2,]").is_err());
         assert!(parse_json("{} trailing").is_err());
+        // Escapes, `\uXXXX` and multi-byte characters mixed in one string.
+        let mixed = parse_json(r#""a\n\u00e9é日本\"\\z\u0041Ω""#).unwrap();
+        assert_eq!(mixed.as_str().unwrap(), "a\néé日本\"\\zAΩ");
+        // Nesting is capped: far past the cap is an error, not a stack
+        // overflow.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        for hostile in [
+            "[".repeat(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            assert!(parse_json(&hostile).unwrap_err().contains("nesting"));
+        }
+    }
+
+    #[test]
+    fn checked_in_schemas_compile_and_unknown_keywords_fail() {
+        for text in SCHEMA_FILES {
+            Schema::parse(text).unwrap();
+        }
+        // A keyword outside the interpreted subset is an error, wherever
+        // it sits — never silently skipped.
+        for bad in [
+            r#"{"type":"string","pattern":"^a"}"#,
+            r#"{"properties":{"x":{"type":"string","maxLength":3}}}"#,
+            r#"{"oneOf":[{"type":"null"},{"format":"date"}]}"#,
+            r#"{"items":[{"type":"null"}]}"#,
+            r#"{"type":"decimal"}"#,
+            r##"{"$ref":"#/definitions/missing"}"##,
+            r#"{"minimum":"0"}"#,
+        ] {
+            let err = Schema::parse(bad).unwrap_err();
+            assert!(
+                err.contains("unsupported") || err.contains("schema"),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -667,25 +735,37 @@ mod tests {
         node.eval.partitions = 2;
         node.network.messages = 4;
         node.worker_wall_sum_ns = 55;
-        node.sites.push(gmdj_core::runtime::SiteBreakdown {
+        // Two round-trips to one site, folded: the sums add, while
+        // `label` and `fragment_rows` take the latest value.
+        let obs = |attempts, fragment_rows, label: &str| SiteBreakdown {
             site: 0,
-            label: "site0@127.0.0.1:9".to_string(),
-            roundtrips: 2,
-            attempts: 3,
-            roundtrip_ns: 500,
-            site_wall_ns: 300,
-            merge_ns: 20,
-            rows_scanned: 50,
-            fragment_rows: 25,
-            bytes_sent: 1024,
-            bytes_received: 2048,
-        });
+            label: label.to_string(),
+            roundtrips: 1,
+            attempts,
+            roundtrip_ns: 250,
+            site_wall_ns: 150,
+            merge_ns: 10,
+            rows_scanned: 25,
+            fragment_rows,
+            bytes_sent: 512,
+            bytes_received: 1024,
+        };
+        let mut site = SiteBreakdown::default();
+        site.add(&obs(1, 24, "site0"));
+        site.add(&obs(2, 25, "site0@127.0.0.1:9\"x"));
+        node.sites.push(site);
         let mut child = PlanNodeStats::new("Table(x)");
         child.scanned_rows = 10;
         node.children.push(child);
 
+        // The entry layout `GET /sites` shares, byte for byte.
+        assert!(node.to_json().contains(
+            r#","sites":[{"site":0,"label":"site0@127.0.0.1:9\"x","roundtrips":2,"attempts":3,"roundtrip_ns":500,"site_wall_ns":300,"merge_ns":20,"rows_scanned":50,"fragment_rows":25,"bytes_sent":1024,"bytes_received":2048}],"children""#
+        ));
         let json = parse_json(&node.to_json()).unwrap();
-        validate_plan(&json, "plan").unwrap();
+        profile_schema()
+            .validate_ref("#/definitions/planNode", &json, "plan")
+            .unwrap();
         let back = plan_from_json(&json).unwrap();
         assert_eq!(back.label, "GMDJ");
         assert_eq!(back.rows_out, 7);
@@ -702,15 +782,18 @@ mod tests {
 
     #[test]
     fn validation_rejects_missing_counters() {
-        let doc = parse_json(&format!(
+        let mut plan = PlanNodeStats::new("GMDJ");
+        plan.children.push(PlanNodeStats::new("Table(x)"));
+        let text = format!(
             r#"{{"version":5,"policy":"Sequential","scale":0.01,"seed":1,{PROGRESS},"figures":[
                 {{"name":"f","description":"d","points":[
                     {{"label":"l","outer":1,"inner":1,"measurements":[
-                        {{"strategy":"s","wall_us":1,"plan_us":0,"work":1,"rows":1,"plan":null}}
+                        {{"strategy":"s","wall_us":1,"plan_us":0,"work":1,"rows":1,"plan":null}},
+                        {{"strategy":"t","wall_us":1,"plan_us":0,"work":1,"rows":1,"plan":{}}}
                     ]}}]}}]}}"#,
-        ))
-        .unwrap();
-        validate_profile(&doc).unwrap();
+            plan.to_json()
+        );
+        validate_profile(&parse_json(&text).unwrap()).unwrap();
 
         // Version ≤2 profiles predate the `progress` section, version 3
         // the network byte counters.
@@ -719,9 +802,14 @@ mod tests {
                 r#"{{"version":{stale_version},"policy":"x","scale":1,"seed":1,"figures":[{{}}]}}"#
             ))
             .unwrap();
-            assert!(validate_profile(&stale)
-                .unwrap_err()
-                .contains("unsupported"));
+            assert!(validate_profile(&stale).unwrap_err().contains("progress"));
+            let stale = parse_json(&text.replacen(
+                "\"version\":5",
+                &format!("\"version\":{stale_version}"),
+                1,
+            ))
+            .unwrap();
+            assert!(validate_profile(&stale).unwrap_err().contains("version"));
         }
         let no_progress =
             parse_json(r#"{"version":5,"policy":"x","scale":1,"seed":1,"figures":[{}]}"#).unwrap();
@@ -737,7 +825,34 @@ mod tests {
             r#"{{"version":5,"policy":"x","scale":1,"seed":1,{PROGRESS},"figures":[]}}"#
         ))
         .unwrap();
-        assert!(validate_profile(&empty).unwrap_err().contains("empty"));
+        assert!(validate_profile(&empty).unwrap_err().contains("minItems"));
+
+        // Well-typed but out-of-range values the schema forbids.
+        let kernel = text.find("\"kernel\":").unwrap();
+        let kernel_end = kernel + text[kernel..].find('}').unwrap() + 1;
+        let bad_kernel = format!(
+            "{}\"kernel\":{{\"batches\":\"many\"}}{}",
+            &text[..kernel],
+            &text[kernel_end..]
+        );
+        for (corrupted, what) in [
+            (
+                text.replacen("\"rows_out\":0", "\"rows_out\":-1.5", 1),
+                "rows_out",
+            ),
+            (bad_kernel, "kernel"),
+            (
+                text.replacen("\"detail_scanned\":0", "\"detail_scanned\":-3", 1),
+                "detail_scanned",
+            ),
+            (text.replacen("\"scale\":0.01", "\"scale\":0", 1), "scale"),
+            (text.replacen("\"seed\":1", "\"seed\":1.5", 1), "seed"),
+        ] {
+            assert_ne!(corrupted, text, "corruption `{what}` did not apply");
+            let err = validate_profile(&parse_json(&corrupted).unwrap())
+                .expect_err(&format!("`{what}` corruption must fail"));
+            assert!(err.contains(what), "{what}: {err}");
+        }
     }
 
     #[test]
@@ -746,16 +861,13 @@ mod tests {
         let doc = parse_json(&progress::global().render_json()).unwrap();
         validate_queries(&doc).unwrap();
 
-        let ok = parse_json(
-            r#"{"version":2,"active":[{"id":1,"sql":"q","strategy":"gmdj-opt",
+        let ok_text = r#"{"version":2,"active":[{"id":1,"sql":"q","strategy":"gmdj-opt",
                 "policy":"par4","state":"running","phase":"GMDJ","elapsed_ms":10,"rows_done":5,
                 "morsels_done":2,"morsels_total":4,"eta_ms":10,
                 "predicted_cost":100,"eta_cost_ms":12}],
                 "totals":{"queries_started":1,"queries_finished":0,
-                "rows_done":5,"morsels_done":2,"morsels_total":4}}"#,
-        )
-        .unwrap();
-        validate_queries(&ok).unwrap();
+                "rows_done":5,"morsels_done":2,"morsels_total":4}}"#;
+        validate_queries(&parse_json(ok_text).unwrap()).unwrap();
 
         // morsels_done > morsels_total violates the progress invariant.
         let over = parse_json(
@@ -769,10 +881,19 @@ mod tests {
         .unwrap();
         assert!(validate_queries(&over).unwrap_err().contains("exceeds"));
 
+        // Well-typed values outside the schema's enum and bounds.
+        for (corrupted, what) in [
+            (ok_text.replacen("\"running\"", "\"done\"", 1), "state"),
+            (ok_text.replacen("\"id\":1", "\"id\":0", 1), "id"),
+        ] {
+            assert_ne!(corrupted, ok_text, "corruption `{what}` did not apply");
+            let err = validate_queries(&parse_json(&corrupted).unwrap())
+                .expect_err(&format!("`{what}` corruption must fail"));
+            assert!(err.contains(what), "{what}: {err}");
+        }
+
         let stale = parse_json(r#"{"version":99,"active":[],"totals":{}}"#).unwrap();
-        assert!(validate_queries(&stale)
-            .unwrap_err()
-            .contains("unsupported"));
+        assert!(validate_queries(&stale).unwrap_err().contains("version"));
         let no_totals = parse_json(r#"{"version":2,"active":[]}"#).unwrap();
         assert!(validate_queries(&no_totals).unwrap_err().contains("totals"));
     }

@@ -18,13 +18,15 @@
 //!   across its own repetitions, so a nondeterministic counter can never
 //!   be recorded in the first place.
 //!
-//! The report is one `BENCH_<run>.json` document, schema-documented in
-//! `schemas/bench.schema.json` and validated by [`validate_bench`] on the
-//! same hand-rolled JSON parser the profile subsystem uses
-//! ([`crate::profile::parse_json`]). [`compare_reports`] implements the
-//! two-tier gate and, for a drifted entry, diffs the recorded plan-node
-//! counter trees pairwise — naming the regressed node and its cost-model
-//! figure ([`gmdj_core::cost::observed_cost`]) before and after.
+//! The report is one `BENCH_<run>.json` document. Its only definition
+//! is the checked-in `schemas/bench.schema.json`: [`validate_bench`] runs
+//! that file through the profile subsystem's schema interpreter
+//! ([`crate::profile::Schema`], over [`crate::profile::parse_json`]) and
+//! adds the `concurrent` section's cross-field invariants.
+//! [`compare_reports`] implements the two-tier gate and, for a drifted
+//! entry, diffs the recorded plan-node counter trees pairwise — naming
+//! the regressed node and its cost-model figure
+//! ([`gmdj_core::cost::observed_cost`]) before and after.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -1121,146 +1123,18 @@ fn require_str<'j>(obj: &'j Json, key: &str, at: &str) -> std::result::Result<&'
         .ok_or_else(|| format!("{at}: missing string `{key}`"))
 }
 
-fn validate_counter_node(node: &Json, at: &str) -> std::result::Result<(), String> {
-    require_str(node, "label", at)?;
-    let counters = node
-        .get("counters")
-        .ok_or_else(|| format!("{at}: missing `counters`"))?;
-    for key in NODE_COUNTER_KEYS {
-        require_num(counters, key, &format!("{at}.counters"))?;
-    }
-    let children = node
-        .get("children")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{at}: missing `children` array"))?;
-    for (i, c) in children.iter().enumerate() {
-        validate_counter_node(c, &format!("{at}.children[{i}]"))?;
-    }
-    Ok(())
-}
-
-/// Validate a parsed bench document against the checked-in schema
-/// (`schemas/bench.schema.json`). Returns the first violation.
+/// Validate a parsed bench document: `schemas/bench.schema.json`, plus
+/// the closed-form sharing invariants of the optional `concurrent`
+/// section that a schema cannot state — queries served equal passes ×
+/// queries, and with more than one query per wave, passes are strictly
+/// fewer than queries served (chunk reads are paid once per pass, not
+/// once per query). Returns the first violation.
 pub fn validate_bench(doc: &Json) -> std::result::Result<(), String> {
-    let version = require_num(doc, "version", "bench")?;
-    if version != BENCH_VERSION as f64 {
-        return Err(format!("unsupported bench version {version}"));
-    }
-    require_str(doc, "run", "bench")?;
-    let mode = require_str(doc, "mode", "bench")?;
-    if mode != "quick" && mode != "full" {
-        return Err(format!("bench: `mode` must be quick|full, got `{mode}`"));
-    }
-    for key in ["scale", "seed", "warmup", "reps"] {
-        require_num(doc, key, "bench")?;
-    }
-    // Informational and absent from pre-kernel recordings; when present
-    // they must be booleans. Never part of an entry's identity.
-    match doc.get("vectorized") {
-        None | Some(Json::Bool(_)) => {}
-        _ => return Err("bench: `vectorized` must be a boolean".into()),
-    }
-    match doc.get("real_sites") {
-        None | Some(Json::Bool(_)) => {}
-        _ => return Err("bench: `real_sites` must be a boolean".into()),
-    }
-    let entries = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or("bench: missing `entries` array")?;
-    if entries.is_empty() {
-        return Err("bench: `entries` is empty".into());
-    }
-    for (i, e) in entries.iter().enumerate() {
-        let at = format!("entries[{i}]");
-        for key in ["group", "label", "strategy", "policy"] {
-            require_str(e, key, &at)?;
-        }
-        match e.get("gated") {
-            Some(Json::Bool(_)) => {}
-            _ => return Err(format!("{at}: missing boolean `gated`")),
-        }
-        let wall = e
-            .get("wall")
-            .ok_or_else(|| format!("{at}: missing `wall`"))?;
-        for key in ["max_us", "min_us", "reps", "trimmed_mean_us"] {
-            require_num(wall, key, &format!("{at}.wall"))?;
-        }
-        let counters = e
-            .get("counters")
-            .ok_or_else(|| format!("{at}: missing `counters`"))?;
-        for key in COUNTER_KEYS {
-            require_num(counters, key, &format!("{at}.counters"))?;
-        }
-        match e.get("predicted_cost") {
-            Some(Json::Null) | Some(Json::Num(_)) => {}
-            _ => return Err(format!("{at}: `predicted_cost` must be a number or null")),
-        }
-        match e.get("plan") {
-            Some(Json::Null) => {}
-            Some(plan @ Json::Obj(_)) => validate_counter_node(plan, &format!("{at}.plan"))?,
-            _ => return Err(format!("{at}: `plan` must be an object or null")),
-        }
-    }
-    match doc.get("latency") {
-        Some(Json::Null) | None => {}
-        Some(l @ Json::Obj(_)) => {
-            for key in ["count", "p50", "p95", "p99"] {
-                require_num(l, key, "bench.latency")?;
-            }
-        }
-        _ => return Err("bench: `latency` must be an object or null".into()),
-    }
-    match doc.get("concurrent") {
-        None => {}
-        Some(c @ Json::Obj(_)) => validate_concurrent(c)?,
-        _ => return Err("bench: `concurrent` must be an object".into()),
-    }
-    Ok(())
-}
-
-/// Validate the optional `concurrent` section, including the closed-form
-/// sharing invariant: with more than one query per wave, detail passes
-/// must be strictly fewer than queries served — chunk reads are paid
-/// once per pass, not once per query.
-fn validate_concurrent(c: &Json) -> std::result::Result<(), String> {
+    crate::profile::bench_schema().validate(doc, "bench")?;
+    let Some(c) = doc.get("concurrent") else {
+        return Ok(());
+    };
     let at = "bench.concurrent";
-    for key in ["group", "label", "strategy", "policy"] {
-        require_str(c, key, at)?;
-    }
-    for key in [
-        "queries",
-        "reps",
-        "shared_scan_passes",
-        "shared_scan_queries_served",
-        "serial_qps",
-        "shared_qps",
-        "speedup",
-    ] {
-        require_num(c, key, at)?;
-    }
-    let counters = c
-        .get("counters")
-        .ok_or_else(|| format!("{at}: missing `counters`"))?;
-    for key in COUNTER_KEYS {
-        require_num(counters, key, &format!("{at}.counters"))?;
-    }
-    for wall_key in ["serial_wall", "shared_wall"] {
-        let wall = c
-            .get(wall_key)
-            .ok_or_else(|| format!("{at}: missing `{wall_key}`"))?;
-        for key in ["max_us", "min_us", "reps", "trimmed_mean_us"] {
-            require_num(wall, key, &format!("{at}.{wall_key}"))?;
-        }
-    }
-    for lat_key in ["serial_latency", "shared_latency"] {
-        let lat = c
-            .get(lat_key)
-            .ok_or_else(|| format!("{at}: missing `{lat_key}`"))?;
-        for key in ["p50", "p95", "p99"] {
-            require_num(lat, key, &format!("{at}.{lat_key}"))?;
-        }
-    }
     let queries = require_num(c, "queries", at)? as u64;
     let passes = require_num(c, "shared_scan_passes", at)? as u64;
     let served = require_num(c, "shared_scan_queries_served", at)? as u64;

@@ -40,6 +40,7 @@ use gmdj_relation::relation::{Relation, Tuple};
 use crate::eval::{
     new_accumulators, plan_blocks, scan_detail_window, EvalStats, GmdjOptions, KernelStats,
 };
+use crate::runtime::SiteBreakdown;
 use crate::spec::GmdjSpec;
 use crate::trace::TraceEvent;
 
@@ -312,96 +313,30 @@ pub(crate) fn eval_site_fragment_traced(
 // Process-global per-site observations: the `/sites` surface
 // ---------------------------------------------------------------------
 
-/// One coordinator-side observation of a completed site round-trip — the
-/// durations-only decomposition the coordinator can measure without
-/// comparing clocks across processes: its own wall-clock around the
-/// round-trip, the site's shipped wall-clock (a duration on the site's
-/// monotonic clock), and the coordinator's merge time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SiteRoundtrip {
-    /// Coordinator wall-clock, request written → state matrix read.
-    pub roundtrip_ns: u64,
-    /// Site-local evaluation wall-clock (shipped `site.eval` duration).
-    pub site_wall_ns: u64,
-    /// Coordinator time merging this site's accumulator states.
-    pub merge_ns: u64,
-    /// Detail rows the site scanned this round-trip.
-    pub rows_scanned: u64,
-    /// Detail rows in the site's fragment.
-    pub fragment_rows: u64,
-    /// Wire bytes written to the site (all attempts; zero in-process).
-    pub bytes_sent: u64,
-    /// Wire bytes read back (zero in-process).
-    pub bytes_received: u64,
-    /// Attempts the round-trip took (1 = no retries).
-    pub attempts: u64,
-}
-
-/// Running totals for one site index across every query this process has
-/// coordinated.
-#[derive(Debug, Clone, Default)]
-struct SiteTotals {
-    label: String,
-    roundtrips: u64,
-    sum: SiteRoundtrip,
-}
-
-fn site_store() -> &'static std::sync::Mutex<std::collections::BTreeMap<usize, SiteTotals>> {
+fn site_store() -> &'static std::sync::Mutex<std::collections::BTreeMap<usize, SiteBreakdown>> {
     static STORE: std::sync::OnceLock<
-        std::sync::Mutex<std::collections::BTreeMap<usize, SiteTotals>>,
+        std::sync::Mutex<std::collections::BTreeMap<usize, SiteBreakdown>>,
     > = std::sync::OnceLock::new();
     STORE.get_or_init(|| std::sync::Mutex::new(std::collections::BTreeMap::new()))
 }
 
-/// Fold one completed round-trip into the process-global per-site totals
-/// (both transports; called by the coordinator's scan loop). The most
-/// recent label wins — a site index that was in-process in one query and
-/// socket-backed in the next reports its latest address.
-pub fn record_site_roundtrip(site: usize, label: &str, obs: SiteRoundtrip) {
+/// Fold one completed round-trip's observation (durations only: the
+/// coordinator's wall-clock around the round-trip, the site's shipped
+/// wall-clock, the coordinator's merge time) into the process-global
+/// per-site totals, across every query this process has coordinated.
+/// Both transports; called by the coordinator's scan loop.
+pub fn record_site(obs: SiteBreakdown) {
     let mut store = site_store().lock().expect("site stats poisoned");
-    let t = store.entry(site).or_default();
-    t.label = label.to_string();
-    t.roundtrips += 1;
-    t.sum.roundtrip_ns += obs.roundtrip_ns;
-    t.sum.site_wall_ns += obs.site_wall_ns;
-    t.sum.merge_ns += obs.merge_ns;
-    t.sum.rows_scanned += obs.rows_scanned;
-    t.sum.fragment_rows = obs.fragment_rows;
-    t.sum.bytes_sent += obs.bytes_sent;
-    t.sum.bytes_received += obs.bytes_received;
-    t.sum.attempts += obs.attempts;
+    store.entry(obs.site as usize).or_default().add(&obs);
 }
 
 /// The per-site totals as one deterministic JSON object (sites in index
-/// order, fixed key order) — the body of the `/sites` endpoint and the
-/// shell's `\sites json`.
+/// order, [`SiteBreakdown::to_json`] entries) — the body of the `/sites`
+/// endpoint and the shell's `\sites json`.
 pub fn sites_json() -> String {
     let store = site_store().lock().expect("site stats poisoned");
-    let mut out = String::from("{\"sites\":[");
-    for (i, (site, t)) in store.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"site\":{},\"label\":\"{}\",\"roundtrips\":{},\
-             \"attempts\":{},\"roundtrip_ns\":{},\"site_wall_ns\":{},\
-             \"merge_ns\":{},\"rows_scanned\":{},\"fragment_rows\":{},\
-             \"bytes_sent\":{},\"bytes_received\":{}}}",
-            site,
-            crate::trace::json_escape(&t.label),
-            t.roundtrips,
-            t.sum.attempts,
-            t.sum.roundtrip_ns,
-            t.sum.site_wall_ns,
-            t.sum.merge_ns,
-            t.sum.rows_scanned,
-            t.sum.fragment_rows,
-            t.sum.bytes_sent,
-            t.sum.bytes_received,
-        ));
-    }
-    out.push_str("]}");
-    out
+    let sites: Vec<String> = store.values().map(SiteBreakdown::to_json).collect();
+    format!("{{\"sites\":[{}]}}", sites.join(","))
 }
 
 /// Human-readable rendering of the per-site totals, one line per site
@@ -412,22 +347,22 @@ pub fn sites_text() -> String {
         return "no site round-trips recorded\n".to_string();
     }
     let mut out = String::new();
-    for (site, t) in store.iter() {
+    for t in store.values() {
         out.push_str(&format!(
             "site{} ({}) roundtrips={} attempts={} rt={:.3}ms site={:.3}ms \
              wire={:.3}ms merge={:.3}ms rows={} frag={} bytes[sent={} recv={}]\n",
-            site,
+            t.site,
             t.label,
             t.roundtrips,
-            t.sum.attempts,
-            t.sum.roundtrip_ns as f64 / 1e6,
-            t.sum.site_wall_ns as f64 / 1e6,
-            t.sum.roundtrip_ns.saturating_sub(t.sum.site_wall_ns) as f64 / 1e6,
-            t.sum.merge_ns as f64 / 1e6,
-            t.sum.rows_scanned,
-            t.sum.fragment_rows,
-            t.sum.bytes_sent,
-            t.sum.bytes_received,
+            t.attempts,
+            t.roundtrip_ns as f64 / 1e6,
+            t.site_wall_ns as f64 / 1e6,
+            t.wire_ns() as f64 / 1e6,
+            t.merge_ns as f64 / 1e6,
+            t.rows_scanned,
+            t.fragment_rows,
+            t.bytes_sent,
+            t.bytes_received,
         ));
     }
     out

@@ -356,6 +356,47 @@ impl SiteBreakdown {
     pub fn wire_ns(&self) -> u64 {
         self.roundtrip_ns.saturating_sub(self.site_wall_ns)
     }
+
+    /// Fold another breakdown (typically one round-trip's observation)
+    /// into this one: the counts, durations and bytes sum; `site`,
+    /// `label` and `fragment_rows` take the latest value — a site index
+    /// that was in-process in one query and socket-backed in the next
+    /// reports its latest address.
+    pub fn add(&mut self, obs: &SiteBreakdown) {
+        self.site = obs.site;
+        self.label.clone_from(&obs.label);
+        self.roundtrips += obs.roundtrips;
+        self.attempts += obs.attempts;
+        self.roundtrip_ns += obs.roundtrip_ns;
+        self.site_wall_ns += obs.site_wall_ns;
+        self.merge_ns += obs.merge_ns;
+        self.rows_scanned += obs.rows_scanned;
+        self.fragment_rows = obs.fragment_rows;
+        self.bytes_sent += obs.bytes_sent;
+        self.bytes_received += obs.bytes_received;
+    }
+
+    /// The breakdown as one JSON object with a fixed key order — an
+    /// entry of both the plan node's `sites` array and `GET /sites`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"site\":{},\"label\":\"{}\",\"roundtrips\":{},\
+             \"attempts\":{},\"roundtrip_ns\":{},\"site_wall_ns\":{},\
+             \"merge_ns\":{},\"rows_scanned\":{},\"fragment_rows\":{},\
+             \"bytes_sent\":{},\"bytes_received\":{}}}",
+            self.site,
+            crate::trace::json_escape(&self.label),
+            self.roundtrips,
+            self.attempts,
+            self.roundtrip_ns,
+            self.site_wall_ns,
+            self.merge_ns,
+            self.rows_scanned,
+            self.fragment_rows,
+            self.bytes_sent,
+            self.bytes_received,
+        )
+    }
 }
 
 impl PlanNodeStats {
@@ -620,30 +661,8 @@ impl PlanNodeStats {
         // distributed (mirrors the render; absent otherwise so
         // non-distributed profiles are unchanged).
         if !self.sites.is_empty() {
-            out.push_str(",\"sites\":[");
-            for (i, s) in self.sites.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"site\":{},\"label\":\"{}\",\"roundtrips\":{},\
-                     \"attempts\":{},\"roundtrip_ns\":{},\"site_wall_ns\":{},\
-                     \"merge_ns\":{},\"rows_scanned\":{},\"fragment_rows\":{},\
-                     \"bytes_sent\":{},\"bytes_received\":{}}}",
-                    s.site,
-                    crate::trace::json_escape(&s.label),
-                    s.roundtrips,
-                    s.attempts,
-                    s.roundtrip_ns,
-                    s.site_wall_ns,
-                    s.merge_ns,
-                    s.rows_scanned,
-                    s.fragment_rows,
-                    s.bytes_sent,
-                    s.bytes_received,
-                ));
-            }
-            out.push(']');
+            let sites: Vec<String> = self.sites.iter().map(SiteBreakdown::to_json).collect();
+            out.push_str(&format!(",\"sites\":[{}]", sites.join(",")));
         }
         out.push_str(",\"children\":[");
         for (i, c) in self.children.iter().enumerate() {
@@ -1068,35 +1087,24 @@ impl Runtime {
                 }
             }
             let merge_ns = merge_start.elapsed().as_nanos() as u64;
+            let obs = SiteBreakdown {
+                site: site as u64,
+                label,
+                roundtrips: 1,
+                attempts: resp.attempts,
+                roundtrip_ns: wall_ns,
+                site_wall_ns: resp.site_wall_ns,
+                merge_ns,
+                rows_scanned: resp.stats.detail_scanned,
+                fragment_rows: resp.fragment_rows,
+                bytes_sent: resp.bytes_sent,
+                bytes_received: resp.bytes_received,
+            };
             if node.sites.len() <= site {
                 node.sites.resize_with(site + 1, SiteBreakdown::default);
             }
-            let b = &mut node.sites[site];
-            b.site = site as u64;
-            b.label = label.clone();
-            b.roundtrips += 1;
-            b.attempts += resp.attempts;
-            b.roundtrip_ns += wall_ns;
-            b.site_wall_ns += resp.site_wall_ns;
-            b.merge_ns += merge_ns;
-            b.rows_scanned += resp.stats.detail_scanned;
-            b.fragment_rows = resp.fragment_rows;
-            b.bytes_sent += resp.bytes_sent;
-            b.bytes_received += resp.bytes_received;
-            crate::distributed::record_site_roundtrip(
-                site,
-                &label,
-                crate::distributed::SiteRoundtrip {
-                    roundtrip_ns: wall_ns,
-                    site_wall_ns: resp.site_wall_ns,
-                    merge_ns,
-                    rows_scanned: resp.stats.detail_scanned,
-                    fragment_rows: resp.fragment_rows,
-                    bytes_sent: resp.bytes_sent,
-                    bytes_received: resp.bytes_received,
-                    attempts: resp.attempts,
-                },
-            );
+            node.sites[site].add(&obs);
+            crate::distributed::record_site(obs);
         }
         node.worker_wall_max_ns += worker_max_ns;
         merged.ok_or_else(|| Error::invalid("ExecMode::Distributed requires at least one site"))

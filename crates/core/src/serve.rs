@@ -11,7 +11,7 @@
 //! | `GET /metrics` | Prometheus text | [`crate::metrics::global`] |
 //! | `GET /queries` | active-query progress JSON | [`crate::progress::global`] |
 //! | `GET /flight` | flight-recorder ring dump JSON | [`crate::trace::flight`] |
-//! | `GET /sites` | per-site round-trip totals JSON | [`crate::distributed::sites_json`] |
+//! | `GET /sites` | per-site round-trip totals JSON, one [`crate::runtime::SiteBreakdown::to_json`] entry per site (schema: `definitions/site` of `schemas/profile.schema.json`) | [`crate::distributed::sites_json`] |
 //! | `GET /healthz` | `ok` | — |
 //!
 //! Started via `repro --stats-addr 127.0.0.1:PORT` or `SET stats_addr`

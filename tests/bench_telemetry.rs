@@ -142,6 +142,19 @@ fn generated_report_validates_and_corruptions_are_rejected() {
             json.replacen("\"mode\":\"quick\"", "\"mode\":\"fast\"", 1),
             "mode",
         ),
+        // Well-typed numbers outside the schema's bounds: a negative
+        // gated counter, a fractional row count, a negative plan-node
+        // counter, zero measured repetitions.
+        (
+            set_number_after(&json, "\"gated\":true", "theta_evals", "-7"),
+            "theta_evals",
+        ),
+        (set_number_after(&json, "", "rows", "2.5"), "rows"),
+        (
+            set_number_after(&json, "\"plan\":{", "detail_scanned", "-1"),
+            "detail_scanned",
+        ),
+        (set_number_after(&json, "", "reps", "0"), "reps"),
     ];
     for (corrupted, what) in corruptions {
         assert_ne!(corrupted, json, "corruption `{what}` did not apply");
@@ -149,6 +162,19 @@ fn generated_report_validates_and_corruptions_are_rejected() {
         let err = validate_bench(&doc).expect_err(&format!("`{what}` corruption must fail"));
         assert!(!err.is_empty());
     }
+}
+
+/// Replace the number of the first `"key":<number>` after the first
+/// occurrence of `anchor` with the literal `value`.
+fn set_number_after(json: &str, anchor: &str, key: &str, value: &str) -> String {
+    let needle = format!("\"{key}\":");
+    let from = json.find(anchor).expect("anchor present");
+    let at = from + json[from..].find(&needle).expect("key present") + needle.len();
+    let end = at
+        + json[at..]
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("number terminated");
+    format!("{}{}{}", &json[..at], value, &json[end..])
 }
 
 /// Replace the first occurrence of `"key":<number>` after `from` with

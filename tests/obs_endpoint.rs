@@ -9,6 +9,9 @@
 //!   `schemas/queries.schema.json` (via `profile::validate_queries`),
 //!   including the `morsels_done ≤ morsels_total` invariant on entries
 //!   snapshotted mid-flight.
+//! * `GET /sites` entries each validate against the profile schema's
+//!   `#/definitions/site` — the same definition a plan node's `sites`
+//!   array uses.
 //! * `GET /flight` is a well-formed flight-recorder dump.
 //! * `GET /healthz` answers 200.
 
@@ -153,24 +156,9 @@ fn endpoint_serves_valid_documents_while_queries_run() {
         .expect("sites array present");
     assert!(entries.len() >= 2, "distributed(2) feeds two sites: {body}");
     for entry in entries {
-        for key in [
-            "site",
-            "roundtrips",
-            "attempts",
-            "roundtrip_ns",
-            "site_wall_ns",
-            "merge_ns",
-            "rows_scanned",
-            "fragment_rows",
-            "bytes_sent",
-            "bytes_received",
-        ] {
-            assert!(
-                entry.get(key).and_then(profile::Json::as_num).is_some(),
-                "missing `{key}` in {body}"
-            );
-        }
-        assert!(entry.get("label").and_then(profile::Json::as_str).is_some());
+        profile::profile_schema()
+            .validate_ref("#/definitions/site", entry, "sites[]")
+            .unwrap_or_else(|e| panic!("{e} in {body}"));
         assert!(
             entry
                 .get("roundtrips")
