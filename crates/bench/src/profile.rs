@@ -3,7 +3,7 @@
 //!
 //! A profile is one JSON document carrying, per figure / size point /
 //! strategy, the query wall-clock, work counters, and the full timed
-//! [`PlanNodeStats`] tree. No serde in-tree: documents are read by the
+//! [`PlanNodeStats`](gmdj_core::runtime::PlanNodeStats) tree. No serde in-tree: documents are read by the
 //! hand-rolled [`parse_json`] and checked by [`Schema`], a small
 //! interpreter for the draft-07 subset the three checked-in schemas use.
 //! The schema files under `schemas/` are compiled in and are the only
@@ -15,7 +15,7 @@
 use std::sync::OnceLock;
 
 use gmdj_core::progress;
-use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
+use gmdj_core::runtime::ExecPolicy;
 use gmdj_core::trace::json_escape;
 
 use crate::{Figure, Measurement};
@@ -549,131 +549,12 @@ pub fn validate_queries(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Reconstruct a [`PlanNodeStats`] tree from its `to_json` form — used by
-/// the round-trip tests to assert the JSON loses nothing the profile
-/// consumers need.
-pub fn plan_from_json(node: &Json) -> Result<PlanNodeStats, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        node.get(key)
-            .and_then(Json::as_num)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("missing `{key}`"))
-    };
-    let mut out = PlanNodeStats::new(
-        node.get("label")
-            .and_then(Json::as_str)
-            .ok_or("missing `label`")?,
-    );
-    out.rows_out = num("rows_out")?;
-    out.scanned_rows = num("scanned_rows")?;
-    out.elapsed_ns = num("elapsed_ns")?;
-    out.invocations = num("invocations")?;
-    out.worker_wall_max_ns = num("worker_wall_max_ns")?;
-    out.worker_wall_sum_ns = num("worker_wall_sum_ns")?;
-    let ops = node.get("ops").ok_or("missing `ops`")?;
-    let ops_num = |key: &str| -> Result<u64, String> {
-        ops.get(key)
-            .and_then(Json::as_num)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("missing ops.`{key}`"))
-    };
-    out.ops.rows_in = ops_num("rows_in")?;
-    out.ops.rows_out = ops_num("rows_out")?;
-    let eval = node.get("eval").ok_or("missing `eval`")?;
-    let eval_num = |key: &str| -> Result<u64, String> {
-        eval.get(key)
-            .and_then(Json::as_num)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("missing eval.`{key}`"))
-    };
-    out.eval.detail_scanned = eval_num("detail_scanned")?;
-    out.eval.probe_candidates = eval_num("probe_candidates")?;
-    out.eval.theta_evals = eval_num("theta_evals")?;
-    out.eval.agg_updates = eval_num("agg_updates")?;
-    out.eval.base_rows = eval_num("base_rows")?;
-    out.eval.dead_early = eval_num("dead_early")?;
-    out.eval.done_early = eval_num("done_early")?;
-    out.eval.index_builds = eval_num("index_builds")?;
-    out.eval.partitions = eval_num("partitions")?;
-    out.eval.completion_fallbacks = eval_num("completion_fallbacks")?;
-    out.eval.col_chunk_reads = eval_num("col_chunk_reads")?;
-    out.eval.row_page_reads = eval_num("row_page_reads")?;
-    // Older persisted profiles predate the kernel-dispatch counters;
-    // absent means zero, present must be complete.
-    if let Some(kernel) = node.get("kernel") {
-        let k_num = |key: &str| -> Result<u64, String> {
-            kernel
-                .get(key)
-                .and_then(Json::as_num)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing kernel.`{key}`"))
-        };
-        out.kernel.batches = k_num("batches")?;
-        out.kernel.morsels = k_num("morsels")?;
-        out.kernel.rows_vectorized = k_num("rows_vectorized")?;
-        out.kernel.rows_row_path = k_num("rows_row_path")?;
-    }
-    let network = node.get("network").ok_or("missing `network`")?;
-    let net_num = |key: &str| -> Result<u64, String> {
-        network
-            .get(key)
-            .and_then(Json::as_num)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("missing network.`{key}`"))
-    };
-    out.network.broadcast_values = net_num("broadcast_values")?;
-    out.network.bytes_received = net_num("bytes_received")?;
-    out.network.bytes_sent = net_num("bytes_sent")?;
-    out.network.collected_states = net_num("collected_states")?;
-    out.network.messages = net_num("messages")?;
-    // Pre-v5 profiles have no per-site breakdown; absent means empty,
-    // present must be complete.
-    if let Some(sites) = node.get("sites") {
-        for (i, s) in sites
-            .as_arr()
-            .ok_or("`sites` must be an array")?
-            .iter()
-            .enumerate()
-        {
-            let s_num = |key: &str| -> Result<u64, String> {
-                s.get(key)
-                    .and_then(Json::as_num)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| format!("missing sites[{i}].`{key}`"))
-            };
-            out.sites.push(gmdj_core::runtime::SiteBreakdown {
-                site: s_num("site")?,
-                label: s
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("missing sites[{i}].`label`"))?
-                    .to_string(),
-                roundtrips: s_num("roundtrips")?,
-                attempts: s_num("attempts")?,
-                roundtrip_ns: s_num("roundtrip_ns")?,
-                site_wall_ns: s_num("site_wall_ns")?,
-                merge_ns: s_num("merge_ns")?,
-                rows_scanned: s_num("rows_scanned")?,
-                fragment_rows: s_num("fragment_rows")?,
-                bytes_sent: s_num("bytes_sent")?,
-                bytes_received: s_num("bytes_received")?,
-            });
-        }
-    }
-    for c in node
-        .get("children")
-        .and_then(Json::as_arr)
-        .ok_or("missing `children`")?
-    {
-        out.children.push(plan_from_json(c)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmdj_core::runtime::SiteBreakdown;
+    use gmdj_core::distributed::NetworkStats;
+    use gmdj_core::eval::{EvalStats, KernelStats};
+    use gmdj_core::runtime::{PlanNodeStats, SiteBreakdown};
 
     #[test]
     fn parser_handles_profile_shapes() {
@@ -731,10 +612,15 @@ mod tests {
         node.rows_out = 7;
         node.elapsed_ns = 1234;
         node.invocations = 1;
-        node.eval.detail_scanned = 99;
-        node.eval.partitions = 2;
-        node.network.messages = 4;
         node.worker_wall_sum_ns = 55;
+        node.worker_wall_max_ns = 44;
+        node.ops.rows_in = 3;
+        node.ops.rows_out = 2;
+        // Every counter distinct and non-zero, so a field written under
+        // another field's key cannot pass.
+        node.eval = EvalStats::from_values(std::array::from_fn(|i| 100 + i as u64));
+        node.kernel = KernelStats::from_values(std::array::from_fn(|i| 200 + i as u64));
+        node.network = NetworkStats::from_values(std::array::from_fn(|i| 300 + i as u64));
         // Two round-trips to one site, folded: the sums add, while
         // `label` and `fragment_rows` take the latest value.
         let obs = |attempts, fragment_rows, label: &str| SiteBreakdown {
@@ -766,15 +652,45 @@ mod tests {
         profile_schema()
             .validate_ref("#/definitions/planNode", &json, "plan")
             .unwrap();
-        let back = plan_from_json(&json).unwrap();
-        assert_eq!(back.label, "GMDJ");
-        assert_eq!(back.rows_out, 7);
-        assert_eq!(back.eval.detail_scanned, 99);
-        assert_eq!(back.network.messages, 4);
-        assert_eq!(back.sites, node.sites);
-        assert_eq!(back.children[0].scanned_rows, 10);
+        assert_eq!(json.get("label").and_then(Json::as_str), Some("GMDJ"));
+        for (key, want) in [
+            ("rows_out", 7.0),
+            ("elapsed_ns", 1234.0),
+            ("self_ns", 1234.0),
+            ("invocations", 1.0),
+            ("worker_wall_sum_ns", 55.0),
+            ("worker_wall_max_ns", 44.0),
+            ("scanned_rows", 0.0),
+        ] {
+            assert_eq!(json.get(key).and_then(Json::as_num), Some(want), "{key}");
+        }
+        let ops = json.get("ops").unwrap();
+        assert_eq!(ops.get("rows_in").and_then(Json::as_num), Some(3.0));
+        assert_eq!(ops.get("rows_out").and_then(Json::as_num), Some(2.0));
+        // Each counter object holds exactly its table, in table order.
+        for (set, fields, values) in [
+            ("eval", &EvalStats::FIELDS[..], &node.eval.values()[..]),
+            ("kernel", &KernelStats::FIELDS, &node.kernel.values()),
+            ("network", &NetworkStats::FIELDS, &node.network.values()),
+        ] {
+            let Some(Json::Obj(members)) = json.get(set) else {
+                panic!("{set} is not an object")
+            };
+            let parsed: Vec<(&str, f64)> = members
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_num().unwrap()))
+                .collect();
+            let want: Vec<(&str, f64)> = fields
+                .iter()
+                .zip(values)
+                .map(|(&k, &v)| (k, v as f64))
+                .collect();
+            assert_eq!(parsed, want, "{set}");
+        }
+        let child = &json.get("children").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(child.get("scanned_rows").and_then(Json::as_num), Some(10.0));
         // Non-distributed nodes carry no `sites` key at all.
-        assert!(!back.children[0].to_json().contains("\"sites\""));
+        assert!(child.get("sites").is_none());
     }
 
     const PROGRESS: &str = r#""progress":{"queries_started":4,"queries_finished":4,

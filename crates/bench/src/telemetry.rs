@@ -9,8 +9,8 @@
 //!   summarized as a trimmed mean (min and max dropped). Machine-bound,
 //!   noisy, therefore only *warn*-gated against the baseline;
 //! * **deterministic counters** — the quantities the evaluator already
-//!   counts exactly ([`EvalStats`](gmdj_core::eval::EvalStats) work,
-//!   [`NetworkStats`](gmdj_core::distributed::NetworkStats) traffic,
+//!   counts exactly ([`EvalStats`] work,
+//!   [`NetworkStats`] traffic,
 //!   table rows scanned, relational-operator row flow, per-plan-node
 //!   invocations). Same seed ⇒ same bytes, so any drift against
 //!   `bench/baseline.json` is a real plan-quality change and **hard-fails**
@@ -32,7 +32,8 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use gmdj_core::cost;
-use gmdj_core::eval::ProbeStrategy;
+use gmdj_core::distributed::NetworkStats;
+use gmdj_core::eval::{EvalStats, ProbeStrategy};
 use gmdj_core::metrics::{self, Histogram};
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
@@ -50,150 +51,95 @@ use gmdj_datagen::workloads::Workload;
 /// policy labels.
 pub const BENCH_VERSION: u64 = 2;
 
-/// The deterministic counter set recorded per bench entry, every field an
-/// exact count read back from the run (no wall-clock anywhere). Two runs
-/// at the same seed, scale, strategy and policy produce identical values;
-/// the baseline gate therefore tolerates zero drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counters {
-    /// Result cardinality.
-    pub rows: u64,
-    /// Strategy-level machine-independent work figure.
-    pub work: u64,
-    /// Number of nodes in the recorded plan tree (0 for plan-free
-    /// strategies).
-    pub plan_nodes: u64,
-    /// Plan-node invocations summed over the tree.
-    pub invocations: u64,
-    /// Table rows scanned, summed over the tree.
-    pub scanned_rows: u64,
-    /// Relational-operator input rows, summed over the tree.
-    pub ops_rows_in: u64,
-    /// Relational-operator output rows, summed over the tree.
-    pub ops_rows_out: u64,
-    // The twelve evaluator counters, rolled up over the tree.
-    pub detail_scanned: u64,
-    pub probe_candidates: u64,
-    pub theta_evals: u64,
-    pub agg_updates: u64,
-    pub base_rows: u64,
-    pub dead_early: u64,
-    pub done_early: u64,
-    pub index_builds: u64,
-    pub partitions: u64,
-    pub completion_fallbacks: u64,
-    pub col_chunk_reads: u64,
-    pub row_page_reads: u64,
-    // Closed-form network traffic (transport-independent value counts;
-    // the measured byte counters are deliberately NOT extracted here —
-    // they differ between transports and must never gate).
-    pub messages: u64,
-    pub broadcast_values: u64,
-    pub collected_states: u64,
-}
-
-/// The 22 counter keys, alphabetically sorted — the order they are
-/// emitted in JSON and required by the schema.
-pub const COUNTER_KEYS: [&str; 22] = [
-    "agg_updates",
-    "base_rows",
-    "broadcast_values",
-    "col_chunk_reads",
-    "collected_states",
-    "completion_fallbacks",
-    "dead_early",
-    "detail_scanned",
-    "done_early",
-    "index_builds",
-    "invocations",
-    "messages",
-    "ops_rows_in",
-    "ops_rows_out",
-    "partitions",
-    "plan_nodes",
-    "probe_candidates",
-    "row_page_reads",
-    "rows",
-    "scanned_rows",
-    "theta_evals",
-    "work",
-];
+/// The deterministic counter set recorded per bench entry or plan node:
+/// `(key, value)` rows sorted by key — a few row-flow extras plus the
+/// evaluator table and the gated network fields
+/// ([`gmdj_core::counters`]). Every value is an exact count read back
+/// from the run (no wall-clock anywhere), so two runs at the same seed,
+/// scale, strategy and policy produce identical rows and the baseline
+/// gate tolerates zero drift. The measured network byte counters are
+/// not gated: they differ between transports.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counters(Vec<(&'static str, u64)>);
 
 impl Counters {
-    /// Extract the counter set from a strategy run.
+    fn new(
+        extras: impl IntoIterator<Item = (&'static str, u64)>,
+        eval: &EvalStats,
+        network: &NetworkStats,
+    ) -> Counters {
+        let mut rows: Vec<(&'static str, u64)> = extras
+            .into_iter()
+            .chain(eval.trace_fields())
+            .chain(network.gated_fields())
+            .collect();
+        rows.sort_unstable_by_key(|&(k, _)| k);
+        Counters(rows)
+    }
+
+    /// The entry counter set: result rows, strategy work and, rolled up
+    /// over the plan tree when there is one, its node count, invocations,
+    /// scanned rows, operator row flow, evaluator and network counters.
+    fn entry(rows: u64, work: u64, tree: Option<&PlanNodeStats>) -> Counters {
+        let total = |f: fn(&PlanNodeStats) -> u64| tree.map_or(0, f);
+        let ops = tree.map(PlanNodeStats::total_ops).unwrap_or_default();
+        Counters::new(
+            [
+                ("invocations", total(sum_invocations)),
+                ("ops_rows_in", ops.rows_in),
+                ("ops_rows_out", ops.rows_out),
+                ("plan_nodes", total(count_nodes)),
+                ("rows", rows),
+                ("scanned_rows", total(PlanNodeStats::total_scanned)),
+                ("work", work),
+            ],
+            &tree.map(PlanNodeStats::total_eval).unwrap_or_default(),
+            &tree.map(PlanNodeStats::total_network).unwrap_or_default(),
+        )
+    }
+
+    /// The counter set of one plan node (no timing fields, no rollup).
+    fn node(t: &PlanNodeStats) -> Counters {
+        Counters::new(
+            [
+                ("invocations", t.invocations),
+                ("ops_rows_in", t.ops.rows_in),
+                ("ops_rows_out", t.ops.rows_out),
+                ("rows_out", t.rows_out),
+                ("scanned_rows", t.scanned_rows),
+            ],
+            &t.eval,
+            &t.network,
+        )
+    }
+
+    /// Extract the entry counter set from a strategy run.
     pub fn from_run(result: &RunResult) -> Counters {
-        let mut c = Counters {
-            rows: result.relation.len() as u64,
-            work: result.stats.work(),
-            ..Counters::default()
-        };
-        if let Some(tree) = &result.plan_stats {
-            let eval = tree.total_eval();
-            let net = tree.total_network();
-            let ops = tree.total_ops();
-            c.plan_nodes = count_nodes(tree);
-            c.invocations = sum_invocations(tree);
-            c.scanned_rows = tree.total_scanned();
-            c.ops_rows_in = ops.rows_in;
-            c.ops_rows_out = ops.rows_out;
-            c.detail_scanned = eval.detail_scanned;
-            c.probe_candidates = eval.probe_candidates;
-            c.theta_evals = eval.theta_evals;
-            c.agg_updates = eval.agg_updates;
-            c.base_rows = eval.base_rows;
-            c.dead_early = eval.dead_early;
-            c.done_early = eval.done_early;
-            c.index_builds = eval.index_builds;
-            c.partitions = eval.partitions;
-            c.completion_fallbacks = eval.completion_fallbacks;
-            c.col_chunk_reads = eval.col_chunk_reads;
-            c.row_page_reads = eval.row_page_reads;
-            c.messages = net.messages;
-            c.broadcast_values = net.broadcast_values;
-            c.collected_states = net.collected_states;
-        }
-        c
+        Counters::entry(
+            result.relation.len() as u64,
+            result.stats.work(),
+            result.plan_stats.as_ref(),
+        )
     }
 
-    /// `(key, value)` pairs in [`COUNTER_KEYS`] (sorted) order.
-    pub fn items(&self) -> [(&'static str, u64); 22] {
-        [
-            ("agg_updates", self.agg_updates),
-            ("base_rows", self.base_rows),
-            ("broadcast_values", self.broadcast_values),
-            ("col_chunk_reads", self.col_chunk_reads),
-            ("collected_states", self.collected_states),
-            ("completion_fallbacks", self.completion_fallbacks),
-            ("dead_early", self.dead_early),
-            ("detail_scanned", self.detail_scanned),
-            ("done_early", self.done_early),
-            ("index_builds", self.index_builds),
-            ("invocations", self.invocations),
-            ("messages", self.messages),
-            ("ops_rows_in", self.ops_rows_in),
-            ("ops_rows_out", self.ops_rows_out),
-            ("partitions", self.partitions),
-            ("plan_nodes", self.plan_nodes),
-            ("probe_candidates", self.probe_candidates),
-            ("row_page_reads", self.row_page_reads),
-            ("rows", self.rows),
-            ("scanned_rows", self.scanned_rows),
-            ("theta_evals", self.theta_evals),
-            ("work", self.work),
-        ]
+    fn keys(&self) -> Vec<&'static str> {
+        self.0.iter().map(|&(k, _)| k).collect()
     }
 
-    fn to_json(self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.items().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{k}\":{v}"));
-        }
-        out.push('}');
-        out
+    fn to_json(&self) -> String {
+        gmdj_core::trace::json_object(self.0.iter().copied())
     }
+}
+
+/// The entry counter keys, sorted — the order they are emitted in JSON
+/// and required by the schema.
+pub fn counter_keys() -> Vec<&'static str> {
+    Counters::entry(0, 0, None).keys()
+}
+
+/// The per-node counter keys of the recorded plan tree, sorted.
+pub fn node_counter_keys() -> Vec<&'static str> {
+    Counters::node(&PlanNodeStats::default()).keys()
 }
 
 fn count_nodes(t: &PlanNodeStats) -> u64 {
@@ -204,80 +150,33 @@ fn sum_invocations(t: &PlanNodeStats) -> u64 {
     t.invocations + t.children.iter().map(sum_invocations).sum::<u64>()
 }
 
-/// The per-node counter keys of the recorded plan tree (alphabetical).
-pub const NODE_COUNTER_KEYS: [&str; 20] = [
-    "agg_updates",
-    "base_rows",
-    "broadcast_values",
-    "col_chunk_reads",
-    "collected_states",
-    "completion_fallbacks",
-    "dead_early",
-    "detail_scanned",
-    "done_early",
-    "index_builds",
-    "invocations",
-    "messages",
-    "ops_rows_in",
-    "ops_rows_out",
-    "partitions",
-    "probe_candidates",
-    "row_page_reads",
-    "rows_out",
-    "scanned_rows",
-    "theta_evals",
-];
-
-fn node_counter_items(t: &PlanNodeStats) -> [(&'static str, u64); 20] {
-    let e = &t.eval;
-    let n = &t.network;
-    [
-        ("agg_updates", e.agg_updates),
-        ("base_rows", e.base_rows),
-        ("broadcast_values", n.broadcast_values),
-        ("col_chunk_reads", e.col_chunk_reads),
-        ("collected_states", n.collected_states),
-        ("completion_fallbacks", e.completion_fallbacks),
-        ("dead_early", e.dead_early),
-        ("detail_scanned", e.detail_scanned),
-        ("done_early", e.done_early),
-        ("index_builds", e.index_builds),
-        ("invocations", t.invocations),
-        ("messages", n.messages),
-        ("ops_rows_in", t.ops.rows_in),
-        ("ops_rows_out", t.ops.rows_out),
-        ("partitions", e.partitions),
-        ("probe_candidates", e.probe_candidates),
-        ("row_page_reads", e.row_page_reads),
-        ("rows_out", t.rows_out),
-        ("scanned_rows", t.scanned_rows),
-        ("theta_evals", e.theta_evals),
-    ]
-}
-
 /// Render the *deterministic projection* of a plan-stats tree: labels and
 /// counters only, every timing field excluded, keys sorted — the plan
 /// section of a bench entry, byte-reproducible at a fixed seed.
 pub fn counter_tree_json(t: &PlanNodeStats) -> String {
-    let mut out = format!(
-        "{{\"label\":\"{}\",\"counters\":{{",
-        gmdj_core::trace::json_escape(&t.label)
-    );
-    for (i, (k, v)) in node_counter_items(t).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let children: Vec<String> = t.children.iter().map(counter_tree_json).collect();
+    format!(
+        "{{\"label\":\"{}\",\"counters\":{},\"children\":[{}]}}",
+        gmdj_core::trace::json_escape(&t.label),
+        Counters::node(t).to_json(),
+        children.join(",")
+    )
+}
+
+/// Read the `N` fields of one counter table from `num`; fields the table
+/// does not gate are not recorded and read back as zero.
+fn read_fields<const N: usize>(
+    fields: [&str; N],
+    gated: [bool; N],
+    num: impl Fn(&str) -> std::result::Result<u64, String>,
+) -> std::result::Result<[u64; N], String> {
+    let mut values = [0; N];
+    for ((value, key), gated) in values.iter_mut().zip(fields).zip(gated) {
+        if gated {
+            *value = num(key)?;
         }
-        out.push_str(&format!("\"{k}\":{v}"));
     }
-    out.push_str("},\"children\":[");
-    for (i, c) in t.children.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&counter_tree_json(c));
-    }
-    out.push_str("]}");
-    out
+    Ok(values)
 }
 
 /// Reconstruct a (timing-free) [`PlanNodeStats`] from a counter tree, so
@@ -302,21 +201,9 @@ pub fn plan_from_counter_tree(node: &Json) -> std::result::Result<PlanNodeStats,
     out.invocations = num("invocations")?;
     out.ops.rows_in = num("ops_rows_in")?;
     out.ops.rows_out = num("ops_rows_out")?;
-    out.eval.detail_scanned = num("detail_scanned")?;
-    out.eval.probe_candidates = num("probe_candidates")?;
-    out.eval.theta_evals = num("theta_evals")?;
-    out.eval.agg_updates = num("agg_updates")?;
-    out.eval.base_rows = num("base_rows")?;
-    out.eval.dead_early = num("dead_early")?;
-    out.eval.done_early = num("done_early")?;
-    out.eval.index_builds = num("index_builds")?;
-    out.eval.partitions = num("partitions")?;
-    out.eval.completion_fallbacks = num("completion_fallbacks")?;
-    out.eval.col_chunk_reads = num("col_chunk_reads")?;
-    out.eval.row_page_reads = num("row_page_reads")?;
-    out.network.messages = num("messages")?;
-    out.network.broadcast_values = num("broadcast_values")?;
-    out.network.collected_states = num("collected_states")?;
+    out.eval = EvalStats::from_values(read_fields(EvalStats::FIELDS, EvalStats::GATED, num)?);
+    out.network =
+        NetworkStats::from_values(read_fields(NetworkStats::FIELDS, NetworkStats::GATED, num)?);
     for c in node
         .get("children")
         .and_then(Json::as_arr)
@@ -1267,6 +1154,24 @@ impl Comparison {
     }
 }
 
+/// `"key before -> after"` for each of `keys` whose value differs between
+/// the `counters` objects of two recorded entries or plan nodes (`?` for
+/// a missing value).
+fn changed_counters(keys: &[&str], baseline: &Json, current: &Json) -> Vec<String> {
+    let value = |doc: &Json, key: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_num)
+    };
+    let show = |v: Option<f64>| v.map_or_else(|| "?".into(), |v| (v as u64).to_string());
+    keys.iter()
+        .filter_map(|&key| {
+            let (b, c) = (value(baseline, key), value(current, key));
+            (b != c).then(|| format!("{key} {} -> {}", show(b), show(c)))
+        })
+        .collect()
+}
+
 /// Diff two recorded plan counter trees, appending one line per
 /// mismatched node with the drifted counters and the cost model's figure
 /// for the node before (baseline = predicted) and after (current =
@@ -1290,26 +1195,7 @@ fn diff_plan_nodes(
         ));
         return Ok(());
     }
-    let mut changed: Vec<String> = Vec::new();
-    for key in NODE_COUNTER_KEYS {
-        let b = baseline
-            .get("counters")
-            .and_then(|c| c.get(key))
-            .and_then(Json::as_num);
-        let c = current
-            .get("counters")
-            .and_then(|c| c.get(key))
-            .and_then(Json::as_num);
-        if b != c {
-            changed.push(format!(
-                "{key} {} -> {}",
-                b.map(|v| (v as u64).to_string())
-                    .unwrap_or_else(|| "?".into()),
-                c.map(|v| (v as u64).to_string())
-                    .unwrap_or_else(|| "?".into()),
-            ));
-        }
-    }
+    let changed = changed_counters(&node_counter_keys(), baseline, current);
     if !changed.is_empty() {
         let predicted = plan_from_counter_tree(baseline)
             .map(|t| cost::observed_cost(&t).total())
@@ -1408,26 +1294,7 @@ pub fn compare_reports(
             continue;
         };
         if gated {
-            let mut changed: Vec<String> = Vec::new();
-            for counter in COUNTER_KEYS {
-                let bv = b
-                    .get("counters")
-                    .and_then(|o| o.get(counter))
-                    .and_then(Json::as_num);
-                let cv = c
-                    .get("counters")
-                    .and_then(|o| o.get(counter))
-                    .and_then(Json::as_num);
-                if bv != cv {
-                    changed.push(format!(
-                        "{counter} {} -> {}",
-                        bv.map(|v| (v as u64).to_string())
-                            .unwrap_or_else(|| "?".into()),
-                        cv.map(|v| (v as u64).to_string())
-                            .unwrap_or_else(|| "?".into()),
-                    ));
-                }
-            }
+            let changed = changed_counters(&counter_keys(), b, c);
             // Diff the recorded plan trees regardless of the entry-level
             // rollups: counters redistributed among nodes (same totals,
             // different plan) are still a plan-quality change.
@@ -1506,26 +1373,7 @@ pub fn compare_reports(
                         .push(format!("{key}: `{field}` drifted {bv} -> {cv}"));
                 }
             }
-            let mut changed: Vec<String> = Vec::new();
-            for counter in COUNTER_KEYS {
-                let bv = b
-                    .get("counters")
-                    .and_then(|o| o.get(counter))
-                    .and_then(Json::as_num);
-                let cv = c
-                    .get("counters")
-                    .and_then(|o| o.get(counter))
-                    .and_then(Json::as_num);
-                if bv != cv {
-                    changed.push(format!(
-                        "{counter} {} -> {}",
-                        bv.map(|v| (v as u64).to_string())
-                            .unwrap_or_else(|| "?".into()),
-                        cv.map(|v| (v as u64).to_string())
-                            .unwrap_or_else(|| "?".into()),
-                    ));
-                }
-            }
+            let changed = changed_counters(&counter_keys(), b, c);
             if !changed.is_empty() {
                 cmp.drifts
                     .push(format!("{key}: counter drift: {}", changed.join(", ")));
@@ -1598,19 +1446,8 @@ pub fn compare_wall_clock(a: &Json, b: &Json) -> std::result::Result<String, Str
             lines.push(format!("{key}: only in A"));
             continue;
         };
-        for counter in COUNTER_KEYS {
-            let av = ae
-                .get("counters")
-                .and_then(|c| c.get(counter))
-                .and_then(Json::as_num);
-            let bv = be
-                .get("counters")
-                .and_then(|c| c.get(counter))
-                .and_then(Json::as_num);
-            if av != bv {
-                drift += 1;
-                break;
-            }
+        if !changed_counters(&counter_keys(), ae, be).is_empty() {
+            drift += 1;
         }
         let (Some(aw), Some(bw)) = (wall_of(ae), wall_of(be)) else {
             continue;
@@ -1703,18 +1540,48 @@ mod tests {
         );
     }
 
+    /// The `required` list at `path` (member names from the root) of a
+    /// checked-in schema.
+    fn schema_required(text: &str, path: &[&str]) -> Vec<String> {
+        let mut node = parse_json(text).unwrap();
+        for key in path {
+            node = node.get(key).unwrap_or_else(|| panic!("{path:?}")).clone();
+        }
+        let required = node.get("required").and_then(Json::as_arr).unwrap();
+        required
+            .iter()
+            .map(|k| k.as_str().unwrap().to_string())
+            .collect()
+    }
+
     #[test]
     fn counter_keys_are_sorted_and_complete() {
-        let mut sorted = COUNTER_KEYS.to_vec();
+        // The schemas' counter lists are the Rust tables: the bench rows
+        // key-sorted, the profile's sets in field-table order.
+        let bench = include_str!("../../../schemas/bench.schema.json");
+        let profile = include_str!("../../../schemas/profile.schema.json");
+        let entry = counter_keys();
+        let mut sorted = entry.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, COUNTER_KEYS.to_vec());
-        let mut node_sorted = NODE_COUNTER_KEYS.to_vec();
-        node_sorted.sort_unstable();
-        assert_eq!(node_sorted, NODE_COUNTER_KEYS.to_vec());
-        // The items() accessors emit exactly the schema keys, in order.
-        let c = Counters::default();
-        let keys: Vec<&str> = c.items().iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, COUNTER_KEYS.to_vec());
+        assert_eq!((entry.len(), &sorted), (22, &entry));
+        for path in [
+            &["properties", "entries", "items", "properties", "counters"][..],
+            &["properties", "concurrent", "properties", "counters"],
+        ] {
+            assert_eq!(schema_required(bench, path), entry, "{path:?}");
+        }
+        let node = node_counter_keys();
+        assert_eq!(node.len(), 20);
+        let path = ["definitions", "counterNode", "properties", "counters"];
+        assert_eq!(schema_required(bench, &path), node);
+        for (set, fields) in [
+            ("eval", &EvalStats::FIELDS[..]),
+            ("kernel", &gmdj_core::eval::KernelStats::FIELDS),
+            ("network", &NetworkStats::FIELDS),
+        ] {
+            let path = ["definitions", "planNode", "properties", set];
+            assert_eq!(schema_required(profile, &path), fields, "{set}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! [`cost_based_optimize`] runs the rewrite pipeline under every flag
 //! combination and returns the cheapest plan — a miniature version of the
 //! alternative-generation the paper proposes for the APPLY-style
-//! optimizers of [14].
+//! optimizers of \[14\].
 
 use gmdj_relation::error::Result;
 use gmdj_relation::expr::{CmpOp, Predicate, ScalarExpr};

@@ -1,6 +1,6 @@
 //! Distributed GMDJ evaluation — a coordinator/site simulation of the
 //! strategy Section 6 points at ("the GMDJ operator is well-suited to
-//! evaluation in a parallel or distributed DBMS environment [3]",
+//! evaluation in a parallel or distributed DBMS environment \[3\]",
 //! following Akinde, Böhlen, Johnson, Lakshmanan & Srivastava,
 //! EDBT 2002).
 //!
@@ -37,6 +37,7 @@ use gmdj_relation::agg::Accumulator;
 use gmdj_relation::error::Result;
 use gmdj_relation::relation::{Relation, Tuple};
 
+use crate::counters::counter_set;
 use crate::eval::{
     new_accumulators, plan_blocks, scan_detail_window, EvalStats, GmdjOptions, KernelStats,
 };
@@ -44,32 +45,36 @@ use crate::runtime::SiteBreakdown;
 use crate::spec::GmdjSpec;
 use crate::trace::TraceEvent;
 
-/// Network accounting. The closed-form counters (`broadcast_values`,
-/// `collected_states`, `messages`) are transport-independent: they count
-/// logical units ([`Value`]s, accumulator states, protocol frames) and
-/// are byte-identical between the in-process simulation and real socket
-/// sites. The `bytes_*` counters are physical: actual bytes moved over
-/// the wire, zero under the in-process transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetworkStats {
-    /// Values broadcast from the coordinator to the sites (base tuples ×
-    /// sites).
-    pub broadcast_values: u64,
-    /// Partial-aggregate states shipped back from the sites.
-    pub collected_states: u64,
-    /// Data-bearing protocol frames, **two per site round-trip**: the
-    /// broadcast wave out (base partition + spec) and the state wave
-    /// back (partial accumulator matrix). The socket transport counts
-    /// exactly these two frames per successful round-trip; its
-    /// handshake frames are transport overhead and land only in the
-    /// byte counters.
-    pub messages: u64,
-    /// Bytes written to the sites by the socket transport (handshake,
-    /// broadcast frames, across all attempts). Zero in-process.
-    pub bytes_sent: u64,
-    /// Bytes read back from the sites by the socket transport. Zero
-    /// in-process.
-    pub bytes_received: u64,
+counter_set! {
+    /// Network accounting. The closed-form counters (`broadcast_values`,
+    /// `collected_states`, `messages`) are transport-independent: they
+    /// count logical units ([`Value`](gmdj_relation::value::Value)s,
+    /// accumulator states, protocol frames) and are byte-identical
+    /// between the in-process simulation and real socket sites. The
+    /// `bytes_*` counters are physical: actual bytes moved over the wire,
+    /// zero under the in-process transport.
+    pub struct NetworkStats {
+        /// Values broadcast from the coordinator to the sites (base tuples ×
+        /// sites).
+        pub broadcast_values: u64,
+        /// Partial-aggregate states shipped back from the sites.
+        pub collected_states: u64,
+        /// Data-bearing protocol frames, **two per site round-trip**: the
+        /// broadcast wave out (base partition + spec) and the state wave
+        /// back (partial accumulator matrix). The socket transport counts
+        /// exactly these two frames per successful round-trip; its
+        /// handshake frames are transport overhead and land only in the
+        /// byte counters.
+        pub messages: u64,
+        /// Bytes written to the sites by the socket transport (handshake,
+        /// broadcast frames, across all attempts). Zero in-process.
+        #[gated = false]
+        pub bytes_sent: u64,
+        /// Bytes read back from the sites by the socket transport. Zero
+        /// in-process.
+        #[gated = false]
+        pub bytes_received: u64,
+    }
 }
 
 impl NetworkStats {
@@ -77,39 +82,6 @@ impl NetworkStats {
     /// they measure the same traffic in a different unit).
     pub fn total(&self) -> u64 {
         self.broadcast_values + self.collected_states
-    }
-
-    /// Fold another counter block into this one (used when rolling up a
-    /// per-plan-node statistics tree, [`crate::runtime::PlanNodeStats`]).
-    pub fn merge(&mut self, other: &NetworkStats) {
-        self.broadcast_values += other.broadcast_values;
-        self.collected_states += other.collected_states;
-        self.messages += other.messages;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-    }
-
-    /// Field-wise difference `self − earlier`: the traffic delta
-    /// attributable to a span that snapshotted `earlier` at entry.
-    pub fn minus(&self, earlier: &NetworkStats) -> NetworkStats {
-        NetworkStats {
-            broadcast_values: self.broadcast_values - earlier.broadcast_values,
-            collected_states: self.collected_states - earlier.collected_states,
-            messages: self.messages - earlier.messages,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            bytes_received: self.bytes_received - earlier.bytes_received,
-        }
-    }
-
-    /// The counters as named trace-span fields.
-    pub fn trace_fields(&self) -> [(&'static str, u64); 5] {
-        [
-            ("broadcast_values", self.broadcast_values),
-            ("bytes_received", self.bytes_received),
-            ("bytes_sent", self.bytes_sent),
-            ("collected_states", self.collected_states),
-            ("messages", self.messages),
-        ]
     }
 }
 
@@ -179,7 +151,7 @@ pub struct SiteEvalResponse {
 }
 
 /// How the distributed runtime reaches site `0..site_count()`. The
-/// in-process implementation calls [`eval_site_fragment`] directly; the
+/// in-process implementation calls `eval_site_fragment` directly; the
 /// socket implementation ([`crate::wire::TcpSites`]) speaks the
 /// length-prefixed frame protocol to a listener that calls the same
 /// function — which is what keeps every gated counter byte-identical

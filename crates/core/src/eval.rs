@@ -16,7 +16,7 @@
 //!
 //! This module holds the probe planning and the detail-scan kernels; the
 //! one evaluation entry point is [`crate::runtime::Runtime::eval`], which
-//! drives them through the morsel driver ([`crate::shared::morsel_pass`]).
+//! drives them through the morsel driver (`shared::morsel_pass`).
 //! When the base-values relation does not fit the memory budget, it
 //! partitions it and performs one detail scan per partition ("simple
 //! memory management techniques … compute the GMDJ at a well-defined
@@ -36,6 +36,7 @@ use gmdj_relation::schema::Schema;
 use gmdj_relation::value::Value;
 
 use crate::completion::CompletionPlan;
+use crate::counters::counter_set;
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, TraceSink};
 
@@ -86,161 +87,81 @@ impl Default for GmdjOptions {
     }
 }
 
-/// Machine-independent work counters, accumulated across an evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Detail tuples consumed (per partition scan).
-    pub detail_scanned: u64,
-    /// Candidate (base tuple, block) pairs produced by probe plans.
-    pub probe_candidates: u64,
-    /// Residual / full θ evaluations.
-    pub theta_evals: u64,
-    /// Aggregate accumulator updates.
-    pub agg_updates: u64,
-    /// Base tuples processed.
-    pub base_rows: u64,
-    /// Base tuples completed as rejected mid-scan (Theorem 4.2).
-    pub dead_early: u64,
-    /// Base tuples completed as accepted mid-scan (Theorem 4.1).
-    pub done_early: u64,
-    /// Probe indexes built.
-    pub index_builds: u64,
-    /// Detail scans performed (= number of base partitions).
-    pub partitions: u64,
-    /// Evaluations where a completion plan was present but skipped: a
-    /// multi-worker morsel pass declined it
-    /// (`eval::completion_prunes_pairs`) or the mode is distributed.
-    /// One-worker passes never skip a plan. The scan then runs the plain filtered form;
-    /// the answer is unchanged. Counted once per evaluation.
-    pub completion_fallbacks: u64,
-    /// Column-chunk pages read per detail scan: the paper's `k·P`
-    /// arithmetic with `P` counted per *referenced* detail column
-    /// (`ceil(|R| / chunk) × referenced_cols × partitions`). A closed form
-    /// of the spec and detail length, identical across execution policies,
-    /// vectorization settings, and morsel sizes — and strictly below
-    /// `row_page_reads` whenever the plan references fewer columns than
-    /// the detail schema holds.
-    pub col_chunk_reads: u64,
-    /// What the same detail scans would have cost under the old row
-    /// layout, where every page holds full-width rows
-    /// (`ceil(|R| / chunk) × schema_cols × partitions`).
-    pub row_page_reads: u64,
+counter_set! {
+    /// Machine-independent work counters, accumulated across an evaluation.
+    pub struct EvalStats {
+        /// Detail tuples consumed (per partition scan).
+        pub detail_scanned: u64,
+        /// Candidate (base tuple, block) pairs produced by probe plans.
+        pub probe_candidates: u64,
+        /// Residual / full θ evaluations.
+        pub theta_evals: u64,
+        /// Aggregate accumulator updates.
+        pub agg_updates: u64,
+        /// Base tuples processed.
+        pub base_rows: u64,
+        /// Base tuples completed as rejected mid-scan (Theorem 4.2).
+        pub dead_early: u64,
+        /// Base tuples completed as accepted mid-scan (Theorem 4.1).
+        pub done_early: u64,
+        /// Probe indexes built.
+        pub index_builds: u64,
+        /// Detail scans performed (= number of base partitions).
+        pub partitions: u64,
+        /// Evaluations where a completion plan was present but skipped: a
+        /// multi-worker morsel pass declined it
+        /// (`eval::completion_prunes_pairs`) or the mode is distributed.
+        /// One-worker passes never skip a plan. The scan then runs the
+        /// plain filtered form; the answer is unchanged. Counted once per
+        /// evaluation.
+        pub completion_fallbacks: u64,
+        /// Column-chunk pages read per detail scan: the paper's `k·P`
+        /// arithmetic with `P` counted per *referenced* detail column
+        /// (`ceil(|R| / chunk) × referenced_cols × partitions`). A closed
+        /// form of the spec and detail length, identical across execution
+        /// policies, vectorization settings, and morsel sizes — and
+        /// strictly below `row_page_reads` whenever the plan references
+        /// fewer columns than the detail schema holds.
+        pub col_chunk_reads: u64,
+        /// What the same detail scans would have cost under the old row
+        /// layout, where every page holds full-width rows
+        /// (`ceil(|R| / chunk) × schema_cols × partitions`).
+        pub row_page_reads: u64,
+    }
 }
 
 impl EvalStats {
-    /// Fold another stats block into this one.
-    pub fn merge(&mut self, other: &EvalStats) {
-        self.detail_scanned += other.detail_scanned;
-        self.probe_candidates += other.probe_candidates;
-        self.theta_evals += other.theta_evals;
-        self.agg_updates += other.agg_updates;
-        self.base_rows += other.base_rows;
-        self.dead_early += other.dead_early;
-        self.done_early += other.done_early;
-        self.index_builds += other.index_builds;
-        self.partitions += other.partitions;
-        self.completion_fallbacks += other.completion_fallbacks;
-        self.col_chunk_reads += other.col_chunk_reads;
-        self.row_page_reads += other.row_page_reads;
-    }
-
     /// A single scalar "work" figure: the dominant per-tuple costs. The
     /// page-read counters are deliberately excluded: they restate
     /// `detail_scanned` in page units, not additional work.
     pub fn work(&self) -> u64 {
         self.detail_scanned + self.probe_candidates + self.theta_evals + self.agg_updates
     }
-
-    /// Field-wise difference `self − earlier` (saturating): the counter
-    /// delta attributable to a span that snapshotted `earlier` at entry.
-    pub fn minus(&self, earlier: &EvalStats) -> EvalStats {
-        EvalStats {
-            detail_scanned: self.detail_scanned - earlier.detail_scanned,
-            probe_candidates: self.probe_candidates - earlier.probe_candidates,
-            theta_evals: self.theta_evals - earlier.theta_evals,
-            agg_updates: self.agg_updates - earlier.agg_updates,
-            base_rows: self.base_rows - earlier.base_rows,
-            dead_early: self.dead_early - earlier.dead_early,
-            done_early: self.done_early - earlier.done_early,
-            index_builds: self.index_builds - earlier.index_builds,
-            partitions: self.partitions - earlier.partitions,
-            completion_fallbacks: self.completion_fallbacks - earlier.completion_fallbacks,
-            col_chunk_reads: self.col_chunk_reads - earlier.col_chunk_reads,
-            row_page_reads: self.row_page_reads - earlier.row_page_reads,
-        }
-    }
-
-    /// The counters as named trace-span fields, in declaration order.
-    pub fn trace_fields(&self) -> [(&'static str, u64); 12] {
-        [
-            ("detail_scanned", self.detail_scanned),
-            ("probe_candidates", self.probe_candidates),
-            ("theta_evals", self.theta_evals),
-            ("agg_updates", self.agg_updates),
-            ("base_rows", self.base_rows),
-            ("dead_early", self.dead_early),
-            ("done_early", self.done_early),
-            ("index_builds", self.index_builds),
-            ("partitions", self.partitions),
-            ("completion_fallbacks", self.completion_fallbacks),
-            ("col_chunk_reads", self.col_chunk_reads),
-            ("row_page_reads", self.row_page_reads),
-        ]
-    }
 }
 
-/// Kernel-dispatch statistics for the batched detail scan — deliberately
-/// *adjacent to* [`EvalStats`] rather than inside it: the semantic
-/// counters must stay identical across execution modes and vectorization
-/// settings, while these describe which physical path ran.
-///
-/// Units are (detail row × dispatching block) work units: a batch of 1024
-/// rows scanned by two blocks contributes 2048, split between
-/// `rows_vectorized` and `rows_row_path` according to whether each
-/// block-batch pair ran a kernel or fell back to row-at-a-time
-/// evaluation. For `Scan` access the granularity is per probing base
-/// tuple (the kernel decision can differ per base row's value types).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Columnar windows viewed from the detail relation's stored columns.
-    pub batches: u64,
-    /// Work units processed through batched kernels.
-    pub rows_vectorized: u64,
-    /// Work units that fell back to row-at-a-time evaluation.
-    pub rows_row_path: u64,
-    /// Scheduling work units: one per detail scan call. Sequential scans
-    /// count one morsel per partition (the whole relation is one morsel);
-    /// the parallel morsel queue counts one per pulled morsel.
-    pub morsels: u64,
-}
-
-impl KernelStats {
-    /// Fold another stats block into this one.
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.batches += other.batches;
-        self.rows_vectorized += other.rows_vectorized;
-        self.rows_row_path += other.rows_row_path;
-        self.morsels += other.morsels;
-    }
-
-    /// Field-wise difference `self − earlier`.
-    pub fn minus(&self, earlier: &KernelStats) -> KernelStats {
-        KernelStats {
-            batches: self.batches - earlier.batches,
-            rows_vectorized: self.rows_vectorized - earlier.rows_vectorized,
-            rows_row_path: self.rows_row_path - earlier.rows_row_path,
-            morsels: self.morsels - earlier.morsels,
-        }
-    }
-
-    /// The counters as named trace-span fields, in declaration order.
-    pub fn trace_fields(&self) -> [(&'static str, u64); 4] {
-        [
-            ("batches", self.batches),
-            ("rows_vectorized", self.rows_vectorized),
-            ("rows_row_path", self.rows_row_path),
-            ("morsels", self.morsels),
-        ]
+counter_set! {
+    /// Kernel-dispatch statistics for the batched detail scan — deliberately
+    /// *adjacent to* [`EvalStats`] rather than inside it: the semantic
+    /// counters must stay identical across execution modes and vectorization
+    /// settings, while these describe which physical path ran.
+    ///
+    /// Units are (detail row × dispatching block) work units: a batch of 1024
+    /// rows scanned by two blocks contributes 2048, split between
+    /// `rows_vectorized` and `rows_row_path` according to whether each
+    /// block-batch pair ran a kernel or fell back to row-at-a-time
+    /// evaluation. For `Scan` access the granularity is per probing base
+    /// tuple (the kernel decision can differ per base row's value types).
+    pub struct KernelStats {
+        /// Columnar windows viewed from the detail relation's stored columns.
+        pub batches: u64,
+        /// Work units processed through batched kernels.
+        pub rows_vectorized: u64,
+        /// Work units that fell back to row-at-a-time evaluation.
+        pub rows_row_path: u64,
+        /// Scheduling work units: one per detail scan call. Sequential scans
+        /// count one morsel per partition (the whole relation is one morsel);
+        /// the parallel morsel queue counts one per pulled morsel.
+        pub morsels: u64,
     }
 }
 

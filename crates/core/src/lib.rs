@@ -22,7 +22,7 @@
 //!   Table 1): negation normalization, the count-based mapping of every
 //!   SQL subquery construct onto GMDJs, linear nesting, and the push-down
 //!   of base tables for non-neighboring correlation predicates.
-//! * [`optimize`] — **coalescing of GMDJs** (Proposition 4.1), selection
+//! * [`optimize`](mod@optimize) — **coalescing of GMDJs** (Proposition 4.1), selection
 //!   push-up, and annotation of GMDJ nodes with completion plans.
 //! * [`exec`] — an executor for GMDJ expressions against any
 //!   [`TableProvider`], returning results plus evaluation statistics.
@@ -79,6 +79,7 @@
 
 pub mod completion;
 pub mod cost;
+pub mod counters;
 pub mod distributed;
 pub mod eval;
 pub mod exec;

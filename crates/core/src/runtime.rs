@@ -544,12 +544,11 @@ impl PlanNodeStats {
                 out.push_str(&format!(" fallbacks={}", e.completion_fallbacks));
             }
         }
-        let k = &self.kernel;
-        if *k != KernelStats::default() {
-            out.push_str(&format!(
-                " kernel[batches={} morsels={} vec={} row={}]",
-                k.batches, k.morsels, k.rows_vectorized, k.rows_row_path
-            ));
+        if self.kernel != KernelStats::default() {
+            let fields: Vec<String> = (self.kernel.trace_fields().iter())
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            out.push_str(&format!(" kernel[{}]", fields.join(" ")));
         }
         if self.network != NetworkStats::default() {
             out.push_str(&format!(
@@ -608,23 +607,13 @@ impl PlanNodeStats {
     /// JSON object (the per-node stats persisted by `repro
     /// --profile-json`).
     pub fn to_json(&self) -> String {
-        let e = &self.eval;
-        let n = &self.network;
+        use crate::trace::json_object;
         let mut out = format!(
             "{{\"label\":\"{}\",\"rows_out\":{},\"scanned_rows\":{},\
              \"elapsed_ns\":{},\"self_ns\":{},\"invocations\":{},\
              \"worker_wall_max_ns\":{},\"worker_wall_sum_ns\":{},\
              \"ops\":{{\"rows_in\":{},\"rows_out\":{}}},\
-             \"eval\":{{\"detail_scanned\":{},\"probe_candidates\":{},\
-             \"theta_evals\":{},\"agg_updates\":{},\"base_rows\":{},\
-             \"dead_early\":{},\"done_early\":{},\"index_builds\":{},\
-             \"partitions\":{},\"completion_fallbacks\":{},\
-             \"col_chunk_reads\":{},\"row_page_reads\":{}}},\
-             \"kernel\":{{\"batches\":{},\"morsels\":{},\"rows_vectorized\":{},\
-             \"rows_row_path\":{}}},\
-             \"network\":{{\"broadcast_values\":{},\"bytes_received\":{},\
-             \"bytes_sent\":{},\"collected_states\":{},\
-             \"messages\":{}}}",
+             \"eval\":{},\"kernel\":{},\"network\":{}",
             crate::trace::json_escape(&self.label),
             self.rows_out,
             self.scanned_rows,
@@ -635,27 +624,9 @@ impl PlanNodeStats {
             self.worker_wall_sum_ns,
             self.ops.rows_in,
             self.ops.rows_out,
-            e.detail_scanned,
-            e.probe_candidates,
-            e.theta_evals,
-            e.agg_updates,
-            e.base_rows,
-            e.dead_early,
-            e.done_early,
-            e.index_builds,
-            e.partitions,
-            e.completion_fallbacks,
-            e.col_chunk_reads,
-            e.row_page_reads,
-            self.kernel.batches,
-            self.kernel.morsels,
-            self.kernel.rows_vectorized,
-            self.kernel.rows_row_path,
-            n.broadcast_values,
-            n.bytes_received,
-            n.bytes_sent,
-            n.collected_states,
-            n.messages,
+            json_object(self.eval.trace_fields()),
+            json_object(self.kernel.trace_fields()),
+            json_object(self.network.trace_fields()),
         );
         // Per-site breakdown: present exactly when the node ran
         // distributed (mirrors the render; absent otherwise so

@@ -6,7 +6,7 @@
 //! any number of independent GMDJs over one detail relation can ride a
 //! single morsel-driven pass: each pulled window is dispatched to every
 //! query's membership predicates and accumulator updates
-//! ([`crate::eval::scan_detail_window`]), then results demultiplex back
+//! (`eval::scan_detail_window`), then results demultiplex back
 //! to per-query waiters. The physical wins: detail chunks are read once
 //! per pass instead of once per query, and *structurally identical*
 //! queries in one batch collapse to a single evaluation fanned out to
@@ -30,7 +30,7 @@
 //! # Correctness
 //!
 //! Per query the shared pass performs exactly the standalone chunked
-//! evaluation: its own probe plans ([`crate::eval::plan_blocks`]), its
+//! evaluation: its own probe plans (`eval::plan_blocks`), its
 //! own private per-worker accumulators merged in worker order
 //! ([`gmdj_relation::agg::Accumulator::merge`] is exact), its own
 //! selection/projection materialization. Sharing only changes *when*

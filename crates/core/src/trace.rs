@@ -18,11 +18,11 @@
 //!
 //! | name | emitted per | fields |
 //! |---|---|---|
-//! | `gmdj.eval` | GMDJ evaluation (any mode) | full [`EvalStats`](crate::eval::EvalStats) + network deltas, `shared_queries` when a shared pass served it |
+//! | `gmdj.eval` | GMDJ evaluation (any mode) | full [`EvalStats`] + network deltas, `shared_queries` when a shared pass served it |
 //! | `gmdj.partition` | base partition scan (not in a shared pass) | per-partition stats delta |
 //! | `gmdj.worker` | morsel-pass worker: the one worker of a sequential scan, each of a parallel scan's, each of a shared pass's | scan-counter delta summed over the pass's queries, `chunk_rows`, `morsels`, `queries` when more than one |
 //! | `site.roundtrip` | distributed site round-trip | per-site scan + network delta (incl. wire bytes under real sites; detail names the site, `siteN@addr` over sockets) |
-//! | `site.eval` | site-local evaluation (one per round-trip) | site-side [`EvalStats`](crate::eval::EvalStats) delta, `site`, `attempt`, `fragment_rows` |
+//! | `site.eval` | site-local evaluation (one per round-trip) | site-side [`EvalStats`] delta, `site`, `attempt`, `fragment_rows` |
 //! | `plan.node` | plan-operator execution | `rows_out`, `scanned_rows` |
 //! | `query.plan` | translation + optimization | — |
 //! | `query.execute` | plan execution | — |
@@ -43,6 +43,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+use crate::distributed::NetworkStats;
+use crate::eval::{EvalStats, KernelStats};
 
 /// Process-wide monotonic epoch: all span start offsets are relative to
 /// this instant.
@@ -94,28 +97,23 @@ impl TraceEvent {
             self.start_ns, self.dur_ns
         ));
         if !self.fields.is_empty() {
-            let mut sorted: Vec<&(&'static str, u64)> = self.fields.iter().collect();
+            let mut sorted = self.fields.clone();
             sorted.sort_by_key(|(k, _)| *k);
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in sorted.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", json_escape(k), v));
-            }
-            out.push('}');
+            out.push_str(",\"fields\":");
+            out.push_str(&json_object(sorted));
         }
         out.push('}');
         out
     }
 }
 
-/// Every span name and counter-field key that may cross the process
-/// boundary. [`TraceEvent`] stores both as `&'static str`, so the wire
-/// decoder ([`crate::wire`]) re-interns incoming strings against this
-/// table — a frame carrying an unknown name is a decode error (strict,
-/// like the rest of the protocol), never a silent allocation leak into
-/// the static lifetime.
+/// Every span name and span-specific field key that may cross the
+/// process boundary; the counter-field keys are the field tables of the
+/// counter sets ([`crate::counters`]). [`TraceEvent`] stores both as
+/// `&'static str`, so the wire decoder ([`crate::wire`]) re-interns
+/// incoming strings against these tables — a frame carrying an unknown
+/// name is a decode error (strict, like the rest of the protocol), never
+/// a silent allocation leak into the static lifetime.
 pub const WIRE_INTERN_TABLE: &[&str] = &[
     // Span names (module table above).
     "gmdj.eval",
@@ -128,30 +126,6 @@ pub const WIRE_INTERN_TABLE: &[&str] = &[
     "query.plan",
     "query.execute",
     "query.parse",
-    // EvalStats counter deltas.
-    "detail_scanned",
-    "probe_candidates",
-    "theta_evals",
-    "agg_updates",
-    "base_rows",
-    "dead_early",
-    "done_early",
-    "index_builds",
-    "partitions",
-    "completion_fallbacks",
-    "col_chunk_reads",
-    "row_page_reads",
-    // NetworkStats counter deltas.
-    "broadcast_values",
-    "bytes_received",
-    "bytes_sent",
-    "collected_states",
-    "messages",
-    // KernelStats counter deltas.
-    "batches",
-    "rows_vectorized",
-    "rows_row_path",
-    "morsels",
     // Span-specific fields.
     "chunk_rows",
     "rows_out",
@@ -165,10 +139,17 @@ pub const WIRE_INTERN_TABLE: &[&str] = &[
     "parent_span",
 ];
 
-/// Re-intern a wire string against [`WIRE_INTERN_TABLE`]. `None` means
-/// the name is not one this build emits — the decoder rejects the frame.
+/// Re-intern a wire string against [`WIRE_INTERN_TABLE`] and the counter
+/// field tables. `None` means the name is not one this build emits — the
+/// decoder rejects the frame.
 pub fn intern_static(s: &str) -> Option<&'static str> {
-    WIRE_INTERN_TABLE.iter().find(|&&k| k == s).copied()
+    WIRE_INTERN_TABLE
+        .iter()
+        .chain(&EvalStats::FIELDS)
+        .chain(&KernelStats::FIELDS)
+        .chain(&NetworkStats::FIELDS)
+        .find(|&&k| k == s)
+        .copied()
 }
 
 /// Nanoseconds since the process trace epoch — the scale every span
@@ -202,6 +183,19 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out
+}
+
+/// Render `(key, value)` rows as one JSON object, in the given order.
+pub fn json_object<'a>(rows: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    let mut out = String::from("{");
+    for (i, (k, v)) in rows.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("\"{}\":{}", json_escape(k), v));
+    }
+    out.push('}');
     out
 }
 
@@ -807,16 +801,26 @@ mod tests {
     fn intern_table_covers_every_emitted_name_and_rejects_strangers() {
         // Every span name in the module table round-trips to the same
         // static, as do the counter families that ride on them.
-        for name in ["site.eval", "gmdj.kernel", "detail_scanned", "wall_ns"] {
+        for name in [
+            "site.eval",
+            "gmdj.kernel",
+            "detail_scanned",
+            "morsels",
+            "wall_ns",
+        ] {
             let interned = intern_static(name).expect(name);
             assert_eq!(interned, name);
         }
         assert_eq!(intern_static("no.such.span"), None);
         assert_eq!(intern_static(""), None);
         // No duplicates: interning must be unambiguous.
-        let mut sorted = WIRE_INTERN_TABLE.to_vec();
+        let mut all = WIRE_INTERN_TABLE.to_vec();
+        all.extend(EvalStats::FIELDS);
+        all.extend(KernelStats::FIELDS);
+        all.extend(NetworkStats::FIELDS);
+        let mut sorted = all.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted.len(), WIRE_INTERN_TABLE.len());
+        assert_eq!(sorted.len(), all.len());
     }
 }

@@ -4,7 +4,7 @@
 //! in-process simulation and this module's real one — N site executors,
 //! each a thread owning a `TcpListener` over its detail fragment, and a
 //! [`TcpSites`] client the coordinator drives. Both run the exact same
-//! site-local evaluation ([`crate::distributed::eval_site_fragment`]),
+//! site-local evaluation (`distributed::eval_site_fragment`),
 //! so every gated counter is byte-identical between transports; only
 //! the `bytes_sent` / `bytes_received` counters (and wall-clock) differ.
 //!
@@ -42,8 +42,10 @@
 //! timestamps cross the boundary). A failed attempt's sink dies with the
 //! attempt, so its spans can never reach the stitched tree: retried site
 //! work is counted exactly once. Decoded span names and field keys are
-//! re-interned against [`crate::trace::WIRE_INTERN_TABLE`]; unknown
-//! strings are decode errors.
+//! re-interned against [`crate::trace::WIRE_INTERN_TABLE`] and the
+//! counter field tables; unknown strings are decode errors. The site
+//! counters ride as each set's field count followed by its values in
+//! field-table order ([`crate::counters`]).
 //!
 //! Decoding is strict: bad magic, unknown version or frame type,
 //! lengths beyond [`MAX_FRAME_LEN`], truncated payloads, expression
@@ -894,66 +896,31 @@ fn dec_accumulator(r: &mut Reader) -> std::result::Result<Accumulator, WireError
     })
 }
 
-const EVAL_STAT_FIELDS: usize = 12;
-const KERNEL_STAT_FIELDS: usize = 4;
-
-fn enc_eval_stats(out: &mut Vec<u8>, s: &EvalStats) {
-    out.push(EVAL_STAT_FIELDS as u8);
-    for v in [
-        s.detail_scanned,
-        s.probe_candidates,
-        s.theta_evals,
-        s.agg_updates,
-        s.base_rows,
-        s.dead_early,
-        s.done_early,
-        s.index_builds,
-        s.partitions,
-        s.completion_fallbacks,
-        s.col_chunk_reads,
-        s.row_page_reads,
-    ] {
+/// Encode one counter set: its field count, then each value in table
+/// order ([`crate::counters`]).
+fn enc_counters(out: &mut Vec<u8>, values: &[u64]) {
+    out.push(values.len() as u8);
+    for &v in values {
         put_u64(out, v);
     }
 }
 
-fn dec_eval_stats(r: &mut Reader) -> std::result::Result<EvalStats, WireError> {
-    if r.u8()? as usize != EVAL_STAT_FIELDS {
-        return Err(WireError::protocol("eval stats field count mismatch"));
+/// Decode a counter set written by [`enc_counters`]. A field count other
+/// than this build's table length is a protocol error.
+fn dec_counters<const N: usize>(
+    r: &mut Reader,
+    set: &str,
+) -> std::result::Result<[u64; N], WireError> {
+    if r.u8()? as usize != N {
+        return Err(WireError::protocol(format!(
+            "{set} stats field count mismatch"
+        )));
     }
-    Ok(EvalStats {
-        detail_scanned: r.u64()?,
-        probe_candidates: r.u64()?,
-        theta_evals: r.u64()?,
-        agg_updates: r.u64()?,
-        base_rows: r.u64()?,
-        dead_early: r.u64()?,
-        done_early: r.u64()?,
-        index_builds: r.u64()?,
-        partitions: r.u64()?,
-        completion_fallbacks: r.u64()?,
-        col_chunk_reads: r.u64()?,
-        row_page_reads: r.u64()?,
-    })
-}
-
-fn enc_kernel_stats(out: &mut Vec<u8>, k: &KernelStats) {
-    out.push(KERNEL_STAT_FIELDS as u8);
-    for v in [k.batches, k.rows_vectorized, k.rows_row_path, k.morsels] {
-        put_u64(out, v);
+    let mut values = [0; N];
+    for v in &mut values {
+        *v = r.u64()?;
     }
-}
-
-fn dec_kernel_stats(r: &mut Reader) -> std::result::Result<KernelStats, WireError> {
-    if r.u8()? as usize != KERNEL_STAT_FIELDS {
-        return Err(WireError::protocol("kernel stats field count mismatch"));
-    }
-    Ok(KernelStats {
-        batches: r.u64()?,
-        rows_vectorized: r.u64()?,
-        rows_row_path: r.u64()?,
-        morsels: r.u64()?,
-    })
+    Ok(values)
 }
 
 fn enc_trace_event(out: &mut Vec<u8>, e: &TraceEvent) {
@@ -1045,8 +1012,8 @@ fn enc_payload(frame: &Frame) -> Vec<u8> {
         Frame::StateMatrix(sm) => {
             put_u64(&mut out, sm.request_bytes);
             put_u64(&mut out, sm.fragment_rows);
-            enc_eval_stats(&mut out, &sm.stats);
-            enc_kernel_stats(&mut out, &sm.kernel);
+            enc_counters(&mut out, &sm.stats.values());
+            enc_counters(&mut out, &sm.kernel.values());
             put_u64(&mut out, sm.site_wall_ns);
             put_u32(&mut out, sm.spans.len() as u32);
             for e in &sm.spans {
@@ -1130,8 +1097,8 @@ fn dec_payload(frame_type: u8, payload: &[u8]) -> std::result::Result<Frame, Wir
         FT_STATE_MATRIX => {
             let request_bytes = r.u64()?;
             let fragment_rows = r.u64()?;
-            let stats = dec_eval_stats(&mut r)?;
-            let kernel = dec_kernel_stats(&mut r)?;
+            let stats = EvalStats::from_values(dec_counters(&mut r, "eval")?);
+            let kernel = KernelStats::from_values(dec_counters(&mut r, "kernel")?);
             let site_wall_ns = r.u64()?;
             let nspans = r.count()?;
             let mut spans = Vec::with_capacity(nspans);
@@ -1785,6 +1752,82 @@ mod tests {
         bytes.extend_from_slice(&payload);
         let err = decode_frame(&bytes).unwrap_err();
         assert!(err.message.contains("unknown span name"), "{}", err.message);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of one frame per wave, with every stats field
+    /// distinct and non-zero: the counter codec's field order is part of
+    /// protocol version 2, and a reordered or dropped field must fail
+    /// here, not only in a round trip that reorders both ends alike.
+    #[test]
+    fn frames_encode_to_pinned_bytes() {
+        let request = Frame::EvalRequest(Box::new(EvalRequestFrame {
+            attempt: 2,
+            query_id: 41,
+            parent_span: 97,
+            trace: true,
+            probe: ProbeStrategy::Auto,
+            partition_rows: Some(8),
+            vectorized: true,
+            total_aggs: 1,
+            base_fields: vec![Field::new("B", "Lo", DataType::Int)],
+            base_rows: vec![vec![Value::Int(5)].into_boxed_slice()],
+            spec: GmdjSpec::new(vec![AggBlock::count(col("F.T").ge(col("B.Lo")), "cnt")]),
+        }));
+        let state = Frame::StateMatrix(Box::new(StateMatrixFrame {
+            request_bytes: 100,
+            fragment_rows: 9,
+            stats: EvalStats {
+                detail_scanned: 1,
+                probe_candidates: 2,
+                theta_evals: 3,
+                agg_updates: 4,
+                base_rows: 5,
+                dead_early: 6,
+                done_early: 7,
+                index_builds: 8,
+                partitions: 9,
+                completion_fallbacks: 10,
+                col_chunk_reads: 11,
+                row_page_reads: 12,
+            },
+            kernel: KernelStats {
+                batches: 13,
+                rows_vectorized: 14,
+                rows_row_path: 15,
+                morsels: 16,
+            },
+            site_wall_ns: 1234,
+            spans: vec![sample_event()],
+            accs: vec![Accumulator::CountStar { n: 4 }],
+        }));
+        // Protocol version 2's layout: a codec change that alters these
+        // bytes must also bump WIRE_VERSION.
+        let pinned_request = concat!(
+            "474d444a02000371000000020000002900000000000000610000000000000001",
+            "000108000000000000000101000000010000000100000042020000004c6f0001",
+            "0000000100000001050000000000000001000000010500010100000046010000",
+            "005400010100000042020000004c6f01000000000003000000636e74",
+        );
+        let pinned_state = concat!(
+            "474d444a02000412010000640000000000000009000000000000000c01000000",
+            "0000000002000000000000000300000000000000040000000000000005000000",
+            "0000000006000000000000000700000000000000080000000000000009000000",
+            "000000000a000000000000000b000000000000000c00000000000000040d0000",
+            "00000000000e000000000000000f000000000000001000000000000000d20400",
+            "00000000000100000009000000736974652e6576616c05000000736974653378",
+            "00000000000000e7030000000000000300000004000000736974650300000000",
+            "00000007000000617474656d707401000000000000000e00000064657461696c",
+            "5f7363616e6e6564280000000000000001000000000400000000000000",
+        );
+        for (frame, pinned) in [(&request, pinned_request), (&state, pinned_state)] {
+            let bytes = encode_frame(frame);
+            assert_eq!(hex(&bytes), pinned);
+            assert_eq!(&decode_frame(&bytes).unwrap(), frame);
+        }
     }
 
     #[test]

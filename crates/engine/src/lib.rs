@@ -3,7 +3,7 @@
 //! A query engine exposing the evaluation strategies compared in Section 5
 //! of the paper:
 //!
-//! * [`reference`] — **tuple-iteration semantics** ("native"): the nested
+//! * [`reference`](mod@reference) — **tuple-iteration semantics** ("native"): the nested
 //!   query expression evaluated by nested loops, optionally with the
 //!   *smart* early-exit behaviour the paper observed in its target DBMS
 //!   (specialized EXISTS handling, discard-on-violation for ALL) and with

@@ -12,7 +12,7 @@
 //! opt out — their lookups bypass the cache and count toward neither
 //! counter).
 //!
-//! A [`PlanCache`] is FIFO-capped at [`CACHE_CAP`] entries and keeps its
+//! A `PlanCache` is FIFO-capped at [`CACHE_CAP`] entries and keeps its
 //! own hit/miss counts; every instance also reports to
 //! `plan_cache_hits_total` / `plan_cache_misses_total` in the global
 //! [`metrics`] registry. [`cached_translate`], [`stats`] and [`clear`]
@@ -142,17 +142,17 @@ fn default_cache() -> &'static PlanCache {
     CACHE.get_or_init(PlanCache::new)
 }
 
-/// [`PlanCache::translate`] on the process default cache.
+/// `PlanCache::translate` on the process default cache.
 pub fn cached_translate(query: &QueryExpr, catalog: &dyn TableProvider) -> Result<GmdjExpr> {
     default_cache().translate(query, catalog)
 }
 
-/// [`PlanCache::stats`] of the process default cache.
+/// `PlanCache::stats` of the process default cache.
 pub fn stats() -> CacheStats {
     default_cache().stats()
 }
 
-/// [`PlanCache::clear`] on the process default cache.
+/// `PlanCache::clear` on the process default cache.
 pub fn clear() {
     default_cache().clear()
 }

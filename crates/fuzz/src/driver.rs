@@ -28,7 +28,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use gmdj_core::runtime::ExecPolicy;
+use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
 use gmdj_core::trace::CollectingSink;
 use gmdj_engine::strategy::{
@@ -291,7 +291,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                 // socket-backed loopback sites. Both transports drive the
                 // identical per-fragment evaluation, so the result multiset,
                 // the gated counters, AND the closed-form network value
-                // counts (broadcast_values / collected_states / messages)
+                // counts (the gated fields of NetworkStats's table)
                 // must match exactly — only the byte counters are allowed
                 // to differ (zero in-process, measured on the wire).
                 if matches!(
@@ -320,13 +320,13 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                                         ))
                                     }
                                     (Some(vs), Some(rs)) => {
-                                        let (a, b) = (vs.total_network(), rs.total_network());
-                                        let a = (a.broadcast_values, a.collected_states, a.messages);
-                                        let b = (b.broadcast_values, b.collected_states, b.messages);
+                                        let closed_form = |t: &PlanNodeStats| -> Vec<_> {
+                                            t.total_network().gated_fields().collect()
+                                        };
+                                        let (a, b) = (closed_form(vs), closed_form(rs));
                                         (a != b).then(|| {
                                             format!(
-                                                "network value counts drifted \
-                                                 (broadcast_values, collected_states, messages): \
+                                                "network value counts drifted: \
                                                  in-process {a:?} vs real sites {b:?}"
                                             )
                                         })

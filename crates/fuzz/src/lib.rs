@@ -18,7 +18,7 @@
 //!   EXISTS, IN/NOT IN, nesting to depth 3, non-neighboring correlation,
 //!   NULL literals.
 //! * [`driver`] — the differential check and per-divergence span traces.
-//! * [`shrink`] — greedy delta debugging to a minimal failing case.
+//! * [`shrink`](mod@shrink) — greedy delta debugging to a minimal failing case.
 //! * [`corpus`] — self-contained repro files (SQL + CSV + seed).
 //! * [`cli`] — the `repro fuzz` subcommand.
 

@@ -7,7 +7,7 @@
 //!
 //! * [`HashIndex`] — equality conjuncts `B.x = R.y` (correlation
 //!   predicates). "The indexing mechanism intrinsic to GMDJ evaluation"
-//!   ([2] in the paper).
+//!   (\[2\] in the paper).
 //! * [`IntervalIndex`] — band conjuncts `B.lo ≤ R.t < B.hi` (the Hours
 //!   dimension of the motivating example).
 

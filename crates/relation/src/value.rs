@@ -220,7 +220,7 @@ impl From<bool> for Value {
 /// SQL three-valued logic.
 ///
 /// Predicates evaluate to one of three truth values. *Where-clause
-/// truncation* ([21] in the paper) keeps only tuples whose predicate is
+/// truncation* (\[21\] in the paper) keeps only tuples whose predicate is
 /// [`Truth::True`]; both `False` and `Unknown` discard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Truth {

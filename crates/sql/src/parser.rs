@@ -119,10 +119,22 @@ pub enum SqlExpr {
     },
 }
 
+/// Deepest nesting the parser accepts. Every expression (the `WHERE`
+/// clause, each parenthesized operand, subquery condition, aggregate
+/// argument and `CASE` part) and each link of a `NOT` or unary-minus
+/// chain counts one level; past the cap parsing fails with an error
+/// instead of overflowing the stack. The deepest accepted query of each
+/// kind still parses and lowers on a default 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one SELECT statement from SQL text.
 pub fn parse_statement(input: &str) -> Result<SelectStmt> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.select_stmt()?;
     p.expect_eof()?;
     Ok(stmt)
@@ -131,9 +143,24 @@ pub fn parse_statement(input: &str) -> Result<SelectStmt> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level ([`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper, or fail past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::invalid(format!(
+                "query nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -319,7 +346,7 @@ impl Parser {
     // Precedence: OR < AND < NOT < predicate < additive < multiplicative
     // < unary < primary.
     fn expr(&mut self) -> Result<SqlExpr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<SqlExpr> {
@@ -351,7 +378,7 @@ impl Parser {
                     negated: true,
                 });
             }
-            return Ok(SqlExpr::Not(Box::new(self.not_expr()?)));
+            return Ok(SqlExpr::Not(Box::new(self.nested(Self::not_expr)?)));
         }
         self.predicate()
     }
@@ -492,7 +519,7 @@ impl Parser {
     fn unary(&mut self) -> Result<SqlExpr> {
         if matches!(self.peek(), Token::Op(o) if o == "-") {
             self.next();
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             return Ok(SqlExpr::Arith {
                 op: '-',
                 left: Box::new(SqlExpr::Number(0.0)),
@@ -510,54 +537,9 @@ impl Parser {
             Token::Keyword(k) if k == "TRUE" => Ok(SqlExpr::Bool(true)),
             Token::Keyword(k) if k == "FALSE" => Ok(SqlExpr::Bool(false)),
             Token::Keyword(k) if matches!(k.as_str(), "COUNT" | "SUM" | "MIN" | "MAX" | "AVG") => {
-                self.expect(&Token::LParen)?;
-                if k == "COUNT" && matches!(self.peek(), Token::Star) {
-                    self.next();
-                    self.expect(&Token::RParen)?;
-                    return Ok(SqlExpr::Agg {
-                        func: SqlAggFunc::CountStar,
-                        arg: None,
-                    });
-                }
-                let count_distinct = k == "COUNT" && self.eat_keyword("DISTINCT");
-                let arg = self.expr()?;
-                self.expect(&Token::RParen)?;
-                let func = match k.as_str() {
-                    "COUNT" if count_distinct => SqlAggFunc::CountDistinct,
-                    "COUNT" => SqlAggFunc::Count,
-                    "SUM" => SqlAggFunc::Sum,
-                    "MIN" => SqlAggFunc::Min,
-                    "MAX" => SqlAggFunc::Max,
-                    "AVG" => SqlAggFunc::Avg,
-                    _ => unreachable!(),
-                };
-                Ok(SqlExpr::Agg {
-                    func,
-                    arg: Some(Box::new(arg)),
-                })
+                self.agg_call(&k)
             }
-            Token::Keyword(k) if k == "CASE" => {
-                let mut branches = Vec::new();
-                while self.eat_keyword("WHEN") {
-                    let cond = self.expr()?;
-                    self.expect_keyword("THEN")?;
-                    let then = self.expr()?;
-                    branches.push((cond, then));
-                }
-                if branches.is_empty() {
-                    return Err(Error::invalid("CASE needs at least one WHEN branch"));
-                }
-                let otherwise = if self.eat_keyword("ELSE") {
-                    Some(Box::new(self.expr()?))
-                } else {
-                    None
-                };
-                self.expect_keyword("END")?;
-                Ok(SqlExpr::Case {
-                    branches,
-                    otherwise,
-                })
-            }
+            Token::Keyword(k) if k == "CASE" => self.case_expr(),
             Token::LParen => {
                 if matches!(self.peek(), Token::Keyword(k) if k == "SELECT") {
                     let stmt = self.select_stmt()?;
@@ -585,6 +567,62 @@ impl Parser {
             }
             other => Err(Error::invalid(format!("unexpected token {other}"))),
         }
+    }
+
+    /// `COUNT|SUM|MIN|MAX|AVG ( [DISTINCT] expr | * )`, the keyword
+    /// already consumed. Kept out of [`Self::primary`] so the frames of
+    /// the operator-precedence chain a parenthesis recurses through stay
+    /// small.
+    fn agg_call(&mut self, k: &str) -> Result<SqlExpr> {
+        self.expect(&Token::LParen)?;
+        if k == "COUNT" && matches!(self.peek(), Token::Star) {
+            self.next();
+            self.expect(&Token::RParen)?;
+            return Ok(SqlExpr::Agg {
+                func: SqlAggFunc::CountStar,
+                arg: None,
+            });
+        }
+        let count_distinct = k == "COUNT" && self.eat_keyword("DISTINCT");
+        let arg = self.expr()?;
+        self.expect(&Token::RParen)?;
+        let func = match k {
+            "COUNT" if count_distinct => SqlAggFunc::CountDistinct,
+            "COUNT" => SqlAggFunc::Count,
+            "SUM" => SqlAggFunc::Sum,
+            "MIN" => SqlAggFunc::Min,
+            "MAX" => SqlAggFunc::Max,
+            "AVG" => SqlAggFunc::Avg,
+            _ => unreachable!(),
+        };
+        Ok(SqlExpr::Agg {
+            func,
+            arg: Some(Box::new(arg)),
+        })
+    }
+
+    /// `CASE WHEN p THEN e [...] [ELSE e] END`, `CASE` already consumed.
+    fn case_expr(&mut self) -> Result<SqlExpr> {
+        let mut branches = Vec::new();
+        while self.eat_keyword("WHEN") {
+            let cond = self.expr()?;
+            self.expect_keyword("THEN")?;
+            let then = self.expr()?;
+            branches.push((cond, then));
+        }
+        if branches.is_empty() {
+            return Err(Error::invalid("CASE needs at least one WHEN branch"));
+        }
+        let otherwise = if self.eat_keyword("ELSE") {
+            Some(Box::new(self.expr()?))
+        } else {
+            None
+        };
+        self.expect_keyword("END")?;
+        Ok(SqlExpr::Case {
+            branches,
+            otherwise,
+        })
     }
 
     fn parenthesized_select(&mut self) -> Result<SelectStmt> {
@@ -699,5 +737,45 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is an error, not a stack overflow, and
+    /// the deepest accepted query of each kind parses and lowers on a
+    /// spawned thread's default 2 MiB stack.
+    #[test]
+    fn nesting_is_capped_before_the_stack_runs_out() {
+        type Query = fn(usize) -> String;
+        let parens: Query = |d| {
+            let (open, close) = ("(".repeat(d - 1), ")".repeat(d - 1));
+            format!("SELECT * FROM t WHERE {open}t.a = 1{close}")
+        };
+        let nots: Query = |d| format!("SELECT * FROM t WHERE {}t.a = 1", "NOT ".repeat(d - 1));
+        let negs: Query = |d| format!("SELECT * FROM t WHERE t.a = {}1", "- ".repeat(d - 1));
+        let subqueries: Query = |d| {
+            let mut q = "SELECT * FROM t WHERE t.a = 1".to_string();
+            for _ in 1..d {
+                q = format!("SELECT * FROM t WHERE EXISTS ({q})");
+            }
+            q
+        };
+        std::thread::spawn(move || {
+            let kinds = [
+                ("parens", parens),
+                ("NOT", nots),
+                ("unary -", negs),
+                ("subqueries", subqueries),
+            ];
+            for (kind, query) in kinds {
+                crate::parse_query(&query(MAX_DEPTH))
+                    .unwrap_or_else(|e| panic!("{kind} at the cap: {e}"));
+                let err = parse_statement(&query(MAX_DEPTH + 1)).unwrap_err();
+                assert!(err.to_string().contains("nests deeper"), "{kind}: {err}");
+            }
+            for query in [parens, nots, negs] {
+                assert!(parse_statement(&query(100_000)).is_err());
+            }
+        })
+        .join()
+        .unwrap();
     }
 }

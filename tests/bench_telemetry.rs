@@ -9,7 +9,7 @@
 
 use gmdj_bench::profile::{parse_json, Json};
 use gmdj_bench::telemetry::{
-    compare_reports, counter_section, run_bench, validate_bench, BenchConfig, COUNTER_KEYS,
+    compare_reports, counter_keys, counter_section, run_bench, validate_bench, BenchConfig,
 };
 use gmdj_bench::FigureId;
 
@@ -303,7 +303,7 @@ fn checked_in_baseline_is_schema_valid() {
     let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
     for e in entries {
         let counters = e.get("counters").unwrap();
-        for key in COUNTER_KEYS {
+        for key in counter_keys() {
             assert!(counters.get(key).is_some(), "baseline entry missing {key}");
         }
     }

@@ -576,29 +576,30 @@ fn measure_span_shipping_overhead() {
 #[test]
 fn profile_json_validates_and_round_trips_plan_trees() {
     let policy = ExecPolicy::parallel(2);
-    let fig = run_figure_with(FigureId::Fig2, 0.002, 7, policy).unwrap();
-    let doc = profile::render_profile(&[fig], &policy, 0.002, 7);
+    let figs = [run_figure_with(FigureId::Fig2, 0.002, 7, policy).unwrap()];
+    let doc = profile::render_profile(&figs, &policy, 0.002, 7);
 
     let parsed = profile::parse_json(&doc).expect("profile emits valid JSON");
     profile::validate_profile(&parsed).expect("profile matches its schema");
 
-    // Every GMDJ measurement carries a plan tree that reconstructs
-    // losslessly from the JSON.
+    // Every GMDJ measurement carries a timed plan tree, and the profile
+    // holds exactly its JSON rendering.
     let mut trees = 0;
     let figures = parsed.get("figures").unwrap().as_arr().unwrap();
-    for fig in figures {
-        for point in fig.get("points").unwrap().as_arr().unwrap() {
-            for m in point.get("measurements").unwrap().as_arr().unwrap() {
+    for (fig_json, fig) in figures.iter().zip(&figs) {
+        let points = fig_json.get("points").unwrap().as_arr().unwrap();
+        for (point_json, point) in points.iter().zip(&fig.points) {
+            let ms = point_json.get("measurements").unwrap().as_arr().unwrap();
+            for (m, measured) in ms.iter().zip(&point.measurements) {
                 let strategy = m.get("strategy").unwrap().as_str().unwrap();
-                let plan = m.get("plan").unwrap();
+                assert_eq!(strategy, measured.strategy.label());
                 if strategy.starts_with("gmdj") {
-                    let tree =
-                        profile::plan_from_json(plan).unwrap_or_else(|e| panic!("{strategy}: {e}"));
+                    let tree = measured.plan.as_ref().expect(strategy);
                     assert!(tree.elapsed_ns > 0, "{strategy}");
                     assert_eq!(
                         profile::parse_json(&tree.to_json()).unwrap(),
-                        *plan,
-                        "round-trip must be lossless"
+                        *m.get("plan").unwrap(),
+                        "{strategy}: the profile must hold the tree's rendering"
                     );
                     trees += 1;
                 }
