@@ -1,9 +1,10 @@
 //! Property tests: cross-query shared detail scans are observationally
 //! invisible. Whatever the query shape, N concurrent clones coalesced
 //! through a [`SharedScanPool`] — which merges them into shared passes
-//! and deduplicates identical members — and mixes of *distinct* queries
-//! over one detail table must each produce the multiset (and the gated
-//! counters) of a standalone run. The fuzz driver runs the same twin
+//! and evaluates each distinct GMDJ once — mixes of *distinct* queries
+//! over one detail table, and queries that share one GMDJ but not its
+//! selection must each produce the multiset (and the gated counters, and
+//! the error) of a standalone run. The fuzz driver runs the same twin
 //! check per generated case (`gmdj_fuzz::driver`); this suite sweeps it
 //! explicitly across clone counts and the policy-consuming strategies.
 
@@ -12,7 +13,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use gmdj_algebra::ast::{exists, QueryExpr};
+use gmdj_algebra::ast::{exists, NestedPredicate, QueryExpr, SubqueryPred};
 use gmdj_core::exec::MemoryCatalog;
 use gmdj_core::runtime::ExecPolicy;
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
@@ -21,6 +22,7 @@ use gmdj_engine::strategy::{
 };
 use gmdj_fuzz::driver::{default_strategies, uses_policy};
 use gmdj_fuzz::gen::{generate_case, GenConfig};
+use gmdj_relation::agg::{AggFunc, NamedAgg};
 use gmdj_relation::error::Result;
 use gmdj_relation::expr::{col, lit, CmpOp, ScalarExpr};
 use gmdj_relation::relation::Relation;
@@ -113,6 +115,15 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// A per-client outer constant: mostly a small integer, sometimes a
+/// string the selection cannot multiply.
+fn constant() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        6 => (-2i64..4).prop_map(Value::Int),
+        1 => Just(Value::Str("x".into())),
+    ]
+}
+
 fn relation(qualifier: &'static str, max_rows: usize) -> impl Strategy<Value = Relation> {
     let schema = Schema::qualified(qualifier, &[("k", DataType::Int), ("v", DataType::Int)]);
     proptest::collection::vec((value(), value()), 1..max_rows).prop_map(move |rows| {
@@ -195,6 +206,58 @@ proptest! {
                     &standalone[client],
                     pooled,
                     &format!("{} distinct client {client}/{n}", strategy.label()),
+                )?;
+            }
+        }
+    }
+
+    /// N clients send one correlated aggregate comparison, each with its
+    /// own outer constant: `B.v * c_i < (SELECT avg(RS.v) FROM R RS WHERE
+    /// RS.k = B.k)`. Their GMDJs are identical and only the selection
+    /// differs, so the pool evaluates the GMDJ once and materializes each
+    /// client through its own selection. A string constant makes that
+    /// client's selection fail when it is evaluated; the others must not
+    /// notice.
+    #[test]
+    fn per_client_selections_over_one_gmdj_match_standalone(
+        b in relation("B", 8),
+        r in relation("R", 12),
+        constants in proptest::collection::vec(constant(), 2..=4),
+        vectorized in any::<bool>(),
+    ) {
+        let catalog = MemoryCatalog::new().with("B", b).with("R", r);
+        let queries: Vec<QueryExpr> = constants
+            .iter()
+            .map(|c| {
+                let avg = QueryExpr::table("R", "RS")
+                    .select_flat(col("RS.k").eq(col("B.k")))
+                    .agg_project(NamedAgg::new(AggFunc::Avg, col("RS.v"), "a"));
+                QueryExpr::table("B", "B").select(NestedPredicate::Subquery(SubqueryPred::Cmp {
+                    left: col("B.v").mul(lit(c.clone())),
+                    op: CmpOp::Lt,
+                    query: Box::new(avg),
+                }))
+            })
+            .collect();
+        let policy = ExecPolicy::parallel(2).with_vectorized(vectorized);
+        for strategy in [EvalStrategy::GmdjBasic, EvalStrategy::GmdjOptimized] {
+            let standalone: Vec<Result<RunResult>> = queries
+                .iter()
+                .map(|q| run_with_policy(q, &catalog, strategy, policy))
+                .collect();
+            let refs: Vec<&QueryExpr> = queries.iter().collect();
+            for (client, pooled) in pooled_wave(&refs, &catalog, strategy, policy)
+                .iter()
+                .enumerate()
+            {
+                assert_matches_standalone(
+                    &standalone[client],
+                    pooled,
+                    &format!(
+                        "{} client {client} of {:?}",
+                        strategy.label(),
+                        constants
+                    ),
                 )?;
             }
         }

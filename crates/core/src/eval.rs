@@ -388,6 +388,11 @@ pub(crate) struct BlockPlan {
     /// Static label of the planned kernel for the `gmdj.kernel` trace
     /// detail and EXPLAIN ANALYZE.
     kernel_label: &'static str,
+    /// The first block whose probe yields this block's candidate lists:
+    /// itself, or an earlier hash block on the same base and detail key
+    /// columns, whose per-window lists this block reuses instead of
+    /// probing again (each block still computes its own residual mask).
+    probe_source: usize,
 }
 
 enum Access {
@@ -396,6 +401,9 @@ enum Access {
     /// Hash probe: key extracted from the detail row.
     Hash {
         index: HashIndex,
+        /// Key columns on the base side (the index's key) and the
+        /// detail side (the probe's key), in pair order.
+        base_cols: Vec<usize>,
         detail_cols: Vec<usize>,
         /// Typed single-column sidecar (built only under `vectorized`):
         /// probes from a matching typed batch column skip `Value`
@@ -465,21 +473,30 @@ pub(crate) fn scan_detail_vectorized(
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
+        // The block whose candidate lists `probe` holds for this window.
+        let mut probed: Option<usize> = None;
         for plan in plans {
             match &plan.access {
                 Access::Hash { .. } | Access::Interval { .. } => {
                     // Pass 1: probe every row, so mask profitability is
-                    // known before pass 2 walks the candidate lists.
-                    probe.fill(
-                        plan,
-                        &view,
-                        cols,
-                        win_start,
-                        win_len,
-                        &mut key_scratch,
-                        &mut stab_scratch,
-                        kernel,
-                    );
+                    // known before pass 2 walks the candidate lists. A
+                    // block keyed like the one just probed reuses its
+                    // lists and computes only its own mask.
+                    if probed == Some(plan.probe_source) {
+                        probe.fill_mask(plan, &view, probe.flat.len(), win_len, kernel);
+                    } else {
+                        probe.fill(
+                            plan,
+                            &view,
+                            cols,
+                            win_start,
+                            win_len,
+                            &mut key_scratch,
+                            &mut stab_scratch,
+                            kernel,
+                        );
+                        probed = Some(plan.probe_source);
+                    }
                     // Pass 2: counters and residual handling mirror the
                     // row path; `theta_evals` counts per (base, detail)
                     // pair even when a detail-only mask was computed once
@@ -730,6 +747,7 @@ impl WindowProbe {
                 index,
                 detail_cols,
                 typed,
+                ..
             } => {
                 let keycol = typed.as_ref().map(|_| view.col(detail_cols[0]));
                 for i in 0..win_len {
@@ -767,7 +785,23 @@ impl WindowProbe {
             }
             Access::Scan => unreachable!("scan access has no per-row candidate lists"),
         }
-        self.have_mask = shared_mask(plan, view, self.flat.len(), win_len, &mut self.mask);
+        self.fill_mask(plan, view, self.flat.len(), win_len, kernel);
+    }
+
+    /// Decide on `plan`'s shared residual mask for a window whose probe
+    /// produced `candidates` pairs, and count the block × window in
+    /// `kernel`. Blocks sharing one probe each call this for their own
+    /// residual.
+    #[inline]
+    fn fill_mask(
+        &mut self,
+        plan: &BlockPlan,
+        view: &BatchView<'_>,
+        candidates: usize,
+        win_len: usize,
+        kernel: &mut KernelStats,
+    ) {
+        self.have_mask = shared_mask(plan, view, candidates, win_len, &mut self.mask);
         if plan.residual.is_none() || self.have_mask {
             kernel.rows_vectorized += win_len as u64;
         } else {
@@ -978,9 +1012,14 @@ fn scan_detail_completion(
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
-        for (block, probe) in blocks.iter().zip(probes.iter_mut()) {
-            if !matches!(block.access, Access::Scan) {
-                probe.fill(
+        for (bi, block) in blocks.iter().enumerate() {
+            if matches!(block.access, Access::Scan) {
+                continue;
+            }
+            // A block keyed like an earlier one reads that block's
+            // candidate lists and computes only its own mask.
+            if block.probe_source == bi {
+                probes[bi].fill(
                     block,
                     &view,
                     cols,
@@ -990,6 +1029,9 @@ fn scan_detail_completion(
                     &mut stab_scratch,
                     kernel,
                 );
+            } else {
+                let candidates = probes[block.probe_source].flat.len();
+                probes[bi].fill_mask(block, &view, candidates, win_len, kernel);
             }
         }
         for i in 0..win_len {
@@ -1075,7 +1117,7 @@ fn scan_detail_completion(
                     scan_list = list;
                     kernel.rows_row_path += stats.probe_candidates - evaluated;
                 } else {
-                    for &b_idx in probe.candidates(i) {
+                    for &b_idx in probes[block.probe_source].candidates(i) {
                         process!(b_idx);
                     }
                 }
@@ -1141,6 +1183,18 @@ pub(crate) fn plan_blocks(
             .as_ref()
             .map(BatchPredicate::detail_only)
             .unwrap_or(false);
+        let probe_source = match &access {
+            Access::Hash {
+                base_cols,
+                detail_cols,
+                ..
+            } => plans.iter().position(|p: &BlockPlan| {
+                matches!(&p.access, Access::Hash { base_cols: b, detail_cols: d, .. }
+                    if b == base_cols && d == detail_cols)
+            }),
+            _ => None,
+        }
+        .unwrap_or(plans.len());
         let kernel_label = match &access {
             Access::Hash {
                 typed: Some(TypedKeyIndex::Int(_)),
@@ -1164,6 +1218,7 @@ pub(crate) fn plan_blocks(
             residual_kernel,
             residual_detail_only,
             kernel_label,
+            probe_source,
         });
         agg_offset += block.aggs.len();
     }
@@ -1215,6 +1270,7 @@ fn choose_access(
         return Ok((
             Access::Hash {
                 index,
+                base_cols,
                 detail_cols,
                 typed,
             },
@@ -1760,6 +1816,76 @@ mod tests {
         for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
             assert_vectorized_exact(&base, &detail, &spec, probe, "mixed columns");
         }
+    }
+
+    /// Hash blocks on one key (`B.k = R.k`, either way round) read the
+    /// candidate lists of the first such block, while a block on another
+    /// key probes its own; each still applies its own residual. Answers
+    /// equal the probe-free scan, with and without kernels and under a
+    /// completion plan.
+    #[test]
+    fn same_key_blocks_share_one_probe() {
+        let mut base = RelationBuilder::new("B")
+            .column("k", DataType::Int)
+            .column("j", DataType::Int);
+        for i in 0..9i64 {
+            base = base.row(vec![(i % 5).into(), (i % 3).into()]);
+        }
+        let base = base.build().unwrap();
+        let mut detail = RelationBuilder::new("R")
+            .column("k", DataType::Int)
+            .column("v", DataType::Int);
+        for i in 0..40i64 {
+            detail = detail.row(vec![((i * 7) % 6).into(), (i % 4).into()]);
+        }
+        let detail = detail.build().unwrap();
+        let spec = GmdjSpec::new(vec![
+            AggBlock::count(col("B.k").eq(col("R.k")).and(col("R.v").eq(lit(1))), "c0"),
+            AggBlock::count(col("B.j").eq(col("R.k")), "c1"),
+            AggBlock::new(
+                col("R.k").eq(col("B.k")).and(col("R.v").gt(lit(1))),
+                vec![NamedAgg::sum(col("R.v"), "s2")],
+            ),
+            AggBlock::count(
+                col("B.k").eq(col("R.k")).and(col("R.v").lt(col("B.j"))),
+                "c3",
+            ),
+        ]);
+        let plans = plan_blocks(
+            base.rows(),
+            base.schema(),
+            detail.schema(),
+            &spec,
+            &GmdjOptions::default(),
+            &mut EvalStats::default(),
+        )
+        .unwrap();
+        let sources: Vec<usize> = plans.iter().map(|p| p.probe_source).collect();
+        assert_eq!(sources, vec![0, 1, 0, 0]);
+
+        let (scanned, _) = gmdj(force_scan(), &base, &detail, &spec).unwrap();
+        let (probed, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
+        assert!(probed.multiset_eq(&scanned));
+        assert_vectorized_exact(&base, &detail, &spec, ProbeStrategy::Auto, "shared probe");
+
+        let selection = col("c0").gt(lit(0)).and(col("c3").gt(lit(0)));
+        let plan = crate::completion::derive_completion(&selection, &spec, true).unwrap();
+        let run = |policy| {
+            filtered(
+                policy,
+                &base,
+                &detail,
+                &spec,
+                Some(&selection),
+                Keep::BaseOnly,
+                Some(&plan),
+            )
+            .unwrap()
+        };
+        let (completed, stats) = run(seq());
+        assert!(stats.done_early > 0);
+        assert!(!completed.is_empty());
+        assert!(completed.multiset_eq(&run(force_scan()).0));
     }
 
     #[test]

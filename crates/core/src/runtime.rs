@@ -66,7 +66,7 @@ use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTran
 use crate::eval::{EvalStats, GmdjOptions, Keep, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::shared::{morsel_pass, BoundGmdj};
+use crate::shared::{morsel_pass, BoundGmdj, BoundOutput};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
 
@@ -770,11 +770,12 @@ impl Runtime {
     /// and a shareable policy (in-process, unpartitioned), the evaluation
     /// goes through the pool, where concurrently submitted GMDJs over the
     /// same detail table coalesce — per the extended Prop. 4.1 — into
-    /// one shared morsel pass (see [`crate::shared`]). The pass prepares
-    /// the query exactly as its standalone evaluation would, so the
-    /// counters recorded into `node` are the standalone counters; the
-    /// physical amortization shows only in the pool's `shared_scan_*`
-    /// metrics and the `gmdj.shared_scan` span.
+    /// one shared morsel pass (see [`crate::shared`]), and queries that
+    /// differ only in their selection share one evaluation of their
+    /// GMDJ. The pass prepares the GMDJ exactly as its standalone
+    /// evaluation would, so the counters recorded into `node` are the
+    /// standalone counters; the physical amortization shows only in the
+    /// pool's `shared_scan_*` metrics and the `gmdj.shared_scan` span.
     ///
     /// Counters accumulate into `node` ([`PlanNodeStats::eval`] /
     /// [`PlanNodeStats::network`] plus the worker wall-clock fields), a
@@ -838,15 +839,8 @@ impl Runtime {
             span.field("shared_queries", out.pass_queries);
             out.relation
         } else {
-            let query = BoundGmdj::bind(
-                base,
-                detail,
-                spec,
-                selection,
-                keep,
-                completion,
-                &self.policy,
-            )?;
+            let output = BoundOutput::bind(base, spec, selection, keep)?;
+            let query = BoundGmdj::bind(base, detail, spec, completion, &self.policy)?;
             match self.policy.mode {
                 ExecMode::Distributed { sites } => {
                     let fragments = round_robin_fragments(detail, sites);
@@ -862,9 +856,16 @@ impl Runtime {
                     } else {
                         Box::new(InProcessSites::new(fragments, self.sink.clone()))
                     };
-                    self.eval_partitions(&query, base, detail, Some(transport.as_mut()), node)?
+                    self.eval_partitions(
+                        &query,
+                        &output,
+                        base,
+                        detail,
+                        Some(transport.as_mut()),
+                        node,
+                    )?
                 }
-                _ => self.eval_partitions(&query, base, detail, None, node)?,
+                _ => self.eval_partitions(&query, &output, base, detail, None, node)?,
             }
         };
         let eval_delta = node.eval.minus(&eval_before);
@@ -905,6 +906,7 @@ impl Runtime {
     fn eval_partitions(
         &self,
         query: &BoundGmdj<'_>,
+        output: &BoundOutput,
         base: &Relation,
         detail: &Relation,
         mut sites: Option<&mut dyn SiteTransport>,
@@ -951,7 +953,7 @@ impl Runtime {
                     (scan.accs, scan.status)
                 }
             };
-            query.materialize(base_rows, &accs, status.as_deref(), &mut out_rows)?;
+            output.materialize(base_rows, &accs, status.as_deref(), &mut out_rows)?;
             pspan.fields(node.eval.minus(&before).trace_fields());
             pspan.finish();
             start = end;
@@ -963,7 +965,7 @@ impl Runtime {
             // Once per evaluation, however many partitions declined.
             node.eval.completion_fallbacks += 1;
         }
-        Ok(Relation::from_parts(query.result_schema.clone(), out_rows))
+        Ok(Relation::from_parts(output.result_schema.clone(), out_rows))
     }
 
     /// Two-wave coordinator protocol over a [`SiteTransport`]: broadcast

@@ -2,17 +2,23 @@
 //!
 //! The paper coalesces GMDJs over the same detail table *within* one
 //! query; this module extends the same argument *across* concurrently
-//! submitted queries. Accumulator arrays are per-query private state, so
-//! any number of independent GMDJs over one detail relation can ride a
-//! single morsel-driven pass: each pulled window is dispatched to every
-//! query's membership predicates and accumulator updates
-//! (`eval::scan_detail_window`), then results demultiplex back
-//! to per-query waiters. The physical wins: detail chunks are read once
-//! per pass instead of once per query, and *structurally identical*
-//! queries in one batch collapse to a single evaluation fanned out to
-//! all members (the degenerate case of Prop. 4.1 block merging). The
-//! logical accounting stays per-query, so every gated [`EvalStats`]
-//! counter is identical to a standalone run of the same query.
+//! submitted queries. Accumulator arrays are per-evaluation private
+//! state, so any number of independent GMDJs over one detail relation
+//! can ride a single morsel-driven pass: each pulled window is dispatched
+//! to every evaluation's membership predicates and accumulator updates
+//! (`eval::scan_detail_window`), then results demultiplex back to
+//! per-query waiters. The physical wins: detail chunks are read once per
+//! pass instead of once per query, and queries in one batch that
+//! evaluate the *same GMDJ* — same base, detail, (l⃗, θ⃗) spec, policy
+//! and completion plan — share one evaluation (Prop. 4.1 block merging:
+//! two identical blocks are one block). The selection and projection are
+//! per member: each member materializes the shared accumulators through
+//! its own, so queries that differ only in their selection, such as one
+//! correlated aggregate compared against per-client constants, scan
+//! once. Under a completion plan the selection joins the GMDJ key, since
+//! the scan's Dead/Done statuses settle it. The logical accounting stays
+//! per query, so every gated [`EvalStats`] counter is identical to a
+//! standalone run of the same query.
 //!
 //! # Coalescing protocol
 //!
@@ -29,25 +35,30 @@
 //!
 //! # Correctness
 //!
-//! Per query the shared pass performs exactly the standalone chunked
-//! evaluation: its own probe plans (`eval::plan_blocks`), its
-//! own private per-worker accumulators merged in worker order
-//! ([`gmdj_relation::agg::Accumulator::merge`] is exact), its own
-//! selection/projection materialization. Sharing only changes *when*
-//! windows are visited — and window scheduling is provably invisible
-//! (the fuzz harness's morsel-size sweep gates this) — so results are
-//! bit-identical and per-query counters match standalone execution.
+//! Per evaluation the shared pass performs exactly the standalone
+//! chunked evaluation: its own probe plans (`eval::plan_blocks`), its own
+//! private per-worker accumulators merged in worker order
+//! ([`gmdj_relation::agg::Accumulator::merge`] is exact), and per member
+//! its own selection/projection materialization. Sharing only changes
+//! *when* windows are visited — and window scheduling is provably
+//! invisible (the fuzz harness's morsel-size sweep gates this) — so
+//! results are bit-identical and per-query counters match standalone
+//! execution. Errors stay as narrow as standalone: a selection that
+//! fails to bind or evaluate fails its member alone, a scan error fails
+//! the members of that evaluation alone.
 //!
 //! # Observability
 //!
-//! Each pass emits a `gmdj.shared_scan` span and maintains the gated
-//! counters `shared_scan_passes_total` / `shared_scan_queries_served_total`
-//! plus the `shared_scan_queries` log₂ histogram (queries per pass) in the
-//! global [`metrics`] registry. The closed-form invariant: detail chunk
-//! reads are paid once per *pass*, so under any actual sharing
-//! `shared_scan_passes_total < shared_scan_queries_served_total`, while
-//! the per-query `col_chunk_reads` counters still sum as if each query
-//! had scanned alone (logical accounting).
+//! Each pass emits a `gmdj.shared_scan` span (`queries` served,
+//! `evaluations` scanned, `detail_rows`) and maintains the gated counters
+//! `shared_scan_passes_total` / `shared_scan_queries_served_total` /
+//! `shared_scan_evaluations_total` plus the `shared_scan_queries` log₂
+//! histogram (queries per pass) in the global [`metrics`] registry. The
+//! closed-form invariants: detail chunk reads are paid once per *pass*
+//! and probes run once per *evaluation*, so under any actual sharing
+//! `passes < served`, and always `evaluations ≤ served`, while the
+//! per-query `col_chunk_reads` counters still sum as if each query had
+//! scanned alone (logical accounting).
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -228,7 +239,8 @@ impl SharedScanPool {
     /// Submit one (filtered) GMDJ for coalesced evaluation and block
     /// until its result is demultiplexed back. Queries arriving within
     /// the coalescing window (or queued behind an in-flight pass) over
-    /// the same detail table share one detail scan. `policy` is the
+    /// the same detail table share one detail scan, and those evaluating
+    /// the same GMDJ share one evaluation. `policy` is the
     /// submitter's: the pass evaluates the query exactly as that policy's
     /// standalone evaluation would, completion admission included.
     ///
@@ -311,8 +323,9 @@ impl SharedScanPool {
     fn run_pass(&self, batch: Vec<SharedRequest>, sink: &dyn TraceSink) {
         let queries = batch.len() as u64;
         let mut span = Span::begin(sink, "gmdj.shared_scan");
-        let results = self.execute_batch(&batch, sink);
+        let (results, evaluations) = self.execute_batch(&batch, sink);
         span.field("queries", queries);
+        span.field("evaluations", evaluations);
         span.field(
             "detail_rows",
             batch.first().map_or(0, |r| r.detail.len() as u64),
@@ -321,6 +334,7 @@ impl SharedScanPool {
         let m = metrics::global();
         m.inc("shared_scan_passes_total", 1);
         m.inc("shared_scan_queries_served_total", queries);
+        m.inc("shared_scan_evaluations_total", evaluations);
         m.observe("shared_scan_queries", queries);
         for (request, result) in batch.iter().zip(results) {
             request.slot.deliver(result);
@@ -328,25 +342,41 @@ impl SharedScanPool {
     }
 
     /// One shared detail pass: a [`morsel_pass`] with one job per
-    /// distinct query, each feeding its own private accumulators.
+    /// distinct GMDJ, each feeding its own private accumulators, and each
+    /// member materialized through its own selection and projection.
+    /// Returns every member's outcome plus the number of evaluations the
+    /// pass scanned.
     fn execute_batch(
         &self,
         batch: &[SharedRequest],
         sink: &dyn TraceSink,
-    ) -> Vec<Result<SharedOutput>> {
+    ) -> (Vec<Result<SharedOutput>>, u64) {
         let mut outputs: Vec<Option<Result<SharedOutput>>> = batch.iter().map(|_| None).collect();
-        // Structurally identical queries in one batch collapse to a single
-        // evaluation whose output fans out to every member — the
-        // degenerate case of Prop. 4.1 block merging (two identical
-        // blocks are one block). Under a concurrent load of clones this
-        // is where the throughput win comes from: one probe/θ/accumulate
-        // stream serves the whole group. Distinct queries keep their own
-        // plans and accumulators within the same pass.
+        // Each member binds its own output first, as its standalone
+        // evaluation does: a selection that fails to bind fails that
+        // member alone, before any scan.
+        let mut bound: Vec<Option<BoundOutput>> = Vec::with_capacity(batch.len());
+        for (r, out) in batch.iter().zip(outputs.iter_mut()) {
+            match BoundOutput::bind(&r.base, &r.spec, r.selection.as_ref(), r.keep) {
+                Ok(b) => bound.push(Some(b)),
+                Err(e) => {
+                    *out = Some(Err(e));
+                    bound.push(None);
+                }
+            }
+        }
+        // Members that evaluate the same GMDJ collapse to one evaluation
+        // whose accumulators every member materializes — Prop. 4.1 block
+        // merging across queries (two identical blocks are one block).
+        // Queries that differ only in their selection, such as one
+        // correlated aggregate compared against per-client constants,
+        // share one probe/θ/accumulate stream. Distinct GMDJs keep their
+        // own plans and accumulators within the same pass.
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in 0..batch.len() {
+        for i in (0..batch.len()).filter(|&i| bound[i].is_some()) {
             match groups
                 .iter_mut()
-                .find(|g| same_query(&batch[g[0]], &batch[i]))
+                .find(|g| same_gmdj(&batch[g[0]], &batch[i]))
             {
                 Some(g) => g.push(i),
                 None => groups.push(vec![i]),
@@ -356,7 +386,7 @@ impl SharedScanPool {
         // prepares its one base partition (the runtime sends no
         // partitioned policy here). A group whose binding or planning
         // fails gets its error; the pass proceeds for the rest.
-        let mut prepared_groups: Vec<(Vec<usize>, BoundGmdj<'_>, EvalStats)> = Vec::new();
+        let mut prepared_groups: Vec<(Vec<usize>, EvalStats)> = Vec::new();
         let mut jobs: Vec<PreparedQuery<'_>> = Vec::new();
         for group in groups {
             let r = &batch[group[0]];
@@ -364,20 +394,18 @@ impl SharedScanPool {
                 &r.base,
                 &r.detail,
                 &r.spec,
-                r.selection.as_ref(),
-                r.keep,
                 r.completion.as_ref(),
                 &r.policy,
             )
-            .and_then(|query| {
+            .and_then(|gmdj| {
                 let mut eval = EvalStats::default();
-                let job = query.prepare(r.base.rows(), &mut eval)?;
+                let job = gmdj.prepare(r.base.rows(), &mut eval)?;
                 eval.completion_fallbacks += u64::from(job.declined);
-                Ok((query, eval, job))
+                Ok((eval, job))
             });
             match prepared {
-                Ok((query, eval, job)) => {
-                    prepared_groups.push((group, query, eval));
+                Ok((eval, job)) => {
+                    prepared_groups.push((group, eval));
                     jobs.push(job);
                 }
                 Err(e) => {
@@ -399,69 +427,74 @@ impl SharedScanPool {
             None,
         );
 
-        // Each query keeps its own outcome: a scan-time error in one
-        // query's window fails that query alone.
+        // Each evaluation keeps its own outcome: a scan-time error in one
+        // GMDJ's window fails its members alone. Each member then
+        // materializes through its own selection, so an error there fails
+        // that member alone. The counters delivered are the evaluation's
+        // actual counters, which are each member's standalone counters:
+        // materialization counts nothing.
         let pass_queries = batch.len() as u64;
-        for ((group, query, pre), (job, scan)) in
-            prepared_groups.iter().zip(jobs.iter().zip(pass.jobs))
-        {
-            let result = scan.and_then(|scan| {
-                let mut out_rows: Vec<Tuple> = Vec::new();
-                query.materialize(
-                    job.base_rows,
-                    &scan.accs,
-                    scan.status.as_deref(),
-                    &mut out_rows,
-                )?;
-                let mut eval = *pre;
-                eval.merge(&scan.eval);
-                Ok((out_rows, eval, scan.kernel))
-            });
-            // Fan the group's one outcome out to every member; the
-            // counters delivered are the evaluation's actual counters,
-            // which (the queries being identical) are each member's
-            // standalone counters.
+        for ((group, pre), (job, scan)) in prepared_groups.iter().zip(jobs.iter().zip(pass.jobs)) {
+            let scan = match scan {
+                Ok(scan) => scan,
+                Err(e) => {
+                    for &i in group {
+                        outputs[i] = Some(Err(e.clone()));
+                    }
+                    continue;
+                }
+            };
+            let mut eval = *pre;
+            eval.merge(&scan.eval);
             for &i in group {
-                outputs[i] = Some(match &result {
-                    Ok((out_rows, eval, kernel)) => Ok(SharedOutput {
-                        relation: Relation::from_parts(
-                            query.result_schema.clone(),
-                            out_rows.clone(),
-                        ),
-                        eval: *eval,
-                        kernel: *kernel,
-                        worker_max_ns: pass.worker_max_ns,
-                        worker_sum_ns: pass.worker_sum_ns,
-                        pass_queries,
-                    }),
-                    Err(e) => Err(e.clone()),
-                });
+                let output = bound[i].as_ref().expect("grouped members are bound");
+                let mut out_rows: Vec<Tuple> = Vec::new();
+                outputs[i] = Some(
+                    output
+                        .materialize(
+                            job.base_rows,
+                            &scan.accs,
+                            scan.status.as_deref(),
+                            &mut out_rows,
+                        )
+                        .map(|()| SharedOutput {
+                            relation: Relation::from_parts(output.result_schema.clone(), out_rows),
+                            eval,
+                            kernel: scan.kernel,
+                            worker_max_ns: pass.worker_max_ns,
+                            worker_sum_ns: pass.worker_sum_ns,
+                            pass_queries,
+                        }),
+                );
             }
         }
-        outputs.into_iter().flatten().collect()
+        let evaluations = jobs.len() as u64;
+        (outputs.into_iter().flatten().collect(), evaluations)
     }
 }
 
-/// Structural identity for in-batch query dedup: same base storage and
-/// schema, same detail schema (the storage is shared by queue
-/// construction, the alias is not), same (l⃗, θ⃗) spec, selection,
-/// projection, completion plan and policy.
-fn same_query(a: &SharedRequest, b: &SharedRequest) -> bool {
+/// Whether two requests evaluate the same GMDJ, so one evaluation serves
+/// both: same base storage and schema, same detail schema (the storage is
+/// shared by queue construction, the alias is not), same (l⃗, θ⃗) spec,
+/// policy and completion plan. The selection and projection are each
+/// member's own, except under a completion plan: its Dead/Done statuses
+/// settle the selection during the scan, so there the selection must
+/// match too.
+fn same_gmdj(a: &SharedRequest, b: &SharedRequest) -> bool {
     Arc::ptr_eq(&a.base.cols_arc(), &b.base.cols_arc())
         && a.base.schema() == b.base.schema()
         && a.detail.schema() == b.detail.schema()
         && a.spec == b.spec
-        && a.selection == b.selection
-        && a.keep == b.keep
         && a.policy == b.policy
         && a.completion == b.completion
+        && (a.completion.is_none() || a.selection == b.selection)
 }
 
-/// One (filtered) GMDJ bound for evaluation: the policy's evaluator
-/// options and worker count, the result schema, the selection bound
-/// against the GMDJ output, and the closed-form page accounting of one
-/// detail pass. Every base partition of the evaluation is prepared from
-/// it ([`BoundGmdj::prepare`]) and materialized through it.
+/// One GMDJ bound for evaluation: the policy's evaluator options and
+/// worker count, the completion plan, and the closed-form page accounting
+/// of one detail pass. Every base partition of the evaluation is prepared
+/// from it ([`BoundGmdj::prepare`]); what each query makes of the
+/// accumulators is its [`BoundOutput`].
 pub(crate) struct BoundGmdj<'a> {
     pub(crate) base_schema: &'a Schema,
     detail_schema: &'a Schema,
@@ -469,9 +502,6 @@ pub(crate) struct BoundGmdj<'a> {
     pub(crate) opts: GmdjOptions,
     workers: usize,
     pub(crate) completion: Option<&'a CompletionPlan>,
-    keep: Keep,
-    selection: Option<BoundPredicate>,
-    pub(crate) result_schema: Arc<Schema>,
     pub(crate) total_aggs: usize,
     /// Column-chunk and row-layout page reads of one detail pass.
     col_chunk_reads: u64,
@@ -485,20 +515,9 @@ impl<'a> BoundGmdj<'a> {
         base: &'a Relation,
         detail: &'a Relation,
         spec: &'a GmdjSpec,
-        selection: Option<&Predicate>,
-        keep: Keep,
         completion: Option<&'a CompletionPlan>,
         policy: &ExecPolicy,
     ) -> Result<Self> {
-        let out_schema = spec.output_schema(base.schema());
-        let result_schema = match keep {
-            Keep::All => out_schema.clone(),
-            Keep::BaseOnly => base.schema().clone(),
-        };
-        let selection = match selection {
-            Some(p) => Some(p.bind(&[&out_schema])?),
-            None => None,
-        };
         // Logical page I/O, closed-form: every partition pass reads each
         // referenced detail column's chunks once, however the scan is
         // divided across morsels, workers, or sites.
@@ -511,9 +530,6 @@ impl<'a> BoundGmdj<'a> {
             opts: policy.gmdj_options(),
             workers: policy.workers(),
             completion,
-            keep,
-            selection,
-            result_schema,
             total_aggs: spec.agg_count(),
             col_chunk_reads: pages * referenced,
             row_page_reads: pages * detail.schema().len() as u64,
@@ -559,6 +575,43 @@ impl<'a> BoundGmdj<'a> {
             vectorized: self.opts.vectorized,
             completion,
             declined: self.completion.is_some() && completion.is_none(),
+        })
+    }
+}
+
+/// One query's output of a GMDJ: the selection bound against the GMDJ
+/// output, the projection, and the result schema. Queries that share one
+/// evaluation each materialize its accumulators through their own.
+pub(crate) struct BoundOutput {
+    selection: Option<BoundPredicate>,
+    keep: Keep,
+    total_aggs: usize,
+    pub(crate) result_schema: Arc<Schema>,
+}
+
+impl BoundOutput {
+    /// Bind the selection against the GMDJ output schema of `base` and
+    /// `spec`.
+    pub(crate) fn bind(
+        base: &Relation,
+        spec: &GmdjSpec,
+        selection: Option<&Predicate>,
+        keep: Keep,
+    ) -> Result<Self> {
+        let out_schema = spec.output_schema(base.schema());
+        let selection = match selection {
+            Some(p) => Some(p.bind(&[&out_schema])?),
+            None => None,
+        };
+        let result_schema = match keep {
+            Keep::All => out_schema,
+            Keep::BaseOnly => base.schema().clone(),
+        };
+        Ok(BoundOutput {
+            selection,
+            keep,
+            total_aggs: spec.agg_count(),
+            result_schema,
         })
     }
 
@@ -657,14 +710,14 @@ pub(crate) struct MorselPass {
 /// Every GMDJ evaluation in the process is a pass: the sequential policy
 /// is one job on one worker with one whole-detail morsel, the parallel
 /// policy one job on `threads` workers, and a shared pass one job per
-/// distinct coalesced query. A one-worker pass runs on the calling
-/// thread; more workers run as scoped threads. A job whose scan errors
+/// distinct GMDJ of the coalesced queries. A one-worker pass runs on the
+/// calling thread; more workers run as scoped threads. A job whose scan errors
 /// stops being scanned and returns that error; the other jobs carry on.
 /// A worker panic fails every job still running, never the process.
 /// Each worker is emitted as a `gmdj.worker` span carrying the rows and
 /// morsels it scanned (a completion item counts as one morsel of the
 /// whole detail) plus its counter delta summed over the jobs (and the job
-/// count when there is more than one), so the worker spans of a one-job
+/// count, `evaluations`, when there is more than one), so the worker spans of a one-job
 /// pass reconcile exactly with its merged counters. `progress`, when
 /// given, is ticked once per pulled morsel; a pass of one completion job
 /// ticks the `ceil(detail / morsel)` morsels it was scheduled, and the
@@ -773,7 +826,7 @@ pub(crate) fn morsel_pass(
         wspan.field("morsels", morsels_pulled);
         wspan.fields(scanned.trace_fields());
         if jobs.len() > 1 {
-            wspan.field("queries", jobs.len() as u64);
+            wspan.field("evaluations", jobs.len() as u64);
         }
         (states, wspan.finish().as_nanos() as u64)
     };
@@ -1311,13 +1364,176 @@ mod tests {
         }
     }
 
+    /// Submit `(selection, keep, completion)` members over one spec from
+    /// one thread each through a pool released at the full batch, and
+    /// hand back each member's outcome plus the pass spans.
+    fn pooled_members(
+        base: &Relation,
+        spec: &GmdjSpec,
+        members: &[(Predicate, Keep, Option<CompletionPlan>)],
+        policy: ExecPolicy,
+    ) -> (Vec<Result<SharedOutput>>, Vec<crate::trace::TraceEvent>) {
+        let detail = flows();
+        let p = pool(members.len());
+        let sink = crate::trace::CollectingSink::new();
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = members
+                .iter()
+                .map(|(selection, keep, completion)| {
+                    let (p, detail, sink) = (p.clone(), &detail, &sink);
+                    scope.spawn(move || {
+                        p.submit(
+                            base,
+                            detail,
+                            spec,
+                            Some(selection),
+                            *keep,
+                            completion.as_ref(),
+                            &policy,
+                            sink,
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        (results, sink.by_name("gmdj.shared_scan"))
+    }
+
+    /// The standalone outcome of one member.
+    fn standalone_member(
+        base: &Relation,
+        spec: &GmdjSpec,
+        (selection, keep, completion): &(Predicate, Keep, Option<CompletionPlan>),
+        policy: ExecPolicy,
+    ) -> Result<(Relation, EvalStats)> {
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = Runtime::new(policy).eval(
+            base,
+            &flows(),
+            spec,
+            Some(selection),
+            *keep,
+            completion.as_ref(),
+            &mut node,
+        )?;
+        Ok((out, node.eval))
+    }
+
+    /// Two queries over one GMDJ that differ only in their selection and
+    /// projection run as one evaluation: the pass span and the
+    /// `shared_scan_evaluations_total` counter show one evaluation for
+    /// two queries served, and each member gets its standalone answer and
+    /// counters.
+    #[test]
+    fn selections_over_one_gmdj_share_one_evaluation() {
+        let _passes = serialize_passes();
+        let base = hours();
+        let spec = sum_bytes();
+        let members = [
+            (col("total").gt(lit(10)), Keep::All, None),
+            (col("total").lt(lit(40)), Keep::BaseOnly, None),
+        ];
+        let policy = ExecPolicy::parallel(2);
+        let m = metrics::global();
+        let evaluations_before = m.counter("shared_scan_evaluations_total");
+        let served_before = m.counter("shared_scan_queries_served_total");
+        let (results, spans) = pooled_members(&base, &spec, &members, policy);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].field("queries"), Some(2));
+        assert_eq!(spans[0].field("evaluations"), Some(1));
+        assert_eq!(
+            m.counter("shared_scan_evaluations_total") - evaluations_before,
+            1
+        );
+        assert_eq!(
+            m.counter("shared_scan_queries_served_total") - served_before,
+            2
+        );
+        for (member, out) in members.iter().zip(results) {
+            let out = out.unwrap();
+            let (expected, eval) = standalone_member(&base, &spec, member, policy).unwrap();
+            assert_eq!(out.relation.schema(), expected.schema());
+            assert!(out.relation.multiset_eq(&expected));
+            assert_eq!(out.eval, eval);
+            assert_eq!(out.pass_queries, 2);
+        }
+    }
+
+    /// Under a completion plan the scan settles the selection, so two
+    /// members with one plan but different selections (`cnt = 0` and
+    /// `cnt = 0 AND H.HourDsc > 1` derive the same dead rule) stay two
+    /// evaluations, each equal to its standalone run.
+    #[test]
+    fn completion_members_with_different_selections_do_not_merge() {
+        use crate::completion::derive_completion;
+        let _passes = serialize_passes();
+        let mut base = RelationBuilder::new("H")
+            .column("HourDsc", DataType::Int)
+            .column("StartInterval", DataType::Int)
+            .column("EndInterval", DataType::Int);
+        for h in 0..5i64 {
+            base = base.row(vec![h.into(), (h * 60).into(), (h * 60 + 60).into()]);
+        }
+        let base = base.build().unwrap();
+        let spec = in_hour_count();
+        let members: Vec<_> = [
+            col("cnt").eq(lit(0)),
+            col("cnt").eq(lit(0)).and(col("H.HourDsc").gt(lit(1))),
+        ]
+        .into_iter()
+        .map(|selection| {
+            let plan = derive_completion(&selection, &spec, true).unwrap();
+            (selection, Keep::BaseOnly, Some(plan))
+        })
+        .collect();
+        assert_eq!(members[0].2, members[1].2, "one completion plan");
+        let policy = ExecPolicy::sequential();
+        let (results, spans) = pooled_members(&base, &spec, &members, policy);
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].field("evaluations"), Some(2));
+        for (member, out) in members.iter().zip(results) {
+            let out = out.unwrap();
+            let (expected, eval) = standalone_member(&base, &spec, member, policy).unwrap();
+            assert!(!expected.is_empty());
+            assert!(out.relation.multiset_eq(&expected));
+            assert_eq!(out.eval, eval);
+            assert!(out.eval.dead_early > 0);
+        }
+    }
+
+    /// A member whose selection errors when it is evaluated (`total <
+    /// 'x'` compares an aggregate to a string) fails alone: its sibling
+    /// over the same evaluation keeps its standalone answer, and the
+    /// failing member's error is its standalone error.
+    #[test]
+    fn member_selection_error_fails_that_member_alone() {
+        let _passes = serialize_passes();
+        let base = hours();
+        let spec = sum_bytes();
+        let members = [
+            (col("total").gt(lit(10)), Keep::All, None),
+            (col("total").lt(lit("x")), Keep::All, None),
+        ];
+        let policy = ExecPolicy::parallel(2);
+        let (mut results, spans) = pooled_members(&base, &spec, &members, policy);
+        assert_eq!(spans[0].field("evaluations"), Some(1));
+        let bad = results.pop().unwrap();
+        let good = results.pop().unwrap().expect("the good member survives");
+        let (expected, eval) = standalone_member(&base, &spec, &members[0], policy).unwrap();
+        assert!(good.relation.multiset_eq(&expected));
+        assert_eq!(good.eval, eval);
+        let standalone_err = standalone_member(&base, &spec, &members[1], policy).unwrap_err();
+        assert_eq!(bad.unwrap_err().to_string(), standalone_err.to_string());
+    }
+
     /// A worker panic is an `Err` for the jobs it was running, whether
     /// the one worker ran on the calling thread or workers were spawned.
     #[test]
     fn worker_panic_is_an_error_for_any_worker_count() {
         let (base, detail, spec) = (hours(), flows(), in_hour_count());
         let policy = ExecPolicy::sequential();
-        let query = BoundGmdj::bind(&base, &detail, &spec, None, Keep::All, None, &policy).unwrap();
+        let query = BoundGmdj::bind(&base, &detail, &spec, None, &policy).unwrap();
         let mut job = query
             .prepare(base.rows(), &mut EvalStats::default())
             .unwrap();

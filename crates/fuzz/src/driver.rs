@@ -373,9 +373,15 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                 // count, which decides completion admission: a
                 // one-worker request admits every plan, a multi-worker
                 // one only the pair-pruning plans. Both kinds run.
+                //
+                // The window is short: `target_batch: 2` releases a
+                // stored-table pair as soon as the twin arrives, while a
+                // GMDJ whose detail is an inner GMDJ's output gets fresh
+                // storage per client, so its two requests never share a
+                // queue and each leader waits the window out alone.
                 if policy == ExecPolicy::sequential() || policy == ExecPolicy::parallel(2) {
                     let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
-                        window: Duration::from_millis(500),
+                        window: Duration::from_millis(5),
                         target_batch: 2,
                         threads: 2,
                         morsel_rows: 7,
