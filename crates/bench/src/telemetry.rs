@@ -1122,6 +1122,9 @@ pub struct Comparison {
     pub drifts: Vec<String>,
     /// Wall-clock regressions beyond the tolerance — advisory only.
     pub wall_warnings: Vec<String>,
+    /// Why wall-clock was not compared at all, when it was not: the run
+    /// and the baseline scanned through different paths (`vectorized`).
+    pub wall_skipped: Option<String>,
     /// Entries present in the current run but absent from the baseline
     /// (e.g. a grown grid) — informational; re-bless to record them.
     pub new_entries: Vec<String>,
@@ -1141,6 +1144,9 @@ impl Comparison {
         }
         for w in &self.wall_warnings {
             out.push_str(&format!("WARN   {w}\n"));
+        }
+        if let Some(why) = &self.wall_skipped {
+            out.push_str(&format!("NOTE   wall-clock not compared: {why}\n"));
         }
         for n in &self.new_entries {
             out.push_str(&format!(
@@ -1234,7 +1240,10 @@ fn diff_plan_nodes(
 /// including a gated entry disappearing, or the recording configuration
 /// changing — is a hard failure ([`Comparison::gate_failed`]); wall-clock
 /// regressions beyond `wall_tolerance` (fractional, e.g. 0.25 = +25%)
-/// only warn.
+/// only warn. Wall-clock is compared only when both documents were
+/// recorded with the same `vectorized` setting: row-path timings against
+/// kernel timings measure the path, not a regression
+/// ([`Comparison::wall_skipped`] says so instead).
 pub fn compare_reports(
     current: &Json,
     baseline: &Json,
@@ -1260,6 +1269,18 @@ pub fn compare_reports(
     }
     if !cmp.drifts.is_empty() {
         return Ok(cmp);
+    }
+    let (b_vec, c_vec) = (baseline.get("vectorized"), current.get("vectorized"));
+    if b_vec != c_vec {
+        let show = |v: Option<&Json>| match v {
+            Some(Json::Bool(b)) => b.to_string(),
+            _ => "unset".to_string(),
+        };
+        cmp.wall_skipped = Some(format!(
+            "run vectorized={}, baseline vectorized={}",
+            show(c_vec),
+            show(b_vec)
+        ));
     }
 
     let b_entries = baseline
@@ -1328,7 +1349,7 @@ pub fn compare_reports(
             .get("wall")
             .and_then(|w| w.get("trimmed_mean_us"))
             .and_then(Json::as_num);
-        if let (Some(bw), Some(cw)) = (b_wall, c_wall) {
+        if let (Some(bw), Some(cw), None) = (b_wall, c_wall, &cmp.wall_skipped) {
             if bw > 0.0 && cw > bw * (1.0 + wall_tolerance) {
                 cmp.wall_warnings.push(format!(
                     "{key}: wall-clock {:.0}us -> {:.0}us (+{:.0}%, tolerance {:.0}%)",

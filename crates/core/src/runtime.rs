@@ -33,24 +33,31 @@
 //!
 //! # Completion
 //!
-//! Base-tuple completion (Theorems 4.1/4.2) is scan-order-dependent: a
-//! dead rule or the finish-early rule fires at the detail tuple that
-//! proves the selection's outcome, and "the rest of the scan" is then
-//! skipped *for that base tuple*. A one-worker pass scans the detail in
-//! row order, so it admits every [`CompletionPlan`]. Morsels have no
-//! single scan order, so a multi-worker pass runs a completion plan as
-//! one work item: one worker scans the partition's whole detail in row
-//! order, and its statuses and every [`EvalStats`] counter equal
-//! sequential's for any thread count and morsel size. It admits a plan
-//! only when the plan prunes (base tuple, detail row) pairs
-//! (`eval::completion_prunes_pairs`: one of its rules acts on a
-//! Scan-probed block, as in the ALL shape); a hash- or interval-probed
-//! plan visits few pairs, and the batched kernels over morsels are faster
-//! than one worker's row-ordered loop. `Distributed` sites scan
-//! fragments, never the whole detail in order. A declined plan, and every
-//! plan under `Distributed`, runs the plain filtered form — completion
-//! never changes the *answer*, only the work — and is recorded once per
-//! evaluation in [`EvalStats::completion_fallbacks`].
+//! Base-tuple completion (Theorems 4.1/4.2) retires a base tuple once the
+//! detail has proven the selection's outcome for it: a dead rule fires,
+//! or every block a finish-early plan needs has matched. Statuses only
+//! move one way, Active → Dead or Done, so a retirement seen late is
+//! still correct; it only prunes less. Every local policy runs every
+//! [`CompletionPlan`] inside the morsel pass (`shared::morsel_pass`):
+//!
+//! * in **waves** when the plan retires tuples only through hash- or
+//!   interval-probed blocks: each wave reads the statuses as of the end
+//!   of the previous one, so statuses and every [`EvalStats`] counter are
+//!   a function of the plan, the data and the wave schedule
+//!   (`eval::wave_rows`) — byte-identical for `Sequential` (a one-worker
+//!   pass), any `Parallel` thread count, any morsel size and the shared
+//!   pool;
+//! * as one worker's **row-ordered item** when a retiring block is
+//!   Scan-probed (`eval::completion_prunes_pairs`: the ALL and division
+//!   shapes, where per-row pruning saves quadratic pairs).
+//!
+//! Either way a GMDJ whose base tuples are all retired stops scanning:
+//! the rest of the detail cannot change its answer, and
+//! [`EvalStats::detail_scanned`] counts only the rows read. `Distributed`
+//! sites scan fragments in no single order, so there every plan falls
+//! back to the plain filtered form — completion never changes the
+//! *answer*, only the work — recorded once per evaluation in
+//! [`EvalStats::completion_fallbacks`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,8 +80,7 @@ use crate::trace::{NullSink, Span, TraceSink};
 /// Physical execution mode for GMDJ evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// One worker scans the whole detail on the calling thread (every
-    /// completion plan runs).
+    /// One worker scans the whole detail on the calling thread.
     #[default]
     Sequential,
     /// Deal the detail scan out in morsels to `threads` OS threads.
@@ -109,17 +115,21 @@ pub struct ExecPolicy {
     /// whole base-values relation in memory.
     pub partition_rows: Option<usize>,
     /// Run the detail scan through the columnar batch kernels when a
-    /// probe shape specializes (default). Off, every mode scans the same
-    /// columns through the interpreted row-ordered loop instead. The
+    /// probe shape specializes (default), waved completion included. Off,
+    /// every mode scans the same columns through the interpreted
+    /// row-ordered loop instead, reading the same wave snapshots. The
     /// kernels are counter-exact and bit-exact with it; switching this
-    /// off is an ablation axis, not a semantic choice.
+    /// off is an ablation axis, not a semantic choice. A row-ordered
+    /// completion item (see the module docs) runs that loop either way.
     pub vectorized: bool,
     /// Morsel size (detail rows) for the parallel scan's work queue;
     /// `Sequential` scans one whole-detail morsel. `None` uses
-    /// [`DEFAULT_MORSEL_ROWS`]. Morsel size is pure
-    /// scheduling: every gated [`EvalStats`] counter and the result
-    /// multiset are identical for every setting — it only moves where
-    /// worker time is spent, which is what the bench ablation measures.
+    /// [`DEFAULT_MORSEL_ROWS`]. Under waved completion a morsel is also
+    /// clipped at each wave boundary. Morsel size is pure scheduling:
+    /// every gated [`EvalStats`] counter and the result multiset are
+    /// identical for every setting — the wave schedule never reads it —
+    /// it only moves where worker time is spent, which is what the bench
+    /// ablation measures.
     pub morsel_size: Option<usize>,
     /// Run `ExecMode::Distributed` over real socket-backed sites
     /// ([`crate::wire`]) instead of the in-process transport. Pure
@@ -830,7 +840,7 @@ impl Runtime {
             let out = out?;
             if let Some(p) = &self.progress {
                 p.add_morsels_done(sched);
-                p.add_rows(detail.len() as u64);
+                p.add_rows(out.eval.detail_scanned);
             }
             node.eval.merge(&out.eval);
             node.kernel.merge(&out.kernel);
@@ -917,7 +927,7 @@ impl Runtime {
         // and comes back echoed on their shipped `site.eval` spans, so a
         // stitched tree is attributable even across concurrent queries.
         let query_id = crate::trace::next_trace_id();
-        let mut declined = false;
+        let mut fell_back = false;
         let mut out_rows: Vec<Tuple> = Vec::new();
         let mut start = 0usize;
         while start < base.len() || (base.is_empty() && start == 0) {
@@ -929,14 +939,13 @@ impl Runtime {
                 Some(transport) => {
                     // Sites scan their fragments in no single order:
                     // completion always falls back here.
-                    declined |= query.completion.is_some();
+                    fell_back |= query.completion.is_some();
                     query.charge_partition(base_rows.len(), &mut node.eval);
                     let accs = self.scan_sites(query, base_rows, query_id, transport, node)?;
                     (accs, None)
                 }
                 None => {
                     let job = query.prepare(base_rows, &mut node.eval)?;
-                    declined |= job.declined;
                     let pass = morsel_pass(
                         detail.cols(),
                         std::slice::from_ref(&job),
@@ -961,8 +970,8 @@ impl Runtime {
                 break;
             }
         }
-        if declined {
-            // Once per evaluation, however many partitions declined.
+        if fell_back {
+            // Once per evaluation, however many partitions fell back.
             node.eval.completion_fallbacks += 1;
         }
         Ok(Relation::from_parts(output.result_schema.clone(), out_rows))
@@ -1432,14 +1441,12 @@ mod tests {
         assert_eq!(progress.rows_done(), node.eval.detail_scanned);
     }
 
-    /// A band-probed EXISTS visits only the tuples its interval index
-    /// returns, so completion would prune few pairs and one worker's
-    /// row-ordered loop would cost more than the kernels over morsels: a
-    /// multi-worker pass declines the plan by design and records one
-    /// fallback. A one-worker pass admits every plan, so `parallel(1)`
-    /// records exactly the sequential counters. Same answer everywhere.
+    /// A band-probed EXISTS retires tuples only through its interval
+    /// block, so its completion plan runs in waves under every policy: no
+    /// fallback, and every counter equals sequential's for any thread
+    /// count and morsel size. Same answer everywhere.
     #[test]
-    fn band_exists_completion_falls_back_by_design() {
+    fn band_exists_completion_runs_in_waves_under_every_policy() {
         // EXISTS shape: count per hour, keep hours with ≥ 1 HTTP flow.
         let in_hour = col("F.StartTime")
             .ge(col("H.StartInterval"))
@@ -1473,14 +1480,13 @@ mod tests {
         let (seq, s1) = run(ExecPolicy::sequential());
         assert_eq!(s1.completion_fallbacks, 0);
         assert_eq!(s1.done_early, 3);
-        let (par1, stats) = run(ExecPolicy::parallel(1));
-        assert!(par1.multiset_eq(&seq));
-        assert_eq!(stats, s1, "par1 == seq");
-        for threads in [2usize, 8] {
-            let (par, stats) = run(ExecPolicy::parallel(threads));
-            assert!(par.multiset_eq(&seq), "threads={threads}");
-            assert_eq!(stats.completion_fallbacks, 1, "threads={threads}");
-            assert_eq!(stats.dead_early + stats.done_early, 0);
+        for threads in [1usize, 2, 8] {
+            for morsel in [None, Some(1), Some(3)] {
+                let policy = ExecPolicy::parallel(threads).with_morsel_size(morsel);
+                let (par, stats) = run(policy);
+                assert!(par.multiset_eq(&seq), "{policy:?}");
+                assert_eq!(stats, s1, "{policy:?}");
+            }
         }
     }
 

@@ -61,12 +61,14 @@
 //! scanned alone (logical accounting).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use gmdj_relation::agg::Accumulator;
+use gmdj_relation::batch::BATCH_ROWS;
 use gmdj_relation::columnar::{ColumnSet, COLUMN_CHUNK_ROWS};
 use gmdj_relation::error::{Error, Result};
 use gmdj_relation::expr::{BoundPredicate, Predicate};
@@ -76,8 +78,8 @@ use gmdj_relation::schema::Schema;
 use crate::completion::CompletionPlan;
 use crate::eval::{
     completion_prunes_pairs, materialize_filtered, new_accumulators, plan_blocks,
-    referenced_detail_cols, scan_detail_window, BlockPlan, EvalStats, GmdjOptions, Keep,
-    KernelStats, Status,
+    referenced_detail_cols, scan_detail_window, wave_rows, BlockPlan, EvalStats, GmdjOptions, Keep,
+    KernelStats, Status, Statuses,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
@@ -140,9 +142,8 @@ struct SharedRequest {
     spec: GmdjSpec,
     selection: Option<Predicate>,
     keep: Keep,
-    /// The submitter's policy: its probe strategy and vectorization, and
-    /// its worker count, which decides whether the completion plan is
-    /// admitted ([`BoundGmdj::prepare`]).
+    /// The submitter's policy: its probe strategy and vectorization
+    /// ([`BoundGmdj::bind`]).
     policy: ExecPolicy,
     completion: Option<CompletionPlan>,
     slot: Arc<ResultSlot>,
@@ -242,7 +243,7 @@ impl SharedScanPool {
     /// the same detail table share one detail scan, and those evaluating
     /// the same GMDJ share one evaluation. `policy` is the
     /// submitter's: the pass evaluates the query exactly as that policy's
-    /// standalone evaluation would, completion admission included.
+    /// standalone evaluation would, completion included.
     ///
     /// `sink` receives the `gmdj.shared_scan` span if this caller ends up
     /// leading the pass.
@@ -400,7 +401,6 @@ impl SharedScanPool {
             .and_then(|gmdj| {
                 let mut eval = EvalStats::default();
                 let job = gmdj.prepare(r.base.rows(), &mut eval)?;
-                eval.completion_fallbacks += u64::from(job.declined);
                 Ok((eval, job))
             });
             match prepared {
@@ -490,8 +490,8 @@ fn same_gmdj(a: &SharedRequest, b: &SharedRequest) -> bool {
         && (a.completion.is_none() || a.selection == b.selection)
 }
 
-/// One GMDJ bound for evaluation: the policy's evaluator options and
-/// worker count, the completion plan, and the closed-form page accounting
+/// One GMDJ bound for evaluation: the policy's evaluator options, the
+/// completion plan, and the closed-form page accounting
 /// of one detail pass. Every base partition of the evaluation is prepared
 /// from it ([`BoundGmdj::prepare`]); what each query makes of the
 /// accumulators is its [`BoundOutput`].
@@ -500,7 +500,6 @@ pub(crate) struct BoundGmdj<'a> {
     detail_schema: &'a Schema,
     pub(crate) spec: &'a GmdjSpec,
     pub(crate) opts: GmdjOptions,
-    workers: usize,
     pub(crate) completion: Option<&'a CompletionPlan>,
     pub(crate) total_aggs: usize,
     /// Column-chunk and row-layout page reads of one detail pass.
@@ -528,7 +527,6 @@ impl<'a> BoundGmdj<'a> {
             detail_schema: detail.schema(),
             spec,
             opts: policy.gmdj_options(),
-            workers: policy.workers(),
             completion,
             total_aggs: spec.agg_count(),
             col_chunk_reads: pages * referenced,
@@ -546,11 +544,9 @@ impl<'a> BoundGmdj<'a> {
     }
 
     /// Charge one base partition and plan its probes (index builds land
-    /// in `eval`). A one-worker evaluation admits every completion plan:
-    /// its single worker scans the detail in row order. A multi-worker
-    /// evaluation admits only a plan that [`completion_prunes_pairs`]
-    /// accepts and runs it as one work item; a declined plan leaves
-    /// `declined` set so the caller records one fallback per evaluation.
+    /// in `eval`). Every completion plan runs, whatever the worker count:
+    /// as a row-ordered item when [`completion_prunes_pairs`] holds, in
+    /// waves otherwise (see [`morsel_pass`]).
     pub(crate) fn prepare(
         &self,
         base_rows: &'a [Tuple],
@@ -565,16 +561,16 @@ impl<'a> BoundGmdj<'a> {
             &self.opts,
             eval,
         )?;
-        let completion = self
+        let row_ordered = self
             .completion
-            .filter(|c| self.workers == 1 || completion_prunes_pairs(c, &plans));
+            .is_some_and(|c| completion_prunes_pairs(c, &plans));
         Ok(PreparedQuery {
             plans,
             base_rows,
             total_aggs: self.total_aggs,
             vectorized: self.opts.vectorized,
-            completion,
-            declined: self.completion.is_some() && completion.is_none(),
+            completion: self.completion,
+            row_ordered,
         })
     }
 }
@@ -637,16 +633,30 @@ impl BoundOutput {
 }
 
 /// One query's job in a morsel pass: its probe plans over one base
-/// partition, plus its completion plan when [`BoundGmdj::prepare`]
-/// admitted one.
+/// partition, plus its completion plan and how that plan runs.
 pub(crate) struct PreparedQuery<'a> {
     plans: Vec<BlockPlan>,
     pub(crate) base_rows: &'a [Tuple],
     total_aggs: usize,
     vectorized: bool,
     completion: Option<&'a CompletionPlan>,
-    /// A completion plan was supplied but not admitted.
-    pub(crate) declined: bool,
+    /// The completion plan runs as one worker's row-ordered item
+    /// ([`completion_prunes_pairs`]) rather than in waves.
+    row_ordered: bool,
+}
+
+impl PreparedQuery<'_> {
+    /// Fresh statuses for the job's completion plan, if it has one.
+    fn statuses(&self) -> Option<Statuses> {
+        self.completion.map(|plan| {
+            Statuses::new(
+                plan,
+                self.plans.len(),
+                self.base_rows.len(),
+                !self.row_ordered,
+            )
+        })
+    }
 }
 
 /// One job's scan state: its accumulator matrix, private counters, and
@@ -669,15 +679,11 @@ impl JobScan {
     }
 
     /// Fold another worker's state in (exact: [`Accumulator::merge`]).
-    /// Only the worker that ran a completion item has its statuses.
     fn merge(&mut self, other: JobScan) {
         self.eval.merge(&other.eval);
         self.kernel.merge(&other.kernel);
         for (m, a) in self.accs.iter_mut().zip(&other.accs) {
             m.merge(a);
-        }
-        if other.status.is_some() {
-            self.status = other.status;
         }
     }
 }
@@ -691,37 +697,200 @@ pub(crate) struct MorselPass {
     pub(crate) worker_sum_ns: u64,
 }
 
+/// Deals a pass's detail rows out, from a shared cursor, in ranges of at
+/// most one morsel. When a job scans in waves, ranges are clipped at the
+/// wave boundaries of [`wave_rows`] and the next wave is not dealt until
+/// every range of the current one is back: the worker that returns the
+/// last one closes the wave, under the dealer's lock, and then deals the
+/// next wave or ends the pass. Since every worker waits at a boundary for
+/// the slowest range, a wave's last ranges shrink — to the rows left over
+/// the workers, down to one batch — so the workers finish it together.
+struct Dealer {
+    len: usize,
+    morsel: usize,
+    waved: bool,
+    workers: usize,
+    /// Without waves no range waits for another, so ranges come from
+    /// this cursor alone, without the lock (it publishes nothing).
+    cursor: AtomicUsize,
+    deal: Mutex<Deal>,
+    turned: Condvar,
+}
+
+struct Deal {
+    /// First row not yet dealt.
+    next: usize,
+    /// End of the current wave: the whole detail when nothing is waved.
+    wave_end: usize,
+    wave: u32,
+    /// Ranges dealt and not yet returned.
+    out: usize,
+    /// Nothing more is dealt: every job settled, or a worker panicked.
+    closed: bool,
+}
+
+impl Dealer {
+    fn new(len: usize, morsel: usize, waved: bool, workers: usize) -> Self {
+        let wave_end = if waved {
+            wave_rows(0, len).min(len)
+        } else {
+            len
+        };
+        Dealer {
+            len,
+            morsel,
+            waved,
+            workers,
+            cursor: AtomicUsize::new(0),
+            deal: Mutex::new(Deal {
+                next: 0,
+                wave_end,
+                wave: 0,
+                out: 0,
+                closed: false,
+            }),
+            turned: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Deal> {
+        self.deal.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The next range to scan, or `None` once the detail is dealt out or
+    /// the pass closed. Between waves it waits for the wave's last range.
+    fn pull(&self) -> Option<Lease<'_>> {
+        if !self.waved {
+            let start = self.cursor.fetch_add(self.morsel, Ordering::Relaxed);
+            return (start < self.len).then(|| Lease {
+                dealer: self,
+                range: start..(start + self.morsel).min(self.len),
+                returned: true,
+            });
+        }
+        let mut d = self.lock();
+        loop {
+            if d.closed || d.next >= self.len {
+                return None;
+            }
+            if d.next < d.wave_end {
+                let start = d.next;
+                let left = d.wave_end - start;
+                let rows = self.morsel.min(left.div_ceil(self.workers).max(BATCH_ROWS));
+                d.next = start + rows.min(left);
+                d.out += 1;
+                return Some(Lease {
+                    dealer: self,
+                    range: start..d.next,
+                    returned: false,
+                });
+            }
+            d = self.turned.wait(d).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A dealt range. A lease dropped without [`Lease::finish`] — by a
+/// panicking worker — closes the pass, so no worker waits for it forever.
+struct Lease<'d> {
+    dealer: &'d Dealer,
+    range: Range<usize>,
+    returned: bool,
+}
+
+impl Lease<'_> {
+    /// Return the range. If it was the last one out of its wave, run
+    /// `boundary`, which closes the wave and says whether any job still
+    /// needs rows, then deal the next wave or end the pass. Returns the
+    /// first undealt row when this ended the pass before the detail ran
+    /// out.
+    fn finish(mut self, boundary: impl FnOnce() -> bool) -> Option<usize> {
+        let dealer = self.dealer;
+        if !dealer.waved {
+            return None;
+        }
+        let mut d = dealer.lock();
+        d.out -= 1;
+        if d.out > 0 || d.next < d.wave_end || d.closed {
+            self.returned = true;
+            return None;
+        }
+        // Marked returned only once the boundary is through: a panic in
+        // it must close the pass for the workers waiting on this wave.
+        let go_on = boundary();
+        self.returned = true;
+        let mut cut = None;
+        if d.wave_end < dealer.len {
+            if go_on {
+                d.wave += 1;
+                d.wave_end = (d.wave_end + wave_rows(d.wave, dealer.len)).min(dealer.len);
+            } else {
+                d.closed = true;
+                cut = Some(d.next);
+            }
+        }
+        dealer.turned.notify_all();
+        cut
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        if !self.returned {
+            self.dealer.lock().closed = true;
+            self.dealer.turned.notify_all();
+        }
+    }
+}
+
 /// The morsel driver: one pass over the detail columns feeding every
-/// job. A shared atomic cursor deals the detail out in morsels of
-/// `morsel_rows`; `threads` workers pull morsels until the queue runs
-/// dry, routing each morsel through every plain job's
-/// [`scan_detail_window`] into private per-worker accumulators and
-/// counters. The merge starts from worker 0's states and folds the other
-/// workers in, in worker order. Pull-based scheduling is self-balancing:
-/// a worker stuck on a skewed morsel simply pulls fewer.
+/// job. A [`Dealer`] deals the detail out in ranges of at most
+/// `morsel_rows`; `threads` workers pull ranges until none are left,
+/// routing each through every streamed job's [`scan_detail_window`] into
+/// private per-worker accumulators and counters. The merge starts from
+/// worker 0's states and folds the other workers in, in worker order.
+/// Pull-based scheduling is self-balancing: a worker stuck on a skewed
+/// range simply pulls fewer.
 ///
-/// A job with a completion plan is one work item instead: base-tuple
-/// completion is scan-order-dependent, so one worker scans the whole
-/// detail in row order, and its statuses and counters are the same for
-/// any thread count and morsel size. Completion item `i` runs on worker
-/// `i % workers`, before that worker pulls morsels, so distinct
-/// completion jobs of a shared pass run side by side.
+/// A job's completion plan runs under every worker count, in one of two
+/// ways, and either way its statuses and every [`EvalStats`] counter are
+/// the same for any thread count and morsel size:
+///
+/// * **Waves** — a plan whose retiring blocks are all hash- or
+///   interval-probed. The pass is cut into waves ([`wave_rows`]); every
+///   range of wave k reads the job's [`Statuses`] as of the end of wave
+///   k−1 (an active bitmap the kernels apply as one more mask), workers
+///   OR fired dead rules and matched blocks into shared flags, and the
+///   worker that returns the wave's last range applies them
+///   ([`Statuses::end_wave`]). A job with no Active tuple left is dealt
+///   no more ranges, and a pass whose jobs are all settled ends early.
+/// * **Row-ordered item** — a plan that [`completion_prunes_pairs`]
+///   needs per-row pruning, so one worker scans the whole detail in row
+///   order and stops once the job settles. Item `i` runs on worker
+///   `i % workers`, before that worker pulls ranges, so distinct items of
+///   a shared pass run side by side.
 ///
 /// Every GMDJ evaluation in the process is a pass: the sequential policy
-/// is one job on one worker with one whole-detail morsel, the parallel
-/// policy one job on `threads` workers, and a shared pass one job per
-/// distinct GMDJ of the coalesced queries. A one-worker pass runs on the
-/// calling thread; more workers run as scoped threads. A job whose scan errors
-/// stops being scanned and returns that error; the other jobs carry on.
-/// A worker panic fails every job still running, never the process.
-/// Each worker is emitted as a `gmdj.worker` span carrying the rows and
-/// morsels it scanned (a completion item counts as one morsel of the
-/// whole detail) plus its counter delta summed over the jobs (and the job
-/// count, `evaluations`, when there is more than one), so the worker spans of a one-job
-/// pass reconcile exactly with its merged counters. `progress`, when
-/// given, is ticked once per pulled morsel; a pass of one completion job
-/// ticks the `ceil(detail / morsel)` morsels it was scheduled, and the
-/// rows it scanned, when the item finishes.
+/// is one job on one worker whose morsel is the whole detail (one range
+/// per wave), the parallel policy one job on `threads` workers, and a
+/// shared pass one job per distinct GMDJ of the coalesced queries. A
+/// one-worker pass runs on the calling thread; more workers run as scoped
+/// threads. A job whose scan errors stops being scanned and returns that
+/// error; the other jobs carry on. A worker panic fails every job still
+/// running, never the process.
+///
+/// Each worker is emitted as a `gmdj.worker` span carrying the rows it
+/// was dealt or scanned as an item (`chunk_rows`), the scheduled morsels
+/// it accounted for (`morsels`), its counter delta summed over the jobs
+/// (and the job count, `evaluations`, when there is more than one), so
+/// the worker spans of a one-job pass reconcile exactly with its merged
+/// counters. Scheduled morsels are the `ceil(detail / morsel)` grid the
+/// caller announced to `progress`: a returned range accounts for the grid
+/// morsels that end inside it, the worker that ends a pass early for
+/// those it skipped, and a pass of one item for all of them. `progress`,
+/// when given, receives the same morsel ticks plus the rows scanned, so
+/// it ends at `morsels_done == morsels_total` and `rows_done ==
+/// detail_scanned`.
 pub(crate) fn morsel_pass(
     cols: &ColumnSet,
     jobs: &[PreparedQuery<'_>],
@@ -732,35 +901,53 @@ pub(crate) fn morsel_pass(
 ) -> MorselPass {
     let detail_len = cols.len();
     let morsel = morsel_rows.max(1).min(detail_len.max(1));
-    let items: Vec<usize> = (0..jobs.len())
-        .filter(|&j| jobs[j].completion.is_some())
-        .collect();
-    let plain = items.len() < jobs.len();
-    let morsels = if plain {
-        detail_len.div_ceil(morsel)
-    } else {
-        0
+    // Scheduled morsels ending at or before row `x`.
+    let grid = |x: usize| {
+        if x >= detail_len {
+            detail_len.div_ceil(morsel)
+        } else {
+            x / morsel
+        }
     };
+    let statuses: Vec<Option<Statuses>> = jobs.iter().map(PreparedQuery::statuses).collect();
+    let items: Vec<usize> = (0..jobs.len()).filter(|&j| jobs[j].row_ordered).collect();
+    let streamed = items.len() < jobs.len();
+    let waved = statuses.iter().flatten().any(Statuses::waved);
+    let morsels = if streamed { grid(detail_len) } else { 0 };
     // No point spawning workers that can never get work; an empty detail
     // keeps one worker so the merge stays uniform.
     let workers = threads.min(items.len() + morsels).max(1);
-    let cursor = AtomicUsize::new(0);
+    let dealer = Dealer::new(
+        if streamed { detail_len } else { 0 },
+        morsel,
+        waved,
+        workers,
+    );
 
     type Worker = (Vec<Result<JobScan>>, u64);
     let worker = |w: usize| -> Worker {
         let mut wspan = Span::begin(sink, "gmdj.worker").with_detail(format!("worker{w}"));
         let mut states: Vec<Result<JobScan>> =
             jobs.iter().map(|job| Ok(JobScan::new(job))).collect();
-        let mut rows_pulled = 0u64;
-        let mut morsels_pulled = 0u64;
+        let mut rows_scanned = 0u64;
+        let mut morsels_done = 0u64;
+        let mut account = |rows: u64, morsels: u64| {
+            rows_scanned += rows;
+            morsels_done += morsels;
+            if let Some(p) = progress {
+                p.add_morsels_done(morsels);
+                p.add_rows(rows);
+            }
+        };
         for &j in items.iter().skip(w).step_by(workers) {
             let job = &jobs[j];
             let Ok(scan) = &mut states[j] else { continue };
-            match scan_detail_window(
+            let before = scan.eval.detail_scanned;
+            let result = scan_detail_window(
                 cols,
                 0..detail_len,
                 job.vectorized,
-                job.completion,
+                statuses[j].as_ref(),
                 &job.plans,
                 job.base_rows,
                 job.total_aggs,
@@ -768,38 +955,33 @@ pub(crate) fn morsel_pass(
                 &mut scan.eval,
                 &mut scan.kernel,
                 sink,
-            ) {
-                Ok(status) => scan.status = status,
-                Err(e) => states[j] = Err(e),
+            );
+            let rows = scan.eval.detail_scanned - before;
+            if let Err(e) = result {
+                states[j] = Err(e);
             }
-            rows_pulled += detail_len as u64;
-            morsels_pulled += 1;
-            if let Some(p) = progress.filter(|_| !plain) {
-                p.add_morsels_done(detail_len.div_ceil(morsel) as u64);
-                p.add_rows(detail_len as u64);
-            }
+            account(rows, if streamed { 0 } else { grid(detail_len) as u64 });
         }
         let scanning = |states: &[Result<JobScan>]| {
             jobs.iter()
                 .zip(states)
-                .any(|(job, s)| job.completion.is_none() && s.is_ok())
+                .any(|(job, s)| !job.row_ordered && s.is_ok())
         };
         while scanning(&states) {
-            let start = cursor.fetch_add(morsel, Ordering::Relaxed);
-            if start >= detail_len {
-                break;
-            }
-            let end = (start + morsel).min(detail_len);
-            for (job, state) in jobs.iter().zip(states.iter_mut()) {
+            let Some(lease) = dealer.pull() else { break };
+            let range = lease.range.clone();
+            let mut scanned = false;
+            for ((job, state), statuses) in jobs.iter().zip(states.iter_mut()).zip(&statuses) {
                 let Ok(scan) = state else { continue };
-                if job.completion.is_some() {
+                if job.row_ordered || statuses.as_ref().is_some_and(Statuses::settled) {
                     continue;
                 }
+                scanned = true;
                 if let Err(e) = scan_detail_window(
                     cols,
-                    start..end,
+                    range.clone(),
                     job.vectorized,
-                    None,
+                    statuses.as_ref(),
                     &job.plans,
                     job.base_rows,
                     job.total_aggs,
@@ -811,19 +993,40 @@ pub(crate) fn morsel_pass(
                     *state = Err(e);
                 }
             }
-            rows_pulled += (end - start) as u64;
-            morsels_pulled += 1;
-            if let Some(p) = progress {
-                p.add_morsels_done(1);
-                p.add_rows((end - start) as u64);
-            }
+            let cut = lease.finish(|| {
+                // The wave's last range is back: apply its retirements,
+                // counted into this worker's states (a job that failed
+                // here fails as a whole, so its counts do not matter).
+                let mut go_on = false;
+                for ((job, state), statuses) in jobs.iter().zip(states.iter_mut()).zip(&statuses) {
+                    match statuses {
+                        _ if job.row_ordered => {}
+                        Some(s) => {
+                            let mut lost = EvalStats::default();
+                            let eval = match state {
+                                Ok(scan) => &mut scan.eval,
+                                Err(_) => &mut lost,
+                            };
+                            s.end_wave(eval);
+                            go_on |= !s.settled();
+                        }
+                        None => go_on = true,
+                    }
+                }
+                go_on
+            });
+            let skipped = cut.map_or(0, |next| grid(detail_len) - grid(next));
+            account(
+                if scanned { range.len() as u64 } else { 0 },
+                (grid(range.end) - grid(range.start) + skipped) as u64,
+            );
         }
         let mut scanned = EvalStats::default();
         for scan in states.iter().flatten() {
             scanned.merge(&scan.eval);
         }
-        wspan.field("chunk_rows", rows_pulled);
-        wspan.field("morsels", morsels_pulled);
+        wspan.field("chunk_rows", rows_scanned);
+        wspan.field("morsels", morsels_done);
         wspan.fields(scanned.trace_fields());
         if jobs.len() > 1 {
             wspan.field("evaluations", jobs.len() as u64);
@@ -877,8 +1080,14 @@ pub(crate) fn morsel_pass(
             }
         }
     }
+    let mut jobs = merged.expect("a pass runs at least one worker");
+    for (scan, statuses) in jobs.iter_mut().zip(&statuses) {
+        if let (Ok(scan), Some(s)) = (scan, statuses) {
+            scan.status = Some(s.status());
+        }
+    }
     MorselPass {
-        jobs: merged.expect("a pass runs at least one worker"),
+        jobs,
         worker_max_ns,
         worker_sum_ns,
     }
@@ -1219,8 +1428,8 @@ mod tests {
 
     /// Two distinct ALL-shaped queries (`P.price >= ALL …` and
     /// `P.price > ALL …` over `P.k <> Q.k`) coalesce into one pass. Each
-    /// completion plan is admitted and runs as its own work item, on its
-    /// own worker: both answers and every counter equal a standalone
+    /// completion plan runs as its own row-ordered item, on its own
+    /// worker: both answers and every counter equal a standalone
     /// sequential run, and both workers of the pass did work.
     #[test]
     fn distinct_all_queries_run_completion_side_by_side() {
@@ -1310,11 +1519,13 @@ mod tests {
         }
     }
 
-    /// Completion admission in a shared pass reads each query's own
-    /// policy. A band-probed EXISTS submitted under `sequential()` keeps
-    /// its plan — no fallback, tuples finished early — and one under
-    /// `parallel(2)` declines it, exactly as their standalone runs do,
-    /// although both ride one pass of a two-thread pool.
+    /// Completion in a shared pass follows each query's own policy, and
+    /// no local policy declines a plan. A band-probed EXISTS submitted
+    /// under `sequential()` and one under `parallel(2)` both run their
+    /// plan in waves — no fallback, tuples finished early, identical
+    /// counters — exactly as their standalone runs do, although they are
+    /// two evaluations (their policies differ) of one pass of a
+    /// two-thread pool.
     #[test]
     fn pooled_completion_admission_follows_each_policy() {
         use crate::completion::derive_completion;
@@ -1342,7 +1553,7 @@ mod tests {
         let standalone: Vec<_> = policies.iter().map(|&p| run(Runtime::new(p))).collect();
         assert_eq!(standalone[0].1.completion_fallbacks, 0);
         assert!(standalone[0].1.done_early > 0);
-        assert_eq!(standalone[1].1.completion_fallbacks, 1);
+        assert_eq!(standalone[1].1, standalone[0].1);
 
         let p = pool(2);
         let sink = Arc::new(crate::trace::CollectingSink::new());

@@ -556,8 +556,8 @@ mod tests {
     #[test]
     fn every_strategy_is_identical_under_parallel_policy() {
         // Mixed conjunction: the optimized GMDJ plan is a FilteredGMDJ
-        // with a completion plan, so the parallel path exercises the
-        // documented completion fallback end-to-end.
+        // with a completion plan, which the parallel path runs in waves
+        // and the distributed path still falls back from.
         let has = QueryExpr::table("Orders", "O1").select_flat(col("O1.cust").eq(col("C.id")));
         let none_big = QueryExpr::table("Orders", "O2").select_flat(
             col("O2.cust")
@@ -583,18 +583,24 @@ mod tests {
             }
         }
 
-        // The GMDJ stats tree is recorded and shows the fallback.
-        let r = run_with_policy(
-            &q,
-            &catalog(),
-            Strategy::GmdjOptimized,
-            ExecPolicy::parallel(3),
-        )
-        .unwrap();
-        let tree = r
-            .plan_stats
-            .expect("GMDJ strategies record a plan stats tree");
-        assert!(tree.total_eval().completion_fallbacks > 0);
+        // The GMDJ stats tree is recorded: the parallel run completed
+        // tuples with the sequential counters, the distributed run shows
+        // the fallback.
+        let eval = |policy| {
+            run_with_policy(&q, &catalog(), Strategy::GmdjOptimized, policy)
+                .unwrap()
+                .plan_stats
+                .expect("GMDJ strategies record a plan stats tree")
+                .total_eval()
+        };
+        let (seq, par) = (
+            eval(ExecPolicy::sequential()),
+            eval(ExecPolicy::parallel(3)),
+        );
+        assert_eq!(par, seq);
+        assert_eq!(par.completion_fallbacks, 0);
+        assert!(par.dead_early + par.done_early > 0);
+        assert!(eval(ExecPolicy::distributed(2)).completion_fallbacks > 0);
     }
 
     #[test]

@@ -219,6 +219,39 @@ fn baseline_gate_flags_injected_counter_drift() {
 }
 
 #[test]
+fn row_path_run_is_not_wall_clock_compared_with_a_vectorized_baseline() {
+    let report = run_bench(&tiny()).unwrap();
+    let json = report.to_json();
+    let baseline = parse_json(&json).unwrap();
+    let row_path = |doc: &str| {
+        assert_eq!(doc.matches("\"vectorized\":true").count(), 1);
+        parse_json(&doc.replace("\"vectorized\":true", "\"vectorized\":false")).unwrap()
+    };
+
+    // A far slower row-path run: one note, no warnings, the gate holds.
+    let slow = row_path(&bump_counter(&json, "trimmed_mean_us", 10_000_000));
+    let cmp = compare_reports(&slow, &baseline, 0.25).unwrap();
+    assert!(!cmp.gate_failed(), "{}", cmp.render());
+    assert!(cmp.wall_warnings.is_empty(), "{}", cmp.render());
+    let rendered = cmp.render();
+    assert_eq!(
+        rendered.matches("wall-clock not compared").count(),
+        1,
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains("run vectorized=false, baseline vectorized=true"),
+        "{rendered}"
+    );
+
+    // The counter gate is unchanged.
+    let drifted = row_path(&bump_counter(&json, "theta_evals", 7));
+    assert!(compare_reports(&drifted, &baseline, 0.25)
+        .unwrap()
+        .gate_failed());
+}
+
+#[test]
 fn plan_node_drift_names_the_regressed_node_with_costs() {
     let report = run_bench(&tiny()).unwrap();
     let json = report.to_json();

@@ -18,16 +18,19 @@
 //!   overwrite-counted above it.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use gmdj_bench::{profile, run_figure_with, FigureId};
+use gmdj_core::completion::derive_completion;
 use gmdj_core::eval::Keep;
 use gmdj_core::metrics;
 use gmdj_core::progress::ProgressRegistry;
 use gmdj_core::runtime::{ExecMode, ExecPolicy, PlanNodeStats, Runtime};
+use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
 use gmdj_core::spec::{AggBlock, GmdjSpec};
 use gmdj_core::trace::{CollectingSink, FlightRecorder, TeeSink, TraceEvent, TraceSink};
 use gmdj_relation::agg::NamedAgg;
-use gmdj_relation::expr::col;
+use gmdj_relation::expr::{col, lit};
 use gmdj_relation::relation::{Relation, RelationBuilder};
 use gmdj_relation::schema::DataType;
 
@@ -48,6 +51,25 @@ fn detail() -> Relation {
         d = d.row(vec![(t * 3).into(), (t % 7).into()]);
     }
     d.build().unwrap()
+}
+
+/// 3000 detail rows whose first 120 hold every base `Lo` with `V > 0`.
+fn settling_detail() -> Relation {
+    let mut d = RelationBuilder::new("F")
+        .column("T", DataType::Int)
+        .column("V", DataType::Int);
+    for i in 0..3000 {
+        d = d.row(vec![(i % 120).into(), (1 + i % 7).into()]);
+    }
+    d.build().unwrap()
+}
+
+/// `cnt` of the detail rows with `T = Lo` and `V > 0`: an EXISTS block.
+fn exists_spec() -> GmdjSpec {
+    GmdjSpec::new(vec![AggBlock::count(
+        col("F.T").eq(col("B.Lo")).and(col("F.V").gt(lit(0))),
+        "cnt",
+    )])
 }
 
 fn spec() -> GmdjSpec {
@@ -455,11 +477,77 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
         };
         assert_eq!(snap.morsels_done, spans, "{policy:?}");
     }
+
+    // A settling EXISTS: every base tuple finds its match in the first
+    // wave, so the scan stops early under every route. The morsels it
+    // skips are still accounted, and the row ticks, the worker spans and
+    // the counters agree on the rows actually scanned.
+    let settling = settling_detail();
+    let spec = exists_spec();
+    let selection = col("cnt").gt(lit(0));
+    let plan = derive_completion(&selection, &spec, true).expect("EXISTS has a plan");
+    let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
+        window: Duration::from_millis(1),
+        target_batch: 1,
+        threads: 2,
+        morsel_rows: 256,
+    }));
+    for route in ["seq", "par2", "pooled"] {
+        let sink = Arc::new(CollectingSink::new());
+        let ticket = registry.register("MD(B, F, cnt)", "runtime", route);
+        let progress = ticket.progress();
+        let policy = match route {
+            "seq" => ExecPolicy::sequential(),
+            _ => ExecPolicy::parallel(2).with_morsel_size(Some(256)),
+        };
+        let mut rt = Runtime::with_sink(policy, sink.clone()).with_progress(progress.clone());
+        if route == "pooled" {
+            rt = rt.with_shared_pool(pool.clone());
+        }
+        let mut node = PlanNodeStats::new("GMDJ");
+        let out = rt
+            .eval(
+                &base(),
+                &settling,
+                &spec,
+                Some(&selection),
+                Keep::BaseOnly,
+                Some(&plan),
+                &mut node,
+            )
+            .unwrap();
+        let eval = node.eval;
+        assert_eq!(out.len(), base().len(), "{route}");
+        assert_eq!(eval.done_early, base().len() as u64, "{route}");
+        assert_eq!(eval.completion_fallbacks, 0, "{route}");
+        assert!(
+            (eval.detail_scanned as usize) < settling.len(),
+            "{route}: {eval:?}"
+        );
+        let snap = progress.snapshot();
+        assert_eq!(snap.morsels_done, snap.morsels_total, "{route}");
+        assert_eq!(snap.rows_done, eval.detail_scanned, "{route}");
+        // The worker spans reconcile with the merged counters, and their
+        // morsels with the progress ticks, skipped morsels included.
+        for (field, total) in [
+            ("detail_scanned", eval.detail_scanned),
+            ("probe_candidates", eval.probe_candidates),
+            ("done_early", eval.done_early),
+            ("chunk_rows", eval.detail_scanned),
+            ("morsels", snap.morsels_done),
+        ] {
+            assert_eq!(
+                sink.sum_field("gmdj.worker", field),
+                total,
+                "{route} {field}"
+            );
+        }
+    }
     // Every ticket dropped: nothing left active, finals folded in.
     let (active, totals) = registry.snapshot();
     assert!(active.is_empty());
-    assert_eq!(totals.queries_started, policies.len() as u64);
-    assert_eq!(totals.queries_finished, policies.len() as u64);
+    assert_eq!(totals.queries_started, policies.len() as u64 + 3);
+    assert_eq!(totals.queries_finished, policies.len() as u64 + 3);
     assert_eq!(totals.morsels_done, totals.morsels_total);
 }
 
