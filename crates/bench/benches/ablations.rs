@@ -12,7 +12,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gmdj_bench::{bench_instance, FigureId};
-use gmdj_core::eval::{GmdjOptions, ProbeStrategy};
 use gmdj_core::exec::{execute, ExecContext};
 use gmdj_core::optimize::{optimize_with, OptFlags};
 use gmdj_core::runtime::ExecPolicy;
@@ -117,11 +116,9 @@ fn memory_partitioning(c: &mut Criterion) {
         let rows = 400usize.div_ceil(partitions);
         group.bench_function(BenchmarkId::new("partitions", partitions), |b| {
             b.iter(|| {
-                let mut ctx = ExecContext::with_opts(GmdjOptions {
-                    probe: ProbeStrategy::Auto,
-                    partition_rows: Some(rows),
-                    ..GmdjOptions::default()
-                });
+                let mut ctx = ExecContext::with_policy(
+                    ExecPolicy::sequential().with_partition_rows(Some(rows)),
+                );
                 execute(&plan, &catalog, &mut ctx).unwrap().len()
             })
         });

@@ -8,8 +8,8 @@
 //! repro fuzz --seed S --cases N [--replay FILE|DIR] [--corpus-dir DIR]
 //! repro bench [--quick] [--scale F] [--seed N] [--reps N] [--warmup N]
 //!             [--out DIR] [--baseline PATH] [--check-baseline] [--bless]
-//!             [--wall-tolerance F] [--no-ablations] [--no-vectorized]
-//!             [--real-sites] [--morsel-size N] [--no-flight]
+//!             [--wall-tolerance F] [--no-ablations] [--real-sites]
+//!             [--morsel-size N] [--no-flight]
 //!             [--compare A.json B.json]
 //! ```
 //!
@@ -266,7 +266,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
     let mut baseline_path = String::from("bench/baseline.json");
     let mut check_baseline = false;
     let mut bless = false;
-    let mut vectorized = true;
     let mut compare: Option<(String, String)> = None;
     let mut wall_tolerance = 0.25f64;
     let mut it = argv.iter();
@@ -307,7 +306,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                     }
                     cfg.concurrent = Some(n);
                 }
-                "--no-vectorized" => vectorized = false,
                 "--real-sites" => cfg.real_sites = true,
                 "--no-flight" => trace::flight().set_enabled(false),
                 "--morsel-size" => {
@@ -352,8 +350,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                          recording latency quantiles, queries/sec and the\n                       \
                          shared-scan pass counters (own blessed section;\n                       \
                          grid entries and their baseline are untouched)\n  \
-                         --no-vectorized      force the row-path detail scan (the\n                       \
-                         counters are identical either way — same baseline)\n  \
                          --real-sites         run distributed-policy cells over real\n                       \
                          socket-backed loopback sites (gated counters\n                       \
                          identical — same baseline, _realsites run id)\n  \
@@ -401,7 +397,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
         };
     }
 
-    cfg.vectorized = vectorized;
     let report = match gmdj_bench::telemetry::run_bench(&cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -444,7 +439,7 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
         // A concurrent run blessed over an existing baseline splices only
         // its concurrent section in, keeping every recorded grid entry
         // byte-identical: wall stats are machine-dependent, so rewriting
-        // the whole file would churn 94 entries for an orthogonal
+        // the whole file would churn every entry for an orthogonal
         // addition.
         let blessed = match (&report.concurrent, std::fs::read_to_string(&baseline_path)) {
             (Some(conc), Ok(existing)) => {

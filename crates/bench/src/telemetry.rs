@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use gmdj_core::cost;
 use gmdj_core::distributed::NetworkStats;
-use gmdj_core::eval::{EvalStats, ProbeStrategy};
+use gmdj_core::eval::EvalStats;
 use gmdj_core::metrics::{self, Histogram};
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
@@ -330,23 +330,17 @@ pub struct BenchConfig {
     pub cross_policy: bool,
     /// Mode tag written to the report (`quick` or `full`).
     pub quick: bool,
-    /// Run the grid through the vectorized detail-scan kernels (default)
-    /// or force the row path everywhere. The kernels are counter-exact,
-    /// so both settings must pass the same baseline — the flag is
-    /// recorded in the report header informationally and never enters an
-    /// entry's identity key.
-    pub vectorized: bool,
     /// Override the parallel detail scan's morsel size (rows per queue
     /// pull) on the figure-grid policies. Pure scheduling: every gated
     /// counter — page accounting included — is identical for any setting.
-    /// Unlike `vectorized` the label IS part of the entry key (`+mN`), so
+    /// Unlike `real_sites` the label IS part of the entry key (`+mN`), so
     /// an override records a new trajectory rather than gating against
     /// the default baseline. The morsel-size ablation group pins its own
     /// values and ignores this.
     pub morsel_size: Option<usize>,
     /// Run the distributed-policy cells over real socket-backed loopback
-    /// sites instead of the in-process transport. Like `vectorized`,
-    /// this is a physical-path choice that must not move any gated
+    /// sites instead of the in-process transport. This is a physical-path
+    /// choice that must not move any gated
     /// counter (the sites run the identical evaluation; only the
     /// ungated byte counters and wall-clock change), so it is recorded
     /// in the header and the run id but never enters an entry's key —
@@ -375,7 +369,6 @@ impl BenchConfig {
             ablations: true,
             cross_policy: true,
             quick: true,
-            vectorized: true,
             morsel_size: None,
             real_sites: false,
             concurrent: None,
@@ -393,19 +386,18 @@ impl BenchConfig {
         }
     }
 
-    /// Deterministic run identifier: `BENCH_<run_id>.json`. Row-path and
-    /// real-sites runs get distinct ids so those legs never overwrite
+    /// Deterministic run identifier: `BENCH_<run_id>.json`. Real-sites
+    /// and concurrent runs get distinct ids so those legs never overwrite
     /// the canonical recording.
     pub fn run_id(&self) -> String {
         format!(
-            "{}_seed{}{}{}{}",
+            "{}_seed{}{}{}",
             if self.quick {
                 "quick".into()
             } else {
                 format!("s{}", self.scale)
             },
             self.seed,
-            if self.vectorized { "" } else { "_rowpath" },
             if self.real_sites { "_realsites" } else { "" },
             match self.concurrent {
                 Some(n) => format!("_conc{n}"),
@@ -433,7 +425,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"version\":{},\"run\":\"{}\",\"mode\":\"{}\",\"scale\":{},\"seed\":{},\
-             \"warmup\":{},\"reps\":{},\"vectorized\":{},\"real_sites\":{},\"entries\":[",
+             \"warmup\":{},\"reps\":{},\"real_sites\":{},\"entries\":[",
             BENCH_VERSION,
             self.config.run_id(),
             if self.config.quick { "quick" } else { "full" },
@@ -441,7 +433,6 @@ impl BenchReport {
             self.config.seed,
             self.config.warmup,
             self.config.reps,
-            self.config.vectorized,
             self.config.real_sites,
         );
         for (i, e) in self.entries.iter().enumerate() {
@@ -615,13 +606,11 @@ fn figure_group(fig: FigureId) -> &'static str {
 /// counter equality, and chunked parallel scans split by fixed ranges, so
 /// counters do not depend on scheduling.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
-    // Every grid policy inherits the run's vectorization setting and
-    // morsel-size override; the dedicated ablation groups below pin
-    // their own values per entry.
-    let vec_policy = |p: ExecPolicy| {
-        let p = p
-            .with_vectorized(cfg.vectorized)
-            .with_real_sites(cfg.real_sites);
+    // Every grid policy inherits the run's transport and morsel-size
+    // override; the dedicated ablation groups below pin their own values
+    // per entry.
+    let grid_policy = |p: ExecPolicy| {
+        let p = p.with_real_sites(cfg.real_sites);
         match cfg.morsel_size {
             Some(m) => p.with_morsel_size(Some(m)),
             None => p,
@@ -642,7 +631,7 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
                 entries.push(measure(
                     &w,
                     strategy,
-                    vec_policy(ExecPolicy::sequential()),
+                    grid_policy(ExecPolicy::sequential()),
                     cfg,
                     group,
                     &label,
@@ -656,7 +645,7 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
                         entries.push(measure(
                             &w,
                             strategy,
-                            vec_policy(policy),
+                            grid_policy(policy),
                             cfg,
                             group,
                             &label,
@@ -715,21 +704,23 @@ fn check_concurrent_counters(
 /// (`served != passes × n`), or if sharing paid no passes at all.
 fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
     let n = n.max(1);
-    // The largest Fig2 point at a boosted scale: a single-detail-table
-    // GMDJ plan where the detail scan dominates — the workload the
-    // sharing claim is about. The grid's quick tier keeps relations tiny
-    // so 94 entries stay fast; here one workload is reused across every
-    // wave, so it can afford to be large enough that per-wave fixed costs
-    // (thread spawns, per-query prepare) do not swamp the shared scan.
+    // The largest Fig3 point at a boosted scale: the aggregate
+    // comparison, a single-detail-table GMDJ that reads every detail row
+    // (no completion plan settles it early), so the detail scan dominates
+    // — the workload the sharing claim is about. The grid's quick tier
+    // keeps relations tiny so its entries stay fast; here one workload is
+    // reused across every wave, so it can afford to be large enough that
+    // per-wave fixed costs (thread spawns, per-query prepare) do not swamp
+    // the shared scan.
     let conc_scale = (cfg.scale * 25.0).min(1.0);
-    let (outer, inner) = *sizes(FigureId::Fig2, conc_scale)
+    let (outer, inner) = *sizes(FigureId::Fig3, conc_scale)
         .last()
-        .expect("fig2 has size points");
-    let w = workload(FigureId::Fig2, outer, inner, cfg.seed);
-    let label = size_label(FigureId::Fig2, outer, inner);
+        .expect("fig3 has size points");
+    let w = workload(FigureId::Fig3, outer, inner, cfg.seed);
+    let label = size_label(FigureId::Fig3, outer, inner);
     let strategy = Strategy::GmdjOptimized;
     let policy = {
-        let p = ExecPolicy::parallel(2).with_vectorized(cfg.vectorized);
+        let p = ExecPolicy::parallel(2);
         match cfg.morsel_size {
             Some(m) => p.with_morsel_size(Some(m)),
             None => p,
@@ -846,7 +837,7 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
     Ok(ConcurrentReport {
         queries: n,
         reps,
-        group: "concurrent/fig2".to_string(),
+        group: "concurrent/fig3".to_string(),
         label,
         strategy: strategy.label(),
         policy: policy_label(&policy),
@@ -870,10 +861,7 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
 /// The ablation grid: the DESIGN.md design choices measured in isolation
 /// (mirroring `benches/ablations.rs`, but deterministic and recorded).
 fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
-    let vec_policy = |p: ExecPolicy| {
-        p.with_vectorized(cfg.vectorized)
-            .with_real_sites(cfg.real_sites)
-    };
+    let grid_policy = |p: ExecPolicy| p.with_real_sites(cfg.real_sites);
     let mut entries = Vec::new();
     let (outer2, inner2) = sizes(FigureId::Fig2, cfg.scale)[0];
     let fig2 = workload(FigureId::Fig2, outer2, inner2, cfg.seed);
@@ -885,7 +873,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             strategy,
-            vec_policy(ExecPolicy::sequential()),
+            grid_policy(ExecPolicy::sequential()),
             cfg,
             "ablation/probe",
             label,
@@ -898,7 +886,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            vec_policy(ExecPolicy::sequential().with_partition_rows(Some(rows))),
+            grid_policy(ExecPolicy::sequential().with_partition_rows(Some(rows))),
             cfg,
             "ablation/partitions",
             &format!("partitions-{parts}"),
@@ -915,7 +903,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            vec_policy(policy),
+            grid_policy(policy),
             cfg,
             "ablation/threads",
             &format!("threads-{threads}"),
@@ -932,45 +920,10 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            vec_policy(ExecPolicy::parallel(2).with_morsel_size(Some(morsel))),
+            grid_policy(ExecPolicy::parallel(2).with_morsel_size(Some(morsel))),
             cfg,
             "ablation/morsel_size",
             &format!("morsel-{morsel}"),
-            true,
-        )?);
-    }
-    // Vectorized detail-scan kernels vs the row path, per probe shape and
-    // thread count. Unlike the rest of the grid (which inherits the run's
-    // vectorization setting), these entries pin it per label so one report
-    // carries the on/off contrast; the counters are identical by
-    // construction — the wall-clock columns are the ablation signal.
-    // GmdjBasic, not GmdjOptimized: a completion plan pins the sequential
-    // scan to the row loop, which would blank the axis being measured.
-    for (label, policy) in [
-        ("seq-vec", ExecPolicy::sequential().with_vectorized(true)),
-        ("seq-row", ExecPolicy::sequential().with_vectorized(false)),
-        (
-            "scan-vec",
-            ExecPolicy::sequential()
-                .with_probe(ProbeStrategy::ForceScan)
-                .with_vectorized(true),
-        ),
-        (
-            "scan-row",
-            ExecPolicy::sequential()
-                .with_probe(ProbeStrategy::ForceScan)
-                .with_vectorized(false),
-        ),
-        ("par2-vec", ExecPolicy::parallel(2).with_vectorized(true)),
-        ("par2-row", ExecPolicy::parallel(2).with_vectorized(false)),
-    ] {
-        entries.push(measure(
-            &fig2,
-            Strategy::GmdjBasic,
-            policy,
-            cfg,
-            "ablation/vectorized",
-            label,
             true,
         )?);
     }
@@ -984,7 +937,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig4,
             strategy,
-            vec_policy(ExecPolicy::sequential()),
+            grid_policy(ExecPolicy::sequential()),
             cfg,
             "ablation/completion",
             label,
@@ -1122,9 +1075,6 @@ pub struct Comparison {
     pub drifts: Vec<String>,
     /// Wall-clock regressions beyond the tolerance — advisory only.
     pub wall_warnings: Vec<String>,
-    /// Why wall-clock was not compared at all, when it was not: the run
-    /// and the baseline scanned through different paths (`vectorized`).
-    pub wall_skipped: Option<String>,
     /// Entries present in the current run but absent from the baseline
     /// (e.g. a grown grid) — informational; re-bless to record them.
     pub new_entries: Vec<String>,
@@ -1144,9 +1094,6 @@ impl Comparison {
         }
         for w in &self.wall_warnings {
             out.push_str(&format!("WARN   {w}\n"));
-        }
-        if let Some(why) = &self.wall_skipped {
-            out.push_str(&format!("NOTE   wall-clock not compared: {why}\n"));
         }
         for n in &self.new_entries {
             out.push_str(&format!(
@@ -1240,10 +1187,7 @@ fn diff_plan_nodes(
 /// including a gated entry disappearing, or the recording configuration
 /// changing — is a hard failure ([`Comparison::gate_failed`]); wall-clock
 /// regressions beyond `wall_tolerance` (fractional, e.g. 0.25 = +25%)
-/// only warn. Wall-clock is compared only when both documents were
-/// recorded with the same `vectorized` setting: row-path timings against
-/// kernel timings measure the path, not a regression
-/// ([`Comparison::wall_skipped`] says so instead).
+/// only warn.
 pub fn compare_reports(
     current: &Json,
     baseline: &Json,
@@ -1270,19 +1214,6 @@ pub fn compare_reports(
     if !cmp.drifts.is_empty() {
         return Ok(cmp);
     }
-    let (b_vec, c_vec) = (baseline.get("vectorized"), current.get("vectorized"));
-    if b_vec != c_vec {
-        let show = |v: Option<&Json>| match v {
-            Some(Json::Bool(b)) => b.to_string(),
-            _ => "unset".to_string(),
-        };
-        cmp.wall_skipped = Some(format!(
-            "run vectorized={}, baseline vectorized={}",
-            show(c_vec),
-            show(b_vec)
-        ));
-    }
-
     let b_entries = baseline
         .get("entries")
         .and_then(Json::as_arr)
@@ -1349,7 +1280,7 @@ pub fn compare_reports(
             .get("wall")
             .and_then(|w| w.get("trimmed_mean_us"))
             .and_then(Json::as_num);
-        if let (Some(bw), Some(cw), None) = (b_wall, c_wall, &cmp.wall_skipped) {
+        if let (Some(bw), Some(cw)) = (b_wall, c_wall) {
             if bw > 0.0 && cw > bw * (1.0 + wall_tolerance) {
                 cmp.wall_warnings.push(format!(
                     "{key}: wall-clock {:.0}us -> {:.0}us (+{:.0}%, tolerance {:.0}%)",
@@ -1431,7 +1362,7 @@ pub fn splice_concurrent(baseline_text: &str, section_json: &str) -> Option<Stri
 /// --compare A.json B.json`). Pairs entries by identity key and reports
 /// the trimmed-mean delta of B relative to A, plus a geometric-mean
 /// speedup over the paired entries — the report backing a measured
-/// "vectorized vs row path" claim. Counter drift between the documents is
+/// before/after claim. Counter drift between the documents is
 /// listed first: a wall-clock comparison across different plans is
 /// answering a different question, and should say so.
 pub fn compare_wall_clock(a: &Json, b: &Json) -> std::result::Result<String, String> {
@@ -1450,11 +1381,6 @@ pub fn compare_wall_clock(a: &Json, b: &Json) -> std::result::Result<String, Str
             .and_then(Json::as_num)
     };
     let mut out = String::new();
-    let a_vec = a.get("vectorized").cloned();
-    let b_vec = b.get("vectorized").cloned();
-    if let (Some(Json::Bool(av)), Some(Json::Bool(bv))) = (&a_vec, &b_vec) {
-        out.push_str(&format!("A vectorized={av}  B vectorized={bv}\n"));
-    }
     let mut drift = 0usize;
     let mut ratios: Vec<f64> = Vec::new();
     let mut lines: Vec<String> = Vec::new();
@@ -1520,7 +1446,6 @@ mod tests {
             ablations: false,
             cross_policy: false,
             quick: true,
-            vectorized: true,
             morsel_size: None,
             real_sites: false,
             concurrent: None,

@@ -166,15 +166,13 @@ proptest! {
     }
 
     /// Distinct queries over the same detail table coalesce into one
-    /// pass yet demultiplex each client's own answer, through the batch
-    /// kernels and through the `vectorized = false` row twin alike.
+    /// pass yet demultiplex each client's own answer.
     #[test]
     fn distinct_queries_demultiplex_standalone_answers(
         b in relation("B", 8),
         r in relation("R", 12),
         n in 2usize..=4,
         threshold in 0i64..5,
-        vectorized in any::<bool>(),
     ) {
         let catalog = MemoryCatalog::new().with("B", b).with("R", r);
         // Query i: EXISTS over the shared detail table R with a
@@ -191,7 +189,7 @@ proptest! {
                 QueryExpr::table("B", "B").select(exists(sub))
             })
             .collect();
-        let policy = ExecPolicy::parallel(2).with_vectorized(vectorized);
+        let policy = ExecPolicy::parallel(2);
         for strategy in [EvalStrategy::GmdjBasic, EvalStrategy::GmdjOptimized] {
             let standalone: Vec<Result<RunResult>> = queries
                 .iter()
@@ -223,7 +221,6 @@ proptest! {
         b in relation("B", 8),
         r in relation("R", 12),
         constants in proptest::collection::vec(constant(), 2..=4),
-        vectorized in any::<bool>(),
     ) {
         let catalog = MemoryCatalog::new().with("B", b).with("R", r);
         let queries: Vec<QueryExpr> = constants
@@ -239,7 +236,7 @@ proptest! {
                 }))
             })
             .collect();
-        let policy = ExecPolicy::parallel(2).with_vectorized(vectorized);
+        let policy = ExecPolicy::parallel(2);
         for strategy in [EvalStrategy::GmdjBasic, EvalStrategy::GmdjOptimized] {
             let standalone: Vec<Result<RunResult>> = queries
                 .iter()

@@ -1,8 +1,8 @@
 //! Property test: base-tuple completion is a function of the data, not
 //! of the schedule. Random EXISTS, NOT EXISTS, two-EXISTS and band-θ
 //! EXISTS queries over a detail table of up to four waves run under the
-//! sequential and parallel policies, with and without the vectorized
-//! kernels, at two morsel sizes and through a shared-scan pool. Every run
+//! sequential and parallel policies, at two morsel sizes and through a
+//! shared-scan pool. Every run
 //! must return the `NaiveNestedLoop` answer, record no completion
 //! fallback, and report exactly the sequential run's `EvalStats`. A
 //! detail whose first rows retire every base tuple must settle: the scan
@@ -117,10 +117,8 @@ fn shapes(c: i64) -> Vec<(&'static str, QueryExpr)> {
 /// Every local policy the completion counters must not depend on.
 fn policies() -> Vec<ExecPolicy> {
     vec![
-        ExecPolicy::sequential().with_vectorized(false),
         ExecPolicy::parallel(2),
         ExecPolicy::parallel(3),
-        ExecPolicy::parallel(2).with_vectorized(false),
         ExecPolicy::parallel(2).with_morsel_size(Some(64)),
         ExecPolicy::parallel(2).with_morsel_size(Some(4096)),
     ]

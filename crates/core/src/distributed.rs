@@ -39,7 +39,7 @@ use gmdj_relation::relation::{Relation, Tuple};
 
 use crate::counters::counter_set;
 use crate::eval::{
-    new_accumulators, plan_blocks, scan_detail_window, EvalStats, GmdjOptions, KernelStats,
+    new_accumulators, plan_blocks, scan_detail_vectorized, EvalStats, KernelStats, ProbeStrategy,
 };
 use crate::runtime::SiteBreakdown;
 use crate::spec::GmdjSpec;
@@ -102,8 +102,8 @@ pub struct SiteEvalRequest<'a> {
     pub base_schema: &'a gmdj_relation::schema::Schema,
     /// The GMDJ to evaluate locally.
     pub spec: &'a GmdjSpec,
-    /// Evaluator options (probe choice, vectorization).
-    pub opts: &'a GmdjOptions,
+    /// Probe plan selection.
+    pub probe: ProbeStrategy,
     /// Aggregates per base row, `spec.agg_count()`.
     pub total_aggs: usize,
     /// Cross-process trace context: the coordinator evaluation this
@@ -182,20 +182,26 @@ pub(crate) fn eval_site_fragment(
     base_schema: &gmdj_relation::schema::Schema,
     fragment: &Relation,
     spec: &GmdjSpec,
-    opts: &GmdjOptions,
+    probe: ProbeStrategy,
     total_aggs: usize,
     sink: &dyn crate::trace::TraceSink,
 ) -> Result<(Vec<Accumulator>, EvalStats, KernelStats)> {
     let mut stats = EvalStats::default();
     let mut kernel = KernelStats::default();
-    let plans = plan_blocks(base, base_schema, fragment.schema(), spec, opts, &mut stats)?;
+    let plans = plan_blocks(
+        base,
+        base_schema,
+        fragment.schema(),
+        spec,
+        probe,
+        &mut stats,
+    )?;
     let mut accs = new_accumulators(&plans, base.len(), total_aggs);
-    scan_detail_window(
+    scan_detail_vectorized(
         fragment.cols(),
         0..fragment.len(),
-        opts.vectorized,
-        None,
         &plans,
+        None,
         base,
         total_aggs,
         &mut accs,
@@ -233,7 +239,7 @@ pub(crate) fn eval_site_fragment_traced(
     base_schema: &gmdj_relation::schema::Schema,
     fragment: &Relation,
     spec: &GmdjSpec,
-    opts: &GmdjOptions,
+    probe: ProbeStrategy,
     total_aggs: usize,
     site: usize,
     attempt: u32,
@@ -261,7 +267,7 @@ pub(crate) fn eval_site_fragment_traced(
         base_schema,
         fragment,
         spec,
-        opts,
+        probe,
         total_aggs,
         sink.as_ref(),
     )?;
@@ -383,7 +389,7 @@ impl SiteTransport for InProcessSites {
             req.base_schema,
             frag,
             req.spec,
-            req.opts,
+            req.probe,
             req.total_aggs,
             site,
             0,

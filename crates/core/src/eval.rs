@@ -39,7 +39,7 @@ use gmdj_relation::value::Value;
 use crate::completion::CompletionPlan;
 use crate::counters::counter_set;
 use crate::spec::GmdjSpec;
-use crate::trace::{NullSink, TraceSink};
+use crate::trace::TraceSink;
 
 /// How probe plans may be chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,32 +60,6 @@ pub enum Keep {
     /// Only **B**'s attributes — the π\[A\] of Table 1's ∄ row and the
     /// precondition of Theorem 4.1.
     BaseOnly,
-}
-
-/// Evaluation options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GmdjOptions {
-    /// Probe plan selection.
-    pub probe: ProbeStrategy,
-    /// Maximum number of base tuples resident per detail scan. `None`
-    /// keeps the whole base-values relation in memory (single scan).
-    pub partition_rows: Option<usize>,
-    /// Dispatch the detail scan to batched columnar kernels where a probe
-    /// shape can be specialized (default on). Off, every scan runs the
-    /// row-ordered column loop with sidecars and kernels off: the
-    /// interpreted reference the kernels are checked against. Counter-
-    /// exact either way: every [`EvalStats`] field matches bit for bit.
-    pub vectorized: bool,
-}
-
-impl Default for GmdjOptions {
-    fn default() -> Self {
-        GmdjOptions {
-            probe: ProbeStrategy::default(),
-            partition_rows: None,
-            vectorized: true,
-        }
-    }
 }
 
 counter_set! {
@@ -121,7 +95,7 @@ counter_set! {
         /// arithmetic with `P` counted per *referenced* detail column
         /// (`ceil(|R| / chunk) × referenced_cols × partitions`). A closed
         /// form of the spec and detail length, identical across execution
-        /// policies, vectorization settings, and morsel sizes — and
+        /// policies and morsel sizes — and
         /// strictly below `row_page_reads` whenever the plan references
         /// fewer columns than the detail schema holds.
         pub col_chunk_reads: u64,
@@ -144,8 +118,8 @@ impl EvalStats {
 counter_set! {
     /// Kernel-dispatch statistics for the batched detail scan — deliberately
     /// *adjacent to* [`EvalStats`] rather than inside it: the semantic
-    /// counters must stay identical across execution modes and vectorization
-    /// settings, while these describe which physical path ran.
+    /// counters must stay identical across execution modes and morsel
+    /// sizes, while these describe which physical path ran.
     ///
     /// Units are (detail row × dispatching block) work units: a batch of 1024
     /// rows scanned by two blocks contributes 2048, split between
@@ -305,61 +279,6 @@ pub(crate) fn completion_prunes_pairs(plan: &CompletionPlan, plans: &[BlockPlan]
     let scans = |b: usize| matches!(plans[b].access, Access::Scan);
     plan.dead_rules.iter().any(|r| scans(r.on_block))
         || (plan.finish_early && plan.need_match.iter().any(|&b| scans(b)))
-}
-
-/// The one detail-scan entry point: fold detail rows `range` into one
-/// query's accumulators, keeping its counters exactly as a standalone
-/// scan of the same rows would. The morsel driver
-/// ([`crate::shared::morsel_pass`]) calls it once per (job, dealt range),
-/// and once for a row-ordered completion item; every site calls it once
-/// over its fragment.
-///
-/// It is the only scan-time reader of `vectorized`:
-///
-/// * on, unless `statuses` is row-ordered — the batched column kernels
-///   ([`scan_detail_vectorized`]), which apply a waved job's active
-///   bitmap as one more mask on their candidate lists;
-/// * otherwise the row-ordered loop ([`scan_detail_completion`]), which
-///   a row-ordered completion item needs for its scan order and which
-///   the `vectorized = false` twin runs with kernels off, reading the same
-///   wave snapshot. The twin reports like a row-at-a-time scan: one
-///   scheduling morsel per call, no batches and no `gmdj.kernel` span.
-///
-/// It returns only the scan's error, if any: the accumulators land in
-/// `accs`, the counters in `stats` / `kernel`, and base-tuple retirements in
-/// `statuses` — at once for a row-ordered item, as wave flags that
-/// [`Statuses::end_wave`] applies for a waved job. A row-ordered scan
-/// stops at the first window that finds no tuple Active, so
-/// `stats.detail_scanned` counts only the rows actually read.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_detail_window(
-    cols: &ColumnSet,
-    range: Range<usize>,
-    vectorized: bool,
-    statuses: Option<&Statuses>,
-    plans: &[BlockPlan],
-    base_rows: &[Tuple],
-    total_aggs: usize,
-    accs: &mut [Accumulator],
-    stats: &mut EvalStats,
-    kernel: &mut KernelStats,
-    sink: &dyn TraceSink,
-) -> Result<()> {
-    if vectorized && statuses.is_none_or(|s| s.waved) {
-        return scan_detail_vectorized(
-            cols, range, plans, statuses, base_rows, total_aggs, accs, stats, kernel, sink,
-        );
-    }
-    let mut row_twin = KernelStats::default();
-    let (kernel, sink): (&mut KernelStats, &dyn TraceSink) = if vectorized {
-        (kernel, sink)
-    } else {
-        kernel.morsels += 1;
-        (&mut row_twin, &NullSink)
-    };
-    scan_detail_completion(
-        cols, range, plans, statuses, base_rows, total_aggs, accs, stats, kernel, sink,
-    )
 }
 
 /// Status of a base tuple during the scan.
@@ -626,10 +545,10 @@ enum Access {
         /// detail side (the probe's key), in pair order.
         base_cols: Vec<usize>,
         detail_cols: Vec<usize>,
-        /// Typed single-column sidecar (built only under `vectorized`):
-        /// probes from a matching typed batch column skip `Value`
-        /// construction and, for strings, reuse the batch's cached hash
-        /// codes.
+        /// Typed sidecar, built for every single-column key whose base
+        /// values it can hold: probes from a matching typed batch column
+        /// skip `Value` construction and, for strings, reuse the batch's
+        /// cached hash codes.
         typed: Option<TypedKeyIndex>,
     },
     /// Interval stab: point extracted from the detail row.
@@ -649,26 +568,32 @@ pub(crate) fn kernel_summary(plans: &[BlockPlan]) -> String {
         .join(",")
 }
 
-/// The probe loop without completion, vectorized: view the stored detail
-/// columns in windows of [`BATCH_ROWS`] rows over `range` and dispatch
-/// each block's planned kernel, falling back to row-at-a-time evaluation
-/// for any block × window whose types cannot guarantee identical
-/// semantics (including identical errors). There is no per-query decode:
-/// kernels borrow column slices straight from storage, and full rows are
-/// late-materialized into a scratch buffer only where row semantics are
-/// required — at most once per detail position. Every [`EvalStats`]
-/// counter is maintained exactly as the row-ordered
-/// [`scan_detail_completion`] loop maintains it without a plan.
+/// The detail scan: fold detail rows `range` into one query's
+/// accumulators, keeping its counters exactly as a standalone scan of the
+/// same rows would. The morsel driver ([`crate::shared::morsel_pass`])
+/// calls it once per (job, dealt range), and every site once over its
+/// fragment.
+///
+/// It views the stored detail columns in windows of [`BATCH_ROWS`] rows
+/// and dispatches each block's planned kernel, falling back to
+/// row-at-a-time evaluation for any block × window whose types cannot
+/// guarantee identical semantics (including identical errors). There is
+/// no per-query decode: kernels borrow column slices straight from
+/// storage, and full rows are late-materialized into a scratch buffer
+/// only where row semantics are required — at most once per detail
+/// position.
 ///
 /// With a waved job's `statuses`, a base tuple that was not Active when
 /// the wave began is masked out of every candidate list (and skipped in
 /// a Scan block's base loop), and a pair that passes θ goes through the
-/// block's dead rule and finish-early bookkeeping ([`Statuses`]).
+/// block's dead rule and finish-early bookkeeping ([`Statuses`]), which
+/// [`Statuses::end_wave`] applies at the wave's end.
 /// A row whose detail-only residual mask fails only counts its
 /// candidates, so most rows of a selective probe never walk them.
 ///
-/// One call is one scheduling morsel: the morsel driver calls this once per
-/// dealt range.
+/// It returns only the scan's error, if any: the accumulators land in
+/// `accs` and the counters in `stats` / `kernel`. One call is one
+/// scheduling morsel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_detail_vectorized(
     cols: &ColumnSet,
@@ -728,12 +653,13 @@ pub(crate) fn scan_detail_vectorized(
                         );
                         probed = Some(plan.probe_source);
                     }
-                    // Pass 2: counters and residual handling mirror the
-                    // row path; `theta_evals` counts per (base, detail)
-                    // pair even when a detail-only mask was computed once
-                    // per row. The lists are hoisted into locals so the
-                    // walk keeps them in registers across the accumulator
-                    // calls (about 10 % on hash probes, measured).
+                    // Pass 2: counters and residual handling mirror
+                    // tuple-at-a-time evaluation; `theta_evals` counts
+                    // per (base, detail) pair even when a detail-only
+                    // mask was computed once per row. The lists are
+                    // hoisted into locals so the walk keeps them in
+                    // registers across the accumulator calls (about 10 %
+                    // on hash probes, measured).
                     let (flat, offsets, mask) =
                         (&probe.flat[..], &probe.offsets[..], &probe.mask[..]);
                     let have_mask = probe.have_mask;
@@ -823,7 +749,7 @@ pub(crate) fn scan_detail_vectorized(
                     debug_assert!(admit.is_none_or(|s| s.rule_of_block[bi].is_none()));
                     // Base-outer within the window: per-accumulator update
                     // order stays detail-row order, so float sums are
-                    // bit-identical to the row path.
+                    // bit-identical to tuple-at-a-time evaluation.
                     for (b_idx, b_row) in base_rows.iter().enumerate() {
                         if flags.is_some_and(|f| !f[b_idx].load(Ordering::Relaxed)) {
                             continue;
@@ -1214,30 +1140,25 @@ fn update_aggs_batched(
     Ok(())
 }
 
-/// The row-ordered probe loop, over the stored detail columns in windows
-/// of [`BATCH_ROWS`] rows. A row-ordered completion item needs its scan
-/// order — dead rules and finish-early fire at the detail tuple that
-/// proves the outcome — so the order is exactly detail row, then block,
-/// then candidate: the order of tuple-at-a-time evaluation. What does not
+/// The row-ordered completion item of a plan that
+/// [`completion_prunes_pairs`] flags: one worker scans the whole detail, over
+/// the stored columns in windows of [`BATCH_ROWS`] rows. Dead rules and
+/// finish-early fire at the detail tuple that proves the outcome, so the
+/// order is exactly detail row, then block, then candidate: the order of
+/// tuple-at-a-time evaluation, and a tuple retires at once. What does not
 /// depend on base-tuple status is hoisted out per window: each
 /// Hash/Interval block's candidate lists and its detail-only residual
 /// mask ([`WindowProbe`]). The row walk then applies the [`Statuses`]
 /// bookkeeping; full rows are late-materialized only for an interpreted
-/// residual, an `unless_also` θ, or a computed aggregate input.
-///
-/// Without `statuses` every tuple stays Active: the row-ordered loop the
-/// `vectorized = false` twin runs over any range. With waved `statuses`
-/// it is that twin for a waved job: it reads the wave's snapshot and
-/// records retirements like the kernels do, so the counters match them.
-/// With row-ordered `statuses` the range is the whole detail, and the
-/// loop stops at the first window that finds every tuple retired. One
-/// call is one scheduling morsel.
+/// residual, an `unless_also` θ, or a computed aggregate input. The loop
+/// stops at the first window that finds every tuple retired, so
+/// `stats.detail_scanned` counts only the rows actually read. One call is
+/// one scheduling morsel.
 #[allow(clippy::too_many_arguments)]
-fn scan_detail_completion(
+pub(crate) fn scan_detail_completion(
     cols: &ColumnSet,
-    range: Range<usize>,
     blocks: &[BlockPlan],
-    statuses: Option<&Statuses>,
+    statuses: &Statuses,
     base_rows: &[Tuple],
     total_aggs: usize,
     accs: &mut [Accumulator],
@@ -1249,14 +1170,13 @@ fn scan_detail_completion(
     let span = crate::trace::Span::begin(sink, "gmdj.kernel").with_detail(kernel_summary(blocks));
     kernel.morsels += 1;
 
-    let flags = statuses.map(Statuses::active_flags);
-    let active = |b: usize| flags.is_none_or(|f| f[b].load(Ordering::Relaxed));
+    debug_assert!(!statuses.waved);
+    let flags = statuses.active_flags();
+    let active = |b: usize| flags[b].load(Ordering::Relaxed);
     // Active list for Scan access; compacted lazily after retirements.
     let has_scan_block = blocks.iter().any(|b| matches!(b.access, Access::Scan));
     let mut scan_list: Vec<u32> = if has_scan_block {
-        (0..base_rows.len() as u32)
-            .filter(|&b| active(b as usize))
-            .collect()
+        (0..base_rows.len() as u32).collect()
     } else {
         Vec::new()
     };
@@ -1267,12 +1187,9 @@ fn scan_detail_completion(
     let mut row_scratch: Vec<Value> = Vec::new();
     let mut scratch_at: usize = usize::MAX;
 
-    let mut win_start = range.start;
-    while win_start < range.end {
-        if statuses.is_some_and(Statuses::settled) {
-            break;
-        }
-        let win_len = (range.end - win_start).min(BATCH_ROWS);
+    let mut win_start = 0;
+    while win_start < cols.len() && !statuses.settled() {
+        let win_len = (cols.len() - win_start).min(BATCH_ROWS);
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
@@ -1301,7 +1218,7 @@ fn scan_detail_completion(
         for i in 0..win_len {
             let row = win_start + i;
             for (bi, (block, probe)) in blocks.iter().zip(&probes).enumerate() {
-                let admit = statuses.filter(|s| s.watches(bi));
+                let admit = statuses.watches(bi);
                 macro_rules! process {
                     ($b_idx:expr) => {{
                         let b_idx = $b_idx as usize;
@@ -1325,8 +1242,8 @@ fn scan_detail_completion(
                                 }
                                 None => true,
                             };
-                            let folds = match admit {
-                                Some(s) if passes => s.admits(
+                            let folds = if passes && admit {
+                                statuses.admits(
                                     bi,
                                     b_idx,
                                     b_row,
@@ -1336,8 +1253,9 @@ fn scan_detail_completion(
                                     &mut row_scratch,
                                     &mut scratch_at,
                                     stats,
-                                )?,
-                                _ => passes,
+                                )?
+                            } else {
+                                passes
                             };
                             if folds {
                                 update_aggs_at(
@@ -1373,8 +1291,7 @@ fn scan_detail_completion(
                     }
                 }
             }
-            // Lazily compact the scan list once enough tuples retired
-            // (only a row-ordered item retires tuples mid-call).
+            // Lazily compact the scan list once enough tuples retired.
             if has_scan_block {
                 let retired = stats.dead_early + stats.done_early;
                 if retired > retired_at_compact
@@ -1399,7 +1316,7 @@ pub(crate) fn plan_blocks(
     base_schema: &Schema,
     detail_schema: &Schema,
     spec: &GmdjSpec,
-    opts: &GmdjOptions,
+    probe: ProbeStrategy,
     stats: &mut EvalStats,
 ) -> Result<Vec<BlockPlan>> {
     let mut plans = Vec::with_capacity(spec.blocks.len());
@@ -1412,27 +1329,17 @@ pub(crate) fn plan_blocks(
             .map(|a| a.bind(&[base_schema, detail_schema]))
             .collect::<Result<Vec<_>>>()?;
 
-        let (access, residual) = if opts.probe == ProbeStrategy::ForceScan {
-            (Access::Scan, Some(block.theta.clone()))
-        } else {
-            choose_access(
-                base_rows,
-                base_schema,
-                detail_schema,
-                &block.theta,
-                opts,
-                stats,
-            )?
+        let (access, residual) = match probe {
+            ProbeStrategy::ForceScan => (Access::Scan, Some(block.theta.clone())),
+            ProbeStrategy::Auto => {
+                choose_access(base_rows, base_schema, detail_schema, &block.theta, stats)?
+            }
         };
         let residual = match residual {
             Some(p) => Some(p.bind(&[base_schema, detail_schema])?),
             None => None,
         };
-        let residual_kernel = if opts.vectorized {
-            residual.as_ref().and_then(BatchPredicate::compile)
-        } else {
-            None
-        };
+        let residual_kernel = residual.as_ref().and_then(BatchPredicate::compile);
         let residual_detail_only = residual_kernel
             .as_ref()
             .map(BatchPredicate::detail_only)
@@ -1486,7 +1393,6 @@ fn choose_access(
     base_schema: &Schema,
     detail_schema: &Schema,
     theta: &Predicate,
-    opts: &GmdjOptions,
     stats: &mut EvalStats,
 ) -> Result<(Access, Option<Predicate>)> {
     let conjuncts = theta.split_conjuncts();
@@ -1515,7 +1421,7 @@ fn choose_access(
         // Typed sidecar for the common single-column key. Does not count
         // as an index build: it is a physical detail of the same probe
         // plan, and `index_builds` is a gated semantic counter.
-        let typed = if opts.vectorized && base_cols.len() == 1 {
+        let typed = if base_cols.len() == 1 {
             TypedKeyIndex::build_rows(base_rows.iter().map(|r| r.as_ref()), base_cols[0])
         } else {
             None
@@ -1986,36 +1892,51 @@ mod tests {
         }
     }
 
-    /// Run one (base, detail, spec) with `vectorized` on and off and
-    /// require identical output multisets AND bit-identical counters.
-    fn assert_vectorized_exact(
+    /// Run one (base, detail, spec) under probe plans and under forced
+    /// Scan, each unpartitioned and in base partitions of two tuples. Every
+    /// answer must equal the first, and forced Scan must evaluate θ once
+    /// per (base, detail, block) triple. Returns each run's counters
+    /// (`trace_fields` order, as in the completion fixtures below), which
+    /// the callers pin: they were recorded while the interpreted row loop
+    /// still ran beside the kernels as their counter-exact twin.
+    fn access_paths_agree(
         base: &Relation,
         detail: &Relation,
         spec: &GmdjSpec,
-        probe: ProbeStrategy,
         ctx: &str,
-    ) {
-        for partition_rows in [None, Some(2)] {
-            let policy = seq().with_probe(probe).with_partition_rows(partition_rows);
-            let (on, on_stats) = gmdj(policy, base, detail, spec).unwrap();
-            let policy = policy.with_vectorized(false);
-            let (off, off_stats) = gmdj(policy, base, detail, spec).unwrap();
-            assert!(
-                on.multiset_eq(&off),
-                "{ctx}: vectorized output diverged (partition_rows {partition_rows:?})"
-            );
-            assert_eq!(
-                on_stats, off_stats,
-                "{ctx}: vectorized counters diverged (partition_rows {partition_rows:?})"
-            );
+    ) -> Vec<[u64; 12]> {
+        let mut first: Option<Relation> = None;
+        let mut counters = Vec::new();
+        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
+            for partition_rows in [None, Some(2)] {
+                let policy = seq().with_probe(probe).with_partition_rows(partition_rows);
+                let (out, stats) = gmdj(policy, base, detail, spec).unwrap();
+                let run = format!("{ctx}: {probe:?} partition_rows {partition_rows:?}");
+                match &first {
+                    None => first = Some(out),
+                    Some(f) => assert!(f.multiset_eq(&out), "{run}: answer diverged"),
+                }
+                if probe == ProbeStrategy::ForceScan {
+                    let pairs = (base.len() * detail.len() * spec.blocks.len()) as u64;
+                    assert_eq!(stats.probe_candidates, pairs, "{run}");
+                    assert_eq!(stats.theta_evals, pairs, "{run}");
+                }
+                counters.push(stats.trace_fields().map(|(_, v)| v));
+            }
         }
+        counters
     }
 
     #[test]
     fn vectorized_is_counter_exact_on_figure_1() {
-        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
-            assert_vectorized_exact(&hours(), &flows(), &example_2_1_spec(), probe, "figure 1");
-        }
+        let got = access_paths_agree(&hours(), &flows(), &example_2_1_spec(), "figure 1");
+        #[rustfmt::skip]
+        assert_eq!(got, [
+            [6, 12, 6, 10, 3, 0, 0, 2, 1, 0, 3, 3],
+            [12, 12, 6, 10, 3, 0, 0, 4, 2, 0, 6, 6],
+            [6, 36, 36, 10, 3, 0, 0, 0, 1, 0, 3, 3],
+            [12, 36, 36, 10, 3, 0, 0, 0, 2, 0, 6, 6],
+        ]);
     }
 
     #[test]
@@ -2039,9 +1960,14 @@ mod tests {
             .row(vec![Value::Null, 0.into()])
             .build()
             .unwrap();
-        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
-            assert_vectorized_exact(&base, &flows(), &spec, probe, "string keys");
-        }
+        let got = access_paths_agree(&base, &flows(), &spec, "string keys");
+        #[rustfmt::skip]
+        assert_eq!(got, [
+            [6, 6, 6, 10, 3, 0, 0, 1, 1, 0, 2, 3],
+            [12, 6, 6, 10, 3, 0, 0, 2, 2, 0, 4, 6],
+            [6, 18, 18, 10, 3, 0, 0, 0, 1, 0, 2, 3],
+            [12, 18, 18, 10, 3, 0, 0, 0, 2, 0, 4, 6],
+        ]);
     }
 
     #[test]
@@ -2067,16 +1993,25 @@ mod tests {
             col("B.k").eq(col("R.k")),
             vec![NamedAgg::sum(col("R.v"), "s"), NamedAgg::count_star("c")],
         )]);
-        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
-            assert_vectorized_exact(&base, &detail, &spec, probe, "mixed columns");
-        }
+        let got = access_paths_agree(&base, &detail, &spec, "mixed columns");
+        #[rustfmt::skip]
+        assert_eq!(got, [
+            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2],
+            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2],
+            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2],
+            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2],
+        ]);
+        // Int(1) = Float(1.0) matches; the NULL key matches nothing.
+        let (out, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
+        let rows = out.sorted_rows();
+        assert_eq!(rows[0][1..], [Value::Float(0.5), Value::Int(1)]);
+        assert_eq!(rows[1][1..], [Value::Int(3), Value::Int(1)]);
     }
 
     /// Hash blocks on one key (`B.k = R.k`, either way round) read the
     /// candidate lists of the first such block, while a block on another
     /// key probes its own; each still applies its own residual. Answers
-    /// equal the probe-free scan, with and without kernels and under a
-    /// completion plan.
+    /// equal the probe-free scan, with and without a completion plan.
     #[test]
     fn same_key_blocks_share_one_probe() {
         let mut base = RelationBuilder::new("B")
@@ -2110,7 +2045,7 @@ mod tests {
             base.schema(),
             detail.schema(),
             &spec,
-            &GmdjOptions::default(),
+            ProbeStrategy::Auto,
             &mut EvalStats::default(),
         )
         .unwrap();
@@ -2120,7 +2055,13 @@ mod tests {
         let (scanned, _) = gmdj(force_scan(), &base, &detail, &spec).unwrap();
         let (probed, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
         assert!(probed.multiset_eq(&scanned));
-        assert_vectorized_exact(&base, &detail, &spec, ProbeStrategy::Auto, "shared probe");
+        #[rustfmt::skip]
+        assert_eq!(access_paths_agree(&base, &detail, &spec, "shared probe"), [
+            [40, 249, 186, 124, 9, 0, 0, 4, 1, 0, 2, 2],
+            [200, 249, 186, 124, 9, 0, 0, 20, 5, 0, 10, 10],
+            [40, 1440, 1440, 124, 9, 0, 0, 0, 1, 0, 2, 2],
+            [200, 1440, 1440, 124, 9, 0, 0, 0, 5, 0, 10, 10],
+        ]);
 
         let selection = col("c0").gt(lit(0)).and(col("c3").gt(lit(0)));
         let plan = crate::completion::derive_completion(&selection, &spec, true).unwrap();
@@ -2163,16 +2104,21 @@ mod tests {
             col("B.k").eq(col("R.k")),
             vec![NamedAgg::sum(col("R.v"), "s"), NamedAgg::count_star("c")],
         )]);
-        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
-            assert_vectorized_exact(&base, &detail, &spec, probe, "multi batch");
-        }
+        let got = access_paths_agree(&base, &detail, &spec, "multi batch");
+        #[rustfmt::skip]
+        assert_eq!(got, [
+            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4],
+            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4],
+            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4],
+            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4],
+        ]);
     }
 
     #[test]
     fn vectorized_errors_match_row_path() {
-        // Comparing Str to Int raises TypeMismatch on the row path; the
-        // kernel layer must refuse to specialize and surface the same
-        // error rather than silently masking it.
+        // Comparing Str to Int raises TypeMismatch in row evaluation; the
+        // kernel layer must refuse to specialize and surface that error
+        // rather than silently masking it, under either access path.
         let base = RelationBuilder::new("B")
             .column("k", DataType::Int)
             .row(vec![1.into()])
@@ -2184,9 +2130,9 @@ mod tests {
             .build()
             .unwrap();
         let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").lt(col("R.k")), "c")]);
-        for vectorized in [true, false] {
-            let err = gmdj(seq().with_vectorized(vectorized), &base, &detail, &spec);
-            assert!(err.is_err(), "vectorized={vectorized} must error");
+        for policy in [seq(), force_scan()] {
+            let err = gmdj(policy, &base, &detail, &spec);
+            assert!(err.is_err(), "{policy:?} must error");
         }
     }
 
@@ -2357,9 +2303,9 @@ mod tests {
         ]
     }
 
-    /// Run every completion fixture under `probe` × `partition_rows` ×
-    /// `vectorized`, check each answer against the same evaluation without
-    /// completion, and return the counters in fixture order.
+    /// Run every completion fixture under `probe` × `partition_rows`, check
+    /// each answer against the same evaluation without completion, and
+    /// return the counters in fixture order.
     fn completion_fixture_stats() -> Vec<(String, [u64; 12])> {
         let base = completion_base();
         let detail = completion_detail();
@@ -2369,29 +2315,18 @@ mod tests {
                 .unwrap_or_else(|| panic!("{name}: no completion plan"));
             for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
                 for partition_rows in [None, Some(7)] {
-                    let mut per_mode = Vec::new();
-                    for vectorized in [true, false] {
-                        let policy = seq()
-                            .with_probe(probe)
-                            .with_partition_rows(partition_rows)
-                            .with_vectorized(vectorized);
-                        let run = |plan| {
-                            filtered(policy, &base, &detail, &spec, Some(&sel), keep, plan).unwrap()
-                        };
-                        let (got, stats) = run(Some(&plan));
-                        let (plain, _) = run(None);
-                        assert!(
-                            got.multiset_eq(&plain),
-                            "{name} {probe:?} {partition_rows:?} vectorized={vectorized}: \
-                             completion changed the answer"
-                        );
-                        per_mode.push(stats.trace_fields().map(|(_, v)| v));
-                    }
-                    assert_eq!(
-                        per_mode[0], per_mode[1],
-                        "{name} {probe:?} {partition_rows:?}: vectorized on/off counters differ"
+                    let policy = seq().with_probe(probe).with_partition_rows(partition_rows);
+                    let run = |plan| {
+                        filtered(policy, &base, &detail, &spec, Some(&sel), keep, plan).unwrap()
+                    };
+                    let (got, stats) = run(Some(&plan));
+                    let (plain, _) = run(None);
+                    let label = format!("{name} {probe:?} {partition_rows:?}");
+                    assert!(
+                        got.multiset_eq(&plain),
+                        "{label}: completion changed the answer"
                     );
-                    out.push((format!("{name} {probe:?} {partition_rows:?}"), per_mode[0]));
+                    out.push((label, stats.trace_fields().map(|(_, v)| v)));
                 }
             }
         }
@@ -2403,8 +2338,7 @@ mod tests {
     /// replaced (`trace_fields` order: detail_scanned, probe_candidates,
     /// theta_evals, agg_updates, base_rows, dead_early, done_early,
     /// index_builds, partitions, completion_fallbacks, col_chunk_reads,
-    /// row_page_reads), and must hold with `vectorized` on and off. These
-    /// are the fixtures whose plan retires tuples through a Scan block, so
+    /// row_page_reads). These are the fixtures whose plan retires tuples through a Scan block, so
     /// they run row-ordered; only `detail_scanned` moved since, where a
     /// 7-tuple partition settles and its scan stops at the next window.
     #[test]
@@ -2434,7 +2368,8 @@ mod tests {
     /// detail rows the waves are three windows of [`BATCH_ROWS`], and a
     /// tuple is probed until the end of the wave in which it retires, so
     /// the pruned counters sit between tuple-at-a-time's and no
-    /// completion's. Must hold with `vectorized` on and off.
+    /// completion's. They were recorded while the interpreted row loop
+    /// still ran beside the kernels as their counter-exact twin.
     #[test]
     fn waved_completion_counters_are_pinned() {
         #[rustfmt::skip]
@@ -2475,49 +2410,35 @@ mod tests {
                 continue;
             }
             let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
-            for vectorized in [true, false] {
-                let sink = std::sync::Arc::new(crate::trace::CollectingSink::new());
-                let mut node = PlanNodeStats::new("GMDJ");
-                Runtime::with_sink(seq().with_vectorized(vectorized), sink.clone())
-                    .eval(
-                        &base,
-                        &detail,
-                        &spec,
-                        Some(&sel),
-                        keep,
-                        Some(&plan),
-                        &mut node,
-                    )
-                    .unwrap();
-                let (stats, kernel) = (node.eval, node.kernel);
-                assert!(stats.dead_early + stats.done_early > 0, "{name}");
-                assert!(!detail.has_row_view(), "{name} vectorized={vectorized}");
-                // A waved sequential scan is one scan call per wave (here
-                // one window each, and neither plan settles): with
-                // `vectorized` on one morsel and one span per wave; the row
-                // twin counts the morsels only.
-                let windows = detail.len().div_ceil(BATCH_ROWS) as u64;
-                assert_eq!(kernel.morsels, windows, "{name}");
-                let spans = sink.by_name("gmdj.kernel").len() as u64;
-                if vectorized {
-                    assert_eq!((kernel.batches, spans), (windows, windows), "{name}");
-                    // One Hash block: each window row is one work unit.
-                    assert_eq!(
-                        kernel.rows_vectorized + kernel.rows_row_path,
-                        detail.len() as u64,
-                        "{name}"
-                    );
-                } else {
-                    assert_eq!(
-                        kernel,
-                        KernelStats {
-                            morsels: windows,
-                            ..KernelStats::default()
-                        }
-                    );
-                    assert_eq!(spans, 0, "{name}");
-                }
-            }
+            let sink = std::sync::Arc::new(crate::trace::CollectingSink::new());
+            let mut node = PlanNodeStats::new("GMDJ");
+            Runtime::with_sink(seq(), sink.clone())
+                .eval(
+                    &base,
+                    &detail,
+                    &spec,
+                    Some(&sel),
+                    keep,
+                    Some(&plan),
+                    &mut node,
+                )
+                .unwrap();
+            let (stats, kernel) = (node.eval, node.kernel);
+            assert!(stats.dead_early + stats.done_early > 0, "{name}");
+            assert!(!detail.has_row_view(), "{name}");
+            // A waved sequential scan is one scan call per wave (here one
+            // window each, and neither plan settles): one morsel, one
+            // batch and one span per wave.
+            let windows = detail.len().div_ceil(BATCH_ROWS) as u64;
+            assert_eq!(kernel.morsels, windows, "{name}");
+            let spans = sink.by_name("gmdj.kernel").len() as u64;
+            assert_eq!((kernel.batches, spans), (windows, windows), "{name}");
+            // One Hash block: each window row is one work unit.
+            assert_eq!(
+                kernel.rows_vectorized + kernel.rows_row_path,
+                detail.len() as u64,
+                "{name}"
+            );
         }
     }
 }

@@ -18,7 +18,7 @@ use gmdj_relation::ops;
 use gmdj_relation::relation::Relation;
 
 use crate::distributed::NetworkStats;
-use crate::eval::{EvalStats, GmdjOptions, Keep};
+use crate::eval::{EvalStats, Keep};
 use crate::plan::GmdjExpr;
 use crate::progress::QueryProgress;
 use crate::runtime::{ExecPolicy, PlanNodeStats, Runtime};
@@ -101,15 +101,6 @@ impl ExecContext {
     /// Fresh context with the default (sequential) policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh context with specific GMDJ options, executing sequentially.
-    pub fn with_opts(opts: GmdjOptions) -> Self {
-        Self::with_policy(ExecPolicy {
-            probe: opts.probe,
-            partition_rows: opts.partition_rows,
-            ..ExecPolicy::default()
-        })
     }
 
     /// Fresh context executing under `policy`.

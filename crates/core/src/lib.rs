@@ -98,7 +98,7 @@ pub mod wire;
 pub use completion::{derive_completion, CompletionPlan, DeadRule};
 pub use cost::{cost_based_optimize, estimate, observed_cost, Cost, Estimate, StatsProvider};
 pub use distributed::NetworkStats;
-pub use eval::{EvalStats, GmdjOptions, Keep, ProbeStrategy};
+pub use eval::{EvalStats, Keep, ProbeStrategy};
 pub use exec::{execute, ExecContext, TableProvider};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use optimize::optimize;

@@ -6,11 +6,12 @@
 //! its SQL, strategy and policy labels. The runtime then feeds it with
 //! relaxed atomic adds from exactly the places that already count work:
 //!
-//! * the morsel pull loop in [`crate::runtime`] (Parallel: one tick per
-//!   pulled morsel; Distributed: one tick per site fragment), and
-//! * the partition scan in [`crate::eval`] (Sequential: one tick per
-//!   base-partition detail pass, with per-batch row updates from the
-//!   vectorized kernel dispatch).
+//! * the morsel pass in [`crate::shared`] (`morsel_pass`), which every
+//!   local policy runs: each worker ticks the scheduled morsels its ranges
+//!   account for and adds the rows it scanned (a pooled query is ticked
+//!   once its shared pass returns), and
+//! * the distributed coordinator in [`crate::runtime`]: one tick per
+//!   site fragment.
 //!
 //! `morsels_total` is known up front (PR 6's morsel-driven execution
 //! made the schedule closed-form — see [`crate::runtime`]), so progress

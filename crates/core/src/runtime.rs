@@ -70,7 +70,7 @@ use gmdj_relation::relation::{Relation, Tuple};
 
 use crate::completion::CompletionPlan;
 use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTransport};
-use crate::eval::{EvalStats, GmdjOptions, Keep, KernelStats, ProbeStrategy};
+use crate::eval::{EvalStats, Keep, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::progress::QueryProgress;
 use crate::shared::{morsel_pass, BoundGmdj, BoundOutput};
@@ -104,7 +104,7 @@ pub const DEFAULT_MORSEL_ROWS: usize = 4096;
 
 /// How a plan executes: the one policy object threaded through plan
 /// walking, GMDJ evaluation, and the relational operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Physical execution mode.
     pub mode: ExecMode,
@@ -114,14 +114,6 @@ pub struct ExecPolicy {
     /// budget of Section 4's partitioned evaluation). `None` keeps the
     /// whole base-values relation in memory.
     pub partition_rows: Option<usize>,
-    /// Run the detail scan through the columnar batch kernels when a
-    /// probe shape specializes (default), waved completion included. Off,
-    /// every mode scans the same columns through the interpreted
-    /// row-ordered loop instead, reading the same wave snapshots. The
-    /// kernels are counter-exact and bit-exact with it; switching this
-    /// off is an ablation axis, not a semantic choice. A row-ordered
-    /// completion item (see the module docs) runs that loop either way.
-    pub vectorized: bool,
     /// Morsel size (detail rows) for the parallel scan's work queue;
     /// `Sequential` scans one whole-detail morsel. `None` uses
     /// [`DEFAULT_MORSEL_ROWS`]. Under waved completion a morsel is also
@@ -139,19 +131,6 @@ pub struct ExecPolicy {
     /// and wall-clock move. Deliberately absent from [`Self::label`],
     /// which keys bench baseline entries.
     pub real_sites: bool,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        ExecPolicy {
-            mode: ExecMode::default(),
-            probe: ProbeStrategy::default(),
-            partition_rows: None,
-            vectorized: true,
-            morsel_size: None,
-            real_sites: false,
-        }
-    }
 }
 
 impl ExecPolicy {
@@ -185,12 +164,6 @@ impl ExecPolicy {
     /// Override the base-partition memory budget.
     pub fn with_partition_rows(mut self, rows: Option<usize>) -> Self {
         self.partition_rows = rows;
-        self
-    }
-
-    /// Enable or disable the vectorized detail-scan kernels.
-    pub fn with_vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
         self
     }
 
@@ -244,15 +217,6 @@ impl ExecPolicy {
         }
     }
 
-    /// The evaluator-level options this policy implies.
-    pub(crate) fn gmdj_options(&self) -> GmdjOptions {
-        GmdjOptions {
-            probe: self.probe,
-            partition_rows: self.partition_rows,
-            vectorized: self.vectorized,
-        }
-    }
-
     /// Workers one evaluation's detail pass runs on: one under
     /// `Sequential`, `threads` under `Parallel`, one per site under
     /// `Distributed`.
@@ -295,9 +259,8 @@ pub struct PlanNodeStats {
     /// Vectorized-kernel dispatch mix at this node: how much of the
     /// detail scan ran through the batch kernels vs the row fallback.
     /// Kept apart from [`EvalStats`] deliberately — the semantic
-    /// counters are identical across execution modes and vectorization
-    /// settings, while the kernel mix is a property of the physical path
-    /// taken.
+    /// counters are identical across execution modes and morsel sizes,
+    /// while the kernel mix is a property of the physical path taken.
     pub kernel: KernelStats,
     /// Network traffic at this node (distributed mode): closed-form
     /// value counts for both transports, measured wire bytes under
@@ -1012,7 +975,7 @@ impl Runtime {
                 base,
                 base_schema: query.base_schema,
                 spec: query.spec,
-                opts: &query.opts,
+                probe: query.probe,
                 total_aggs: query.total_aggs,
                 query_id,
                 parent_span: sspan.id(),
@@ -1570,11 +1533,10 @@ mod tests {
         }
     }
 
-    /// The `vectorized = false` twin reads the stored columns under every
-    /// policy, pooled submission included: no evaluation builds the
-    /// detail's row view.
+    /// Every policy, pooled submission included, scans the stored
+    /// columns: no evaluation builds the detail's row view.
     #[test]
-    fn row_twin_never_builds_the_detail_row_view() {
+    fn no_policy_builds_the_detail_row_view() {
         use crate::shared::{SharedScanConfig, SharedScanPool};
         let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
             window: std::time::Duration::from_millis(1),
@@ -1582,12 +1544,11 @@ mod tests {
             threads: 2,
             morsel_rows: 2,
         }));
-        let row_twin = |policy: ExecPolicy| Runtime::new(policy.with_vectorized(false));
         for rt in [
-            row_twin(ExecPolicy::sequential()),
-            row_twin(ExecPolicy::parallel(2)),
-            row_twin(ExecPolicy::distributed(2)),
-            row_twin(ExecPolicy::parallel(2)).with_shared_pool(pool),
+            Runtime::new(ExecPolicy::sequential()),
+            Runtime::new(ExecPolicy::parallel(2)),
+            Runtime::new(ExecPolicy::distributed(2)),
+            Runtime::new(ExecPolicy::parallel(2)).with_shared_pool(pool),
         ] {
             let detail = flows();
             assert!(!detail.has_row_view());

@@ -6,7 +6,7 @@
 //! state, so any number of independent GMDJs over one detail relation
 //! can ride a single morsel-driven pass: each pulled window is dispatched
 //! to every evaluation's membership predicates and accumulator updates
-//! (`eval::scan_detail_window`), then results demultiplex back to
+//! (`eval::scan_detail_vectorized`), then results demultiplex back to
 //! per-query waiters. The physical wins: detail chunks are read once per
 //! pass instead of once per query, and queries in one batch that
 //! evaluate the *same GMDJ* — same base, detail, (l⃗, θ⃗) spec, policy
@@ -78,8 +78,8 @@ use gmdj_relation::schema::Schema;
 use crate::completion::CompletionPlan;
 use crate::eval::{
     completion_prunes_pairs, materialize_filtered, new_accumulators, plan_blocks,
-    referenced_detail_cols, scan_detail_window, wave_rows, BlockPlan, EvalStats, GmdjOptions, Keep,
-    KernelStats, Status, Statuses,
+    referenced_detail_cols, scan_detail_completion, scan_detail_vectorized, wave_rows, BlockPlan,
+    EvalStats, Keep, KernelStats, ProbeStrategy, Status, Statuses,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
@@ -142,7 +142,7 @@ struct SharedRequest {
     spec: GmdjSpec,
     selection: Option<Predicate>,
     keep: Keep,
-    /// The submitter's policy: its probe strategy and vectorization
+    /// The submitter's policy, whose probe strategy plans the scan
     /// ([`BoundGmdj::bind`]).
     policy: ExecPolicy,
     completion: Option<CompletionPlan>,
@@ -490,7 +490,7 @@ fn same_gmdj(a: &SharedRequest, b: &SharedRequest) -> bool {
         && (a.completion.is_none() || a.selection == b.selection)
 }
 
-/// One GMDJ bound for evaluation: the policy's evaluator options, the
+/// One GMDJ bound for evaluation: the policy's probe strategy, the
 /// completion plan, and the closed-form page accounting
 /// of one detail pass. Every base partition of the evaluation is prepared
 /// from it ([`BoundGmdj::prepare`]); what each query makes of the
@@ -499,7 +499,7 @@ pub(crate) struct BoundGmdj<'a> {
     pub(crate) base_schema: &'a Schema,
     detail_schema: &'a Schema,
     pub(crate) spec: &'a GmdjSpec,
-    pub(crate) opts: GmdjOptions,
+    pub(crate) probe: ProbeStrategy,
     pub(crate) completion: Option<&'a CompletionPlan>,
     pub(crate) total_aggs: usize,
     /// Column-chunk and row-layout page reads of one detail pass.
@@ -526,7 +526,7 @@ impl<'a> BoundGmdj<'a> {
             base_schema: base.schema(),
             detail_schema: detail.schema(),
             spec,
-            opts: policy.gmdj_options(),
+            probe: policy.probe,
             completion,
             total_aggs: spec.agg_count(),
             col_chunk_reads: pages * referenced,
@@ -558,7 +558,7 @@ impl<'a> BoundGmdj<'a> {
             self.base_schema,
             self.detail_schema,
             self.spec,
-            &self.opts,
+            self.probe,
             eval,
         )?;
         let row_ordered = self
@@ -568,7 +568,6 @@ impl<'a> BoundGmdj<'a> {
             plans,
             base_rows,
             total_aggs: self.total_aggs,
-            vectorized: self.opts.vectorized,
             completion: self.completion,
             row_ordered,
         })
@@ -638,7 +637,6 @@ pub(crate) struct PreparedQuery<'a> {
     plans: Vec<BlockPlan>,
     pub(crate) base_rows: &'a [Tuple],
     total_aggs: usize,
-    vectorized: bool,
     completion: Option<&'a CompletionPlan>,
     /// The completion plan runs as one worker's row-ordered item
     /// ([`completion_prunes_pairs`]) rather than in waves.
@@ -846,7 +844,7 @@ impl Drop for Lease<'_> {
 /// The morsel driver: one pass over the detail columns feeding every
 /// job. A [`Dealer`] deals the detail out in ranges of at most
 /// `morsel_rows`; `threads` workers pull ranges until none are left,
-/// routing each through every streamed job's [`scan_detail_window`] into
+/// routing each through every streamed job's [`scan_detail_vectorized`] into
 /// private per-worker accumulators and counters. The merge starts from
 /// worker 0's states and folds the other workers in, in worker order.
 /// Pull-based scheduling is self-balancing: a worker stuck on a skewed
@@ -941,14 +939,14 @@ pub(crate) fn morsel_pass(
         };
         for &j in items.iter().skip(w).step_by(workers) {
             let job = &jobs[j];
-            let Ok(scan) = &mut states[j] else { continue };
+            let (Ok(scan), Some(statuses)) = (&mut states[j], &statuses[j]) else {
+                continue;
+            };
             let before = scan.eval.detail_scanned;
-            let result = scan_detail_window(
+            let result = scan_detail_completion(
                 cols,
-                0..detail_len,
-                job.vectorized,
-                statuses[j].as_ref(),
                 &job.plans,
+                statuses,
                 job.base_rows,
                 job.total_aggs,
                 &mut scan.accs,
@@ -977,12 +975,11 @@ pub(crate) fn morsel_pass(
                     continue;
                 }
                 scanned = true;
-                if let Err(e) = scan_detail_window(
+                if let Err(e) = scan_detail_vectorized(
                     cols,
                     range.clone(),
-                    job.vectorized,
-                    statuses.as_ref(),
                     &job.plans,
+                    statuses.as_ref(),
                     job.base_rows,
                     job.total_aggs,
                     &mut scan.accs,

@@ -87,7 +87,7 @@ use gmdj_relation::value::{Truth, Value};
 use crate::distributed::{
     eval_site_fragment_traced, SiteEvalRequest, SiteEvalResponse, SiteTransport,
 };
-use crate::eval::{EvalStats, GmdjOptions, KernelStats, ProbeStrategy};
+use crate::eval::{EvalStats, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::spec::{AggBlock, GmdjSpec};
 use crate::trace::{intern_static, FlightRecorder, TraceEvent, FLIGHT_CAPACITY};
@@ -100,7 +100,10 @@ pub const WIRE_MAGIC: [u8; 4] = *b"GMDJ";
 /// * v2 — trace context in `EvalRequest` (query id, parent span id,
 ///   trace flag), site wall-clock + span deltas in `StateMatrix`, and
 ///   the `FlightRequest` / `FlightTail` post-mortem frames.
-pub const WIRE_VERSION: u16 = 2;
+/// * v3 — `EvalRequest` drops the kernel-dispatch flag and the
+///   base-partition budget: every site scans through the batched
+///   kernels, and plans its probes from the probe strategy alone.
+pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a frame payload. A garbled length prefix beyond this
 /// is rejected before any allocation.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
@@ -305,11 +308,6 @@ pub struct EvalRequestFrame {
     pub trace: bool,
     /// Probe plan selection.
     pub probe: ProbeStrategy,
-    /// Base-partition memory budget (forwarded verbatim so site-side
-    /// planning sees exactly the coordinator's options).
-    pub partition_rows: Option<u64>,
-    /// Kernel dispatch flag.
-    pub vectorized: bool,
     /// Aggregates per base row.
     pub total_aggs: u32,
     /// Base partition schema.
@@ -985,14 +983,6 @@ fn enc_payload(frame: &Frame) -> Vec<u8> {
                 ProbeStrategy::Auto => 0,
                 ProbeStrategy::ForceScan => 1,
             });
-            match req.partition_rows {
-                Some(n) => {
-                    out.push(1);
-                    put_u64(&mut out, n);
-                }
-                None => out.push(0),
-            }
-            out.push(req.vectorized as u8);
             put_u32(&mut out, req.total_aggs);
             put_u32(&mut out, req.base_fields.len() as u32);
             for f in &req.base_fields {
@@ -1054,12 +1044,6 @@ fn dec_payload(frame_type: u8, payload: &[u8]) -> std::result::Result<Frame, Wir
                 1 => ProbeStrategy::ForceScan,
                 t => return Err(WireError::protocol(format!("bad probe strategy {t}"))),
             };
-            let partition_rows = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(WireError::protocol(format!("bad partition tag {t}"))),
-            };
-            let vectorized = r.bool()?;
             let total_aggs = r.u32()?;
             let nfields = r.count()?;
             let mut base_fields = Vec::with_capacity(nfields);
@@ -1086,8 +1070,6 @@ fn dec_payload(frame_type: u8, payload: &[u8]) -> std::result::Result<Frame, Wir
                 parent_span,
                 trace,
                 probe,
-                partition_rows,
-                vectorized,
                 total_aggs,
                 base_fields,
                 base_rows,
@@ -1343,17 +1325,12 @@ fn handle_site_conn(
     }
 
     let schema = Schema::new(req.base_fields.clone());
-    let opts = GmdjOptions {
-        probe: req.probe,
-        partition_rows: req.partition_rows.map(|n| n as usize),
-        vectorized: req.vectorized,
-    };
     let response = match eval_site_fragment_traced(
         &req.base_rows,
         &schema,
         fragment,
         &req.spec,
-        &opts,
+        req.probe,
         req.total_aggs as usize,
         site,
         req.attempt,
@@ -1596,9 +1573,7 @@ fn round_trip(
         query_id: req.query_id,
         parent_span: req.parent_span,
         trace: req.trace,
-        probe: req.opts.probe,
-        partition_rows: req.opts.partition_rows.map(|n| n as u64),
-        vectorized: req.opts.vectorized,
+        probe: req.probe,
         total_aggs: req.total_aggs as u32,
         base_fields: req.base_schema.fields().to_vec(),
         base_rows: req.base.to_vec(),
@@ -1692,8 +1667,6 @@ mod tests {
             parent_span: 97,
             trace: true,
             probe: ProbeStrategy::Auto,
-            partition_rows: Some(8),
-            vectorized: true,
             total_aggs: 1,
             base_fields: vec![Field::new("B", "Lo", DataType::Int)],
             base_rows: vec![vec![Value::Int(5)].into_boxed_slice()],
@@ -1760,7 +1733,7 @@ mod tests {
 
     /// The exact bytes of one frame per wave, with every stats field
     /// distinct and non-zero: the counter codec's field order is part of
-    /// protocol version 2, and a reordered or dropped field must fail
+    /// the protocol version, and a reordered or dropped field must fail
     /// here, not only in a round trip that reorders both ends alike.
     #[test]
     fn frames_encode_to_pinned_bytes() {
@@ -1770,8 +1743,6 @@ mod tests {
             parent_span: 97,
             trace: true,
             probe: ProbeStrategy::Auto,
-            partition_rows: Some(8),
-            vectorized: true,
             total_aggs: 1,
             base_fields: vec![Field::new("B", "Lo", DataType::Int)],
             base_rows: vec![vec![Value::Int(5)].into_boxed_slice()],
@@ -1804,16 +1775,16 @@ mod tests {
             spans: vec![sample_event()],
             accs: vec![Accumulator::CountStar { n: 4 }],
         }));
-        // Protocol version 2's layout: a codec change that alters these
+        // Protocol version 3's layout: a codec change that alters these
         // bytes must also bump WIRE_VERSION.
         let pinned_request = concat!(
-            "474d444a02000371000000020000002900000000000000610000000000000001",
-            "000108000000000000000101000000010000000100000042020000004c6f0001",
-            "0000000100000001050000000000000001000000010500010100000046010000",
-            "005400010100000042020000004c6f01000000000003000000636e74",
+            "474d444a03000367000000020000002900000000000000610000000000000001",
+            "0001000000010000000100000042020000004c6f000100000001000000010500",
+            "0000000000000100000001050001010000004601000000540001010000004202",
+            "0000004c6f01000000000003000000636e74",
         );
         let pinned_state = concat!(
-            "474d444a02000412010000640000000000000009000000000000000c01000000",
+            "474d444a03000412010000640000000000000009000000000000000c01000000",
             "0000000002000000000000000300000000000000040000000000000005000000",
             "0000000006000000000000000700000000000000080000000000000009000000",
             "000000000a000000000000000b000000000000000c00000000000000040d0000",

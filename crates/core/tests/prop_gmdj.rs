@@ -44,6 +44,48 @@ fn plain(policy: ExecPolicy, b: &Relation, r: &Relation, s: &GmdjSpec) -> (Relat
     filtered(policy, b, r, s, None, Keep::All, None)
 }
 
+/// Definition 2.1 verbatim: for every base tuple, every detail tuple and
+/// every block, evaluate θ and fold the pair into that block's
+/// aggregates. No probe plan, no kernel, no partitioning — the reference
+/// every policy is judged against.
+fn nested_loop_gmdj(b: &Relation, r: &Relation, s: &GmdjSpec) -> Relation {
+    let scopes = [b.schema().as_ref(), r.schema().as_ref()];
+    let blocks: Vec<_> = s
+        .blocks
+        .iter()
+        .map(|block| {
+            let theta = block.theta.bind(&scopes).unwrap();
+            let aggs: Vec<_> = block
+                .aggs
+                .iter()
+                .map(|a| a.bind(&scopes).unwrap())
+                .collect();
+            (theta, aggs)
+        })
+        .collect();
+    let mut out = Vec::with_capacity(b.len());
+    for b_row in b.rows() {
+        let mut accs: Vec<Vec<_>> = blocks
+            .iter()
+            .map(|(_, aggs)| aggs.iter().map(|a| a.accumulator()).collect())
+            .collect();
+        for r_row in r.rows() {
+            let pair: [&[Value]; 2] = [b_row, r_row];
+            for ((theta, aggs), block_accs) in blocks.iter().zip(&mut accs) {
+                if theta.eval(&pair).unwrap().passes() {
+                    for (agg, acc) in aggs.iter().zip(block_accs.iter_mut()) {
+                        agg.update(acc, &pair).unwrap();
+                    }
+                }
+            }
+        }
+        let mut row = b_row.to_vec();
+        row.extend(accs.iter().flatten().map(|acc| acc.finish()));
+        out.push(row.into_boxed_slice());
+    }
+    Relation::from_parts(s.output_schema(b.schema()), out)
+}
+
 fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         4 => (0i64..5).prop_map(Value::Int),
@@ -288,40 +330,39 @@ proptest! {
         prop_assert_eq!(node.eval.detail_scanned, r.len() as u64);
     }
 
-    /// The vectorized detail-scan kernels are counter-exact with the row
-    /// path under every execution policy: identical output multisets AND
-    /// identical semantic counters, for sequential, parallel, and
-    /// distributed execution, with and without base partitioning.
+    /// Every execution policy — sequential, parallel and distributed,
+    /// under probe plans and forced Scan, with and without base
+    /// partitioning — computes the Definition 2.1 relation, and forced
+    /// Scan evaluates θ exactly once per (base, detail, block) triple.
     #[test]
-    fn vectorized_is_counter_exact_under_every_policy(
+    fn every_policy_matches_the_definition_2_1_reference(
         b in relation("B", 10),
         r in relation("R", 16),
         s in spec(),
-        probe_scan in proptest::bool::ANY,
         partition in proptest::option::of(1usize..5),
     ) {
-        let probe = if probe_scan { ProbeStrategy::ForceScan } else { ProbeStrategy::Auto };
-        for policy in [
-            ExecPolicy::sequential(),
-            ExecPolicy::parallel(3),
-            ExecPolicy::distributed(2),
-        ] {
-            let policy = policy.with_probe(probe).with_partition_rows(partition);
-            let mut on_node = PlanNodeStats::new("GMDJ");
-            let mut off_node = PlanNodeStats::new("GMDJ");
-            let on = Runtime::new(policy.with_vectorized(true))
-                .eval(&b, &r, &s, None, Keep::All, None, &mut on_node)
-                .unwrap();
-            let off = Runtime::new(policy.with_vectorized(false))
-                .eval(&b, &r, &s, None, Keep::All, None, &mut off_node)
-                .unwrap();
-            prop_assert!(on.multiset_eq(&off), "policy={policy:?}");
-            prop_assert_eq!(on_node.eval, off_node.eval, "policy={:?}", policy);
-            // The row path never touches the kernel layer; the vectorized
-            // path decodes every non-empty detail chunk it scans.
-            prop_assert_eq!(off_node.kernel.batches, 0);
-            if !r.is_empty() {
-                prop_assert!(on_node.kernel.batches > 0, "policy={policy:?}");
+        let reference = nested_loop_gmdj(&b, &r, &s);
+        let pairs = (b.len() * r.len() * s.blocks.len()) as u64;
+        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
+            for policy in [
+                ExecPolicy::sequential(),
+                ExecPolicy::parallel(3),
+                ExecPolicy::distributed(2),
+            ] {
+                let policy = policy.with_probe(probe).with_partition_rows(partition);
+                let mut node = PlanNodeStats::new("GMDJ");
+                let got = Runtime::new(policy)
+                    .eval(&b, &r, &s, None, Keep::All, None, &mut node)
+                    .unwrap();
+                prop_assert!(reference.multiset_eq(&got), "policy={policy:?}");
+                if probe == ProbeStrategy::ForceScan {
+                    prop_assert_eq!(node.eval.probe_candidates, pairs, "policy={:?}", policy);
+                    prop_assert_eq!(node.eval.theta_evals, pairs, "policy={:?}", policy);
+                }
+                // Every non-empty detail chunk goes through the kernels.
+                if !r.is_empty() {
+                    prop_assert!(node.kernel.batches > 0, "policy={policy:?}");
+                }
             }
         }
     }

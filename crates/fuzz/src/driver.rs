@@ -7,33 +7,34 @@
 //! i.e. the literal nested-loop semantics of Section 2 that Theorem 3.5's
 //! correctness claim is stated against.
 //!
-//! Every policy-consuming strategy additionally runs twice per policy —
-//! vectorized batch kernels on and off — and the two runs must agree on
-//! the result multiset, the gated [`EvalStats`] counters, and error
-//! behavior (see `gmdj_relation::batch` for the kernels' exactness
-//! contract). A second sweep re-runs each policy under morsel sizes
-//! {1, 7, 64, whole-relation}: morsel size is pure scheduling, so any
-//! visible difference — result rows or gated counters, page accounting
-//! included — is a bug. Distributed policies additionally run a third
-//! twin over real socket-backed loopback sites (`gmdj_core::wire`): the
-//! transport must not change the multiset, the gated counters, or the
-//! closed-form network value counts. A fourth twin submits the same
-//! query, under the sequential and the `parallel(2)` policy, from two
-//! concurrent clients through a coalescing [`SharedScanPool`]: cross-query scan sharing (and its identical-query
-//! dedup) must be invisible — each client's multiset, gated counters,
-//! and error text must match the standalone run exactly.
+//! Every policy-consuming strategy additionally runs twin checks, each
+//! diffed against its standalone run by one helper (`twin_diff`) on the
+//! result multiset, the gated [`EvalStats`] counters, the closed-form
+//! network value counts and error behavior:
+//!
+//! * a morsel-size sweep re-runs each policy under morsel sizes
+//!   {1, 7, 64, whole-relation}: morsel size is pure scheduling, so any
+//!   visible difference — result rows or gated counters, page accounting
+//!   included — is a bug;
+//! * distributed policies re-run over real socket-backed loopback sites
+//!   (`gmdj_core::wire`): the transport must not change what is observed;
+//! * the same query, under the sequential and the `parallel(2)` policy,
+//!   is submitted from two concurrent clients through a coalescing
+//!   [`SharedScanPool`]: cross-query scan sharing (and its
+//!   identical-query dedup) must be invisible to each client.
 //!
 //! [`EvalStats`]: gmdj_core::eval::EvalStats
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
+use gmdj_core::runtime::{ExecMode, ExecPolicy, PlanNodeStats};
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
 use gmdj_core::trace::CollectingSink;
 use gmdj_engine::strategy::{
-    run_with_policy, run_with_policy_pooled, run_with_policy_traced, Strategy,
+    run_with_policy, run_with_policy_pooled, run_with_policy_traced, RunResult, Strategy,
 };
+use gmdj_relation::error::Result;
 use gmdj_relation::relation::Relation;
 
 use crate::spec::FuzzCase;
@@ -98,7 +99,6 @@ pub fn uses_policy(s: Strategy) -> bool {
 
 /// Compact label for a policy (repro files, CI logs).
 pub fn policy_label(p: ExecPolicy) -> String {
-    use gmdj_core::runtime::ExecMode;
     match p.mode {
         ExecMode::Sequential => "seq".to_string(),
         ExecMode::Parallel { threads } => format!("par{threads}"),
@@ -167,212 +167,50 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                 continue; // the oracle itself
             }
             let result = run_with_policy(&query, &catalog, strategy, policy);
-            // Vectorized/row-path twin check: the same strategy and policy
-            // with the batch kernels disabled must produce the identical
-            // multiset AND identical gated counters (the kernels claim
-            // bit-exact semantics, not just equal answers). Errors must
-            // match too — a kernel is only allowed to run where the row
-            // path could not have errored.
             if uses_policy(strategy) {
-                let row =
-                    run_with_policy(&query, &catalog, strategy, policy.with_vectorized(false));
-                let twin_detail = match (&result, &row) {
-                    (Ok(v), Ok(r)) => {
-                        if !v.relation.multiset_eq(&r.relation) {
-                            Some(format!(
-                                "vectorized ({} rows):\n{}\nrow path ({} rows):\n{}",
-                                v.relation.len(),
-                                v.relation,
-                                r.relation.len(),
-                                r.relation
-                            ))
-                        } else {
-                            match (&v.plan_stats, &r.plan_stats) {
-                                (Some(vs), Some(rs)) if vs.total_eval() != rs.total_eval() => {
-                                    Some(format!(
-                                        "gated counters drifted: vectorized {:?} vs row path {:?}",
-                                        vs.total_eval(),
-                                        rs.total_eval()
-                                    ))
-                                }
-                                _ => None,
-                            }
-                        }
-                    }
-                    (Ok(_), Err(e)) => {
-                        Some(format!("row path errored while vectorized succeeded: {e}"))
-                    }
-                    (Err(e), Ok(_)) => {
-                        Some(format!("vectorized errored while row path succeeded: {e}"))
-                    }
-                    (Err(a), Err(b)) => {
-                        let (a, b) = (a.to_string(), b.to_string());
-                        (a != b)
-                            .then(|| format!("errors differ: vectorized {a:?} vs row path {b:?}"))
+                let mut twin_check = |twin: &Result<RunResult>, name: String, what: &str| {
+                    if let Some(detail) = twin_diff(&result, twin, &name) {
+                        report.divergences.push(Divergence {
+                            strategy,
+                            policy,
+                            oracle_rows: oracle.len(),
+                            actual_rows: result.as_ref().ok().map(|r| r.relation.len()),
+                            detail: format!(
+                                "{} under {}: {what}\n{detail}",
+                                strategy.label(),
+                                policy_label(policy)
+                            ),
+                        });
                     }
                 };
-                if let Some(detail) = twin_detail {
-                    report.divergences.push(Divergence {
-                        strategy,
-                        policy,
-                        oracle_rows: oracle.len(),
-                        actual_rows: result.as_ref().ok().map(|r| r.relation.len()),
-                        detail: format!(
-                            "{} under {}: vectorized and row-path scans disagree\n{detail}",
-                            strategy.label(),
-                            policy_label(policy)
-                        ),
-                    });
-                }
                 // Morsel-size sweep: scheduling granularity must never
-                // leak into anything gated. Each size diffs against the
-                // default-morsel run above on multiset, gated counters,
-                // and error behavior.
+                // leak into anything gated.
                 for morsel in [1usize, 7, 64, usize::MAX] {
-                    let swept = run_with_policy(
-                        &query,
-                        &catalog,
-                        strategy,
-                        policy.with_morsel_size(Some(morsel)),
+                    let swept = policy.with_morsel_size(Some(morsel));
+                    twin_check(
+                        &run_with_policy(&query, &catalog, strategy, swept),
+                        format!("morsel={morsel}"),
+                        "morsel size changed observable results",
                     );
-                    let sweep_detail = match (&result, &swept) {
-                        (Ok(v), Ok(m)) => {
-                            if !v.relation.multiset_eq(&m.relation) {
-                                Some(format!(
-                                    "default morsel ({} rows):\n{}\nmorsel={morsel} ({} rows):\n{}",
-                                    v.relation.len(),
-                                    v.relation,
-                                    m.relation.len(),
-                                    m.relation
-                                ))
-                            } else {
-                                match (&v.plan_stats, &m.plan_stats) {
-                                    (Some(vs), Some(ms))
-                                        if vs.total_eval() != ms.total_eval() =>
-                                    {
-                                        Some(format!(
-                                            "gated counters drifted: default {:?} vs morsel={morsel} {:?}",
-                                            vs.total_eval(),
-                                            ms.total_eval()
-                                        ))
-                                    }
-                                    _ => None,
-                                }
-                            }
-                        }
-                        (Ok(_), Err(e)) => Some(format!(
-                            "morsel={morsel} errored while default succeeded: {e}"
-                        )),
-                        (Err(e), Ok(_)) => Some(format!(
-                            "default errored while morsel={morsel} succeeded: {e}"
-                        )),
-                        (Err(a), Err(b)) => {
-                            let (a, b) = (a.to_string(), b.to_string());
-                            (a != b).then(|| {
-                                format!("errors differ: default {a:?} vs morsel={morsel} {b:?}")
-                            })
-                        }
-                    };
-                    if let Some(detail) = sweep_detail {
-                        report.divergences.push(Divergence {
-                            strategy,
-                            policy,
-                            oracle_rows: oracle.len(),
-                            actual_rows: result.as_ref().ok().map(|r| r.relation.len()),
-                            detail: format!(
-                                "{} under {}: morsel size changed observable results\n{detail}",
-                                strategy.label(),
-                                policy_label(policy)
-                            ),
-                        });
-                    }
                 }
-                // Real-sites twin check: distributed policies re-run over
-                // socket-backed loopback sites. Both transports drive the
-                // identical per-fragment evaluation, so the result multiset,
-                // the gated counters, AND the closed-form network value
-                // counts (the gated fields of NetworkStats's table)
-                // must match exactly — only the byte counters are allowed
-                // to differ (zero in-process, measured on the wire).
-                if matches!(
-                    policy.mode,
-                    gmdj_core::runtime::ExecMode::Distributed { .. }
-                ) {
-                    let real =
-                        run_with_policy(&query, &catalog, strategy, policy.with_real_sites(true));
-                    let real_detail = match (&result, &real) {
-                        (Ok(v), Ok(r)) => {
-                            if !v.relation.multiset_eq(&r.relation) {
-                                Some(format!(
-                                    "in-process ({} rows):\n{}\nreal sites ({} rows):\n{}",
-                                    v.relation.len(),
-                                    v.relation,
-                                    r.relation.len(),
-                                    r.relation
-                                ))
-                            } else {
-                                match (&v.plan_stats, &r.plan_stats) {
-                                    (Some(vs), Some(rs)) if vs.total_eval() != rs.total_eval() => {
-                                        Some(format!(
-                                            "gated counters drifted: in-process {:?} vs real sites {:?}",
-                                            vs.total_eval(),
-                                            rs.total_eval()
-                                        ))
-                                    }
-                                    (Some(vs), Some(rs)) => {
-                                        let closed_form = |t: &PlanNodeStats| -> Vec<_> {
-                                            t.total_network().gated_fields().collect()
-                                        };
-                                        let (a, b) = (closed_form(vs), closed_form(rs));
-                                        (a != b).then(|| {
-                                            format!(
-                                                "network value counts drifted: \
-                                                 in-process {a:?} vs real sites {b:?}"
-                                            )
-                                        })
-                                    }
-                                    _ => None,
-                                }
-                            }
-                        }
-                        (Ok(_), Err(e)) => Some(format!(
-                            "real sites errored while in-process succeeded: {e}"
-                        )),
-                        (Err(e), Ok(_)) => Some(format!(
-                            "in-process errored while real sites succeeded: {e}"
-                        )),
-                        (Err(a), Err(b)) => {
-                            let (a, b) = (a.to_string(), b.to_string());
-                            (a != b).then(|| {
-                                format!("errors differ: in-process {a:?} vs real sites {b:?}")
-                            })
-                        }
-                    };
-                    if let Some(detail) = real_detail {
-                        report.divergences.push(Divergence {
-                            strategy,
-                            policy,
-                            oracle_rows: oracle.len(),
-                            actual_rows: result.as_ref().ok().map(|r| r.relation.len()),
-                            detail: format!(
-                                "{} under {}: in-process and socket transports disagree\n{detail}",
-                                strategy.label(),
-                                policy_label(policy)
-                            ),
-                        });
-                    }
+                // Real-sites twin: both transports drive the identical
+                // per-fragment evaluation; only the byte counters may
+                // differ (zero in-process, measured on the wire).
+                if matches!(policy.mode, ExecMode::Distributed { .. }) {
+                    let real = policy.with_real_sites(true);
+                    twin_check(
+                        &run_with_policy(&query, &catalog, strategy, real),
+                        "real sites".to_string(),
+                        "in-process and socket transports disagree",
+                    );
                 }
-                // Shared-pool twin check: the same query submitted by two
-                // concurrent clients through a coalescing pool (which will
-                // merge them into one shared pass and deduplicate the
-                // identical pair). Each client's multiset, gated counters,
-                // and error text must match the standalone run — sharing
-                // is an execution detail, never an observable one. The
-                // pool engages for any non-distributed, unpartitioned
-                // policy, but each request keeps its policy's worker
-                // count, which decides completion admission: a
-                // one-worker request admits every plan, a multi-worker
-                // one only the pair-pruning plans. Both kinds run.
+                // Shared-pool twin: the same query submitted by two
+                // concurrent clients through a coalescing pool, which
+                // merges them into one shared pass and deduplicates the
+                // identical pair. The pool engages for any
+                // non-distributed, unpartitioned policy, and every local
+                // policy runs every completion plan, so the sequential
+                // and the two-worker policy cover one worker and many.
                 //
                 // The window is short: `target_batch: 2` releases a
                 // stored-table pair as soon as the twin arrives, while a
@@ -401,59 +239,11 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                             .collect()
                     });
                     for (client, p) in pooled.iter().enumerate() {
-                        let pool_detail = match (&result, p) {
-                            (Ok(v), Ok(s)) => {
-                                if !v.relation.multiset_eq(&s.relation) {
-                                    Some(format!(
-                                        "standalone ({} rows):\n{}\nshared pool ({} rows):\n{}",
-                                        v.relation.len(),
-                                        v.relation,
-                                        s.relation.len(),
-                                        s.relation
-                                    ))
-                                } else {
-                                    match (&v.plan_stats, &s.plan_stats) {
-                                        (Some(vs), Some(ss))
-                                            if vs.total_eval() != ss.total_eval() =>
-                                        {
-                                            Some(format!(
-                                                "gated counters drifted: standalone {:?} \
-                                                 vs shared pool {:?}",
-                                                vs.total_eval(),
-                                                ss.total_eval()
-                                            ))
-                                        }
-                                        _ => None,
-                                    }
-                                }
-                            }
-                            (Ok(_), Err(e)) => Some(format!(
-                                "shared pool errored while standalone succeeded: {e}"
-                            )),
-                            (Err(e), Ok(_)) => Some(format!(
-                                "standalone errored while shared pool succeeded: {e}"
-                            )),
-                            (Err(a), Err(b)) => {
-                                let (a, b) = (a.to_string(), b.to_string());
-                                (a != b).then(|| {
-                                    format!("errors differ: standalone {a:?} vs shared pool {b:?}")
-                                })
-                            }
-                        };
-                        if let Some(detail) = pool_detail {
-                            report.divergences.push(Divergence {
-                                strategy,
-                                policy,
-                                oracle_rows: oracle.len(),
-                                actual_rows: result.as_ref().ok().map(|r| r.relation.len()),
-                                detail: format!(
-                                    "{} under {}: shared-scan pool client {client} disagrees \
-                                     with standalone execution\n{detail}",
-                                    strategy.label(),
-                                    policy_label(policy)
-                                ),
-                            });
-                        }
+                        twin_check(
+                            p,
+                            format!("shared pool client {client}"),
+                            "the shared-scan pool disagrees with standalone execution",
+                        );
                     }
                 }
             }
@@ -494,6 +284,52 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
         }
     }
     report
+}
+
+/// Diff a twin run against the standalone run of the same strategy and
+/// policy: the result multiset, then the gated [`EvalStats`] counters,
+/// then the closed-form network value counts (the gated fields of
+/// `NetworkStats`), and errors by their text. Returns what differs first,
+/// naming the twin `twin`, or `None` when the runs agree.
+///
+/// [`EvalStats`]: gmdj_core::eval::EvalStats
+fn twin_diff(
+    standalone: &Result<RunResult>,
+    twin_run: &Result<RunResult>,
+    twin: &str,
+) -> Option<String> {
+    match (standalone, twin_run) {
+        (Ok(a), Ok(b)) if !a.relation.multiset_eq(&b.relation) => Some(format!(
+            "standalone ({} rows):\n{}\n{twin} ({} rows):\n{}",
+            a.relation.len(),
+            a.relation,
+            b.relation.len(),
+            b.relation
+        )),
+        (Ok(a), Ok(b)) => {
+            let (a, b) = (a.plan_stats.as_ref()?, b.plan_stats.as_ref()?);
+            let network =
+                |t: &PlanNodeStats| -> Vec<_> { t.total_network().gated_fields().collect() };
+            if a.total_eval() != b.total_eval() {
+                Some(format!(
+                    "gated counters drifted: standalone {:?} vs {twin} {:?}",
+                    a.total_eval(),
+                    b.total_eval()
+                ))
+            } else {
+                let (a, b) = (network(a), network(b));
+                (a != b).then(|| {
+                    format!("network value counts drifted: standalone {a:?} vs {twin} {b:?}")
+                })
+            }
+        }
+        (Ok(_), Err(e)) => Some(format!("{twin} errored while standalone succeeded: {e}")),
+        (Err(e), Ok(_)) => Some(format!("standalone errored while {twin} succeeded: {e}")),
+        (Err(a), Err(b)) => {
+            let (a, b) = (a.to_string(), b.to_string());
+            (a != b).then(|| format!("errors differ: standalone {a:?} vs {twin} {b:?}"))
+        }
+    }
 }
 
 /// Re-run the first diverging (strategy, policy) with a collecting trace
@@ -549,11 +385,11 @@ mod tests {
         assert!(report.pipeline_error.is_some());
     }
 
-    /// The vectorized/row-path twin check runs clean on a case whose
-    /// probe shape actually reaches the kernels (string equality key,
-    /// NULLs in both scopes, a residual comparison).
+    /// Every twin check runs clean on a case whose probe shape reaches
+    /// the kernels (an equality key, NULLs in both scopes, a residual
+    /// comparison).
     #[test]
-    fn vectorized_twin_check_passes_on_kernel_shapes() {
+    fn twin_checks_pass_on_kernel_shapes() {
         let case = tiny_case(
             "SELECT * FROM B B0 WHERE EXISTS \
              (SELECT * FROM R R1 WHERE R1.a = B0.a AND R1.b < B0.b)",

@@ -539,45 +539,197 @@ mod tests {
         }
     }
 
-    /// Compiled-mask evaluation must agree with the row path's
-    /// WHERE-truncation on every supported type combination.
+    /// Deterministic xorshift stream for the kernel sweep.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn pick<T: Clone>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize].clone()
+        }
+    }
+
+    /// A value of one of `kinds` (0 Int, 1 Float, 2 Str, 3 Bool), NULL one
+    /// time in `null_in`. Floats include whole numbers, so Int/Float
+    /// equality is exercised.
+    fn gen_value(rng: &mut Rng, kinds: &[u64], null_in: u64) -> Value {
+        if rng.below(null_in) == 0 {
+            return Value::Null;
+        }
+        match rng.pick(kinds) {
+            0 => Value::Int(rng.below(5) as i64 - 2),
+            1 => Value::Float(rng.pick(&[-1.5, 0.0, 1.0, 2.0, 2.5])),
+            2 => s(rng.pick(&["", "a", "ab", "b"])),
+            _ => Value::Bool(rng.below(2) == 0),
+        }
+    }
+
+    /// Whether the kernels may refuse `cmp`: one side is a mixed-type
+    /// column, or the two sides hold types `Value::sql_cmp` rejects. A
+    /// NULL constant compares as Unknown with anything, so it never refuses.
+    fn unsupported(cmp: &BatchCmp, view: &BatchView<'_>, base: &[Value]) -> bool {
+        enum Side {
+            Null,
+            Mixed,
+            Class(u8),
+        }
+        let of_value = |v: &Value| match v {
+            Value::Null => Side::Null,
+            Value::Int(_) | Value::Float(_) => Side::Class(0),
+            Value::Str(_) => Side::Class(1),
+            Value::Bool(_) => Side::Class(2),
+        };
+        let side = |o: &BatchOperand| match o {
+            BatchOperand::Detail(i) => match view.col(*i).data {
+                ColData::Int(_) | ColData::Float(_) => Side::Class(0),
+                ColData::Str { .. } => Side::Class(1),
+                ColData::Bool(_) => Side::Class(2),
+                ColData::Other(_) => Side::Mixed,
+            },
+            BatchOperand::Base(i) => of_value(&base[*i]),
+            BatchOperand::Lit(v) => of_value(v),
+        };
+        match (side(&cmp.left), side(&cmp.right)) {
+            (Side::Null, _) | (_, Side::Null) => false,
+            (Side::Class(a), Side::Class(b)) => a != b,
+            _ => true,
+        }
+    }
+
+    /// A seeded sweep of the kernels against row evaluation: every
+    /// `CmpOp`, Int / Float / Str / Bool and mixed-type detail columns
+    /// with and without NULLs, literal / base / detail operands, and
+    /// conjunctions of up to three comparisons, over windows at varying
+    /// offsets. Wherever a kernel mask comes back it must equal
+    /// `BoundPredicate::eval(..).passes()` row for row (and row evaluation
+    /// must not error there); a mask is refused only where a comparison's
+    /// operand types are unsupported. Shapes outside comparison
+    /// conjunctions never compile.
     #[test]
     fn mask_matches_row_eval() {
-        use crate::expr::BoundPredicate as P;
-        use crate::expr::BoundScalar as S;
-        let pred = P::And(
-            Box::new(P::Cmp {
-                op: CmpOp::Ge,
-                left: S::Column { scope: 1, index: 0 },
-                right: S::Literal(Value::Int(2)),
-            }),
-            Box::new(P::Cmp {
-                op: CmpOp::Eq,
-                left: S::Column { scope: 0, index: 0 },
-                right: S::Column { scope: 1, index: 1 },
-            }),
-        );
-        let k = BatchPredicate::compile(&pred).expect("conjunction compiles");
-        assert!(!k.detail_only());
-        let base: Vec<Value> = vec![s("a")];
-        let rows = vec![
-            vec![Value::Int(1), s("a")],
-            vec![Value::Int(2), s("a")],
-            vec![Value::Null, s("a")],
-            vec![Value::Int(5), s("b")],
+        use crate::expr::{ArithOp, BoundPredicate as P, BoundScalar as S};
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
         ];
-        let cs = encode(&rows);
-        let view = BatchView::new(&cs, 0, cs.len());
-        let mut mask = Vec::new();
-        assert!(k.eval_mask(&view, Some(&base), &mut mask));
-        let expect: Vec<bool> = rows
-            .iter()
-            .map(|r| {
-                let scopes: [&[Value]; 2] = [&base, r];
-                pred.eval(&scopes).unwrap().passes()
-            })
-            .collect();
-        assert_eq!(mask, expect);
+        const ANY: [u64; 4] = [0, 1, 2, 3];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let (mut masked, mut refused) = (0, 0);
+        for case in 0..20000 {
+            // Three detail columns; kind 4 mixes Int and Float, kind 5 Int
+            // and Str (both stored as `Other`).
+            let kinds: Vec<u64> = (0..3).map(|_| rng.below(6)).collect();
+            let null_in = rng.pick(&[2, 4, u64::MAX]);
+            let n_rows = 1 + rng.below(12) as usize;
+            let rows: Vec<Vec<Value>> = (0..n_rows)
+                .map(|_| {
+                    kinds
+                        .iter()
+                        .map(|&k| match k {
+                            4 => gen_value(&mut rng, &[0, 1], null_in),
+                            5 => gen_value(&mut rng, &[0, 2], null_in),
+                            k => gen_value(&mut rng, &[k], null_in),
+                        })
+                        .collect()
+                })
+                .collect();
+            let base: Vec<Value> = (0..2).map(|_| gen_value(&mut rng, &ANY, 4)).collect();
+            let operand = |rng: &mut Rng| match rng.below(3) {
+                0 => S::Literal(gen_value(rng, &ANY, 5)),
+                1 => S::Column {
+                    scope: 0,
+                    index: rng.below(2) as usize,
+                },
+                _ => S::Column {
+                    scope: 1,
+                    index: rng.below(3) as usize,
+                },
+            };
+            let mut pred: Option<P> = None;
+            let mut reads_base = false;
+            for _ in 0..1 + rng.below(3) {
+                let (left, right) = (operand(&mut rng), operand(&mut rng));
+                reads_base |= [&left, &right]
+                    .iter()
+                    .any(|o| matches!(o, S::Column { scope: 0, .. }));
+                let cmp = P::Cmp {
+                    op: rng.pick(&ops),
+                    left,
+                    right,
+                };
+                pred = Some(match pred {
+                    None => cmp,
+                    Some(p) => P::And(Box::new(p), Box::new(cmp)),
+                });
+            }
+            let pred = pred.unwrap();
+
+            // Shapes the kernels do not cover never compile.
+            let uncovered = match rng.below(8) {
+                0 => Some(P::Or(Box::new(pred.clone()), Box::new(pred.clone()))),
+                1 => Some(P::Not(Box::new(pred.clone()))),
+                2 => Some(P::And(
+                    Box::new(pred.clone()),
+                    Box::new(P::IsNull(S::Column { scope: 1, index: 0 })),
+                )),
+                3 => Some(P::Cmp {
+                    op: CmpOp::Eq,
+                    left: S::Binary {
+                        op: ArithOp::Add,
+                        left: Box::new(S::Column { scope: 1, index: 0 }),
+                        right: Box::new(S::Literal(Value::Int(1))),
+                    },
+                    right: S::Literal(Value::Int(0)),
+                }),
+                _ => None,
+            };
+            if let Some(u) = uncovered {
+                assert!(BatchPredicate::compile(&u).is_none(), "case {case}: {u:?}");
+            }
+
+            let k = BatchPredicate::compile(&pred)
+                .unwrap_or_else(|| panic!("case {case}: comparison conjunction must compile"));
+            assert_eq!(k.detail_only(), !reads_base, "case {case}");
+            let cs = encode(&rows);
+            let start = rng.below(n_rows as u64) as usize;
+            let view = BatchView::new(&cs, start, n_rows - start);
+            let mut mask = Vec::new();
+            if k.eval_mask(&view, Some(&base), &mut mask) {
+                masked += 1;
+                for (i, row) in rows[start..].iter().enumerate() {
+                    let scopes: [&[Value]; 2] = [&base, row];
+                    let truth = pred.eval(&scopes).unwrap_or_else(|e| {
+                        panic!("case {case}: kernel masked a row that errors: {e}\n{pred:?}")
+                    });
+                    assert_eq!(
+                        mask[i],
+                        truth.passes(),
+                        "case {case} row {i}: {pred:?} {row:?}"
+                    );
+                }
+            } else {
+                refused += 1;
+                assert!(
+                    k.cmps.iter().any(|c| unsupported(c, &view, &base)),
+                    "case {case}: kernel refused a supported conjunction {pred:?} over {rows:?}"
+                );
+            }
+        }
+        // The sweep reaches both outcomes often.
+        assert!(
+            masked > 5000 && refused > 5000,
+            "masked {masked}, refused {refused}"
+        );
     }
 
     #[test]

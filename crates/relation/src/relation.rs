@@ -22,9 +22,9 @@ pub type Tuple = Box<[Value]>;
 /// vectors with validity bitmaps and dictionary-encoded strings, shared by
 /// `Arc` across clones and renames. Row-at-a-time access ([`Relation::rows`])
 /// is a *late-materialization view*, rebuilt lazily and cached — it exists
-/// for the row-path oracle, the operators around the GMDJ, CSV ingest, and
-/// display, not for the sequential or vectorized GMDJ scans, which borrow
-/// column slices directly.
+/// for the reference engines, the operators around the GMDJ, CSV ingest,
+/// and display, not for the GMDJ detail scans, which borrow column slices
+/// directly.
 #[derive(Debug)]
 pub struct Relation {
     schema: Arc<Schema>,
@@ -112,9 +112,9 @@ impl Relation {
     /// boxed tuples from the columns and caches them for the lifetime of
     /// this `Relation` value (clones start with a cold cache). At 1.2M rows
     /// that is hundreds of milliseconds and ~200 MB, so no GMDJ detail
-    /// scan reads it: every mode and both `vectorized` settings read the
-    /// columns. The view remains for the GMDJ's base rows, the relational
-    /// operators around the GMDJ, CSV ingest and display.
+    /// scan reads it: every mode reads the columns. The view remains for
+    /// the GMDJ's base rows, the relational operators around the GMDJ, CSV
+    /// ingest and display.
     pub fn rows(&self) -> &[Tuple] {
         self.rows.get_or_init(|| self.cols.materialize())
     }

@@ -25,37 +25,17 @@ fn tiny() -> BenchConfig {
         ablations: false,
         cross_policy: false,
         quick: true,
-        vectorized: true,
         real_sites: false,
         morsel_size: None,
         concurrent: None,
     }
 }
 
-/// The vectorized and row-path scans must record byte-identical counter
-/// sections — the gated projection is a semantic contract, and both legs
-/// gate against the same baseline in CI.
-#[test]
-fn vectorized_and_rowpath_counter_sections_are_byte_identical() {
-    let on = run_bench(&tiny()).unwrap();
-    let off = run_bench(&BenchConfig {
-        vectorized: false,
-        ..tiny()
-    })
-    .unwrap();
-    let sa = counter_section(&parse_json(&on.to_json()).unwrap()).unwrap();
-    let sb = counter_section(&parse_json(&off.to_json()).unwrap()).unwrap();
-    assert!(!sa.is_empty());
-    assert_eq!(sa, sb);
-    // The run ids differ so a row-path recording never shadows the
-    // canonical one.
-    assert!(off.to_json().contains("_rowpath"), "{}", off.to_json());
-}
-
-/// Same contract for the transports: a bench over real socket-backed
-/// sites must record a counter section byte-identical to the in-process
-/// simulation's (wire byte counts are deliberately outside the gated
-/// projection), and record under a distinct `_realsites` run id.
+/// The gated counter projection is a semantic contract: a bench over
+/// real socket-backed sites must record a counter section byte-identical
+/// to the in-process simulation's (wire byte counts are deliberately
+/// outside the gated projection), and record under a distinct
+/// `_realsites` run id.
 #[test]
 fn real_sites_and_in_process_counter_sections_are_byte_identical() {
     let cfg = BenchConfig {
@@ -216,39 +196,6 @@ fn baseline_gate_flags_injected_counter_drift() {
     assert!(!cmp.gate_failed(), "{}", cmp.render());
     assert!(!cmp.wall_warnings.is_empty(), "{}", cmp.render());
     assert!(cmp.render().contains("WARN"), "{}", cmp.render());
-}
-
-#[test]
-fn row_path_run_is_not_wall_clock_compared_with_a_vectorized_baseline() {
-    let report = run_bench(&tiny()).unwrap();
-    let json = report.to_json();
-    let baseline = parse_json(&json).unwrap();
-    let row_path = |doc: &str| {
-        assert_eq!(doc.matches("\"vectorized\":true").count(), 1);
-        parse_json(&doc.replace("\"vectorized\":true", "\"vectorized\":false")).unwrap()
-    };
-
-    // A far slower row-path run: one note, no warnings, the gate holds.
-    let slow = row_path(&bump_counter(&json, "trimmed_mean_us", 10_000_000));
-    let cmp = compare_reports(&slow, &baseline, 0.25).unwrap();
-    assert!(!cmp.gate_failed(), "{}", cmp.render());
-    assert!(cmp.wall_warnings.is_empty(), "{}", cmp.render());
-    let rendered = cmp.render();
-    assert_eq!(
-        rendered.matches("wall-clock not compared").count(),
-        1,
-        "{rendered}"
-    );
-    assert!(
-        rendered.contains("run vectorized=false, baseline vectorized=true"),
-        "{rendered}"
-    );
-
-    // The counter gate is unchanged.
-    let drifted = row_path(&bump_counter(&json, "theta_evals", 7));
-    assert!(compare_reports(&drifted, &baseline, 0.25)
-        .unwrap()
-        .gate_failed());
 }
 
 #[test]

@@ -260,8 +260,6 @@ fn gen_eval_request(rng: &mut SplitMix64) -> Frame {
         parent_span: rng.next_u64(),
         trace: rng.chance(50),
         probe: *rng.pick(&[ProbeStrategy::Auto, ProbeStrategy::ForceScan]),
-        partition_rows: rng.chance(50).then(|| rng.below(1 << 20)),
-        vectorized: rng.chance(50),
         total_aggs: 1 + rng.below(4) as u32,
         base_fields: fields,
         base_rows: (0..rng.below(6)).map(|_| gen_tuple(rng, width)).collect(),
