@@ -5,8 +5,10 @@
 //! base tuple per aggregate) in memory and streams the detail relation past
 //! it. Per condition θᵢ it builds a *probe plan*:
 //!
-//! * equality conjuncts `B.x = R.y` → a [`HashIndex`] on the base rows —
-//!   the "indexing mechanism intrinsic to GMDJ evaluation";
+//! * equality conjuncts `B.x = R.y` → a hash index on the base rows —
+//!   the "indexing mechanism intrinsic to GMDJ evaluation": a CSR
+//!   [`IntKeyIndex`] for a one-column Int key, a [`HashIndex`] where no
+//!   typed index applies;
 //! * band conjuncts `R.t ≥ B.lo ∧ R.t < B.hi` → an [`IntervalIndex`]
 //!   (the Hours dimension of the motivating example);
 //! * anything else → a scan of the *active* base tuples, which for
@@ -25,13 +27,14 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use gmdj_relation::agg::{Accumulator, BoundAgg};
 use gmdj_relation::batch::{BatchPredicate, BatchView, ColData, ColView, BATCH_ROWS};
 use gmdj_relation::columnar::ColumnSet;
 use gmdj_relation::error::Result;
 use gmdj_relation::expr::{BoundPredicate, BoundScalar, CmpOp, Predicate, ScalarExpr};
-use gmdj_relation::index::{HashIndex, IntervalIndex, TypedKeyIndex};
+use gmdj_relation::index::{HashIndex, IntKeyIndex, IntervalIndex, TypedKeyIndex};
 use gmdj_relation::relation::Tuple;
 use gmdj_relation::schema::Schema;
 use gmdj_relation::value::Value;
@@ -420,8 +423,7 @@ impl Statuses {
         blocks: &[BlockPlan],
         cols: &ColumnSet,
         row: usize,
-        row_scratch: &mut Vec<Value>,
-        scratch_at: &mut usize,
+        scratch: &mut RowScratch,
         stats: &mut EvalStats,
     ) -> Result<bool> {
         let survives = match self.rule_of_block[bi] {
@@ -429,7 +431,7 @@ impl Statuses {
             Some(None) => false,
             Some(Some(sub)) => {
                 stats.theta_evals += 1;
-                let r = scratch_row(cols, row, row_scratch, scratch_at);
+                let r = scratch.get(cols, row);
                 blocks[sub].full_theta.eval(&[b_row, r])?.passes()
             }
         };
@@ -528,34 +530,52 @@ pub(crate) struct BlockPlan {
     /// Static label of the planned kernel for the `gmdj.kernel` trace
     /// detail and EXPLAIN ANALYZE.
     kernel_label: &'static str,
-    /// The first block whose probe yields this block's candidate lists:
+    /// The first block whose probe yields this block's candidates:
     /// itself, or an earlier hash block on the same base and detail key
-    /// columns, whose per-window lists this block reuses instead of
-    /// probing again (each block still computes its own residual mask).
+    /// columns, whose probe this block reuses instead of probing again
+    /// (each block still computes its own residual mask).
     probe_source: usize,
+    /// On a Hash or Interval block that is its own `probe_source`: every
+    /// block reading its probe, itself first, ascending. Empty otherwise.
+    probe_group: Vec<usize>,
 }
 
 enum Access {
     /// Iterate all active base tuples.
     Scan,
     /// Hash probe: key extracted from the detail row.
-    Hash {
-        index: HashIndex,
-        /// Key columns on the base side (the index's key) and the
-        /// detail side (the probe's key), in pair order.
-        base_cols: Vec<usize>,
-        detail_cols: Vec<usize>,
-        /// Typed sidecar, built for every single-column key whose base
-        /// values it can hold: probes from a matching typed batch column
-        /// skip `Value` construction and, for strings, reuse the batch's
-        /// cached hash codes.
-        typed: Option<TypedKeyIndex>,
-    },
+    Hash(HashAccess),
     /// Interval stab: point extracted from the detail row.
     Interval {
         index: IntervalIndex,
         detail_col: usize,
     },
+}
+
+struct HashAccess {
+    /// Key columns on the base side (the index's key) and the detail side
+    /// (the probe's key), in pair order.
+    base_cols: Vec<usize>,
+    detail_cols: Vec<usize>,
+    /// Typed index, built for every single-column key whose base values
+    /// it can hold: probes from a matching typed batch column skip
+    /// `Value` construction and, for strings, reuse the batch's cached
+    /// hash codes.
+    typed: Option<TypedKeyIndex>,
+    /// The generic index over boxed `Value` keys, built on the first
+    /// probe the typed index cannot serve: a multi-column key, base keys
+    /// of no single primitive type, or a detail key column of another
+    /// type (the cross-type `Int = Float` path). The plan counts it in
+    /// `index_builds` either way.
+    generic: OnceLock<HashIndex>,
+}
+
+impl HashAccess {
+    fn generic(&self, base_rows: &[Tuple]) -> &HashIndex {
+        self.generic.get_or_init(|| {
+            HashIndex::build_rows(base_rows.iter().map(|r| r.as_ref()), &self.base_cols)
+        })
+    }
 }
 
 /// Comma-joined per-block kernel labels, e.g. `"hash-int,band"` — the
@@ -568,28 +588,626 @@ pub(crate) fn kernel_summary(plans: &[BlockPlan]) -> String {
         .join(",")
 }
 
+/// The detail row at one global index, late-materialized from the stored
+/// columns for the row-semantics fallbacks. It is rebuilt only when the
+/// index moves, so at most once per detail position however many
+/// candidates touch it.
+struct RowScratch {
+    row: Vec<Value>,
+    at: usize,
+}
+
+impl Default for RowScratch {
+    fn default() -> Self {
+        RowScratch {
+            row: Vec::new(),
+            at: usize::MAX,
+        }
+    }
+}
+
+impl RowScratch {
+    #[inline]
+    fn get(&mut self, cols: &ColumnSet, row: usize) -> &[Value] {
+        if self.at != row {
+            cols.fill_row(row, &mut self.row);
+            self.at = row;
+        }
+        &self.row
+    }
+}
+
+/// The buffers one scan call reuses across windows.
+#[derive(Default)]
+struct Scratch {
+    /// A Scan block's residual mask for one base tuple.
+    mask: Vec<bool>,
+    /// A probe group's union of masks ([`group_union`]).
+    union: Vec<bool>,
+    /// A band probe's stab result.
+    stab: Vec<u32>,
+    /// A generic hash probe's key.
+    key: Vec<Value>,
+    /// The window rows a Scan block's mask selected, and their typed
+    /// aggregate inputs.
+    sel: Vec<u32>,
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    row: RowScratch,
+}
+
+/// One aggregate's input over one detail window, resolved once per window
+/// from the stored column types, so a pair's update is a typed
+/// [`Accumulator`] call. Only `Computed` late-materializes the row.
+#[derive(Clone, Copy)]
+enum AggInput<'a> {
+    /// `COUNT(*)`: a non-NULL marker per tuple.
+    Star,
+    /// A typed detail column's window and its NULL mask.
+    Int(&'a [i64], &'a [bool]),
+    Float(&'a [f64], &'a [bool]),
+    /// A detail column of another stored type, rebuilt as a `Value`.
+    Cell(usize),
+    /// A column of the probing base tuple.
+    Base(usize),
+    Literal(&'a Value),
+    Computed(&'a BoundScalar),
+}
+
+impl<'a> AggInput<'a> {
+    fn resolve(agg: &'a BoundAgg, view: &BatchView<'a>) -> Self {
+        match &agg.input {
+            None => AggInput::Star,
+            Some(BoundScalar::Column { scope: 1, index }) => {
+                let col = view.col(*index);
+                match col.data {
+                    ColData::Int(vals) => AggInput::Int(vals, col.nulls),
+                    ColData::Float(vals) => AggInput::Float(vals, col.nulls),
+                    _ => AggInput::Cell(*index),
+                }
+            }
+            Some(BoundScalar::Column { scope: 0, index }) => AggInput::Base(*index),
+            Some(BoundScalar::Literal(v)) => AggInput::Literal(v),
+            Some(e) => AggInput::Computed(e),
+        }
+    }
+
+    /// Fold window row `i` (global `row`) into `acc`, exactly as
+    /// [`BoundAgg::update`] would.
+    #[inline]
+    fn fold(
+        self,
+        acc: &mut Accumulator,
+        b_row: &[Value],
+        cols: &ColumnSet,
+        i: usize,
+        row: usize,
+        scratch: &mut RowScratch,
+    ) -> Result<()> {
+        if let AggInput::Computed(e) = self {
+            let v = e.eval(&[b_row, scratch.get(cols, row)])?;
+            acc.update(&v);
+        } else {
+            self.fold_plain(acc, b_row, cols, i, row);
+        }
+        Ok(())
+    }
+
+    /// [`fold`](Self::fold) for every input but `Computed`: it cannot
+    /// fail and reads no materialized row.
+    #[inline(always)]
+    fn fold_plain(
+        self,
+        acc: &mut Accumulator,
+        b_row: &[Value],
+        cols: &ColumnSet,
+        i: usize,
+        row: usize,
+    ) {
+        match self {
+            AggInput::Star => acc.update_int(1),
+            AggInput::Int(vals, nulls) if !nulls[i] => acc.update_int(vals[i]),
+            AggInput::Float(vals, nulls) if !nulls[i] => acc.update_float(vals[i]),
+            AggInput::Int(..) | AggInput::Float(..) => acc.update(&Value::Null),
+            AggInput::Cell(c) => acc.update(&cols.value_at(row, c)),
+            AggInput::Base(c) => acc.update(&b_row[c]),
+            AggInput::Literal(v) => acc.update(v),
+            AggInput::Computed(_) => unreachable!("a computed input folds through `fold`"),
+        }
+    }
+}
+
+/// One block's state for one detail window: its resolved aggregate
+/// inputs and, for a Hash or Interval block whose residual compiles to a
+/// detail-only kernel, the residual mask — computed before any candidate
+/// is walked, since it does not depend on the base tuple.
+#[derive(Default)]
+struct BlockWindow<'a> {
+    inputs: Vec<AggInput<'a>>,
+    mask: Vec<bool>,
+    masked: bool,
+    /// Every pair the walk visits passes θ and folds, with no status to
+    /// consult and no input that can fail: no statuses, no residual left
+    /// to interpret, no computed input. A group of one such block folds
+    /// its window in one tight loop ([`ScanCtx::plain_window`]).
+    plain: bool,
+}
+
+impl<'a> BlockWindow<'a> {
+    /// Resolve `plan`'s inputs over `view` and, for a Hash or Interval
+    /// block, compute its mask, decide whether its pairs are `plain`
+    /// under `statuses`, and count the block × window in `kernel`.
+    /// A Scan block's residual reads the base tuple, so the scan masks it
+    /// per base tuple and counts it there.
+    fn fill(
+        &mut self,
+        plan: &'a BlockPlan,
+        view: &BatchView<'a>,
+        statuses: Option<&Statuses>,
+        kernel: &mut KernelStats,
+    ) {
+        self.inputs.clear();
+        self.inputs
+            .extend(plan.aggs.iter().map(|a| AggInput::resolve(a, view)));
+        if matches!(plan.access, Access::Scan) {
+            return;
+        }
+        self.masked = match &plan.residual_kernel {
+            Some(k) if plan.residual_detail_only => k.eval_mask(view, None, &mut self.mask),
+            _ => false,
+        };
+        self.plain = statuses.is_none()
+            && (plan.residual.is_none() || self.masked)
+            && !self
+                .inputs
+                .iter()
+                .any(|i| matches!(i, AggInput::Computed(_)));
+        if plan.residual.is_none() || self.masked {
+            kernel.rows_vectorized += view.len() as u64;
+        } else {
+            kernel.rows_row_path += view.len() as u64;
+        }
+    }
+
+    /// False where the mask proves no pair of window row `i` passes θ.
+    #[inline]
+    fn may_pass(&self, i: usize) -> bool {
+        !self.masked || self.mask[i]
+    }
+}
+
+/// A Hash or Interval block's probe over one detail window, resolved once
+/// per window from the stored key column's type.
+enum RowProbe<'a> {
+    /// The CSR index, probed straight from a typed Int key column.
+    Int(&'a IntKeyIndex, &'a [i64], &'a [bool]),
+    /// The prehashed string buckets, probed with the dictionary's cached
+    /// hash codes: a code lookup plus, on a hash hit, one bytes compare.
+    Str(&'a TypedKeyIndex, ColView<'a>),
+    /// The generic index, through a `Value` key rebuilt per row. Only
+    /// this path ever sees cross-type numeric equality (`Int(1) =
+    /// Float(1.0)`): the typed index holds no float keys and is not
+    /// consulted for other column types.
+    Generic(&'a HashIndex, &'a [usize]),
+    /// An interval stab, widened to `f64` from typed columns.
+    Band(&'a IntervalIndex, ColView<'a>, usize),
+}
+
+impl<'a> RowProbe<'a> {
+    fn new(access: &'a Access, view: &BatchView<'a>, base_rows: &[Tuple]) -> Self {
+        match access {
+            Access::Hash(h) => {
+                if let Some(typed) = &h.typed {
+                    let col = view.col(h.detail_cols[0]);
+                    match (typed, col.data) {
+                        (TypedKeyIndex::Int(csr), ColData::Int(keys)) => {
+                            return RowProbe::Int(csr, keys, col.nulls)
+                        }
+                        (TypedKeyIndex::Str(_), ColData::Str { .. }) => {
+                            return RowProbe::Str(typed, col)
+                        }
+                        _ => {}
+                    }
+                }
+                RowProbe::Generic(h.generic(base_rows), &h.detail_cols)
+            }
+            Access::Interval { index, detail_col } => {
+                RowProbe::Band(index, view.col(*detail_col), *detail_col)
+            }
+            Access::Scan => unreachable!("scan access has no per-row candidates"),
+        }
+    }
+
+    /// Window row `i`'s (global `row`'s) candidate base tuples: borrowed
+    /// from the index for a hash probe, stabbed into `stab` for a band.
+    #[inline(always)]
+    fn candidates<'s>(
+        &self,
+        i: usize,
+        row: usize,
+        cols: &ColumnSet,
+        key: &mut Vec<Value>,
+        stab: &'s mut Vec<u32>,
+    ) -> &'s [u32]
+    where
+        'a: 's,
+    {
+        match self.keyed(i, row, cols, key) {
+            Some(cands) => cands,
+            None => self.stab(i, row, cols, stab),
+        }
+    }
+
+    /// A hash probe's candidates for window row `i`, borrowed from the
+    /// index; `None` for a band. The CSR probe is inlined into the row
+    /// loop; the others are not.
+    #[inline(always)]
+    fn keyed(
+        &self,
+        i: usize,
+        row: usize,
+        cols: &ColumnSet,
+        key: &mut Vec<Value>,
+    ) -> Option<&'a [u32]> {
+        match *self {
+            RowProbe::Int(_, _, nulls) if nulls[i] => Some(&[]),
+            RowProbe::Int(csr, keys, _) => Some(csr.probe(keys[i])),
+            RowProbe::Band(..) => None,
+            _ => Some(self.keyed_other(i, row, cols, key)),
+        }
+    }
+
+    #[inline(never)]
+    fn keyed_other(
+        &self,
+        i: usize,
+        row: usize,
+        cols: &ColumnSet,
+        key: &mut Vec<Value>,
+    ) -> &'a [u32] {
+        match *self {
+            RowProbe::Str(typed, col) => match col.data {
+                ColData::Str {
+                    codes,
+                    dict,
+                    dict_hashes,
+                } if !col.nulls[i] => {
+                    let d = codes[i] as usize;
+                    typed.probe_str(dict_hashes[d], &dict[d])
+                }
+                _ => &[],
+            },
+            RowProbe::Generic(index, detail_cols) => {
+                key.clear();
+                key.extend(detail_cols.iter().map(|&c| cols.value_at(row, c)));
+                index.probe(key)
+            }
+            RowProbe::Int(..) | RowProbe::Band(..) => unreachable!("resolved in `keyed`"),
+        }
+    }
+
+    #[inline(never)]
+    fn stab<'s>(
+        &self,
+        i: usize,
+        row: usize,
+        cols: &ColumnSet,
+        stab: &'s mut Vec<u32>,
+    ) -> &'s [u32] {
+        let RowProbe::Band(index, col, c) = *self else {
+            unreachable!("only a band probe stabs");
+        };
+        if col.nulls[i] {
+            stab.clear();
+        } else {
+            match col.data {
+                ColData::Int(vals) => index.stab_f64(vals[i] as f64, stab),
+                ColData::Float(vals) => index.stab_f64(vals[i], stab),
+                _ => index.stab(&cols.value_at(row, c), stab),
+            }
+        }
+        stab
+    }
+}
+
+/// The OR of a probe group's masks over one window, in `out`, when every
+/// block of the group has one; `None` when some block must walk every
+/// row.
+fn group_union<'u>(
+    group: &[usize],
+    windows: &[BlockWindow<'_>],
+    out: &'u mut Vec<bool>,
+) -> Option<&'u [bool]> {
+    let (&first, rest) = group.split_first()?;
+    if !group.iter().all(|&g| windows[g].masked) {
+        return None;
+    }
+    out.clear();
+    out.extend_from_slice(&windows[first].mask);
+    for &g in rest {
+        for (u, &m) in out.iter_mut().zip(&windows[g].mask) {
+            *u |= m;
+        }
+    }
+    Some(out)
+}
+
+/// How many of `cands` a pair walk would visit: all of them, or under a
+/// status snapshot only the Active ones.
+#[inline]
+fn live_count(cands: &[u32], flags: Option<&[AtomicBool]>) -> u64 {
+    match flags {
+        None => cands.len() as u64,
+        Some(f) => cands
+            .iter()
+            .filter(|&&b| f[b as usize].load(Ordering::Relaxed))
+            .count() as u64,
+    }
+}
+
+/// What every pair walk of one scan call reads.
+struct ScanCtx<'a> {
+    cols: &'a ColumnSet,
+    plans: &'a [BlockPlan],
+    base_rows: &'a [Tuple],
+    statuses: Option<&'a Statuses>,
+    flags: Option<&'a [AtomicBool]>,
+    total_aggs: usize,
+}
+
+impl ScanCtx<'_> {
+    /// Count `n` candidates a mask rejected: each is a probe candidate
+    /// and a θ evaluation the mask answered.
+    #[inline]
+    fn count_rejected(&self, n: u64, stats: &mut EvalStats) {
+        stats.probe_candidates += n;
+        stats.theta_evals += n;
+    }
+
+    /// The fused walk of a window whose probe only block `bi` reads, for
+    /// a [`BlockWindow::plain`] block: a row its mask rejects only counts
+    /// its candidates; every other row folds into each of them, and each
+    /// such pair is one probe candidate (and one θ evaluation the mask
+    /// answered, where a residual is left).
+    #[allow(clippy::too_many_arguments)]
+    fn plain_window(
+        &self,
+        bi: usize,
+        w: &BlockWindow<'_>,
+        probe: &RowProbe<'_>,
+        view: &BatchView<'_>,
+        accs: &mut [Accumulator],
+        s: &mut Scratch,
+        stats: &mut EvalStats,
+    ) {
+        let plan = &self.plans[bi];
+        let width = w.inputs.len();
+        let (mut pairs, mut rejected) = (0u64, 0u64);
+        for i in 0..view.len() {
+            let row = view.start() + i;
+            let cands = probe.candidates(i, row, self.cols, &mut s.key, &mut s.stab);
+            if !w.may_pass(i) {
+                rejected += cands.len() as u64;
+                continue;
+            }
+            pairs += cands.len() as u64;
+            for &b in cands {
+                let b = b as usize;
+                let at = b * self.total_aggs + plan.agg_offset;
+                for (acc, input) in accs[at..at + width].iter_mut().zip(&w.inputs) {
+                    input.fold_plain(acc, &self.base_rows[b], self.cols, i, row);
+                }
+            }
+        }
+        stats.probe_candidates += pairs;
+        if plan.residual.is_some() {
+            stats.theta_evals += pairs;
+        }
+        stats.agg_updates += pairs * width as u64;
+        self.count_rejected(rejected, stats);
+    }
+
+    /// One window of a Scan block: its residual is evaluated as one mask
+    /// per Active base tuple (the residual reads the base tuple), and the
+    /// selected rows fold in batches; a residual no kernel covers is
+    /// evaluated pair by pair. Base-outer within the window, so each
+    /// accumulator still folds in detail-row order and float sums are
+    /// bit-identical to tuple-at-a-time evaluation.
+    #[allow(clippy::too_many_arguments)]
+    fn scan_window(
+        &self,
+        bi: usize,
+        w: &BlockWindow<'_>,
+        view: &BatchView<'_>,
+        accs: &mut [Accumulator],
+        s: &mut Scratch,
+        stats: &mut EvalStats,
+        kernel: &mut KernelStats,
+    ) -> Result<()> {
+        let plan = &self.plans[bi];
+        let res = plan
+            .residual
+            .as_ref()
+            .expect("scan access always has residual");
+        // A waved job retires no tuple through a Scan block (that plan
+        // runs row-ordered), so here the statuses only mask.
+        debug_assert!(self
+            .statuses
+            .is_none_or(|st| st.rule_of_block[bi].is_none()));
+        let (win_start, win_len) = (view.start(), view.len());
+        for (b_idx, b_row) in self.base_rows.iter().enumerate() {
+            if self
+                .flags
+                .is_some_and(|f| !f[b_idx].load(Ordering::Relaxed))
+            {
+                continue;
+            }
+            let b_row: &[Value] = b_row;
+            let masked = match &plan.residual_kernel {
+                Some(k) => k.eval_mask(view, Some(b_row), &mut s.mask),
+                None => false,
+            };
+            stats.probe_candidates += win_len as u64;
+            stats.theta_evals += win_len as u64;
+            let at = b_idx * self.total_aggs + plan.agg_offset;
+            let b_accs = &mut accs[at..at + w.inputs.len()];
+            if masked {
+                kernel.rows_vectorized += win_len as u64;
+                s.sel.clear();
+                s.sel.extend(
+                    s.mask
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &m)| m)
+                        .map(|(i, _)| i as u32),
+                );
+                if !s.sel.is_empty() {
+                    fold_selected(&w.inputs, b_accs, b_row, self.cols, win_start, s)?;
+                    stats.agg_updates += (s.sel.len() * w.inputs.len()) as u64;
+                }
+            } else {
+                kernel.rows_row_path += win_len as u64;
+                for i in 0..win_len {
+                    let row = win_start + i;
+                    if !res.eval(&[b_row, s.row.get(self.cols, row)])?.passes() {
+                        continue;
+                    }
+                    for (acc, input) in b_accs.iter_mut().zip(&w.inputs) {
+                        input.fold(acc, b_row, self.cols, i, row, &mut s.row)?;
+                    }
+                    stats.agg_updates += w.inputs.len() as u64;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One window of the probe group of block `bi` (its own probe
+    /// source), whose blocks' `windows` are filled: one fused walk. Each
+    /// row is probed once; where every block's mask rejects the row
+    /// (mask before probe) its live candidates count once per block and
+    /// none is walked; otherwise each block walks or counts them.
+    fn probe_window(
+        &self,
+        bi: usize,
+        windows: &[BlockWindow<'_>],
+        view: &BatchView<'_>,
+        accs: &mut [Accumulator],
+        s: &mut Scratch,
+        stats: &mut EvalStats,
+    ) -> Result<()> {
+        let plan = &self.plans[bi];
+        let group = &plan.probe_group[..];
+        let probe = RowProbe::new(&plan.access, view, self.base_rows);
+        if let [g] = *group {
+            if windows[g].plain {
+                self.plain_window(g, &windows[g], &probe, view, accs, s, stats);
+                return Ok(());
+            }
+        }
+        let union = group_union(group, windows, &mut s.union);
+        let mut rejected_rows = 0u64;
+        for i in 0..view.len() {
+            let row = view.start() + i;
+            let cands = probe.candidates(i, row, self.cols, &mut s.key, &mut s.stab);
+            if union.is_some_and(|u| !u[i]) {
+                rejected_rows += live_count(cands, self.flags);
+                continue;
+            }
+            for &g in group {
+                let w = &windows[g];
+                if w.may_pass(i) {
+                    self.walk(g, w, cands, i, row, accs, &mut s.row, stats)?;
+                } else {
+                    self.count_rejected(live_count(cands, self.flags), stats);
+                }
+            }
+        }
+        self.count_rejected(rejected_rows * group.len() as u64, stats);
+        Ok(())
+    }
+
+    /// Walk window row `i`'s (global `row`'s) candidates `cands` through
+    /// block `bi`, whose mask, if any, passed the row. Counters mirror
+    /// tuple-at-a-time evaluation: each Active candidate is one probe
+    /// candidate and, with a residual, one θ evaluation even when the
+    /// mask answered it. A passing pair goes through the block's dead
+    /// rule and finish-early bookkeeping ([`Statuses::admits`]) and folds
+    /// the row through the block's typed inputs.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn walk(
+        &self,
+        bi: usize,
+        w: &BlockWindow<'_>,
+        cands: &[u32],
+        i: usize,
+        row: usize,
+        accs: &mut [Accumulator],
+        scratch: &mut RowScratch,
+        stats: &mut EvalStats,
+    ) -> Result<()> {
+        let plan = &self.plans[bi];
+        let admit = self.statuses.filter(|s| s.watches(bi));
+        for &b in cands {
+            let b_idx = b as usize;
+            if self
+                .flags
+                .is_some_and(|f| !f[b_idx].load(Ordering::Relaxed))
+            {
+                continue;
+            }
+            stats.probe_candidates += 1;
+            let b_row: &[Value] = &self.base_rows[b_idx];
+            if let Some(res) = &plan.residual {
+                stats.theta_evals += 1;
+                if !w.masked && !res.eval(&[b_row, scratch.get(self.cols, row)])?.passes() {
+                    continue;
+                }
+            }
+            if let Some(s) = admit {
+                if !s.admits(bi, b_idx, b_row, self.plans, self.cols, row, scratch, stats)? {
+                    continue;
+                }
+            }
+            let at = b_idx * self.total_aggs + plan.agg_offset;
+            for (acc, input) in accs[at..at + w.inputs.len()].iter_mut().zip(&w.inputs) {
+                input.fold(acc, b_row, self.cols, i, row, scratch)?;
+            }
+            stats.agg_updates += w.inputs.len() as u64;
+        }
+        Ok(())
+    }
+}
+
 /// The detail scan: fold detail rows `range` into one query's
 /// accumulators, keeping its counters exactly as a standalone scan of the
 /// same rows would. The morsel driver ([`crate::shared::morsel_pass`])
 /// calls it once per (job, dealt range), and every site once over its
 /// fragment.
 ///
-/// It views the stored detail columns in windows of [`BATCH_ROWS`] rows
-/// and dispatches each block's planned kernel, falling back to
-/// row-at-a-time evaluation for any block × window whose types cannot
-/// guarantee identical semantics (including identical errors). There is
-/// no per-query decode: kernels borrow column slices straight from
-/// storage, and full rows are late-materialized into a scratch buffer
-/// only where row semantics are required — at most once per detail
-/// position.
+/// It views the stored detail columns in windows of [`BATCH_ROWS`] rows.
+/// There is no per-query decode: kernels borrow column slices straight
+/// from storage, and a full row is late-materialized into a scratch
+/// buffer only where row semantics are required — at most once per
+/// detail position.
+///
+/// A Hash or Interval block is one fused walk per window, shared by every
+/// block reading its probe (`probe_group`). First each block computes its
+/// detail-only residual mask, if its residual compiles to one, and
+/// resolves its aggregate inputs to typed column slices ([`AggInput`]).
+/// Then each window row is probed once — a borrowed CSR slice for an Int
+/// key — and each block either walks the row's candidates, folding every
+/// passing pair through a typed [`Accumulator`] call, or, where its mask
+/// fails, only counts them. A Scan block evaluates its residual as one
+/// mask per (base tuple × window) and folds the selected rows in batches;
+/// a residual no kernel covers is evaluated pair by pair.
 ///
 /// With a waved job's `statuses`, a base tuple that was not Active when
-/// the wave began is masked out of every candidate list (and skipped in
-/// a Scan block's base loop), and a pair that passes θ goes through the
-/// block's dead rule and finish-early bookkeeping ([`Statuses`]), which
+/// the wave began is skipped as a candidate (and in a Scan block's base
+/// loop), and a pair that passes θ goes through the block's dead rule
+/// and finish-early bookkeeping ([`Statuses`]), which
 /// [`Statuses::end_wave`] applies at the wave's end.
-/// A row whose detail-only residual mask fails only counts its
-/// candidates, so most rows of a selective probe never walk them.
 ///
 /// It returns only the scan's error, if any: the accumulators land in
 /// `accs` and the counters in `stats` / `kernel`. One call is one
@@ -610,212 +1228,33 @@ pub(crate) fn scan_detail_vectorized(
     let before = *kernel;
     let span = crate::trace::Span::begin(sink, "gmdj.kernel").with_detail(kernel_summary(plans));
     kernel.morsels += 1;
-    let flags = statuses.map(Statuses::active_flags);
-    let mut mask: Vec<bool> = Vec::new();
-    let mut stab_scratch: Vec<u32> = Vec::new();
-    let mut key_scratch: Vec<Value> = Vec::new();
-    let mut sel_scratch: Vec<u32> = Vec::new();
-    let mut int_scratch: Vec<i64> = Vec::new();
-    let mut float_scratch: Vec<f64> = Vec::new();
-    // Lazily materialized row for the row-semantics fallbacks, keyed by
-    // the global detail row index it currently holds.
-    let mut row_scratch: Vec<Value> = Vec::new();
-    let mut scratch_at: usize = usize::MAX;
-    let mut probe = WindowProbe::default();
+    let ctx = ScanCtx {
+        cols,
+        plans,
+        base_rows,
+        statuses,
+        flags: statuses.map(Statuses::active_flags),
+        total_aggs,
+    };
+    let mut windows: Vec<BlockWindow> = plans.iter().map(|_| BlockWindow::default()).collect();
+    let mut scratch = Scratch::default();
     let mut win_start = range.start;
     while win_start < range.end {
         let win_len = (range.end - win_start).min(BATCH_ROWS);
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
-        // The block whose candidate lists `probe` holds for this window.
-        let mut probed: Option<usize> = None;
         for (bi, plan) in plans.iter().enumerate() {
-            let admit = statuses.filter(|s| s.watches(bi));
-            match &plan.access {
-                Access::Hash { .. } | Access::Interval { .. } => {
-                    // Pass 1: probe every row, so mask profitability is
-                    // known before pass 2 walks the candidate lists. A
-                    // block keyed like the one just probed reuses its
-                    // lists and computes only its own mask.
-                    if probed == Some(plan.probe_source) {
-                        probe.fill_mask(plan, &view, probe.flat.len(), win_len, kernel);
-                    } else {
-                        probe.fill(
-                            plan,
-                            &view,
-                            cols,
-                            win_start,
-                            win_len,
-                            &mut key_scratch,
-                            &mut stab_scratch,
-                            kernel,
-                        );
-                        probed = Some(plan.probe_source);
-                    }
-                    // Pass 2: counters and residual handling mirror
-                    // tuple-at-a-time evaluation; `theta_evals` counts
-                    // per (base, detail) pair even when a detail-only
-                    // mask was computed once per row. The lists are
-                    // hoisted into locals so the walk keeps them in
-                    // registers across the accumulator calls (about 10 %
-                    // on hash probes, measured).
-                    let (flat, offsets, mask) =
-                        (&probe.flat[..], &probe.offsets[..], &probe.mask[..]);
-                    let have_mask = probe.have_mask;
-                    for i in 0..win_len {
-                        let cands = &flat[offsets[i] as usize..offsets[i + 1] as usize];
-                        if have_mask && !mask[i] {
-                            // No pair of this row passes θ: count the
-                            // candidates (the live ones, under a wave
-                            // snapshot) without walking them one by one.
-                            let live = match flags {
-                                None => cands.len(),
-                                Some(f) => cands
-                                    .iter()
-                                    .map(|&b| usize::from(f[b as usize].load(Ordering::Relaxed)))
-                                    .sum(),
-                            } as u64;
-                            stats.probe_candidates += live;
-                            stats.theta_evals += live;
-                            continue;
-                        }
-                        let row = win_start + i;
-                        for &b_idx in cands {
-                            let b_idx = b_idx as usize;
-                            if flags.is_some_and(|f| !f[b_idx].load(Ordering::Relaxed)) {
-                                continue;
-                            }
-                            stats.probe_candidates += 1;
-                            let b_row: &[Value] = &base_rows[b_idx];
-                            let passes = match &plan.residual {
-                                None => true,
-                                Some(res) => {
-                                    stats.theta_evals += 1;
-                                    if have_mask {
-                                        mask[i]
-                                    } else {
-                                        let r = scratch_row(
-                                            cols,
-                                            row,
-                                            &mut row_scratch,
-                                            &mut scratch_at,
-                                        );
-                                        res.eval(&[b_row, r])?.passes()
-                                    }
-                                }
-                            };
-                            if !passes {
-                                continue;
-                            }
-                            if let Some(s) = admit {
-                                if !s.admits(
-                                    bi,
-                                    b_idx,
-                                    b_row,
-                                    plans,
-                                    cols,
-                                    row,
-                                    &mut row_scratch,
-                                    &mut scratch_at,
-                                    stats,
-                                )? {
-                                    continue;
-                                }
-                            }
-                            update_aggs_at(
-                                plan,
-                                b_idx,
-                                total_aggs,
-                                accs,
-                                b_row,
-                                cols,
-                                row,
-                                &mut row_scratch,
-                                &mut scratch_at,
-                                stats,
-                            )?;
-                        }
-                    }
+            if let Access::Scan = plan.access {
+                windows[bi].fill(plan, &view, statuses, kernel);
+                ctx.scan_window(bi, &windows[bi], &view, accs, &mut scratch, stats, kernel)?;
+            } else if plan.probe_source == bi {
+                for &g in &plan.probe_group {
+                    windows[g].fill(&plans[g], &view, statuses, kernel);
                 }
-                Access::Scan => {
-                    let res = plan
-                        .residual
-                        .as_ref()
-                        .expect("scan access always has residual");
-                    // A waved job retires no tuple through a Scan block
-                    // (that plan runs row-ordered), so here the statuses
-                    // only mask.
-                    debug_assert!(admit.is_none_or(|s| s.rule_of_block[bi].is_none()));
-                    // Base-outer within the window: per-accumulator update
-                    // order stays detail-row order, so float sums are
-                    // bit-identical to tuple-at-a-time evaluation.
-                    for (b_idx, b_row) in base_rows.iter().enumerate() {
-                        if flags.is_some_and(|f| !f[b_idx].load(Ordering::Relaxed)) {
-                            continue;
-                        }
-                        let b_row: &[Value] = b_row;
-                        let masked = match &plan.residual_kernel {
-                            Some(k) => k.eval_mask(&view, Some(b_row), &mut mask),
-                            None => false,
-                        };
-                        stats.probe_candidates += win_len as u64;
-                        stats.theta_evals += win_len as u64;
-                        if masked {
-                            kernel.rows_vectorized += win_len as u64;
-                            sel_scratch.clear();
-                            sel_scratch.extend(
-                                mask.iter()
-                                    .enumerate()
-                                    .filter(|(_, &m)| m)
-                                    .map(|(i, _)| i as u32),
-                            );
-                            if !sel_scratch.is_empty() {
-                                update_aggs_batched(
-                                    plan,
-                                    b_idx,
-                                    total_aggs,
-                                    accs,
-                                    b_row,
-                                    &view,
-                                    cols,
-                                    win_start,
-                                    &sel_scratch,
-                                    stats,
-                                    &mut int_scratch,
-                                    &mut float_scratch,
-                                    &mut row_scratch,
-                                    &mut scratch_at,
-                                )?;
-                            }
-                        } else {
-                            kernel.rows_row_path += win_len as u64;
-                            for i in 0..win_len {
-                                let row = win_start + i;
-                                let passes = {
-                                    let r =
-                                        scratch_row(cols, row, &mut row_scratch, &mut scratch_at);
-                                    res.eval(&[b_row, r])?.passes()
-                                };
-                                if passes {
-                                    update_aggs_at(
-                                        plan,
-                                        b_idx,
-                                        total_aggs,
-                                        accs,
-                                        b_row,
-                                        cols,
-                                        row,
-                                        &mut row_scratch,
-                                        &mut scratch_at,
-                                        stats,
-                                    )?;
-                                }
-                            }
-                        }
-                    }
-                }
+                ctx.probe_window(bi, &windows, &view, accs, &mut scratch, stats)?;
             }
+            // Any other block is walked with its probe source's group.
         }
         win_start += win_len;
     }
@@ -825,317 +1264,48 @@ pub(crate) fn scan_detail_vectorized(
     Ok(())
 }
 
-/// Late-materialize the detail row at global index `row` into `scratch`
-/// (reusing the previous fill when the index has not moved — a row is
-/// rebuilt at most once however many candidates touch it).
-#[inline]
-fn scratch_row<'a>(
-    cols: &ColumnSet,
-    row: usize,
-    scratch: &'a mut Vec<Value>,
-    at: &mut usize,
-) -> &'a [Value] {
-    if *at != row {
-        cols.fill_row(row, scratch);
-        *at = row;
-    }
-    scratch
-}
-
-/// Fold one detail row into one base tuple's accumulators, reading
-/// aggregate inputs straight from the stored columns: column inputs skip
-/// expression evaluation entirely, and only computed expressions
-/// late-materialize the full row. Mirrors [`BoundAgg::update`] exactly
-/// (`COUNT(*)` folds a non-NULL marker; column inputs fold the cell
-/// value, NULL where masked).
-#[allow(clippy::too_many_arguments)]
-fn update_aggs_at(
-    plan: &BlockPlan,
-    b_idx: usize,
-    total_aggs: usize,
+/// Fold the selected window rows `sel` into one base tuple's
+/// accumulators `accs` through the block's resolved `inputs`: typed
+/// columns use the batched [`Accumulator`] updates over their non-NULL
+/// values (NULL inputs are no-ops), `COUNT(*)` adds the row count, and
+/// every other input folds row by row in detail order.
+fn fold_selected(
+    inputs: &[AggInput<'_>],
     accs: &mut [Accumulator],
     b_row: &[Value],
-    cols: &ColumnSet,
-    row: usize,
-    row_scratch: &mut Vec<Value>,
-    scratch_at: &mut usize,
-    stats: &mut EvalStats,
-) -> Result<()> {
-    let base = b_idx * total_aggs + plan.agg_offset;
-    for (k, agg) in plan.aggs.iter().enumerate() {
-        let acc = &mut accs[base + k];
-        match &agg.input {
-            None => acc.update(&Value::Int(1)),
-            Some(BoundScalar::Column { scope: 1, index }) => {
-                acc.update(&cols.value_at(row, *index));
-            }
-            Some(BoundScalar::Column { scope: 0, index }) => acc.update(&b_row[*index]),
-            Some(BoundScalar::Literal(v)) => acc.update(v),
-            Some(e) => {
-                let r = scratch_row(cols, row, row_scratch, scratch_at);
-                let v = e.eval(&[b_row, r])?;
-                acc.update(&v);
-            }
-        }
-        stats.agg_updates += 1;
-    }
-    Ok(())
-}
-
-/// Decide whether a Hash/Interval block's detail-only residual mask is
-/// worth computing for this batch, and compute it if so. The mask costs
-/// one kernel pass over every window row; skipping it costs one
-/// interpreted residual eval per candidate — so it only pays off when the
-/// probe produced enough candidates to share it. The 25% density
-/// threshold is deliberately conservative: an interpreted eval is several
-/// times a kernel row op, so dense equality joins (≈1 candidate/row)
-/// always mask while selective probes keep the cheap row path. Either
-/// branch passes/rejects identical pairs and counts identical
-/// [`EvalStats`]; only [`KernelStats`] and wall-clock move.
-fn shared_mask(
-    plan: &BlockPlan,
-    view: &BatchView<'_>,
-    candidates: usize,
-    window_rows: usize,
-    mask: &mut Vec<bool>,
-) -> bool {
-    match &plan.residual_kernel {
-        Some(k) if plan.residual_detail_only && candidates * 4 >= window_rows => {
-            k.eval_mask(view, None, mask)
-        }
-        _ => false,
-    }
-}
-
-/// One Hash/Interval block's probe results for one detail window:
-/// flattened per-row candidate lists (`offsets[i]..offsets[i + 1]`
-/// indexes row `i`'s candidates in `flat`) and, when profitable, the
-/// block's detail-only residual mask. None of it depends on base-tuple
-/// status, so the row-ordered loop builds it for every block up front
-/// and only then walks the window rows in order.
-#[derive(Default)]
-struct WindowProbe {
-    flat: Vec<u32>,
-    offsets: Vec<u32>,
-    mask: Vec<bool>,
-    have_mask: bool,
-}
-
-impl WindowProbe {
-    /// Probe every window row through `plan`'s index (the typed sidecar or
-    /// `stab_f64` where the stored column allows), then decide on the
-    /// shared residual mask and count the block × window in `kernel`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn fill(
-        &mut self,
-        plan: &BlockPlan,
-        view: &BatchView<'_>,
-        cols: &ColumnSet,
-        win_start: usize,
-        win_len: usize,
-        key_scratch: &mut Vec<Value>,
-        stab_scratch: &mut Vec<u32>,
-        kernel: &mut KernelStats,
-    ) {
-        self.flat.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
-        match &plan.access {
-            Access::Hash {
-                index,
-                detail_cols,
-                typed,
-                ..
-            } => {
-                let keycol = typed.as_ref().map(|_| view.col(detail_cols[0]));
-                for i in 0..win_len {
-                    let cands = probe_hash(
-                        index,
-                        typed,
-                        keycol.as_ref(),
-                        detail_cols,
-                        cols,
-                        i,
-                        win_start + i,
-                        key_scratch,
-                    );
-                    self.flat.extend_from_slice(cands);
-                    self.offsets.push(self.flat.len() as u32);
-                }
-            }
-            Access::Interval { index, detail_col } => {
-                let col = view.col(*detail_col);
-                for i in 0..win_len {
-                    if col.nulls[i] {
-                        stab_scratch.clear();
-                    } else {
-                        match &col.data {
-                            ColData::Int(vals) => index.stab_f64(vals[i] as f64, stab_scratch),
-                            ColData::Float(vals) => index.stab_f64(vals[i], stab_scratch),
-                            _ => {
-                                index.stab(&cols.value_at(win_start + i, *detail_col), stab_scratch)
-                            }
-                        }
-                    }
-                    self.flat.extend_from_slice(stab_scratch);
-                    self.offsets.push(self.flat.len() as u32);
-                }
-            }
-            Access::Scan => unreachable!("scan access has no per-row candidate lists"),
-        }
-        self.fill_mask(plan, view, self.flat.len(), win_len, kernel);
-    }
-
-    /// Decide on `plan`'s shared residual mask for a window whose probe
-    /// produced `candidates` pairs, and count the block × window in
-    /// `kernel`. Blocks sharing one probe each call this for their own
-    /// residual.
-    #[inline]
-    fn fill_mask(
-        &mut self,
-        plan: &BlockPlan,
-        view: &BatchView<'_>,
-        candidates: usize,
-        win_len: usize,
-        kernel: &mut KernelStats,
-    ) {
-        self.have_mask = shared_mask(plan, view, candidates, win_len, &mut self.mask);
-        if plan.residual.is_none() || self.have_mask {
-            kernel.rows_vectorized += win_len as u64;
-        } else {
-            kernel.rows_row_path += win_len as u64;
-        }
-    }
-
-    /// Window row `i`'s candidate base tuples.
-    #[inline]
-    fn candidates(&self, i: usize) -> &[u32] {
-        &self.flat[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
-/// Hash-probe one detail row, preferring the typed sidecar when the
-/// stored column's type matches it; otherwise the generic slice probe
-/// through a reused scratch key. String probes never rehash: the
-/// dictionary's cached per-distinct-value hash is forwarded to the
-/// sidecar, so a probe costs a code lookup plus (on hash hit) one bytes
-/// compare. Cross-type numeric equality (`Int(1) = Float(1.0)`) only
-/// ever reaches the generic path: the sidecar is not built over float
-/// keys and is not consulted for non-matching column types.
-#[allow(clippy::too_many_arguments)]
-fn probe_hash<'a>(
-    index: &'a HashIndex,
-    typed: &'a Option<TypedKeyIndex>,
-    keycol: Option<&ColView<'_>>,
-    detail_cols: &[usize],
-    cols: &ColumnSet,
-    i: usize,
-    row: usize,
-    key_scratch: &mut Vec<Value>,
-) -> &'a [u32] {
-    if let (Some(t), Some(col)) = (typed.as_ref(), keycol) {
-        if col.is_null(i) {
-            return &[];
-        }
-        match (&col.data, t) {
-            (ColData::Int(vals), TypedKeyIndex::Int(_)) => return t.probe_int(vals[i]),
-            (
-                ColData::Str {
-                    codes,
-                    dict,
-                    dict_hashes,
-                },
-                TypedKeyIndex::Str(_),
-            ) => {
-                let d = codes[i] as usize;
-                return t.probe_str(dict_hashes[d], &dict[d]);
-            }
-            _ => {}
-        }
-    }
-    key_scratch.clear();
-    key_scratch.extend(detail_cols.iter().map(|&c| cols.value_at(row, c)));
-    index.probe(key_scratch)
-}
-
-/// Fold the selected window rows into one base tuple's accumulators.
-/// Typed columns use the batched [`Accumulator`] updates; base-constant
-/// and literal inputs skip expression evaluation; other stored columns
-/// fold the cell value row by row; only computed expressions
-/// late-materialize full rows through the shared scratch. `agg_updates`
-/// counts one per aggregate per selected row, exactly like the row path.
-#[allow(clippy::too_many_arguments)]
-fn update_aggs_batched(
-    plan: &BlockPlan,
-    b_idx: usize,
-    total_aggs: usize,
-    accs: &mut [Accumulator],
-    b_row: &[Value],
-    view: &BatchView<'_>,
     cols: &ColumnSet,
     win_start: usize,
-    sel: &[u32],
-    stats: &mut EvalStats,
-    int_scratch: &mut Vec<i64>,
-    float_scratch: &mut Vec<f64>,
-    row_scratch: &mut Vec<Value>,
-    scratch_at: &mut usize,
+    s: &mut Scratch,
 ) -> Result<()> {
-    let base = b_idx * total_aggs + plan.agg_offset;
-    for (k, agg) in plan.aggs.iter().enumerate() {
-        let acc = &mut accs[base + k];
-        match &agg.input {
-            None => acc.add_count_star(sel.len() as i64),
-            Some(BoundScalar::Column { scope: 1, index }) => {
-                let col = view.col(*index);
-                match &col.data {
-                    ColData::Int(vals) => {
-                        int_scratch.clear();
-                        int_scratch.extend(
-                            sel.iter()
-                                .filter(|&&i| !col.is_null(i as usize))
-                                .map(|&i| vals[i as usize]),
-                        );
-                        acc.update_ints(int_scratch);
-                    }
-                    ColData::Float(vals) => {
-                        float_scratch.clear();
-                        float_scratch.extend(
-                            sel.iter()
-                                .filter(|&&i| !col.is_null(i as usize))
-                                .map(|&i| vals[i as usize]),
-                        );
-                        acc.update_floats(float_scratch);
-                    }
-                    _ => {
-                        for &i in sel {
-                            acc.update(&cols.value_at(win_start + i as usize, *index));
-                        }
-                    }
-                }
+    let sel = &s.sel[..];
+    for (acc, &input) in accs.iter_mut().zip(inputs) {
+        match input {
+            AggInput::Star => acc.add_count_star(sel.len() as i64),
+            AggInput::Int(vals, nulls) => {
+                s.ints.clear();
+                s.ints.extend(
+                    sel.iter()
+                        .filter(|&&i| !nulls[i as usize])
+                        .map(|&i| vals[i as usize]),
+                );
+                acc.update_ints(&s.ints);
             }
-            Some(BoundScalar::Column { scope: 0, index }) => {
-                let v = &b_row[*index];
-                for _ in sel {
-                    acc.update(v);
-                }
+            AggInput::Float(vals, nulls) => {
+                s.floats.clear();
+                s.floats.extend(
+                    sel.iter()
+                        .filter(|&&i| !nulls[i as usize])
+                        .map(|&i| vals[i as usize]),
+                );
+                acc.update_floats(&s.floats);
             }
-            Some(BoundScalar::Literal(v)) => {
-                for _ in sel {
-                    acc.update(v);
-                }
-            }
-            Some(e) => {
+            _ => {
                 for &i in sel {
-                    let row = win_start + i as usize;
-                    let r = scratch_row(cols, row, row_scratch, scratch_at);
-                    let v = e.eval(&[b_row, r])?;
-                    acc.update(&v);
+                    let i = i as usize;
+                    input.fold(acc, b_row, cols, i, win_start + i, &mut s.row)?;
                 }
             }
         }
-        stats.agg_updates += sel.len() as u64;
     }
     Ok(())
 }
@@ -1146,11 +1316,14 @@ fn update_aggs_batched(
 /// finish-early fire at the detail tuple that proves the outcome, so the
 /// order is exactly detail row, then block, then candidate: the order of
 /// tuple-at-a-time evaluation, and a tuple retires at once. What does not
-/// depend on base-tuple status is hoisted out per window: each
-/// Hash/Interval block's candidate lists and its detail-only residual
-/// mask ([`WindowProbe`]). The row walk then applies the [`Statuses`]
-/// bookkeeping; full rows are late-materialized only for an interpreted
-/// residual, an `unless_also` θ, or a computed aggregate input. The loop
+/// depend on base-tuple status is resolved per window: each block's
+/// aggregate inputs, each Hash/Interval block's detail-only residual mask
+/// ([`BlockWindow`]) and its probe ([`RowProbe`]). The row walk then probes
+/// each probe source once per row (the CSR slice for an Int key), walks
+/// that row's candidates through every block of its group, and applies
+/// the [`Statuses`] bookkeeping; full rows are late-materialized only for
+/// an interpreted residual, an `unless_also` θ, or a computed aggregate
+/// input. The loop
 /// stops at the first window that finds every tuple retired, so
 /// `stats.detail_scanned` counts only the rows actually read. One call is
 /// one scheduling morsel.
@@ -1172,7 +1345,14 @@ pub(crate) fn scan_detail_completion(
 
     debug_assert!(!statuses.waved);
     let flags = statuses.active_flags();
-    let active = |b: usize| flags[b].load(Ordering::Relaxed);
+    let ctx = ScanCtx {
+        cols,
+        plans: blocks,
+        base_rows,
+        statuses: Some(statuses),
+        flags: Some(flags),
+        total_aggs,
+    };
     // Active list for Scan access; compacted lazily after retirements.
     let has_scan_block = blocks.iter().any(|b| matches!(b.access, Access::Scan));
     let mut scan_list: Vec<u32> = if has_scan_block {
@@ -1181,11 +1361,8 @@ pub(crate) fn scan_detail_completion(
         Vec::new()
     };
     let mut retired_at_compact = stats.dead_early + stats.done_early;
-    let mut probes: Vec<WindowProbe> = blocks.iter().map(|_| WindowProbe::default()).collect();
-    let mut stab_scratch: Vec<u32> = Vec::new();
-    let mut key_scratch: Vec<Value> = Vec::new();
-    let mut row_scratch: Vec<Value> = Vec::new();
-    let mut scratch_at: usize = usize::MAX;
+    let mut windows: Vec<BlockWindow> = blocks.iter().map(|_| BlockWindow::default()).collect();
+    let mut s = Scratch::default();
 
     let mut win_start = 0;
     while win_start < cols.len() && !statuses.settled() {
@@ -1193,102 +1370,49 @@ pub(crate) fn scan_detail_completion(
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
-        for (bi, block) in blocks.iter().enumerate() {
-            if matches!(block.access, Access::Scan) {
-                continue;
-            }
-            // A block keyed like an earlier one reads that block's
-            // candidate lists and computes only its own mask.
-            if block.probe_source == bi {
-                probes[bi].fill(
-                    block,
-                    &view,
-                    cols,
-                    win_start,
-                    win_len,
-                    &mut key_scratch,
-                    &mut stab_scratch,
-                    kernel,
-                );
-            } else {
-                let candidates = probes[block.probe_source].flat.len();
-                probes[bi].fill_mask(block, &view, candidates, win_len, kernel);
-            }
-        }
+        let probes: Vec<Option<RowProbe>> = blocks
+            .iter()
+            .enumerate()
+            .map(|(bi, block)| {
+                windows[bi].fill(block, &view, Some(statuses), kernel);
+                (block.probe_source == bi && !matches!(block.access, Access::Scan))
+                    .then(|| RowProbe::new(&block.access, &view, base_rows))
+            })
+            .collect();
+        // One row's hash candidates per probe source, probed once per row
+        // and read by every block of the source's group.
+        let mut keyed: Vec<&[u32]> = vec![&[]; blocks.len()];
         for i in 0..win_len {
             let row = win_start + i;
-            for (bi, (block, probe)) in blocks.iter().zip(&probes).enumerate() {
-                let admit = statuses.watches(bi);
-                macro_rules! process {
-                    ($b_idx:expr) => {{
-                        let b_idx = $b_idx as usize;
-                        if active(b_idx) {
-                            stats.probe_candidates += 1;
-                            let b_row: &[Value] = &base_rows[b_idx];
-                            let passes = match &block.residual {
-                                Some(res) => {
-                                    stats.theta_evals += 1;
-                                    if probe.have_mask {
-                                        probe.mask[i]
-                                    } else {
-                                        let r = scratch_row(
-                                            cols,
-                                            row,
-                                            &mut row_scratch,
-                                            &mut scratch_at,
-                                        );
-                                        res.eval(&[b_row, r])?.passes()
-                                    }
-                                }
-                                None => true,
-                            };
-                            let folds = if passes && admit {
-                                statuses.admits(
-                                    bi,
-                                    b_idx,
-                                    b_row,
-                                    blocks,
-                                    cols,
-                                    row,
-                                    &mut row_scratch,
-                                    &mut scratch_at,
-                                    stats,
-                                )?
-                            } else {
-                                passes
-                            };
-                            if folds {
-                                update_aggs_at(
-                                    block,
-                                    b_idx,
-                                    total_aggs,
-                                    accs,
-                                    b_row,
-                                    cols,
-                                    row,
-                                    &mut row_scratch,
-                                    &mut scratch_at,
-                                    stats,
-                                )?;
-                            }
+            for (bi, block) in blocks.iter().enumerate() {
+                let w = &windows[bi];
+                let cands: &[u32] = match block.access {
+                    Access::Scan => {
+                        // Scan residuals read the base tuple, so they are
+                        // interpreted per pair: one row-path unit each.
+                        let evaluated = stats.probe_candidates;
+                        ctx.walk(bi, w, &scan_list, i, row, accs, &mut s.row, stats)?;
+                        kernel.rows_row_path += stats.probe_candidates - evaluated;
+                        continue;
+                    }
+                    Access::Hash(_) => {
+                        if block.probe_source == bi {
+                            keyed[bi] = probes[bi]
+                                .as_ref()
+                                .and_then(|p| p.keyed(i, row, cols, &mut s.key))
+                                .expect("a hash probe source resolves its keyed probe");
                         }
-                    }};
-                }
-
-                if matches!(block.access, Access::Scan) {
-                    // Scan residuals read the base tuple, so they are
-                    // interpreted per pair: one row-path unit each.
-                    let evaluated = stats.probe_candidates;
-                    let list = std::mem::take(&mut scan_list);
-                    for &b_idx in &list {
-                        process!(b_idx);
+                        keyed[block.probe_source]
                     }
-                    scan_list = list;
-                    kernel.rows_row_path += stats.probe_candidates - evaluated;
+                    Access::Interval { .. } => probes[bi]
+                        .as_ref()
+                        .expect("a band block is its own probe source")
+                        .candidates(i, row, cols, &mut s.key, &mut s.stab),
+                };
+                if w.may_pass(i) {
+                    ctx.walk(bi, w, cands, i, row, accs, &mut s.row, stats)?;
                 } else {
-                    for &b_idx in probes[block.probe_source].candidates(i) {
-                        process!(b_idx);
-                    }
+                    ctx.count_rejected(live_count(cands, Some(flags)), stats);
                 }
             }
             // Lazily compact the scan list once enough tuples retired.
@@ -1297,7 +1421,7 @@ pub(crate) fn scan_detail_completion(
                 if retired > retired_at_compact
                     && (retired - retired_at_compact) * 8 >= scan_list.len().max(8) as u64
                 {
-                    scan_list.retain(|&b| active(b as usize));
+                    scan_list.retain(|&b| flags[b as usize].load(Ordering::Relaxed));
                     retired_at_compact = retired;
                 }
             }
@@ -1345,27 +1469,23 @@ pub(crate) fn plan_blocks(
             .map(BatchPredicate::detail_only)
             .unwrap_or(false);
         let probe_source = match &access {
-            Access::Hash {
-                base_cols,
-                detail_cols,
-                ..
-            } => plans.iter().position(|p: &BlockPlan| {
-                matches!(&p.access, Access::Hash { base_cols: b, detail_cols: d, .. }
-                    if b == base_cols && d == detail_cols)
+            Access::Hash(h) => plans.iter().position(|p: &BlockPlan| {
+                matches!(&p.access, Access::Hash(o)
+                    if o.base_cols == h.base_cols && o.detail_cols == h.detail_cols)
             }),
             _ => None,
         }
         .unwrap_or(plans.len());
         let kernel_label = match &access {
-            Access::Hash {
+            Access::Hash(HashAccess {
                 typed: Some(TypedKeyIndex::Int(_)),
                 ..
-            } => "hash-int",
-            Access::Hash {
+            }) => "hash-int",
+            Access::Hash(HashAccess {
                 typed: Some(TypedKeyIndex::Str(_)),
                 ..
-            } => "hash-str",
-            Access::Hash { .. } => "hash",
+            }) => "hash-str",
+            Access::Hash(_) => "hash",
             Access::Interval { .. } => "band",
             Access::Scan if residual_kernel.is_some() => "scan-mask",
             Access::Scan => "scan-rows",
@@ -1380,8 +1500,15 @@ pub(crate) fn plan_blocks(
             residual_detail_only,
             kernel_label,
             probe_source,
+            probe_group: Vec::new(),
         });
         agg_offset += block.aggs.len();
+    }
+    for b in 0..plans.len() {
+        if !matches!(plans[b].access, Access::Scan) {
+            let source = plans[b].probe_source;
+            plans[source].probe_group.push(b);
+        }
     }
     Ok(plans)
 }
@@ -1416,11 +1543,10 @@ fn choose_access(
         }
     }
     if !base_cols.is_empty() {
-        let index = HashIndex::build_rows(base_rows.iter().map(|r| r.as_ref()), &base_cols);
+        // One index build, whichever of the typed and the (lazy) generic
+        // index the probes end up using: `index_builds` is a gated
+        // semantic counter, the index's form a physical detail.
         stats.index_builds += 1;
-        // Typed sidecar for the common single-column key. Does not count
-        // as an index build: it is a physical detail of the same probe
-        // plan, and `index_builds` is a gated semantic counter.
         let typed = if base_cols.len() == 1 {
             TypedKeyIndex::build_rows(base_rows.iter().map(|r| r.as_ref()), base_cols[0])
         } else {
@@ -1428,12 +1554,12 @@ fn choose_access(
         };
         let residual = residual_of(&conjuncts, &used);
         return Ok((
-            Access::Hash {
-                index,
+            Access::Hash(HashAccess {
                 base_cols,
                 detail_cols,
                 typed,
-            },
+                generic: OnceLock::new(),
+            }),
             residual,
         ));
     }

@@ -105,6 +105,108 @@ fn relation(qualifier: &'static str, max_rows: usize) -> impl Strategy<Value = R
     })
 }
 
+/// Keys over a wide, negative domain: `0..5` stretched by 1,000,003 and
+/// shifted down, so every hash probe goes through the sparse CSR layout.
+fn wide_key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        4 => (0i64..5).prop_map(|k| Value::Int((k - 2) * 1_000_003)),
+        1 => Just(Value::Null),
+    ]
+}
+
+/// Finite float cells, `-0.0` included. With `exact`, every value and
+/// every sum of up to 16 of them is a binary fraction that `f64` holds
+/// exactly, so partial sums merged in any order give one result; without
+/// it, sums round and depend on the fold order.
+fn float_value(exact: bool) -> impl Strategy<Value = Value> {
+    const EXACT: [f64; 7] = [-0.0, 0.0, 0.5, -1.25, 2.75, 1024.0, -3.5];
+    const ROUNDING: [f64; 7] = [-0.0, 0.1, 1e16, -1e16, 3.3, 2.0, -7.7];
+    let domain = if exact { EXACT } else { ROUNDING };
+    prop_oneof![
+        4 => (0..domain.len()).prop_map(move |i| Value::Float(domain[i])),
+        1 => Just(Value::Null),
+    ]
+}
+
+/// A relation with wide Int keys `k` and a Float column `v`.
+fn float_relation(
+    qualifier: &'static str,
+    max_rows: usize,
+    exact: bool,
+) -> impl Strategy<Value = Relation> {
+    let schema = Schema::qualified(qualifier, &[("k", DataType::Int), ("v", DataType::Float)]);
+    proptest::collection::vec((wide_key(), float_value(exact)), 0..max_rows).prop_map(move |rows| {
+        Relation::from_parts(
+            schema.clone(),
+            rows.into_iter()
+                .map(|(k, v)| vec![k, v].into_boxed_slice())
+                .collect(),
+        )
+    })
+}
+
+/// The filtered reference: Definition 2.1's relation, the selection,
+/// then the `keep` projection.
+fn filtered_reference(
+    b: &Relation,
+    r: &Relation,
+    s: &GmdjSpec,
+    sel: &Predicate,
+    keep: Keep,
+) -> Relation {
+    let full = nested_loop_gmdj(b, r, s);
+    let bound = sel.bind(&[full.schema().as_ref()]).unwrap();
+    let rows = full
+        .rows()
+        .iter()
+        .filter(|row| bound.eval(&[row]).unwrap().passes())
+        .map(|row| match keep {
+            Keep::All => row.clone(),
+            Keep::BaseOnly => row[..b.schema().len()].to_vec().into_boxed_slice(),
+        })
+        .collect();
+    let schema = match keep {
+        Keep::All => full.schema().clone(),
+        Keep::BaseOnly => b.schema().clone(),
+    };
+    Relation::from_parts(schema, rows)
+}
+
+/// Rows as sorted `Debug` text: unlike `multiset_eq`, it tells `Int(1)`
+/// from `Float(1.0)` and `-0.0` from `0.0`, and prints every float in
+/// full, so two relations with equal text are bit-identical.
+fn exact_rows(rel: &Relation) -> Vec<String> {
+    let mut rows: Vec<String> = rel.rows().iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// Two blocks sharing θ₁'s correlation, the second folding `f` over the
+/// detail's `v`, and a count selection of the translation's shapes.
+fn filtered_case(
+    t1: Predicate,
+    t2: Predicate,
+    f: AggFunc,
+    sel_kind: usize,
+) -> (GmdjSpec, Predicate) {
+    let extra = if f == AggFunc::CountStar {
+        NamedAgg::count_star("x")
+    } else {
+        NamedAgg::new(f, col("R.v"), "x")
+    };
+    let s = GmdjSpec::new(vec![
+        AggBlock::count(t1.clone(), "c1"),
+        AggBlock::new(t1.and(t2), vec![NamedAgg::count_star("c2"), extra]),
+    ]);
+    let sel = match sel_kind {
+        0 => col("c1").gt(lit(0)),
+        1 => col("c1").eq(lit(0)),
+        2 => col("c1").gt(lit(0)).and(col("c2").eq(lit(0))),
+        _ => col("c2").eq(col("c1")),
+    };
+    (s, sel)
+}
+
 fn cmp_op() -> impl Strategy<Value = CmpOp> {
     prop_oneof![
         Just(CmpOp::Eq),
@@ -235,21 +337,7 @@ proptest! {
         keep_base in proptest::bool::ANY,
         partition in proptest::option::of(1usize..5),
     ) {
-        let extra = if f == AggFunc::CountStar {
-            NamedAgg::count_star("x")
-        } else {
-            NamedAgg::new(f, col("R.v"), "x")
-        };
-        let s = GmdjSpec::new(vec![
-            AggBlock::count(t1.clone(), "c1"),
-            AggBlock::new(t1.and(t2), vec![NamedAgg::count_star("c2"), extra]),
-        ]);
-        let sel = match sel_kind {
-            0 => col("c1").gt(lit(0)),
-            1 => col("c1").eq(lit(0)),
-            2 => col("c1").gt(lit(0)).and(col("c2").eq(lit(0))),
-            _ => col("c2").eq(col("c1")),
-        };
+        let (s, sel) = filtered_case(t1, t2, f, sel_kind);
         let keep = if keep_base { Keep::BaseOnly } else { Keep::All };
         let plan = if keep_base { derive_completion(&sel, &s, true) } else { None };
         let seq_policy = ExecPolicy::sequential().with_partition_rows(partition);
@@ -364,6 +452,74 @@ proptest! {
                     prop_assert!(node.kernel.batches > 0, "policy={policy:?}");
                 }
             }
+        }
+    }
+
+    /// Typed Float aggregate inputs under every `AggFunc` and Int keys
+    /// spread over a wide, negative domain (the sparse CSR layout) give
+    /// the Definition 2.1 relation bit for bit under every policy and
+    /// probe strategy, with and without base partitioning — the plain
+    /// GMDJ, and the filtered one with its completion plan, which every
+    /// local policy runs in waves (or as one row-ordered item). The float
+    /// cells are exact binary fractions, so the partial accumulators of
+    /// parallel and distributed runs merge to the same bits.
+    #[test]
+    fn typed_float_inputs_and_sparse_keys_match_the_reference(
+        b in float_relation("B", 10, true),
+        r in float_relation("R", 16, true),
+        s in spec(),
+        t1 in theta(),
+        t2 in theta(),
+        f in agg_func(),
+        sel_kind in 0usize..4,
+        keep_base in proptest::bool::ANY,
+        partition in proptest::option::of(1usize..5),
+    ) {
+        let reference = exact_rows(&nested_loop_gmdj(&b, &r, &s));
+        let (fs, sel) = filtered_case(t1, t2, f, sel_kind);
+        let keep = if keep_base { Keep::BaseOnly } else { Keep::All };
+        let plan = derive_completion(&sel, &fs, keep_base);
+        let filtered_ref = exact_rows(&filtered_reference(&b, &r, &fs, &sel, keep));
+        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
+            for policy in [
+                ExecPolicy::sequential(),
+                ExecPolicy::parallel(3),
+                ExecPolicy::distributed(2),
+            ] {
+                let policy = policy.with_probe(probe).with_partition_rows(partition);
+                let (got, _) = plain(policy, &b, &r, &s);
+                prop_assert_eq!(&exact_rows(&got), &reference, "policy={:?}", policy);
+                let (got, _) = filtered(policy, &b, &r, &fs, Some(&sel), keep, plan.as_ref());
+                prop_assert_eq!(&exact_rows(&got), &filtered_ref, "filtered, policy={:?}", policy);
+            }
+        }
+    }
+
+    /// Without exact fractions float sums round, so only a fold in
+    /// detail-row order reproduces the reference's bits: every
+    /// sequential evaluation folds each accumulator in that order, under
+    /// either probe strategy, any partitioning and waved completion.
+    #[test]
+    fn sequential_float_folds_keep_detail_row_order(
+        b in float_relation("B", 10, false),
+        r in float_relation("R", 16, false),
+        s in spec(),
+        t1 in theta(),
+        t2 in theta(),
+        f in agg_func(),
+        sel_kind in 0usize..4,
+        partition in proptest::option::of(1usize..5),
+    ) {
+        let reference = exact_rows(&nested_loop_gmdj(&b, &r, &s));
+        let (fs, sel) = filtered_case(t1, t2, f, sel_kind);
+        let plan = derive_completion(&sel, &fs, false);
+        let filtered_ref = exact_rows(&filtered_reference(&b, &r, &fs, &sel, Keep::All));
+        for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
+            let policy = ExecPolicy::sequential().with_probe(probe).with_partition_rows(partition);
+            let (got, _) = plain(policy, &b, &r, &s);
+            prop_assert_eq!(&exact_rows(&got), &reference, "probe={:?}", probe);
+            let (got, _) = filtered(policy, &b, &r, &fs, Some(&sel), Keep::All, plan.as_ref());
+            prop_assert_eq!(&exact_rows(&got), &filtered_ref, "filtered, probe={:?}", probe);
         }
     }
 

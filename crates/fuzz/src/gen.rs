@@ -6,6 +6,16 @@
 //! EXISTS/NOT EXISTS, IN/NOT IN, boolean structure with NOT/OR, linear
 //! nesting to depth 3, and non-neighboring correlation (an inner block
 //! referencing a grandparent's attributes — the Theorem 3.3/3.4 shape).
+//!
+//! Each case also draws, from its seed, an order-preserving image of the
+//! value domain, `v ↦ v × stride + offset` with stride 1 or 1,000,003 and
+//! offset 0 or −2, applied to cells and literals alike. Comparisons among
+//! cells, literals and their MIN, MAX and AVG keep their outcomes, while
+//! hash keys become sparse or negative, so the differential check covers
+//! both layouts of the engine's key index. COUNT, COUNT(*) and SUM are
+//! not images of the domain (a count stays `0..=max_rows`; a sum gains
+//! `n × offset`), so a case comparing against one keeps the identity
+//! domain, where values and counts still tie.
 
 use crate::rng::SplitMix64;
 use crate::spec::{Agg, ColRef, FuzzCase, Op, Operand, Pred, Projection, QuerySpec, SubSpec};
@@ -17,9 +27,9 @@ use crate::spec::{Agg, ColRef, FuzzCase, Op, Operand, Pred, Projection, QuerySpe
 pub struct GenConfig {
     /// Maximum rows per generated table.
     pub max_rows: usize,
-    /// Inclusive upper bound of the integer value domain `0..=max_value`.
-    /// Kept tiny so collisions, empty correlated ranges, and boundary
-    /// comparisons are all common.
+    /// Inclusive upper bound of the integer value domain `0..=max_value`,
+    /// before the case's order-preserving remap. Kept tiny so collisions,
+    /// empty correlated ranges, and boundary comparisons are all common.
     pub max_value: i64,
     /// Probability (percent) that a generated cell is NULL.
     pub null_pct: u64,
@@ -43,12 +53,59 @@ impl Default for GenConfig {
 
 const TABLES: [&str; 3] = ["B", "R", "S"];
 const COLUMNS: [&str; 2] = ["a", "b"];
+/// The value-domain remaps a case draws from: dense or sparse keys,
+/// non-negative or reaching below zero.
+const STRIDES: [i64; 2] = [1, 1_000_003];
+const OFFSETS: [i64; 2] = [0, -2];
 
 struct Gen<'a> {
     rng: SplitMix64,
     cfg: &'a GenConfig,
+    /// Whether some generated `AggCmp` compares against COUNT, COUNT(*)
+    /// or SUM.
+    counts_rows: bool,
     alias_counter: usize,
     subqueries_left: usize,
+}
+
+/// The `(stride, offset)` value remap of the case for `seed`: the
+/// identity when the case `counts_rows`, else drawn from a stream of its
+/// own, so the rest of the case is what the seed generated before the
+/// remap existed.
+fn value_domain(seed: u64, counts_rows: bool) -> (i64, i64) {
+    if counts_rows {
+        return (1, 0);
+    }
+    let mut rng = SplitMix64::new(seed ^ 0x646f_6d61_696e);
+    (*rng.pick(&STRIDES), *rng.pick(&OFFSETS))
+}
+
+/// Apply `remap` to every literal of `p`, subqueries included.
+fn remap_literals(p: &mut Pred, remap: &impl Fn(i64) -> i64) {
+    let lit = |o: &mut Operand| {
+        if let Operand::Lit(Some(v)) = o {
+            *v = remap(*v);
+        }
+    };
+    match p {
+        Pred::True | Pred::IsNull { .. } => {}
+        Pred::Cmp { left, right, .. } => {
+            lit(left);
+            lit(right);
+        }
+        Pred::Exists { sub, .. } => remap_literals(&mut sub.pred, remap),
+        Pred::In { left, sub, .. }
+        | Pred::Quant { left, sub, .. }
+        | Pred::AggCmp { left, sub, .. } => {
+            lit(left);
+            remap_literals(&mut sub.pred, remap);
+        }
+        Pred::And(a, b) | Pred::Or(a, b) => {
+            remap_literals(a, remap);
+            remap_literals(b, remap);
+        }
+        Pred::Not(q) => remap_literals(q, remap),
+    }
 }
 
 /// Generate the case for one seed.
@@ -56,11 +113,12 @@ pub fn generate_case(seed: u64, cfg: &GenConfig) -> FuzzCase {
     let mut g = Gen {
         rng: SplitMix64::new(seed),
         cfg,
+        counts_rows: false,
         alias_counter: 0,
         subqueries_left: cfg.max_subqueries,
     };
 
-    let tables = TABLES
+    let mut tables: Vec<crate::spec::TableSpec> = TABLES
         .iter()
         .map(|name| {
             let rows = g.rng.below(cfg.max_rows as u64 + 1) as usize;
@@ -77,7 +135,16 @@ pub fn generate_case(seed: u64, cfg: &GenConfig) -> FuzzCase {
     let outer_table = g.rng.pick(&TABLES).to_string();
     let alias = g.fresh_alias(&outer_table);
     let scope = vec![alias.clone()];
-    let predicate = g.block_pred(&scope, 0);
+    let mut predicate = g.block_pred(&scope, 0);
+    let (stride, offset) = value_domain(seed, g.counts_rows);
+    let remap = |v: i64| v * stride + offset;
+    for v in tables
+        .iter_mut()
+        .flat_map(|t| t.rows.iter_mut().flatten().flatten())
+    {
+        *v = remap(*v);
+    }
+    remap_literals(&mut predicate, &remap);
     let projection = match g.rng.below(4) {
         0 => Projection::Column(g.column().to_string()),
         1 => Projection::DistinctColumn(g.column().to_string()),
@@ -104,8 +171,13 @@ impl Gen<'_> {
         if self.rng.chance(self.cfg.null_pct) {
             None
         } else {
-            Some(self.rng.below(self.cfg.max_value as u64 + 1) as i64)
+            Some(self.value())
         }
+    }
+
+    /// A non-NULL value, before the case's remap.
+    fn value(&mut self) -> i64 {
+        self.rng.below(self.cfg.max_value as u64 + 1) as i64
     }
 
     fn column(&mut self) -> &'static str {
@@ -124,7 +196,7 @@ impl Gen<'_> {
         if self.rng.chance(20) {
             Operand::Lit(None)
         } else {
-            Operand::Lit(Some(self.rng.below(self.cfg.max_value as u64 + 1) as i64))
+            Operand::Lit(Some(self.value()))
         }
     }
 
@@ -239,12 +311,18 @@ impl Gen<'_> {
                 all: self.rng.chance(50),
                 sub,
             },
-            _ => Pred::AggCmp {
-                left: self.operand(scope),
-                op: self.op(),
-                func: *self.rng.pick(&Agg::ALL),
-                sub,
-            },
+            _ => {
+                let left = self.operand(scope);
+                let op = self.op();
+                let func = *self.rng.pick(&Agg::ALL);
+                self.counts_rows |= matches!(func, Agg::CountStar | Agg::Count | Agg::Sum);
+                Pred::AggCmp {
+                    left,
+                    op,
+                    func,
+                    sub,
+                }
+            }
         }
     }
 }
@@ -271,6 +349,41 @@ mod tests {
         let b = generate_case(987, &cfg);
         assert_eq!(a.sql, b.sql);
         assert_eq!(a.tables, b.tables);
+    }
+
+    /// Seeds reach every value remap, and a case's cells lie in its
+    /// remapped domain. A case comparing against COUNT, COUNT(*) or SUM
+    /// keeps the identity domain, so its values still tie with counts.
+    #[test]
+    fn value_domains_are_remapped_per_case() {
+        let cfg = GenConfig::default();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut counting = 0;
+        for i in 0..400 {
+            let seed = case_seed(3, i);
+            let case = generate_case(seed, &cfg);
+            let counts_rows = case.sql.contains("COUNT(") || case.sql.contains("SUM(");
+            let (stride, offset) = if counts_rows {
+                counting += 1;
+                (1, 0)
+            } else {
+                value_domain(seed, false)
+            };
+            seen.insert((stride, offset));
+            for v in case
+                .tables
+                .iter()
+                .flat_map(|t| t.rows.iter().flatten().flatten())
+            {
+                let k = (v - offset) / stride;
+                assert!(
+                    (0..=cfg.max_value).contains(&k) && k * stride + offset == *v,
+                    "seed {seed}: {v} is outside ({stride}, {offset})"
+                );
+            }
+        }
+        assert!(counting > 0, "no case compares against a count");
+        assert_eq!(seen.len(), STRIDES.len() * OFFSETS.len(), "{seen:?}");
     }
 
     /// The generator must cover every Section 2.1 construct within a

@@ -267,6 +267,49 @@ impl Accumulator {
         }
     }
 
+    /// Fold one non-NULL integer, exactly as `update(&Value::Int(v))`
+    /// would, without building the `Value` for the arithmetic functions.
+    #[inline]
+    pub fn update_int(&mut self, v: i64) {
+        match self {
+            Accumulator::CountStar { n } | Accumulator::Count { n } => *n += 1,
+            Accumulator::Sum { sum_i, seen, .. } => {
+                *sum_i = sum_i.wrapping_add(v);
+                *seen = true;
+            }
+            Accumulator::Avg { sum, n } => {
+                *sum += v as f64;
+                *n += 1;
+            }
+            _ => self.update(&Value::Int(v)),
+        }
+    }
+
+    /// Fold one non-NULL float, exactly as `update(&Value::Float(v))`
+    /// would: the algebraic (sum, count) state of AVG folds the `f64`
+    /// directly.
+    #[inline]
+    pub fn update_float(&mut self, v: f64) {
+        match self {
+            Accumulator::CountStar { n } | Accumulator::Count { n } => *n += 1,
+            Accumulator::Sum {
+                sum_f,
+                any_float,
+                seen,
+                ..
+            } => {
+                *sum_f += v;
+                *any_float = true;
+                *seen = true;
+            }
+            Accumulator::Avg { sum, n } => {
+                *sum += v;
+                *n += 1;
+            }
+            _ => self.update(&Value::Float(v)),
+        }
+    }
+
     /// Batched `COUNT(*)` update: fold `k` tuples at once. Exact for
     /// `CountStar` (the marker value never matters); any other function
     /// falls back to `k` marker updates, reproducing the row path.
@@ -641,6 +684,26 @@ mod tests {
         let mut star = Accumulator::new(CountStar);
         star.add_count_star(4);
         assert_eq!(star.finish(), Value::Int(4));
+    }
+
+    #[test]
+    fn single_typed_updates_equal_value_updates_for_every_function() {
+        use AggFunc::*;
+        let ints = [3i64, -1, 3, i64::MAX, 0];
+        let floats = [0.1f64, -0.0, 0.0, 1e16, -1e16, 2.5];
+        for f in [CountStar, Count, CountDistinct, Sum, Min, Max, Avg] {
+            let (mut typed, mut boxed) = (Accumulator::new(f), Accumulator::new(f));
+            for &v in &ints {
+                typed.update_int(v);
+                boxed.update(&Value::Int(v));
+            }
+            for &v in &floats {
+                typed.update_float(v);
+                boxed.update(&Value::Float(v));
+            }
+            // `PartialEq` compares the state bit-wise, floats included.
+            assert_eq!(typed, boxed, "{f}");
+        }
     }
 
     #[test]

@@ -79,6 +79,12 @@ impl<'a> BatchView<'a> {
         BatchView { cols, start, len }
     }
 
+    /// The window's first row in the viewed column set.
+    #[inline]
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -271,11 +277,36 @@ fn cmp_const_const(op: CmpOp, a: &Value, b: &Value, mask: &mut [bool]) -> bool {
     }
 }
 
+/// `op` as a lookup from an [`Ordering`]: index `ord as i8 + 1`, so a
+/// kernel row tests it without branching on the operator.
+#[inline]
+fn truth_table(op: CmpOp) -> [bool; 3] {
+    [
+        truth(op, Ordering::Less),
+        truth(op, Ordering::Equal),
+        truth(op, Ordering::Greater),
+    ]
+}
+
+/// AND `pass(i)` into every mask row whose `nulls` bits are all clear.
+/// Branch-free: every row evaluates `pass`, so it must be cheap and may
+/// read the placeholder a NULL row stores; a random pass pattern then
+/// costs no mispredicted branches.
+#[inline(always)]
+fn and_rows(mask: &mut [bool], nulls: [&[bool]; 2], pass: impl Fn(usize) -> bool) {
+    let [a, b] = nulls;
+    for (i, m) in mask.iter_mut().enumerate() {
+        *m &= !a[i] & !b[i] & pass(i);
+    }
+}
+
 /// AND `col op c` into `mask` row-wise, mirroring `Value::sql_cmp` per
 /// type pair: Int/Int via `i64` ordering, anything-Float via widened
-/// `f64::total_cmp`, Str via byte-wise ordering on the dictionary entry
-/// (equality prechecks the cached dictionary hash), Bool via `bool`
-/// ordering.
+/// `f64::total_cmp`, Str via byte-wise ordering on the dictionary entry,
+/// Bool via `bool` ordering. Equality on a dictionary string resolves the
+/// comparand to its one matching code per call when the dictionary is no
+/// longer than the window, and otherwise prechecks each row's cached
+/// dictionary hash.
 fn cmp_col_const(op: CmpOp, col: &ColView<'_>, c: &Value, mask: &mut [bool]) -> bool {
     if c.is_null() {
         // NULL comparand: every row is Unknown — no error regardless of
@@ -283,40 +314,20 @@ fn cmp_col_const(op: CmpOp, col: &ColView<'_>, c: &Value, mask: &mut [bool]) -> 
         fill_false(mask);
         return true;
     }
-    let nulls = col.nulls;
+    let t = truth_table(op);
+    let nulls = [col.nulls, col.nulls];
+    let pass = |ord: Ordering| t[(ord as i8 + 1) as usize];
     match (&col.data, c) {
-        (ColData::Int(vals), Value::Int(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !nulls[i] && truth(op, vals[i].cmp(b));
-                }
-            }
-            true
-        }
+        (ColData::Int(vals), Value::Int(b)) => and_rows(mask, nulls, |i| pass(vals[i].cmp(b))),
         (ColData::Int(vals), Value::Float(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !nulls[i] && truth(op, (vals[i] as f64).total_cmp(b));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass((vals[i] as f64).total_cmp(b)))
         }
         (ColData::Float(vals), Value::Int(b)) => {
             let b = *b as f64;
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !nulls[i] && truth(op, vals[i].total_cmp(&b));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass(vals[i].total_cmp(&b)))
         }
         (ColData::Float(vals), Value::Float(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !nulls[i] && truth(op, vals[i].total_cmp(b));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass(vals[i].total_cmp(b)))
         }
         (
             ColData::Str {
@@ -327,73 +338,46 @@ fn cmp_col_const(op: CmpOp, col: &ColView<'_>, c: &Value, mask: &mut [bool]) -> 
             Value::Str(b),
         ) => {
             if op == CmpOp::Eq {
-                // Hash the comparand once; each row rejects on one cached
-                // dictionary hash before ever touching string bytes.
+                // Dictionary entries are distinct, so at most one code
+                // holds the comparand.
                 let bh = hash_str(b);
-                for (i, m) in mask.iter_mut().enumerate() {
-                    if *m {
-                        let d = codes[i] as usize;
-                        *m = !nulls[i] && dict_hashes[d] == bh && dict[d].as_ref() == b.as_ref();
+                let holds = |d: usize| dict_hashes[d] == bh && dict[d].as_ref() == b.as_ref();
+                if dict.len() <= mask.len() {
+                    match (0..dict.len()).find(|&d| holds(d)) {
+                        Some(code) => and_rows(mask, nulls, |i| codes[i] as usize == code),
+                        None => fill_false(mask),
                     }
+                } else {
+                    and_rows(mask, nulls, |i| holds(codes[i] as usize));
                 }
             } else {
-                for (i, m) in mask.iter_mut().enumerate() {
-                    if *m {
-                        *m = !nulls[i]
-                            && truth(op, dict[codes[i] as usize].as_ref().cmp(b.as_ref()));
-                    }
-                }
+                and_rows(mask, nulls, |i| {
+                    pass(dict[codes[i] as usize].as_ref().cmp(b.as_ref()))
+                });
             }
-            true
         }
-        (ColData::Bool(vals), Value::Bool(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !nulls[i] && truth(op, vals[i].cmp(b));
-                }
-            }
-            true
-        }
+        (ColData::Bool(vals), Value::Bool(b)) => and_rows(mask, nulls, |i| pass(vals[i].cmp(b))),
         // Mixed column or incomparable type pair: the row path may error
         // (TypeMismatch) on some rows — fall back for exactness.
-        _ => false,
+        _ => return false,
     }
+    true
 }
 
 fn cmp_col_col(op: CmpOp, l: &ColView<'_>, r: &ColView<'_>, mask: &mut [bool]) -> bool {
-    let (ln, rn) = (l.nulls, r.nulls);
+    let t = truth_table(op);
+    let nulls = [l.nulls, r.nulls];
+    let pass = |ord: Ordering| t[(ord as i8 + 1) as usize];
     match (&l.data, &r.data) {
-        (ColData::Int(a), ColData::Int(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !ln[i] && !rn[i] && truth(op, a[i].cmp(&b[i]));
-                }
-            }
-            true
-        }
+        (ColData::Int(a), ColData::Int(b)) => and_rows(mask, nulls, |i| pass(a[i].cmp(&b[i]))),
         (ColData::Int(a), ColData::Float(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !ln[i] && !rn[i] && truth(op, (a[i] as f64).total_cmp(&b[i]));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass((a[i] as f64).total_cmp(&b[i])))
         }
         (ColData::Float(a), ColData::Int(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !ln[i] && !rn[i] && truth(op, a[i].total_cmp(&(b[i] as f64)));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass(a[i].total_cmp(&(b[i] as f64))))
         }
         (ColData::Float(a), ColData::Float(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !ln[i] && !rn[i] && truth(op, a[i].total_cmp(&b[i]));
-                }
-            }
-            true
+            and_rows(mask, nulls, |i| pass(a[i].total_cmp(&b[i])))
         }
         (
             ColData::Str {
@@ -411,35 +395,21 @@ fn cmp_col_col(op: CmpOp, l: &ColView<'_>, r: &ColView<'_>, mask: &mut [bool]) -
             // are never directly comparable; equality prechecks the two
             // cached dictionary hashes instead.
             if op == CmpOp::Eq {
-                for (i, m) in mask.iter_mut().enumerate() {
-                    if *m {
-                        let (da, db) = (ac[i] as usize, bc[i] as usize);
-                        *m = !ln[i]
-                            && !rn[i]
-                            && ah[da] == bh[db]
-                            && ad[da].as_ref() == bd[db].as_ref();
-                    }
-                }
+                and_rows(mask, nulls, |i| {
+                    let (da, db) = (ac[i] as usize, bc[i] as usize);
+                    ah[da] == bh[db] && ad[da].as_ref() == bd[db].as_ref()
+                });
             } else {
-                for (i, m) in mask.iter_mut().enumerate() {
-                    if *m {
-                        let (da, db) = (ac[i] as usize, bc[i] as usize);
-                        *m = !ln[i] && !rn[i] && truth(op, ad[da].as_ref().cmp(bd[db].as_ref()));
-                    }
-                }
+                and_rows(mask, nulls, |i| {
+                    let (da, db) = (ac[i] as usize, bc[i] as usize);
+                    pass(ad[da].as_ref().cmp(bd[db].as_ref()))
+                });
             }
-            true
         }
-        (ColData::Bool(a), ColData::Bool(b)) => {
-            for (i, m) in mask.iter_mut().enumerate() {
-                if *m {
-                    *m = !ln[i] && !rn[i] && truth(op, a[i].cmp(&b[i]));
-                }
-            }
-            true
-        }
-        _ => false,
+        (ColData::Bool(a), ColData::Bool(b)) => and_rows(mask, nulls, |i| pass(a[i].cmp(&b[i]))),
+        _ => return false,
     }
+    true
 }
 
 #[cfg(test)]

@@ -7,9 +7,13 @@
 //!
 //! * [`HashIndex`] — equality conjuncts `B.x = R.y` (correlation
 //!   predicates). "The indexing mechanism intrinsic to GMDJ evaluation"
-//!   (\[2\] in the paper).
+//!   (\[2\] in the paper). A single-column key of one primitive type
+//!   also gets a [`TypedKeyIndex`]; its Int form is an [`IntKeyIndex`]
+//!   in CSR layout.
 //! * [`IntervalIndex`] — band conjuncts `B.lo ≤ R.t < B.hi` (the Hours
 //!   dimension of the motivating example).
+
+use std::cmp::Ordering;
 
 use crate::fxhash::FxHashMap;
 use crate::relation::Relation;
@@ -86,6 +90,116 @@ impl HashIndex {
 /// compare.
 type StrBuckets = FxHashMap<u64, Vec<(std::sync::Arc<str>, Vec<u32>)>>;
 
+/// Integer keys in compressed sparse row (CSR) form: one offsets array
+/// and one flat row array. The rows of key slot `s` are
+/// `rows[offsets[s]..offsets[s + 1]]`, ascending, so a probe returns a
+/// borrowed slice and a key's candidate count is one subtraction.
+///
+/// The slot of a key is direct-addressed (`key − min`) when the key span
+/// is small next to the number of indexed rows (a dense key such as
+/// `custkey` 1..1000), and looked up in an Fx map otherwise.
+#[derive(Debug, Clone)]
+pub struct IntKeyIndex {
+    slots: IntSlots,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+#[derive(Debug, Clone)]
+enum IntSlots {
+    /// Slot `key − min`, for keys `min ..= min + slots − 1`.
+    Dense { min: i64 },
+    /// Slots numbered in order of each key's first row.
+    Sparse(FxHashMap<i64, u32>),
+}
+
+/// A key span of at most this many slots per indexed row (or per
+/// [`DENSE_MIN_ROWS`] rows, for tiny relations) is direct-addressed.
+const DENSE_SLOTS_PER_ROW: i128 = 4;
+const DENSE_MIN_ROWS: i128 = 16;
+
+impl IntKeyIndex {
+    /// Build from `(row, key)` pairs of the non-NULL keys, rows ascending,
+    /// by counting sort: each key's rows keep their order.
+    fn build(keys: &[(u32, i64)]) -> Self {
+        let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &(_, k)| {
+            (lo.min(k), hi.max(k))
+        });
+        // Computed in i128: `i64::MAX − i64::MIN + 1` does not fit an i64.
+        let span = i128::from(hi) - i128::from(lo) + 1;
+        let n = keys.len() as i128;
+        let (slots, slot_of): (IntSlots, Vec<u32>) =
+            if span <= DENSE_SLOTS_PER_ROW * n.max(DENSE_MIN_ROWS) {
+                let slot_of = keys
+                    .iter()
+                    .map(|&(_, k)| k.wrapping_sub(lo) as u64 as u32)
+                    .collect();
+                (IntSlots::Dense { min: lo }, slot_of)
+            } else {
+                let mut map: FxHashMap<i64, u32> = FxHashMap::default();
+                let slot_of = keys
+                    .iter()
+                    .map(|&(_, k)| {
+                        let next = map.len() as u32;
+                        *map.entry(k).or_insert(next)
+                    })
+                    .collect();
+                (IntSlots::Sparse(map), slot_of)
+            };
+        let n_slots = match &slots {
+            IntSlots::Dense { .. } => span as usize,
+            IntSlots::Sparse(map) => map.len(),
+        };
+        let mut offsets = vec![0u32; n_slots + 1];
+        for &s in &slot_of {
+            offsets[s as usize + 1] += 1;
+        }
+        for s in 0..n_slots {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut cursor = offsets[..n_slots].to_vec();
+        let mut rows = vec![0u32; keys.len()];
+        for (&(row, _), &s) in keys.iter().zip(&slot_of) {
+            let at = &mut cursor[s as usize];
+            rows[*at as usize] = row;
+            *at += 1;
+        }
+        IntKeyIndex {
+            slots,
+            offsets,
+            rows,
+        }
+    }
+
+    /// Row positions for an integer probe key, ascending; empty for a key
+    /// no row holds.
+    #[inline]
+    pub fn probe(&self, k: i64) -> &[u32] {
+        let slot = match &self.slots {
+            IntSlots::Dense { min } => {
+                // A key below `min` wraps to at least the slot count:
+                // the keys span fewer than 2^63 slots.
+                let s = k.wrapping_sub(*min) as u64;
+                if s >= (self.offsets.len() - 1) as u64 {
+                    return &[];
+                }
+                s as usize
+            }
+            IntSlots::Sparse(map) => match map.get(&k) {
+                Some(&s) => s as usize,
+                None => return &[],
+            },
+        };
+        &self.rows[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+    }
+
+    /// Whether slots are direct-addressed rather than looked up in a map.
+    #[cfg(test)]
+    fn is_dense(&self) -> bool {
+        matches!(self.slots, IntSlots::Dense { .. })
+    }
+}
+
 /// Typed single-column sidecar for a [`HashIndex`]: when every non-NULL
 /// key in the base relation is the same primitive type, probes from a
 /// matching typed batch column skip `Value` construction entirely.
@@ -96,8 +210,8 @@ type StrBuckets = FxHashMap<u64, Vec<(std::sync::Arc<str>, Vec<u32>)>>;
 /// [`HashIndex::probe`] path, which preserves cross-type equality.
 #[derive(Debug, Clone)]
 pub enum TypedKeyIndex {
-    /// All non-NULL keys are `Int`.
-    Int(FxHashMap<i64, Vec<u32>>),
+    /// All non-NULL keys are `Int`, in CSR form.
+    Int(IntKeyIndex),
     /// All non-NULL keys are `Str`, bucketed by precomputed Fx hash code
     /// ([`crate::fxhash::hash_str`]); collisions resolve by byte compare.
     Str(StrBuckets),
@@ -109,7 +223,7 @@ impl TypedKeyIndex {
     pub fn build_rows<'a>(rows: impl Iterator<Item = &'a [Value]>, col: usize) -> Option<Self> {
         enum B {
             Unknown,
-            Int(FxHashMap<i64, Vec<u32>>),
+            Int(Vec<(u32, i64)>),
             Str(StrBuckets),
         }
         let mut b = B::Unknown;
@@ -117,12 +231,8 @@ impl TypedKeyIndex {
             match &row[col] {
                 Value::Null => continue,
                 Value::Int(k) => match &mut b {
-                    B::Unknown => {
-                        let mut m: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-                        m.entry(*k).or_default().push(i as u32);
-                        b = B::Int(m);
-                    }
-                    B::Int(m) => m.entry(*k).or_default().push(i as u32),
+                    B::Unknown => b = B::Int(vec![(i as u32, *k)]),
+                    B::Int(keys) => keys.push((i as u32, *k)),
                     B::Str(_) => return None,
                 },
                 Value::Str(s) => {
@@ -151,17 +261,8 @@ impl TypedKeyIndex {
         }
         match b {
             B::Unknown => None,
-            B::Int(m) => Some(TypedKeyIndex::Int(m)),
+            B::Int(keys) => Some(TypedKeyIndex::Int(IntKeyIndex::build(&keys))),
             B::Str(m) => Some(TypedKeyIndex::Str(m)),
-        }
-    }
-
-    /// Row positions for an integer probe key.
-    #[inline]
-    pub fn probe_int(&self, k: i64) -> &[u32] {
-        match self {
-            TypedKeyIndex::Int(m) => m.get(&k).map(Vec::as_slice).unwrap_or(&[]),
-            TypedKeyIndex::Str(_) => &[],
         }
     }
 
@@ -207,10 +308,12 @@ impl IntervalIndex {
             }
         }
         entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut prefix_max_hi = Vec::with_capacity(entries.len());
-        let mut running = f64::NEG_INFINITY;
+        let mut prefix_max_hi: Vec<f64> = Vec::with_capacity(entries.len());
         for e in &entries {
-            running = running.max(e.1);
+            let running = match prefix_max_hi.last() {
+                Some(&m) if m.total_cmp(&e.1).is_ge() => m,
+                _ => e.1,
+            };
             prefix_max_hi.push(running);
         }
         IntervalIndex {
@@ -229,22 +332,27 @@ impl IntervalIndex {
 
     /// [`stab`](Self::stab) with the probe value already widened to `f64` —
     /// the batched scan calls this directly from typed Int/Float columns
-    /// without constructing a `Value`.
+    /// without constructing a `Value`. Bounds compare under
+    /// `f64::total_cmp`, as SQL comparison (`Value::sql_cmp`) does, so
+    /// `-0.0` sorts below `0.0`.
     pub fn stab_f64(&self, t: f64, out: &mut Vec<u32>) {
         out.clear();
+        // Below `t`'s upper bound: `t < hi`, or `t ≤ hi` when inclusive.
+        let below = |hi: f64| match t.total_cmp(&hi) {
+            Ordering::Less => true,
+            Ordering::Equal => self.hi_inclusive,
+            Ordering::Greater => false,
+        };
         // Last index with lo <= t.
-        let mut hi_idx = self.entries.partition_point(|e| e.0 <= t);
+        let mut hi_idx = self.entries.partition_point(|e| e.0.total_cmp(&t).is_le());
         while hi_idx > 0 {
             hi_idx -= 1;
             // If no interval at or before hi_idx can reach t, stop.
-            if self.prefix_max_hi[hi_idx] < t
-                || (!self.hi_inclusive && self.prefix_max_hi[hi_idx] <= t)
-            {
+            if !below(self.prefix_max_hi[hi_idx]) {
                 break;
             }
             let (_, hi, row) = self.entries[hi_idx];
-            let covered = if self.hi_inclusive { t <= hi } else { t < hi };
-            if covered {
+            if below(hi) {
                 out.push(row);
             }
         }
@@ -339,11 +447,115 @@ mod tests {
             vec![Value::Null],
             vec![Value::Int(1)],
         ];
-        let idx = TypedKeyIndex::build_rows(rows.iter().map(|r| r.as_slice()), 0)
-            .expect("all-Int keys build a typed sidecar");
-        assert_eq!(idx.probe_int(1), &[0, 3]);
-        assert_eq!(idx.probe_int(2), &[1]);
-        assert_eq!(idx.probe_int(9), &[] as &[u32]);
+        let Some(TypedKeyIndex::Int(idx)) =
+            TypedKeyIndex::build_rows(rows.iter().map(|r| r.as_slice()), 0)
+        else {
+            panic!("all-Int keys build a typed CSR index");
+        };
+        assert_eq!(idx.probe(1), &[0, 3]);
+        assert_eq!(idx.probe(2), &[1]);
+        assert_eq!(idx.probe(9), &[] as &[u32]);
+    }
+
+    /// A single-column Int key index over `keys` (NULL where `None`).
+    fn int_index(keys: &[Option<i64>]) -> IntKeyIndex {
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .map(|k| vec![k.map_or(Value::Null, Value::Int)])
+            .collect();
+        match TypedKeyIndex::build_rows(rows.iter().map(|r| r.as_slice()), 0) {
+            Some(TypedKeyIndex::Int(csr)) => csr,
+            other => panic!("expected an Int index, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn csr_dense_layout_direct_addresses_a_small_key_span() {
+        let idx = int_index(&[Some(3), Some(1), Some(3), Some(2), Some(1), Some(3)]);
+        assert!(idx.is_dense());
+        assert_eq!(idx.probe(1), &[1, 4]);
+        assert_eq!(idx.probe(2), &[3]);
+        assert_eq!(idx.probe(3), &[0, 2, 5]);
+        // Out of range on either side, and the far ends of i64.
+        for k in [0, 4, i64::MIN, i64::MAX] {
+            assert_eq!(idx.probe(k), &[] as &[u32], "{k}");
+        }
+    }
+
+    #[test]
+    fn csr_sparse_layout_maps_a_wide_key_span() {
+        let idx = int_index(&[Some(5_000_000), Some(7), Some(5_000_000), Some(-9)]);
+        assert!(!idx.is_dense());
+        assert_eq!(idx.probe(5_000_000), &[0, 2]);
+        assert_eq!(idx.probe(7), &[1]);
+        assert_eq!(idx.probe(-9), &[3]);
+        assert_eq!(idx.probe(8), &[] as &[u32]);
+    }
+
+    #[test]
+    fn csr_handles_negative_keys_in_both_layouts() {
+        let dense = int_index(&[Some(-3), Some(-1), Some(-3)]);
+        assert!(dense.is_dense());
+        assert_eq!(dense.probe(-3), &[0, 2]);
+        assert_eq!(dense.probe(-2), &[] as &[u32]);
+        assert_eq!(dense.probe(-1), &[1]);
+        let sparse = int_index(&[Some(-3_000_000), Some(-1), Some(-3_000_000)]);
+        assert!(!sparse.is_dense());
+        assert_eq!(sparse.probe(-3_000_000), &[0, 2]);
+        assert_eq!(sparse.probe(-1), &[1]);
+    }
+
+    #[test]
+    fn csr_full_i64_key_span_does_not_overflow() {
+        let idx = int_index(&[Some(i64::MAX), Some(i64::MIN), Some(0), Some(i64::MIN)]);
+        assert!(!idx.is_dense());
+        assert_eq!(idx.probe(i64::MIN), &[1, 3]);
+        assert_eq!(idx.probe(i64::MAX), &[0]);
+        assert_eq!(idx.probe(0), &[2]);
+        assert_eq!(idx.probe(1), &[] as &[u32]);
+        // A dense span at the top of the range: probes from the bottom
+        // must not wrap into it.
+        let top = int_index(&[Some(i64::MAX), Some(i64::MAX - 2)]);
+        assert!(top.is_dense());
+        assert_eq!(top.probe(i64::MAX), &[0]);
+        for k in [i64::MIN, i64::MIN + 1, i64::MIN + 2, -1, 0] {
+            assert_eq!(top.probe(k), &[] as &[u32], "{k}");
+        }
+    }
+
+    #[test]
+    fn csr_excludes_null_keys() {
+        let idx = int_index(&[None, Some(4), None, Some(4), Some(5)]);
+        assert_eq!(idx.probe(4), &[1, 3]);
+        assert_eq!(idx.probe(5), &[4]);
+        // NULL rows hold no slot: every indexed row is a key row.
+        assert_eq!(idx.rows.len(), 3);
+        let all_null: Vec<Vec<Value>> = vec![vec![Value::Null], vec![Value::Null]];
+        assert!(TypedKeyIndex::build_rows(all_null.iter().map(|r| r.as_slice()), 0).is_none());
+    }
+
+    /// Float SUM / AVG fold in row order, so each key's rows must stay
+    /// ascending in both layouts, and match the generic index.
+    #[test]
+    fn csr_rows_per_key_stay_ascending() {
+        for stride in [1i64, 1_000_003] {
+            let keys: Vec<Option<i64>> = (0..500i64)
+                .map(|i| (i % 7 != 3).then_some(((i * 37) % 11 - 5) * stride))
+                .collect();
+            let idx = int_index(&keys);
+            assert_eq!(idx.is_dense(), stride == 1);
+            let rows: Vec<Vec<Value>> = keys
+                .iter()
+                .map(|k| vec![k.map_or(Value::Null, Value::Int)])
+                .collect();
+            let generic = HashIndex::build_rows(rows.iter().map(|r| r.as_slice()), &[0]);
+            for k in -5..=5 {
+                let got = idx.probe(k * stride);
+                assert!(!got.is_empty());
+                assert!(got.windows(2).all(|w| w[0] < w[1]), "key {k}: {got:?}");
+                assert_eq!(got, generic.probe(&[Value::Int(k * stride)]));
+            }
+        }
     }
 
     #[test]
@@ -384,6 +596,26 @@ mod tests {
         idx.stab(&Value::Int(45), &mut a);
         idx.stab_f64(45.0, &mut b);
         assert_eq!(a, b);
+    }
+
+    /// Bounds order like SQL comparison: `-0.0 < 0.0`.
+    #[test]
+    fn interval_index_orders_negative_zero_below_zero() {
+        let idx = IntervalIndex::build(
+            vec![
+                (Value::Float(0.0), Value::Float(1.0)),
+                (Value::Float(-1.0), Value::Float(-0.0)),
+            ]
+            .into_iter(),
+            false,
+        );
+        let mut out = Vec::new();
+        idx.stab_f64(-0.0, &mut out);
+        assert!(out.is_empty(), "-0.0 is below [0, 1) and not below -0.0");
+        idx.stab_f64(0.0, &mut out);
+        assert_eq!(out, vec![0]);
+        idx.stab_f64(-0.5, &mut out);
+        assert_eq!(out, vec![1]);
     }
 
     #[test]
