@@ -11,9 +11,8 @@
 //! one-shot with `-e`. `SET threads = N;` / `SET sites = N;` switch the
 //! execution policy mid-session (N = 1 thread returns to sequential);
 //! `SET morsel_size = N;` sets the rows per morsel of the parallel
-//! detail scan; `SET real_sites = on;` runs distributed sites over real
-//! loopback sockets ([`gmdj_core::wire`]) instead of the in-process
-//! simulation; answers never depend on the policy.
+//! detail scan; distributed sites are loopback socket sites
+//! ([`gmdj_core::wire`]); answers never depend on the policy.
 //! `SET stats_addr = HOST:PORT;` starts the HTTP stats endpoint
 //! ([`gmdj_core::serve`]) for the session (`off` stops it). Meta
 //! commands:
@@ -143,32 +142,6 @@ fn parse_set_stats_addr(sql: &str) -> Option<Result<String, String>> {
     }
 }
 
-/// Recognize `SET real_sites = on|off`: choose the socket transport for
-/// distributed (`SET sites = N`) execution. Boolean-valued, so handled
-/// apart from [`parse_set`].
-fn parse_set_real_sites(sql: &str) -> Option<Result<bool, String>> {
-    let mut words = sql.split_whitespace();
-    if !words.next()?.eq_ignore_ascii_case("set") {
-        return None;
-    }
-    if !words.next()?.eq_ignore_ascii_case("real_sites") {
-        return None;
-    }
-    let rest: Vec<&str> = words.collect();
-    let value = match rest.as_slice() {
-        ["=", v] => v,
-        [v] => v.strip_prefix('=').unwrap_or(v),
-        _ => return Some(Err("usage: SET real_sites = on|off".to_string())),
-    };
-    if value.eq_ignore_ascii_case("on") || value.eq_ignore_ascii_case("true") {
-        Some(Ok(true))
-    } else if value.eq_ignore_ascii_case("off") || value.eq_ignore_ascii_case("false") {
-        Some(Ok(false))
-    } else {
-        Some(Err(format!("real_sites must be on|off, got `{value}`")))
-    }
-}
-
 impl Shell {
     fn set_stats_addr(&mut self, value: &str) {
         if value.eq_ignore_ascii_case("off") {
@@ -204,47 +177,24 @@ impl Shell {
             }
             return;
         }
-        if let Some(parsed) = parse_set_real_sites(sql) {
-            match parsed {
-                Ok(real) => {
-                    self.policy = self.policy.with_real_sites(real);
-                    if real {
-                        println!("  real_sites = on (SET sites = N runs over socket-backed loopback sites; answers and gated counters are identical)");
-                    } else {
-                        println!("  real_sites = off (in-process site simulation)");
-                    }
-                }
-                Err(e) => eprintln!("{e}"),
-            }
-            return;
-        }
         if let Some(parsed) = parse_set(sql) {
             match parsed {
-                // Mode switches keep the session's morsel-size and
-                // real-sites overrides: they are properties of how scans
-                // are scheduled / sites are reached, not of the mode
-                // itself.
+                // Mode switches keep the session's morsel-size override:
+                // it is a property of how scans are scheduled, not of
+                // the mode itself.
                 Ok((SetVar::Threads, 1)) => {
-                    self.policy = ExecPolicy::sequential()
-                        .with_morsel_size(self.policy.morsel_size)
-                        .with_real_sites(self.policy.real_sites);
+                    self.policy =
+                        ExecPolicy::sequential().with_morsel_size(self.policy.morsel_size);
                     println!("  threads = 1 (sequential)");
                 }
                 Ok((SetVar::Threads, n)) => {
-                    self.policy = ExecPolicy::parallel(n)
-                        .with_morsel_size(self.policy.morsel_size)
-                        .with_real_sites(self.policy.real_sites);
+                    self.policy = ExecPolicy::parallel(n).with_morsel_size(self.policy.morsel_size);
                     println!("  threads = {n}");
                 }
                 Ok((SetVar::Sites, n)) => {
-                    self.policy = ExecPolicy::distributed(n)
-                        .with_morsel_size(self.policy.morsel_size)
-                        .with_real_sites(self.policy.real_sites);
-                    if self.policy.real_sites {
-                        println!("  sites = {n} (distributed, socket transport)");
-                    } else {
-                        println!("  sites = {n} (distributed)");
-                    }
+                    self.policy =
+                        ExecPolicy::distributed(n).with_morsel_size(self.policy.morsel_size);
+                    println!("  sites = {n} (distributed over loopback sockets)");
                 }
                 Ok((SetVar::MorselSize, n)) => {
                     self.policy = self.policy.with_morsel_size(Some(n));
@@ -641,7 +591,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--real-sites" => policy = policy.with_real_sites(true),
             "--morsel-size" => {
                 let Some(v) = argv.next() else {
                     eprintln!("--morsel-size needs a value");
@@ -674,12 +623,11 @@ fn main() -> ExitCode {
                      --netflow N       generate the IP-flow warehouse with N flows\n\
                      --strategy S      evaluation strategy (default gmdj-opt)\n\
                      --threads N       evaluate GMDJs with N worker threads\n\
-                     --sites N         evaluate GMDJs distributed across N sites\n\
-                     --real-sites      distributed sites speak the socket protocol\n\
+                     --sites N         evaluate GMDJs distributed across N loopback sites\n\
                      --morsel-size N   rows per morsel of the parallel detail scan\n\
                      -e SQL            run one query and exit (repeatable)\n\n\
                      `SET threads = N;` / `SET sites = N;` / `SET morsel_size = N;`\n\
-                     / `SET real_sites = on|off;` change the policy mid-session;\n\
+                     change the policy mid-session;\n\
                      `SET stats_addr = HOST:PORT;` starts the HTTP stats endpoint\n\
                      (`off` stops it)."
                 );

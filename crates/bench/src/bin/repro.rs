@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! repro [--figure 2|3|4|5] [--scale F] [--seed N] [--threads N] [--full]
-//!       [--real-sites N] [--morsel-size N] [--profile-json PATH]
+//!       [--sites N] [--morsel-size N] [--profile-json PATH]
 //!       [--check-profile PATH] [--stats-addr HOST:PORT]
 //!       [--flight-dump PATH] [--no-flight]
 //! repro fuzz --seed S --cases N [--replay FILE|DIR] [--corpus-dir DIR]
 //! repro bench [--quick] [--scale F] [--seed N] [--reps N] [--warmup N]
 //!             [--out DIR] [--baseline PATH] [--check-baseline] [--bless]
-//!             [--wall-tolerance F] [--no-ablations] [--real-sites]
+//!             [--wall-tolerance F] [--no-ablations]
 //!             [--morsel-size N] [--no-flight]
 //!             [--compare A.json B.json]
 //! ```
@@ -59,7 +59,7 @@ struct Args {
     scale: f64,
     seed: u64,
     threads: usize,
-    real_sites: usize,
+    sites: usize,
     morsel_size: Option<usize>,
     csv_dir: Option<String>,
     profile_json: Option<String>,
@@ -71,8 +71,8 @@ struct Args {
 
 impl Args {
     fn policy(&self) -> ExecPolicy {
-        let p = if self.real_sites > 0 {
-            ExecPolicy::distributed(self.real_sites).with_real_sites(true)
+        let p = if self.sites > 0 {
+            ExecPolicy::distributed(self.sites)
         } else if self.threads > 1 {
             ExecPolicy::parallel(self.threads)
         } else {
@@ -87,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = 0.05;
     let mut seed = 42;
     let mut threads = 1;
-    let mut real_sites = 0usize;
+    let mut sites = 0usize;
     let mut morsel_size: Option<usize> = None;
     let mut csv_dir: Option<String> = None;
     let mut profile_json: Option<String> = None;
@@ -117,11 +117,11 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads must be at least 1".into());
                 }
             }
-            "--real-sites" => {
-                let v = argv.next().ok_or("--real-sites needs a site count")?;
-                real_sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
-                if real_sites == 0 {
-                    return Err("--real-sites must be at least 1".into());
+            "--sites" => {
+                let v = argv.next().ok_or("--sites needs a site count")?;
+                sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
+                if sites == 0 {
+                    return Err("--sites must be at least 1".into());
                 }
             }
             "--morsel-size" => {
@@ -159,9 +159,8 @@ fn parse_args() -> Result<Args, String> {
                      --full       shorthand for --scale 1.0 (the paper's sizes)\n  \
                      --seed N     data generation seed (default 42)\n  \
                      --threads N  evaluate GMDJ strategies with N worker threads\n  \
-                     --real-sites N   evaluate GMDJ strategies distributed over N\n               \
-                     socket-backed loopback sites (answers and gated\n               \
-                     counters identical to the in-process simulation)\n  \
+                     --sites N    evaluate GMDJ strategies distributed over N\n               \
+                     loopback socket sites\n  \
                      --morsel-size N  rows per morsel pulled from the parallel scan\n               \
                      queue (pure scheduling; counters are unaffected)\n  \
                      --csv DIR    also write the measurement grid as DIR/figN.csv\n  \
@@ -191,7 +190,7 @@ fn parse_args() -> Result<Args, String> {
         scale,
         seed,
         threads,
-        real_sites,
+        sites,
         morsel_size,
         csv_dir,
         profile_json,
@@ -306,7 +305,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                     }
                     cfg.concurrent = Some(n);
                 }
-                "--real-sites" => cfg.real_sites = true,
                 "--no-flight" => trace::flight().set_enabled(false),
                 "--morsel-size" => {
                     let rows: usize = next("--morsel-size")?
@@ -350,9 +348,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                          recording latency quantiles, queries/sec and the\n                       \
                          shared-scan pass counters (own blessed section;\n                       \
                          grid entries and their baseline are untouched)\n  \
-                         --real-sites         run distributed-policy cells over real\n                       \
-                         socket-backed loopback sites (gated counters\n                       \
-                         identical — same baseline, _realsites run id)\n  \
                          --no-flight          disable the always-on flight recorder\n                       \
                          (the overhead ablation of EXPERIMENTS.md; gated\n                       \
                          counters are identical either way)\n  \
@@ -538,10 +533,10 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    if args.real_sites > 0 {
+    if args.sites > 0 {
         println!(
             "Reproducing Akinde & Böhlen (ICDE 2003), scale {} of the paper's sizes, seed {}, {} socket site(s)\n",
-            args.scale, args.seed, args.real_sites
+            args.scale, args.seed, args.sites
         );
     } else {
         println!(

@@ -27,7 +27,7 @@ use crate::{Figure, Measurement};
 /// (the cumulative totals of [`gmdj_core::progress`]'s query registry).
 /// Version 4 added the measured wire-byte counters (`bytes_sent`,
 /// `bytes_received`) to every plan node's `network` block — zero except
-/// under the socket site transport (`ExecPolicy::real_sites`).
+/// under `ExecMode::Distributed`.
 /// Version 5 added the optional per-node `sites` array: the distributed
 /// coordinator's per-site breakdown (round-trip / site wall / merge
 /// durations, rows, fragment size, attempts, wire bytes), present

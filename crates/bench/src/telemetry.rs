@@ -333,19 +333,11 @@ pub struct BenchConfig {
     /// Override the parallel detail scan's morsel size (rows per queue
     /// pull) on the figure-grid policies. Pure scheduling: every gated
     /// counter — page accounting included — is identical for any setting.
-    /// Unlike `real_sites` the label IS part of the entry key (`+mN`), so
-    /// an override records a new trajectory rather than gating against
-    /// the default baseline. The morsel-size ablation group pins its own
-    /// values and ignores this.
+    /// The label is part of the entry key (`+mN`), so an override records
+    /// a new trajectory rather than gating against the default baseline.
+    /// The morsel-size ablation group pins its own values and ignores
+    /// this.
     pub morsel_size: Option<usize>,
-    /// Run the distributed-policy cells over real socket-backed loopback
-    /// sites instead of the in-process transport. This is a physical-path
-    /// choice that must not move any gated
-    /// counter (the sites run the identical evaluation; only the
-    /// ungated byte counters and wall-clock change), so it is recorded
-    /// in the header and the run id but never enters an entry's key —
-    /// a real-sites run gates against the same baseline.
-    pub real_sites: bool,
     /// `Some(n)`: additionally run the concurrent-load group — `n`
     /// identical GMDJ queries submitted serially (standalone) and then
     /// concurrently through a [`SharedScanPool`], recording per-query
@@ -370,7 +362,6 @@ impl BenchConfig {
             cross_policy: true,
             quick: true,
             morsel_size: None,
-            real_sites: false,
             concurrent: None,
         }
     }
@@ -386,19 +377,18 @@ impl BenchConfig {
         }
     }
 
-    /// Deterministic run identifier: `BENCH_<run_id>.json`. Real-sites
-    /// and concurrent runs get distinct ids so those legs never overwrite
-    /// the canonical recording.
+    /// Deterministic run identifier: `BENCH_<run_id>.json`. Concurrent
+    /// runs get distinct ids so that leg never overwrites the canonical
+    /// recording.
     pub fn run_id(&self) -> String {
         format!(
-            "{}_seed{}{}{}",
+            "{}_seed{}{}",
             if self.quick {
                 "quick".into()
             } else {
                 format!("s{}", self.scale)
             },
             self.seed,
-            if self.real_sites { "_realsites" } else { "" },
             match self.concurrent {
                 Some(n) => format!("_conc{n}"),
                 None => String::new(),
@@ -425,7 +415,7 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"version\":{},\"run\":\"{}\",\"mode\":\"{}\",\"scale\":{},\"seed\":{},\
-             \"warmup\":{},\"reps\":{},\"real_sites\":{},\"entries\":[",
+             \"warmup\":{},\"reps\":{},\"entries\":[",
             BENCH_VERSION,
             self.config.run_id(),
             if self.config.quick { "quick" } else { "full" },
@@ -433,7 +423,6 @@ impl BenchReport {
             self.config.seed,
             self.config.warmup,
             self.config.reps,
-            self.config.real_sites,
         );
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -606,15 +595,11 @@ fn figure_group(fig: FigureId) -> &'static str {
 /// counter equality, and chunked parallel scans split by fixed ranges, so
 /// counters do not depend on scheduling.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
-    // Every grid policy inherits the run's transport and morsel-size
-    // override; the dedicated ablation groups below pin their own values
-    // per entry.
-    let grid_policy = |p: ExecPolicy| {
-        let p = p.with_real_sites(cfg.real_sites);
-        match cfg.morsel_size {
-            Some(m) => p.with_morsel_size(Some(m)),
-            None => p,
-        }
+    // Every grid policy inherits the run's morsel-size override; the
+    // dedicated ablation groups below pin their own values per entry.
+    let grid_policy = |p: ExecPolicy| match cfg.morsel_size {
+        Some(m) => p.with_morsel_size(Some(m)),
+        None => p,
     };
     let mut entries: Vec<BenchEntry> = Vec::new();
     for &fig in &cfg.figures {
@@ -861,7 +846,6 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
 /// The ablation grid: the DESIGN.md design choices measured in isolation
 /// (mirroring `benches/ablations.rs`, but deterministic and recorded).
 fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
-    let grid_policy = |p: ExecPolicy| p.with_real_sites(cfg.real_sites);
     let mut entries = Vec::new();
     let (outer2, inner2) = sizes(FigureId::Fig2, cfg.scale)[0];
     let fig2 = workload(FigureId::Fig2, outer2, inner2, cfg.seed);
@@ -873,7 +857,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             strategy,
-            grid_policy(ExecPolicy::sequential()),
+            ExecPolicy::sequential(),
             cfg,
             "ablation/probe",
             label,
@@ -886,7 +870,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            grid_policy(ExecPolicy::sequential().with_partition_rows(Some(rows))),
+            ExecPolicy::sequential().with_partition_rows(Some(rows)),
             cfg,
             "ablation/partitions",
             &format!("partitions-{parts}"),
@@ -903,7 +887,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            grid_policy(policy),
+            policy,
             cfg,
             "ablation/threads",
             &format!("threads-{threads}"),
@@ -920,7 +904,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            grid_policy(ExecPolicy::parallel(2).with_morsel_size(Some(morsel))),
+            ExecPolicy::parallel(2).with_morsel_size(Some(morsel)),
             cfg,
             "ablation/morsel_size",
             &format!("morsel-{morsel}"),
@@ -937,7 +921,7 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         entries.push(measure(
             &fig4,
             strategy,
-            grid_policy(ExecPolicy::sequential()),
+            ExecPolicy::sequential(),
             cfg,
             "ablation/completion",
             label,
@@ -1447,7 +1431,6 @@ mod tests {
             cross_policy: false,
             quick: true,
             morsel_size: None,
-            real_sites: false,
             concurrent: None,
         }
     }

@@ -34,9 +34,9 @@ use gmdj_relation::batch::{BatchPredicate, BatchView, ColData, ColView, BATCH_RO
 use gmdj_relation::columnar::ColumnSet;
 use gmdj_relation::error::Result;
 use gmdj_relation::expr::{BoundPredicate, BoundScalar, CmpOp, Predicate, ScalarExpr};
-use gmdj_relation::index::{HashIndex, IntKeyIndex, IntervalIndex, TypedKeyIndex};
+use gmdj_relation::index::{HashIndex, IntKeyIndex, IntervalIndex, Num, TypedKeyIndex};
 use gmdj_relation::relation::Tuple;
-use gmdj_relation::schema::Schema;
+use gmdj_relation::schema::{DataType, Schema};
 use gmdj_relation::value::Value;
 
 use crate::completion::CompletionPlan;
@@ -789,7 +789,7 @@ enum RowProbe<'a> {
     /// Float(1.0)`): the typed index holds no float keys and is not
     /// consulted for other column types.
     Generic(&'a HashIndex, &'a [usize]),
-    /// An interval stab, widened to `f64` from typed columns.
+    /// An interval stab, read as a [`Num`] from typed columns.
     Band(&'a IntervalIndex, ColView<'a>, usize),
 }
 
@@ -901,8 +901,8 @@ impl<'a> RowProbe<'a> {
             stab.clear();
         } else {
             match col.data {
-                ColData::Int(vals) => index.stab_f64(vals[i] as f64, stab),
-                ColData::Float(vals) => index.stab_f64(vals[i], stab),
+                ColData::Int(vals) => index.stab_num(Num::Int(vals[i]), stab),
+                ColData::Float(vals) => index.stab_num(Num::Float(vals[i]), stab),
                 _ => index.stab(&cols.value_at(row, c), stab),
             }
         }
@@ -1535,7 +1535,14 @@ fn choose_access(
             right,
         } = c
         {
-            if let Some((bc, dc)) = split_sides(left, right, base_schema, detail_schema)? {
+            if let Some((bc, dc)) =
+                split_sides(left, right, base_schema, detail_schema)?.filter(|&(bc, dc)| {
+                    comparable(
+                        base_schema.field(bc).data_type,
+                        detail_schema.field(dc).data_type,
+                    )
+                })
+            {
                 base_cols.push(bc);
                 detail_cols.push(dc);
                 used[i] = true;
@@ -1607,9 +1614,23 @@ fn split_sides(
     }
 }
 
+/// Whether θ can compare columns of these two types without a type
+/// error (`Value::sql_cmp`): Int and Float compare with each other, any
+/// other type only with itself. Probe access is taken only over
+/// comparable columns, so a type error surfaces under every access path
+/// rather than only under a scan.
+fn comparable(a: DataType, b: DataType) -> bool {
+    a == b || (is_numeric(a) && is_numeric(b))
+}
+
+fn is_numeric(t: DataType) -> bool {
+    matches!(t, DataType::Int | DataType::Float)
+}
+
 type Band = (usize, usize, usize, usize, usize, bool);
 
-/// Find a pair of conjuncts forming `R.t ≥ B.lo ∧ R.t < B.hi` (or `≤`).
+/// Find a pair of conjuncts forming `R.t ≥ B.lo ∧ R.t < B.hi` (or `≤`)
+/// over numeric columns, the only ones an [`IntervalIndex`] holds.
 /// Returns (lo conjunct idx, hi conjunct idx, detail col t, base col lo,
 /// base col hi, hi_inclusive).
 fn find_band(conjuncts: &[&Predicate], base: &Schema, detail: &Schema) -> Result<Option<Band>> {
@@ -1639,6 +1660,11 @@ fn find_band(conjuncts: &[&Predicate], base: &Schema, detail: &Schema) -> Result
             } else {
                 continue;
             };
+        if !is_numeric(detail.field(detail_col).data_type)
+            || !is_numeric(base.field(base_col).data_type)
+        {
+            continue;
+        }
         match op {
             CmpOp::Ge => lowers.push((i, detail_col, base_col)),
             CmpOp::Lt => uppers.push((i, detail_col, base_col, false)),
@@ -2259,6 +2285,62 @@ mod tests {
         for policy in [seq(), force_scan()] {
             let err = gmdj(policy, &base, &detail, &spec);
             assert!(err.is_err(), "{policy:?} must error");
+        }
+    }
+
+    /// An equality correlation between a Str and an Int key is a type
+    /// error under every access path, not an empty hash probe.
+    #[test]
+    fn str_int_key_equality_errors_under_every_access_path() {
+        let base = RelationBuilder::new("B")
+            .column("k", DataType::Str)
+            .row(vec!["x".into()])
+            .build()
+            .unwrap();
+        let detail = RelationBuilder::new("R")
+            .column("k", DataType::Int)
+            .row(vec![1.into()])
+            .build()
+            .unwrap();
+        let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").eq(col("R.k")), "c")]);
+        for policy in [seq(), force_scan()] {
+            let err = gmdj(policy, &base, &detail, &spec).map(|(out, _)| out);
+            assert!(err.is_err(), "{policy:?} must error, got {err:?}");
+        }
+    }
+
+    /// A band over Int bounds beyond 2^53, where neighbouring integers
+    /// share one `f64`: band access answers what θ answers.
+    #[test]
+    fn band_access_compares_ints_exactly_beyond_f64_precision() {
+        let p = 1i64 << 53;
+        for (lo, hi, t, inclusive) in [(p + 1, p + 10, p, false), (0, p, p + 1, true)] {
+            let base = RelationBuilder::new("B")
+                .column("lo", DataType::Int)
+                .column("hi", DataType::Int)
+                .row(vec![lo.into(), hi.into()])
+                .build()
+                .unwrap();
+            let detail = RelationBuilder::new("R")
+                .column("t", DataType::Int)
+                .row(vec![t.into()])
+                .build()
+                .unwrap();
+            let upper = if inclusive {
+                col("R.t").le(col("B.hi"))
+            } else {
+                col("R.t").lt(col("B.hi"))
+            };
+            let band = col("R.t").ge(col("B.lo")).and(upper);
+            let spec = GmdjSpec::new(vec![AggBlock::count(band, "c")]);
+            let (auto, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
+            let (scan, _) = gmdj(force_scan(), &base, &detail, &spec).unwrap();
+            assert!(auto.multiset_eq(&scan), "t={t}: {auto} vs {scan}");
+            assert_eq!(
+                auto.rows()[0][2],
+                Value::Int(0),
+                "t={t} is outside the band"
+            );
         }
     }
 

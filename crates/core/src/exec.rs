@@ -63,9 +63,8 @@ pub struct ExecContext {
     /// Evaluator work counters rolled up across the plan.
     pub stats: EvalStats,
     /// Network traffic rolled up across the plan (distributed mode; zero
-    /// otherwise). Value counts are closed-form for both transports;
-    /// byte counts are measured and nonzero only over real sockets
-    /// (`ExecPolicy::real_sites`).
+    /// otherwise). Value counts are closed-form; byte counts are
+    /// measured on the wire.
     pub network: NetworkStats,
     /// Per-plan-node statistics tree of the most recent [`execute`] call.
     pub plan_stats: Option<PlanNodeStats>,

@@ -21,15 +21,17 @@
 //!   ([`Accumulator::merge`](gmdj_relation::agg::Accumulator::merge)), so
 //!   results are bit-identical to sequential for every aggregate.
 //! * **Distributed { sites }** — the detail relation is horizontally
-//!   fragmented round-robin across simulated sites; the coordinator
-//!   broadcasts each base partition, sites evaluate locally and ship
-//!   accumulator *state* back, and the coordinator merges. Shipping state
+//!   fragmented round-robin across loopback socket sites
+//!   ([`crate::wire`]); the coordinator broadcasts each base partition,
+//!   sites evaluate locally and ship accumulator *state* back, and the
+//!   coordinator merges. Shipping state
 //!   rather than finalized partial values makes every aggregate —
 //!   including AVG and COUNT DISTINCT — distribute exactly, and keeps
 //!   network traffic independent of the detail cardinality.
 //!
-//! With a shared-scan pool attached, in-process unpartitioned evaluations
-//! join a pass shared with concurrently submitted queries instead.
+//! With a shared-scan pool attached, local (not distributed)
+//! unpartitioned evaluations join a pass shared with concurrently
+//! submitted queries instead.
 //!
 //! # Completion
 //!
@@ -69,13 +71,14 @@ use gmdj_relation::ops::OpStats;
 use gmdj_relation::relation::{Relation, Tuple};
 
 use crate::completion::CompletionPlan;
-use crate::distributed::{InProcessSites, NetworkStats, SiteEvalRequest, SiteTransport};
+use crate::distributed::NetworkStats;
 use crate::eval::{EvalStats, Keep, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::progress::QueryProgress;
 use crate::shared::{morsel_pass, BoundGmdj, BoundOutput};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
+use crate::wire::{EvalRequestFrame, SiteCluster, TcpSites};
 
 /// Physical execution mode for GMDJ evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -123,14 +126,6 @@ pub struct ExecPolicy {
     /// it only moves where worker time is spent, which is what the bench
     /// ablation measures.
     pub morsel_size: Option<usize>,
-    /// Run `ExecMode::Distributed` over real socket-backed sites
-    /// ([`crate::wire`]) instead of the in-process transport. Pure
-    /// transport choice: sites evaluate the identical kernel path, so
-    /// every gated counter and the result multiset are unchanged — only
-    /// the `bytes_sent` / `bytes_received` counters (zero in-process)
-    /// and wall-clock move. Deliberately absent from [`Self::label`],
-    /// which keys bench baseline entries.
-    pub real_sites: bool,
 }
 
 impl ExecPolicy {
@@ -147,7 +142,7 @@ impl ExecPolicy {
         }
     }
 
-    /// Distributed policy with `sites` simulated sites.
+    /// Distributed policy with `sites` loopback socket sites.
     pub fn distributed(sites: usize) -> Self {
         Self {
             mode: ExecMode::Distributed { sites },
@@ -171,12 +166,6 @@ impl ExecPolicy {
     /// pull). `None` restores [`DEFAULT_MORSEL_ROWS`].
     pub fn with_morsel_size(mut self, rows: Option<usize>) -> Self {
         self.morsel_size = rows;
-        self
-    }
-
-    /// Choose the socket transport for `ExecMode::Distributed` sites.
-    pub fn with_real_sites(mut self, real: bool) -> Self {
-        self.real_sites = real;
         self
     }
 
@@ -241,7 +230,7 @@ impl ExecPolicy {
 /// Per-plan-node statistics: one node per operator in the executed plan,
 /// mirroring its shape. Leaf table scans record `scanned_rows`; relational
 /// operators record row flow in `ops`; GMDJ nodes record evaluator work in
-/// `eval` and (under `ExecMode::Distributed`) simulated traffic in
+/// `eval` and (under `ExecMode::Distributed`) site traffic in
 /// `network`. [`crate::cost::observed_cost`] reads the tree back into the
 /// cost model's units.
 #[derive(Debug, Clone, Default)]
@@ -263,8 +252,7 @@ pub struct PlanNodeStats {
     /// while the kernel mix is a property of the physical path taken.
     pub kernel: KernelStats,
     /// Network traffic at this node (distributed mode): closed-form
-    /// value counts for both transports, measured wire bytes under
-    /// `ExecPolicy::real_sites`.
+    /// value counts plus measured wire bytes.
     pub network: NetworkStats,
     /// Wall-clock time executing this node, children included.
     pub elapsed_ns: u64,
@@ -295,9 +283,9 @@ pub struct PlanNodeStats {
 /// (saturating, [`SiteBreakdown::wire_ns`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteBreakdown {
-    /// Site index in the transport's fan-out order.
+    /// Site index in the coordinator's fan-out order.
     pub site: u64,
-    /// Transport label, e.g. `site0` (in-process) or the socket address.
+    /// Site label with its socket address, e.g. `site0@127.0.0.1:40123`.
     pub label: String,
     /// Round-trips to this site (one per base partition).
     pub roundtrips: u64,
@@ -316,9 +304,9 @@ pub struct SiteBreakdown {
     pub rows_scanned: u64,
     /// Detail rows in the site's fragment.
     pub fragment_rows: u64,
-    /// Wire bytes written to this site (all attempts; zero in-process).
+    /// Wire bytes written to this site (all attempts).
     pub bytes_sent: u64,
-    /// Wire bytes read back from this site (zero in-process).
+    /// Wire bytes read back from this site.
     pub bytes_received: u64,
 }
 
@@ -332,9 +320,8 @@ impl SiteBreakdown {
 
     /// Fold another breakdown (typically one round-trip's observation)
     /// into this one: the counts, durations and bytes sum; `site`,
-    /// `label` and `fragment_rows` take the latest value — a site index
-    /// that was in-process in one query and socket-backed in the next
-    /// reports its latest address.
+    /// `label` and `fragment_rows` take the latest value — each query
+    /// spawns its own sites, so a site index reports its latest address.
     pub fn add(&mut self, obs: &SiteBreakdown) {
         self.site = obs.site;
         self.label.clone_from(&obs.label);
@@ -525,17 +512,12 @@ impl PlanNodeStats {
         }
         if self.network != NetworkStats::default() {
             out.push_str(&format!(
-                " net={} msgs={}",
+                " net={} msgs={} bytes[sent={} recv={}]",
                 self.network.total(),
-                self.network.messages
+                self.network.messages,
+                self.network.bytes_sent,
+                self.network.bytes_received
             ));
-            // Wire bytes appear only under the socket transport.
-            if self.network.bytes_sent + self.network.bytes_received > 0 {
-                out.push_str(&format!(
-                    " bytes[sent={} recv={}]",
-                    self.network.bytes_sent, self.network.bytes_received
-                ));
-            }
         }
         if self.worker_wall_sum_ns > 0 {
             out.push_str(&format!(
@@ -740,7 +722,7 @@ impl Runtime {
     /// results.
     ///
     /// With a shared-scan pool attached ([`Runtime::with_shared_pool`])
-    /// and a shareable policy (in-process, unpartitioned), the evaluation
+    /// and a shareable policy (local, unpartitioned), the evaluation
     /// goes through the pool, where concurrently submitted GMDJs over the
     /// same detail table coalesce — per the extended Prop. 4.1 — into
     /// one shared morsel pass (see [`crate::shared`]), and queries that
@@ -816,27 +798,13 @@ impl Runtime {
             let query = BoundGmdj::bind(base, detail, spec, completion, &self.policy)?;
             match self.policy.mode {
                 ExecMode::Distributed { sites } => {
-                    let fragments = round_robin_fragments(detail, sites);
-                    let cluster;
-                    let mut transport: Box<dyn SiteTransport> = if self.policy.real_sites {
-                        // Real sites: each fragment is owned by a socket
-                        // site executor from the start (the paper's model
-                        // — detail tuples live at the site that produced
-                        // them; only base tuples and accumulator states
-                        // cross the wire).
-                        cluster = crate::wire::SiteCluster::spawn(fragments)?;
-                        Box::new(crate::wire::TcpSites::new(cluster.addrs().to_vec()))
-                    } else {
-                        Box::new(InProcessSites::new(fragments, self.sink.clone()))
-                    };
-                    self.eval_partitions(
-                        &query,
-                        &output,
-                        base,
-                        detail,
-                        Some(transport.as_mut()),
-                        node,
-                    )?
+                    // Each fragment is owned by a loopback site executor
+                    // from the start (the paper's model: detail tuples
+                    // live at the site that produced them; only base
+                    // tuples and accumulator states cross the wire).
+                    let cluster = SiteCluster::spawn(round_robin_fragments(detail, sites))?;
+                    let sites = TcpSites::new(cluster.addrs().to_vec());
+                    self.eval_partitions(&query, &output, base, detail, Some(&sites), node)?
                 }
                 _ => self.eval_partitions(&query, &output, base, detail, None, node)?,
             }
@@ -882,7 +850,7 @@ impl Runtime {
         output: &BoundOutput,
         base: &Relation,
         detail: &Relation,
-        mut sites: Option<&mut dyn SiteTransport>,
+        sites: Option<&TcpSites>,
         node: &mut PlanNodeStats,
     ) -> Result<Relation> {
         let partition = self.policy.partition_rows.unwrap_or(usize::MAX).max(1);
@@ -898,13 +866,13 @@ impl Runtime {
             let base_rows = &base.rows()[start..end];
             let before = node.eval;
             let mut pspan = Span::begin(self.sink.as_ref(), "gmdj.partition");
-            let (accs, status) = match sites.as_deref_mut() {
-                Some(transport) => {
+            let (accs, status) = match sites {
+                Some(sites) => {
                     // Sites scan their fragments in no single order:
                     // completion always falls back here.
                     fell_back |= query.completion.is_some();
                     query.charge_partition(base_rows.len(), &mut node.eval);
-                    let accs = self.scan_sites(query, base_rows, query_id, transport, node)?;
+                    let accs = self.scan_sites(query, base_rows, query_id, sites, node)?;
                     (accs, None)
                 }
                 None => {
@@ -940,60 +908,57 @@ impl Runtime {
         Ok(Relation::from_parts(output.result_schema.clone(), out_rows))
     }
 
-    /// Two-wave coordinator protocol over a [`SiteTransport`]: broadcast
-    /// the base partition (plus the GMDJ spec and options), let each site
+    /// Two-wave coordinator protocol over the site client: broadcast the
+    /// base partition (plus the GMDJ spec and options), let each site
     /// scan its fragment locally, ship accumulator *state* back, merge
     /// exactly at the coordinator. Each site round-trip is one
     /// `site.roundtrip` span carrying the site's evaluator and network
-    /// deltas. Both transports run the identical site-local evaluation —
-    /// each site builds its own probe indexes over the broadcast base
-    /// partition, so `index_builds` counts per (partition, site) here
-    /// where sequential counts per partition — which keeps every gated
-    /// counter byte-identical between the in-process and socket paths;
-    /// only `bytes_sent` / `bytes_received` (zero in-process, measured
-    /// on the wire) differ.
+    /// deltas. Each site builds its own probe indexes over the broadcast
+    /// base partition, so `index_builds` counts per (partition, site)
+    /// here where sequential counts per partition.
     fn scan_sites(
         &self,
         query: &BoundGmdj<'_>,
         base: &[Tuple],
         query_id: u64,
-        transport: &mut dyn SiteTransport,
+        sites: &TcpSites,
         node: &mut PlanNodeStats,
     ) -> Result<Vec<Accumulator>> {
         let sink = self.sink.as_ref();
         let mut merged: Option<Vec<Accumulator>> = None;
         let mut worker_max_ns = 0u64;
-        for site in 0..transport.site_count() {
+        for site in 0..sites.site_count() {
             let eval_before = node.eval;
             let net_before = node.network;
-            let label = transport.site_label(site);
+            let label = sites.site_label(site);
             let mut sspan = Span::begin(sink, "site.roundtrip").with_detail(label.clone());
             // The trace context rides the broadcast wave: the site echoes
             // `query_id` / `parent_span` on its shipped `site.eval` span,
             // tying the remote events to this exact round-trip.
-            let req = SiteEvalRequest {
-                base,
-                base_schema: query.base_schema,
-                spec: query.spec,
-                probe: query.probe,
-                total_aggs: query.total_aggs,
+            let req = EvalRequestFrame {
+                attempt: 0,
                 query_id,
                 parent_span: sspan.id(),
                 trace: sink.is_enabled(),
+                probe: query.probe,
+                total_aggs: query.total_aggs as u32,
+                base_fields: query.base_schema.fields().to_vec(),
+                base_rows: base.to_vec(),
+                spec: query.spec.clone(),
             };
             let start = Instant::now();
             // Wave 1: base values (and the spec) to this site.
             node.network.messages += 1;
             node.network.broadcast_values += (base.len() * query.base_schema.len()) as u64;
-            let resp = transport.eval_partition(site, &req)?;
+            let (resp, traffic) = sites.eval_partition(site, req)?;
             node.eval.merge(&resp.stats);
             node.kernel.merge(&resp.kernel);
             // Wave 2: accumulator states back to the coordinator. State
             // shipping is what lets AVG / COUNT DISTINCT distribute.
             node.network.messages += 1;
             node.network.collected_states += (base.len() * query.total_aggs) as u64;
-            node.network.bytes_sent += resp.bytes_sent;
-            node.network.bytes_received += resp.bytes_received;
+            node.network.bytes_sent += traffic.bytes_sent;
+            node.network.bytes_received += traffic.bytes_received;
             let wall_ns = start.elapsed().as_nanos() as u64;
             worker_max_ns = worker_max_ns.max(wall_ns);
             node.worker_wall_sum_ns += wall_ns;
@@ -1012,7 +977,7 @@ impl Runtime {
                 }
             }
             sspan.field("site", site as u64);
-            sspan.field("attempt", resp.attempts);
+            sspan.field("attempt", traffic.attempts);
             sspan.field("wall_ns", resp.site_wall_ns);
             sspan.fields(node.eval.minus(&eval_before).trace_fields());
             sspan.fields(node.network.minus(&net_before).trace_fields());
@@ -1036,14 +1001,14 @@ impl Runtime {
                 site: site as u64,
                 label,
                 roundtrips: 1,
-                attempts: resp.attempts,
+                attempts: traffic.attempts,
                 roundtrip_ns: wall_ns,
                 site_wall_ns: resp.site_wall_ns,
                 merge_ns,
                 rows_scanned: resp.stats.detail_scanned,
                 fragment_rows: resp.fragment_rows,
-                bytes_sent: resp.bytes_sent,
-                bytes_received: resp.bytes_received,
+                bytes_sent: traffic.bytes_sent,
+                bytes_received: traffic.bytes_received,
             };
             if node.sites.len() <= site {
                 node.sites.resize_with(site + 1, SiteBreakdown::default);
@@ -1058,7 +1023,7 @@ impl Runtime {
 
 /// Round-robin horizontal fragmentation of the detail relation — in a
 /// real warehouse each site already holds its fragment; round-robin keeps
-/// the simulation deterministic. Fragments are gathered column-wise into
+/// the assignment deterministic. Fragments are gathered column-wise into
 /// full columnar relations (sharing each string column's dictionary with
 /// the parent), so every site scans its fragment through the same
 /// vectorized kernels as local execution.

@@ -1,12 +1,12 @@
-//! Socket transport for distributed GMDJ sites.
+//! Socket transport for distributed GMDJ sites — the one way
+//! [`crate::runtime::ExecMode::Distributed`] reaches its sites.
 //!
-//! [`crate::distributed::SiteTransport`] has two implementations: the
-//! in-process simulation and this module's real one — N site executors,
-//! each a thread owning a `TcpListener` over its detail fragment, and a
-//! [`TcpSites`] client the coordinator drives. Both run the exact same
-//! site-local evaluation (`distributed::eval_site_fragment`),
-//! so every gated counter is byte-identical between transports; only
-//! the `bytes_sent` / `bytes_received` counters (and wall-clock) differ.
+//! N site executors, each a thread owning a `TcpListener` over its detail
+//! fragment ([`SiteCluster`]), and a [`TcpSites`] client the coordinator
+//! drives. Each site answers an [`EvalRequestFrame`] by running
+//! `distributed::eval_site` over its fragment and shipping a
+//! [`StateMatrixFrame`] back; the coordinator builds the one and reads
+//! the other directly.
 //!
 //! # Frame format
 //!
@@ -81,12 +81,10 @@ use gmdj_relation::agg::{Accumulator, AggFunc, NamedAgg};
 use gmdj_relation::error::{Error, Result};
 use gmdj_relation::expr::{ArithOp, CmpOp, Predicate, ScalarExpr};
 use gmdj_relation::relation::{Relation, Tuple};
-use gmdj_relation::schema::{ColumnRef, DataType, Field, Schema};
+use gmdj_relation::schema::{ColumnRef, DataType, Field};
 use gmdj_relation::value::{Truth, Value};
 
-use crate::distributed::{
-    eval_site_fragment_traced, SiteEvalRequest, SiteEvalResponse, SiteTransport,
-};
+use crate::distributed::eval_site;
 use crate::eval::{EvalStats, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::spec::{AggBlock, GmdjSpec};
@@ -1236,8 +1234,11 @@ impl Drop for SiteCluster {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for addr in &self.addrs {
-            // Wake the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(addr);
+            // Wake the accept loop so it observes the stop flag, and let
+            // the site close first (see `await_close`).
+            if let Ok(mut stream) = TcpStream::connect(addr) {
+                await_close(&mut stream, config().io_timeout);
+            }
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -1256,8 +1257,11 @@ fn serve_site(site: usize, fragment: Relation, listener: TcpListener, stop: Arc<
         }
         let Ok(stream) = conn else { continue };
         // Connection-level failures (including injected faults) drop the
-        // connection; the coordinator's retry loop owns recovery.
-        let _ = handle_site_conn(site, &fragment, stream, &flight);
+        // connection; the coordinator's retry loop owns recovery. A panic
+        // drops only its connection too: the site keeps serving.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_site_conn(site, &fragment, stream, &flight)
+        }));
     }
 }
 
@@ -1324,30 +1328,11 @@ fn handle_site_conn(
         _ => {}
     }
 
-    let schema = Schema::new(req.base_fields.clone());
-    let response = match eval_site_fragment_traced(
-        &req.base_rows,
-        &schema,
-        fragment,
-        &req.spec,
-        req.probe,
-        req.total_aggs as usize,
-        site,
-        req.attempt,
-        req.query_id,
-        req.parent_span,
-        req.trace,
-        Some(flight),
-    ) {
-        Ok(traced) => Frame::StateMatrix(Box::new(StateMatrixFrame {
-            request_bytes,
-            fragment_rows: fragment.len() as u64,
-            stats: traced.stats,
-            kernel: traced.kernel,
-            site_wall_ns: traced.wall_ns,
-            spans: traced.spans,
-            accs: traced.accs,
-        })),
+    let response = match eval_site(site, fragment, &req, flight) {
+        Ok(mut state) => {
+            state.request_bytes = request_bytes;
+            Frame::StateMatrix(Box::new(state))
+        }
         Err(e) => Frame::Error {
             message: e.to_string(),
         },
@@ -1374,13 +1359,24 @@ fn handle_site_conn(
 }
 
 // ---------------------------------------------------------------------
-// Coordinator client (the socket SiteTransport)
+// Coordinator client
 // ---------------------------------------------------------------------
 
-/// The socket-backed [`SiteTransport`]: one TCP round-trip per
-/// (partition, site), with bounded retry and backoff per the process
-/// [`WireConfig`]. Byte counters cover every attempt — in a fault-free
-/// run that is exactly one attempt, so the counters stay deterministic.
+/// What one site round-trip cost on the wire, across all its attempts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Traffic {
+    /// Bytes written to the site.
+    pub bytes_sent: u64,
+    /// Bytes read back from the site.
+    pub bytes_received: u64,
+    /// Attempts the round-trip took (1 = no retries).
+    pub attempts: u64,
+}
+
+/// The coordinator's client: one TCP round-trip per (partition, site),
+/// with bounded retry and backoff per the process [`WireConfig`]. Byte
+/// counters cover every attempt — in a fault-free run that is exactly one
+/// attempt, so the counters stay deterministic.
 pub struct TcpSites {
     addrs: Vec<SocketAddr>,
     cfg: WireConfig,
@@ -1394,26 +1390,31 @@ impl TcpSites {
             cfg: config(),
         }
     }
-}
 
-impl SiteTransport for TcpSites {
-    fn site_count(&self) -> usize {
+    /// Number of sites this client fans out to.
+    pub fn site_count(&self) -> usize {
         self.addrs.len()
     }
 
-    fn site_label(&self, site: usize) -> String {
+    /// Span detail for site `site`'s `site.roundtrip` span.
+    pub fn site_label(&self, site: usize) -> String {
         format!("site{site}@{}", self.addrs[site])
     }
 
-    fn eval_partition(
-        &mut self,
+    /// One two-wave round-trip: ship `req` (its `attempt` is set per
+    /// attempt), let the site evaluate its fragment, return the partial
+    /// state matrix with the traffic it took. Either succeeds or fails
+    /// with a diagnostic naming the site — never hangs.
+    pub fn eval_partition(
+        &self,
         site: usize,
-        req: &SiteEvalRequest<'_>,
-    ) -> Result<SiteEvalResponse> {
+        req: EvalRequestFrame,
+    ) -> Result<(StateMatrixFrame, Traffic)> {
         let addr = self.addrs[site];
         let m = metrics::global();
-        let mut bytes_sent = 0u64;
-        let mut bytes_received = 0u64;
+        let expected_accs = req.base_rows.len() * req.total_aggs as usize;
+        let mut request = Frame::EvalRequest(Box::new(req));
+        let mut traffic = Traffic::default();
         // Per-attempt error chain: what failed, how long the attempt
         // took, and the backoff that preceded it — the whole history
         // lands in the exhaustion diagnostic, not just the last error.
@@ -1431,29 +1432,22 @@ impl SiteTransport for TcpSites {
                 );
                 thread::sleep(backoff);
             }
+            if let Frame::EvalRequest(r) = &mut request {
+                r.attempt = attempt;
+            }
             let started = Instant::now();
-            match round_trip(
-                addr,
-                site,
-                attempt,
-                req,
-                &self.cfg,
-                &mut bytes_sent,
-                &mut bytes_received,
-            ) {
-                Ok(mut resp) => {
-                    resp.bytes_sent = bytes_sent;
-                    resp.bytes_received = bytes_received;
-                    resp.attempts = attempt as u64 + 1;
+            match round_trip(addr, site, &request, expected_accs, &self.cfg, &mut traffic) {
+                Ok(state) => {
+                    traffic.attempts = attempt as u64 + 1;
                     m.inc(
                         &format!("site_bytes_sent_total{{site=\"{site}\"}}"),
-                        bytes_sent,
+                        traffic.bytes_sent,
                     );
                     m.inc(
                         &format!("site_bytes_received_total{{site=\"{site}\"}}"),
-                        bytes_received,
+                        traffic.bytes_received,
                     );
-                    return Ok(resp);
+                    return Ok((state, traffic));
                 }
                 Err(e) if e.retryable => {
                     history.push(format!(
@@ -1493,6 +1487,18 @@ impl SiteTransport for TcpSites {
             "site{site} ({addr}) failed after {} attempts: {chain}",
             self.cfg.max_attempts
         )))
+    }
+}
+
+/// Wait (bounded) for the site to close its end. The side that closes a
+/// TCP connection first holds its port in TIME_WAIT for a minute; the
+/// site's port is its listener's, while the coordinator's would be a
+/// fresh ephemeral port per connection, and every evaluation spawns new
+/// sites — so back-to-back distributed queries would run the host out
+/// of ephemeral ports if the coordinator closed first.
+fn await_close(stream: &mut TcpStream, timeout: Duration) {
+    if stream.set_read_timeout(Some(timeout)).is_ok() {
+        let _ = stream.read(&mut [0u8; 1]);
     }
 }
 
@@ -1536,27 +1542,26 @@ fn observe_frame_latency(frame: &str, site: usize, started: Instant) {
 }
 
 /// One attempt: connect, handshake, broadcast, collect. Byte counters
-/// accumulate into the caller's totals even on failure — they measure
-/// real traffic, and every successful fault-free run performs exactly
-/// the same writes and reads.
+/// accumulate into `traffic` even on failure — they measure real traffic,
+/// and every successful fault-free run performs exactly the same writes
+/// and reads.
 fn round_trip(
     addr: SocketAddr,
     site: usize,
-    attempt: u32,
-    req: &SiteEvalRequest<'_>,
+    request: &Frame,
+    expected_accs: usize,
     cfg: &WireConfig,
-    bytes_sent: &mut u64,
-    bytes_received: &mut u64,
-) -> std::result::Result<SiteEvalResponse, WireError> {
+    traffic: &mut Traffic,
+) -> std::result::Result<StateMatrixFrame, WireError> {
     let mut stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)?;
     stream.set_read_timeout(Some(cfg.io_timeout))?;
     stream.set_write_timeout(Some(cfg.io_timeout))?;
     stream.set_nodelay(true)?;
 
     let t_hello = Instant::now();
-    *bytes_sent += write_frame(&mut stream, &Frame::Hello { site: site as u32 })?;
+    traffic.bytes_sent += write_frame(&mut stream, &Frame::Hello { site: site as u32 })?;
     let (ack, n) = read_frame(&mut stream)?;
-    *bytes_received += n;
+    traffic.bytes_received += n;
     observe_frame_latency("hello", site, t_hello);
     match ack {
         Frame::HelloAck { site: s } if s == site as u32 => {}
@@ -1568,25 +1573,14 @@ fn round_trip(
         }
     }
 
-    let request = Frame::EvalRequest(Box::new(EvalRequestFrame {
-        attempt,
-        query_id: req.query_id,
-        parent_span: req.parent_span,
-        trace: req.trace,
-        probe: req.probe,
-        total_aggs: req.total_aggs as u32,
-        base_fields: req.base_schema.fields().to_vec(),
-        base_rows: req.base.to_vec(),
-        spec: req.spec.clone(),
-    }));
     let t_eval = Instant::now();
-    let request_bytes = write_frame(&mut stream, &request)?;
-    *bytes_sent += request_bytes;
+    let request_bytes = write_frame(&mut stream, request)?;
+    traffic.bytes_sent += request_bytes;
     observe_frame_latency("eval_request", site, t_eval);
 
     let t_state = Instant::now();
     let (response, n) = read_frame(&mut stream)?;
-    *bytes_received += n;
+    traffic.bytes_received += n;
     observe_frame_latency("state_matrix", site, t_state);
     match response {
         Frame::StateMatrix(sm) => {
@@ -1596,26 +1590,14 @@ fn round_trip(
                     sm.request_bytes
                 )));
             }
-            if sm.accs.len() != req.base.len() * req.total_aggs {
+            if sm.accs.len() != expected_accs {
                 return Err(WireError::protocol(format!(
-                    "state matrix arity mismatch: {} accumulators for {} base rows × {} aggs",
+                    "state matrix arity mismatch: {} accumulators where {expected_accs} were due",
                     sm.accs.len(),
-                    req.base.len(),
-                    req.total_aggs
                 )));
             }
-            let sm = *sm;
-            Ok(SiteEvalResponse {
-                accs: sm.accs,
-                stats: sm.stats,
-                kernel: sm.kernel,
-                fragment_rows: sm.fragment_rows,
-                bytes_sent: 0,     // filled by the retry loop
-                bytes_received: 0, // filled by the retry loop
-                attempts: 0,       // filled by the retry loop
-                site_wall_ns: sm.site_wall_ns,
-                spans: sm.spans,
-            })
+            await_close(&mut stream, cfg.io_timeout);
+            Ok(*sm)
         }
         Frame::Error { message } => Err(WireError::fatal(format!(
             "remote evaluation failed: {message}"
@@ -1799,6 +1781,66 @@ mod tests {
             assert_eq!(hex(&bytes), pinned);
             assert_eq!(&decode_frame(&bytes).unwrap(), frame);
         }
+    }
+
+    /// One raw round-trip against a live site: handshake, then `frame`,
+    /// then the site's reply.
+    fn ask(addr: SocketAddr, frame: &Frame) -> Frame {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write_frame(&mut stream, &Frame::Hello { site: 0 }).unwrap();
+        assert_eq!(
+            read_frame(&mut stream).unwrap().0,
+            Frame::HelloAck { site: 0 }
+        );
+        write_frame(&mut stream, frame).unwrap();
+        read_frame(&mut stream).unwrap().0
+    }
+
+    /// Requests that decode cleanly but cannot describe an evaluation —
+    /// an aggregate count the spec does not have, a base row shorter
+    /// than its schema — get a non-retryable `Error` frame, and the same
+    /// site then still answers a valid request.
+    #[test]
+    fn malformed_requests_get_an_error_and_the_site_keeps_serving() {
+        use gmdj_relation::relation::RelationBuilder;
+        let fragment = RelationBuilder::new("R")
+            .column("k", DataType::Int)
+            .row(vec![1.into()])
+            .row(vec![2.into()])
+            .build()
+            .unwrap();
+        let cluster = SiteCluster::spawn(vec![fragment]).unwrap();
+        let addr = cluster.addrs()[0];
+        let valid = EvalRequestFrame {
+            attempt: 0,
+            query_id: 1,
+            parent_span: 1,
+            trace: false,
+            probe: ProbeStrategy::Auto,
+            total_aggs: 1,
+            base_fields: vec![Field::new("B", "k", DataType::Int)],
+            base_rows: vec![
+                vec![Value::Int(1)].into_boxed_slice(),
+                vec![Value::Int(2)].into_boxed_slice(),
+            ],
+            spec: GmdjSpec::new(vec![AggBlock::count(col("B.k").eq(col("R.k")), "cnt")]),
+        };
+        let too_many_aggs = EvalRequestFrame {
+            total_aggs: 2,
+            ..valid.clone()
+        };
+        let short_row = EvalRequestFrame {
+            base_rows: vec![Vec::new().into_boxed_slice()],
+            ..valid.clone()
+        };
+        for bad in [too_many_aggs, short_row] {
+            let reply = ask(addr, &Frame::EvalRequest(Box::new(bad)));
+            assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
+        }
+        let Frame::StateMatrix(state) = ask(addr, &Frame::EvalRequest(Box::new(valid))) else {
+            panic!("the site stopped answering valid requests");
+        };
+        assert_eq!(state.accs, vec![Accumulator::CountStar { n: 1 }; 2]);
     }
 
     #[test]

@@ -194,30 +194,31 @@ mod tests {
 
     #[test]
     fn analyze_renders_per_site_breakdown_under_distributed_runs() {
-        for real in [false, true] {
-            let report = explain_analyze(
-                &query(),
-                &catalog(),
-                Strategy::GmdjOptimized,
-                ExecPolicy::distributed(2).with_real_sites(real),
-                Arc::new(NullSink),
-            )
-            .unwrap();
-            let text = report.render();
-            // One breakdown line per site: round-trip wall, site-local
-            // wall, derived wire time, coordinator merge time.
-            for needle in ["site0", "site1", "rt=", "site=", "wire=", "merge="] {
-                assert!(
-                    text.contains(needle),
-                    "real={real}: missing `{needle}`\n{text}"
-                );
-            }
-            // The socket transport also reports measured wire bytes.
-            assert_eq!(text.contains("bytes[sent="), real, "{text}");
-            let json = report.to_json();
-            assert!(json.contains("\"sites\":["), "{json}");
-            assert!(json.contains("\"site_wall_ns\":"), "{json}");
+        let report = explain_analyze(
+            &query(),
+            &catalog(),
+            Strategy::GmdjOptimized,
+            ExecPolicy::distributed(2),
+            Arc::new(NullSink),
+        )
+        .unwrap();
+        let text = report.render();
+        // One breakdown line per site: round-trip wall, site-local wall,
+        // derived wire time, coordinator merge time, measured wire bytes.
+        for needle in [
+            "site0",
+            "site1",
+            "rt=",
+            "site=",
+            "wire=",
+            "merge=",
+            "bytes[sent=",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}`\n{text}");
         }
+        let json = report.to_json();
+        assert!(json.contains("\"sites\":["), "{json}");
+        assert!(json.contains("\"site_wall_ns\":"), "{json}");
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //! result multiset, the gated [`EvalStats`] counters, the closed-form
 //! network value counts and error behavior:
 //!
-//! * a morsel-size sweep re-runs each policy under morsel sizes
+//! * a morsel-size sweep re-runs each parallel policy under morsel sizes
 //!   {1, 7, 64, whole-relation}: morsel size is pure scheduling, so any
 //!   visible difference — result rows or gated counters, page accounting
 //!   included — is a bug;
-//! * distributed policies re-run over real socket-backed loopback sites
-//!   (`gmdj_core::wire`): the transport must not change what is observed;
 //! * the same query, under the sequential and the `parallel(2)` policy,
 //!   is submitted from two concurrent clients through a coalescing
 //!   [`SharedScanPool`]: cross-query scan sharing (and its
@@ -184,25 +182,18 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                     }
                 };
                 // Morsel-size sweep: scheduling granularity must never
-                // leak into anything gated.
-                for morsel in [1usize, 7, 64, usize::MAX] {
-                    let swept = policy.with_morsel_size(Some(morsel));
-                    twin_check(
-                        &run_with_policy(&query, &catalog, strategy, swept),
-                        format!("morsel={morsel}"),
-                        "morsel size changed observable results",
-                    );
-                }
-                // Real-sites twin: both transports drive the identical
-                // per-fragment evaluation; only the byte counters may
-                // differ (zero in-process, measured on the wire).
-                if matches!(policy.mode, ExecMode::Distributed { .. }) {
-                    let real = policy.with_real_sites(true);
-                    twin_check(
-                        &run_with_policy(&query, &catalog, strategy, real),
-                        "real sites".to_string(),
-                        "in-process and socket transports disagree",
-                    );
+                // leak into anything gated. Only the parallel scan reads
+                // the morsel size: a sequential pass is one whole-detail
+                // morsel, and sites scan their fragments whole.
+                if matches!(policy.mode, ExecMode::Parallel { .. }) {
+                    for morsel in [1usize, 7, 64, usize::MAX] {
+                        let swept = policy.with_morsel_size(Some(morsel));
+                        twin_check(
+                            &run_with_policy(&query, &catalog, strategy, swept),
+                            format!("morsel={morsel}"),
+                            "morsel size changed observable results",
+                        );
+                    }
                 }
                 // Shared-pool twin: the same query submitted by two
                 // concurrent clients through a coalescing pool, which

@@ -280,17 +280,74 @@ impl TypedKeyIndex {
     }
 }
 
+/// A numeric band bound or probe point. Compares as [`Value::sql_cmp`]
+/// compares numbers: Int with Int exactly, any other pair widened to
+/// `f64` under `f64::total_cmp` (so `-0.0` sorts below `0.0`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Num {
+    /// An exact integer.
+    Int(i64),
+    /// A float.
+    Float(f64),
+}
+
+impl Num {
+    /// The numeric value of `v`; `None` for NULL and non-numeric values.
+    pub fn of(v: &Value) -> Option<Num> {
+        match v {
+            Value::Int(i) => Some(Num::Int(*i)),
+            Value::Float(f) => Some(Num::Float(*f)),
+            _ => None,
+        }
+    }
+
+    fn widened(self) -> f64 {
+        match self {
+            Num::Int(i) => i as f64,
+            Num::Float(f) => f,
+        }
+    }
+
+    /// SQL comparison of two numbers.
+    #[inline]
+    pub fn sql_cmp(self, other: Num) -> Ordering {
+        match (self, other) {
+            (Num::Int(a), Num::Int(b)) => a.cmp(&b),
+            (a, b) => a.widened().total_cmp(&b.widened()),
+        }
+    }
+
+    /// A total order that agrees with [`sql_cmp`](Self::sql_cmp) between
+    /// values of one type: the widened value, ties between Ints broken
+    /// exactly and Floats placed before Ints. Sorting needs a total
+    /// order even when a column mixes the two types; `lo ≤ t` stays
+    /// monotone along it.
+    fn order(self, other: Num) -> Ordering {
+        self.widened()
+            .total_cmp(&other.widened())
+            .then(match (self, other) {
+                (Num::Int(a), Num::Int(b)) => a.cmp(&b),
+                (Num::Float(_), Num::Int(_)) => Ordering::Less,
+                (Num::Int(_), Num::Float(_)) => Ordering::Greater,
+                (Num::Float(_), Num::Float(_)) => Ordering::Equal,
+            })
+    }
+}
+
 /// Sorted interval index for band conditions `lo ≤ t (< or ≤) hi`.
 ///
 /// Entries are sorted by `lo`; a stab query binary-searches the last entry
 /// with `lo ≤ t` and scans left while intervals can still cover `t`, using
 /// a running maximum of `hi` to stop early. For non-overlapping intervals
-/// (time dimensions like Hours) a stab is O(log n + answers).
+/// (time dimensions like Hours) a stab is O(log n + answers). Bounds and
+/// probe points are [`Num`]s, so an Int band beyond 2^53 answers exactly
+/// what θ answers.
 #[derive(Debug, Clone)]
 pub struct IntervalIndex {
     /// (lo, hi, row) sorted by lo.
-    entries: Vec<(f64, f64, u32)>,
-    /// prefix_max_hi[i] = max of entries[0..=i].hi — allows early exit.
+    entries: Vec<(Num, Num, u32)>,
+    /// prefix_max_hi[i] = max of entries[0..=i].hi, widened to `f64` —
+    /// allows early exit.
     prefix_max_hi: Vec<f64>,
     /// Whether the upper bound is inclusive (`t ≤ hi`) or exclusive
     /// (`t < hi`).
@@ -301,18 +358,18 @@ impl IntervalIndex {
     /// Build from `(lo, hi)` pairs per row; rows with NULL bounds are
     /// excluded (their band condition is unknown for every t).
     pub fn build(bounds: impl Iterator<Item = (Value, Value)>, hi_inclusive: bool) -> Self {
-        let mut entries: Vec<(f64, f64, u32)> = Vec::new();
+        let mut entries: Vec<(Num, Num, u32)> = Vec::new();
         for (i, (lo, hi)) in bounds.enumerate() {
-            if let (Some(lo), Some(hi)) = (lo.as_f64(), hi.as_f64()) {
+            if let (Some(lo), Some(hi)) = (Num::of(&lo), Num::of(&hi)) {
                 entries.push((lo, hi, i as u32));
             }
         }
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+        entries.sort_by(|a, b| a.0.order(b.0));
         let mut prefix_max_hi: Vec<f64> = Vec::with_capacity(entries.len());
         for e in &entries {
             let running = match prefix_max_hi.last() {
-                Some(&m) if m.total_cmp(&e.1).is_ge() => m,
-                _ => e.1,
+                Some(&m) if m.total_cmp(&e.1.widened()).is_ge() => m,
+                _ => e.1.widened(),
             };
             prefix_max_hi.push(running);
         }
@@ -326,29 +383,30 @@ impl IntervalIndex {
     /// Rows whose interval contains `t`.
     pub fn stab(&self, t: &Value, out: &mut Vec<u32>) {
         out.clear();
-        let Some(t) = t.as_f64() else { return };
-        self.stab_f64(t, out);
+        let Some(t) = Num::of(t) else { return };
+        self.stab_num(t, out);
     }
 
-    /// [`stab`](Self::stab) with the probe value already widened to `f64` —
-    /// the batched scan calls this directly from typed Int/Float columns
-    /// without constructing a `Value`. Bounds compare under
-    /// `f64::total_cmp`, as SQL comparison (`Value::sql_cmp`) does, so
-    /// `-0.0` sorts below `0.0`.
-    pub fn stab_f64(&self, t: f64, out: &mut Vec<u32>) {
+    /// [`stab`](Self::stab) with the probe value already a [`Num`] — the
+    /// batched scan calls this directly from typed Int/Float columns
+    /// without constructing a `Value`.
+    pub fn stab_num(&self, t: Num, out: &mut Vec<u32>) {
         out.clear();
         // Below `t`'s upper bound: `t < hi`, or `t ≤ hi` when inclusive.
-        let below = |hi: f64| match t.total_cmp(&hi) {
+        let below = |hi: Num| match t.sql_cmp(hi) {
             Ordering::Less => true,
             Ordering::Equal => self.hi_inclusive,
             Ordering::Greater => false,
         };
         // Last index with lo <= t.
-        let mut hi_idx = self.entries.partition_point(|e| e.0.total_cmp(&t).is_le());
+        let mut hi_idx = self.entries.partition_point(|e| e.0.sql_cmp(t).is_le());
+        let t_wide = t.widened();
         while hi_idx > 0 {
             hi_idx -= 1;
-            // If no interval at or before hi_idx can reach t, stop.
-            if !below(self.prefix_max_hi[hi_idx]) {
+            // If no interval at or before hi_idx can reach t, stop. Only
+            // a strict `f64` gap proves it: widening is monotone, but two
+            // integers beyond 2^53 can widen to one `f64`.
+            if self.prefix_max_hi[hi_idx].total_cmp(&t_wide).is_lt() {
                 break;
             }
             let (_, hi, row) = self.entries[hi_idx];
@@ -583,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn stab_f64_matches_value_stab() {
+    fn stab_num_matches_value_stab() {
         let idx = IntervalIndex::build(
             vec![
                 (Value::Int(0), Value::Int(60)),
@@ -594,8 +652,29 @@ mod tests {
         );
         let (mut a, mut b) = (Vec::new(), Vec::new());
         idx.stab(&Value::Int(45), &mut a);
-        idx.stab_f64(45.0, &mut b);
+        idx.stab_num(Num::Int(45), &mut b);
         assert_eq!(a, b);
+    }
+
+    /// Int bounds compare with Int points exactly, as θ does: 2^53 and
+    /// 2^53 + 1 are one `f64`, but not one integer.
+    #[test]
+    fn int_bounds_beyond_f64_precision_compare_exactly() {
+        let p = 1i64 << 53;
+        let mut out = Vec::new();
+        let above = IntervalIndex::build(
+            std::iter::once((Value::Int(p + 1), Value::Int(p + 10))),
+            false,
+        );
+        above.stab_num(Num::Int(p), &mut out);
+        assert!(out.is_empty(), "2^53 lies below [2^53+1, 2^53+10)");
+        above.stab_num(Num::Int(p + 1), &mut out);
+        assert_eq!(out, vec![0]);
+        let inclusive = IntervalIndex::build(std::iter::once((Value::Int(0), Value::Int(p))), true);
+        inclusive.stab_num(Num::Int(p + 1), &mut out);
+        assert!(out.is_empty(), "2^53+1 lies above [0, 2^53]");
+        inclusive.stab_num(Num::Int(p), &mut out);
+        assert_eq!(out, vec![0]);
     }
 
     /// Bounds order like SQL comparison: `-0.0 < 0.0`.
@@ -610,11 +689,11 @@ mod tests {
             false,
         );
         let mut out = Vec::new();
-        idx.stab_f64(-0.0, &mut out);
+        idx.stab_num(Num::Float(-0.0), &mut out);
         assert!(out.is_empty(), "-0.0 is below [0, 1) and not below -0.0");
-        idx.stab_f64(0.0, &mut out);
+        idx.stab_num(Num::Float(0.0), &mut out);
         assert_eq!(out, vec![0]);
-        idx.stab_f64(-0.5, &mut out);
+        idx.stab_num(Num::Float(-0.5), &mut out);
         assert_eq!(out, vec![1]);
     }
 

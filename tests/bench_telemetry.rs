@@ -25,34 +25,9 @@ fn tiny() -> BenchConfig {
         ablations: false,
         cross_policy: false,
         quick: true,
-        real_sites: false,
         morsel_size: None,
         concurrent: None,
     }
-}
-
-/// The gated counter projection is a semantic contract: a bench over
-/// real socket-backed sites must record a counter section byte-identical
-/// to the in-process simulation's (wire byte counts are deliberately
-/// outside the gated projection), and record under a distinct
-/// `_realsites` run id.
-#[test]
-fn real_sites_and_in_process_counter_sections_are_byte_identical() {
-    let cfg = BenchConfig {
-        cross_policy: true, // so distributed cells actually exist
-        ..tiny()
-    };
-    let sim = run_bench(&cfg).unwrap();
-    let real = run_bench(&BenchConfig {
-        real_sites: true,
-        ..cfg
-    })
-    .unwrap();
-    let sa = counter_section(&parse_json(&sim.to_json()).unwrap()).unwrap();
-    let sb = counter_section(&parse_json(&real.to_json()).unwrap()).unwrap();
-    assert!(sa.contains(" dist2\n"), "{sa}");
-    assert_eq!(sa, sb);
-    assert!(real.to_json().contains("_realsites"), "{}", real.to_json());
 }
 
 #[test]

@@ -174,7 +174,7 @@ fn run_matrix_cell(fault: Fault, window: FaultWindow) {
     let _guard = chaos_setup(FaultPlan::new().fault(1, fault, window));
     let catalog = catalog();
     let query = query();
-    let policy = ExecPolicy::distributed(2).with_real_sites(true);
+    let policy = ExecPolicy::distributed(2);
 
     for strat in GMDJ_STRATEGIES {
         let oracle = run_with_policy(&query, &catalog, strat, ExecPolicy::sequential())
@@ -300,12 +300,12 @@ fn recovery_is_visible_in_metrics_and_byte_counters() {
         let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let catalog = catalog();
         let query = query();
-        let policy = ExecPolicy::distributed(2).with_real_sites(true);
+        let policy = ExecPolicy::distributed(2);
 
         // Clean baseline first (no faults): capture per-run wire bytes.
         wire::set_config(CHAOS_CONFIG);
         let clean = run_with_policy(&query, &catalog, Strategy::GmdjOptimized, policy)
-            .expect("clean real-sites run");
+            .expect("clean distributed run");
         let clean_net = clean
             .plan_stats
             .as_ref()
@@ -375,7 +375,7 @@ fn failed_attempts_never_reach_the_stitched_trace() {
     with_watchdog("stitched_trace", || {
         let _lock = CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (base, detail, spec) = trace_workload();
-        let policy = ExecPolicy::distributed(2).with_real_sites(true);
+        let policy = ExecPolicy::distributed(2);
         let faults = [
             Fault::CrashBeforeEval,
             Fault::CrashAfterEval,
@@ -475,7 +475,7 @@ fn all_sites_faulted_still_recovers() {
             &query,
             &catalog,
             Strategy::GmdjOptimized,
-            ExecPolicy::distributed(2).with_real_sites(true),
+            ExecPolicy::distributed(2),
         )
         .expect("both faulted sites must recover")
         .relation;

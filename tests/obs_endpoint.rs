@@ -144,7 +144,7 @@ fn endpoint_serves_valid_documents_while_queries_run() {
         &query(),
         &catalog(),
         Strategy::GmdjOptimized,
-        ExecPolicy::distributed(2).with_real_sites(true),
+        ExecPolicy::distributed(2),
     )
     .expect("distributed warm-up query succeeds");
     let (status, body) = get(addr, "/sites");

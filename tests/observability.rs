@@ -202,10 +202,6 @@ fn shipped_site_spans_reconcile_exactly_with_coordinator_rollups() {
     for policy in [
         ExecPolicy::distributed(2),
         ExecPolicy::distributed(3).with_partition_rows(Some(2)),
-        ExecPolicy::distributed(2).with_real_sites(true),
-        ExecPolicy::distributed(3)
-            .with_partition_rows(Some(2))
-            .with_real_sites(true),
     ] {
         let sites = match policy.mode {
             ExecMode::Distributed { sites } => sites,
@@ -296,13 +292,7 @@ fn shipped_site_spans_reconcile_exactly_with_coordinator_rollups() {
             assert_eq!(s.attempts, s.roundtrips, "{policy:?}: clean run retried");
             assert!(s.roundtrip_ns >= s.site_wall_ns + s.wire_ns(), "{policy:?}");
         }
-        // The socket transport measures real bytes; in-process ships none.
-        if policy.real_sites {
-            assert!(sent > 0 && recv > 0, "{policy:?}");
-        } else {
-            assert_eq!(sent, 0, "{policy:?}");
-            assert_eq!(recv, 0, "{policy:?}");
-        }
+        assert!(sent > 0 && recv > 0, "{policy:?}");
 
         // EXPLAIN ANALYZE renders one breakdown line per site.
         let text = node.render_analyze();
@@ -317,8 +307,7 @@ fn shipped_site_spans_reconcile_exactly_with_coordinator_rollups() {
 
 /// Same reconciliation one layer up: every GMDJ strategy the engine can
 /// route through the distributed runtime reports a per-site breakdown in
-/// its plan stats whose totals match the rolled-up counters — over real
-/// sockets and in-process alike.
+/// its plan stats whose totals match the rolled-up counters.
 #[test]
 fn every_strategy_reports_a_reconciled_site_breakdown() {
     use gmdj_algebra::ast::{NestedPredicate, QueryExpr, SubqueryPred};
@@ -364,36 +353,31 @@ fn every_strategy_reports_a_reconciled_site_breakdown() {
         Strategy::GmdjOptimizedNoProbeIndex,
         Strategy::GmdjCostBased,
     ];
-    for real in [false, true] {
-        let policy = ExecPolicy::distributed(2).with_real_sites(real);
-        for strat in strategies {
-            let run = run_with_policy(&query, &catalog, strat, policy)
-                .unwrap_or_else(|e| panic!("{strat:?} (real={real}): {e}"));
-            let stats = run
-                .plan_stats
-                .as_ref()
-                .expect("gmdj strategies record plan stats");
-            let nodes = collect_site_nodes(stats);
-            assert!(
-                !nodes.is_empty(),
-                "{strat:?} (real={real}): no node carries a site breakdown"
-            );
-            for node in nodes {
-                assert_eq!(node.sites.len(), 2, "{strat:?}");
-                let scanned: u64 = node.sites.iter().map(|s| s.rows_scanned).sum();
-                assert_eq!(scanned, node.eval.detail_scanned, "{strat:?} (real={real})");
-                let sent: u64 = node.sites.iter().map(|s| s.bytes_sent).sum();
-                let recv: u64 = node.sites.iter().map(|s| s.bytes_received).sum();
-                assert_eq!(sent, node.network.bytes_sent, "{strat:?} (real={real})");
-                assert_eq!(recv, node.network.bytes_received, "{strat:?} (real={real})");
-                if real {
-                    assert!(sent > 0 && recv > 0, "{strat:?}");
-                }
-                let frag: u64 = node.sites.iter().map(|s| s.fragment_rows).sum();
-                assert_eq!(frag, 30, "{strat:?}: fragments must cover the detail");
-                let text = node.render_analyze();
-                assert!(text.contains("rt=") && text.contains("wire="), "{text}");
-            }
+    for strat in strategies {
+        let run = run_with_policy(&query, &catalog, strat, ExecPolicy::distributed(2))
+            .unwrap_or_else(|e| panic!("{strat:?}: {e}"));
+        let stats = run
+            .plan_stats
+            .as_ref()
+            .expect("gmdj strategies record plan stats");
+        let nodes = collect_site_nodes(stats);
+        assert!(
+            !nodes.is_empty(),
+            "{strat:?}: no node carries a site breakdown"
+        );
+        for node in nodes {
+            assert_eq!(node.sites.len(), 2, "{strat:?}");
+            let scanned: u64 = node.sites.iter().map(|s| s.rows_scanned).sum();
+            assert_eq!(scanned, node.eval.detail_scanned, "{strat:?}");
+            let sent: u64 = node.sites.iter().map(|s| s.bytes_sent).sum();
+            let recv: u64 = node.sites.iter().map(|s| s.bytes_received).sum();
+            assert_eq!(sent, node.network.bytes_sent, "{strat:?}");
+            assert_eq!(recv, node.network.bytes_received, "{strat:?}");
+            assert!(sent > 0 && recv > 0, "{strat:?}");
+            let frag: u64 = node.sites.iter().map(|s| s.fragment_rows).sum();
+            assert_eq!(frag, 30, "{strat:?}: fragments must cover the detail");
+            let text = node.render_analyze();
+            assert!(text.contains("rt=") && text.contains("wire="), "{text}");
         }
     }
 }
@@ -590,7 +574,7 @@ fn flight_recorder_retains_exact_suffix_of_the_span_stream() {
 }
 
 /// Measurement harness for EXPERIMENTS.md § "Span-shipping overhead":
-/// the same distributed real-sites evaluation with span shipping on
+/// the same distributed evaluation with span shipping on
 /// (live `CollectingSink`, `trace=true` on the wire) vs off
 /// (`NullSink`, sites ship counters and wall-clock only). Ignored by
 /// default — run with
@@ -613,7 +597,7 @@ fn measure_span_shipping_overhead() {
         d = d.row(vec![(t % 8000).into(), (t % 13).into()]);
     }
     let detail = d.build().unwrap();
-    let policy = ExecPolicy::distributed(4).with_real_sites(true);
+    let policy = ExecPolicy::distributed(4);
 
     let run = |traced: bool| -> u64 {
         let mut node = PlanNodeStats::new("GMDJ");

@@ -314,61 +314,3 @@ proptest! {
         assert_all_agree(&query, &catalog);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Socket-transport leg: a distributed policy re-run over real
-    /// loopback TCP sites (`gmdj_core::wire`) must be observationally
-    /// identical to the in-process transport — same result multiset and
-    /// same closed-form network value counts. Only the byte counters
-    /// differ: zero under the in-process transport, measured (and
-    /// therefore nonzero) on the wire. Bounded to a handful of cases
-    /// because each run binds real listeners and spawns site threads.
-    #[test]
-    fn real_sites_match_in_process_transport(
-        b in table("B", 8),
-        r in table("R", 10),
-        pred in predicate(),
-    ) {
-        let catalog = MemoryCatalog::new().with("B", b).with("R", r);
-        let query = QueryExpr::table("B", "B").select(pred);
-        let policy = ExecPolicy::distributed(2);
-        for strat in [
-            EvalStrategy::GmdjBasic,
-            EvalStrategy::GmdjOptimized,
-            EvalStrategy::GmdjCostBased,
-        ] {
-            let sim = run_with_policy(&query, &catalog, strat, policy)
-                .unwrap_or_else(|e| panic!("{strat:?} in-process failed on {query}: {e}"));
-            let real = run_with_policy(&query, &catalog, strat, policy.with_real_sites(true))
-                .unwrap_or_else(|e| panic!("{strat:?} over real sites failed on {query}: {e}"));
-            prop_assert!(
-                sim.relation.multiset_eq(&real.relation),
-                "{strat:?}: socket transport changed the answer on\n{query}\nin-process \
-                 ({} rows):\n{}\nreal sites ({} rows):\n{}",
-                sim.relation.len(),
-                sim.relation,
-                real.relation.len(),
-                real.relation,
-            );
-            let sn = sim.plan_stats.as_ref().expect("gmdj runs record plan stats").total_network();
-            let rn = real.plan_stats.as_ref().expect("gmdj runs record plan stats").total_network();
-            prop_assert_eq!(
-                (sn.broadcast_values, sn.collected_states, sn.messages),
-                (rn.broadcast_values, rn.collected_states, rn.messages),
-                "{:?}: closed-form network value counts drifted between transports on\n{}",
-                strat, query,
-            );
-            prop_assert_eq!(sn.bytes_sent + sn.bytes_received, 0,
-                "in-process transport must not report wire bytes");
-            prop_assert!(
-                rn.bytes_sent > 0 && rn.bytes_received > 0,
-                "real sites must measure wire traffic in both directions \
-                 (got sent={} recv={})",
-                rn.bytes_sent,
-                rn.bytes_received,
-            );
-        }
-    }
-}
