@@ -6,11 +6,9 @@
 //!       [--check-profile PATH] [--stats-addr HOST:PORT]
 //!       [--flight-dump PATH] [--no-flight]
 //! repro fuzz --seed S --cases N [--replay FILE|DIR] [--corpus-dir DIR]
-//! repro bench [--quick] [--scale F] [--seed N] [--reps N] [--warmup N]
-//!             [--out DIR] [--baseline PATH] [--check-baseline] [--bless]
-//!             [--wall-tolerance F] [--no-ablations]
-//!             [--morsel-size N] [--no-flight]
-//!             [--compare A.json B.json]
+//! repro bench [--quick] [--scale F] [--seed N] [--out DIR]
+//!             [--baseline PATH] [--check-baseline] [--bless]
+//!             [--no-ablations] [--concurrent[=N]]
 //! ```
 //!
 //! The `fuzz` subcommand (see `gmdj_fuzz::cli`) runs seeded random nested
@@ -18,12 +16,12 @@
 //! answers against tuple-iteration semantics, shrinking and writing a
 //! self-contained repro for any divergence.
 //!
-//! The `bench` subcommand (see `gmdj_bench::telemetry`) records a
-//! deterministic performance trajectory — trimmed-mean wall-clock plus
+//! The `bench` subcommand (see `gmdj_bench::telemetry`) records the
 //! exact evaluator/network/scan counters per (workload, size, strategy,
-//! policy) cell — to `BENCH_<run>.json`, and `--check-baseline` gates it
-//! against `bench/baseline.json`: counter drift hard-fails with a
-//! per-plan-node diff, wall-clock regressions only warn.
+//! policy) cell to `BENCH_<run>.json`, and `--check-baseline` gates them
+//! against `bench/baseline.json`: counter drift fails with a
+//! per-plan-node diff. It times nothing; the figure tables below and
+//! perfbench are where wall-clock is measured.
 //!
 //! Prints, per figure, the measurement table (one row per size point, one
 //! column per strategy — milliseconds and work units) followed by the
@@ -257,7 +255,7 @@ fn write_csv(dir: &str, fig: FigureId, figure: &gmdj_bench::Figure) -> std::io::
     Ok(())
 }
 
-/// `repro bench`: record a deterministic perf trajectory, optionally
+/// `repro bench`: record the deterministic counter trajectory, optionally
 /// blessing it as the baseline or gating it against the recorded one.
 fn bench_cmd(argv: &[String]) -> ExitCode {
     let mut cfg = gmdj_bench::telemetry::BenchConfig::full(42);
@@ -265,8 +263,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
     let mut baseline_path = String::from("bench/baseline.json");
     let mut check_baseline = false;
     let mut bless = false;
-    let mut compare: Option<(String, String)> = None;
-    let mut wall_tolerance = 0.25f64;
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut next = |what: &str| -> Result<String, String> {
@@ -281,19 +277,10 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                     cfg.scale = next("--scale")?.parse().map_err(|_| "bad --scale")?;
                 }
                 "--seed" => cfg.seed = next("--seed")?.parse().map_err(|_| "bad --seed")?,
-                "--reps" => cfg.reps = next("--reps")?.parse().map_err(|_| "bad --reps")?,
-                "--warmup" => {
-                    cfg.warmup = next("--warmup")?.parse().map_err(|_| "bad --warmup")?;
-                }
                 "--out" => out_dir = next("--out")?,
                 "--baseline" => baseline_path = next("--baseline")?,
                 "--check-baseline" => check_baseline = true,
                 "--bless" => bless = true,
-                "--wall-tolerance" => {
-                    wall_tolerance = next("--wall-tolerance")?
-                        .parse()
-                        .map_err(|_| "bad --wall-tolerance")?;
-                }
                 "--no-ablations" => cfg.ablations = false,
                 "--concurrent" => cfg.concurrent = Some(8),
                 other if other.starts_with("--concurrent=") => {
@@ -305,57 +292,28 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                     }
                     cfg.concurrent = Some(n);
                 }
-                "--no-flight" => trace::flight().set_enabled(false),
-                "--morsel-size" => {
-                    let rows: usize = next("--morsel-size")?
-                        .parse()
-                        .map_err(|_| "bad --morsel-size")?;
-                    if rows == 0 {
-                        return Err("--morsel-size must be at least 1".into());
-                    }
-                    cfg.morsel_size = Some(rows);
-                }
-                "--compare" => {
-                    let a = next("--compare")?;
-                    let b = next("--compare")?;
-                    compare = Some((a, b));
-                }
                 "--help" | "-h" => {
                     println!(
                         "repro bench — deterministic benchmark telemetry\n\n\
                          Runs the Figure 2-5 workloads and the ablation grid at a fixed\n\
-                         seed/scale under the execution policies, recording trimmed-mean\n\
-                         wall-clock and exact counters to BENCH_<run>.json\n\
-                         (schemas/bench.schema.json).\n\n\
+                         seed/scale under the execution policies, recording exact\n\
+                         counters to BENCH_<run>.json (schemas/bench.schema.json).\n\
+                         Nothing is timed: use repro --figure or perfbench for that.\n\n\
                          options:\n  \
-                         --quick              CI configuration (small scale, 3 reps) —\n                       \
-                         the configuration bench/baseline.json is recorded with\n  \
+                         --quick              CI configuration (small scale) — the\n                       \
+                         configuration bench/baseline.json is recorded with\n  \
                          --scale F            override the size multiplier\n  \
                          --seed N             data generation seed (default 42)\n  \
-                         --reps N             measured repetitions per cell\n  \
-                         --warmup N           unmeasured warmup runs per cell\n  \
                          --out DIR            where to write BENCH_<run>.json (default .)\n  \
                          --baseline PATH      baseline document (default bench/baseline.json)\n  \
                          --check-baseline     gate this run against the baseline: counter\n                       \
-                         drift fails (exit 1), wall-clock only warns\n  \
+                         drift fails (exit 1)\n  \
                          --bless              overwrite the baseline with this run\n  \
-                         --wall-tolerance F   warn threshold on trimmed-mean wall-clock\n                       \
-                         (fraction, default 0.25 = +25%)\n  \
                          --no-ablations       skip the ablation grid\n  \
                          --concurrent[=N]     additionally run the concurrent-load group:\n                       \
                          N (default 8) identical GMDJs submitted serially\n                       \
                          vs concurrently through a shared-scan pool,\n                       \
-                         recording latency quantiles, queries/sec and the\n                       \
-                         shared-scan pass counters (own blessed section;\n                       \
-                         grid entries and their baseline are untouched)\n  \
-                         --no-flight          disable the always-on flight recorder\n                       \
-                         (the overhead ablation of EXPERIMENTS.md; gated\n                       \
-                         counters are identical either way)\n  \
-                         --morsel-size N      rows per morsel on the grid's parallel\n                       \
-                         policies (pure scheduling; counters identical, but\n                       \
-                         the +mN label keys a separate trajectory)\n  \
-                         --compare A B        compare the wall-clock of two recorded\n                       \
-                         BENCH documents entry by entry and exit"
+                         recording per-query and shared-scan pass counters"
                     );
                     std::process::exit(0);
                 }
@@ -367,29 +325,6 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-    }
-
-    if let Some((a_path, b_path)) = compare {
-        let load = |path: &str| -> Result<profile::Json, String> {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let doc = profile::parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            gmdj_bench::telemetry::validate_bench(&doc).map_err(|e| format!("{path}: {e}"))?;
-            Ok(doc)
-        };
-        let result = load(&a_path)
-            .and_then(|a| load(&b_path).map(|b| (a, b)))
-            .and_then(|(a, b)| gmdj_bench::telemetry::compare_wall_clock(&a, &b));
-        return match result {
-            Ok(text) => {
-                print!("{text}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
 
     let report = match gmdj_bench::telemetry::run_bench(&cfg) {
@@ -431,30 +366,7 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-        // A concurrent run blessed over an existing baseline splices only
-        // its concurrent section in, keeping every recorded grid entry
-        // byte-identical: wall stats are machine-dependent, so rewriting
-        // the whole file would churn every entry for an orthogonal
-        // addition.
-        let blessed = match (&report.concurrent, std::fs::read_to_string(&baseline_path)) {
-            (Some(conc), Ok(existing)) => {
-                match gmdj_bench::telemetry::splice_concurrent(&existing, &conc.to_json()) {
-                    Some(spliced) => spliced,
-                    None => {
-                        eprintln!("error: baseline {baseline_path} is not a spliceable document");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            _ => json.clone(),
-        };
-        if let Err(e) =
-            profile::parse_json(&blessed).and_then(|d| gmdj_bench::telemetry::validate_bench(&d))
-        {
-            eprintln!("internal error: blessed baseline would be invalid: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&baseline_path, &blessed) {
+        if let Err(e) = std::fs::write(&baseline_path, &json) {
             eprintln!("error: cannot write {baseline_path}: {e}");
             return ExitCode::FAILURE;
         }
@@ -478,7 +390,7 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match gmdj_bench::telemetry::compare_reports(&doc, &baseline, wall_tolerance) {
+        match gmdj_bench::telemetry::compare_reports(&doc, &baseline) {
             Ok(cmp) => {
                 print!("{}", cmp.render());
                 if cmp.gate_failed() {

@@ -1,40 +1,35 @@
-//! Benchmark telemetry: recorded perf trajectories with noise-free
-//! regression gates.
+//! Benchmark telemetry: the recorded counter trajectory and its
+//! regression gate.
 //!
 //! `repro bench` executes the Figure 2–5 workloads plus an ablation grid
 //! at fixed seeds and scales under the execution policies, and records
-//! two kinds of signal per (workload, size, strategy, policy) cell:
-//!
-//! * **wall-clock** — warmup runs followed by repeated measurements,
-//!   summarized as a trimmed mean (min and max dropped). Machine-bound,
-//!   noisy, therefore only *warn*-gated against the baseline;
-//! * **deterministic counters** — the quantities the evaluator already
-//!   counts exactly ([`EvalStats`] work,
-//!   [`NetworkStats`] traffic,
-//!   table rows scanned, relational-operator row flow, per-plan-node
-//!   invocations). Same seed ⇒ same bytes, so any drift against
-//!   `bench/baseline.json` is a real plan-quality change and **hard-fails**
-//!   the gate. The runner additionally asserts the counters are identical
-//!   across its own repetitions, so a nondeterministic counter can never
-//!   be recorded in the first place.
+//! per (workload, size, strategy, policy) cell the quantities the
+//! evaluator already counts exactly ([`EvalStats`] work, [`NetworkStats`]
+//! traffic, table rows scanned, relational-operator row flow, per-plan-node
+//! invocations). Same seed ⇒ same bytes, so any drift against
+//! `bench/baseline.json` is a real plan-quality change and **fails** the
+//! gate. Every cell runs twice and the runner asserts both runs agree, so
+//! a nondeterministic counter can never be recorded in the first place.
+//! Nothing here is timed: wall-clock claims go through `repro --figure`
+//! at the paper's sizes and through perfbench.
 //!
 //! The report is one `BENCH_<run>.json` document. Its only definition
 //! is the checked-in `schemas/bench.schema.json`: [`validate_bench`] runs
 //! that file through the profile subsystem's schema interpreter
 //! ([`crate::profile::Schema`], over [`crate::profile::parse_json`]) and
 //! adds the `concurrent` section's cross-field invariants.
-//! [`compare_reports`] implements the two-tier gate and, for a drifted
-//! entry, diffs the recorded plan-node counter trees pairwise — naming
-//! the regressed node and its cost-model figure
+//! [`compare_reports`] implements the gate and, for a drifted entry,
+//! diffs the recorded plan-node counter trees pairwise — naming the
+//! regressed node and its cost-model figure
 //! ([`gmdj_core::cost::observed_cost`]) before and after.
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gmdj_core::cost;
 use gmdj_core::distributed::NetworkStats;
 use gmdj_core::eval::EvalStats;
-use gmdj_core::metrics::{self, Histogram};
+use gmdj_core::metrics;
 use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::shared::{SharedScanConfig, SharedScanPool};
 use gmdj_engine::strategy::{run_with_policy, run_with_policy_pooled, RunResult, Strategy};
@@ -46,10 +41,9 @@ use gmdj_datagen::workloads::Workload;
 
 /// Schema version written to and required from bench documents.
 /// Version 2 added the page-accounting counters (`col_chunk_reads`,
-/// `row_page_reads`) to the gated counter set — entry rollups and
-/// per-plan-node trees both — and the `+m<N>` morsel-size component to
-/// policy labels.
-pub const BENCH_VERSION: u64 = 2;
+/// `row_page_reads`) to the gated counter set and the `+m<N>` morsel-size
+/// component to policy labels. Version 3 dropped every timing field.
+pub const BENCH_VERSION: u64 = 3;
 
 /// The deterministic counter set recorded per bench entry or plan node:
 /// `(key, value)` rows sorted by key — a few row-flow extras plus the
@@ -214,35 +208,6 @@ pub fn plan_from_counter_tree(node: &Json) -> std::result::Result<PlanNodeStats,
     Ok(out)
 }
 
-/// Wall-clock summary of one entry's repetitions.
-#[derive(Debug, Clone, Copy)]
-pub struct WallStats {
-    /// Number of measured repetitions (warmups excluded).
-    pub reps: u64,
-    /// Mean of the repetitions with min and max dropped (plain mean when
-    /// fewer than three repetitions), microseconds.
-    pub trimmed_mean_us: u64,
-    pub min_us: u64,
-    pub max_us: u64,
-}
-
-fn wall_stats(mut samples: Vec<u64>) -> WallStats {
-    samples.sort_unstable();
-    let reps = samples.len() as u64;
-    let (min_us, max_us) = (samples[0], samples[samples.len() - 1]);
-    let trimmed: &[u64] = if samples.len() >= 3 {
-        &samples[1..samples.len() - 1]
-    } else {
-        &samples
-    };
-    WallStats {
-        reps,
-        trimmed_mean_us: trimmed.iter().sum::<u64>() / trimmed.len() as u64,
-        min_us,
-        max_us,
-    }
-}
-
 /// One measured cell of the bench grid.
 #[derive(Debug, Clone)]
 pub struct BenchEntry {
@@ -256,7 +221,6 @@ pub struct BenchEntry {
     /// Whether the counter section of this entry is hard-gated against
     /// the baseline.
     pub gated: bool,
-    pub wall: WallStats,
     pub counters: Counters,
     /// Deterministic plan-tree projection (GMDJ strategies only).
     pub plan: Option<PlanNodeStats>,
@@ -286,17 +250,12 @@ impl BenchEntry {
         };
         format!(
             "{{\"group\":\"{}\",\"label\":\"{}\",\"strategy\":\"{}\",\"policy\":\"{}\",\
-             \"gated\":{},\"wall\":{{\"max_us\":{},\"min_us\":{},\"reps\":{},\"trimmed_mean_us\":{}}},\
-             \"counters\":{},\"predicted_cost\":{},\"plan\":{}}}",
+             \"gated\":{},\"counters\":{},\"predicted_cost\":{},\"plan\":{}}}",
             gmdj_core::trace::json_escape(&self.group),
             gmdj_core::trace::json_escape(&self.label),
             self.strategy,
             self.policy,
             self.gated,
-            self.wall.max_us,
-            self.wall.min_us,
-            self.wall.reps,
-            self.wall.trimmed_mean_us,
             self.counters.to_json(),
             predicted,
             plan,
@@ -319,10 +278,6 @@ pub struct BenchConfig {
     /// Multiplier on the paper's row counts (see [`sizes`]).
     pub scale: f64,
     pub seed: u64,
-    /// Unmeasured warmup runs per cell.
-    pub warmup: u32,
-    /// Measured repetitions per cell.
-    pub reps: u32,
     /// Include the ablation grid.
     pub ablations: bool,
     /// Run the figure grid's first size point also under the parallel and
@@ -330,38 +285,25 @@ pub struct BenchConfig {
     pub cross_policy: bool,
     /// Mode tag written to the report (`quick` or `full`).
     pub quick: bool,
-    /// Override the parallel detail scan's morsel size (rows per queue
-    /// pull) on the figure-grid policies. Pure scheduling: every gated
-    /// counter — page accounting included — is identical for any setting.
-    /// The label is part of the entry key (`+mN`), so an override records
-    /// a new trajectory rather than gating against the default baseline.
-    /// The morsel-size ablation group pins its own values and ignores
-    /// this.
-    pub morsel_size: Option<usize>,
     /// `Some(n)`: additionally run the concurrent-load group — `n`
     /// identical GMDJ queries submitted serially (standalone) and then
-    /// concurrently through a [`SharedScanPool`], recording per-query
-    /// latency quantiles, queries/sec, the speedup, and the shared-scan
-    /// pass counters. The grid entries are untouched (sharing engages
-    /// only on the pooled leg), so the existing baseline entries stay
-    /// byte-identical; the section gets its own blessed record.
+    /// concurrently through a [`SharedScanPool`], recording the per-query
+    /// counters and the shared-scan pass counters. The grid entries are
+    /// untouched (sharing engages only on the pooled leg).
     pub concurrent: Option<usize>,
 }
 
 impl BenchConfig {
-    /// The CI configuration: every figure, tiny scale, short repetitions.
-    /// This is the configuration `bench/baseline.json` is recorded with.
+    /// The CI configuration: every figure at a tiny scale. This is the
+    /// configuration `bench/baseline.json` is recorded with.
     pub fn quick(seed: u64) -> Self {
         BenchConfig {
             figures: FigureId::all().to_vec(),
             scale: 0.004,
             seed,
-            warmup: 1,
-            reps: 3,
             ablations: true,
             cross_policy: true,
             quick: true,
-            morsel_size: None,
             concurrent: None,
         }
     }
@@ -370,8 +312,6 @@ impl BenchConfig {
     pub fn full(seed: u64) -> Self {
         BenchConfig {
             scale: 0.05,
-            warmup: 1,
-            reps: 5,
             quick: false,
             ..Self::quick(seed)
         }
@@ -402,10 +342,6 @@ impl BenchConfig {
 pub struct BenchReport {
     pub config: BenchConfig,
     pub entries: Vec<BenchEntry>,
-    /// Process-level `query_latency_us` quantiles from the global
-    /// [`metrics`] registry `(count, p50, p95, p99)` — wall-bound, not
-    /// gated.
-    pub latency: Option<(u64, u64, u64, u64)>,
     /// The concurrent-load group ([`BenchConfig::concurrent`]).
     pub concurrent: Option<ConcurrentReport>,
 }
@@ -415,14 +351,12 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"version\":{},\"run\":\"{}\",\"mode\":\"{}\",\"scale\":{},\"seed\":{},\
-             \"warmup\":{},\"reps\":{},\"entries\":[",
+             \"entries\":[",
             BENCH_VERSION,
             self.config.run_id(),
             if self.config.quick { "quick" } else { "full" },
             self.config.scale,
             self.config.seed,
-            self.config.warmup,
-            self.config.reps,
         );
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -430,13 +364,7 @@ impl BenchReport {
             }
             out.push_str(&e.to_json());
         }
-        out.push_str("],\"latency\":");
-        match self.latency {
-            Some((count, p50, p95, p99)) => out.push_str(&format!(
-                "{{\"count\":{count},\"p50\":{p50},\"p95\":{p95},\"p99\":{p99}}}"
-            )),
-            None => out.push_str("null"),
-        }
+        out.push(']');
         if let Some(conc) = &self.concurrent {
             out.push_str(",\"concurrent\":");
             out.push_str(&conc.to_json());
@@ -447,48 +375,31 @@ impl BenchReport {
 }
 
 /// The concurrent-load group: `queries` identical GMDJs over one detail
-/// table, measured submitted serially (standalone runs, back to back) and
-/// then concurrently through a [`SharedScanPool`] where they coalesce
-/// into shared passes. The per-query work counters are identical between
-/// the legs (logical accounting — that is the correctness claim) and
+/// table, run submitted serially (standalone runs, back to back) and then
+/// concurrently through a [`SharedScanPool`] where they coalesce into
+/// shared passes. The per-query work counters are identical between the
+/// legs (logical accounting — that is the correctness claim) and
 /// deterministic, so they gate; the pass counters prove the physical
-/// amortization (detail chunks paid once per pass, not once per query);
-/// wall-clock, latency quantiles, queries/sec and the speedup are
-/// machine-bound and informational.
+/// amortization (detail chunks paid once per pass, not once per query).
 #[derive(Debug, Clone)]
 pub struct ConcurrentReport {
     /// Queries per wave (`--concurrent`'s N).
     pub queries: usize,
-    /// Measured waves.
+    /// Pooled waves.
     pub reps: u32,
     pub group: String,
     pub label: String,
     pub strategy: &'static str,
     pub policy: String,
     /// Per-query gated counters — asserted identical across every query
-    /// of both legs and every rep before being recorded.
+    /// of both legs before being recorded.
     pub counters: Counters,
-    /// `shared_scan_passes_total` delta over the measured waves
+    /// `shared_scan_passes_total` delta over the pooled waves
     /// (deterministic: one pass per plan GMDJ node per wave).
     pub shared_scan_passes: u64,
     /// `shared_scan_queries_served_total` delta — `queries ×` the pass
     /// count; the `passes < served` gap IS the shared work.
     pub shared_scan_queries_served: u64,
-    /// Whole-wave wall-clock, serial leg (N standalone runs back to
-    /// back).
-    pub serial_wall: WallStats,
-    /// Whole-wave wall-clock, pooled leg (N concurrent submissions).
-    pub shared_wall: WallStats,
-    /// Per-query latency `(p50, p95, p99)` µs, serial leg.
-    pub serial_latency_us: (u64, u64, u64),
-    /// Per-query latency `(p50, p95, p99)` µs, pooled leg.
-    pub shared_latency_us: (u64, u64, u64),
-    /// Queries per second from the trimmed-mean wave wall-clock.
-    pub serial_qps: f64,
-    /// Queries per second from the trimmed-mean wave wall-clock.
-    pub shared_qps: f64,
-    /// `shared_qps / serial_qps`.
-    pub speedup: f64,
 }
 
 impl ConcurrentReport {
@@ -497,12 +408,7 @@ impl ConcurrentReport {
         format!(
             "{{\"queries\":{},\"reps\":{},\"group\":\"{}\",\"label\":\"{}\",\
              \"strategy\":\"{}\",\"policy\":\"{}\",\"counters\":{},\
-             \"shared_scan_passes\":{},\"shared_scan_queries_served\":{},\
-             \"serial_wall\":{{\"max_us\":{},\"min_us\":{},\"reps\":{},\"trimmed_mean_us\":{}}},\
-             \"shared_wall\":{{\"max_us\":{},\"min_us\":{},\"reps\":{},\"trimmed_mean_us\":{}}},\
-             \"serial_latency\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\
-             \"shared_latency\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\
-             \"serial_qps\":{:.1},\"shared_qps\":{:.1},\"speedup\":{:.3}}}",
+             \"shared_scan_passes\":{},\"shared_scan_queries_served\":{}}}",
             self.queries,
             self.reps,
             gmdj_core::trace::json_escape(&self.group),
@@ -512,69 +418,38 @@ impl ConcurrentReport {
             self.counters.to_json(),
             self.shared_scan_passes,
             self.shared_scan_queries_served,
-            self.serial_wall.max_us,
-            self.serial_wall.min_us,
-            self.serial_wall.reps,
-            self.serial_wall.trimmed_mean_us,
-            self.shared_wall.max_us,
-            self.shared_wall.min_us,
-            self.shared_wall.reps,
-            self.shared_wall.trimmed_mean_us,
-            self.serial_latency_us.0,
-            self.serial_latency_us.1,
-            self.serial_latency_us.2,
-            self.shared_latency_us.0,
-            self.shared_latency_us.1,
-            self.shared_latency_us.2,
-            self.serial_qps,
-            self.shared_qps,
-            self.speedup,
         )
     }
 }
 
-/// Measure one cell: warmups, then `reps` measured runs. The counters of
-/// every repetition must agree exactly — a mismatch means a counter is
-/// nondeterministic and must not be recorded, so it is an error.
+/// Record one cell: run it twice and require both runs' counters to
+/// agree exactly — a mismatch means a counter is nondeterministic and
+/// must not be recorded, so it is an error.
 fn measure(
     w: &Workload,
     strategy: Strategy,
     policy: ExecPolicy,
-    cfg: &BenchConfig,
     group: &str,
     label: &str,
-    gated: bool,
 ) -> Result<BenchEntry> {
-    for _ in 0..cfg.warmup {
-        run_with_policy(&w.query, &w.catalog, strategy, policy)?;
+    let result = run_with_policy(&w.query, &w.catalog, strategy, policy)?;
+    let counters = Counters::from_run(&result);
+    let again = Counters::from_run(&run_with_policy(&w.query, &w.catalog, strategy, policy)?);
+    if again != counters {
+        return Err(Error::invalid(format!(
+            "nondeterministic counters for {group} {label} {} {}: {counters:?} vs {again:?}",
+            strategy.label(),
+            policy_label(&policy),
+        )));
     }
-    let mut walls: Vec<u64> = Vec::with_capacity(cfg.reps as usize);
-    let mut recorded: Option<(Counters, Option<PlanNodeStats>)> = None;
-    for _ in 0..cfg.reps.max(1) {
-        let result = run_with_policy(&w.query, &w.catalog, strategy, policy)?;
-        walls.push(result.wall.as_micros() as u64);
-        let counters = Counters::from_run(&result);
-        match &recorded {
-            None => recorded = Some((counters, result.plan_stats)),
-            Some((prev, _)) if *prev != counters => {
-                return Err(Error::invalid(format!(
-                    "nondeterministic counters for {group} {label} {} {}: {prev:?} vs {counters:?}",
-                    strategy.label(),
-                    policy_label(&policy),
-                )));
-            }
-            Some(_) => {}
-        }
-    }
-    let (counters, plan) = recorded.expect("at least one rep");
+    let plan = result.plan_stats;
     let predicted_cost = plan.as_ref().map(|t| cost::observed_cost(t).total());
     Ok(BenchEntry {
         group: group.to_string(),
         label: label.to_string(),
         strategy: strategy.label(),
         policy: policy_label(&policy),
-        gated,
-        wall: wall_stats(walls),
+        gated: true,
         counters,
         plan,
         predicted_cost,
@@ -591,16 +466,10 @@ fn figure_group(fig: FigureId) -> &'static str {
 }
 
 /// Execute the configured bench grid. Deterministic counter sections:
-/// every entry is gated — the runner has already proven rep-to-rep
+/// every entry is gated — the runner has already proven run-to-run
 /// counter equality, and chunked parallel scans split by fixed ranges, so
 /// counters do not depend on scheduling.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
-    // Every grid policy inherits the run's morsel-size override; the
-    // dedicated ablation groups below pin their own values per entry.
-    let grid_policy = |p: ExecPolicy| match cfg.morsel_size {
-        Some(m) => p.with_morsel_size(Some(m)),
-        None => p,
-    };
     let mut entries: Vec<BenchEntry> = Vec::new();
     for &fig in &cfg.figures {
         let group = figure_group(fig);
@@ -616,26 +485,16 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
                 entries.push(measure(
                     &w,
                     strategy,
-                    grid_policy(ExecPolicy::sequential()),
-                    cfg,
+                    ExecPolicy::sequential(),
                     group,
                     &label,
-                    true,
                 )?);
                 // Cross-policy coverage on the first size point: the
                 // policies only affect strategies that execute GMDJ plans.
                 let has_plan = entries.last().map(|e| e.plan.is_some()).unwrap_or(false);
                 if cfg.cross_policy && pi == 0 && has_plan {
                     for policy in [ExecPolicy::parallel(2), ExecPolicy::distributed(2)] {
-                        entries.push(measure(
-                            &w,
-                            strategy,
-                            grid_policy(policy),
-                            cfg,
-                            group,
-                            &label,
-                            true,
-                        )?);
+                        entries.push(measure(&w, strategy, policy, group, &label)?);
                     }
                 }
             }
@@ -648,14 +507,9 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
         Some(n) => Some(run_concurrent(cfg, n)?),
         None => None,
     };
-    let latency = metrics::global().histogram("query_latency_us").map(|h| {
-        let (p50, p95, p99) = h.quantiles();
-        (h.count(), p50, p95, p99)
-    });
     Ok(BenchReport {
         config: cfg.clone(),
         entries,
-        latency,
         concurrent,
     })
 }
@@ -681,22 +535,22 @@ fn check_concurrent_counters(
     }
 }
 
+/// Barrier-released waves the concurrent group's pooled leg submits.
+const POOLED_WAVES: u32 = 2;
+
 /// The concurrent-load group: `n` identical GMDJ queries over one detail
-/// table, measured (a) submitted serially as standalone runs and (b)
-/// submitted concurrently through a [`SharedScanPool`] sized to coalesce
-/// the whole wave into shared passes. Hard-errors if any query's gated
-/// counters differ between legs, if the waves did not fully coalesce
-/// (`served != passes × n`), or if sharing paid no passes at all.
+/// table, run (a) once serially as standalone runs and (b) in
+/// [`POOLED_WAVES`] waves submitted concurrently through a
+/// [`SharedScanPool`] sized to coalesce each wave into shared passes.
+/// Hard-errors if any query's gated counters differ between legs, if the
+/// waves did not fully coalesce (`served != passes × n`), or if sharing
+/// paid no passes at all.
 fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
     let n = n.max(1);
     // The largest Fig3 point at a boosted scale: the aggregate
     // comparison, a single-detail-table GMDJ that reads every detail row
     // (no completion plan settles it early), so the detail scan dominates
-    // — the workload the sharing claim is about. The grid's quick tier
-    // keeps relations tiny so its entries stay fast; here one workload is
-    // reused across every wave, so it can afford to be large enough that
-    // per-wave fixed costs (thread spawns, per-query prepare) do not swamp
-    // the shared scan.
+    // — the workload the sharing claim is about.
     let conc_scale = (cfg.scale * 25.0).min(1.0);
     let (outer, inner) = *sizes(FigureId::Fig3, conc_scale)
         .last()
@@ -704,13 +558,7 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
     let w = workload(FigureId::Fig3, outer, inner, cfg.seed);
     let label = size_label(FigureId::Fig3, outer, inner);
     let strategy = Strategy::GmdjOptimized;
-    let policy = {
-        let p = ExecPolicy::parallel(2);
-        match cfg.morsel_size {
-            Some(m) => p.with_morsel_size(Some(m)),
-            None => p,
-        }
-    };
+    let policy = ExecPolicy::parallel(2);
     // A generous window plus target_batch = n: the barrier-released wave
     // coalesces completely, so pass counts are closed-form.
     let pool = Arc::new(SharedScanPool::new(SharedScanConfig {
@@ -719,42 +567,28 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
         threads: 4,
         morsel_rows: gmdj_core::runtime::DEFAULT_MORSEL_ROWS,
     }));
-    let reps = cfg.reps.max(1);
     let mut recorded: Option<Counters> = None;
 
     // Serial leg: the same n queries, standalone, back to back.
-    for _ in 0..cfg.warmup {
-        run_with_policy(&w.query, &w.catalog, strategy, policy)?;
-    }
-    let mut serial_hist = Histogram::default();
-    let mut serial_walls: Vec<u64> = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..n {
-            let r = run_with_policy(&w.query, &w.catalog, strategy, policy)?;
-            serial_hist.observe(r.wall.as_micros() as u64);
-            check_concurrent_counters(&mut recorded, Counters::from_run(&r), "serial")?;
-        }
-        serial_walls.push(t0.elapsed().as_micros() as u64);
+    for _ in 0..n {
+        let r = run_with_policy(&w.query, &w.catalog, strategy, policy)?;
+        check_concurrent_counters(&mut recorded, Counters::from_run(&r), "serial")?;
     }
 
-    // Pooled leg: one barrier-released wave of n submitter threads per
-    // rep, all coalescing through the pool.
-    let pooled_wave = |hist: Option<&mut Histogram>,
-                       recorded: &mut Option<Counters>|
-     -> Result<u64> {
+    // Pooled leg: waves of n barrier-released submitter threads, all
+    // coalescing through the pool.
+    let m = metrics::global();
+    let passes_before = m.counter("shared_scan_passes_total");
+    let served_before = m.counter("shared_scan_queries_served_total");
+    for _ in 0..POOLED_WAVES {
         let barrier = Barrier::new(n);
-        let t0 = Instant::now();
-        let runs: Vec<Result<(RunResult, Duration)>> = std::thread::scope(|scope| {
+        let runs: Vec<Result<RunResult>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|_| {
-                    let (w, pool, barrier, policy) = (&w, pool.clone(), &barrier, policy);
-                    scope.spawn(move || -> Result<(RunResult, Duration)> {
+                    let (w, pool, barrier) = (&w, pool.clone(), &barrier);
+                    scope.spawn(move || {
                         barrier.wait();
-                        let t = Instant::now();
-                        let r =
-                            run_with_policy_pooled(&w.query, &w.catalog, strategy, policy, pool)?;
-                        Ok((r, t.elapsed()))
+                        run_with_policy_pooled(&w.query, &w.catalog, strategy, policy, pool)
                     })
                 })
                 .collect();
@@ -766,27 +600,9 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
                 })
                 .collect()
         });
-        let wave_us = t0.elapsed().as_micros() as u64;
-        let mut hist = hist;
         for run in runs {
-            let (r, latency) = run?;
-            if let Some(h) = hist.as_deref_mut() {
-                h.observe(latency.as_micros() as u64);
-            }
-            check_concurrent_counters(recorded, Counters::from_run(&r), "shared")?;
+            check_concurrent_counters(&mut recorded, Counters::from_run(&run?), "shared")?;
         }
-        Ok(wave_us)
-    };
-    for _ in 0..cfg.warmup {
-        pooled_wave(None, &mut recorded)?;
-    }
-    let m = metrics::global();
-    let passes_before = m.counter("shared_scan_passes_total");
-    let served_before = m.counter("shared_scan_queries_served_total");
-    let mut shared_hist = Histogram::default();
-    let mut shared_walls: Vec<u64> = Vec::with_capacity(reps as usize);
-    for _ in 0..reps {
-        shared_walls.push(pooled_wave(Some(&mut shared_hist), &mut recorded)?);
     }
     let shared_scan_passes = m.counter("shared_scan_passes_total") - passes_before;
     let shared_scan_queries_served = m.counter("shared_scan_queries_served_total") - served_before;
@@ -807,21 +623,9 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
             "concurrent group: shared_scan_passes must stay below queries served",
         ));
     }
-
-    let serial_wall = wall_stats(serial_walls);
-    let shared_wall = wall_stats(shared_walls);
-    let qps = |wall: &WallStats| {
-        if wall.trimmed_mean_us == 0 {
-            0.0
-        } else {
-            n as f64 * 1e6 / wall.trimmed_mean_us as f64
-        }
-    };
-    let serial_qps = qps(&serial_wall);
-    let shared_qps = qps(&shared_wall);
     Ok(ConcurrentReport {
         queries: n,
-        reps,
+        reps: POOLED_WAVES,
         group: "concurrent/fig3".to_string(),
         label,
         strategy: strategy.label(),
@@ -829,22 +633,11 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
         counters: recorded.expect("at least one measured query"),
         shared_scan_passes,
         shared_scan_queries_served,
-        serial_latency_us: serial_hist.quantiles(),
-        shared_latency_us: shared_hist.quantiles(),
-        serial_wall,
-        shared_wall,
-        serial_qps,
-        shared_qps,
-        speedup: if serial_qps > 0.0 && shared_qps > 0.0 {
-            shared_qps / serial_qps
-        } else {
-            0.0
-        },
     })
 }
 
-/// The ablation grid: the DESIGN.md design choices measured in isolation
-/// (mirroring `benches/ablations.rs`, but deterministic and recorded).
+/// The ablation grid: the DESIGN.md design choices recorded in isolation
+/// (mirroring `benches/ablations.rs`, but deterministic).
 fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
     let mut entries = Vec::new();
     let (outer2, inner2) = sizes(FigureId::Fig2, cfg.scale)[0];
@@ -854,15 +647,8 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         ("hash-probe", Strategy::GmdjBasic),
         ("active-scan", Strategy::GmdjBasicNoProbeIndex),
     ] {
-        entries.push(measure(
-            &fig2,
-            strategy,
-            ExecPolicy::sequential(),
-            cfg,
-            "ablation/probe",
-            label,
-            true,
-        )?);
+        let policy = ExecPolicy::sequential();
+        entries.push(measure(&fig2, strategy, policy, "ablation/probe", label)?);
     }
     // Memory-partitioned evaluation: 2 and 4 base partitions.
     for parts in [2usize, 4] {
@@ -871,10 +657,8 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
             &fig2,
             Strategy::GmdjOptimized,
             ExecPolicy::sequential().with_partition_rows(Some(rows)),
-            cfg,
             "ablation/partitions",
             &format!("partitions-{parts}"),
-            true,
         )?);
     }
     // Thread scaling of the detail scan.
@@ -888,27 +672,20 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
             &fig2,
             Strategy::GmdjOptimized,
             policy,
-            cfg,
             "ablation/threads",
             &format!("threads-{threads}"),
-            true,
         )?);
     }
     // Morsel-size sweep of the parallel work queue. Morsel size is pure
     // scheduling, so every gated counter — page accounting included — is
-    // identical down the sweep; the wall-clock columns (and the balanced
-    // per-worker `gmdj.worker` spans behind them) are the ablation
-    // signal. Small morsels rebalance skew, the whole-relation morsel
-    // degenerates to one worker doing everything.
+    // identical down the sweep: these cells gate exactly that.
     for morsel in [64usize, 1024, 4096] {
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
             ExecPolicy::parallel(2).with_morsel_size(Some(morsel)),
-            cfg,
             "ablation/morsel_size",
             &format!("morsel-{morsel}"),
-            true,
         )?);
     }
     // Base-tuple completion on the Figure 4 ALL query.
@@ -918,14 +695,13 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
         ("without-completion", Strategy::GmdjBasic),
         ("with-completion", Strategy::GmdjOptimized),
     ] {
+        let policy = ExecPolicy::sequential();
         entries.push(measure(
             &fig4,
             strategy,
-            ExecPolicy::sequential(),
-            cfg,
+            policy,
             "ablation/completion",
             label,
-            true,
         )?);
     }
     Ok(entries)
@@ -1057,15 +833,13 @@ pub struct Comparison {
     /// Hard failures: configuration mismatches, gated entries missing
     /// from the current run, and counter drifts (with plan-node diffs).
     pub drifts: Vec<String>,
-    /// Wall-clock regressions beyond the tolerance — advisory only.
-    pub wall_warnings: Vec<String>,
     /// Entries present in the current run but absent from the baseline
     /// (e.g. a grown grid) — informational; re-bless to record them.
     pub new_entries: Vec<String>,
 }
 
 impl Comparison {
-    /// Whether the hard (counter) gate failed.
+    /// Whether the counter gate failed.
     pub fn gate_failed(&self) -> bool {
         !self.drifts.is_empty()
     }
@@ -1076,16 +850,13 @@ impl Comparison {
         for d in &self.drifts {
             out.push_str(&format!("DRIFT  {d}\n"));
         }
-        for w in &self.wall_warnings {
-            out.push_str(&format!("WARN   {w}\n"));
-        }
         for n in &self.new_entries {
             out.push_str(&format!(
                 "NEW    {n} (not in baseline; re-bless to record)\n"
             ));
         }
         if out.is_empty() {
-            out.push_str("baseline check: no counter drift, no wall-clock warnings\n");
+            out.push_str("baseline check: no counter drift\n");
         }
         out
     }
@@ -1166,17 +937,11 @@ fn diff_plan_nodes(
     Ok(())
 }
 
-/// The two-tier baseline gate. `current` and `baseline` are parsed bench
-/// documents (validate them first). Counter drift on any gated entry —
-/// including a gated entry disappearing, or the recording configuration
-/// changing — is a hard failure ([`Comparison::gate_failed`]); wall-clock
-/// regressions beyond `wall_tolerance` (fractional, e.g. 0.25 = +25%)
-/// only warn.
-pub fn compare_reports(
-    current: &Json,
-    baseline: &Json,
-    wall_tolerance: f64,
-) -> std::result::Result<Comparison, String> {
+/// The baseline gate. `current` and `baseline` are parsed bench documents
+/// (validate them first). Counter drift on any gated entry — including a
+/// gated entry disappearing, or the recording configuration changing —
+/// fails the gate ([`Comparison::gate_failed`]).
+pub fn compare_reports(current: &Json, baseline: &Json) -> std::result::Result<Comparison, String> {
     let mut cmp = Comparison::default();
     for key in ["version", "scale", "seed"] {
         let b = require_num(baseline, key, "baseline")?;
@@ -1255,26 +1020,6 @@ pub fn compare_reports(
                 cmp.drifts.push(lines.join("\n"));
             }
         }
-        // Wall-clock: advisory warn-gate on the trimmed mean.
-        let b_wall = b
-            .get("wall")
-            .and_then(|w| w.get("trimmed_mean_us"))
-            .and_then(Json::as_num);
-        let c_wall = c
-            .get("wall")
-            .and_then(|w| w.get("trimmed_mean_us"))
-            .and_then(Json::as_num);
-        if let (Some(bw), Some(cw)) = (b_wall, c_wall) {
-            if bw > 0.0 && cw > bw * (1.0 + wall_tolerance) {
-                cmp.wall_warnings.push(format!(
-                    "{key}: wall-clock {:.0}us -> {:.0}us (+{:.0}%, tolerance {:.0}%)",
-                    bw,
-                    cw,
-                    100.0 * (cw - bw) / bw,
-                    100.0 * wall_tolerance,
-                ));
-            }
-        }
     }
     for (key, _) in &current_by_key {
         if !baseline_keys.contains(key) {
@@ -1324,97 +1069,6 @@ pub fn compare_reports(
     Ok(cmp)
 }
 
-/// Splice a freshly measured `concurrent` section into an existing
-/// baseline document, leaving every other byte of the baseline —
-/// including its wall-clock numbers — untouched. This is how
-/// `repro bench --concurrent --bless` records the concurrent group
-/// without re-blessing (and thus re-noising) the existing entries.
-/// Returns `None` if the baseline does not end in a JSON object.
-pub fn splice_concurrent(baseline_text: &str, section_json: &str) -> Option<String> {
-    let trimmed = baseline_text.trim_end();
-    let body = trimmed.strip_suffix('}')?;
-    // Replace an already-present section (it is always the last member,
-    // emitted after `latency`).
-    let body = match body.rfind(",\"concurrent\":") {
-        Some(i) => &body[..i],
-        None => body,
-    };
-    Some(format!("{body},\"concurrent\":{section_json}}}"))
-}
-
-/// Per-entry wall-clock comparison of two bench documents (`repro bench
-/// --compare A.json B.json`). Pairs entries by identity key and reports
-/// the trimmed-mean delta of B relative to A, plus a geometric-mean
-/// speedup over the paired entries — the report backing a measured
-/// before/after claim. Counter drift between the documents is
-/// listed first: a wall-clock comparison across different plans is
-/// answering a different question, and should say so.
-pub fn compare_wall_clock(a: &Json, b: &Json) -> std::result::Result<String, String> {
-    let entries_of = |doc: &'_ Json, which: &str| -> std::result::Result<Vec<Json>, String> {
-        Ok(doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{which}: missing `entries` array"))?
-            .to_vec())
-    };
-    let a_entries = entries_of(a, "A")?;
-    let b_entries = entries_of(b, "B")?;
-    let wall_of = |e: &Json| -> Option<f64> {
-        e.get("wall")
-            .and_then(|w| w.get("trimmed_mean_us"))
-            .and_then(Json::as_num)
-    };
-    let mut out = String::new();
-    let mut drift = 0usize;
-    let mut ratios: Vec<f64> = Vec::new();
-    let mut lines: Vec<String> = Vec::new();
-    for ae in &a_entries {
-        let key = entry_key(ae)?;
-        let Some(be) = b_entries
-            .iter()
-            .find(|e| entry_key(e).as_deref() == Ok(key.as_str()))
-        else {
-            lines.push(format!("{key}: only in A"));
-            continue;
-        };
-        if !changed_counters(&counter_keys(), ae, be).is_empty() {
-            drift += 1;
-        }
-        let (Some(aw), Some(bw)) = (wall_of(ae), wall_of(be)) else {
-            continue;
-        };
-        if aw > 0.0 && bw > 0.0 {
-            ratios.push(aw / bw);
-        }
-        let delta = if aw > 0.0 {
-            format!("{:+.1}%", 100.0 * (bw - aw) / aw)
-        } else {
-            "n/a".into()
-        };
-        lines.push(format!("{key}: A={aw:.0}us B={bw:.0}us ({delta})"));
-    }
-    if drift > 0 {
-        out.push_str(&format!(
-            "note: {drift} paired entr{} differ in gated counters — \
-             the runs executed different plans\n",
-            if drift == 1 { "y" } else { "ies" }
-        ));
-    }
-    for l in &lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-    if !ratios.is_empty() {
-        let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
-        out.push_str(&format!(
-            "geomean speedup A/B over {} paired entries: {geomean:.2}x \
-             (>1 means B is faster)\n",
-            ratios.len()
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1425,25 +1079,11 @@ mod tests {
             figures: vec![FigureId::Fig2],
             scale: 0.002,
             seed: 7,
-            warmup: 0,
-            reps: 1,
             ablations: false,
             cross_policy: false,
             quick: true,
-            morsel_size: None,
             concurrent: None,
         }
-    }
-
-    #[test]
-    fn wall_stats_trim_min_and_max() {
-        let w = wall_stats(vec![100, 5, 9000]);
-        assert_eq!(w.reps, 3);
-        assert_eq!(w.min_us, 5);
-        assert_eq!(w.max_us, 9000);
-        assert_eq!(w.trimmed_mean_us, 100);
-        let two = wall_stats(vec![10, 20]);
-        assert_eq!(two.trimmed_mean_us, 15);
     }
 
     #[test]

@@ -167,23 +167,6 @@ impl MetricsRegistry {
         inner.gauges.insert(name.to_string(), value);
     }
 
-    /// Add `delta` (possibly negative) to the named gauge.
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        let mut inner = self.inner.lock().expect("metrics poisoned");
-        let g = inner.gauges.entry(name.to_string()).or_insert(0);
-        *g = g.saturating_add(delta);
-    }
-
-    /// Increment the named gauge by one.
-    pub fn gauge_inc(&self, name: &str) {
-        self.gauge_add(name, 1);
-    }
-
-    /// Decrement the named gauge by one.
-    pub fn gauge_dec(&self, name: &str) {
-        self.gauge_add(name, -1);
-    }
-
     /// Current value of a gauge (zero if never set).
     pub fn gauge(&self, name: &str) -> i64 {
         self.inner
@@ -224,17 +207,6 @@ impl MetricsRegistry {
             .histograms
             .get(name)
             .cloned()
-    }
-
-    /// Names of all registered counters, sorted.
-    pub fn counter_names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .expect("metrics poisoned")
-            .counters
-            .keys()
-            .cloned()
-            .collect()
     }
 
     /// Reset everything to empty (tests; the registry is process-global).
@@ -538,9 +510,9 @@ mod tests {
     fn gauges_move_both_ways_and_render() {
         let m = MetricsRegistry::new();
         m.gauge_set("queries_active", 3);
-        m.gauge_inc("queries_active");
-        m.gauge_dec("queries_active");
-        m.gauge_add("queries_active", -2);
+        m.gauge_set("queries_active", -2);
+        assert_eq!(m.gauge("queries_active"), -2);
+        m.gauge_set("queries_active", 1);
         assert_eq!(m.gauge("queries_active"), 1);
         assert_eq!(m.gauge("missing"), 0);
         m.gauge_set("flight_recorder_dropped_events", 7);
@@ -586,7 +558,7 @@ mod tests {
         assert_eq!(m.counter("x"), 0);
         assert_eq!(m.gauge("g"), 0);
         assert!(m.histogram("y").is_none());
-        assert!(m.counter_names().is_empty());
+        assert_eq!(m.render_json(), MetricsRegistry::new().render_json());
     }
 
     #[test]

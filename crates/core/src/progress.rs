@@ -325,15 +325,6 @@ impl ProgressRegistry {
         }
     }
 
-    /// Number of currently active queries.
-    pub fn active_count(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("progress registry poisoned")
-            .active
-            .len()
-    }
-
     /// Snapshots of every active query (registration order) plus
     /// cumulative totals including the active queries' current counts.
     pub fn snapshot(&self) -> (Vec<QuerySnapshot>, ProgressTotals) {
@@ -510,8 +501,8 @@ mod tests {
             panic!("boom");
         }));
         assert!(res.is_err());
-        assert_eq!(reg.active_count(), 0);
-        let (_, totals) = reg.snapshot();
+        let (active, totals) = reg.snapshot();
+        assert!(active.is_empty());
         assert_eq!(totals.queries_finished, 1);
     }
 

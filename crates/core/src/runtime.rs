@@ -666,11 +666,6 @@ impl Runtime {
         self
     }
 
-    /// The shared-scan pool submissions coalesce through, if attached.
-    pub fn shared_pool(&self) -> Option<&Arc<crate::shared::SharedScanPool>> {
-        self.shared.as_ref()
-    }
-
     /// The default sequential runtime.
     pub fn sequential() -> Self {
         Runtime::default()
@@ -776,7 +771,7 @@ impl Runtime {
                 selection,
                 keep,
                 completion,
-                &self.policy,
+                self.policy.probe,
                 self.sink.as_ref(),
             );
             if let Some(p) = &self.progress {
@@ -795,7 +790,7 @@ impl Runtime {
             out.relation
         } else {
             let output = BoundOutput::bind(base, spec, selection, keep)?;
-            let query = BoundGmdj::bind(base, detail, spec, completion, &self.policy)?;
+            let query = BoundGmdj::bind(base, detail, spec, completion, self.policy.probe)?;
             match self.policy.mode {
                 ExecMode::Distributed { sites } => {
                     // Each fragment is owned by a loopback site executor

@@ -3,21 +3,21 @@
 //! The paper coalesces GMDJs over the same detail table *within* one
 //! query; this module extends the same argument *across* concurrently
 //! submitted queries. Accumulator arrays are per-evaluation private
-//! state, so any number of independent GMDJs over one detail relation
-//! can ride a single morsel-driven pass: each pulled window is dispatched
-//! to every evaluation's membership predicates and accumulator updates
+//! state, so any number of independent GMDJs over one detail relation can
+//! ride a single morsel-driven pass: each pulled window is dispatched to
+//! every evaluation's membership predicates and accumulator updates
 //! (`eval::scan_detail_vectorized`), then results demultiplex back to
 //! per-query waiters. The physical wins: detail chunks are read once per
-//! pass instead of once per query, and queries in one batch that
-//! evaluate the *same GMDJ* — same base, detail, (l⃗, θ⃗) spec, policy
-//! and completion plan — share one evaluation (Prop. 4.1 block merging:
-//! two identical blocks are one block). The selection and projection are
-//! per member: each member materializes the shared accumulators through
-//! its own, so queries that differ only in their selection, such as one
-//! correlated aggregate compared against per-client constants, scan
-//! once. Under a completion plan the selection joins the GMDJ key, since
-//! the scan's Dead/Done statuses settle it. The logical accounting stays
-//! per query, so every gated [`EvalStats`] counter is identical to a
+//! pass instead of once per query, and queries in one batch that evaluate
+//! the *same GMDJ* — same base, detail, (l⃗, θ⃗) spec, probe strategy and
+//! completion plan — share one evaluation (Prop. 4.1 block merging: two
+//! identical blocks are one block). The selection and projection are per
+//! member: each member materializes the shared accumulators through its
+//! own, so queries that differ only in their selection, such as one
+//! correlated aggregate compared against per-client constants, scan once.
+//! Under a completion plan the selection joins the GMDJ key, since the
+//! scan's Dead/Done statuses settle it. The logical accounting stays per
+//! query, so every gated [`EvalStats`] counter is identical to a
 //! standalone run of the same query.
 //!
 //! # Coalescing protocol
@@ -83,7 +83,7 @@ use crate::eval::{
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::runtime::{ExecPolicy, DEFAULT_MORSEL_ROWS};
+use crate::runtime::DEFAULT_MORSEL_ROWS;
 use crate::spec::GmdjSpec;
 use crate::trace::{Span, TraceSink};
 
@@ -142,9 +142,10 @@ struct SharedRequest {
     spec: GmdjSpec,
     selection: Option<Predicate>,
     keep: Keep,
-    /// The submitter's policy, whose probe strategy plans the scan
-    /// ([`BoundGmdj::bind`]).
-    policy: ExecPolicy,
+    /// The submitter's probe strategy, which plans the scan
+    /// ([`BoundGmdj::bind`]): the only part of its policy the pass
+    /// reads, since the pool's own threads and morsels divide the scan.
+    probe: ProbeStrategy,
     completion: Option<CompletionPlan>,
     slot: Arc<ResultSlot>,
 }
@@ -241,9 +242,9 @@ impl SharedScanPool {
     /// until its result is demultiplexed back. Queries arriving within
     /// the coalescing window (or queued behind an in-flight pass) over
     /// the same detail table share one detail scan, and those evaluating
-    /// the same GMDJ share one evaluation. `policy` is the
-    /// submitter's: the pass evaluates the query exactly as that policy's
-    /// standalone evaluation would, completion included.
+    /// the same GMDJ share one evaluation. `probe` is the submitter
+    /// policy's probe strategy: the pass evaluates the query exactly as
+    /// that policy's standalone evaluation would, completion included.
     ///
     /// `sink` receives the `gmdj.shared_scan` span if this caller ends up
     /// leading the pass.
@@ -256,7 +257,7 @@ impl SharedScanPool {
         selection: Option<&Predicate>,
         keep: Keep,
         completion: Option<&CompletionPlan>,
-        policy: &ExecPolicy,
+        probe: ProbeStrategy,
         sink: &dyn TraceSink,
     ) -> Result<SharedOutput> {
         let key = detail_key(detail);
@@ -269,7 +270,7 @@ impl SharedScanPool {
             spec: spec.clone(),
             selection: selection.cloned(),
             keep,
-            policy: *policy,
+            probe,
             completion: completion.cloned(),
             slot: slot.clone(),
         };
@@ -391,18 +392,13 @@ impl SharedScanPool {
         let mut jobs: Vec<PreparedQuery<'_>> = Vec::new();
         for group in groups {
             let r = &batch[group[0]];
-            let prepared = BoundGmdj::bind(
-                &r.base,
-                &r.detail,
-                &r.spec,
-                r.completion.as_ref(),
-                &r.policy,
-            )
-            .and_then(|gmdj| {
-                let mut eval = EvalStats::default();
-                let job = gmdj.prepare(r.base.rows(), &mut eval)?;
-                Ok((eval, job))
-            });
+            let prepared =
+                BoundGmdj::bind(&r.base, &r.detail, &r.spec, r.completion.as_ref(), r.probe)
+                    .and_then(|gmdj| {
+                        let mut eval = EvalStats::default();
+                        let job = gmdj.prepare(r.base.rows(), &mut eval)?;
+                        Ok((eval, job))
+                    });
             match prepared {
                 Ok((eval, job)) => {
                     prepared_groups.push((group, eval));
@@ -476,21 +472,22 @@ impl SharedScanPool {
 /// Whether two requests evaluate the same GMDJ, so one evaluation serves
 /// both: same base storage and schema, same detail schema (the storage is
 /// shared by queue construction, the alias is not), same (l⃗, θ⃗) spec,
-/// policy and completion plan. The selection and projection are each
-/// member's own, except under a completion plan: its Dead/Done statuses
-/// settle the selection during the scan, so there the selection must
-/// match too.
+/// probe strategy and completion plan; the rest of the two policies may
+/// differ, since the pass runs on the pool's threads and morsels. The
+/// selection and projection are each member's own, except under a
+/// completion plan: its Dead/Done statuses settle the selection during
+/// the scan, so there the selection must match too.
 fn same_gmdj(a: &SharedRequest, b: &SharedRequest) -> bool {
     Arc::ptr_eq(&a.base.cols_arc(), &b.base.cols_arc())
         && a.base.schema() == b.base.schema()
         && a.detail.schema() == b.detail.schema()
         && a.spec == b.spec
-        && a.policy == b.policy
+        && a.probe == b.probe
         && a.completion == b.completion
         && (a.completion.is_none() || a.selection == b.selection)
 }
 
-/// One GMDJ bound for evaluation: the policy's probe strategy, the
+/// One GMDJ bound for evaluation: the probe strategy, the
 /// completion plan, and the closed-form page accounting
 /// of one detail pass. Every base partition of the evaluation is prepared
 /// from it ([`BoundGmdj::prepare`]); what each query makes of the
@@ -515,7 +512,7 @@ impl<'a> BoundGmdj<'a> {
         detail: &'a Relation,
         spec: &'a GmdjSpec,
         completion: Option<&'a CompletionPlan>,
-        policy: &ExecPolicy,
+        probe: ProbeStrategy,
     ) -> Result<Self> {
         // Logical page I/O, closed-form: every partition pass reads each
         // referenced detail column's chunks once, however the scan is
@@ -526,7 +523,7 @@ impl<'a> BoundGmdj<'a> {
             base_schema: base.schema(),
             detail_schema: detail.schema(),
             spec,
-            probe: policy.probe,
+            probe,
             completion,
             total_aggs: spec.agg_count(),
             col_chunk_reads: pages * referenced,
@@ -1218,7 +1215,7 @@ mod tests {
                             None,
                             Keep::All,
                             None,
-                            &ExecPolicy::parallel(2),
+                            ExecPolicy::parallel(2).probe,
                             &crate::trace::NullSink,
                         )
                     })
@@ -1275,7 +1272,7 @@ mod tests {
                                 None,
                                 Keep::All,
                                 None,
-                                &ExecPolicy::parallel(2),
+                                ExecPolicy::parallel(2).probe,
                                 &crate::trace::NullSink,
                             )
                             .unwrap();
@@ -1347,7 +1344,7 @@ mod tests {
                             None,
                             Keep::All,
                             None,
-                            &ExecPolicy::parallel(2),
+                            ExecPolicy::parallel(2).probe,
                             sink,
                         )
                         .unwrap()
@@ -1402,7 +1399,7 @@ mod tests {
                 None,
                 Keep::All,
                 None,
-                &ExecPolicy::parallel(2),
+                ExecPolicy::parallel(2).probe,
                 &sink,
             )
         };
@@ -1492,7 +1489,7 @@ mod tests {
                             Some(selection),
                             Keep::BaseOnly,
                             Some(plan),
-                            &ExecPolicy::parallel(2),
+                            ExecPolicy::parallel(2).probe,
                             sink,
                         )
                         .unwrap()
@@ -1516,13 +1513,13 @@ mod tests {
         }
     }
 
-    /// Completion in a shared pass follows each query's own policy, and
-    /// no local policy declines a plan. A band-probed EXISTS submitted
-    /// under `sequential()` and one under `parallel(2)` both run their
-    /// plan in waves — no fallback, tuples finished early, identical
-    /// counters — exactly as their standalone runs do, although they are
-    /// two evaluations (their policies differ) of one pass of a
-    /// two-thread pool.
+    /// Queries that differ only in scheduling share one evaluation, and
+    /// no local policy declines a completion plan. A band-probed EXISTS
+    /// submitted under `sequential()` and the same query under
+    /// `parallel(2)` have one probe strategy, so one pass of a two-thread
+    /// pool evaluates their GMDJ once, in waves — no fallback, tuples
+    /// finished early — and each query's counters are its standalone
+    /// counters.
     #[test]
     fn pooled_completion_admission_follows_each_policy() {
         use crate::completion::derive_completion;
@@ -1565,7 +1562,10 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(sink.by_name("gmdj.shared_scan").len(), 1);
+        let passes = sink.by_name("gmdj.shared_scan");
+        assert_eq!(passes.len(), 1);
+        assert_eq!(passes[0].field("queries"), Some(2));
+        assert_eq!(passes[0].field("evaluations"), Some(1));
         for ((out, eval), (expected, standalone)) in pooled.iter().zip(&standalone) {
             assert!(out.multiset_eq(expected));
             assert_eq!(eval, standalone);
@@ -1597,7 +1597,7 @@ mod tests {
                             Some(selection),
                             *keep,
                             completion.as_ref(),
-                            &policy,
+                            policy.probe,
                             sink,
                         )
                     })
@@ -1741,7 +1741,7 @@ mod tests {
     fn worker_panic_is_an_error_for_any_worker_count() {
         let (base, detail, spec) = (hours(), flows(), in_hour_count());
         let policy = ExecPolicy::sequential();
-        let query = BoundGmdj::bind(&base, &detail, &spec, None, &policy).unwrap();
+        let query = BoundGmdj::bind(&base, &detail, &spec, None, policy.probe).unwrap();
         let mut job = query
             .prepare(base.rows(), &mut EvalStats::default())
             .unwrap();
@@ -1785,7 +1785,7 @@ mod tests {
                 None,
                 Keep::All,
                 None,
-                &ExecPolicy::parallel(2),
+                ExecPolicy::parallel(2).probe,
                 &crate::trace::NullSink,
             )
             .unwrap();

@@ -153,13 +153,6 @@ pub fn intern_static(s: &str) -> Option<&'static str> {
         .copied()
 }
 
-/// Nanoseconds since the process trace epoch — the scale every span
-/// start offset uses, and the coordinator's anchor when re-basing
-/// shipped site events onto its own timeline.
-pub fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
 /// Fresh process-unique trace id (nonzero, monotonically increasing).
 /// Used for the cross-process trace context: the coordinator stamps each
 /// runtime evaluation with one id (`query_id`) and each `site.roundtrip`
@@ -259,13 +252,6 @@ impl CollectingSink {
     pub fn sum_field(&self, name: &str, key: &str) -> u64 {
         self.by_name(name).iter().filter_map(|e| e.field(key)).sum()
     }
-
-    /// Total duration of the first span with the given name, if any.
-    pub fn duration_of(&self, name: &str) -> Option<Duration> {
-        self.by_name(name)
-            .first()
-            .map(|e| Duration::from_nanos(e.dur_ns))
-    }
 }
 
 impl TraceSink for CollectingSink {
@@ -358,7 +344,7 @@ impl FlightRecorder {
 
     /// Turn recording on/off (off makes `record` a no-op; the retained
     /// events stay readable). Used by the overhead ablation in `repro
-    /// bench --no-flight`.
+    /// --no-flight`.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::Relaxed);
     }

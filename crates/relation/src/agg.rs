@@ -46,17 +46,6 @@ impl fmt::Display for AggFunc {
     }
 }
 
-impl AggFunc {
-    /// Result type produced by this aggregate.
-    pub fn result_type(&self, input: DataType) -> DataType {
-        match self {
-            AggFunc::CountStar | AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
-            AggFunc::Avg => DataType::Float,
-            AggFunc::Sum | AggFunc::Min | AggFunc::Max => input,
-        }
-    }
-}
-
 /// An aggregate call with an output name: the paper's
 /// `sum(F.NumBytes) → sum1` notation.
 #[derive(Debug, Clone, PartialEq)]

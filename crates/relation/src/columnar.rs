@@ -24,7 +24,7 @@ use crate::relation::Tuple;
 use crate::value::Value;
 
 /// Rows per column chunk — the paging and batching granule. One chunk of
-/// one column is one buffer-pool page ([`crate::storage::PageId`]) and one
+/// one column is one page of the closed-form page accounting and one
 /// kernel batch window, so the paper's page-count arithmetic and the
 /// vectorization window coincide.
 pub const COLUMN_CHUNK_ROWS: usize = 1024;
@@ -282,7 +282,7 @@ impl ColumnSet {
     }
 
     /// Project a subset of columns (shared-nothing clone of the selected
-    /// stored columns). Used by narrow column scans in storage.
+    /// stored columns).
     pub fn project(&self, columns: &[usize]) -> ColumnSet {
         ColumnSet {
             len: self.len,

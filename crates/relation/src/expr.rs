@@ -340,11 +340,6 @@ impl Predicate {
         Predicate::Literal(Truth::True)
     }
 
-    /// The always-false predicate.
-    pub fn false_() -> Predicate {
-        Predicate::Literal(Truth::False)
-    }
-
     /// Conjunction builder that elides `true` operands.
     pub fn and(self, other: Predicate) -> Predicate {
         match (self, other) {
@@ -757,7 +752,7 @@ mod tests {
         let s = schema();
         // a = "x" would be a type error on ints, but the left conjunct is
         // false so evaluation never reaches it.
-        let p = Predicate::false_().and(col("a").eq(lit("x")));
+        let p = Predicate::Literal(Truth::False).and(col("a").eq(lit("x")));
         assert_eq!(
             p.eval_row(&s, &[Value::Int(1), Value::Int(2)]).unwrap(),
             Truth::False

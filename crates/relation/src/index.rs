@@ -40,7 +40,6 @@ pub fn key_has_null(key: &[Value]) -> bool {
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     map: FxHashMap<Key, Vec<u32>>,
-    len: usize,
 }
 
 impl HashIndex {
@@ -53,16 +52,14 @@ impl HashIndex {
     /// Build from raw rows.
     pub fn build_rows<'a>(rows: impl Iterator<Item = &'a [Value]>, cols: &[usize]) -> Self {
         let mut map: FxHashMap<Key, Vec<u32>> = FxHashMap::default();
-        let mut len = 0usize;
         for (i, row) in rows.enumerate() {
-            len += 1;
             let key = key_of(row, cols);
             if key_has_null(&key) {
                 continue;
             }
             map.entry(key).or_default().push(i as u32);
         }
-        HashIndex { map, len }
+        HashIndex { map }
     }
 
     /// Row positions matching a probe key. NULL keys match nothing.
@@ -72,16 +69,6 @@ impl HashIndex {
             return &[];
         }
         self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Number of rows indexed over (including NULL-key rows).
-    pub fn source_len(&self) -> usize {
-        self.len
     }
 }
 
@@ -450,7 +437,6 @@ mod tests {
         assert_eq!(idx.probe(&[Value::Int(9)]), &[] as &[u32]);
         // NULL probes and NULL build keys never match.
         assert_eq!(idx.probe(&[Value::Null]), &[] as &[u32]);
-        assert_eq!(idx.distinct_keys(), 2);
     }
 
     #[test]

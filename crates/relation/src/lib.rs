@@ -32,9 +32,6 @@
 //!   probe shape can be specialized.
 //! * [`csv`] — RFC-4180-style import/export (schema-checked and
 //!   schema-inferring).
-//! * [`storage`] — column-chunk paged relations behind a buffer pool
-//!   (LRU, optionally scan-resistant) with logical/physical read counters,
-//!   the paper's page-I/O cost model made executable.
 //!
 //! The substrate is natively columnar: the paper's experiments are
 //! dominated by scan, probe, and predicate-evaluation costs, and the
@@ -54,7 +51,6 @@ pub mod index;
 pub mod ops;
 pub mod relation;
 pub mod schema;
-pub mod storage;
 pub mod value;
 
 pub use error::{Error, Result};

@@ -135,14 +135,6 @@ impl Relation {
         self.cols.is_empty()
     }
 
-    /// Consume into rows (materializing if no cached view exists).
-    pub fn into_rows(self) -> Vec<Tuple> {
-        match self.rows.into_inner() {
-            Some(rows) => rows,
-            None => self.cols.materialize(),
-        }
-    }
-
     /// Re-qualify every attribute: the paper's renaming `Flow → F`. The
     /// columnar body is shared, so this is O(schema).
     pub fn renamed(&self, qualifier: &str) -> Relation {
@@ -150,15 +142,6 @@ impl Relation {
             schema: self.schema.with_qualifier(qualifier),
             cols: Arc::clone(&self.cols),
             rows: OnceLock::new(),
-        }
-    }
-
-    /// Re-qualify without touching the body.
-    pub fn into_renamed(self, qualifier: &str) -> Relation {
-        Relation {
-            schema: self.schema.with_qualifier(qualifier),
-            cols: self.cols,
-            rows: self.rows,
         }
     }
 
@@ -388,7 +371,7 @@ mod tests {
         let rows = mixed.rows().to_vec();
         let rebuilt = Relation::new(Arc::clone(mixed.schema()), rows).unwrap();
         assert!(mixed.multiset_eq(&rebuilt));
-        assert_eq!(mixed.into_rows().len(), 3);
+        assert_eq!(rebuilt.len(), 3);
     }
 
     #[test]
