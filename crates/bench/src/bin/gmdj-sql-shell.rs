@@ -2,16 +2,14 @@
 //!
 //! ```text
 //! gmdj-sql-shell [--csv name=path ...] [--tpcr SF] [--netflow N]
-//!                [--strategy S] [--threads N] [--sites N]
-//!                [--morsel-size N] [-e "SQL"]
+//!                [--strategy S] [--threads N] [--sites N] [-e "SQL"]
 //! ```
 //!
 //! Loads tables from CSV files (schema inferred) and/or generated
 //! datasets, then evaluates SQL queries — interactively from stdin or
 //! one-shot with `-e`. `SET threads = N;` / `SET sites = N;` switch the
 //! execution policy mid-session (N = 1 thread returns to sequential);
-//! `SET morsel_size = N;` sets the rows per morsel of the parallel
-//! detail scan; distributed sites are loopback socket sites
+//! distributed sites are loopback socket sites
 //! ([`gmdj_core::wire`]); answers never depend on the policy.
 //! `SET stats_addr = HOST:PORT;` starts the HTTP stats endpoint
 //! ([`gmdj_core::serve`]) for the session (`off` stops it). Meta
@@ -83,12 +81,11 @@ struct Shell {
 enum SetVar {
     Threads,
     Sites,
-    MorselSize,
 }
 
-/// Recognize `SET threads = N` / `SET sites = N` / `SET morsel_size = N`
-/// (case-insensitive; `=` optional). Returns the variable and the
-/// requested count.
+/// Recognize `SET threads = N` / `SET sites = N` (case-insensitive; `=`
+/// optional). Returns the variable and the requested count; any other
+/// variable is an error.
 fn parse_set(sql: &str) -> Option<Result<(SetVar, usize), String>> {
     let mut words = sql.split_whitespace();
     if !words.next()?.eq_ignore_ascii_case("set") {
@@ -99,15 +96,14 @@ fn parse_set(sql: &str) -> Option<Result<(SetVar, usize), String>> {
         SetVar::Threads
     } else if var.eq_ignore_ascii_case("sites") {
         SetVar::Sites
-    } else if var.eq_ignore_ascii_case("morsel_size") {
-        SetVar::MorselSize
     } else {
-        return None;
+        return Some(Err(format!(
+            "unknown variable `{var}` (SET threads, sites or stats_addr)"
+        )));
     };
     let name = match var {
         SetVar::Threads => "threads",
         SetVar::Sites => "sites",
-        SetVar::MorselSize => "morsel_size",
     };
     let rest: Vec<&str> = words.collect();
     let value = match rest.as_slice() {
@@ -179,26 +175,17 @@ impl Shell {
         }
         if let Some(parsed) = parse_set(sql) {
             match parsed {
-                // Mode switches keep the session's morsel-size override:
-                // it is a property of how scans are scheduled, not of
-                // the mode itself.
                 Ok((SetVar::Threads, 1)) => {
-                    self.policy =
-                        ExecPolicy::sequential().with_morsel_size(self.policy.morsel_size);
+                    self.policy = ExecPolicy::sequential();
                     println!("  threads = 1 (sequential)");
                 }
                 Ok((SetVar::Threads, n)) => {
-                    self.policy = ExecPolicy::parallel(n).with_morsel_size(self.policy.morsel_size);
+                    self.policy = ExecPolicy::parallel(n);
                     println!("  threads = {n}");
                 }
                 Ok((SetVar::Sites, n)) => {
-                    self.policy =
-                        ExecPolicy::distributed(n).with_morsel_size(self.policy.morsel_size);
+                    self.policy = ExecPolicy::distributed(n);
                     println!("  sites = {n} (distributed over loopback sockets)");
-                }
-                Ok((SetVar::MorselSize, n)) => {
-                    self.policy = self.policy.with_morsel_size(Some(n));
-                    println!("  morsel_size = {n} rows (scheduling only; answers and counters are unaffected)");
                 }
                 Err(e) => eprintln!("{e}"),
             }
@@ -239,14 +226,11 @@ impl Shell {
                     print!("{}", result.relation);
                 }
                 if self.timing {
-                    let mut mode = match self.policy.mode {
-                        ExecMode::Sequential => String::new(),
+                    let mode = match self.policy.mode {
+                        ExecMode::Parallel { threads: 1 } => String::new(),
                         ExecMode::Parallel { threads } => format!(", {threads} threads"),
                         ExecMode::Distributed { sites } => format!(", {sites} sites"),
                     };
-                    if let Some(m) = self.policy.morsel_size {
-                        mode.push_str(&format!(", {m}-row morsels"));
-                    }
                     println!(
                         "(parse {:.2} ms, plan {:.2} ms, execute {:.2} ms, {} work units, strategy {}{mode})",
                         parse_wall.as_secs_f64() * 1e3,
@@ -591,23 +575,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--morsel-size" => {
-                let Some(v) = argv.next() else {
-                    eprintln!("--morsel-size needs a value");
-                    return ExitCode::FAILURE;
-                };
-                match v.parse::<usize>() {
-                    Ok(0) => {
-                        eprintln!("--morsel-size must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                    Ok(n) => policy = policy.with_morsel_size(Some(n)),
-                    Err(_) => {
-                        eprintln!("bad morsel size `{v}`");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "-e" => {
                 let Some(sql) = argv.next() else {
                     eprintln!("-e needs an SQL string");
@@ -624,10 +591,9 @@ fn main() -> ExitCode {
                      --strategy S      evaluation strategy (default gmdj-opt)\n\
                      --threads N       evaluate GMDJs with N worker threads\n\
                      --sites N         evaluate GMDJs distributed across N loopback sites\n\
-                     --morsel-size N   rows per morsel of the parallel detail scan\n\
                      -e SQL            run one query and exit (repeatable)\n\n\
-                     `SET threads = N;` / `SET sites = N;` / `SET morsel_size = N;`\n\
-                     change the policy mid-session;\n\
+                     `SET threads = N;` / `SET sites = N;` change the policy\n\
+                     mid-session;\n\
                      `SET stats_addr = HOST:PORT;` starts the HTTP stats endpoint\n\
                      (`off` stops it)."
                 );

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--figure 2|3|4|5] [--scale F] [--seed N] [--threads N] [--full]
-//!       [--sites N] [--morsel-size N] [--profile-json PATH]
+//!       [--sites N] [--profile-json PATH]
 //!       [--check-profile PATH] [--stats-addr HOST:PORT]
 //!       [--flight-dump PATH] [--no-flight]
 //! repro fuzz --seed S --cases N [--replay FILE|DIR] [--corpus-dir DIR]
@@ -58,7 +58,6 @@ struct Args {
     seed: u64,
     threads: usize,
     sites: usize,
-    morsel_size: Option<usize>,
     csv_dir: Option<String>,
     profile_json: Option<String>,
     check_profile: Option<String>,
@@ -69,14 +68,11 @@ struct Args {
 
 impl Args {
     fn policy(&self) -> ExecPolicy {
-        let p = if self.sites > 0 {
+        if self.sites > 0 {
             ExecPolicy::distributed(self.sites)
-        } else if self.threads > 1 {
-            ExecPolicy::parallel(self.threads)
         } else {
-            ExecPolicy::sequential()
-        };
-        p.with_morsel_size(self.morsel_size)
+            ExecPolicy::parallel(self.threads)
+        }
     }
 }
 
@@ -86,7 +82,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = 42;
     let mut threads = 1;
     let mut sites = 0usize;
-    let mut morsel_size: Option<usize> = None;
     let mut csv_dir: Option<String> = None;
     let mut profile_json: Option<String> = None;
     let mut check_profile: Option<String> = None;
@@ -122,14 +117,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--sites must be at least 1".into());
                 }
             }
-            "--morsel-size" => {
-                let v = argv.next().ok_or("--morsel-size needs a value")?;
-                let rows: usize = v.parse().map_err(|_| format!("bad morsel size `{v}`"))?;
-                if rows == 0 {
-                    return Err("--morsel-size must be at least 1".into());
-                }
-                morsel_size = Some(rows);
-            }
             "--full" => scale = 1.0,
             "--csv" => {
                 csv_dir = Some(argv.next().ok_or("--csv needs a directory")?);
@@ -159,8 +146,6 @@ fn parse_args() -> Result<Args, String> {
                      --threads N  evaluate GMDJ strategies with N worker threads\n  \
                      --sites N    evaluate GMDJ strategies distributed over N\n               \
                      loopback socket sites\n  \
-                     --morsel-size N  rows per morsel pulled from the parallel scan\n               \
-                     queue (pure scheduling; counters are unaffected)\n  \
                      --csv DIR    also write the measurement grid as DIR/figN.csv\n  \
                      --profile-json PATH   write a machine-readable profile (timed\n                        \
                      plan trees + counters; see schemas/profile.schema.json)\n  \
@@ -189,7 +174,6 @@ fn parse_args() -> Result<Args, String> {
         seed,
         threads,
         sites,
-        morsel_size,
         csv_dir,
         profile_json,
         check_profile,
@@ -353,11 +337,7 @@ fn bench_cmd(argv: &[String]) -> ExitCode {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!(
-        "wrote {out_path} ({} entries, {} gated)",
-        report.entries.len(),
-        report.entries.iter().filter(|e| e.gated).count()
-    );
+    eprintln!("wrote {out_path} ({} entries)", report.entries.len());
 
     if bless {
         if let Some(parent) = std::path::Path::new(&baseline_path).parent() {

@@ -44,7 +44,7 @@ pub fn render_profile(figures: &[Figure], policy: &ExecPolicy, scale: f64, seed:
          \"progress\":{{\"queries_started\":{},\"queries_finished\":{},\
          \"rows_done\":{},\"morsels_done\":{},\"morsels_total\":{}}},\"figures\":[",
         PROFILE_VERSION,
-        json_escape(&format!("{:?}", policy.mode)),
+        json_escape(&policy.label()),
         scale,
         seed,
         totals.queries_started,
@@ -701,7 +701,7 @@ mod tests {
         let mut plan = PlanNodeStats::new("GMDJ");
         plan.children.push(PlanNodeStats::new("Table(x)"));
         let text = format!(
-            r#"{{"version":5,"policy":"Sequential","scale":0.01,"seed":1,{PROGRESS},"figures":[
+            r#"{{"version":5,"policy":"seq","scale":0.01,"seed":1,{PROGRESS},"figures":[
                 {{"name":"f","description":"d","points":[
                     {{"label":"l","outer":1,"inner":1,"measurements":[
                         {{"strategy":"s","wall_us":1,"plan_us":0,"work":1,"rows":1,"plan":null}},

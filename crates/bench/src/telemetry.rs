@@ -41,9 +41,11 @@ use gmdj_datagen::workloads::Workload;
 
 /// Schema version written to and required from bench documents.
 /// Version 2 added the page-accounting counters (`col_chunk_reads`,
-/// `row_page_reads`) to the gated counter set and the `+m<N>` morsel-size
+/// `row_page_reads`) to the gated counter set and a morsel-size
 /// component to policy labels. Version 3 dropped every timing field.
-pub const BENCH_VERSION: u64 = 3;
+/// Version 4 dropped the per-entry `gated` flag (every entry is gated)
+/// and the morsel-size cells and label component (morsels are derived).
+pub const BENCH_VERSION: u64 = 4;
 
 /// The deterministic counter set recorded per bench entry or plan node:
 /// `(key, value)` rows sorted by key — a few row-flow extras plus the
@@ -218,9 +220,6 @@ pub struct BenchEntry {
     pub strategy: &'static str,
     /// Stable policy label (`seq`, `par2`, `dist2`, `seq+part4`).
     pub policy: String,
-    /// Whether the counter section of this entry is hard-gated against
-    /// the baseline.
-    pub gated: bool,
     pub counters: Counters,
     /// Deterministic plan-tree projection (GMDJ strategies only).
     pub plan: Option<PlanNodeStats>,
@@ -250,23 +249,16 @@ impl BenchEntry {
         };
         format!(
             "{{\"group\":\"{}\",\"label\":\"{}\",\"strategy\":\"{}\",\"policy\":\"{}\",\
-             \"gated\":{},\"counters\":{},\"predicted_cost\":{},\"plan\":{}}}",
+             \"counters\":{},\"predicted_cost\":{},\"plan\":{}}}",
             gmdj_core::trace::json_escape(&self.group),
             gmdj_core::trace::json_escape(&self.label),
             self.strategy,
             self.policy,
-            self.gated,
             self.counters.to_json(),
             predicted,
             plan,
         )
     }
-}
-
-/// Stable, filename-safe label for an execution policy (delegates to
-/// [`ExecPolicy::label`], which the progress registry also uses).
-pub fn policy_label(policy: &ExecPolicy) -> String {
-    policy.label()
 }
 
 /// Configuration of one bench run. [`BenchConfig::quick`] is the CI /
@@ -439,7 +431,7 @@ fn measure(
         return Err(Error::invalid(format!(
             "nondeterministic counters for {group} {label} {} {}: {counters:?} vs {again:?}",
             strategy.label(),
-            policy_label(&policy),
+            policy.label(),
         )));
     }
     let plan = result.plan_stats;
@@ -448,8 +440,7 @@ fn measure(
         group: group.to_string(),
         label: label.to_string(),
         strategy: strategy.label(),
-        policy: policy_label(&policy),
-        gated: true,
+        policy: policy.label(),
         counters,
         plan,
         predicted_cost,
@@ -467,8 +458,8 @@ fn figure_group(fig: FigureId) -> &'static str {
 
 /// Execute the configured bench grid. Deterministic counter sections:
 /// every entry is gated — the runner has already proven run-to-run
-/// counter equality, and chunked parallel scans split by fixed ranges, so
-/// counters do not depend on scheduling.
+/// counter equality, and no counter depends on how the morsel pass
+/// schedules its workers.
 pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport> {
     let mut entries: Vec<BenchEntry> = Vec::new();
     for &fig in &cfg.figures {
@@ -565,7 +556,6 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
         window: Duration::from_millis(500),
         target_batch: n,
         threads: 4,
-        morsel_rows: gmdj_core::runtime::DEFAULT_MORSEL_ROWS,
     }));
     let mut recorded: Option<Counters> = None;
 
@@ -629,7 +619,7 @@ fn run_concurrent(cfg: &BenchConfig, n: usize) -> Result<ConcurrentReport> {
         group: "concurrent/fig3".to_string(),
         label,
         strategy: strategy.label(),
-        policy: policy_label(&policy),
+        policy: policy.label(),
         counters: recorded.expect("at least one measured query"),
         shared_scan_passes,
         shared_scan_queries_served,
@@ -661,31 +651,14 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
             &format!("partitions-{parts}"),
         )?);
     }
-    // Thread scaling of the detail scan.
+    // Thread scaling of the detail scan (one thread is `seq`).
     for threads in [1usize, 2, 4] {
-        let policy = if threads == 1 {
-            ExecPolicy::sequential()
-        } else {
-            ExecPolicy::parallel(threads)
-        };
         entries.push(measure(
             &fig2,
             Strategy::GmdjOptimized,
-            policy,
+            ExecPolicy::parallel(threads),
             "ablation/threads",
             &format!("threads-{threads}"),
-        )?);
-    }
-    // Morsel-size sweep of the parallel work queue. Morsel size is pure
-    // scheduling, so every gated counter — page accounting included — is
-    // identical down the sweep: these cells gate exactly that.
-    for morsel in [64usize, 1024, 4096] {
-        entries.push(measure(
-            &fig2,
-            Strategy::GmdjOptimized,
-            ExecPolicy::parallel(2).with_morsel_size(Some(morsel)),
-            "ablation/morsel_size",
-            &format!("morsel-{morsel}"),
         )?);
     }
     // Base-tuple completion on the Figure 4 ALL query.
@@ -763,7 +736,7 @@ fn entry_key(e: &Json) -> std::result::Result<String, String> {
 }
 
 /// Canonical rendering of the gated counter data of a bench document: one
-/// block per gated entry (key line, sorted counters, plan counter tree).
+/// block per entry (key line, sorted counters, plan counter tree).
 /// Two runs at the same configuration must render byte-identically — this
 /// is the string the determinism test and the baseline gate compare.
 pub fn counter_section(doc: &Json) -> std::result::Result<String, String> {
@@ -773,9 +746,6 @@ pub fn counter_section(doc: &Json) -> std::result::Result<String, String> {
         .ok_or("missing `entries` array")?;
     let mut out = String::new();
     for e in entries {
-        if e.get("gated") != Some(&Json::Bool(true)) {
-            continue;
-        }
         out.push_str(&entry_key(e)?);
         out.push('\n');
         let counters = e.get("counters").ok_or("entry missing `counters`")?;
@@ -830,8 +800,8 @@ fn counter_section_plan(
 /// Outcome of a baseline comparison.
 #[derive(Debug, Default)]
 pub struct Comparison {
-    /// Hard failures: configuration mismatches, gated entries missing
-    /// from the current run, and counter drifts (with plan-node diffs).
+    /// Hard failures: configuration mismatches, entries missing from the
+    /// current run, and counter drifts (with plan-node diffs).
     pub drifts: Vec<String>,
     /// Entries present in the current run but absent from the baseline
     /// (e.g. a grown grid) — informational; re-bless to record them.
@@ -938,9 +908,9 @@ fn diff_plan_nodes(
 }
 
 /// The baseline gate. `current` and `baseline` are parsed bench documents
-/// (validate them first). Counter drift on any gated entry — including a
-/// gated entry disappearing, or the recording configuration changing —
-/// fails the gate ([`Comparison::gate_failed`]).
+/// (validate them first). Counter drift on any entry — including an
+/// entry disappearing, or the recording configuration changing — fails
+/// the gate ([`Comparison::gate_failed`]).
 pub fn compare_reports(current: &Json, baseline: &Json) -> std::result::Result<Comparison, String> {
     let mut cmp = Comparison::default();
     for key in ["version", "scale", "seed"] {
@@ -986,39 +956,34 @@ pub fn compare_reports(current: &Json, baseline: &Json) -> std::result::Result<C
     for b in b_entries {
         let key = entry_key(b)?;
         baseline_keys.push(key.clone());
-        let gated = b.get("gated") == Some(&Json::Bool(true));
         let Some(c) = find(&key) else {
-            if gated {
-                cmp.drifts
-                    .push(format!("{key}: gated entry missing from current run"));
-            }
+            cmp.drifts
+                .push(format!("{key}: entry missing from current run"));
             continue;
         };
-        if gated {
-            let changed = changed_counters(&counter_keys(), b, c);
-            // Diff the recorded plan trees regardless of the entry-level
-            // rollups: counters redistributed among nodes (same totals,
-            // different plan) are still a plan-quality change.
-            let mut plan_lines: Vec<String> = Vec::new();
-            match (b.get("plan"), c.get("plan")) {
-                (Some(bp @ Json::Obj(_)), Some(cp @ Json::Obj(_))) => {
-                    diff_plan_nodes(bp, cp, "", &mut plan_lines)?;
-                }
-                (Some(Json::Obj(_)), _) => {
-                    plan_lines.push("    plan tree disappeared from current run".into());
-                }
-                _ => {}
+        let changed = changed_counters(&counter_keys(), b, c);
+        // Diff the recorded plan trees regardless of the entry-level
+        // rollups: counters redistributed among nodes (same totals,
+        // different plan) are still a plan-quality change.
+        let mut plan_lines: Vec<String> = Vec::new();
+        match (b.get("plan"), c.get("plan")) {
+            (Some(bp @ Json::Obj(_)), Some(cp @ Json::Obj(_))) => {
+                diff_plan_nodes(bp, cp, "", &mut plan_lines)?;
             }
-            if !changed.is_empty() || !plan_lines.is_empty() {
-                let what = if changed.is_empty() {
-                    "plan-node counter drift".to_string()
-                } else {
-                    format!("counter drift: {}", changed.join(", "))
-                };
-                let mut lines = vec![format!("{key}: {what}")];
-                lines.extend(plan_lines);
-                cmp.drifts.push(lines.join("\n"));
+            (Some(Json::Obj(_)), _) => {
+                plan_lines.push("    plan tree disappeared from current run".into());
             }
+            _ => {}
+        }
+        if !changed.is_empty() || !plan_lines.is_empty() {
+            let what = if changed.is_empty() {
+                "plan-node counter drift".to_string()
+            } else {
+                format!("counter drift: {}", changed.join(", "))
+            };
+            let mut lines = vec![format!("{key}: {what}")];
+            lines.extend(plan_lines);
+            cmp.drifts.push(lines.join("\n"));
         }
     }
     for (key, _) in &current_by_key {
@@ -1086,26 +1051,24 @@ mod tests {
         }
     }
 
+    /// The labels bench keys and artifact names are built from; one
+    /// worker is the sequential policy and keeps its `seq` label.
     #[test]
     fn policy_labels_are_stable() {
-        assert_eq!(policy_label(&ExecPolicy::sequential()), "seq");
-        assert_eq!(policy_label(&ExecPolicy::parallel(4)), "par4");
-        assert_eq!(policy_label(&ExecPolicy::distributed(2)), "dist2");
+        assert_eq!(ExecPolicy::sequential(), ExecPolicy::parallel(1));
+        assert_eq!(ExecPolicy::sequential().label(), "seq");
+        assert_eq!(ExecPolicy::parallel(1).label(), "seq");
+        assert_eq!(ExecPolicy::parallel(4).label(), "par4");
+        assert_eq!(ExecPolicy::distributed(2).label(), "dist2");
         assert_eq!(
-            policy_label(&ExecPolicy::sequential().with_partition_rows(Some(8))),
+            ExecPolicy::sequential()
+                .with_partition_rows(Some(8))
+                .label(),
             "seq+part8"
         );
         assert_eq!(
-            policy_label(&ExecPolicy::parallel(2).with_morsel_size(Some(64))),
-            "par2+m64"
-        );
-        assert_eq!(
-            policy_label(
-                &ExecPolicy::parallel(4)
-                    .with_partition_rows(Some(8))
-                    .with_morsel_size(Some(1024))
-            ),
-            "par4+part8+m1024"
+            ExecPolicy::parallel(4).with_partition_rows(Some(8)).label(),
+            "par4+part8"
         );
     }
 

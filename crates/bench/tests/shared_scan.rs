@@ -30,14 +30,13 @@ use gmdj_relation::schema::{ColumnRef, DataType, Schema};
 use gmdj_relation::value::Value;
 
 /// A pool tuned so every test wave coalesces: the window is generous and
-/// released as soon as `target` queries are queued, and the tiny morsel
-/// size makes the shared pass hand out many windows per worker.
+/// released as soon as `target` queries are queued. Its two workers
+/// share a detail of more than one 4,096-row morsel.
 fn pool(target: usize) -> Arc<SharedScanPool> {
     Arc::new(SharedScanPool::new(SharedScanConfig {
         window: Duration::from_millis(500),
         target_batch: target,
         threads: 2,
-        morsel_rows: 7,
     }))
 }
 

@@ -1,8 +1,8 @@
 //! Property test: base-tuple completion is a function of the data, not
 //! of the schedule. Random EXISTS, NOT EXISTS, two-EXISTS and band-θ
-//! EXISTS queries over a detail table of up to four waves run under the
-//! sequential and parallel policies, at two morsel sizes and through a
-//! shared-scan pool. Every run
+//! EXISTS queries over a detail table of up to three 4,096-row morsels
+//! (up to five waves) run under the sequential policy, on 2 to 16 workers
+//! and through a shared-scan pool. Every run
 //! must return the `NaiveNestedLoop` answer, record no completion
 //! fallback, and report exactly the sequential run's `EvalStats`. A
 //! detail whose first rows retire every base tuple must settle: the scan
@@ -114,14 +114,11 @@ fn shapes(c: i64) -> Vec<(&'static str, QueryExpr)> {
     ]
 }
 
-/// Every local policy the completion counters must not depend on.
+/// Every local policy the completion counters must not depend on. More
+/// than one worker deals 4,096-row morsels, so a detail past 4,096 rows
+/// is scanned by several workers at once.
 fn policies() -> Vec<ExecPolicy> {
-    vec![
-        ExecPolicy::parallel(2),
-        ExecPolicy::parallel(3),
-        ExecPolicy::parallel(2).with_morsel_size(Some(64)),
-        ExecPolicy::parallel(2).with_morsel_size(Some(4096)),
-    ]
+    [2, 3, 8, 16].map(ExecPolicy::parallel).to_vec()
 }
 
 fn total_eval(result: &gmdj_engine::strategy::RunResult) -> EvalStats {
@@ -139,7 +136,7 @@ proptest! {
     fn completion_counters_are_schedule_free(
         seed in any::<u64>(),
         n_base in 1usize..32,
-        n_detail in 1usize..(4 * BATCH_ROWS),
+        n_detail in 1usize..(12 * BATCH_ROWS),
         dense in any::<bool>(),
         c in 0i64..99,
     ) {
@@ -150,7 +147,6 @@ proptest! {
             window: Duration::from_millis(1),
             target_batch: 1,
             threads: 2,
-            morsel_rows: 64,
         }));
         for (name, query) in shapes(c) {
             let oracle = run(&query, &catalog, Strategy::NaiveNestedLoop).unwrap().relation;

@@ -137,9 +137,9 @@ counter_set! {
         pub rows_vectorized: u64,
         /// Work units that fell back to row-at-a-time evaluation.
         pub rows_row_path: u64,
-        /// Scheduling work units: one per detail scan call. Sequential scans
-        /// count one morsel per partition (the whole relation is one morsel);
-        /// the parallel morsel queue counts one per pulled morsel.
+        /// Scheduling work units: one per detail scan call. One worker
+        /// counts one morsel per partition (the whole relation is one
+        /// morsel); more workers count one per pulled morsel.
         pub morsels: u64,
     }
 }

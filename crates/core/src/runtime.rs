@@ -1,25 +1,27 @@
 //! The unified execution pipeline: one way to run a GMDJ, whatever the
 //! physical execution mode.
 //!
-//! A [`Runtime`] owns an [`ExecPolicy`] — sequential, partitioned,
-//! parallel, or distributed — constructed once per query and threaded
-//! through plan walking ([`crate::exec::execute`]), GMDJ evaluation, and
-//! the relational operators. Call sites never pick an evaluator function
-//! themselves; they hand the (filtered) GMDJ to [`Runtime::eval`], the one
-//! evaluation entry point. It splits the base by the memory budget
+//! A [`Runtime`] owns an [`ExecPolicy`] — local on one or more workers
+//! or distributed, optionally partitioned — constructed once per query
+//! and threaded through plan walking ([`crate::exec::execute`]), GMDJ
+//! evaluation, and the relational operators. Call sites never pick an
+//! evaluator function themselves; they hand the (filtered) GMDJ to
+//! [`Runtime::eval`], the one evaluation entry point. It splits the base by the memory budget
 //! (`partition_rows`) and scans the detail once per base partition, so
 //! [`EvalStats::partitions`] and [`EvalStats::detail_scanned`] mean the
 //! same thing under every mode. The mode decides only how one partition's
 //! detail pass is divided:
 //!
-//! * **Sequential** — a one-worker morsel pass (`shared::morsel_pass`)
-//!   whose single morsel is the whole detail, run on the calling thread.
-//! * **Parallel { threads }** — the same pass with `threads` workers: the
-//!   detail is dealt out as morsels from a shared atomic cursor, each
-//!   worker folds into a private accumulator matrix, and the workers are
-//!   merged exactly
+//! * **Parallel { threads }** — a morsel pass (`shared::morsel_pass`)
+//!   with `threads` workers: the detail is dealt out as morsels from a
+//!   shared atomic cursor, each worker folds into a private accumulator
+//!   matrix, and the workers are merged exactly
 //!   ([`Accumulator::merge`](gmdj_relation::agg::Accumulator::merge)), so
-//!   results are bit-identical to sequential for every aggregate.
+//!   results are bit-identical to sequential for every aggregate. One
+//!   thread is the sequential policy (`seq`): its single morsel is the
+//!   whole detail, run on the calling thread. More threads get fixed-size
+//!   morsels (`shared::morsel_rows`), so a detail of one morsel or less
+//!   also runs on the calling thread, whatever the thread count.
 //! * **Distributed { sites }** — the detail relation is horizontally
 //!   fragmented round-robin across loopback socket sites
 //!   ([`crate::wire`]); the coordinator broadcasts each base partition,
@@ -46,9 +48,8 @@
 //!   interval-probed blocks: each wave reads the statuses as of the end
 //!   of the previous one, so statuses and every [`EvalStats`] counter are
 //!   a function of the plan, the data and the wave schedule
-//!   (`eval::wave_rows`) — byte-identical for `Sequential` (a one-worker
-//!   pass), any `Parallel` thread count, any morsel size and the shared
-//!   pool;
+//!   (`eval::wave_rows`) — byte-identical for any thread count (one
+//!   worker included), any morsel size and the shared pool;
 //! * as one worker's **row-ordered item** when a retiring block is
 //!   Scan-probed (`eval::completion_prunes_pairs`: the ALL and division
 //!   shapes, where per-row pruning saves quadratic pairs).
@@ -75,18 +76,17 @@ use crate::distributed::NetworkStats;
 use crate::eval::{EvalStats, Keep, KernelStats, ProbeStrategy};
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::shared::{morsel_pass, BoundGmdj, BoundOutput};
+use crate::shared::{morsel_pass, morsel_rows, BoundGmdj, BoundOutput};
 use crate::spec::GmdjSpec;
 use crate::trace::{NullSink, Span, TraceSink};
 use crate::wire::{EvalRequestFrame, SiteCluster, TcpSites};
 
 /// Physical execution mode for GMDJ evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One worker scans the whole detail on the calling thread.
-    #[default]
-    Sequential,
-    /// Deal the detail scan out in morsels to `threads` OS threads.
+    /// Deal the detail scan out in morsels to `threads` workers. One
+    /// thread is the sequential policy: one whole-detail morsel on the
+    /// calling thread.
     Parallel {
         /// Worker thread count (must be ≥ 1).
         threads: usize,
@@ -99,14 +99,17 @@ pub enum ExecMode {
     },
 }
 
-/// Default morsel size for the parallel detail scan, in detail rows.
-/// Four column chunks: big enough that queue traffic (one atomic
-/// `fetch_add` per morsel) is noise, small enough that skewed morsels
-/// rebalance across workers.
-pub const DEFAULT_MORSEL_ROWS: usize = 4096;
+impl Default for ExecMode {
+    /// One worker: the sequential policy.
+    fn default() -> Self {
+        ExecMode::Parallel { threads: 1 }
+    }
+}
 
 /// How a plan executes: the one policy object threaded through plan
-/// walking, GMDJ evaluation, and the relational operators.
+/// walking, GMDJ evaluation, and the relational operators. How the
+/// detail is cut into morsels is not part of it: the pass derives that
+/// from the detail size and the worker count (`shared::morsel_rows`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecPolicy {
     /// Physical execution mode.
@@ -117,19 +120,11 @@ pub struct ExecPolicy {
     /// budget of Section 4's partitioned evaluation). `None` keeps the
     /// whole base-values relation in memory.
     pub partition_rows: Option<usize>,
-    /// Morsel size (detail rows) for the parallel scan's work queue;
-    /// `Sequential` scans one whole-detail morsel. `None` uses
-    /// [`DEFAULT_MORSEL_ROWS`]. Under waved completion a morsel is also
-    /// clipped at each wave boundary. Morsel size is pure scheduling:
-    /// every gated [`EvalStats`] counter and the result multiset are
-    /// identical for every setting — the wave schedule never reads it —
-    /// it only moves where worker time is spent, which is what the bench
-    /// ablation measures.
-    pub morsel_size: Option<usize>,
 }
 
 impl ExecPolicy {
-    /// The default policy: sequential, auto probe, unpartitioned.
+    /// The default policy: one worker, auto probe, unpartitioned — the
+    /// same policy as `parallel(1)`.
     pub fn sequential() -> Self {
         Self::default()
     }
@@ -162,39 +157,23 @@ impl ExecPolicy {
         self
     }
 
-    /// Override the parallel scan's morsel size (detail rows per queue
-    /// pull). `None` restores [`DEFAULT_MORSEL_ROWS`].
-    pub fn with_morsel_size(mut self, rows: Option<usize>) -> Self {
-        self.morsel_size = rows;
-        self
-    }
-
-    /// Stable, filename-safe label: `seq`, `par4`, `dist2`, with
-    /// `+partN` / `+mN` suffixes for the memory budget and morsel size.
-    /// Used by bench artifact names and the progress registry.
+    /// Stable, filename-safe label: `seq` (one worker), `par4`, `dist2`,
+    /// with a `+partN` suffix for the memory budget. Used by bench
+    /// artifact names, the progress registry and EXPLAIN ANALYZE.
     pub fn label(&self) -> String {
         let mut label = match self.mode {
-            ExecMode::Sequential => "seq".to_string(),
+            ExecMode::Parallel { threads: 1 } => "seq".to_string(),
             ExecMode::Parallel { threads } => format!("par{threads}"),
             ExecMode::Distributed { sites } => format!("dist{sites}"),
         };
         if let Some(rows) = self.partition_rows {
             label.push_str(&format!("+part{rows}"));
         }
-        if let Some(rows) = self.morsel_size {
-            label.push_str(&format!("+m{rows}"));
-        }
         label
     }
 
-    /// Reject degenerate modes (`threads == 0`, `sites == 0`,
-    /// `morsel_size == Some(0)`).
+    /// Reject degenerate modes (`threads == 0`, `sites == 0`).
     pub fn validate(&self) -> Result<()> {
-        if self.morsel_size == Some(0) {
-            return Err(Error::invalid(
-                "ExecPolicy::morsel_size must be at least one row",
-            ));
-        }
         match self.mode {
             ExecMode::Parallel { threads: 0 } => Err(Error::invalid(
                 "ExecMode::Parallel requires at least one thread",
@@ -206,23 +185,12 @@ impl ExecPolicy {
         }
     }
 
-    /// Workers one evaluation's detail pass runs on: one under
-    /// `Sequential`, `threads` under `Parallel`, one per site under
-    /// `Distributed`.
+    /// Workers one evaluation's detail pass runs on: `threads` under
+    /// `Parallel`, one per site under `Distributed`.
     pub(crate) fn workers(&self) -> usize {
         match self.mode {
-            ExecMode::Sequential => 1,
             ExecMode::Parallel { threads } => threads,
             ExecMode::Distributed { sites } => sites,
-        }
-    }
-
-    /// Morsel size of the local detail pass: the whole detail under
-    /// `Sequential`, otherwise `morsel_size` or [`DEFAULT_MORSEL_ROWS`].
-    fn morsel_rows(&self) -> usize {
-        match self.mode {
-            ExecMode::Sequential => usize::MAX,
-            _ => self.morsel_size.unwrap_or(DEFAULT_MORSEL_ROWS).max(1),
         }
     }
 }
@@ -690,8 +658,8 @@ impl Runtime {
     /// complete — known before any worker starts, which is what makes
     /// progress a true fraction. Per base partition: the local morsel
     /// pass deals `ceil(detail / morsel)` morsels (one whole-detail
-    /// morsel under `Sequential`; zero for an empty detail, as the
-    /// workers break before pulling), and the distributed coordinator
+    /// morsel on one worker; zero for an empty detail, as the workers
+    /// break before pulling), and the distributed coordinator
     /// round-trips every site once.
     fn scheduled_morsels(&self, base_len: usize, detail_len: usize) -> u64 {
         let partition = self.policy.partition_rows.unwrap_or(usize::MAX).max(1);
@@ -702,7 +670,9 @@ impl Runtime {
         } as u64;
         let per_partition = match self.policy.mode {
             ExecMode::Distributed { sites } => sites.max(1) as u64,
-            _ => detail_len.div_ceil(self.policy.morsel_rows().min(detail_len.max(1))) as u64,
+            ExecMode::Parallel { threads } => {
+                detail_len.div_ceil(morsel_rows(detail_len, threads)) as u64
+            }
         };
         partitions * per_partition
     }
@@ -876,7 +846,7 @@ impl Runtime {
                         detail.cols(),
                         std::slice::from_ref(&job),
                         self.policy.workers(),
-                        self.policy.morsel_rows(),
+                        morsel_rows(detail.len(), self.policy.workers()),
                         self.sink.as_ref(),
                         self.progress.as_deref(),
                     );
@@ -1107,13 +1077,26 @@ mod tests {
         ])
     }
 
+    /// [`flows`] repeated `copies` times: a detail big enough for the
+    /// derived morsel size to cut it into several morsels.
+    fn flows_tiled(copies: usize) -> Relation {
+        let flows = flows();
+        let rows = flows.rows().iter().cycle().take(copies * flows.len());
+        Relation::from_parts(flows.schema().clone(), rows.cloned().collect())
+    }
+
     /// Example 2.1's plain GMDJ under `rt`, with its node.
     fn figure_1(rt: &Runtime) -> (Relation, PlanNodeStats) {
+        example_2_1(rt, &flows())
+    }
+
+    /// Example 2.1's plain GMDJ over `detail` under `rt`, with its node.
+    fn example_2_1(rt: &Runtime, detail: &Relation) -> (Relation, PlanNodeStats) {
         let mut node = PlanNodeStats::new("GMDJ");
         let out = rt
             .eval(
                 &hours(),
-                &flows(),
+                detail,
                 &example_2_1_spec(),
                 None,
                 Keep::All,
@@ -1164,60 +1147,111 @@ mod tests {
     #[test]
     fn morsel_queue_adapts_workers_and_reconciles_spans() {
         use crate::trace::CollectingSink;
-        // Sequential is a one-worker pass over one whole-detail morsel.
+        // One worker is a pass over one whole-detail morsel.
         let sink = Arc::new(CollectingSink::new());
         let (expected, seq) = figure_1(&Runtime::with_sink(ExecPolicy::sequential(), sink.clone()));
-        let s1 = seq.eval;
         assert_eq!(sink.by_name("gmdj.worker").len(), 1);
         assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 6);
         assert_eq!(seq.kernel.morsels, 1);
 
-        // 6 detail rows at 4-row morsels → 2 morsels, so only 2 of the 8
-        // requested workers are spawned; together they scan every row
-        // exactly once and the gated counters match sequential in full.
+        // 6 detail rows fit in one derived morsel, so 8 requested workers
+        // still run one worker on the calling thread, spawning none.
         let sink = Arc::new(CollectingSink::new());
-        let rt = Runtime::with_sink(
-            ExecPolicy::parallel(8).with_morsel_size(Some(4)),
-            sink.clone(),
-        );
-        let (out, node) = figure_1(&rt);
+        let (out, node) = figure_1(&Runtime::with_sink(ExecPolicy::parallel(8), sink.clone()));
         assert!(out.multiset_eq(&expected));
-        assert_eq!(node.eval, s1);
-        assert_eq!(sink.by_name("gmdj.worker").len(), 2);
-        assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 6);
-        assert_eq!(sink.sum_field("gmdj.worker", "morsels"), 2);
-        assert_eq!(node.kernel.morsels, 2);
-
-        // A whole-relation morsel degenerates to one worker doing all the
-        // work — the skew the queue exists to avoid — without touching
-        // anything gated.
-        let sink = Arc::new(CollectingSink::new());
-        let rt = Runtime::with_sink(
-            ExecPolicy::parallel(8).with_morsel_size(Some(usize::MAX)),
-            sink.clone(),
-        );
-        let (out, node) = figure_1(&rt);
-        assert!(out.multiset_eq(&expected));
-        assert_eq!(node.eval, s1);
+        assert_eq!(node.eval, seq.eval);
         assert_eq!(sink.by_name("gmdj.worker").len(), 1);
-        assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 6);
         assert_eq!(node.kernel.morsels, 1);
 
-        // Single-row morsels: 6 morsels shared by the 3 requested
-        // workers; each morsel is pulled exactly once no matter how the
-        // workers race.
-        let sink = Arc::new(CollectingSink::new());
-        let rt = Runtime::with_sink(
-            ExecPolicy::parallel(3).with_morsel_size(Some(1)),
-            sink.clone(),
-        );
-        let (out, node) = figure_1(&rt);
-        assert!(out.multiset_eq(&expected));
-        assert_eq!(node.eval, s1);
-        assert_eq!(sink.by_name("gmdj.worker").len(), 3);
-        assert_eq!(sink.sum_field("gmdj.worker", "morsels"), 6);
-        assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 6);
-        assert_eq!(node.kernel.morsels, 6);
+        // 8,196 detail rows are 3 morsels (4,096 + 4,096 + 4), so only 3
+        // of 8 requested workers are spawned, and 2 workers share them;
+        // together they scan every row exactly once, each morsel is
+        // pulled exactly once however the workers race, and the gated
+        // counters match sequential in full.
+        let detail = flows_tiled(1366);
+        let (expected, seq) = example_2_1(&Runtime::sequential(), &detail);
+        for (threads, workers) in [(8usize, 3usize), (2, 2)] {
+            let sink = Arc::new(CollectingSink::new());
+            let rt = Runtime::with_sink(ExecPolicy::parallel(threads), sink.clone());
+            let (out, node) = example_2_1(&rt, &detail);
+            assert!(out.multiset_eq(&expected), "threads={threads}");
+            assert_eq!(node.eval, seq.eval, "threads={threads}");
+            assert_eq!(sink.by_name("gmdj.worker").len(), workers);
+            assert_eq!(sink.sum_field("gmdj.worker", "chunk_rows"), 8196);
+            assert_eq!(sink.sum_field("gmdj.worker", "morsels"), 3);
+            assert_eq!(node.kernel.morsels, 3);
+        }
+    }
+
+    /// One unpartitioned local evaluation as [`Runtime::eval`] runs it,
+    /// but dealt in explicit `morsel`-row morsels on `threads` workers:
+    /// how these tests drive the dealer in many morsels over details far
+    /// smaller than the derived morsel. Returns the answer, the gated
+    /// counters and the morsels pulled.
+    fn dealt(
+        (base, detail, spec): (&Relation, &Relation, &GmdjSpec),
+        (selection, keep, completion): (Option<&Predicate>, Keep, Option<&CompletionPlan>),
+        threads: usize,
+        morsel: usize,
+    ) -> (Relation, EvalStats, u64) {
+        let output = BoundOutput::bind(base, spec, selection, keep).unwrap();
+        let probe = ExecPolicy::sequential().probe;
+        let query = BoundGmdj::bind(base, detail, spec, completion, probe).unwrap();
+        let mut eval = EvalStats::default();
+        let job = query.prepare(base.rows(), &mut eval).unwrap();
+        let jobs = std::slice::from_ref(&job);
+        let pass = morsel_pass(detail.cols(), jobs, threads, morsel, &NullSink, None);
+        let scan = pass.jobs.into_iter().next().unwrap().unwrap();
+        eval.merge(&scan.eval);
+        let mut rows = Vec::new();
+        output
+            .materialize(base.rows(), &scan.accs, scan.status.as_deref(), &mut rows)
+            .unwrap();
+        let out = Relation::from_parts(output.result_schema.clone(), rows);
+        (out, eval, scan.kernel.morsels)
+    }
+
+    /// Morsel size is pure scheduling: dealt in single rows, pairs, a
+    /// prime or the whole detail, on one to eight workers, a pass gives
+    /// the sequential answer and every gated counter — for a plain GMDJ,
+    /// a waved completion plan and a row-ordered one — and a plain pass
+    /// pulls each of its `ceil(detail / morsel)` morsels exactly once.
+    #[test]
+    fn small_morsels_never_change_a_pass() {
+        let (exists, exists_sel, exists_plan) = band_exists();
+        let (all, all_sel, all_plan) = all_shape();
+        let (parts_base, parts_detail) = (parts(40), parts(40).renamed("Q"));
+        let cases = [
+            (
+                (&hours(), &flows(), &example_2_1_spec()),
+                (None, Keep::All, None),
+            ),
+            (
+                (&hours(), &flows(), &exists),
+                (Some(&exists_sel), Keep::BaseOnly, Some(&exists_plan)),
+            ),
+            (
+                (&parts_base, &parts_detail, &all),
+                (Some(&all_sel), Keep::BaseOnly, Some(&all_plan)),
+            ),
+        ];
+        for (inputs, (selection, keep, completion)) in cases {
+            let (base, detail, spec) = inputs;
+            let (seq, s1) = sequential(base, detail, spec, selection, keep, completion);
+            for threads in [1usize, 2, 3, 8] {
+                for morsel in [1usize, 2, 7, usize::MAX] {
+                    let (par, stats, morsels) =
+                        dealt(inputs, (selection, keep, completion), threads, morsel);
+                    let at = format!("threads={threads} morsel={morsel}");
+                    assert!(par.multiset_eq(&seq), "{at}");
+                    assert_eq!(stats, s1, "{at}");
+                    if completion.is_none() {
+                        let expected = detail.len().div_ceil(morsel.min(detail.len()));
+                        assert_eq!(morsels, expected as u64, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1281,7 +1315,7 @@ mod tests {
     /// Under `Parallel` the ALL shape's completion plan runs as one
     /// work item of the morsel pass: no fallback, and every counter —
     /// `dead_early` and the pruned θ evaluations included — equals the
-    /// sequential evaluator's for every thread count and morsel size.
+    /// sequential evaluator's for every thread count.
     /// `Distributed` still falls back, once per evaluation.
     #[test]
     fn all_shape_completion_runs_under_parallel_with_sequential_counters() {
@@ -1296,25 +1330,23 @@ mod tests {
             Some(&plan),
         );
         assert!(s1.dead_early > 0, "the dead rule must prune");
-        for threads in [1usize, 2, 8] {
-            for morsel in [None, Some(1), Some(64)] {
-                let rt = Runtime::new(ExecPolicy::parallel(threads).with_morsel_size(morsel));
-                let mut node = PlanNodeStats::new("GMDJ");
-                let par = rt
-                    .eval(
-                        &base,
-                        &detail,
-                        &spec,
-                        Some(&selection),
-                        Keep::BaseOnly,
-                        Some(&plan),
-                        &mut node,
-                    )
-                    .unwrap();
-                assert!(par.multiset_eq(&seq), "threads={threads} morsel={morsel:?}");
-                assert_eq!(node.eval.completion_fallbacks, 0);
-                assert_eq!(node.eval, s1, "threads={threads} morsel={morsel:?}");
-            }
+        for threads in [1usize, 2, 8, 16] {
+            let rt = Runtime::new(ExecPolicy::parallel(threads));
+            let mut node = PlanNodeStats::new("GMDJ");
+            let par = rt
+                .eval(
+                    &base,
+                    &detail,
+                    &spec,
+                    Some(&selection),
+                    Keep::BaseOnly,
+                    Some(&plan),
+                    &mut node,
+                )
+                .unwrap();
+            assert!(par.multiset_eq(&seq), "threads={threads}");
+            assert_eq!(node.eval.completion_fallbacks, 0);
+            assert_eq!(node.eval, s1, "threads={threads}");
         }
         let rt = Runtime::new(ExecPolicy::distributed(2).with_partition_rows(Some(40)));
         let mut node = PlanNodeStats::new("GMDJ");
@@ -1335,18 +1367,17 @@ mod tests {
     }
 
     /// A completion item announces and ticks the parallel schedule,
-    /// `ceil(detail / morsel)` morsels, so live progress still ends at
-    /// `morsels_done == morsels_total`.
+    /// `ceil(detail / morsel)` morsels (9,000 rows on 2 workers: 3), so
+    /// live progress still ends at `morsels_done == morsels_total`.
     #[test]
     fn completion_item_keeps_progress_exact() {
         use crate::progress::ProgressRegistry;
         let (spec, selection, plan) = all_shape();
-        let (base, detail) = (parts(150), parts(150).renamed("Q"));
+        let (base, detail) = (parts(20), parts(9000).renamed("Q"));
         let reg: &'static ProgressRegistry = Box::leak(Box::new(ProgressRegistry::new()));
         let ticket = reg.register("q", "s", "p");
         let progress = ticket.progress();
-        let rt = Runtime::new(ExecPolicy::parallel(2).with_morsel_size(Some(64)))
-            .with_progress(progress.clone());
+        let rt = Runtime::new(ExecPolicy::parallel(2)).with_progress(progress.clone());
         let mut node = PlanNodeStats::new("GMDJ");
         rt.eval(
             &base,
@@ -1364,13 +1395,8 @@ mod tests {
         assert_eq!(progress.rows_done(), node.eval.detail_scanned);
     }
 
-    /// A band-probed EXISTS retires tuples only through its interval
-    /// block, so its completion plan runs in waves under every policy: no
-    /// fallback, and every counter equals sequential's for any thread
-    /// count and morsel size. Same answer everywhere.
-    #[test]
-    fn band_exists_completion_runs_in_waves_under_every_policy() {
-        // EXISTS shape: count per hour, keep hours with ≥ 1 HTTP flow.
+    /// EXISTS shape: count per hour, keep hours with ≥ 1 HTTP flow.
+    fn band_exists() -> (GmdjSpec, Predicate, CompletionPlan) {
         let in_hour = col("F.StartTime")
             .ge(col("H.StartInterval"))
             .and(col("F.StartTime").lt(col("H.EndInterval")));
@@ -1379,11 +1405,18 @@ mod tests {
             "cnt",
         )]);
         let selection = col("cnt").gt(lit(0));
-        let completion = derive_completion(&selection, &spec, true);
-        assert!(
-            completion.is_some(),
-            "EXISTS shape should derive a completion plan"
-        );
+        let plan = derive_completion(&selection, &spec, true)
+            .expect("EXISTS shape should derive a completion plan");
+        (spec, selection, plan)
+    }
+
+    /// A band-probed EXISTS retires tuples only through its interval
+    /// block, so its completion plan runs in waves under every policy: no
+    /// fallback, and every counter equals sequential's for any thread
+    /// count. Same answer everywhere.
+    #[test]
+    fn band_exists_completion_runs_in_waves_under_every_policy() {
+        let (spec, selection, plan) = band_exists();
         let run = |policy: ExecPolicy| {
             let mut node = PlanNodeStats::new("GMDJ");
             let out = Runtime::new(policy)
@@ -1393,7 +1426,7 @@ mod tests {
                     &spec,
                     Some(&selection),
                     Keep::BaseOnly,
-                    completion.as_ref(),
+                    Some(&plan),
                     &mut node,
                 )
                 .unwrap();
@@ -1403,13 +1436,10 @@ mod tests {
         let (seq, s1) = run(ExecPolicy::sequential());
         assert_eq!(s1.completion_fallbacks, 0);
         assert_eq!(s1.done_early, 3);
-        for threads in [1usize, 2, 8] {
-            for morsel in [None, Some(1), Some(3)] {
-                let policy = ExecPolicy::parallel(threads).with_morsel_size(morsel);
-                let (par, stats) = run(policy);
-                assert!(par.multiset_eq(&seq), "{policy:?}");
-                assert_eq!(stats, s1, "{policy:?}");
-            }
+        for threads in [1usize, 2, 3, 8] {
+            let (par, stats) = run(ExecPolicy::parallel(threads));
+            assert!(par.multiset_eq(&seq), "threads={threads}");
+            assert_eq!(stats, s1, "threads={threads}");
         }
     }
 
@@ -1502,7 +1532,6 @@ mod tests {
             window: std::time::Duration::from_millis(1),
             target_batch: 1,
             threads: 2,
-            morsel_rows: 2,
         }));
         for rt in [
             Runtime::new(ExecPolicy::sequential()),
@@ -1566,7 +1595,7 @@ mod tests {
         for policy in [
             ExecPolicy::sequential(),
             ExecPolicy::sequential().with_partition_rows(Some(2)),
-            ExecPolicy::parallel(3).with_morsel_size(Some(2)),
+            ExecPolicy::parallel(3),
             ExecPolicy::parallel(2).with_partition_rows(Some(1)),
             ExecPolicy::distributed(2),
             ExecPolicy::distributed(3).with_partition_rows(Some(2)),
@@ -1584,6 +1613,15 @@ mod tests {
             );
             assert_eq!(progress.rows_done(), node.eval.detail_scanned, "{policy:?}");
         }
+        // A detail of several derived morsels: 8,196 rows on 3 workers
+        // announce and tick 3 morsels.
+        let ticket = reg.register("q", "s", "p");
+        let progress = ticket.progress();
+        let rt = Runtime::new(ExecPolicy::parallel(3)).with_progress(progress.clone());
+        let (_, node) = example_2_1(&rt, &flows_tiled(1366));
+        assert_eq!(progress.morsels_total(), 3);
+        assert_eq!(progress.morsels_done(), 3);
+        assert_eq!(progress.rows_done(), node.eval.detail_scanned);
         // Empty detail under the morsel queue: zero morsels scheduled,
         // zero pulled — the invariant holds degenerately.
         let empty_detail = Relation::from_parts(flows().schema().clone(), vec![]);

@@ -41,7 +41,7 @@
 //! ([`gmdj_relation::agg::Accumulator::merge`] is exact), and per member
 //! its own selection/projection materialization. Sharing only changes
 //! *when* windows are visited — and window scheduling is provably
-//! invisible (the fuzz harness's morsel-size sweep gates this) — so
+//! invisible (the pass tests deal single-row morsels to gate this) — so
 //! results are bit-identical and per-query counters match standalone
 //! execution. Errors stay as narrow as standalone: a selection that
 //! fails to bind or evaluate fails its member alone, a scan error fails
@@ -83,7 +83,6 @@ use crate::eval::{
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
-use crate::runtime::DEFAULT_MORSEL_ROWS;
 use crate::spec::GmdjSpec;
 use crate::trace::{Span, TraceSink};
 
@@ -96,10 +95,6 @@ pub struct SharedScanConfig {
     pub target_batch: usize,
     /// Worker threads for the shared morsel-driven pass.
     pub threads: usize,
-    /// Morsel size (detail rows) for the shared pass's work queue. Pure
-    /// scheduling — per-query counters and results are identical for
-    /// every setting.
-    pub morsel_rows: usize,
 }
 
 impl Default for SharedScanConfig {
@@ -108,7 +103,6 @@ impl Default for SharedScanConfig {
             window: Duration::from_millis(2),
             target_batch: 8,
             threads: 4,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
         }
     }
 }
@@ -234,8 +228,9 @@ impl SharedScanPool {
     /// relation of `detail_len` rows (the coarse progress unit each
     /// submitted query announces).
     pub fn scheduled_morsels(&self, detail_len: usize) -> u64 {
-        let morsel = self.cfg.morsel_rows.max(1).min(detail_len.max(1));
-        detail_len.div_ceil(morsel).max(1) as u64
+        detail_len
+            .div_ceil(morsel_rows(detail_len, self.cfg.threads))
+            .max(1) as u64
     }
 
     /// Submit one (filtered) GMDJ for coalesced evaluation and block
@@ -418,7 +413,7 @@ impl SharedScanPool {
             batch[0].detail.cols(),
             &jobs,
             self.cfg.threads,
-            self.cfg.morsel_rows,
+            morsel_rows(batch[0].detail.len(), self.cfg.threads),
             sink,
             None,
         );
@@ -838,11 +833,34 @@ impl Drop for Lease<'_> {
     }
 }
 
+/// The morsel a multi-worker pass deals, in detail rows. Four
+/// column chunks: big enough that queue traffic (one atomic `fetch_add`
+/// per morsel) is noise, small enough that skewed morsels rebalance
+/// across workers.
+pub(crate) const DEFAULT_MORSEL_ROWS: usize = 4096;
+
+/// Rows per morsel of a local pass over `detail_len` detail rows on
+/// `workers` workers — the one place the morsel size is decided; the
+/// dealer and both closed-form progress schedules read it. One worker
+/// takes the whole detail as one morsel; more workers get
+/// [`DEFAULT_MORSEL_ROWS`]-row morsels. A detail of at most that many
+/// rows is therefore one morsel on any worker count, and runs on the
+/// calling thread without spawning. The size is pure scheduling: no
+/// answer and no gated [`EvalStats`] counter depends on it.
+pub(crate) fn morsel_rows(detail_len: usize, workers: usize) -> usize {
+    if workers <= 1 {
+        detail_len.max(1)
+    } else {
+        DEFAULT_MORSEL_ROWS
+    }
+}
+
 /// The morsel driver: one pass over the detail columns feeding every
 /// job. A [`Dealer`] deals the detail out in ranges of at most
-/// `morsel_rows`; `threads` workers pull ranges until none are left,
-/// routing each through every streamed job's [`scan_detail_vectorized`] into
-/// private per-worker accumulators and counters. The merge starts from
+/// `morsel_rows` (the callers pass [`morsel_rows`] of the detail and
+/// thread count); `threads` workers pull ranges until none are left,
+/// routing each through every streamed job's [`scan_detail_vectorized`]
+/// into private per-worker accumulators and counters. The merge starts from
 /// worker 0's states and folds the other workers in, in worker order.
 /// Pull-based scheduling is self-balancing: a worker stuck on a skewed
 /// range simply pulls fewer.
@@ -865,11 +883,10 @@ impl Drop for Lease<'_> {
 ///   `i % workers`, before that worker pulls ranges, so distinct items of
 ///   a shared pass run side by side.
 ///
-/// Every GMDJ evaluation in the process is a pass: the sequential policy
-/// is one job on one worker whose morsel is the whole detail (one range
-/// per wave), the parallel policy one job on `threads` workers, and a
-/// shared pass one job per distinct GMDJ of the coalesced queries. A
-/// one-worker pass runs on the calling thread; more workers run as scoped
+/// Every GMDJ evaluation in the process is a pass: a local policy is one
+/// job on `threads` workers (one worker's morsel is the whole detail, so
+/// one range per wave), and a shared pass one job per distinct GMDJ of
+/// the coalesced queries. A one-worker pass runs on the calling thread; more workers run as scoped
 /// threads. A job whose scan errors stops being scanned and returns that
 /// error; the other jobs carry on. A worker panic fails every job still
 /// running, never the process.
@@ -1171,7 +1188,6 @@ mod tests {
             window: Duration::from_millis(500),
             target_batch: target,
             threads: 2,
-            morsel_rows: 2,
         }))
     }
 
@@ -1735,6 +1751,70 @@ mod tests {
         assert_eq!(bad.unwrap_err().to_string(), standalone_err.to_string());
     }
 
+    /// One worker takes the whole detail; more workers get
+    /// [`DEFAULT_MORSEL_ROWS`]-row morsels, which the pass clips to the
+    /// detail, so a small detail is one morsel on any worker count.
+    #[test]
+    fn morsel_rows_follows_detail_and_workers() {
+        assert_eq!(morsel_rows(20, 1), 20);
+        assert_eq!(morsel_rows(1_200_000, 1), 1_200_000);
+        assert_eq!(morsel_rows(0, 1), 1);
+        assert_eq!(morsel_rows(20, 2), DEFAULT_MORSEL_ROWS);
+        assert_eq!(morsel_rows(20, 16), DEFAULT_MORSEL_ROWS);
+        // The paper's 1.2M detail rows: 293 morsels on two or more workers.
+        assert_eq!(morsel_rows(1_200_000, 2), DEFAULT_MORSEL_ROWS);
+        assert_eq!(morsel_rows(1_200_000, 16), DEFAULT_MORSEL_ROWS);
+    }
+
+    /// Morsel size is pure scheduling in a shared pass too: two jobs
+    /// dealt in single rows, pairs or a prime on one to three workers
+    /// each end with the accumulators and counters of their solo
+    /// whole-detail pass.
+    #[test]
+    fn small_morsels_never_change_a_shared_pass() {
+        let (base, detail) = (hours(), flows());
+        let specs = [in_hour_count(), sum_bytes()];
+        let probe = ExecPolicy::sequential().probe;
+        let queries: Vec<BoundGmdj> = specs
+            .iter()
+            .map(|spec| BoundGmdj::bind(&base, &detail, spec, None, probe).unwrap())
+            .collect();
+        let jobs: Vec<PreparedQuery> = queries
+            .iter()
+            .map(|q| q.prepare(base.rows(), &mut EvalStats::default()).unwrap())
+            .collect();
+        let pass = |jobs: &[PreparedQuery], threads, morsel| {
+            morsel_pass(
+                detail.cols(),
+                jobs,
+                threads,
+                morsel,
+                &crate::trace::NullSink,
+                None,
+            )
+            .jobs
+        };
+        let solo: Vec<JobScan> = jobs
+            .iter()
+            .map(|job| {
+                pass(std::slice::from_ref(job), 1, detail.len())
+                    .remove(0)
+                    .unwrap()
+            })
+            .collect();
+        for threads in [1, 2, 3] {
+            for morsel in [1, 2, 5] {
+                for (scan, want) in pass(&jobs, threads, morsel).into_iter().zip(&solo) {
+                    let scan = scan.unwrap();
+                    let at = format!("threads={threads} morsel={morsel}");
+                    assert_eq!(scan.accs, want.accs, "{at}");
+                    assert_eq!(scan.eval, want.eval, "{at}");
+                    assert_eq!(scan.kernel.morsels, detail.len().div_ceil(morsel) as u64);
+                }
+            }
+        }
+    }
+
     /// A worker panic is an `Err` for the jobs it was running, whether
     /// the one worker ran on the calling thread or workers were spawned.
     #[test]
@@ -1775,7 +1855,6 @@ mod tests {
             window: Duration::from_millis(1),
             target_batch: 8,
             threads: 2,
-            morsel_rows: 1024,
         }));
         let out = p
             .submit(

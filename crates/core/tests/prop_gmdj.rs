@@ -523,39 +523,37 @@ proptest! {
         }
     }
 
-    /// Morsel size is pure scheduling: for any size — one row, a prime,
-    /// a fraction of a column chunk, the whole relation at once — the
-    /// parallel scan produces the identical result multiset and identical
-    /// gated EvalStats, page accounting included. Only the (ungated)
-    /// kernel telemetry may differ, and even that deterministically:
-    /// every morsel is pulled exactly once.
+    /// Thread count is pure scheduling: on any worker count the morsel
+    /// pass produces the sequential result multiset and identical gated
+    /// EvalStats, page accounting included. Only the (ungated) kernel
+    /// telemetry may differ, and even that deterministically: every
+    /// morsel is pulled exactly once. (The dealer over many small
+    /// morsels is swept in the runtime's and shared pass's unit tests.)
     #[test]
-    fn morsel_size_never_changes_gated_counters(
+    fn thread_count_never_changes_gated_counters(
         b in relation("B", 10),
         r in relation("R", 16),
         s in spec(),
         partition in proptest::option::of(1usize..5),
     ) {
-        let base_policy = ExecPolicy::parallel(3).with_partition_rows(partition);
         let mut ref_node = PlanNodeStats::new("GMDJ");
-        let reference = Runtime::new(base_policy)
+        let reference = Runtime::new(ExecPolicy::sequential().with_partition_rows(partition))
             .eval(&b, &r, &s, None, Keep::All, None, &mut ref_node)
             .unwrap();
-        for morsel in [1usize, 7, 64, usize::MAX] {
+        for threads in [2usize, 3, 8, 16] {
             let mut node = PlanNodeStats::new("GMDJ");
-            let got = Runtime::new(base_policy.with_morsel_size(Some(morsel)))
+            let got = Runtime::new(ExecPolicy::parallel(threads).with_partition_rows(partition))
                 .eval(&b, &r, &s, None, Keep::All, None, &mut node)
                 .unwrap();
-            prop_assert!(reference.multiset_eq(&got), "morsel={morsel}");
-            prop_assert_eq!(node.eval, ref_node.eval, "morsel={}", morsel);
+            prop_assert!(reference.multiset_eq(&got), "threads={threads}");
+            prop_assert_eq!(node.eval, ref_node.eval, "threads={}", threads);
             // Physical telemetry is still run-to-run deterministic: the
-            // queue hands out each morsel exactly once, so single-row
-            // morsels mean one morsel per scanned detail row.
-            if morsel == 1 && !r.is_empty() {
-                prop_assert_eq!(
-                    node.kernel.morsels,
-                    node.eval.partitions * r.len() as u64
-                );
+            // queue hands out each morsel exactly once, and a detail this
+            // small is one morsel per partition on any worker count, so
+            // the pass runs on the calling thread as sequential does.
+            if !r.is_empty() {
+                prop_assert_eq!(node.kernel.morsels, node.eval.partitions);
+                prop_assert_eq!(node.kernel.morsels, ref_node.kernel.morsels);
             }
         }
     }

@@ -16,7 +16,7 @@ use gmdj_core::runtime::{ExecPolicy, PlanNodeStats};
 use gmdj_core::trace::{json_escape, TraceSink};
 use gmdj_relation::error::Result;
 
-use crate::strategy::{run_with_policy_traced, Strategy, StrategyStats};
+use crate::strategy::{run_with_policy_traced, Strategy};
 
 /// The product of an EXPLAIN ANALYZE run: query-level timing plus the
 /// per-plan-node statistics tree (GMDJ strategies; the reference and
@@ -43,14 +43,10 @@ pub struct AnalyzeReport {
 impl AnalyzeReport {
     /// Human-readable report: header lines plus the annotated tree.
     pub fn render(&self) -> String {
-        let morsel = match self.policy.morsel_size {
-            Some(m) => format!("  morsel: {m} rows"),
-            None => String::new(),
-        };
         let mut out = format!(
-            "strategy: {}  mode: {:?}{morsel}\nplan: {:.3}ms  execute: {:.3}ms  rows: {}  work: {}\n",
+            "strategy: {}  policy: {}\nplan: {:.3}ms  execute: {:.3}ms  rows: {}  work: {}\n",
             self.strategy,
-            self.policy.mode,
+            self.policy.label(),
             self.plan_wall.as_secs_f64() * 1e3,
             self.wall.as_secs_f64() * 1e3,
             self.rows,
@@ -86,14 +82,10 @@ impl AnalyzeReport {
             Some(c) => format!("{c:.1}"),
             None => "null".to_string(),
         };
-        let morsel = match self.policy.morsel_size {
-            Some(m) => m.to_string(),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"strategy\":\"{}\",\"mode\":\"{}\",\"morsel_size\":{morsel},\"plan_us\":{},\"execute_us\":{},\"rows\":{},\"work\":{},\"predicted_cost\":{predicted},\"plan\":{}}}",
+            "{{\"strategy\":\"{}\",\"policy\":\"{}\",\"plan_us\":{},\"execute_us\":{},\"rows\":{},\"work\":{},\"predicted_cost\":{predicted},\"plan\":{}}}",
             json_escape(self.strategy),
-            json_escape(&format!("{:?}", self.policy.mode)),
+            json_escape(&self.policy.label()),
             self.plan_wall.as_micros(),
             self.wall.as_micros(),
             self.rows,
@@ -114,11 +106,7 @@ pub fn explain_analyze(
     sink: Arc<dyn TraceSink>,
 ) -> Result<AnalyzeReport> {
     let result = run_with_policy_traced(query, catalog, strategy, policy, sink)?;
-    let work = match result.stats {
-        StrategyStats::Reference(s) => s.work(),
-        StrategyStats::Unnest(s) => s.join_input_tuples + s.joins + s.aggregations,
-        StrategyStats::Gmdj(s) => s.work(),
-    };
+    let work = result.stats.work();
     Ok(AnalyzeReport {
         strategy: strategy.label(),
         policy,

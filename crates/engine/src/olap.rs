@@ -24,7 +24,7 @@ use gmdj_relation::expr::{Predicate, ScalarExpr};
 use gmdj_relation::ops;
 use gmdj_relation::relation::Relation;
 
-use crate::strategy::{self, Strategy};
+use crate::strategy::{self, GmdjPlanning, Strategy};
 
 /// The GMDJ aggregation part of an OLAP query:
 /// `MD(B, detail, spec)` with an optional final selection.
@@ -82,11 +82,8 @@ impl OlapQuery {
         policy: ExecPolicy,
     ) -> Result<(Relation, EvalStats)> {
         let mut gmdj_stats = EvalStats::default();
-        let combined = match strat {
-            Strategy::GmdjBasic
-            | Strategy::GmdjOptimized
-            | Strategy::GmdjBasicNoProbeIndex
-            | Strategy::GmdjOptimizedNoProbeIndex => {
+        let combined = match strat.gmdj() {
+            Some((planning, probe)) if planning != GmdjPlanning::CostBased => {
                 // Compile the whole query into one GMDJ expression.
                 let base_plan = subquery_to_gmdj(&self.base, catalog)?;
                 let plan = match &self.aggregation {
@@ -100,17 +97,10 @@ impl OlapQuery {
                     }
                     None => base_plan,
                 };
-                let plan = match strat {
-                    Strategy::GmdjOptimized | Strategy::GmdjOptimizedNoProbeIndex => {
-                        optimize(&plan)
-                    }
-                    _ => plan,
-                };
-                let probe = match strat {
-                    Strategy::GmdjOptimizedNoProbeIndex | Strategy::GmdjBasicNoProbeIndex => {
-                        gmdj_core::eval::ProbeStrategy::ForceScan
-                    }
-                    _ => gmdj_core::eval::ProbeStrategy::Auto,
+                let plan = if planning == GmdjPlanning::Optimized {
+                    optimize(&plan)
+                } else {
+                    plan
                 };
                 let mut ctx = ExecContext::with_policy(policy.with_probe(probe));
                 let rel = execute(&plan, catalog, &mut ctx)?;
@@ -118,7 +108,8 @@ impl OlapQuery {
                 rel
             }
             _ => {
-                // Evaluate the base under the chosen strategy, then the
+                // Evaluate the base under the chosen strategy (the
+                // cost-based one plans the base query alone), then the
                 // aggregation through the policy's runtime (the
                 // aggregation is the query form itself, not a subquery).
                 let base_rel =

@@ -80,6 +80,60 @@ impl Strategy {
             Strategy::GmdjCostBased => "gmdj-cost",
         }
     }
+
+    /// How this strategy runs through the GMDJ runtime — how it plans
+    /// the translated query and which probe strategy it sets on the
+    /// execution policy — or `None` for the reference and unnest
+    /// engines, which build no GMDJ plan and ignore the policy.
+    pub fn gmdj(&self) -> Option<(GmdjPlanning, ProbeStrategy)> {
+        match self.engine() {
+            Engine::Gmdj(planning, probe) => Some((planning, probe)),
+            Engine::Reference(_) | Engine::Unnest(_) => None,
+        }
+    }
+
+    /// The engine this strategy runs on, with its settings.
+    fn engine(&self) -> Engine {
+        use GmdjPlanning::{Basic, CostBased, Optimized};
+        use ProbeStrategy::{Auto, ForceScan};
+        let reference = |smart, indexed| Engine::Reference(RefOptions { smart, indexed });
+        match self {
+            Strategy::NaiveNestedLoop => reference(false, false),
+            Strategy::NativeSmart => reference(true, true),
+            Strategy::NativeSmartNoIndex => reference(true, false),
+            Strategy::JoinUnnest => Engine::Unnest(UnnestOptions { indexed: true }),
+            Strategy::JoinUnnestNoIndex => Engine::Unnest(UnnestOptions { indexed: false }),
+            Strategy::GmdjBasic => Engine::Gmdj(Basic, Auto),
+            Strategy::GmdjOptimized => Engine::Gmdj(Optimized, Auto),
+            Strategy::GmdjOptimizedNoProbeIndex => Engine::Gmdj(Optimized, ForceScan),
+            Strategy::GmdjBasicNoProbeIndex => Engine::Gmdj(Basic, ForceScan),
+            Strategy::GmdjCostBased => Engine::Gmdj(CostBased, Auto),
+        }
+    }
+}
+
+/// The three engines behind the strategies.
+enum Engine {
+    /// Tuple-iteration semantics ([`reference`]).
+    Reference(RefOptions),
+    /// Join/outer-join unnesting ([`unnest`]).
+    Unnest(UnnestOptions),
+    /// Algorithm SubqueryToGMDJ on the GMDJ runtime.
+    Gmdj(GmdjPlanning, ProbeStrategy),
+}
+
+/// How a GMDJ strategy turns Algorithm SubqueryToGMDJ's plan into the
+/// plan it executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GmdjPlanning {
+    /// The translated plan as-is.
+    Basic,
+    /// The Section 4 optimizations ([`optimize_with`] at its default
+    /// flags): coalescing and base-tuple completion.
+    Optimized,
+    /// The Section 6 cost-based rewrite selection
+    /// ([`gmdj_core::cost::cost_based_optimize`]).
+    CostBased,
 }
 
 /// Strategy-specific work counters.
@@ -205,77 +259,18 @@ fn run_traced_inner(
     let progress = ticket.progress();
     progress.set_state("running");
     let pool = pool.as_ref();
-    let result = match strategy {
-        Strategy::NaiveNestedLoop => run_reference(
+    let result = match strategy.engine() {
+        Engine::Reference(opts) => run_reference(query, catalog, opts, &sink),
+        Engine::Unnest(opts) => run_unnest(query, catalog, opts, &sink),
+        Engine::Gmdj(planning, probe) => run_gmdj(
             query,
             catalog,
-            RefOptions {
-                smart: false,
-                indexed: false,
-            },
-            &sink,
-        ),
-        Strategy::NativeSmart => run_reference(
-            query,
-            catalog,
-            RefOptions {
-                smart: true,
-                indexed: true,
-            },
-            &sink,
-        ),
-        Strategy::NativeSmartNoIndex => run_reference(
-            query,
-            catalog,
-            RefOptions {
-                smart: true,
-                indexed: false,
-            },
-            &sink,
-        ),
-        Strategy::JoinUnnest => run_unnest(query, catalog, UnnestOptions { indexed: true }, &sink),
-        Strategy::JoinUnnestNoIndex => {
-            run_unnest(query, catalog, UnnestOptions { indexed: false }, &sink)
-        }
-        Strategy::GmdjBasic => run_gmdj(
-            query,
-            catalog,
-            false,
-            policy.with_probe(ProbeStrategy::Auto),
+            planning,
+            policy.with_probe(probe),
             &sink,
             &progress,
             pool,
         ),
-        Strategy::GmdjOptimized => run_gmdj(
-            query,
-            catalog,
-            true,
-            policy.with_probe(ProbeStrategy::Auto),
-            &sink,
-            &progress,
-            pool,
-        ),
-        Strategy::GmdjOptimizedNoProbeIndex => run_gmdj(
-            query,
-            catalog,
-            true,
-            policy.with_probe(ProbeStrategy::ForceScan),
-            &sink,
-            &progress,
-            pool,
-        ),
-        Strategy::GmdjBasicNoProbeIndex => run_gmdj(
-            query,
-            catalog,
-            false,
-            policy.with_probe(ProbeStrategy::ForceScan),
-            &sink,
-            &progress,
-            pool,
-        ),
-        Strategy::GmdjCostBased => {
-            run_gmdj_cost_based(query, catalog, policy, &sink, &progress, pool)
-        }
     };
     let result = match result {
         Ok(r) => r,
@@ -327,30 +322,6 @@ fn execute_planned(
     })
 }
 
-fn run_gmdj_cost_based(
-    query: &QueryExpr,
-    catalog: &dyn TableProvider,
-    policy: ExecPolicy,
-    sink: &Arc<dyn TraceSink>,
-    progress: &Arc<QueryProgress>,
-    pool: Option<&Arc<SharedScanPool>>,
-) -> Result<RunResult> {
-    let plan_span = Span::begin(sink.as_ref(), "query.plan");
-    let plan = crate::plan_cache::cached_translate(query, catalog)?;
-    let (best, estimate) = gmdj_core::cost::cost_based_optimize(&plan, catalog)?;
-    progress.set_prediction(estimate.cost.total(), estimate.cost.io);
-    let plan_wall = plan_span.finish();
-    execute_planned(
-        &best,
-        catalog,
-        policy.with_probe(ProbeStrategy::Auto),
-        plan_wall,
-        sink,
-        progress,
-        pool,
-    )
-}
-
 fn run_reference(
     query: &QueryExpr,
     catalog: &dyn TableProvider,
@@ -394,7 +365,7 @@ fn run_unnest(
 fn run_gmdj(
     query: &QueryExpr,
     catalog: &dyn TableProvider,
-    optimized: bool,
+    planning: GmdjPlanning,
     policy: ExecPolicy,
     sink: &Arc<dyn TraceSink>,
     progress: &Arc<QueryProgress>,
@@ -402,14 +373,24 @@ fn run_gmdj(
 ) -> Result<RunResult> {
     let plan_span = Span::begin(sink.as_ref(), "query.plan");
     let plan = crate::plan_cache::cached_translate(query, catalog)?;
-    let plan = if optimized {
-        optimize_with(&plan, &OptFlags::default())
-    } else {
-        plan
+    let (plan, estimate) = match planning {
+        GmdjPlanning::CostBased => {
+            let (best, estimate) = gmdj_core::cost::cost_based_optimize(&plan, catalog)?;
+            (best, Some(estimate))
+        }
+        GmdjPlanning::Basic | GmdjPlanning::Optimized => {
+            let plan = if planning == GmdjPlanning::Optimized {
+                optimize_with(&plan, &OptFlags::default())
+            } else {
+                plan
+            };
+            let estimate = gmdj_core::cost::estimate(&plan, catalog).ok();
+            (plan, estimate)
+        }
     };
     // The ETA cross-check in progress snapshots compares morsel
     // throughput against the cost model's io prediction for this plan.
-    if let Ok(est) = gmdj_core::cost::estimate(&plan, catalog) {
+    if let Some(est) = estimate {
         progress.set_prediction(est.cost.total(), est.cost.io);
     }
     let plan_wall = plan_span.finish();

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use crate::corpus::{parse_case, render_case};
-use crate::driver::{check_case, policy_label, trace_divergence, CheckOptions};
+use crate::driver::{check_case, trace_divergence, CheckOptions};
 use crate::gen::{generate_case, GenConfig};
 use crate::rng::case_seed;
 use crate::shrink::shrink;
@@ -131,7 +131,7 @@ fn generate_and_check(args: &FuzzArgs) -> ExitCode {
         eprintln!(
             "case {i} (seed {seed}): DIVERGENCE — {} under {} ({} vs oracle {} rows); shrinking…",
             d.strategy.label(),
-            policy_label(d.policy),
+            d.policy.label(),
             d.actual_rows
                 .map(|n| n.to_string())
                 .unwrap_or_else(|| "error".into()),
@@ -236,7 +236,7 @@ fn replay(path: &str) -> ExitCode {
                     "{}: DIVERGENCE — {} under {}\n{}",
                     file.display(),
                     d.strategy.label(),
-                    policy_label(d.policy),
+                    d.policy.label(),
                     d.detail
                 );
             }

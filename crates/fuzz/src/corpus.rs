@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 
 use gmdj_relation::error::{Error, Result};
 
-use crate::driver::{policy_label, Divergence};
+use crate::driver::Divergence;
 use crate::spec::{FuzzCase, TableSpec};
 
 /// Render a case (plus optional failure context) to the corpus format.
@@ -54,7 +54,7 @@ pub fn render_case(case: &FuzzCase, failure: Option<&Divergence>, trace: &[Strin
     if let Some(d) = failure {
         out.push_str("== divergence\n");
         let _ = writeln!(out, "strategy: {}", d.strategy.label());
-        let _ = writeln!(out, "policy: {}", policy_label(d.policy));
+        let _ = writeln!(out, "policy: {}", d.policy.label());
         let _ = writeln!(out, "oracle_rows: {}", d.oracle_rows);
         match d.actual_rows {
             Some(n) => {

@@ -12,10 +12,10 @@
 //! result multiset, the gated [`EvalStats`] counters, the closed-form
 //! network value counts and error behavior:
 //!
-//! * a morsel-size sweep re-runs each parallel policy under morsel sizes
-//!   {1, 7, 64, whole-relation}: morsel size is pure scheduling, so any
-//!   visible difference — result rows or gated counters, page accounting
-//!   included — is a bug;
+//! * each multi-worker policy is diffed against the sequential run: the
+//!   thread count, and with it the derived morsel size, is pure
+//!   scheduling, so any visible difference — result rows or gated
+//!   counters, page accounting included — is a bug;
 //! * the same query, under the sequential and the `parallel(2)` policy,
 //!   is submitted from two concurrent clients through a coalescing
 //!   [`SharedScanPool`]: cross-query scan sharing (and its
@@ -82,26 +82,11 @@ pub fn default_policies() -> [ExecPolicy; 4] {
 }
 
 /// True when the strategy routes through the GMDJ runtime and therefore
-/// actually consumes the execution policy. The reference and unnest
-/// engines ignore it, so re-running them per policy is skipped.
+/// actually consumes the execution policy ([`Strategy::gmdj`]). The
+/// reference and unnest engines ignore it, so re-running them per policy
+/// is skipped.
 pub fn uses_policy(s: Strategy) -> bool {
-    matches!(
-        s,
-        Strategy::GmdjBasic
-            | Strategy::GmdjOptimized
-            | Strategy::GmdjBasicNoProbeIndex
-            | Strategy::GmdjOptimizedNoProbeIndex
-            | Strategy::GmdjCostBased
-    )
-}
-
-/// Compact label for a policy (repro files, CI logs).
-pub fn policy_label(p: ExecPolicy) -> String {
-    match p.mode {
-        ExecMode::Sequential => "seq".to_string(),
-        ExecMode::Parallel { threads } => format!("par{threads}"),
-        ExecMode::Distributed { sites } => format!("dist{sites}"),
-    }
+    s.gmdj().is_some()
 }
 
 /// One observed disagreement with the oracle.
@@ -157,6 +142,9 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
     };
 
     for &strategy in &opts.strategies {
+        // The strategy's own `seq` run: the thread-count twin of its
+        // multi-worker runs.
+        let mut seq_run: Option<Result<RunResult>> = None;
         for &policy in &opts.policies {
             if !uses_policy(strategy) && policy != ExecPolicy::sequential() {
                 continue;
@@ -176,24 +164,22 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                             detail: format!(
                                 "{} under {}: {what}\n{detail}",
                                 strategy.label(),
-                                policy_label(policy)
+                                policy.label()
                             ),
                         });
                     }
                 };
-                // Morsel-size sweep: scheduling granularity must never
-                // leak into anything gated. Only the parallel scan reads
-                // the morsel size: a sequential pass is one whole-detail
-                // morsel, and sites scan their fragments whole.
-                if matches!(policy.mode, ExecMode::Parallel { .. }) {
-                    for morsel in [1usize, 7, 64, usize::MAX] {
-                        let swept = policy.with_morsel_size(Some(morsel));
-                        twin_check(
-                            &run_with_policy(&query, &catalog, strategy, swept),
-                            format!("morsel={morsel}"),
-                            "morsel size changed observable results",
-                        );
-                    }
+                // Thread-count twin: scheduling must never leak into
+                // anything gated; sites scan their fragments whole.
+                if matches!(policy.mode, ExecMode::Parallel { threads } if threads > 1) {
+                    let seq = seq_run.get_or_insert_with(|| {
+                        run_with_policy(&query, &catalog, strategy, ExecPolicy::sequential())
+                    });
+                    twin_check(
+                        seq,
+                        "seq".to_string(),
+                        "the thread count changed observable results",
+                    );
                 }
                 // Shared-pool twin: the same query submitted by two
                 // concurrent clients through a coalescing pool, which
@@ -213,7 +199,6 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                         window: Duration::from_millis(5),
                         target_batch: 2,
                         threads: 2,
-                        morsel_rows: 7,
                     }));
                     let pooled: Vec<_> = std::thread::scope(|scope| {
                         let handles: Vec<_> = (0..2)
@@ -238,13 +223,11 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                     }
                 }
             }
-            match result {
+            match &result {
                 Ok(r) => {
-                    let relation = match opts.mutate {
-                        Some(m) => m(strategy, policy, &r.relation).unwrap_or(r.relation),
-                        None => r.relation,
-                    };
-                    if !oracle.multiset_eq(&relation) {
+                    let mutated = opts.mutate.and_then(|m| m(strategy, policy, &r.relation));
+                    let relation = mutated.as_ref().unwrap_or(&r.relation);
+                    if !oracle.multiset_eq(relation) {
                         report.divergences.push(Divergence {
                             strategy,
                             policy,
@@ -254,7 +237,7 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                                 "oracle ({} rows):\n{oracle}\n{} under {} ({} rows):\n{relation}",
                                 oracle.len(),
                                 strategy.label(),
-                                policy_label(policy),
+                                policy.label(),
                                 relation.len()
                             ),
                         });
@@ -268,9 +251,12 @@ pub fn check_case(case: &FuzzCase, opts: &CheckOptions) -> CheckReport {
                     detail: format!(
                         "{} under {} errored while the oracle succeeded: {e}",
                         strategy.label(),
-                        policy_label(policy)
+                        policy.label()
                     ),
                 }),
+            }
+            if policy == ExecPolicy::sequential() && seq_run.is_none() {
+                seq_run = Some(result);
             }
         }
     }

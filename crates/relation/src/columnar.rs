@@ -280,15 +280,6 @@ impl ColumnSet {
             cols: self.cols.iter().map(|c| c.gather(indices)).collect(),
         }
     }
-
-    /// Project a subset of columns (shared-nothing clone of the selected
-    /// stored columns).
-    pub fn project(&self, columns: &[usize]) -> ColumnSet {
-        ColumnSet {
-            len: self.len,
-            cols: columns.iter().map(|&c| self.cols[c].clone()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -391,18 +382,6 @@ mod tests {
         assert_eq!(
             frag.materialize(),
             vec![rows[1].clone(), rows[4].clone(), rows[7].clone()]
-        );
-    }
-
-    #[test]
-    fn project_selects_columns() {
-        let rows = vec![t(vec![Value::Int(1), Value::str("x"), Value::Bool(true)])];
-        let cs = ColumnSet::encode(&rows, 3);
-        let p = cs.project(&[2, 0]);
-        assert_eq!(p.width(), 2);
-        assert_eq!(
-            p.materialize(),
-            vec![t(vec![Value::Bool(true), Value::Int(1)])]
         );
     }
 

@@ -1,7 +1,7 @@
 //! Integration tests for the bench telemetry subsystem
 //! (`crates/bench/src/telemetry.rs`, `repro bench`):
 //!
-//! * counter determinism — the same seed under Sequential produces a
+//! * counter determinism — the same seed under `seq` produces a
 //!   byte-identical counter section across two independent runs;
 //! * schema validation — a hand-corrupted report is rejected;
 //! * baseline gating — an injected counter drift fails the gate with a
@@ -68,7 +68,7 @@ fn generated_report_validates_and_corruptions_are_rejected() {
     let corruptions = [
         // Wrong version.
         (
-            json.replacen("\"version\":3", "\"version\":999", 1),
+            json.replacen("\"version\":4", "\"version\":999", 1),
             "version",
         ),
         // A counter key deleted from the first entry.
@@ -76,10 +76,10 @@ fn generated_report_validates_and_corruptions_are_rejected() {
             json.replacen("\"theta_evals\":", "\"theta_evalz\":", 1),
             "theta_evals",
         ),
-        // Gated flag replaced by a string.
+        // Policy label replaced by a number.
         (
-            json.replacen("\"gated\":true", "\"gated\":\"yes\"", 1),
-            "gated",
+            json.replacen("\"policy\":\"seq\"", "\"policy\":1", 1),
+            "policy",
         ),
         // A plan node loses its children.
         (
@@ -95,7 +95,7 @@ fn generated_report_validates_and_corruptions_are_rejected() {
         // gated counter, a fractional row count, a negative plan-node
         // counter, a negative seed.
         (
-            set_number_after(&json, "\"gated\":true", "theta_evals", "-7"),
+            set_number_after(&json, "\"counters\":{", "theta_evals", "-7"),
             "theta_evals",
         ),
         (set_number_after(&json, "", "rows", "2.5"), "rows"),
@@ -236,7 +236,6 @@ fn checked_in_baseline_is_schema_valid() {
         "fig5",
         "ablation/probe",
         "ablation/threads",
-        "ablation/morsel_size",
     ] {
         assert!(section.contains(group), "baseline lacks {group}");
     }

@@ -10,9 +10,8 @@
 //! * `repro --profile-json` output parses and validates against the
 //!   checked-in schema, and the plan trees survive a JSON round-trip.
 //! * Query progress reconciles exactly: `morsels_done == morsels_total`
-//!   at completion under Sequential, Parallel and Distributed, matched
-//!   against the `gmdj.partition` / `gmdj.worker` / `site.roundtrip`
-//!   span stream.
+//!   at completion under one worker, several and Distributed, matched
+//!   against the `gmdj.worker` / `site.roundtrip` span stream.
 //! * The flight recorder retains an exact suffix of what a
 //!   [`CollectingSink`] sees for the same run — lossless below capacity,
 //!   overwrite-counted above it.
@@ -44,21 +43,27 @@ fn base() -> Relation {
 }
 
 fn detail() -> Relation {
+    detail_rows(40)
+}
+
+/// `rows` detail tuples `F(T, V)`; [`detail`] is the first 40.
+fn detail_rows(rows: i64) -> Relation {
     let mut d = RelationBuilder::new("F")
         .column("T", DataType::Int)
         .column("V", DataType::Int);
-    for t in 0..40 {
+    for t in 0..rows {
         d = d.row(vec![(t * 3).into(), (t % 7).into()]);
     }
     d.build().unwrap()
 }
 
-/// 3000 detail rows whose first 120 hold every base `Lo` with `V > 0`.
+/// 9000 detail rows (three morsels on two or more workers) whose first
+/// 120 hold every base `Lo` with `V > 0`.
 fn settling_detail() -> Relation {
     let mut d = RelationBuilder::new("F")
         .column("T", DataType::Int)
         .column("V", DataType::Int);
-    for i in 0..3000 {
+    for i in 0..9000 {
         d = d.row(vec![(i % 120).into(), (1 + i % 7).into()]);
     }
     d.build().unwrap()
@@ -416,32 +421,32 @@ fn runtime_reports_into_the_global_metrics_registry() {
 #[test]
 fn progress_reconciles_with_the_span_stream_under_every_mode() {
     let registry: &'static ProgressRegistry = Box::leak(Box::new(ProgressRegistry::new()));
-    let policies = [
-        ExecPolicy::sequential(),
-        ExecPolicy::sequential().with_partition_rows(Some(2)),
-        ExecPolicy::parallel(3).with_morsel_size(Some(8)),
-        ExecPolicy::parallel(2)
-            .with_partition_rows(Some(2))
-            .with_morsel_size(Some(16)),
-        ExecPolicy::distributed(2),
-        ExecPolicy::distributed(3).with_partition_rows(Some(3)),
+    // 40 detail rows are one morsel on any worker count; 9,000 rows are
+    // three on two or more workers.
+    let (short, long) = (detail(), detail_rows(9000));
+    let runs = [
+        (ExecPolicy::sequential(), &short),
+        (
+            ExecPolicy::sequential().with_partition_rows(Some(2)),
+            &short,
+        ),
+        (ExecPolicy::parallel(3), &short),
+        (ExecPolicy::parallel(3), &long),
+        (ExecPolicy::parallel(2).with_partition_rows(Some(2)), &long),
+        (ExecPolicy::distributed(2), &short),
+        (
+            ExecPolicy::distributed(3).with_partition_rows(Some(3)),
+            &short,
+        ),
     ];
-    for policy in policies {
+    for (policy, detail) in runs {
         let sink = Arc::new(CollectingSink::new());
         let ticket = registry.register("MD(B, F, sum)", "runtime", policy.label());
         let progress = ticket.progress();
         let mut node = PlanNodeStats::new("GMDJ");
         Runtime::with_sink(policy, sink.clone())
             .with_progress(progress.clone())
-            .eval(
-                &base(),
-                &detail(),
-                &spec(),
-                None,
-                Keep::All,
-                None,
-                &mut node,
-            )
+            .eval(&base(), detail, &spec(), None, Keep::All, None, &mut node)
             .unwrap();
 
         // End state: the announced closed-form schedule was met exactly
@@ -450,12 +455,14 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
         assert!(snap.morsels_total > 0, "{policy:?}");
         assert_eq!(snap.morsels_done, snap.morsels_total, "{policy:?}");
         assert_eq!(snap.rows_done, node.eval.detail_scanned, "{policy:?}");
+        if detail.len() == long.len() {
+            assert_eq!(snap.morsels_total, 3 * node.eval.partitions, "{policy:?}");
+        }
 
-        // The ticks reconcile with the mode's span stream: partitions
-        // (Sequential), pulled morsels summed over `gmdj.worker` spans
-        // (Parallel), site round-trips (Distributed).
+        // The ticks reconcile with the mode's span stream: pulled morsels
+        // summed over `gmdj.worker` spans (one per partition on one
+        // worker), site round-trips (Distributed).
         let spans = match policy.mode {
-            ExecMode::Sequential => sink.by_name("gmdj.partition").len() as u64,
             ExecMode::Parallel { .. } => sink.sum_field("gmdj.worker", "morsels"),
             ExecMode::Distributed { .. } => sink.by_name("site.roundtrip").len() as u64,
         };
@@ -474,7 +481,6 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
         window: Duration::from_millis(1),
         target_batch: 1,
         threads: 2,
-        morsel_rows: 256,
     }));
     for route in ["seq", "par2", "pooled"] {
         let sink = Arc::new(CollectingSink::new());
@@ -482,7 +488,7 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
         let progress = ticket.progress();
         let policy = match route {
             "seq" => ExecPolicy::sequential(),
-            _ => ExecPolicy::parallel(2).with_morsel_size(Some(256)),
+            _ => ExecPolicy::parallel(2),
         };
         let mut rt = Runtime::with_sink(policy, sink.clone()).with_progress(progress.clone());
         if route == "pooled" {
@@ -530,8 +536,8 @@ fn progress_reconciles_with_the_span_stream_under_every_mode() {
     // Every ticket dropped: nothing left active, finals folded in.
     let (active, totals) = registry.snapshot();
     assert!(active.is_empty());
-    assert_eq!(totals.queries_started, policies.len() as u64 + 3);
-    assert_eq!(totals.queries_finished, policies.len() as u64 + 3);
+    assert_eq!(totals.queries_started, runs.len() as u64 + 3);
+    assert_eq!(totals.queries_finished, runs.len() as u64 + 3);
     assert_eq!(totals.morsels_done, totals.morsels_total);
 }
 
