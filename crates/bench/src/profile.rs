@@ -32,7 +32,8 @@ use crate::{Figure, Measurement};
 /// coordinator's per-site breakdown (round-trip / site wall / merge
 /// durations, rows, fragment size, attempts, wire bytes), present
 /// exactly on nodes that ran `ExecMode::Distributed`.
-pub const PROFILE_VERSION: u64 = 5;
+/// Version 6 added `rank_lookups` to every plan node's `eval` block.
+pub const PROFILE_VERSION: u64 = 6;
 
 /// Render a full profile document for a set of regenerated figures.
 pub fn render_profile(figures: &[Figure], policy: &ExecPolicy, scale: f64, seed: u64) -> String {
@@ -701,7 +702,7 @@ mod tests {
         let mut plan = PlanNodeStats::new("GMDJ");
         plan.children.push(PlanNodeStats::new("Table(x)"));
         let text = format!(
-            r#"{{"version":5,"policy":"seq","scale":0.01,"seed":1,{PROGRESS},"figures":[
+            r#"{{"version":6,"policy":"seq","scale":0.01,"seed":1,{PROGRESS},"figures":[
                 {{"name":"f","description":"d","points":[
                     {{"label":"l","outer":1,"inner":1,"measurements":[
                         {{"strategy":"s","wall_us":1,"plan_us":0,"work":1,"rows":1,"plan":null}},
@@ -712,15 +713,15 @@ mod tests {
         validate_profile(&parse_json(&text).unwrap()).unwrap();
 
         // Version ≤2 profiles predate the `progress` section, version 3
-        // the network byte counters.
-        for stale_version in [1, 2, 3, 4] {
+        // the network byte counters, version 5 `rank_lookups`.
+        for stale_version in [1, 2, 3, 4, 5] {
             let stale = parse_json(&format!(
                 r#"{{"version":{stale_version},"policy":"x","scale":1,"seed":1,"figures":[{{}}]}}"#
             ))
             .unwrap();
             assert!(validate_profile(&stale).unwrap_err().contains("progress"));
             let stale = parse_json(&text.replacen(
-                "\"version\":5",
+                "\"version\":6",
                 &format!("\"version\":{stale_version}"),
                 1,
             ))
@@ -728,17 +729,17 @@ mod tests {
             assert!(validate_profile(&stale).unwrap_err().contains("version"));
         }
         let no_progress =
-            parse_json(r#"{"version":5,"policy":"x","scale":1,"seed":1,"figures":[{}]}"#).unwrap();
+            parse_json(r#"{"version":6,"policy":"x","scale":1,"seed":1,"figures":[{}]}"#).unwrap();
         assert!(validate_profile(&no_progress)
             .unwrap_err()
             .contains("progress"));
         let bad = parse_json(&format!(
-            r#"{{"version":5,"policy":"x","scale":1,"seed":1,{PROGRESS},"figures":[{{}}]}}"#
+            r#"{{"version":6,"policy":"x","scale":1,"seed":1,{PROGRESS},"figures":[{{}}]}}"#
         ))
         .unwrap();
         assert!(validate_profile(&bad).is_err());
         let empty = parse_json(&format!(
-            r#"{{"version":5,"policy":"x","scale":1,"seed":1,{PROGRESS},"figures":[]}}"#
+            r#"{{"version":6,"policy":"x","scale":1,"seed":1,{PROGRESS},"figures":[]}}"#
         ))
         .unwrap();
         assert!(validate_profile(&empty).unwrap_err().contains("minItems"));

@@ -45,7 +45,8 @@ use gmdj_datagen::workloads::Workload;
 /// component to policy labels. Version 3 dropped every timing field.
 /// Version 4 dropped the per-entry `gated` flag (every entry is gated)
 /// and the morsel-size cells and label component (morsels are derived).
-pub const BENCH_VERSION: u64 = 4;
+/// Version 5 added `rank_lookups` (ranked access) to the gated counters.
+pub const BENCH_VERSION: u64 = 5;
 
 /// The deterministic counter set recorded per bench entry or plan node:
 /// `(key, value)` rows sorted by key — a few row-flow extras plus the
@@ -661,12 +662,16 @@ fn run_ablations(cfg: &BenchConfig) -> Result<Vec<BenchEntry>> {
             &format!("threads-{threads}"),
         )?);
     }
-    // Base-tuple completion on the Figure 4 ALL query.
+    // Base-tuple completion on the Figure 4 ALL query, pair by pair
+    // both ways: the basic plan scans (θ has no key), and the optimized
+    // plan is forced to scan, since under `Auto` it counts both ALL
+    // blocks by ranked access and visits no pair (the `fig4 * gmdj-opt`
+    // cells). So this cell gates the row-ordered completion item.
     let (outer4, inner4) = sizes(FigureId::Fig4, cfg.scale)[0];
     let fig4 = workload(FigureId::Fig4, outer4, inner4, cfg.seed);
     for (label, strategy) in [
         ("without-completion", Strategy::GmdjBasic),
-        ("with-completion", Strategy::GmdjOptimized),
+        ("with-completion", Strategy::GmdjOptimizedNoProbeIndex),
     ] {
         let policy = ExecPolicy::sequential();
         entries.push(measure(
@@ -1095,7 +1100,7 @@ mod tests {
         let entry = counter_keys();
         let mut sorted = entry.clone();
         sorted.sort_unstable();
-        assert_eq!((entry.len(), &sorted), (22, &entry));
+        assert_eq!((entry.len(), &sorted), (23, &entry));
         for path in [
             &["properties", "entries", "items", "properties", "counters"][..],
             &["properties", "concurrent", "properties", "counters"],
@@ -1103,7 +1108,7 @@ mod tests {
             assert_eq!(schema_required(bench, path), entry, "{path:?}");
         }
         let node = node_counter_keys();
-        assert_eq!(node.len(), 20);
+        assert_eq!(node.len(), 21);
         let path = ["definitions", "counterNode", "properties", "counters"];
         assert_eq!(schema_required(bench, &path), node);
         for (set, fields) in [

@@ -60,6 +60,42 @@ impl CompletionPlan {
     pub fn is_effective(&self) -> bool {
         !self.dead_rules.is_empty() || self.finish_early
     }
+
+    /// Whether the plan retires a tuple on `block`'s first match: the
+    /// block triggers a `cnt = 0` rule (NOT EXISTS), or finish-early
+    /// needs it to match (EXISTS). Such a scan can settle within the
+    /// first rows — a NOT EXISTS over `B.k <> R.k` kills every tuple at
+    /// its first row of another key — so the block keeps pair evaluation
+    /// with completion and never takes ranked access, which reads the
+    /// whole detail. A pair rule (ALL) retires a tuple only on a row that
+    /// beats it, so its scan settles only once every base tuple has been
+    /// beaten — never when the base's best tuple is in the detail, as in
+    /// Figure 4 — and its blocks may be ranked.
+    pub(crate) fn settles(&self, block: usize) -> bool {
+        self.dead_rules
+            .iter()
+            .any(|r| r.on_block == block && r.unless_also.is_none())
+            || (self.finish_early && self.need_match.contains(&block))
+    }
+
+    /// The plan without the dead rules of blocks flagged in `counted`:
+    /// those blocks are counted without visiting pairs (ranked access),
+    /// so no match of theirs is ever seen. Only blocks the plan does not
+    /// [`settle`](Self::settles) are counted, so only pair rules go.
+    /// `None` when nothing effective is left.
+    pub(crate) fn without_blocks(&self, counted: &[bool]) -> Option<CompletionPlan> {
+        debug_assert!((0..counted.len()).all(|b| !counted[b] || !self.settles(b)));
+        let plan = CompletionPlan {
+            dead_rules: self
+                .dead_rules
+                .iter()
+                .filter(|r| !counted[r.on_block])
+                .cloned()
+                .collect(),
+            ..self.clone()
+        };
+        plan.is_effective().then_some(plan)
+    }
 }
 
 /// Shape of a single analyzable conjunct.

@@ -7,7 +7,8 @@
 //!
 //! The model mirrors the evaluator in [`crate::eval`]: per (lᵢ, θᵢ) block
 //! it determines which probe plan the evaluator would choose (hash,
-//! interval, or active-scan) from the *syntactic shape* of θᵢ, and charges
+//! interval, ranked, or active-scan) from the *syntactic shape* of the
+//! block, and charges
 //!
 //! * **io** — tuples read from base tables (the dominant cost the paper
 //!   optimizes: "the GMDJ can typically be evaluated in a single scan of
@@ -25,9 +26,10 @@ use gmdj_relation::expr::{CmpOp, Predicate, ScalarExpr};
 use gmdj_relation::schema::ColumnRef;
 
 use crate::completion::CompletionPlan;
+use crate::eval::ranked_syntax;
 use crate::optimize::{optimize_with, OptFlags};
 use crate::plan::GmdjExpr;
-use crate::spec::GmdjSpec;
+use crate::spec::{AggBlock, GmdjSpec};
 
 /// Table cardinalities for estimation.
 pub trait StatsProvider {
@@ -120,12 +122,17 @@ fn predicate_selectivity(p: &Predicate) -> f64 {
         .product()
 }
 
-/// Which probe plan the evaluator would pick for a block's θ, judged
-/// syntactically exactly like `eval::choose_access` (but without schemas:
-/// a conjunct `X.a = Y.b` over two different qualifiers counts as an
-/// equality key; a ≥/< pair over the same column counts as a band).
-fn block_access(theta: &Predicate) -> Access {
-    let conjuncts = theta.split_conjuncts();
+/// Which probe plan the evaluator would pick for a block, judged
+/// syntactically like `eval::choose_access` (but without schemas: a
+/// conjunct `X.a = Y.b` over two different qualifiers counts as an
+/// equality key; a ≥/< pair over the same column counts as a band; where
+/// `ranked` admits it, a block of `eval::ranked_syntax`, with qualifiers
+/// for sides, counts as ranked). Without column types the model cannot
+/// see what the evaluator declines on types — a key or an inequality
+/// over incomparable or non-numeric columns, which it scans — for hash
+/// and ranked blocks alike.
+fn block_access(block: &AggBlock, ranked: bool) -> Access {
+    let conjuncts = block.theta.split_conjuncts();
     let col_pair = |l: &ScalarExpr, r: &ScalarExpr| -> Option<(ColumnRef, ColumnRef)> {
         match (l, r) {
             (ScalarExpr::Column(a), ScalarExpr::Column(b))
@@ -153,6 +160,8 @@ fn block_access(theta: &Predicate) -> Access {
     }
     if lowers.iter().any(|l| uppers.iter().any(|u| u == l)) {
         Access::Interval
+    } else if ranked && ranked_syntax(block, |c| c.qualifier.clone()) {
+        Access::Ranked
     } else {
         Access::Scan
     }
@@ -161,6 +170,7 @@ fn block_access(theta: &Predicate) -> Access {
 enum Access {
     Hash,
     Interval,
+    Ranked,
     Scan,
 }
 
@@ -268,7 +278,7 @@ fn estimate_dyn(expr: &GmdjExpr, stats: &dyn StatsProvider) -> Result<Estimate> 
             let d = estimate_dyn(detail, stats)?;
             let mut cost = b.cost;
             cost.add(&d.cost);
-            cost.add(&gmdj_block_cost(spec, b.rows, d.rows, None));
+            cost.add(&gmdj_block_cost(spec, b.rows, d.rows, None, false));
             Ok(Estimate { rows: b.rows, cost })
         }
         GmdjExpr::FilteredGmdj {
@@ -283,32 +293,53 @@ fn estimate_dyn(expr: &GmdjExpr, stats: &dyn StatsProvider) -> Result<Estimate> 
             let d = estimate_dyn(detail, stats)?;
             let mut cost = b.cost;
             cost.add(&d.cost);
-            cost.add(&gmdj_block_cost(spec, b.rows, d.rows, completion.as_ref()));
+            cost.add(&gmdj_block_cost(
+                spec,
+                b.rows,
+                d.rows,
+                completion.as_ref(),
+                true,
+            ));
             let rows = b.rows * predicate_selectivity(selection);
             Ok(Estimate { rows, cost })
         }
     }
 }
 
-/// Per-block evaluation cost of one GMDJ over `base` × `detail` rows.
+/// Per-block evaluation cost of one GMDJ over `base` × `detail` rows;
+/// `filtered` admits ranked access to every block the completion plan
+/// does not settle, as the evaluator does.
 fn gmdj_block_cost(
     spec: &GmdjSpec,
     base: f64,
     detail: f64,
     completion: Option<&CompletionPlan>,
+    filtered: bool,
 ) -> Cost {
     let mut cpu = 0.0;
-    // The active base set is shared across blocks: any fail-fast rule
-    // shrinks the candidates every scan block sees.
-    let has_dead_rule = completion
-        .map(|c| !c.dead_rules.is_empty())
-        .unwrap_or(false);
-    for block in &spec.blocks {
-        match block_access(&block.theta) {
+    let access: Vec<Access> = spec
+        .blocks
+        .iter()
+        .enumerate()
+        .map(|(i, b)| block_access(b, filtered && !completion.is_some_and(|c| c.settles(i))))
+        .collect();
+    // The active base set is shared across blocks: any fail-fast rule on
+    // a block that visits pairs shrinks the candidates every scan block
+    // sees (a ranked block's rules are dropped).
+    let has_dead_rule = completion.is_some_and(|c| {
+        c.dead_rules
+            .iter()
+            .any(|r| !matches!(access[r.on_block], Access::Ranked))
+    });
+    let log_base = base.max(2.0).log2();
+    for a in &access {
+        match a {
             // Hash probe: one candidate group per detail tuple; candidates
             // ≈ base / distinct-keys, bounded below by 1.
             Access::Hash => cpu += detail * (1.0 + (base * SEL_EQ).clamp(1.0, 8.0)),
-            Access::Interval => cpu += detail * (1.0 + base.max(2.0).log2()),
+            Access::Interval => cpu += detail * (1.0 + log_base),
+            // One binary search per detail row, one sort of the base.
+            Access::Ranked => cpu += detail * (1.0 + log_base) + base * log_base,
             Access::Scan => {
                 // Active-base scan: base candidates per detail tuple —
                 // unless fail-fast completion applies, in which case the
@@ -391,7 +422,7 @@ fn cost_based_optimize_dyn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::AggBlock;
+    use gmdj_relation::agg::NamedAgg;
     use gmdj_relation::expr::{col, lit};
 
     struct FixedStats;
@@ -437,25 +468,30 @@ mod tests {
         assert!(e2.cost.total() < e1.cost.total());
     }
 
-    #[test]
-    fn completion_discounts_scan_blocks() {
-        // ALL-shape: scan access (no equi pair, <> correlation).
+    /// Figure 4's ALL shape over `B` and `R`: the plain
+    /// `σ[c1 = c2](MD(B, R, …))` with its counts dropped.
+    fn all_shape() -> GmdjExpr {
         let theta = col("B.k").ne(col("R.k"));
         let spec = GmdjSpec::new(vec![
             AggBlock::count(theta.clone().and(col("B.v").ge(col("R.v"))), "c1"),
             AggBlock::count(theta, "c2"),
         ]);
-        let sel = col("c1").eq(col("c2"));
-        let plain = GmdjExpr::table("B", "B")
-            .gmdj(GmdjExpr::table("R", "R"), spec.clone())
-            .select(sel.clone());
-        let fused = optimize_with(
-            &GmdjExpr::DropComputed {
-                input: Box::new(plain.clone()),
-                names: vec!["c1".into(), "c2".into()],
-            },
-            &OptFlags::default(),
-        );
+        GmdjExpr::DropComputed {
+            input: Box::new(
+                GmdjExpr::table("B", "B")
+                    .gmdj(GmdjExpr::table("R", "R"), spec)
+                    .select(col("c1").eq(col("c2"))),
+            ),
+            names: vec!["c1".into(), "c2".into()],
+        }
+    }
+
+    #[test]
+    fn completion_discounts_scan_blocks() {
+        // ALL-shape: scan access in the plain GMDJ (no equi pair, <>
+        // correlation); both blocks ranked once fused.
+        let plain = all_shape();
+        let fused = optimize_with(&plain, &OptFlags::default());
         assert!(fused.uses_completion(), "{fused}");
         let e_plain = estimate(&plain, &FixedStats).unwrap();
         let e_fused = estimate(&fused, &FixedStats).unwrap();
@@ -465,6 +501,27 @@ mod tests {
             e_fused.cost.cpu,
             e_plain.cost.cpu
         );
+        // No quadratic term is left: two ranked blocks, each one binary
+        // search per detail row plus one sort of the base, and one pass
+        // over the base rows above the GMDJ.
+        let (b, r) = (1_000f64, 300_000f64);
+        let ranked = 2.0 * (r * (1.0 + b.log2()) + b * b.log2());
+        assert!(
+            (ranked..ranked + b).contains(&e_fused.cost.cpu),
+            "{} vs {ranked}",
+            e_fused.cost.cpu
+        );
+    }
+
+    #[test]
+    fn cost_based_optimizer_picks_the_fused_all_plan() {
+        let plain = all_shape();
+        let (best, est) = cost_based_optimize(&plain, &FixedStats).unwrap();
+        assert!(
+            matches!(best, GmdjExpr::FilteredGmdj { .. }) && best.uses_completion(),
+            "{best}"
+        );
+        assert!(est.cost.total() < estimate(&plain, &FixedStats).unwrap().cost.total());
     }
 
     #[test]
@@ -476,22 +533,65 @@ mod tests {
         assert!(est.cost.total() <= estimate(&chain, &FixedStats).unwrap().cost.total());
     }
 
+    /// A block completion settles keeps its priced active-base scan,
+    /// as the evaluator keeps pair evaluation for it: NOT EXISTS over
+    /// `<>` has the ranked syntax, but its `cnt = 0` rule retires every
+    /// tuple early. Without the rule the block is priced ranked.
+    #[test]
+    fn blocks_completion_settles_are_priced_as_scans() {
+        use crate::completion::derive_completion;
+        let spec = GmdjSpec::new(vec![AggBlock::count(col("B.k").ne(col("R.k")), "c")]);
+        let plan = derive_completion(&col("c").eq(lit(0)), &spec, true).unwrap();
+        assert!(plan.settles(0));
+        let (b, r) = (1_000f64, 300_000f64);
+        let settled = gmdj_block_cost(&spec, b, r, Some(&plan), true);
+        assert_eq!(settled.cpu, b * r.ln() + r);
+        let ranked = gmdj_block_cost(&spec, b, r, None, true);
+        assert_eq!(ranked.cpu, r * (1.0 + b.log2()) + b * b.log2());
+    }
+
     #[test]
     fn access_classification_matches_evaluator_shapes() {
+        let access =
+            |theta: Predicate, filtered| block_access(&AggBlock::count(theta, "c"), filtered);
         assert!(matches!(
-            block_access(&col("B.k").eq(col("R.k"))),
+            access(col("B.k").eq(col("R.k")), true),
             Access::Hash
         ));
         assert!(matches!(
-            block_access(&col("R.t").ge(col("B.lo")).and(col("R.t").lt(col("B.hi")))),
+            access(
+                col("R.t").ge(col("B.lo")).and(col("R.t").lt(col("B.hi"))),
+                true
+            ),
             Access::Interval
         ));
         assert!(matches!(
-            block_access(&col("B.k").ne(col("R.k"))),
+            access(col("B.k").ne(col("R.k")), false),
             Access::Scan
         ));
-        // Local constants don't create keys.
-        assert!(matches!(block_access(&col("R.v").eq(lit(1))), Access::Scan));
+        // Local constants don't create keys; a filtered GMDJ counts such
+        // an uncorrelated block by rank.
+        assert!(matches!(access(col("R.v").eq(lit(1)), false), Access::Scan));
+        assert!(matches!(
+            access(col("R.v").eq(lit(1)), true),
+            Access::Ranked
+        ));
+        // A filtered GMDJ ranks `<>` and one-sided inequalities, with any
+        // one-side conjuncts, in COUNT-only blocks.
+        let ranked = col("B.k")
+            .ne(col("R.k"))
+            .and(col("B.v").ge(col("R.v")))
+            .and(col("R.v").gt(lit(3)))
+            .and(col("B.w").lt(col("B.v")));
+        assert!(matches!(access(ranked.clone(), true), Access::Ranked));
+        assert!(matches!(
+            access(col("B.v").lt(col("R.v")), true),
+            Access::Ranked
+        ));
+        let sum = AggBlock::new(ranked, vec![NamedAgg::sum(col("R.v"), "s")]);
+        assert!(matches!(block_access(&sum, true), Access::Scan));
+        let two_ineqs = col("B.v").lt(col("R.v")).and(col("B.w").gt(col("R.w")));
+        assert!(matches!(access(two_ineqs, true), Access::Scan));
     }
 
     #[test]

@@ -41,7 +41,9 @@ use gmdj_relation::relation::Relation;
 use gmdj_relation::schema::Schema;
 
 use crate::counters::counter_set;
-use crate::eval::{new_accumulators, plan_blocks, scan_detail_vectorized, EvalStats, KernelStats};
+use crate::eval::{
+    new_accumulators, plan_blocks, scan_detail_vectorized, EvalStats, KernelStats, RankTally,
+};
 use crate::runtime::SiteBreakdown;
 use crate::trace::{CollectingSink, FlightRecorder, NullSink, Span, TeeSink, TraceSink};
 use crate::wire::{EvalRequestFrame, StateMatrixFrame};
@@ -136,15 +138,20 @@ pub(crate) fn eval_site(
     let base_schema = Schema::new(req.base_fields.clone());
     let mut stats = EvalStats::default();
     let mut kernel = KernelStats::default();
+    // A site runs no completion (a `Distributed` plan falls back to the
+    // plain filtered form), so no block settles early: every block of a
+    // request that admits ranked access may take it.
     let plans = plan_blocks(
         &req.base_rows,
         &base_schema,
         fragment.schema(),
         &req.spec,
         req.probe,
+        &vec![req.ranked; req.spec.blocks.len()],
         &mut stats,
     )?;
     let mut accs = new_accumulators(&plans, req.base_rows.len(), total_aggs);
+    let mut tally = RankTally::new(&plans);
     scan_detail_vectorized(
         fragment.cols(),
         0..fragment.len(),
@@ -153,10 +160,13 @@ pub(crate) fn eval_site(
         &req.base_rows,
         total_aggs,
         &mut accs,
+        &mut tally,
         &mut stats,
         &mut kernel,
         &sink,
     )?;
+    // Ranked counts ship as plain COUNT states.
+    tally.fold(&plans, &req.base_rows, total_aggs, &mut accs);
     sspan.field("site", site as u64);
     sspan.field("attempt", req.attempt as u64);
     sspan.field("fragment_rows", fragment.len() as u64);

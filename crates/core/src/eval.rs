@@ -11,10 +11,18 @@
 //!   typed index applies;
 //! * band conjuncts `R.t ≥ B.lo ∧ R.t < B.hi` → an [`IntervalIndex`]
 //!   (the Hours dimension of the motivating example);
+//! * a COUNT-only block of a filtered GMDJ whose only correlations are
+//!   at most one `B.k <> R.k` and at most one one-sided `B.x op R.y`
+//!   (op one of <, ≤, >, ≥) → *ranked* access: the eligible base tuples
+//!   sorted by `x`, one binary search and one difference-array update per
+//!   detail row, and the `<>` complement subtracted through a hash probe
+//!   on `k` (COUNT is invertible, so `COUNT(k <> k' ∧ φ) = COUNT(φ) −
+//!   COUNT(k = k' ∧ φ)`);
 //! * anything else → a scan of the *active* base tuples, which for
-//!   conditions like the `<>` correlation of Figure 4 "essentially mimics
-//!   tuple-iteration semantics" — unless base-tuple completion
-//!   ([`crate::completion`]) keeps shrinking the active set.
+//!   conditions like the `<>` correlation of Figure 4 under the basic
+//!   plan "essentially mimics tuple-iteration semantics" — unless
+//!   base-tuple completion ([`crate::completion`]) keeps shrinking the
+//!   active set.
 //!
 //! This module holds the probe planning and the detail-scan kernels; the
 //! one evaluation entry point is [`crate::runtime::Runtime::eval`], which
@@ -25,23 +33,24 @@
 //! cost"). Machine-independent work counters ([`EvalStats`]) make the
 //! benchmark shapes reproducible across hardware.
 
+use std::cmp::Ordering as CmpOrdering;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use gmdj_relation::agg::{Accumulator, BoundAgg};
+use gmdj_relation::agg::{Accumulator, AggFunc, BoundAgg};
 use gmdj_relation::batch::{BatchPredicate, BatchView, ColData, ColView, BATCH_ROWS};
 use gmdj_relation::columnar::ColumnSet;
 use gmdj_relation::error::Result;
 use gmdj_relation::expr::{BoundPredicate, BoundScalar, CmpOp, Predicate, ScalarExpr};
 use gmdj_relation::index::{HashIndex, IntKeyIndex, IntervalIndex, Num, TypedKeyIndex};
 use gmdj_relation::relation::Tuple;
-use gmdj_relation::schema::{DataType, Schema};
+use gmdj_relation::schema::{ColumnRef, DataType, Schema};
 use gmdj_relation::value::Value;
 
 use crate::completion::CompletionPlan;
 use crate::counters::counter_set;
-use crate::spec::GmdjSpec;
+use crate::spec::{AggBlock, GmdjSpec};
 use crate::trace::TraceSink;
 
 /// How probe plans may be chosen.
@@ -106,6 +115,10 @@ counter_set! {
         /// layout, where every page holds full-width rows
         /// (`ceil(|R| / chunk) × schema_cols × partitions`).
         pub row_page_reads: u64,
+        /// Detail rows folded through a ranked block: each costs one
+        /// range lookup in the block's sorted base (a binary search when
+        /// the block has an inequality) and is not a θ evaluation.
+        pub rank_lookups: u64,
     }
 }
 
@@ -114,7 +127,11 @@ impl EvalStats {
     /// page-read counters are deliberately excluded: they restate
     /// `detail_scanned` in page units, not additional work.
     pub fn work(&self) -> u64 {
-        self.detail_scanned + self.probe_candidates + self.theta_evals + self.agg_updates
+        self.detail_scanned
+            + self.probe_candidates
+            + self.theta_evals
+            + self.agg_updates
+            + self.rank_lookups
     }
 }
 
@@ -155,55 +172,64 @@ pub(crate) fn referenced_detail_cols(
     base_schema: &Schema,
     detail_schema: &Schema,
 ) -> Result<usize> {
-    fn mark_scalar(e: &BoundScalar, needed: &mut [bool]) {
-        match e {
-            BoundScalar::Column { scope: 1, index } => needed[*index] = true,
-            BoundScalar::Column { .. } | BoundScalar::Literal(_) => {}
-            BoundScalar::Binary { left, right, .. } => {
-                mark_scalar(left, needed);
-                mark_scalar(right, needed);
-            }
-            BoundScalar::Case {
-                branches,
-                otherwise,
-            } => {
-                for (p, v) in branches {
-                    mark_pred(p, needed);
-                    mark_scalar(v, needed);
-                }
-                if let Some(o) = otherwise {
-                    mark_scalar(o, needed);
-                }
-            }
-        }
-    }
-    fn mark_pred(p: &BoundPredicate, needed: &mut [bool]) {
-        match p {
-            BoundPredicate::Literal(_) => {}
-            BoundPredicate::Cmp { left, right, .. } => {
-                mark_scalar(left, needed);
-                mark_scalar(right, needed);
-            }
-            BoundPredicate::IsNull(e) | BoundPredicate::IsNotNull(e) => mark_scalar(e, needed),
-            BoundPredicate::And(a, b) | BoundPredicate::Or(a, b) => {
-                mark_pred(a, needed);
-                mark_pred(b, needed);
-            }
-            BoundPredicate::Not(a) => mark_pred(a, needed),
-        }
-    }
     let mut needed = vec![false; detail_schema.len()];
+    let mut mark = |scope: usize, index: usize| {
+        if scope == 1 {
+            needed[index] = true;
+        }
+    };
     for block in &spec.blocks {
         let theta = block.theta.bind(&[base_schema, detail_schema])?;
-        mark_pred(&theta, &mut needed);
+        visit_pred_columns(&theta, &mut mark);
         for agg in &block.aggs {
             let bound = agg.bind(&[base_schema, detail_schema])?;
             if let Some(input) = &bound.input {
-                mark_scalar(input, &mut needed);
+                visit_scalar_columns(input, &mut mark);
             }
         }
     }
     Ok(needed.iter().filter(|&&n| n).count())
+}
+
+/// Call `f(scope, index)` for every column a bound scalar reads.
+fn visit_scalar_columns(e: &BoundScalar, f: &mut impl FnMut(usize, usize)) {
+    match e {
+        BoundScalar::Column { scope, index } => f(*scope, *index),
+        BoundScalar::Literal(_) => {}
+        BoundScalar::Binary { left, right, .. } => {
+            visit_scalar_columns(left, f);
+            visit_scalar_columns(right, f);
+        }
+        BoundScalar::Case {
+            branches,
+            otherwise,
+        } => {
+            for (p, v) in branches {
+                visit_pred_columns(p, f);
+                visit_scalar_columns(v, f);
+            }
+            if let Some(o) = otherwise {
+                visit_scalar_columns(o, f);
+            }
+        }
+    }
+}
+
+/// Call `f(scope, index)` for every column a bound predicate reads.
+fn visit_pred_columns(p: &BoundPredicate, f: &mut impl FnMut(usize, usize)) {
+    match p {
+        BoundPredicate::Literal(_) => {}
+        BoundPredicate::Cmp { left, right, .. } => {
+            visit_scalar_columns(left, f);
+            visit_scalar_columns(right, f);
+        }
+        BoundPredicate::IsNull(e) | BoundPredicate::IsNotNull(e) => visit_scalar_columns(e, f),
+        BoundPredicate::And(a, b) | BoundPredicate::Or(a, b) => {
+            visit_pred_columns(a, f);
+            visit_pred_columns(b, f);
+        }
+        BoundPredicate::Not(a) => visit_pred_columns(a, f),
+    }
 }
 
 /// Fresh accumulators for `n` base tuples under `plans` (row-major: all of
@@ -550,6 +576,8 @@ enum Access {
         index: IntervalIndex,
         detail_col: usize,
     },
+    /// Ranked COUNT: a rank in the sorted base plus the `<>` complement.
+    Ranked(Box<RankedAccess>),
 }
 
 struct HashAccess {
@@ -738,7 +766,8 @@ impl<'a> BlockWindow<'a> {
     /// block, compute its mask, decide whether its pairs are `plain`
     /// under `statuses`, and count the block × window in `kernel`.
     /// A Scan block's residual reads the base tuple, so the scan masks it
-    /// per base tuple and counts it there.
+    /// per base tuple and counts it there; a Ranked block counts its own
+    /// window ([`ScanCtx::ranked_window`]).
     fn fill(
         &mut self,
         plan: &'a BlockPlan,
@@ -749,7 +778,7 @@ impl<'a> BlockWindow<'a> {
         self.inputs.clear();
         self.inputs
             .extend(plan.aggs.iter().map(|a| AggInput::resolve(a, view)));
-        if matches!(plan.access, Access::Scan) {
+        if matches!(plan.access, Access::Scan | Access::Ranked(_)) {
             return;
         }
         self.masked = match &plan.residual_kernel {
@@ -796,26 +825,28 @@ enum RowProbe<'a> {
 impl<'a> RowProbe<'a> {
     fn new(access: &'a Access, view: &BatchView<'a>, base_rows: &[Tuple]) -> Self {
         match access {
-            Access::Hash(h) => {
-                if let Some(typed) = &h.typed {
-                    let col = view.col(h.detail_cols[0]);
-                    match (typed, col.data) {
-                        (TypedKeyIndex::Int(csr), ColData::Int(keys)) => {
-                            return RowProbe::Int(csr, keys, col.nulls)
-                        }
-                        (TypedKeyIndex::Str(_), ColData::Str { .. }) => {
-                            return RowProbe::Str(typed, col)
-                        }
-                        _ => {}
-                    }
-                }
-                RowProbe::Generic(h.generic(base_rows), &h.detail_cols)
-            }
+            Access::Hash(h) => RowProbe::hash(h, view, base_rows),
             Access::Interval { index, detail_col } => {
                 RowProbe::Band(index, view.col(*detail_col), *detail_col)
             }
-            Access::Scan => unreachable!("scan access has no per-row candidates"),
+            Access::Scan | Access::Ranked(_) => {
+                unreachable!("scan and ranked access have no per-row candidates")
+            }
         }
+    }
+
+    fn hash(h: &'a HashAccess, view: &BatchView<'a>, base_rows: &[Tuple]) -> Self {
+        if let Some(typed) = &h.typed {
+            let col = view.col(h.detail_cols[0]);
+            match (typed, col.data) {
+                (TypedKeyIndex::Int(csr), ColData::Int(keys)) => {
+                    return RowProbe::Int(csr, keys, col.nulls)
+                }
+                (TypedKeyIndex::Str(_), ColData::Str { .. }) => return RowProbe::Str(typed, col),
+                _ => {}
+            }
+        }
+        RowProbe::Generic(h.generic(base_rows), &h.detail_cols)
     }
 
     /// Window row `i`'s (global `row`'s) candidate base tuples: borrowed
@@ -1082,6 +1113,172 @@ impl ScanCtx<'_> {
         Ok(())
     }
 
+    /// One window of ranked block `bi`: counted by rank where
+    /// [`ScanCtx::ranked_window`] can, scanned pair by pair (folding into
+    /// `accs`, like a Scan block) where it cannot.
+    #[allow(clippy::too_many_arguments)]
+    fn ranked_or_scan_window<'w>(
+        &'w self,
+        bi: usize,
+        r: &RankedAccess,
+        w: &BlockWindow<'_>,
+        view: &BatchView<'w>,
+        keyed: &mut KeyCache<'w>,
+        accs: &mut [Accumulator],
+        tally: &mut RankTally,
+        s: &mut Scratch,
+        stats: &mut EvalStats,
+        kernel: &mut KernelStats,
+    ) -> Result<()> {
+        if !self.ranked_window(r, view, keyed, &mut tally.0[bi], s, stats, kernel)? {
+            self.scan_window(bi, w, view, accs, s, stats, kernel)?;
+        }
+        Ok(())
+    }
+
+    /// One window of a ranked block, into its difference arrays `tally`
+    /// (per aggregate, one slot per sorted position plus one). Each row
+    /// that passes the detail-only mask, with non-NULL `r.k` and `r.y`, is
+    /// one rank lookup: +1 over the sorted range of base tuples whose `x`
+    /// satisfies the inequality (every eligible tuple without one). With a
+    /// `<>` key, each tuple of that range whose key equals `r.k` — a hash
+    /// candidate — takes −1 back, one probe candidate and one θ
+    /// evaluation each. Every +1 range and −1 point is one aggregate
+    /// update per COUNT whose detail input is non-NULL.
+    ///
+    /// Returns `Ok(false)`, having changed nothing, when the window cannot
+    /// be counted this way without changing what θ would answer: a stored
+    /// key or `y` column of a kind the base values do not compare with,
+    /// or a detail-only conjunct that fails to evaluate. The caller then
+    /// scans the window pair by pair, which raises θ's own errors.
+    #[allow(clippy::too_many_arguments)]
+    fn ranked_window<'w>(
+        &'w self,
+        r: &RankedAccess,
+        view: &BatchView<'w>,
+        keyed: &mut KeyCache<'w>,
+        tally: &mut [i64],
+        s: &mut Scratch,
+        stats: &mut EvalStats,
+        kernel: &mut KernelStats,
+    ) -> Result<bool> {
+        let masked = match (&r.detail, &r.detail_kernel) {
+            (None, _) => false,
+            (Some(_), Some(k)) if k.eval_mask(view, None, &mut s.mask) => true,
+            (Some(p), _) => {
+                s.mask.clear();
+                for i in 0..view.len() {
+                    let row = s.row.get(self.cols, view.start() + i);
+                    match p.eval(&[&[], row]) {
+                        Ok(t) => s.mask.push(t.passes()),
+                        Err(_) => return Ok(false),
+                    }
+                }
+                true
+            }
+        };
+        let key_nulls = match &r.key {
+            Some(key) => {
+                let col = view.col(key.detail_col);
+                if !key.kind.is_none_or(|k| k.holds(&col.data)) {
+                    return Ok(false);
+                }
+                if keyed.source != Some(key.source) {
+                    let Access::Ranked(source) = &self.plans[key.source].access else {
+                        unreachable!("a key source is a ranked block");
+                    };
+                    let index = source.key.as_ref().and_then(|k| k.index.as_ref());
+                    let probe = RowProbe::hash(
+                        index.expect("a key source owns its index"),
+                        view,
+                        self.base_rows,
+                    );
+                    keyed.cands.clear();
+                    for i in 0..view.len() {
+                        let cands = probe.keyed(i, view.start() + i, self.cols, &mut s.key);
+                        keyed
+                            .cands
+                            .push(cands.expect("a hash probe resolves its keyed candidates"));
+                    }
+                    keyed.source = Some(key.source);
+                }
+                Some(col.nulls)
+            }
+            None => None,
+        };
+        let ys = match r.ineq {
+            Some((c, op)) => {
+                let col = view.col(c);
+                if r.x_seen && !matches!(col.data, ColData::Int(_) | ColData::Float(_)) {
+                    return Ok(false);
+                }
+                Some((col, op))
+            }
+            None => None,
+        };
+        let input_nulls: Vec<Option<&[bool]>> = r
+            .inputs
+            .iter()
+            .map(|input| match input {
+                CountInput::Detail(c) => Some(view.col(*c).nulls),
+                CountInput::Star | CountInput::Base(_) => None,
+            })
+            .collect();
+        let m = r.order.len();
+        let width = m + 1;
+        let (mut lookups, mut updates, mut candidates) = (0u64, 0u64, 0u64);
+        for i in 0..view.len() {
+            if (masked && !s.mask[i]) || key_nulls.is_some_and(|nulls| nulls[i]) {
+                continue;
+            }
+            let (lo, hi) = match ys {
+                Some((col, _)) if col.nulls[i] => continue,
+                Some((_, _)) if m == 0 => (0, 0),
+                Some((col, op)) => r.range(
+                    match col.data {
+                        ColData::Int(v) => Num::Int(v[i]),
+                        ColData::Float(v) => Num::Float(v[i]),
+                        _ => unreachable!("a base with an x compares only numeric y columns"),
+                    },
+                    op,
+                ),
+                None => (0, m),
+            };
+            lookups += 1;
+            for (j, nulls) in input_nulls.iter().enumerate() {
+                if nulls.is_none_or(|n| !n[i]) {
+                    tally[j * width + lo] += 1;
+                    tally[j * width + hi] -= 1;
+                    updates += 1;
+                }
+            }
+            if key_nulls.is_none() {
+                continue;
+            }
+            let cands = keyed.cands[i];
+            candidates += cands.len() as u64;
+            for &b in cands {
+                let p = r.pos[b as usize] as usize;
+                if !(lo..hi).contains(&p) {
+                    continue;
+                }
+                for (j, nulls) in input_nulls.iter().enumerate() {
+                    if nulls.is_none_or(|n| !n[i]) {
+                        tally[j * width + p] -= 1;
+                        tally[j * width + p + 1] += 1;
+                        updates += 1;
+                    }
+                }
+            }
+        }
+        stats.rank_lookups += lookups;
+        stats.agg_updates += updates;
+        stats.probe_candidates += candidates;
+        stats.theta_evals += candidates;
+        kernel.rows_vectorized += view.len() as u64;
+        Ok(true)
+    }
+
     /// One window of the probe group of block `bi` (its own probe
     /// source), whose blocks' `windows` are filled: one fused walk. Each
     /// row is probed once; where every block's mask rejects the row
@@ -1201,7 +1398,10 @@ impl ScanCtx<'_> {
 /// passing pair through a typed [`Accumulator`] call, or, where its mask
 /// fails, only counts them. A Scan block evaluates its residual as one
 /// mask per (base tuple × window) and folds the selected rows in batches;
-/// a residual no kernel covers is evaluated pair by pair.
+/// a residual no kernel covers is evaluated pair by pair. A Ranked block
+/// counts the window into its difference arrays in `tally`
+/// ([`ScanCtx::ranked_window`]), which [`RankTally::fold`] adds to the
+/// accumulators once the job's workers are merged.
 ///
 /// With a waved job's `statuses`, a base tuple that was not Active when
 /// the wave began is skipped as a candidate (and in a Scan block's base
@@ -1210,8 +1410,8 @@ impl ScanCtx<'_> {
 /// [`Statuses::end_wave`] applies at the wave's end.
 ///
 /// It returns only the scan's error, if any: the accumulators land in
-/// `accs` and the counters in `stats` / `kernel`. One call is one
-/// scheduling morsel.
+/// `accs` and `tally`, the counters in `stats` / `kernel`. One call is
+/// one scheduling morsel.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_detail_vectorized(
     cols: &ColumnSet,
@@ -1221,6 +1421,7 @@ pub(crate) fn scan_detail_vectorized(
     base_rows: &[Tuple],
     total_aggs: usize,
     accs: &mut [Accumulator],
+    tally: &mut RankTally,
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
     sink: &dyn TraceSink,
@@ -1244,17 +1445,37 @@ pub(crate) fn scan_detail_vectorized(
         let view = BatchView::new(cols, win_start, win_len);
         kernel.batches += 1;
         stats.detail_scanned += win_len as u64;
+        let mut keyed = KeyCache::default();
         for (bi, plan) in plans.iter().enumerate() {
-            if let Access::Scan = plan.access {
-                windows[bi].fill(plan, &view, statuses, kernel);
-                ctx.scan_window(bi, &windows[bi], &view, accs, &mut scratch, stats, kernel)?;
-            } else if plan.probe_source == bi {
-                for &g in &plan.probe_group {
-                    windows[g].fill(&plans[g], &view, statuses, kernel);
+            match &plan.access {
+                Access::Scan => {
+                    windows[bi].fill(plan, &view, statuses, kernel);
+                    ctx.scan_window(bi, &windows[bi], &view, accs, &mut scratch, stats, kernel)?;
                 }
-                ctx.probe_window(bi, &windows, &view, accs, &mut scratch, stats)?;
+                Access::Ranked(r) => {
+                    windows[bi].fill(plan, &view, statuses, kernel);
+                    ctx.ranked_or_scan_window(
+                        bi,
+                        r,
+                        &windows[bi],
+                        &view,
+                        &mut keyed,
+                        accs,
+                        tally,
+                        &mut scratch,
+                        stats,
+                        kernel,
+                    )?;
+                }
+                _ if plan.probe_source == bi => {
+                    for &g in &plan.probe_group {
+                        windows[g].fill(&plans[g], &view, statuses, kernel);
+                    }
+                    ctx.probe_window(bi, &windows, &view, accs, &mut scratch, stats)?;
+                }
+                // Any other block is walked with its probe source's group.
+                _ => {}
             }
-            // Any other block is walked with its probe source's group.
         }
         win_start += win_len;
     }
@@ -1335,6 +1556,7 @@ pub(crate) fn scan_detail_completion(
     base_rows: &[Tuple],
     total_aggs: usize,
     accs: &mut [Accumulator],
+    tally: &mut RankTally,
     stats: &mut EvalStats,
     kernel: &mut KernelStats,
     sink: &dyn TraceSink,
@@ -1375,10 +1597,30 @@ pub(crate) fn scan_detail_completion(
             .enumerate()
             .map(|(bi, block)| {
                 windows[bi].fill(block, &view, Some(statuses), kernel);
-                (block.probe_source == bi && !matches!(block.access, Access::Scan))
-                    .then(|| RowProbe::new(&block.access, &view, base_rows))
+                (block.probe_source == bi
+                    && !matches!(block.access, Access::Scan | Access::Ranked(_)))
+                .then(|| RowProbe::new(&block.access, &view, base_rows))
             })
             .collect();
+        // A ranked block retires no tuple, so it counts the whole window
+        // up front, whatever the row walk retires meanwhile.
+        let mut keyed = KeyCache::default();
+        for (bi, block) in blocks.iter().enumerate() {
+            if let Access::Ranked(r) = &block.access {
+                ctx.ranked_or_scan_window(
+                    bi,
+                    r,
+                    &windows[bi],
+                    &view,
+                    &mut keyed,
+                    accs,
+                    tally,
+                    &mut s,
+                    stats,
+                    kernel,
+                )?;
+            }
+        }
         // One row's hash candidates per probe source, probed once per row
         // and read by every block of the source's group.
         let mut keyed: Vec<&[u32]> = vec![&[]; blocks.len()];
@@ -1387,6 +1629,7 @@ pub(crate) fn scan_detail_completion(
             for (bi, block) in blocks.iter().enumerate() {
                 let w = &windows[bi];
                 let cands: &[u32] = match block.access {
+                    Access::Ranked(_) => continue,
                     Access::Scan => {
                         // Scan residuals read the base tuple, so they are
                         // interpreted per pair: one row-path unit each.
@@ -1434,18 +1677,22 @@ pub(crate) fn scan_detail_completion(
     Ok(())
 }
 
-/// Build one probe plan per (lᵢ, θᵢ) block.
+/// Build one probe plan per (lᵢ, θᵢ) block. `ranked[i]` admits ranked
+/// access to block i: the evaluation is a filtered GMDJ (a plain GMDJ
+/// node keeps the paper's hash / band / scan plans) and completion does
+/// not settle the block.
 pub(crate) fn plan_blocks(
     base_rows: &[Tuple],
     base_schema: &Schema,
     detail_schema: &Schema,
     spec: &GmdjSpec,
     probe: ProbeStrategy,
+    ranked: &[bool],
     stats: &mut EvalStats,
 ) -> Result<Vec<BlockPlan>> {
     let mut plans = Vec::with_capacity(spec.blocks.len());
     let mut agg_offset = 0usize;
-    for block in &spec.blocks {
+    for (block, &ranked) in spec.blocks.iter().zip(ranked) {
         let full_theta = block.theta.bind(&[base_schema, detail_schema])?;
         let aggs: Vec<BoundAgg> = block
             .aggs
@@ -1456,7 +1703,7 @@ pub(crate) fn plan_blocks(
         let (access, residual) = match probe {
             ProbeStrategy::ForceScan => (Access::Scan, Some(block.theta.clone())),
             ProbeStrategy::Auto => {
-                choose_access(base_rows, base_schema, detail_schema, &block.theta, stats)?
+                choose_access(base_rows, base_schema, detail_schema, block, ranked, stats)?
             }
         };
         let residual = match residual {
@@ -1487,6 +1734,7 @@ pub(crate) fn plan_blocks(
             }) => "hash-str",
             Access::Hash(_) => "hash",
             Access::Interval { .. } => "band",
+            Access::Ranked(_) => "ranked",
             Access::Scan if residual_kernel.is_some() => "scan-mask",
             Access::Scan => "scan-rows",
         };
@@ -1505,23 +1753,56 @@ pub(crate) fn plan_blocks(
         agg_offset += block.aggs.len();
     }
     for b in 0..plans.len() {
-        if !matches!(plans[b].access, Access::Scan) {
+        if matches!(plans[b].access, Access::Hash(_) | Access::Interval { .. }) {
             let source = plans[b].probe_source;
             plans[source].probe_group.push(b);
         }
+        share_ranked_key(&mut plans, b, base_rows);
     }
     Ok(plans)
 }
 
-/// Pick the best access path for θ and return it with the residual
-/// predicate the path does not enforce.
+/// Point ranked block `b`'s `<>` key, if any, at the first ranked block
+/// with the same key columns, or make `b` that source and build the
+/// equality index over `base_rows` there.
+fn share_ranked_key(plans: &mut [BlockPlan], b: usize, base_rows: &[Tuple]) {
+    let key_of = |p: &BlockPlan| match &p.access {
+        Access::Ranked(r) => r.key.as_ref().map(|k| (k.base_col, k.detail_col)),
+        _ => None,
+    };
+    let Some(cols) = key_of(&plans[b]) else {
+        return;
+    };
+    let source = (0..b)
+        .find(|&a| key_of(&plans[a]) == Some(cols))
+        .unwrap_or(b);
+    let Access::Ranked(r) = &mut plans[b].access else {
+        unreachable!("a keyed block is ranked");
+    };
+    let key = r.key.as_mut().expect("a keyed block has a key");
+    key.source = source;
+    if source == b {
+        key.index = Some(HashAccess {
+            base_cols: vec![cols.0],
+            detail_cols: vec![cols.1],
+            typed: TypedKeyIndex::build_rows(base_rows.iter().map(|r| r.as_ref()), cols.0),
+            generic: OnceLock::new(),
+        });
+    }
+}
+
+/// Pick the best access path for `block`'s θ and return it with the
+/// residual predicate the path does not enforce. A ranked block keeps θ
+/// whole as its residual: a window it cannot rank is scanned.
 fn choose_access(
     base_rows: &[Tuple],
     base_schema: &Schema,
     detail_schema: &Schema,
-    theta: &Predicate,
+    block: &AggBlock,
+    ranked: bool,
     stats: &mut EvalStats,
 ) -> Result<(Access, Option<Predicate>)> {
+    let theta = &block.theta;
     let conjuncts = theta.split_conjuncts();
 
     // 1. Equality pairs B.x = R.y.
@@ -1588,7 +1869,17 @@ fn choose_access(
         return Ok((Access::Interval { index, detail_col }, residual));
     }
 
-    // 3. Fall back to scanning active base tuples.
+    // 3. Ranked COUNT.
+    if ranked {
+        if let Some(shape) = ranked_shape(block, base_schema, detail_schema)? {
+            if let Some(access) = RankedAccess::build(shape, base_rows) {
+                stats.index_builds += 1;
+                return Ok((Access::Ranked(Box::new(access)), Some(theta.clone())));
+            }
+        }
+    }
+
+    // 4. Fall back to scanning active base tuples.
     Ok((Access::Scan, Some(theta.clone())))
 }
 
@@ -1693,6 +1984,422 @@ fn residual_of(conjuncts: &[&Predicate], used: &[bool]) -> Option<Predicate> {
         None
     } else {
         Some(Predicate::conjoin(rest))
+    }
+}
+
+/// What a COUNT of a ranked block counts.
+#[derive(Debug, Clone, Copy)]
+enum CountInput {
+    /// `COUNT(*)`: every pair.
+    Star,
+    /// `COUNT(b.c)`: the pairs of base tuples whose column is non-NULL.
+    Base(usize),
+    /// `COUNT(r.c)`: the pairs of detail rows whose column is non-NULL.
+    Detail(usize),
+}
+
+/// A block ranked access can evaluate, read from its shape alone (no
+/// data): every aggregate a COUNT of nothing or of one column, and θ a
+/// conjunction of at most one `b.k <> r.k` over comparable types, at
+/// most one `b.x op r.y` over numeric types (op one of <, ≤, >, ≥), and
+/// conjuncts that read only the base or only the detail. (With neither
+/// correlation every eligible base tuple counts every passing row.)
+pub(crate) struct RankedShape {
+    /// `b.k <> r.k`: (base column, detail column).
+    key: Option<(usize, usize)>,
+    /// `b.x op r.y`: (base column, op with the base on the left, detail
+    /// column).
+    ineq: Option<(usize, CmpOp, usize)>,
+    base_only: Option<BoundPredicate>,
+    detail_only: Option<BoundPredicate>,
+    inputs: Vec<CountInput>,
+}
+
+/// The ranked rule on a block's syntax alone, shared with the cost
+/// model (`cost::block_access`), which has no schemas: every aggregate
+/// is `COUNT(*)` or `COUNT(col)`, and every conjunct of θ either reads
+/// one side only — `side` tells a column's side — or is a `col op col`
+/// across the two, at most one of those with op `<>` and at most one
+/// with op <, ≤, > or ≥. [`ranked_shape`] adds the column types on top.
+pub(crate) fn ranked_syntax<S: PartialEq>(
+    block: &AggBlock,
+    side: impl Fn(&ColumnRef) -> S,
+) -> bool {
+    let counts = block.aggs.iter().all(|a| {
+        a.func == AggFunc::CountStar
+            || (a.func == AggFunc::Count && matches!(a.input, Some(ScalarExpr::Column(_))))
+    });
+    let (mut neq, mut ineq) = (0, 0);
+    for c in block.theta.split_conjuncts() {
+        let mut cols = Vec::new();
+        c.collect_columns(&mut cols);
+        if cols.iter().all(|col| side(col) == side(&cols[0])) {
+            continue;
+        }
+        let Predicate::Cmp {
+            op,
+            left: ScalarExpr::Column(_),
+            right: ScalarExpr::Column(_),
+        } = c
+        else {
+            return false;
+        };
+        match op {
+            CmpOp::Ne => neq += 1,
+            CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => ineq += 1,
+            CmpOp::Eq => return false,
+        }
+    }
+    counts && neq <= 1 && ineq <= 1
+}
+
+/// The ranked shape of `block` over these schemas, if it has one: its
+/// [`ranked_syntax`], a `<>` over comparable types and an inequality
+/// over numeric ones.
+pub(crate) fn ranked_shape(
+    block: &AggBlock,
+    base: &Schema,
+    detail: &Schema,
+) -> Result<Option<RankedShape>> {
+    if !ranked_syntax(block, |c| c.resolve_in(base).is_ok()) {
+        return Ok(None);
+    }
+    let mut inputs = Vec::with_capacity(block.aggs.len());
+    for agg in &block.aggs {
+        let bound = agg.bind(&[base, detail])?;
+        inputs.push(match (bound.func, &bound.input) {
+            (AggFunc::CountStar, _) => CountInput::Star,
+            (AggFunc::Count, Some(BoundScalar::Column { scope: 0, index })) => {
+                CountInput::Base(*index)
+            }
+            (AggFunc::Count, Some(BoundScalar::Column { scope: 1, index })) => {
+                CountInput::Detail(*index)
+            }
+            _ => return Ok(None),
+        });
+    }
+    let (mut key, mut ineq) = (None, None);
+    let (mut base_only, mut detail_only) = (Vec::new(), Vec::new());
+    for c in block.theta.split_conjuncts() {
+        let bound = c.bind(&[base, detail])?;
+        let mut scopes = [false; 2];
+        visit_pred_columns(&bound, &mut |scope, _| scopes[scope] = true);
+        match scopes {
+            [true, false] => base_only.push(bound),
+            [false, _] => detail_only.push(bound),
+            [true, true] => {
+                let BoundPredicate::Cmp {
+                    op,
+                    left: BoundScalar::Column { scope, index: l },
+                    right: BoundScalar::Column { index: r, .. },
+                } = bound
+                else {
+                    return Ok(None);
+                };
+                let (b, op, d) = if scope == 0 {
+                    (l, op, r)
+                } else {
+                    (r, op.flip(), l)
+                };
+                let (bt, dt) = (base.field(b).data_type, detail.field(d).data_type);
+                match op {
+                    CmpOp::Ne if key.is_none() && comparable(bt, dt) => key = Some((b, d)),
+                    CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge
+                        if ineq.is_none() && is_numeric(bt) && is_numeric(dt) =>
+                    {
+                        ineq = Some((b, op, d))
+                    }
+                    _ => return Ok(None),
+                }
+            }
+        }
+    }
+    let conjoin = |ps: Vec<BoundPredicate>| {
+        ps.into_iter()
+            .reduce(|a, b| BoundPredicate::And(Box::new(a), Box::new(b)))
+    };
+    Ok(Some(RankedShape {
+        key,
+        ineq,
+        base_only: conjoin(base_only),
+        detail_only: conjoin(detail_only),
+        inputs,
+    }))
+}
+
+/// The kind of every non-NULL base key of a ranked block: a detail key
+/// column of another kind would make `<>` a type error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyKind {
+    Num,
+    Str,
+    Bool,
+}
+
+impl KeyKind {
+    fn of(v: &Value) -> Option<KeyKind> {
+        match v {
+            Value::Null => None,
+            Value::Int(_) | Value::Float(_) => Some(KeyKind::Num),
+            Value::Str(_) => Some(KeyKind::Str),
+            Value::Bool(_) => Some(KeyKind::Bool),
+        }
+    }
+
+    /// Whether every non-NULL value of a stored column is of this kind.
+    fn holds(self, data: &ColData<'_>) -> bool {
+        matches!(
+            (self, data),
+            (KeyKind::Num, ColData::Int(_) | ColData::Float(_))
+                | (KeyKind::Str, ColData::Str { .. })
+                | (KeyKind::Bool, ColData::Bool(_))
+        )
+    }
+}
+
+/// Ranked access for one base partition. A base tuple is *eligible* when
+/// its base-only conjuncts hold and its `k` and `x` are non-NULL; only
+/// eligible tuples can satisfy θ. They are sorted by `x` in
+/// [`Num::sql_cmp`] order, so for each detail `y` the tuples with
+/// `x op y` form one prefix or suffix of that order.
+struct RankedAccess {
+    inputs: Vec<CountInput>,
+    /// The detail-only conjuncts, and their kernel when they compile.
+    detail: Option<BoundPredicate>,
+    detail_kernel: Option<BatchPredicate>,
+    key: Option<RankedKey>,
+    /// `b.x op r.y`: the detail column and op, base on the left.
+    ineq: Option<(usize, CmpOp)>,
+    /// Some base `x` is non-NULL, so θ compares it with every `y`.
+    x_seen: bool,
+    /// The eligible tuples' `x`, ascending (empty without an inequality).
+    xs: SortedXs,
+    /// Sorted position → base tuple.
+    order: Vec<u32>,
+    /// Base tuple → sorted position; `u32::MAX` when not eligible.
+    pos: Vec<u32>,
+}
+
+/// The `b.k <> r.k` of a ranked block.
+struct RankedKey {
+    base_col: usize,
+    detail_col: usize,
+    /// The kind of every non-NULL base key; `None` when there is none.
+    kind: Option<KeyKind>,
+    /// The first ranked block with this key, whose equality index every
+    /// ranked block with the key probes, itself included: the blocks of
+    /// an ALL build one index and probe it once per row.
+    source: usize,
+    /// That index, on the source block only.
+    index: Option<HashAccess>,
+}
+
+/// Eligible base `x` values in ascending order, typed: a base whose `x`
+/// values mix Int and Float is not ranked.
+enum SortedXs {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+}
+
+impl RankedAccess {
+    /// Sort the eligible tuples of `base_rows`; the key's index is built
+    /// by [`plan_blocks`]. `None` where evaluating θ over this base could
+    /// raise an error the ranked count would not: a base-only conjunct
+    /// that fails, base keys of two kinds, or base `x` values that mix
+    /// Int and Float (or are no numbers) — there the block scans.
+    fn build(shape: RankedShape, base_rows: &[Tuple]) -> Option<RankedAccess> {
+        let mut key_kind = None;
+        let mut x_int: Option<bool> = None;
+        let mut eligible: Vec<(Num, u32)> = Vec::new();
+        for (i, row) in base_rows.iter().enumerate() {
+            let row: &[Value] = row;
+            let passes = match &shape.base_only {
+                Some(p) => p.eval(&[row, &[]]).ok()?.passes(),
+                None => true,
+            };
+            let k = shape.key.map(|(b, _)| KeyKind::of(&row[b]));
+            if let Some(Some(kind)) = k {
+                if key_kind.replace(kind).is_some_and(|old| old != kind) {
+                    return None;
+                }
+            }
+            let x = match shape.ineq {
+                Some((b, _, _)) if row[b].is_null() => None,
+                Some((b, _, _)) => {
+                    let x = Num::of(&row[b])?;
+                    let int = matches!(x, Num::Int(_));
+                    if x_int.replace(int).is_some_and(|old| old != int) {
+                        return None;
+                    }
+                    Some(x)
+                }
+                None => Some(Num::Int(0)),
+            };
+            if let (true, Some(x), None | Some(Some(_))) = (passes, x, k) {
+                eligible.push((x, i as u32));
+            }
+        }
+        let (xs, order) = match x_int {
+            _ if shape.ineq.is_none() => (
+                SortedXs::Int(Vec::new()),
+                eligible.iter().map(|e| e.1).collect(),
+            ),
+            Some(false) => {
+                let mut e: Vec<(f64, u32)> = eligible.iter().map(|&(x, b)| (widen(x), b)).collect();
+                e.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                let (xs, order): (Vec<f64>, Vec<u32>) = e.into_iter().unzip();
+                (SortedXs::Float(xs), order)
+            }
+            _ => {
+                let mut e: Vec<(i64, u32)> = eligible
+                    .iter()
+                    .map(|&(x, b)| match x {
+                        Num::Int(x) => (x, b),
+                        Num::Float(_) => unreachable!("the base x values are all Int"),
+                    })
+                    .collect();
+                e.sort_unstable_by_key(|e| e.0);
+                let (xs, order): (Vec<i64>, Vec<u32>) = e.into_iter().unzip();
+                (SortedXs::Int(xs), order)
+            }
+        };
+        let mut pos = vec![u32::MAX; base_rows.len()];
+        for (s, &b) in order.iter().enumerate() {
+            pos[b as usize] = s as u32;
+        }
+        let detail_kernel = shape.detail_only.as_ref().and_then(BatchPredicate::compile);
+        Some(RankedAccess {
+            inputs: shape.inputs,
+            detail: shape.detail_only,
+            detail_kernel,
+            key: shape.key.map(|(base_col, detail_col)| RankedKey {
+                base_col,
+                detail_col,
+                kind: key_kind,
+                source: usize::MAX,
+                index: None,
+            }),
+            ineq: shape.ineq.map(|(_, op, d)| (d, op)),
+            x_seen: x_int.is_some(),
+            xs,
+            order,
+            pos,
+        })
+    }
+
+    /// The sorted positions `lo..hi` of the tuples whose `x op y` holds.
+    fn range(&self, y: Num, op: CmpOp) -> (usize, usize) {
+        // How many `x` lie below `y` (`strict`), or not above it.
+        let cut = |strict: bool| {
+            let keep = |c: CmpOrdering| {
+                if strict {
+                    c == CmpOrdering::Less
+                } else {
+                    c != CmpOrdering::Greater
+                }
+            };
+            match (&self.xs, y) {
+                (SortedXs::Int(xs), Num::Int(y)) => xs.partition_point(|x| keep(x.cmp(&y))),
+                (SortedXs::Int(xs), Num::Float(y)) => {
+                    xs.partition_point(|&x| keep((x as f64).total_cmp(&y)))
+                }
+                (SortedXs::Float(xs), y) => {
+                    let y = widen(y);
+                    xs.partition_point(|x| keep(x.total_cmp(&y)))
+                }
+            }
+        };
+        let m = self.order.len();
+        match op {
+            CmpOp::Lt => (0, cut(true)),
+            CmpOp::Le => (0, cut(false)),
+            CmpOp::Gt => (cut(false), m),
+            CmpOp::Ge => (cut(true), m),
+            CmpOp::Eq | CmpOp::Ne => unreachable!("a ranked inequality is one-sided"),
+        }
+    }
+}
+
+/// A number as [`Num::sql_cmp`] compares it with a Float.
+fn widen(x: Num) -> f64 {
+    match x {
+        Num::Int(i) => i as f64,
+        Num::Float(f) => f,
+    }
+}
+
+/// One window's hash candidates, per row, for the `<>` key of the ranked
+/// blocks whose key source is `source`: probed once, read by each.
+#[derive(Default)]
+struct KeyCache<'a> {
+    source: Option<usize>,
+    cands: Vec<&'a [u32]>,
+}
+
+/// One job's (or one worker's) ranked counts: per ranked block, per
+/// COUNT, a difference array over the block's sorted positions. They
+/// merge by addition, and [`RankTally::fold`] adds them to the COUNT
+/// accumulators once per job, after its workers are merged (and at a
+/// site, before its state ships), so neither the merge nor the wire sees
+/// them.
+#[derive(Debug, Default)]
+pub(crate) struct RankTally(Vec<Vec<i64>>);
+
+impl RankTally {
+    /// Zero counts for `plans`; empty when no block is ranked.
+    pub(crate) fn new(plans: &[BlockPlan]) -> Self {
+        if !plans.iter().any(|p| matches!(p.access, Access::Ranked(_))) {
+            return RankTally::default();
+        }
+        RankTally(
+            plans
+                .iter()
+                .map(|p| match &p.access {
+                    Access::Ranked(r) => vec![0; r.inputs.len() * (r.order.len() + 1)],
+                    _ => Vec::new(),
+                })
+                .collect(),
+        )
+    }
+
+    /// Add another worker's counts.
+    pub(crate) fn merge(&mut self, other: &RankTally) {
+        for (mine, theirs) in self.0.iter_mut().zip(&other.0) {
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                *m += t;
+            }
+        }
+    }
+
+    /// Add each eligible base tuple's counts — the prefix sums of its
+    /// block's difference arrays — to its COUNT accumulators, skipping a
+    /// `COUNT(b.c)` whose column is NULL.
+    pub(crate) fn fold(
+        &self,
+        plans: &[BlockPlan],
+        base_rows: &[Tuple],
+        total_aggs: usize,
+        accs: &mut [Accumulator],
+    ) {
+        for (plan, diffs) in plans.iter().zip(&self.0) {
+            let Access::Ranked(r) = &plan.access else {
+                continue;
+            };
+            let width = r.order.len() + 1;
+            for (j, (input, diff)) in r.inputs.iter().zip(diffs.chunks(width)).enumerate() {
+                let mut count = 0i64;
+                for (&b, d) in r.order.iter().zip(diff) {
+                    count += d;
+                    let b = b as usize;
+                    if count == 0
+                        || matches!(input, CountInput::Base(c) if base_rows[b][*c].is_null())
+                    {
+                        continue;
+                    }
+                    accs[b * total_aggs + plan.agg_offset + j].add_count(count);
+                }
+            }
+        }
     }
 }
 
@@ -1980,19 +2687,27 @@ mod tests {
         ]);
         let sel = col("cnt1").eq(col("cnt2"));
         let plan = crate::completion::derive_completion(&sel, &spec, true).unwrap();
-        let (out, stats) = filtered(
-            seq(),
-            &base,
-            &detail,
-            &spec,
-            Some(&sel),
-            Keep::BaseOnly,
-            Some(&plan),
-        )
-        .unwrap();
+        let run = |policy| {
+            filtered(
+                policy,
+                &base,
+                &detail,
+                &spec,
+                Some(&sel),
+                Keep::BaseOnly,
+                Some(&plan),
+            )
+            .unwrap()
+        };
+        // Scan-probed, the pair rule retires B.k = 2 at its first row.
+        let (out, stats) = run(force_scan());
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows()[0][0], Value::Int(1));
         assert_eq!(stats.dead_early, 1);
+        // Under `Auto` both blocks are ranked: same answer, no pairs.
+        let (ranked, stats) = run(seq());
+        assert!(ranked.multiset_eq(&out));
+        assert_eq!((stats.dead_early, stats.rank_lookups), (0, 6));
     }
 
     #[test]
@@ -2056,7 +2771,7 @@ mod tests {
         detail: &Relation,
         spec: &GmdjSpec,
         ctx: &str,
-    ) -> Vec<[u64; 12]> {
+    ) -> Vec<[u64; 13]> {
         let mut first: Option<Relation> = None;
         let mut counters = Vec::new();
         for probe in [ProbeStrategy::Auto, ProbeStrategy::ForceScan] {
@@ -2084,10 +2799,10 @@ mod tests {
         let got = access_paths_agree(&hours(), &flows(), &example_2_1_spec(), "figure 1");
         #[rustfmt::skip]
         assert_eq!(got, [
-            [6, 12, 6, 10, 3, 0, 0, 2, 1, 0, 3, 3],
-            [12, 12, 6, 10, 3, 0, 0, 4, 2, 0, 6, 6],
-            [6, 36, 36, 10, 3, 0, 0, 0, 1, 0, 3, 3],
-            [12, 36, 36, 10, 3, 0, 0, 0, 2, 0, 6, 6],
+            [6, 12, 6, 10, 3, 0, 0, 2, 1, 0, 3, 3, 0],
+            [12, 12, 6, 10, 3, 0, 0, 4, 2, 0, 6, 6, 0],
+            [6, 36, 36, 10, 3, 0, 0, 0, 1, 0, 3, 3, 0],
+            [12, 36, 36, 10, 3, 0, 0, 0, 2, 0, 6, 6, 0],
         ]);
     }
 
@@ -2115,10 +2830,10 @@ mod tests {
         let got = access_paths_agree(&base, &flows(), &spec, "string keys");
         #[rustfmt::skip]
         assert_eq!(got, [
-            [6, 6, 6, 10, 3, 0, 0, 1, 1, 0, 2, 3],
-            [12, 6, 6, 10, 3, 0, 0, 2, 2, 0, 4, 6],
-            [6, 18, 18, 10, 3, 0, 0, 0, 1, 0, 2, 3],
-            [12, 18, 18, 10, 3, 0, 0, 0, 2, 0, 4, 6],
+            [6, 6, 6, 10, 3, 0, 0, 1, 1, 0, 2, 3, 0],
+            [12, 6, 6, 10, 3, 0, 0, 2, 2, 0, 4, 6, 0],
+            [6, 18, 18, 10, 3, 0, 0, 0, 1, 0, 2, 3, 0],
+            [12, 18, 18, 10, 3, 0, 0, 0, 2, 0, 4, 6, 0],
         ]);
     }
 
@@ -2148,10 +2863,10 @@ mod tests {
         let got = access_paths_agree(&base, &detail, &spec, "mixed columns");
         #[rustfmt::skip]
         assert_eq!(got, [
-            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2],
-            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2],
-            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2],
-            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2],
+            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2, 0],
+            [3, 2, 0, 4, 2, 0, 0, 1, 1, 0, 2, 2, 0],
+            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2, 0],
+            [3, 6, 6, 4, 2, 0, 0, 0, 1, 0, 2, 2, 0],
         ]);
         // Int(1) = Float(1.0) matches; the NULL key matches nothing.
         let (out, _) = gmdj(seq(), &base, &detail, &spec).unwrap();
@@ -2198,6 +2913,7 @@ mod tests {
             detail.schema(),
             &spec,
             ProbeStrategy::Auto,
+            &vec![false; spec.blocks.len()],
             &mut EvalStats::default(),
         )
         .unwrap();
@@ -2209,10 +2925,10 @@ mod tests {
         assert!(probed.multiset_eq(&scanned));
         #[rustfmt::skip]
         assert_eq!(access_paths_agree(&base, &detail, &spec, "shared probe"), [
-            [40, 249, 186, 124, 9, 0, 0, 4, 1, 0, 2, 2],
-            [200, 249, 186, 124, 9, 0, 0, 20, 5, 0, 10, 10],
-            [40, 1440, 1440, 124, 9, 0, 0, 0, 1, 0, 2, 2],
-            [200, 1440, 1440, 124, 9, 0, 0, 0, 5, 0, 10, 10],
+            [40, 249, 186, 124, 9, 0, 0, 4, 1, 0, 2, 2, 0],
+            [200, 249, 186, 124, 9, 0, 0, 20, 5, 0, 10, 10, 0],
+            [40, 1440, 1440, 124, 9, 0, 0, 0, 1, 0, 2, 2, 0],
+            [200, 1440, 1440, 124, 9, 0, 0, 0, 5, 0, 10, 10, 0],
         ]);
 
         let selection = col("c0").gt(lit(0)).and(col("c3").gt(lit(0)));
@@ -2259,10 +2975,10 @@ mod tests {
         let got = access_paths_agree(&base, &detail, &spec, "multi batch");
         #[rustfmt::skip]
         assert_eq!(got, [
-            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4],
-            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4],
-            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4],
-            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4],
+            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4, 0],
+            [1724, 492, 0, 984, 2, 0, 0, 1, 1, 0, 4, 4, 0],
+            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4, 0],
+            [1724, 3448, 3448, 984, 2, 0, 0, 0, 1, 0, 4, 4, 0],
         ]);
     }
 
@@ -2514,7 +3230,7 @@ mod tests {
     /// Run every completion fixture under `probe` × `partition_rows`, check
     /// each answer against the same evaluation without completion, and
     /// return the counters in fixture order.
-    fn completion_fixture_stats() -> Vec<(String, [u64; 12])> {
+    fn completion_fixture_stats() -> Vec<(String, [u64; 13])> {
         let base = completion_base();
         let detail = completion_detail();
         let mut out = Vec::new();
@@ -2546,27 +3262,27 @@ mod tests {
     /// replaced (`trace_fields` order: detail_scanned, probe_candidates,
     /// theta_evals, agg_updates, base_rows, dead_early, done_early,
     /// index_builds, partitions, completion_fallbacks, col_chunk_reads,
-    /// row_page_reads). These are the fixtures whose plan retires tuples through a Scan block, so
-    /// they run row-ordered; only `detail_scanned` moved since, where a
+    /// row_page_reads, rank_lookups). These are the fixtures whose plan
+    /// retires tuples through a Scan block, so they run row-ordered (under
+    /// `Auto` the ALL fixture is ranked instead, pinned in
+    /// `ranked_counters_are_pinned`); only `detail_scanned` moved since, where a
     /// 7-tuple partition settles and its scan stops at the next window.
     #[test]
     fn completion_counters_match_tuple_at_a_time_across_windows() {
         #[rustfmt::skip]
-        let expected: [(&str, [u64; 12]); 14] = [
-            ("exists_int ForceScan None", [2381, 24263, 24263, 39, 48, 0, 39, 0, 1, 0, 6, 15]),
-            ("exists_int ForceScan Some(7)", [11239, 24263, 24263, 39, 48, 0, 39, 0, 7, 0, 42, 105]),
-            ("not_exists_str ForceScan None", [2381, 21729, 21729, 0, 48, 41, 0, 0, 1, 0, 6, 15]),
-            ("not_exists_str ForceScan Some(7)", [14977, 21729, 21729, 0, 48, 41, 0, 0, 7, 0, 42, 105]),
-            ("band_dead_keep_all ForceScan None", [2381, 76077, 76077, 0, 48, 22, 0, 0, 1, 0, 9, 15]),
-            ("band_dead_keep_all ForceScan Some(7)", [16667, 76077, 76077, 0, 48, 22, 0, 0, 7, 0, 63, 105]),
-            ("all_neq_scan Auto None", [2381, 28942, 40117, 22266, 48, 42, 0, 0, 1, 0, 6, 15]),
-            ("all_neq_scan Auto Some(7)", [13953, 28942, 40117, 22266, 48, 42, 0, 0, 7, 0, 42, 105]),
-            ("all_neq_scan ForceScan None", [2381, 28942, 40117, 22266, 48, 42, 0, 0, 1, 0, 6, 15]),
-            ("all_neq_scan ForceScan Some(7)", [13953, 28942, 40117, 22266, 48, 42, 0, 0, 7, 0, 42, 105]),
-            ("unless_also_hash ForceScan None", [2381, 73530, 73868, 608, 48, 34, 0, 0, 1, 0, 6, 15]),
-            ("unless_also_hash ForceScan Some(7)", [15310, 73530, 73868, 608, 48, 34, 0, 0, 7, 0, 42, 105]),
-            ("tree_exists ForceScan None", [2381, 100819, 100819, 232, 48, 0, 37, 0, 1, 0, 12, 15]),
-            ("tree_exists ForceScan Some(7)", [16334, 100819, 100819, 232, 48, 0, 37, 0, 7, 0, 84, 105]),
+        let expected: [(&str, [u64; 13]); 12] = [
+            ("exists_int ForceScan None", [2381, 24263, 24263, 39, 48, 0, 39, 0, 1, 0, 6, 15, 0]),
+            ("exists_int ForceScan Some(7)", [11239, 24263, 24263, 39, 48, 0, 39, 0, 7, 0, 42, 105, 0]),
+            ("not_exists_str ForceScan None", [2381, 21729, 21729, 0, 48, 41, 0, 0, 1, 0, 6, 15, 0]),
+            ("not_exists_str ForceScan Some(7)", [14977, 21729, 21729, 0, 48, 41, 0, 0, 7, 0, 42, 105, 0]),
+            ("band_dead_keep_all ForceScan None", [2381, 76077, 76077, 0, 48, 22, 0, 0, 1, 0, 9, 15, 0]),
+            ("band_dead_keep_all ForceScan Some(7)", [16667, 76077, 76077, 0, 48, 22, 0, 0, 7, 0, 63, 105, 0]),
+            ("all_neq_scan ForceScan None", [2381, 28942, 40117, 22266, 48, 42, 0, 0, 1, 0, 6, 15, 0]),
+            ("all_neq_scan ForceScan Some(7)", [13953, 28942, 40117, 22266, 48, 42, 0, 0, 7, 0, 42, 105, 0]),
+            ("unless_also_hash ForceScan None", [2381, 73530, 73868, 608, 48, 34, 0, 0, 1, 0, 6, 15, 0]),
+            ("unless_also_hash ForceScan Some(7)", [15310, 73530, 73868, 608, 48, 34, 0, 0, 7, 0, 42, 105, 0]),
+            ("tree_exists ForceScan None", [2381, 100819, 100819, 232, 48, 0, 37, 0, 1, 0, 12, 15, 0]),
+            ("tree_exists ForceScan Some(7)", [16334, 100819, 100819, 232, 48, 0, 37, 0, 7, 0, 84, 105, 0]),
         ];
         assert_fixture_counters(&expected);
     }
@@ -2581,22 +3297,86 @@ mod tests {
     #[test]
     fn waved_completion_counters_are_pinned() {
         #[rustfmt::skip]
-        let expected: [(&str, [u64; 12]); 10] = [
-            ("exists_int Auto None", [2381, 929, 929, 491, 48, 0, 39, 1, 1, 0, 6, 15]),
-            ("exists_int Auto Some(7)", [11239, 929, 929, 491, 48, 0, 39, 7, 7, 0, 42, 105]),
-            ("not_exists_str Auto None", [2381, 3223, 3223, 0, 48, 41, 0, 1, 1, 0, 6, 15]),
-            ("not_exists_str Auto Some(7)", [14977, 3223, 3223, 0, 48, 41, 0, 7, 7, 0, 42, 105]),
-            ("band_dead_keep_all Auto None", [2381, 3097, 3097, 0, 48, 22, 0, 1, 1, 0, 9, 15]),
-            ("band_dead_keep_all Auto Some(7)", [16667, 3097, 3097, 0, 48, 22, 0, 7, 7, 0, 63, 105]),
-            ("unless_also_hash Auto None", [2381, 2158, 2158, 1266, 48, 34, 0, 2, 1, 0, 6, 15]),
-            ("unless_also_hash Auto Some(7)", [15310, 2158, 2158, 1266, 48, 34, 0, 14, 7, 0, 42, 105]),
-            ("tree_exists Auto None", [2381, 3600, 3600, 379, 48, 0, 37, 2, 1, 0, 12, 15]),
-            ("tree_exists Auto Some(7)", [16334, 3600, 3600, 379, 48, 0, 37, 14, 7, 0, 84, 105]),
+        let expected: [(&str, [u64; 13]); 10] = [
+            ("exists_int Auto None", [2381, 929, 929, 491, 48, 0, 39, 1, 1, 0, 6, 15, 0]),
+            ("exists_int Auto Some(7)", [11239, 929, 929, 491, 48, 0, 39, 7, 7, 0, 42, 105, 0]),
+            ("not_exists_str Auto None", [2381, 3223, 3223, 0, 48, 41, 0, 1, 1, 0, 6, 15, 0]),
+            ("not_exists_str Auto Some(7)", [14977, 3223, 3223, 0, 48, 41, 0, 7, 7, 0, 42, 105, 0]),
+            ("band_dead_keep_all Auto None", [2381, 3097, 3097, 0, 48, 22, 0, 1, 1, 0, 9, 15, 0]),
+            ("band_dead_keep_all Auto Some(7)", [16667, 3097, 3097, 0, 48, 22, 0, 7, 7, 0, 63, 105, 0]),
+            ("unless_also_hash Auto None", [2381, 2158, 2158, 1266, 48, 34, 0, 2, 1, 0, 6, 15, 0]),
+            ("unless_also_hash Auto Some(7)", [15310, 2158, 2158, 1266, 48, 34, 0, 14, 7, 0, 42, 105, 0]),
+            ("tree_exists Auto None", [2381, 3600, 3600, 379, 48, 0, 37, 2, 1, 0, 12, 15, 0]),
+            ("tree_exists Auto Some(7)", [16334, 3600, 3600, 379, 48, 0, 37, 14, 7, 0, 84, 105, 0]),
         ];
         assert_fixture_counters(&expected);
     }
 
-    fn assert_fixture_counters(expected: &[(&str, [u64; 12])]) {
+    /// `ranked_shape` is the shared `ranked_syntax` (the cost model's
+    /// rule) plus column types: a string inequality or a Str/Int `<>`
+    /// passes the syntax and still scans.
+    #[test]
+    fn ranked_shape_adds_types_to_the_shared_syntax() {
+        let schema = |q| {
+            Schema::qualified(
+                q,
+                &[
+                    ("k", DataType::Int),
+                    ("x", DataType::Float),
+                    ("s", DataType::Str),
+                ],
+            )
+        };
+        let (base, detail) = (schema("B"), schema("R"));
+        for (theta, ranked) in [
+            (
+                col("B.k").ne(col("R.k")).and(col("B.x").lt(col("R.k"))),
+                true,
+            ),
+            (col("R.x").ge(col("B.x")).and(col("R.s").eq(lit("a"))), true),
+            (col("B.s").lt(col("R.s")), false),
+            (col("B.s").ne(col("R.k")), false),
+        ] {
+            let block = AggBlock::count(theta.clone(), "c");
+            assert!(ranked_syntax(&block, |c| c.qualifier.clone()), "{theta}");
+            let shape = ranked_shape(&block, &base, &detail).unwrap();
+            assert_eq!(shape.is_some(), ranked, "{theta}");
+        }
+    }
+
+    /// Counter identity for ranked access: the ALL fixture under `Auto`.
+    /// Each detail row with a non-NULL key and value is one rank lookup
+    /// per block; the `<>` complement probes it once per block; no tuple
+    /// retires, since the plan loses its one dead rule to the ranked
+    /// blocks.
+    #[test]
+    fn ranked_counters_are_pinned() {
+        #[rustfmt::skip]
+        let expected: [(&str, [u64; 13]); 2] = [
+            ("all_neq_scan Auto None", [2381, 4340, 4340, 7795, 48, 0, 0, 2, 1, 0, 6, 15, 4482]),
+            ("all_neq_scan Auto Some(7)", [16667, 4340, 4340, 34687, 48, 0, 0, 14, 7, 0, 42, 105, 31374]),
+        ];
+        assert_fixture_counters(&expected);
+        let (base, detail) = (completion_base(), completion_detail());
+        let (name, spec, sel, keep) = completion_fixtures().swap_remove(3);
+        assert_eq!(name, "all_neq_scan");
+        let plan = crate::completion::derive_completion(&sel, &spec, true);
+        let run = |policy| {
+            filtered(
+                policy,
+                &base,
+                &detail,
+                &spec,
+                Some(&sel),
+                keep,
+                plan.as_ref(),
+            )
+            .unwrap()
+        };
+        assert!(run(seq()).0.multiset_eq(&run(force_scan()).0));
+    }
+
+    fn assert_fixture_counters(expected: &[(&str, [u64; 13])]) {
         let got = completion_fixture_stats();
         for (want_label, want) in expected {
             let (_, stats) = got

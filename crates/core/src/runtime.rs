@@ -51,8 +51,9 @@
 //!   (`eval::wave_rows`) — byte-identical for any thread count (one
 //!   worker included), any morsel size and the shared pool;
 //! * as one worker's **row-ordered item** when a retiring block is
-//!   Scan-probed (`eval::completion_prunes_pairs`: the ALL and division
-//!   shapes, where per-row pruning saves quadratic pairs).
+//!   Scan-probed (`eval::completion_prunes_pairs`: a division shape, or
+//!   an ALL shape under forced Scan, where per-row pruning saves
+//!   quadratic pairs).
 //!
 //! Either way a GMDJ whose base tuples are all retired stops scanning:
 //! the rest of the detail cannot change its answer, and
@@ -61,6 +62,15 @@
 //! back to the plain filtered form — completion never changes the
 //! *answer*, only the work — recorded once per evaluation in
 //! [`EvalStats::completion_fallbacks`].
+//!
+//! A block counted by ranked access (a COUNT block of a filtered GMDJ
+//! whose only correlations are one `<>` and one one-sided inequality)
+//! visits no pair, so its dead rule is dropped when the GMDJ is bound:
+//! the ALL shape's plan is then empty and it runs as a plain job,
+//! distributed included. Ranked access is not taken where the plan
+//! settles a block early (`CompletionPlan::settles`: NOT EXISTS and
+//! EXISTS), since completion can stop such a scan within its first
+//! rows; only a site, which runs no completion, ranks those blocks.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -760,7 +770,14 @@ impl Runtime {
             out.relation
         } else {
             let output = BoundOutput::bind(base, spec, selection, keep)?;
-            let query = BoundGmdj::bind(base, detail, spec, completion, self.policy.probe)?;
+            let query = BoundGmdj::bind(
+                base,
+                detail,
+                spec,
+                completion,
+                self.policy.probe,
+                selection.is_some(),
+            )?;
             match self.policy.mode {
                 ExecMode::Distributed { sites } => {
                     // Each fragment is owned by a loopback site executor
@@ -906,6 +923,7 @@ impl Runtime {
                 parent_span: sspan.id(),
                 trace: sink.is_enabled(),
                 probe: query.probe,
+                ranked: query.ranked,
                 total_aggs: query.total_aggs as u32,
                 base_fields: query.base_schema.fields().to_vec(),
                 base_rows: base.to_vec(),
@@ -1196,7 +1214,8 @@ mod tests {
     ) -> (Relation, EvalStats, u64) {
         let output = BoundOutput::bind(base, spec, selection, keep).unwrap();
         let probe = ExecPolicy::sequential().probe;
-        let query = BoundGmdj::bind(base, detail, spec, completion, probe).unwrap();
+        let query =
+            BoundGmdj::bind(base, detail, spec, completion, probe, selection.is_some()).unwrap();
         let mut eval = EvalStats::default();
         let job = query.prepare(base.rows(), &mut eval).unwrap();
         let jobs = std::slice::from_ref(&job);
@@ -1312,48 +1331,18 @@ mod tests {
         (spec, selection, plan)
     }
 
-    /// Under `Parallel` the ALL shape's completion plan runs as one
-    /// work item of the morsel pass: no fallback, and every counter —
-    /// `dead_early` and the pruned θ evaluations included — equals the
-    /// sequential evaluator's for every thread count.
-    /// `Distributed` still falls back, once per evaluation.
-    #[test]
-    fn all_shape_completion_runs_under_parallel_with_sequential_counters() {
+    /// The ALL shape through `policy`: the answer and the node's stats.
+    fn all_under(
+        policy: ExecPolicy,
+        base: &Relation,
+        detail: &Relation,
+    ) -> (Relation, PlanNodeStats) {
         let (spec, selection, plan) = all_shape();
-        let (base, detail) = (parts(150), parts(150).renamed("Q"));
-        let (seq, s1) = sequential(
-            &base,
-            &detail,
-            &spec,
-            Some(&selection),
-            Keep::BaseOnly,
-            Some(&plan),
-        );
-        assert!(s1.dead_early > 0, "the dead rule must prune");
-        for threads in [1usize, 2, 8, 16] {
-            let rt = Runtime::new(ExecPolicy::parallel(threads));
-            let mut node = PlanNodeStats::new("GMDJ");
-            let par = rt
-                .eval(
-                    &base,
-                    &detail,
-                    &spec,
-                    Some(&selection),
-                    Keep::BaseOnly,
-                    Some(&plan),
-                    &mut node,
-                )
-                .unwrap();
-            assert!(par.multiset_eq(&seq), "threads={threads}");
-            assert_eq!(node.eval.completion_fallbacks, 0);
-            assert_eq!(node.eval, s1, "threads={threads}");
-        }
-        let rt = Runtime::new(ExecPolicy::distributed(2).with_partition_rows(Some(40)));
         let mut node = PlanNodeStats::new("GMDJ");
-        let dist = rt
+        let out = Runtime::new(policy)
             .eval(
-                &base,
-                &detail,
+                base,
+                detail,
                 &spec,
                 Some(&selection),
                 Keep::BaseOnly,
@@ -1361,9 +1350,67 @@ mod tests {
                 &mut node,
             )
             .unwrap();
-        assert!(dist.multiset_eq(&seq));
+        (out, node)
+    }
+
+    /// Scan-probed under `Parallel`, the ALL shape's completion plan runs
+    /// as one work item of the morsel pass: no fallback, and every
+    /// counter — `dead_early` and the pruned θ evaluations included —
+    /// equals the sequential evaluator's for every thread count.
+    /// `Distributed` still falls back, once per evaluation.
+    #[test]
+    fn all_shape_completion_runs_under_parallel_with_sequential_counters() {
+        let scan = |p: ExecPolicy| p.with_probe(ProbeStrategy::ForceScan);
+        let (base, detail) = (parts(150), parts(150).renamed("Q"));
+        let (seq, s1) = all_under(scan(ExecPolicy::sequential()), &base, &detail);
+        assert!(s1.eval.dead_early > 0, "the dead rule must prune");
+        for threads in [1usize, 2, 8, 16] {
+            let (par, node) = all_under(scan(ExecPolicy::parallel(threads)), &base, &detail);
+            assert!(par.multiset_eq(&seq), "threads={threads}");
+            assert_eq!(node.eval.completion_fallbacks, 0);
+            assert_eq!(node.eval, s1.eval, "threads={threads}");
+        }
+        let dist = scan(ExecPolicy::distributed(2).with_partition_rows(Some(40)));
+        let (out, node) = all_under(dist, &base, &detail);
+        assert!(out.multiset_eq(&seq));
         assert_eq!(node.eval.partitions, 4);
         assert_eq!(node.eval.completion_fallbacks, 1);
+    }
+
+    /// Under `Auto` both ALL blocks are ranked: the completion plan has
+    /// nothing left to do, so every policy — `Distributed` included —
+    /// runs a plain job with no fallback, and the counters are the same
+    /// for every thread count and site count (sites build their own
+    /// indexes, so `index_builds` is per site there).
+    #[test]
+    fn all_shape_takes_ranked_access_under_every_policy() {
+        let (base, detail) = (parts(150), parts(150).renamed("Q"));
+        let (scan, _) = all_under(
+            ExecPolicy::sequential().with_probe(ProbeStrategy::ForceScan),
+            &base,
+            &detail,
+        );
+        let (seq, s1) = all_under(ExecPolicy::sequential(), &base, &detail);
+        assert!(seq.multiset_eq(&scan));
+        assert_eq!(s1.eval.dead_early, 0);
+        assert_eq!(s1.eval.rank_lookups, 2 * 150);
+        assert_eq!(s1.eval.probe_candidates, 2 * 150);
+        assert_eq!(s1.kernel.rows_row_path, 0);
+        for policy in [ExecPolicy::parallel(2), ExecPolicy::parallel(8)] {
+            let (out, node) = all_under(policy, &base, &detail);
+            assert!(out.multiset_eq(&seq), "{policy:?}");
+            assert_eq!(node.eval, s1.eval, "{policy:?}");
+        }
+        let (out, node) = all_under(ExecPolicy::distributed(2), &base, &detail);
+        assert!(out.multiset_eq(&seq));
+        assert_eq!(node.eval.completion_fallbacks, 0);
+        assert_eq!(
+            EvalStats {
+                index_builds: s1.eval.index_builds,
+                ..node.eval
+            },
+            s1.eval
+        );
     }
 
     /// A completion item announces and ticks the parallel schedule,
@@ -1377,7 +1424,8 @@ mod tests {
         let reg: &'static ProgressRegistry = Box::leak(Box::new(ProgressRegistry::new()));
         let ticket = reg.register("q", "s", "p");
         let progress = ticket.progress();
-        let rt = Runtime::new(ExecPolicy::parallel(2)).with_progress(progress.clone());
+        let policy = ExecPolicy::parallel(2).with_probe(ProbeStrategy::ForceScan);
+        let rt = Runtime::new(policy).with_progress(progress.clone());
         let mut node = PlanNodeStats::new("GMDJ");
         rt.eval(
             &base,

@@ -77,9 +77,9 @@ use gmdj_relation::schema::Schema;
 
 use crate::completion::CompletionPlan;
 use crate::eval::{
-    completion_prunes_pairs, materialize_filtered, new_accumulators, plan_blocks,
+    completion_prunes_pairs, materialize_filtered, new_accumulators, plan_blocks, ranked_shape,
     referenced_detail_cols, scan_detail_completion, scan_detail_vectorized, wave_rows, BlockPlan,
-    EvalStats, Keep, KernelStats, ProbeStrategy, Status, Statuses,
+    EvalStats, Keep, KernelStats, ProbeStrategy, RankTally, Status, Statuses,
 };
 use crate::metrics;
 use crate::progress::QueryProgress;
@@ -387,13 +387,19 @@ impl SharedScanPool {
         let mut jobs: Vec<PreparedQuery<'_>> = Vec::new();
         for group in groups {
             let r = &batch[group[0]];
-            let prepared =
-                BoundGmdj::bind(&r.base, &r.detail, &r.spec, r.completion.as_ref(), r.probe)
-                    .and_then(|gmdj| {
-                        let mut eval = EvalStats::default();
-                        let job = gmdj.prepare(r.base.rows(), &mut eval)?;
-                        Ok((eval, job))
-                    });
+            let prepared = BoundGmdj::bind(
+                &r.base,
+                &r.detail,
+                &r.spec,
+                r.completion.as_ref(),
+                r.probe,
+                r.selection.is_some(),
+            )
+            .and_then(|gmdj| {
+                let mut eval = EvalStats::default();
+                let job = gmdj.prepare(r.base.rows(), &mut eval)?;
+                Ok((eval, job))
+            });
             match prepared {
                 Ok((eval, job)) => {
                     prepared_groups.push((group, eval));
@@ -478,21 +484,30 @@ fn same_gmdj(a: &SharedRequest, b: &SharedRequest) -> bool {
         && a.detail.schema() == b.detail.schema()
         && a.spec == b.spec
         && a.probe == b.probe
+        && a.selection.is_some() == b.selection.is_some()
         && a.completion == b.completion
         && (a.completion.is_none() || a.selection == b.selection)
 }
 
-/// One GMDJ bound for evaluation: the probe strategy, the
-/// completion plan, and the closed-form page accounting
-/// of one detail pass. Every base partition of the evaluation is prepared
-/// from it ([`BoundGmdj::prepare`]); what each query makes of the
-/// accumulators is its [`BoundOutput`].
+/// One GMDJ bound for evaluation: the probe strategy, the blocks ranked
+/// access is admitted to, the completion plan left once ranked blocks
+/// are taken out of it, and the closed-form page accounting of one
+/// detail pass. Every base partition of the evaluation is prepared from it
+/// ([`BoundGmdj::prepare`]); what each query makes of the accumulators
+/// is its [`BoundOutput`].
 pub(crate) struct BoundGmdj<'a> {
     pub(crate) base_schema: &'a Schema,
     detail_schema: &'a Schema,
     pub(crate) spec: &'a GmdjSpec,
     pub(crate) probe: ProbeStrategy,
-    pub(crate) completion: Option<&'a CompletionPlan>,
+    /// Ranked access is admitted: a filtered GMDJ under `Auto` probes.
+    /// A site runs no completion, so there every block may be ranked.
+    pub(crate) ranked: bool,
+    /// Per block: ranked access is admitted here, where completion runs
+    /// — `ranked`, unless the plan [settles](CompletionPlan::settles) the
+    /// block.
+    admitted: Vec<bool>,
+    pub(crate) completion: Option<CompletionPlan>,
     pub(crate) total_aggs: usize,
     /// Column-chunk and row-layout page reads of one detail pass.
     col_chunk_reads: u64,
@@ -502,23 +517,49 @@ pub(crate) struct BoundGmdj<'a> {
 impl<'a> BoundGmdj<'a> {
     /// Bind against the query's own detail schema: coalesced queries
     /// share the storage but may name it under different aliases.
+    /// `filtered` says the GMDJ is a filtered one, whose COUNT blocks may
+    /// take ranked access; a plain GMDJ never does, nor does a block the
+    /// completion plan settles early. An admitted block of ranked shape
+    /// ([`ranked_shape`]) loses its dead rule here, from its shape alone,
+    /// so every local policy runs the same plan.
     pub(crate) fn bind(
         base: &'a Relation,
         detail: &'a Relation,
         spec: &'a GmdjSpec,
-        completion: Option<&'a CompletionPlan>,
+        completion: Option<&CompletionPlan>,
         probe: ProbeStrategy,
+        filtered: bool,
     ) -> Result<Self> {
         // Logical page I/O, closed-form: every partition pass reads each
         // referenced detail column's chunks once, however the scan is
         // divided across morsels, workers, or sites.
         let pages = detail.len().div_ceil(COLUMN_CHUNK_ROWS) as u64;
         let referenced = referenced_detail_cols(spec, base.schema(), detail.schema())? as u64;
+        let ranked = filtered && probe == ProbeStrategy::Auto;
+        let admitted: Vec<bool> = (0..spec.blocks.len())
+            .map(|b| ranked && !completion.is_some_and(|c| c.settles(b)))
+            .collect();
+        let completion = match completion {
+            Some(plan) if ranked => {
+                let counted = spec
+                    .blocks
+                    .iter()
+                    .zip(&admitted)
+                    .map(|(b, &admit)| {
+                        Ok(admit && ranked_shape(b, base.schema(), detail.schema())?.is_some())
+                    })
+                    .collect::<Result<Vec<bool>>>()?;
+                plan.without_blocks(&counted)
+            }
+            other => other.cloned(),
+        };
         Ok(BoundGmdj {
             base_schema: base.schema(),
             detail_schema: detail.schema(),
             spec,
             probe,
+            ranked,
+            admitted,
             completion,
             total_aggs: spec.agg_count(),
             col_chunk_reads: pages * referenced,
@@ -551,16 +592,18 @@ impl<'a> BoundGmdj<'a> {
             self.detail_schema,
             self.spec,
             self.probe,
+            &self.admitted,
             eval,
         )?;
         let row_ordered = self
             .completion
+            .as_ref()
             .is_some_and(|c| completion_prunes_pairs(c, &plans));
         Ok(PreparedQuery {
             plans,
             base_rows,
             total_aggs: self.total_aggs,
-            completion: self.completion,
+            completion: self.completion.clone(),
             row_ordered,
         })
     }
@@ -629,7 +672,7 @@ pub(crate) struct PreparedQuery<'a> {
     plans: Vec<BlockPlan>,
     pub(crate) base_rows: &'a [Tuple],
     total_aggs: usize,
-    completion: Option<&'a CompletionPlan>,
+    completion: Option<CompletionPlan>,
     /// The completion plan runs as one worker's row-ordered item
     /// ([`completion_prunes_pairs`]) rather than in waves.
     row_ordered: bool,
@@ -638,7 +681,7 @@ pub(crate) struct PreparedQuery<'a> {
 impl PreparedQuery<'_> {
     /// Fresh statuses for the job's completion plan, if it has one.
     fn statuses(&self) -> Option<Statuses> {
-        self.completion.map(|plan| {
+        self.completion.as_ref().map(|plan| {
             Statuses::new(
                 plan,
                 self.plans.len(),
@@ -649,10 +692,12 @@ impl PreparedQuery<'_> {
     }
 }
 
-/// One job's scan state: its accumulator matrix, private counters, and
-/// — for a completion job — each base tuple's final status.
+/// One job's scan state: its accumulator matrix and ranked counts,
+/// private counters, and — for a completion job — each base tuple's final
+/// status. The pass folds `tally` into `accs` once its workers are merged.
 pub(crate) struct JobScan {
     pub(crate) accs: Vec<Accumulator>,
+    tally: RankTally,
     pub(crate) eval: EvalStats,
     pub(crate) kernel: KernelStats,
     pub(crate) status: Option<Vec<Status>>,
@@ -662,19 +707,22 @@ impl JobScan {
     fn new(job: &PreparedQuery<'_>) -> Self {
         JobScan {
             accs: new_accumulators(&job.plans, job.base_rows.len(), job.total_aggs),
+            tally: RankTally::new(&job.plans),
             eval: EvalStats::default(),
             kernel: KernelStats::default(),
             status: None,
         }
     }
 
-    /// Fold another worker's state in (exact: [`Accumulator::merge`]).
+    /// Fold another worker's state in (exact: [`Accumulator::merge`],
+    /// and ranked counts add).
     fn merge(&mut self, other: JobScan) {
         self.eval.merge(&other.eval);
         self.kernel.merge(&other.kernel);
         for (m, a) in self.accs.iter_mut().zip(&other.accs) {
             m.merge(a);
         }
+        self.tally.merge(&other.tally);
     }
 }
 
@@ -964,6 +1012,7 @@ pub(crate) fn morsel_pass(
                 job.base_rows,
                 job.total_aggs,
                 &mut scan.accs,
+                &mut scan.tally,
                 &mut scan.eval,
                 &mut scan.kernel,
                 sink,
@@ -997,6 +1046,7 @@ pub(crate) fn morsel_pass(
                     job.base_rows,
                     job.total_aggs,
                     &mut scan.accs,
+                    &mut scan.tally,
                     &mut scan.eval,
                     &mut scan.kernel,
                     sink,
@@ -1091,14 +1141,20 @@ pub(crate) fn morsel_pass(
             }
         }
     }
-    let mut jobs = merged.expect("a pass runs at least one worker");
-    for (scan, statuses) in jobs.iter_mut().zip(&statuses) {
-        if let (Ok(scan), Some(s)) = (scan, statuses) {
-            scan.status = Some(s.status());
+    let mut merged = merged.expect("a pass runs at least one worker");
+    for ((scan, statuses), job) in merged.iter_mut().zip(&statuses).zip(jobs) {
+        if let Ok(scan) = scan {
+            std::mem::take(&mut scan.tally).fold(
+                &job.plans,
+                job.base_rows,
+                job.total_aggs,
+                &mut scan.accs,
+            );
+            scan.status = statuses.as_ref().map(Statuses::status);
         }
     }
     MorselPass {
-        jobs,
+        jobs: merged,
         worker_max_ns,
         worker_sum_ns,
     }
@@ -1437,10 +1493,10 @@ mod tests {
     }
 
     /// Two distinct ALL-shaped queries (`P.price >= ALL …` and
-    /// `P.price > ALL …` over `P.k <> Q.k`) coalesce into one pass. Each
-    /// completion plan runs as its own row-ordered item, on its own
-    /// worker: both answers and every counter equal a standalone
-    /// sequential run, and both workers of the pass did work.
+    /// `P.price > ALL …` over `P.k <> Q.k`), Scan-probed, coalesce into
+    /// one pass. Each completion plan runs as its own row-ordered item,
+    /// on its own worker: both answers and every counter equal a
+    /// standalone sequential run, and both workers of the pass did work.
     #[test]
     fn distinct_all_queries_run_completion_side_by_side() {
         use crate::completion::derive_completion;
@@ -1473,17 +1529,18 @@ mod tests {
             .iter()
             .map(|(spec, plan)| {
                 let mut node = PlanNodeStats::new("GMDJ");
-                let out = Runtime::sequential()
-                    .eval(
-                        &base,
-                        &detail,
-                        spec,
-                        Some(&selection),
-                        Keep::BaseOnly,
-                        Some(plan),
-                        &mut node,
-                    )
-                    .unwrap();
+                let out =
+                    Runtime::new(ExecPolicy::sequential().with_probe(ProbeStrategy::ForceScan))
+                        .eval(
+                            &base,
+                            &detail,
+                            spec,
+                            Some(&selection),
+                            Keep::BaseOnly,
+                            Some(plan),
+                            &mut node,
+                        )
+                        .unwrap();
                 assert!(node.eval.dead_early > 0);
                 (out, node.eval)
             })
@@ -1505,7 +1562,7 @@ mod tests {
                             Some(selection),
                             Keep::BaseOnly,
                             Some(plan),
-                            ExecPolicy::parallel(2).probe,
+                            ProbeStrategy::ForceScan,
                             sink,
                         )
                         .unwrap()
@@ -1777,7 +1834,7 @@ mod tests {
         let probe = ExecPolicy::sequential().probe;
         let queries: Vec<BoundGmdj> = specs
             .iter()
-            .map(|spec| BoundGmdj::bind(&base, &detail, spec, None, probe).unwrap())
+            .map(|spec| BoundGmdj::bind(&base, &detail, spec, None, probe, false).unwrap())
             .collect();
         let jobs: Vec<PreparedQuery> = queries
             .iter()
@@ -1821,7 +1878,7 @@ mod tests {
     fn worker_panic_is_an_error_for_any_worker_count() {
         let (base, detail, spec) = (hours(), flows(), in_hour_count());
         let policy = ExecPolicy::sequential();
-        let query = BoundGmdj::bind(&base, &detail, &spec, None, policy.probe).unwrap();
+        let query = BoundGmdj::bind(&base, &detail, &spec, None, policy.probe, false).unwrap();
         let mut job = query
             .prepare(base.rows(), &mut EvalStats::default())
             .unwrap();

@@ -21,7 +21,8 @@
 //! | 7      | 4    | payload length (≤ [`MAX_FRAME_LEN`]) |
 //!
 //! Frame types: `Hello` / `HelloAck` (handshake, site id echo),
-//! `EvalRequest` (broadcast wave: base partition + spec + options +
+//! `EvalRequest` (broadcast wave: base partition + spec + options — the
+//! probe byte: 0 `Auto`, 1 `ForceScan`, 2 `Auto` with ranked access +
 //! the cross-process trace context — query id, parent `site.roundtrip`
 //! span id, attempt number), `StateMatrix` (state wave: partial
 //! accumulators + site counters + the site's `site.eval` wall-clock and
@@ -101,6 +102,14 @@ pub const WIRE_MAGIC: [u8; 4] = *b"GMDJ";
 /// * v3 — `EvalRequest` drops the kernel-dispatch flag and the
 ///   base-partition budget: every site scans through the batched
 ///   kernels, and plans its probes from the probe strategy alone.
+///
+///   Two later additions ride v3 without a bump, because a peer built
+///   before them rejects them rather than misreading them: the probe
+///   byte's value 2 (`Auto` with ranked access admitted), which such a
+///   site refuses as a bad probe strategy, and the `rank_lookups` eval
+///   counter, which changes only the `StateMatrix` eval set's field
+///   count, so either end built with the other table fails the frame
+///   with a field-count mismatch.
 pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a frame payload. A garbled length prefix beyond this
 /// is rejected before any allocation.
@@ -306,6 +315,10 @@ pub struct EvalRequestFrame {
     pub trace: bool,
     /// Probe plan selection.
     pub probe: ProbeStrategy,
+    /// Ranked access is admitted (a filtered GMDJ under `Auto`). It rides
+    /// in the probe byte: 0 `Auto`, 1 `ForceScan`, 2 `Auto` with ranked
+    /// access.
+    pub ranked: bool,
     /// Aggregates per base row.
     pub total_aggs: u32,
     /// Base partition schema.
@@ -977,9 +990,10 @@ fn enc_payload(frame: &Frame) -> Vec<u8> {
             put_u64(&mut out, req.query_id);
             put_u64(&mut out, req.parent_span);
             out.push(req.trace as u8);
-            out.push(match req.probe {
-                ProbeStrategy::Auto => 0,
-                ProbeStrategy::ForceScan => 1,
+            out.push(match (req.probe, req.ranked) {
+                (ProbeStrategy::Auto, false) => 0,
+                (ProbeStrategy::ForceScan, _) => 1,
+                (ProbeStrategy::Auto, true) => 2,
             });
             put_u32(&mut out, req.total_aggs);
             put_u32(&mut out, req.base_fields.len() as u32);
@@ -1037,9 +1051,10 @@ fn dec_payload(frame_type: u8, payload: &[u8]) -> std::result::Result<Frame, Wir
             let query_id = r.u64()?;
             let parent_span = r.u64()?;
             let trace = r.bool()?;
-            let probe = match r.u8()? {
-                0 => ProbeStrategy::Auto,
-                1 => ProbeStrategy::ForceScan,
+            let (probe, ranked) = match r.u8()? {
+                0 => (ProbeStrategy::Auto, false),
+                1 => (ProbeStrategy::ForceScan, false),
+                2 => (ProbeStrategy::Auto, true),
                 t => return Err(WireError::protocol(format!("bad probe strategy {t}"))),
             };
             let total_aggs = r.u32()?;
@@ -1068,6 +1083,7 @@ fn dec_payload(frame_type: u8, payload: &[u8]) -> std::result::Result<Frame, Wir
                 parent_span,
                 trace,
                 probe,
+                ranked,
                 total_aggs,
                 base_fields,
                 base_rows,
@@ -1649,6 +1665,7 @@ mod tests {
             parent_span: 97,
             trace: true,
             probe: ProbeStrategy::Auto,
+            ranked: false,
             total_aggs: 1,
             base_fields: vec![Field::new("B", "Lo", DataType::Int)],
             base_rows: vec![vec![Value::Int(5)].into_boxed_slice()],
@@ -1725,6 +1742,7 @@ mod tests {
             parent_span: 97,
             trace: true,
             probe: ProbeStrategy::Auto,
+            ranked: false,
             total_aggs: 1,
             base_fields: vec![Field::new("B", "Lo", DataType::Int)],
             base_rows: vec![vec![Value::Int(5)].into_boxed_slice()],
@@ -1746,6 +1764,7 @@ mod tests {
                 completion_fallbacks: 10,
                 col_chunk_reads: 11,
                 row_page_reads: 12,
+                rank_lookups: 17,
             },
             kernel: KernelStats {
                 batches: 13,
@@ -1757,26 +1776,46 @@ mod tests {
             spans: vec![sample_event()],
             accs: vec![Accumulator::CountStar { n: 4 }],
         }));
+        let Frame::EvalRequest(req) = &request else {
+            unreachable!()
+        };
+        let ranked_request = Frame::EvalRequest(Box::new(EvalRequestFrame {
+            ranked: true,
+            ..(**req).clone()
+        }));
         // Protocol version 3's layout: a codec change that alters these
-        // bytes must also bump WIRE_VERSION.
+        // bytes must also bump WIRE_VERSION, except for the additions the
+        // `WIRE_VERSION` doc lists, which an older peer rejects.
         let pinned_request = concat!(
             "474d444a03000367000000020000002900000000000000610000000000000001",
             "0001000000010000000100000042020000004c6f000100000001000000010500",
             "0000000000000100000001050001010000004601000000540001010000004202",
             "0000004c6f01000000000003000000636e74",
         );
+        // The same request admitting ranked access: probe byte 2.
+        let pinned_ranked_request = concat!(
+            "474d444a03000367000000020000002900000000000000610000000000000001",
+            "0201000000010000000100000042020000004c6f000100000001000000010500",
+            "0000000000000100000001050001010000004601000000540001010000004202",
+            "0000004c6f01000000000003000000636e74",
+        );
         let pinned_state = concat!(
-            "474d444a03000412010000640000000000000009000000000000000c01000000",
+            "474d444a0300041a010000640000000000000009000000000000000d01000000",
             "0000000002000000000000000300000000000000040000000000000005000000",
             "0000000006000000000000000700000000000000080000000000000009000000",
-            "000000000a000000000000000b000000000000000c00000000000000040d0000",
-            "00000000000e000000000000000f000000000000001000000000000000d20400",
-            "00000000000100000009000000736974652e6576616c05000000736974653378",
-            "00000000000000e7030000000000000300000004000000736974650300000000",
-            "00000007000000617474656d707401000000000000000e00000064657461696c",
-            "5f7363616e6e6564280000000000000001000000000400000000000000",
+            "000000000a000000000000000b000000000000000c0000000000000011000000",
+            "00000000040d000000000000000e000000000000000f00000000000000100000",
+            "0000000000d2040000000000000100000009000000736974652e6576616c0500",
+            "000073697465337800000000000000e703000000000000030000000400000073",
+            "697465030000000000000007000000617474656d707401000000000000000e00",
+            "000064657461696c5f7363616e6e656428000000000000000100000000040000",
+            "0000000000",
         );
-        for (frame, pinned) in [(&request, pinned_request), (&state, pinned_state)] {
+        for (frame, pinned) in [
+            (&request, pinned_request),
+            (&ranked_request, pinned_ranked_request),
+            (&state, pinned_state),
+        ] {
             let bytes = encode_frame(frame);
             assert_eq!(hex(&bytes), pinned);
             assert_eq!(&decode_frame(&bytes).unwrap(), frame);
@@ -1817,6 +1856,7 @@ mod tests {
             parent_span: 1,
             trace: false,
             probe: ProbeStrategy::Auto,
+            ranked: false,
             total_aggs: 1,
             base_fields: vec![Field::new("B", "k", DataType::Int)],
             base_rows: vec![

@@ -289,33 +289,42 @@ impl Gen<'_> {
         let mut inner_scope = scope.to_vec();
         inner_scope.push(alias.clone());
         let pred = self.block_pred(&inner_scope, depth + 1);
-        let sub = Box::new(SubSpec {
+        let mut sub = Box::new(SubSpec {
             table,
             alias,
             output: self.column().to_string(),
             pred,
         });
         match self.rng.below(5) {
-            0 => Pred::Exists {
-                negated: self.rng.chance(50),
-                sub,
-            },
+            0 => {
+                let negated = self.rng.chance(50);
+                if negated {
+                    self.maybe_ranked(&mut sub, &inner_scope);
+                }
+                Pred::Exists { negated, sub }
+            }
             1 => Pred::In {
                 left: self.operand(scope),
                 negated: self.rng.chance(50),
                 sub,
             },
-            2 => Pred::Quant {
-                left: self.operand(scope),
-                op: self.op(),
-                all: self.rng.chance(50),
-                sub,
-            },
+            2 => {
+                let left = self.operand(scope);
+                let op = self.op();
+                let all = self.rng.chance(50);
+                if all {
+                    self.maybe_ranked(&mut sub, &inner_scope);
+                }
+                Pred::Quant { left, op, all, sub }
+            }
             _ => {
                 let left = self.operand(scope);
                 let op = self.op();
                 let func = *self.rng.pick(&Agg::ALL);
                 self.counts_rows |= matches!(func, Agg::CountStar | Agg::Count | Agg::Sum);
+                if matches!(func, Agg::CountStar | Agg::Count) {
+                    self.maybe_ranked(&mut sub, &inner_scope);
+                }
                 Pred::AggCmp {
                     left,
                     op,
@@ -323,6 +332,49 @@ impl Gen<'_> {
                     sub,
                 }
             }
+        }
+    }
+
+    /// One time in three, give an ALL, NOT EXISTS or COUNT subquery with
+    /// no subquery of its own the correlation ranked access counts: an
+    /// outer/inner column `<>`, a one-sided inequality, or both, with an
+    /// optional one-side conjunct. A random block predicate rarely has
+    /// that shape, and it is where a ranked count, its NULL handling and
+    /// its `<>` complement can go wrong: under every policy for ALL and
+    /// COUNT, and at distributed sites for NOT EXISTS, which completion
+    /// settles wherever it runs.
+    fn maybe_ranked(&mut self, sub: &mut SubSpec, scope: &[String]) {
+        if sub.pred.nesting_depth() > 0 || !self.rng.chance(35) {
+            return;
+        }
+        let inner = scope[scope.len() - 1].clone();
+        let outer = scope[self.rng.below(scope.len() as u64 - 1) as usize].clone();
+        let neq = self.col_pair(&outer, Op::Ne, &inner);
+        let op = *self.rng.pick(&[Op::Lt, Op::Le, Op::Gt, Op::Ge]);
+        let ineq = self.col_pair(&outer, op, &inner);
+        let mut pred = match self.rng.below(3) {
+            0 => neq,
+            1 => ineq,
+            _ => Pred::And(Box::new(neq), Box::new(ineq)),
+        };
+        if self.rng.chance(50) {
+            let alias = if self.rng.chance(50) { inner } else { outer };
+            let side = Pred::Cmp {
+                left: Operand::Col(ColRef::new(alias, self.column())),
+                op: self.op(),
+                right: self.literal(),
+            };
+            pred = Pred::And(Box::new(pred), Box::new(side));
+        }
+        sub.pred = pred;
+    }
+
+    /// `outer.c op inner.c'` over random columns.
+    fn col_pair(&mut self, outer: &str, op: Op, inner: &str) -> Pred {
+        Pred::Cmp {
+            left: Operand::Col(ColRef::new(outer, self.column())),
+            op,
+            right: Operand::Col(ColRef::new(inner, self.column())),
         }
     }
 }

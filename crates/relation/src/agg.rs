@@ -299,6 +299,19 @@ impl Accumulator {
         }
     }
 
+    /// Add `k` tuples that were counted elsewhere (a ranked GMDJ block's
+    /// difference arrays) to a `COUNT(*)` or `COUNT(e)` accumulator.
+    ///
+    /// # Panics
+    /// On any other aggregate function, which has no count to add to.
+    #[inline]
+    pub fn add_count(&mut self, k: i64) {
+        match self {
+            Accumulator::CountStar { n } | Accumulator::Count { n } => *n += k,
+            other => panic!("add_count on a non-COUNT accumulator {other:?}"),
+        }
+    }
+
     /// Batched `COUNT(*)` update: fold `k` tuples at once. Exact for
     /// `CountStar` (the marker value never matters); any other function
     /// falls back to `k` marker updates, reproducing the row path.

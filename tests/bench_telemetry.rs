@@ -68,7 +68,7 @@ fn generated_report_validates_and_corruptions_are_rejected() {
     let corruptions = [
         // Wrong version.
         (
-            json.replacen("\"version\":4", "\"version\":999", 1),
+            json.replacen("\"version\":5", "\"version\":999", 1),
             "version",
         ),
         // A counter key deleted from the first entry.

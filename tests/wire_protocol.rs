@@ -184,6 +184,7 @@ fn gen_eval_stats(rng: &mut SplitMix64) -> EvalStats {
         completion_fallbacks: rng.below(1000),
         col_chunk_reads: rng.below(1000),
         row_page_reads: rng.below(1000),
+        rank_lookups: rng.below(1000),
     }
 }
 
@@ -254,12 +255,15 @@ fn gen_trace_event(rng: &mut SplitMix64) -> TraceEvent {
 fn gen_eval_request(rng: &mut SplitMix64) -> Frame {
     let fields = gen_fields(rng);
     let width = fields.len();
+    let probe = *rng.pick(&[ProbeStrategy::Auto, ProbeStrategy::ForceScan]);
     Frame::EvalRequest(Box::new(EvalRequestFrame {
         attempt: rng.below(4) as u32,
         query_id: rng.next_u64(),
         parent_span: rng.next_u64(),
         trace: rng.chance(50),
-        probe: *rng.pick(&[ProbeStrategy::Auto, ProbeStrategy::ForceScan]),
+        probe,
+        // Ranked access is only ever admitted under `Auto`.
+        ranked: probe == ProbeStrategy::Auto && rng.chance(50),
         total_aggs: 1 + rng.below(4) as u32,
         base_fields: fields,
         base_rows: (0..rng.below(6)).map(|_| gen_tuple(rng, width)).collect(),
